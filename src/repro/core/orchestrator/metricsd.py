@@ -8,8 +8,7 @@ bounded retention window drops old samples.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 Labels = Tuple[Tuple[str, str], ...]
 
@@ -20,8 +19,10 @@ def _freeze(labels: Optional[Dict[str, str]]) -> Labels:
     return tuple(sorted(labels.items()))
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
+    """One immutable sample; tuple-backed because a check-in storm
+    creates one per metric per gateway."""
+
     time: float
     value: float
     trace_id: Optional[int] = None
@@ -49,29 +50,41 @@ class Metricsd:
     def ingest(self, name: str, value: float, time: float,
                labels: Optional[Dict[str, str]] = None,
                trace_id: Optional[int] = None) -> None:
+        self._ingest(((name, value),), time, labels, trace_id)
+
+    def ingest_bundle(self, metrics: Dict[str, float], time: float,
+                      labels: Optional[Dict[str, str]] = None) -> None:
+        self._ingest(metrics.items(), time, labels, None)
+
+    def _ingest(self, items: Collection[Tuple[str, float]], time: float,
+                labels: Optional[Dict[str, str]],
+                trace_id: Optional[int]) -> None:
+        """Append samples that share a capture time and a label set: the
+        retention gate and the label freeze are paid once for all."""
+        if not items:
+            return  # no sample, so no capture time to move the clock by
         if time > self._now:
             self._now = time
         elif self._now - time > self.retention:
             # Too old to matter by the time it arrived (late back-fill).
-            self.stats["dropped_old"] += 1
+            self.stats["dropped_old"] += len(items)
             return
-        key = (name, _freeze(labels))
-        series = self._series.get(key)
-        if series is None:
-            series = deque()
-            self._series[key] = series
-        sample = Sample(time=time, value=value, trace_id=trace_id)
-        series.append(sample)
-        cur = self._latest.get(key)
-        if cur is None or time >= cur.time:
-            self._latest[key] = sample
-        self.stats["ingested"] += 1
-        self._evict(key, series, self._now)
-
-    def ingest_bundle(self, metrics: Dict[str, float], time: float,
-                      labels: Optional[Dict[str, str]] = None) -> None:
-        for name, value in metrics.items():
-            self.ingest(name, value, time, labels)
+        now = self._now
+        frozen = _freeze(labels)
+        for name, value in items:
+            key = (name, frozen)
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = deque()
+            sample = Sample(time, value, trace_id)
+            series.append(sample)
+            cur = self._latest.get(key)
+            if cur is None or time >= cur.time:
+                self._latest[key] = sample
+            if (len(series) > self.max_samples
+                    or now - series[0].time > self.retention):
+                self._evict(key, series, now)
+        self.stats["ingested"] += len(items)
 
     def _evict(self, key: Tuple[str, Labels], series: Deque[Sample],
                now: float) -> None:

@@ -39,6 +39,11 @@ DEFAULT_NETWORK = "default"
 
 #: Retained samples per wire-bytes series (scalar aggregates stay exact).
 WIRE_SERIES_SAMPLES = 4096
+#: handler kind -> its (rx, tx) wire-bytes series names.
+_WIRE_SERIES = {kind: (f"sync.{kind}.rx_bytes", f"sync.{kind}.tx_bytes")
+                for kind in ("checkin", "reconcile")}
+#: A response that carries no bundle is charged the one-byte ``None``.
+_NO_CONFIG_BYTES = payload_bytes(None)
 
 
 def scoped(namespace: str, network_id: str) -> str:
@@ -185,16 +190,15 @@ class StateSync:
         # its desired state identical, so no bundle (full-state semantics
         # per push are preserved; only no-op pushes are elided).
         digest_roots = request.get("digest_roots")
-        if state.config_version >= self.network_config_version(
-                state.network_id):
-            response["config"] = None
-        elif (self.digest_sync and digest_roots is not None
-              and state.config_version > 0):
+        bundle = None
+        stale = state.config_version < self.network_config_version(
+            state.network_id)
+        if (stale and self.digest_sync and digest_roots is not None
+                and state.config_version > 0):
             # Digest path: elide matching namespaces entirely; open a tree
             # walk for divergent ones.  A first-contact gateway (version 0)
             # still gets the full bundle - walking a fully-divergent tree
             # would ship every leaf anyway, at more round trips.
-            response["config"] = None
             sync = self.reconciler.sync_info(state.network_id, digest_roots)
             if sync:
                 response["sync"] = sync
@@ -204,10 +208,17 @@ class StateSync:
                 # identical values): fast-forward the gateway's version.
                 response["digest_in_sync"] = True
                 self.stats["digest_elisions"] += 1
-        else:
-            response["config"] = self.config_bundle(state.network_id)
+        elif stale:
+            bundle = self.config_bundle(state.network_id)
             self.stats["config_pushes"] += 1
-        self._record_wire("checkin", request, response, state.network_id)
+        # The full bundle dominates a response and is shared across a
+        # storm of check-ins: it is sized once per (network, versions) and
+        # attached only after the shallow remainder has been sized.
+        self._record_wire(
+            "checkin", request, response,
+            _NO_CONFIG_BYTES if bundle is None
+            else self._bundle_payload_bytes(state.network_id))
+        response["config"] = bundle
         span.end()
         return response
 
@@ -224,32 +235,26 @@ class StateSync:
             for delta in label_deltas.values():
                 self.stats["reconcile_upserts"] += len(delta["set"])
                 self.stats["reconcile_tombstones"] += len(delta["delete"])
-        self._record_wire("reconcile", request, response, None)
+        self._record_wire("reconcile", request, response, _NO_CONFIG_BYTES)
         return response
 
     # -- wire-size observability ----------------------------------------------------
 
     def _record_wire(self, kind: str, request: Dict[str, Any],
-                     response: Dict[str, Any],
-                     network_id: Optional[str]) -> None:
+                     response: Dict[str, Any], config_bytes: int) -> None:
+        """Account one exchange; ``response`` is everything but the
+        config bundle, whose size arrives as ``config_bytes``."""
         rx = payload_bytes(request)
-        # The full bundle dominates the response and is shared across a
-        # storm of check-ins; size it once per (network, versions) and sum
-        # the shallow remainder per response.
-        tx = payload_bytes({k: v for k, v in response.items()
-                            if k != "config"})
-        if response.get("config") is not None:
-            tx += self._bundle_payload_bytes(network_id)
-        else:
-            tx += payload_bytes(None)
+        tx = payload_bytes(response) + config_bytes
         self.stats["rx_bytes"] += rx
         self.stats["tx_bytes"] += tx
         if self.monitor is not None:
             now = self.sim.now
+            rx_series, tx_series = _WIRE_SERIES[kind]
             self.monitor.bounded_series(
-                f"sync.{kind}.rx_bytes", WIRE_SERIES_SAMPLES).record(now, rx)
+                rx_series, WIRE_SERIES_SAMPLES).record(now, rx)
             self.monitor.bounded_series(
-                f"sync.{kind}.tx_bytes", WIRE_SERIES_SAMPLES).record(now, tx)
+                tx_series, WIRE_SERIES_SAMPLES).record(now, tx)
 
     def _bundle_payload_bytes(self, network_id: str) -> int:
         versions = self._network_ns_versions(network_id)
@@ -285,7 +290,7 @@ class StateSync:
 
     def config_bundle(self, network_id: str = DEFAULT_NETWORK
                       ) -> Dict[str, Any]:
-        """The network's full desired state (versioned delta cache).
+        """The network's full desired state (versioned cache).
 
         Cached against the network's per-namespace versions rather than the
         global store version: writes to other networks (or namespaces this
@@ -306,22 +311,6 @@ class StateSync:
         self._bundle_cache[network_id] = (versions, bundle)
         self.stats["bundle_rebuilds"] += 1
         return bundle
-
-    def config_delta(self, network_id: str = DEFAULT_NETWORK,
-                     since_version: int = 0) -> Dict[str, Any]:
-        """Only the namespaces that changed after ``since_version``.
-
-        Namespace-granular deltas for callers that track their applied
-        version; an up-to-date caller gets ``{}``.  Convergence still
-        rides on full bundles (the paper's desired-state push) - this is
-        the cheap path for callers that poll more often than they change.
-        """
-        bundle = self.config_bundle(network_id)
-        names = (("subscribers", NS_SUBSCRIBERS), ("policies", NS_POLICIES),
-                 ("ran", NS_RAN))
-        return {key: bundle[key] for key, ns in names
-                if self.store.namespace_version(
-                    scoped(ns, network_id)) > since_version}
 
     # -- gateway registry ----------------------------------------------------------------
 

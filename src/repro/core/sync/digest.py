@@ -149,6 +149,10 @@ def _combine(children: Iterable[int]) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+_SHARED_BASE_WRITE = ("digest tree is the base of an overlay and is "
+                      "read-only; write to an overlay or rebuild a fresh tree")
+
+
 class DigestTree:
     """Fixed-fanout digest tree over one namespace's ``{key: value}`` set.
 
@@ -161,7 +165,8 @@ class DigestTree:
     """
 
     __slots__ = ("fanout", "depth", "leaf_count", "_leaf_acc",
-                 "_leaf_entries", "_node_cache", "_count", "stats")
+                 "_leaf_entries", "_node_cache", "_count", "_shared",
+                 "stats")
 
     def __init__(self, fanout: int = 16, depth: int = 2):
         if fanout < 2:
@@ -171,12 +176,12 @@ class DigestTree:
         self.fanout = fanout
         self.depth = depth
         self.leaf_count = fanout ** depth
-        self._leaf_acc: List[int] = [0] * self.leaf_count
-        # Per-leaf {key: entry_digest}; allocated lazily per bucket.
-        self._leaf_entries: List[Optional[Dict[str, int]]] = \
-            [None] * self.leaf_count
+        self._alloc_leaves()
         self._node_cache: Dict[NodePath, int] = {}
         self._count = 0
+        # Set once an OverlayTree reads through to this tree: overlays
+        # trust the base's digests and len(), so it is frozen from then on.
+        self._shared = False
         self.stats = {"puts": 0, "deletes": 0, "node_recomputes": 0}
 
     # -- key placement -------------------------------------------------------------
@@ -207,9 +212,11 @@ class DigestTree:
 
     def put_digest(self, key: str, digest: int) -> bool:
         """Insert/update with a precomputed entry digest (mirror rebuilds)."""
+        if self._shared:
+            raise RuntimeError(_SHARED_BASE_WRITE)
         path = self.path_for_key(key)
         index = self._leaf_index(path)
-        entries = self._writable_leaf(index)
+        entries = self._writable_leaf(index, path)
         old = entries.get(key)
         if old == digest:
             return False
@@ -226,12 +233,14 @@ class DigestTree:
 
     def delete(self, key: str) -> bool:
         """Remove one entry; returns True if it was present."""
+        if self._shared:
+            raise RuntimeError(_SHARED_BASE_WRITE)
         path = self.path_for_key(key)
         index = self._leaf_index(path)
         view = self._leaf_entry_map(index)
         if not view or key not in view:
             return False
-        old = self._writable_leaf(index).pop(key)
+        old = self._writable_leaf(index, path).pop(key)
         self._set_leaf_acc(index, self._leaf_acc[index] ^ old)
         self._count -= 1
         self._invalidate(path)
@@ -245,10 +254,16 @@ class DigestTree:
 
     # -- leaf storage hooks (OverlayTree overrides these) ----------------------------
 
+    def _alloc_leaves(self) -> None:
+        self._leaf_acc: List[int] = [0] * self.leaf_count
+        # Per-leaf {key: entry_digest}; allocated lazily per bucket.
+        self._leaf_entries: List[Optional[Dict[str, int]]] = \
+            [None] * self.leaf_count
+
     def _leaf_entry_map(self, index: int) -> Optional[Dict[str, int]]:
         return self._leaf_entries[index]
 
-    def _writable_leaf(self, index: int) -> Dict[str, int]:
+    def _writable_leaf(self, index: int, path: NodePath) -> Dict[str, int]:
         entries = self._leaf_entries[index]
         if entries is None:
             entries = {}
@@ -302,6 +317,10 @@ class DigestTree:
         return self._count
 
 
+#: An untouched overlay's (shared, empty) set of overlaid internal paths.
+_NO_PATHS: frozenset = frozenset()
+
+
 class OverlayTree(DigestTree):
     """Copy-on-write view over a shared base :class:`DigestTree`.
 
@@ -311,50 +330,60 @@ class OverlayTree(DigestTree):
     config is identical can then share one base mirror and each pay
     only for the buckets their own reconciliation touches.
 
-    The base tree must not be mutated while overlays exist.
+    Copying a bucket also records its ancestors' paths, so "is anything
+    under this node overlaid?" is one set probe and an untouched
+    overlay answers ``root()`` from the base's cache without looking at
+    a single leaf.  That shortcut (and ``len()``) trusts the base, so
+    creating an overlay freezes its base: writes to it raise.  The
+    base may itself be an overlay.
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ("_base", "_overlaid_paths")
 
     def __init__(self, base: DigestTree):
         super().__init__(base.fanout, base.depth)
         self._base = base
         self._count = len(base)
+        # Internal paths with a copied bucket beneath them; a real set
+        # replaces the shared empty one on the first copy.
+        self._overlaid_paths = _NO_PATHS
+        base._shared = True
 
-    def _overlaid(self, index: int) -> bool:
-        return self._leaf_entries[index] is not None
+    def _alloc_leaves(self) -> None:
+        # Sparse where the base is dense: only copied buckets, by leaf index.
+        self._leaf_acc: Dict[int, int] = {}
+        self._leaf_entries: Dict[int, Dict[str, int]] = {}
 
     def _leaf_entry_map(self, index: int) -> Optional[Dict[str, int]]:
-        entries = self._leaf_entries[index]
+        entries = self._leaf_entries.get(index)
         if entries is not None:
             return entries
         return self._base._leaf_entry_map(index)
 
-    def _writable_leaf(self, index: int) -> Dict[str, int]:
-        entries = self._leaf_entries[index]
+    def _writable_leaf(self, index: int, path: NodePath) -> Dict[str, int]:
+        entries = self._leaf_entries.get(index)
         if entries is None:
             base_entries = self._base._leaf_entry_map(index)
             entries = dict(base_entries) if base_entries else {}
             self._leaf_entries[index] = entries
             self._leaf_acc[index] = self._base._leaf_digest(index)
+            if not self._overlaid_paths:
+                self._overlaid_paths = set()
+            self._overlaid_paths.update(
+                path[:level] for level in range(self.depth))
         return entries
 
     def _leaf_digest(self, index: int) -> int:
-        if self._overlaid(index):
-            return self._leaf_acc[index]
+        acc = self._leaf_acc.get(index)
+        if acc is not None:
+            return acc
         return self._base._leaf_digest(index)
 
     def node(self, path: NodePath) -> int:
         path = tuple(path)
-        if len(path) < self.depth and not self._subtree_overlaid(path):
+        if len(path) < self.depth and path not in self._overlaid_paths:
             return self._base.node(path)
         return super().node(path)
-
-    def _subtree_overlaid(self, path: NodePath) -> bool:
-        first = self._leaf_index(path + (0,) * (self.depth - len(path)))
-        span = self.fanout ** (self.depth - len(path))
-        return any(self._leaf_entries[i] is not None
-                   for i in range(first, first + span))
 
 
 class DigestIndex:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..obs import profiler as _profiler
 from ..sim.kernel import Event, Simulator
@@ -33,26 +33,68 @@ DEFAULT_RETRY_INTERVAL = 0.25
 
 
 def _payload_bytes(obj: Any) -> int:
-    if obj is None or isinstance(obj, bool):
-        return 1
+    """One iterative depth-first pass over the object graph (see
+    :func:`payload_bytes`).
+
+    ``stack`` holds one iterator per container being walked, so scalars
+    are sized where they are met and memory is O(nesting depth) however
+    wide the payload.  The shapes real messages are made of dispatch on
+    their exact type; everything else (subclasses, bytes, sets,
+    dataclasses, opaque objects) goes through :func:`_other_bytes`.
+    """
+    total = 0
+    stack = [iter((obj,))]
+    while stack:
+        for node in stack[-1]:
+            kind = type(node)
+            if kind is str:
+                # UTF-8 length without encoding: ASCII is one byte a char.
+                total += 2 + (len(node) if node.isascii()
+                              else len(node.encode("utf-8")))
+            elif kind is float or kind is int:
+                total += 8
+            elif kind is dict:
+                total += 2
+                stack.append(itertools.chain(node, node.values()))
+                break
+            elif kind is list or kind is tuple:
+                total += 2
+                stack.append(iter(node))
+                break
+            elif node is None or kind is bool:
+                total += 1
+            else:
+                own, members = _other_bytes(node)
+                total += own
+                if members is not None:
+                    stack.append(iter(members))
+                    break
+        else:
+            stack.pop()
+    return total
+
+
+def _other_bytes(obj: Any) -> Tuple[int, Optional[Iterable[Any]]]:
+    """``(own bytes, members still to size or None)`` of a node the
+    exact-type dispatch does not know.  The ``isinstance`` order is the
+    rule set: an ``IntEnum`` is a number, a ``str`` subclass a string, a
+    namedtuple a sequence."""
     if isinstance(obj, (int, float)):
-        return 8
+        return 8, None
     if isinstance(obj, str):
-        return 2 + len(obj.encode("utf-8"))
+        return 2 + len(obj.encode("utf-8")), None
     if isinstance(obj, (bytes, bytearray)):
-        return 2 + len(obj)
+        return 2 + len(obj), None
     if isinstance(obj, dict):
-        return 2 + sum(_payload_bytes(k) + _payload_bytes(v)
-                       for k, v in obj.items())
+        return 2, itertools.chain.from_iterable(obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return 2 + sum(_payload_bytes(item) for item in obj)
+        return 2, obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return 2 + sum(_payload_bytes(f.name)
-                       + _payload_bytes(getattr(obj, f.name))
-                       for f in dataclasses.fields(obj))
+        return 2, [part for f in dataclasses.fields(obj)
+                   for part in (f.name, getattr(obj, f.name))]
     # Opaque object: charge a fixed envelope rather than guessing from a
     # repr (which could embed memory addresses and break determinism).
-    return 16
+    return 16, None
 
 
 def payload_bytes(obj: Any) -> int:
@@ -62,12 +104,16 @@ def payload_bytes(obj: Any) -> int:
     nothing is actually serialized; this estimator stands in for the
     encoded size a protobuf/JSON codec would produce — close enough in
     shape (per-field tag overhead, length-prefixed strings, fixed-width
-    numbers) for *relative* comparisons like full-bundle vs digest sync.
+    numbers) for *relative* comparisons like full-bundle vs digest sync:
+    ``None``/bools 1 byte, numbers 8, strings and bytes 2 + their
+    (UTF-8) length, containers and dataclasses 2 + their members (field
+    names included), any other object a flat 16.
     It is pure arithmetic over the object graph: no ``id()``, no
     ``repr`` of arbitrary objects, so the same payload always measures
-    the same on any run or platform.
+    the same on any run or platform.  ``tests/test_rpc_payload_bytes.py``
+    holds the recursive rule-per-line walker this replaced as the oracle.
 
-    The wrapper exists for the self-profiler: the recursion stays inside
+    The wrapper exists for the self-profiler: the walk stays inside
     ``_payload_bytes`` so only the entry point pays the scope cost, and
     the profiled and unprofiled paths compute identical sizes.
     """

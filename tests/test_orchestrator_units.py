@@ -1,6 +1,8 @@
 """Unit tests for orchestrator components (store, metrics, bootstrap, alerts)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orchestrator import (
     AlertManager,
@@ -9,6 +11,7 @@ from repro.core.orchestrator import (
     Bootstrapper,
     ConfigStore,
     Metricsd,
+    Sample,
     sign_challenge,
 )
 
@@ -101,6 +104,96 @@ def test_metricsd_bundle_ingest():
     m.ingest_bundle({"a": 1.0, "b": 2.0}, time=5.0, labels={"gw": "x"})
     assert m.latest("a", {"gw": "x"}).value == 1.0
     assert m.latest("b", {"gw": "x"}).value == 2.0
+
+
+def metricsd_view(m, names, label_sets):
+    """Everything a caller can read back, for whole-store comparison."""
+    return {
+        "stats": dict(m.stats),
+        "names": m.series_names(),
+        "series": {(name, tuple(sorted(labels.items()))): (
+            m.query(name, labels), m.latest(name, labels))
+            for name in names for labels in label_sets},
+        "label_sets": {name: m.label_sets(name) for name in names},
+        "sums": {name: m.sum_latest(name) for name in names},
+    }
+
+
+def assert_bundles_equal_single_ingests(bundles, **limits):
+    """``bundles`` is [(metrics, time, labels)]; one store takes each as a
+    bundle, the other the same samples through ``ingest`` one by one."""
+    bundled, single = Metricsd(**limits), Metricsd(**limits)
+    for metrics, time, labels in bundles:
+        bundled.ingest_bundle(metrics, time, labels)
+        for name, value in metrics.items():
+            single.ingest(name, value, time, labels)
+    names = sorted({name for metrics, _, _ in bundles for name in metrics})
+    label_sets = [dict(frozen) for frozen in
+                  sorted({tuple(sorted((labels or {}).items()))
+                          for _, _, labels in bundles})]
+    view = metricsd_view(bundled, names, label_sets)
+    assert view == metricsd_view(single, names, label_sets)
+    return bundled, view
+
+
+def test_metricsd_late_backfill_past_retention_drops_the_whole_bundle():
+    gw = {"gateway_id": "a"}
+    m, view = assert_bundles_equal_single_ingests([
+        ({"cpu": 0.5, "mem": 0.25}, 100.0, gw),
+        ({"cpu": 0.9, "mem": 0.75, "disk": 0.5}, 40.0, gw),   # 60 s late
+    ], retention=50.0)
+    assert view["stats"] == {"ingested": 2, "dropped_old": 3}
+    assert view["names"] == ["cpu", "mem"]         # "disk" never registered
+    assert m.latest("cpu", gw).value == 0.5
+
+
+def test_metricsd_out_of_order_bundle_never_becomes_latest():
+    gw = {"gateway_id": "a"}
+    m, view = assert_bundles_equal_single_ingests([
+        ({"cpu": 0.5}, 100.0, gw),
+        ({"cpu": 0.9}, 90.0, gw),                  # back-fill, within retention
+        ({"cpu": 0.7}, 100.0, gw),                 # equal time: newest arrival
+    ])
+    assert [s.time for s in m.query("cpu", gw)] == [100.0, 90.0, 100.0]
+    assert m.latest("cpu", gw) == Sample(time=100.0, value=0.7)
+    assert view["stats"] == {"ingested": 3, "dropped_old": 0}
+
+
+def test_metricsd_max_samples_eviction_of_the_current_latest():
+    gw = {"gateway_id": "a"}
+    m, view = assert_bundles_equal_single_ingests([
+        ({"cpu": 0.9}, 100.0, gw),                 # latest, and the head
+        ({"cpu": 0.1}, 80.0, gw),
+        ({"cpu": 0.2}, 90.0, gw),                  # cap 2: evicts the head
+    ], max_samples_per_series=2)
+    assert m.latest("cpu", gw) == Sample(time=90.0, value=0.2)
+    assert view["stats"] == {"ingested": 3, "dropped_old": 1}
+
+
+def test_metricsd_series_drained_empty_stays_known():
+    gw = {"gateway_id": "a"}
+    # A zero cap evicts every sample as it lands: the only way the ingest
+    # path itself (not a later clock move) leaves a series empty.
+    m, view = assert_bundles_equal_single_ingests([
+        ({"cpu": 0.9, "mem": 0.5}, 10.0, gw),
+        ({"cpu": 0.8}, 20.0, gw),
+    ], max_samples_per_series=0)
+    assert view["stats"] == {"ingested": 3, "dropped_old": 3}
+    assert m.query("cpu", gw) == [] and m.latest("cpu", gw) is None
+    assert m.label_sets("cpu") == [gw]             # known, but sampleless
+    assert m.sum_latest("cpu") == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(["cpu", "mem", "disk"]),
+                    st.floats(0.0, 1.0), max_size=3),
+    st.integers(0, 40).map(float),
+    st.sampled_from([None, {"gateway_id": "a"}, {"gateway_id": "b"}])),
+    max_size=30))
+def test_metricsd_ingest_bundle_equals_single_ingests(bundles):
+    assert_bundles_equal_single_ingests(
+        bundles, retention=10.0, max_samples_per_series=3)
 
 
 # -- bootstrapper ---------------------------------------------------------------------------

@@ -146,18 +146,6 @@ def test_checkin_elides_push_when_own_network_unchanged():
     assert tenant["config"] is not None
 
 
-def test_config_delta_is_namespace_granular():
-    sim, store, sync = make_statesync()
-    store.put("subscribers", "a", 1)      # version 1
-    store.put("policies", "p", 2)         # version 2
-    delta = sync.config_delta("default", since_version=1)
-    assert "policies" in delta
-    assert "subscribers" not in delta
-    assert sync.config_delta("default", since_version=store.version) == {}
-    full = sync.config_delta("default", since_version=0)
-    assert set(full) == {"subscribers", "policies"}
-
-
 def test_network_config_version_tracks_own_namespaces():
     sim, store, sync = make_statesync()
     assert sync.network_config_version() == 0

@@ -142,6 +142,103 @@ def test_overlay_delete_of_base_key_copies_only_that_bucket():
     assert len(overlay) == len(base) - 1
 
 
+def all_paths(fanout, depth):
+    """Every node path of a tree, root first, leaves included."""
+    paths = [()]
+    for level in range(depth):
+        paths += [path + (digit,) for path in paths if len(path) == level
+                  for digit in range(fanout)]
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops_strategy, ops_strategy, ops_strategy, ops_strategy)
+def test_overlays_equal_a_plain_tree_of_the_same_content(
+        base_ops, ops_a, ops_b, ops_nested):
+    base, base_content = DigestTree(fanout=4, depth=2), {}
+    apply_ops(base, base_content, base_ops)
+    # Two sibling overlays of one base, and an overlay of an overlay.
+    views = []
+    for parent_content, parent, ops in (
+            (base_content, base, ops_a), (base_content, base, ops_b)):
+        content = dict(parent_content)
+        overlay = OverlayTree(parent)
+        apply_ops(overlay, content, ops)
+        views.append((overlay, content))
+    nested_content = dict(views[0][1])
+    nested = OverlayTree(views[0][0])
+    apply_ops(nested, nested_content, ops_nested)
+    views.append((nested, nested_content))
+    for overlay, content in views:
+        plain = DigestTree(fanout=4, depth=2)
+        apply_ops(plain, {}, content.items())
+        assert len(overlay) == len(plain) == len(content)
+        for path in all_paths(4, 2):
+            assert overlay.node(path) == plain.node(path), path
+            if len(path) == 2:
+                assert overlay.leaf_entries(path) == plain.leaf_entries(path)
+
+
+def test_untouched_overlay_root_does_no_per_leaf_work():
+    base = DigestTree()
+    for key in KEYS:
+        base.put(key, "v")
+    base_root = base.root()
+    overlay = OverlayTree(OverlayTree(base))     # through two levels
+    recomputes = base.stats["node_recomputes"]
+    assert overlay.root() is base_root           # the base's cached object
+    assert overlay.stats["node_recomputes"] == 0
+    assert base.stats["node_recomputes"] == recomputes
+    # One write dirties one root-to-leaf path: depth recomputes, no more.
+    overlay.put("extra", 1)
+    assert overlay.root() != base_root
+    assert overlay.stats["node_recomputes"] == overlay.depth
+    assert base.stats["node_recomputes"] == recomputes
+
+
+def test_base_of_an_overlay_is_read_only():
+    base = DigestTree(fanout=4, depth=2)
+    for key in KEYS[:20]:
+        base.put(key, "v")
+    overlay = OverlayTree(base)
+    base_root, base_len = overlay.root(), len(overlay)
+    # A write that got through would leave the overlay serving the old
+    # root and the old len() for a base that no longer has them.
+    for write in (lambda: base.put("late", 1),
+                  lambda: base.put_digest("late", 7),
+                  lambda: base.delete(KEYS[0])):
+        try:
+            write()
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("write to a shared base went through")
+    assert (base.root(), len(base)) == (base_root, base_len)
+    assert (overlay.root(), len(overlay)) == (base_root, base_len)
+
+
+def test_mirror_overlay_freezes_its_base_and_overlays_nest():
+    shared = DigestMirror(fanout=4, depth=2)
+    shared.rebuild("subscribers", {key: "v" for key in KEYS[:20]})
+    first = shared.overlay()
+    try:
+        shared.apply_delta("subscribers", {"late": 1}, [])
+    except RuntimeError:
+        pass
+    else:
+        raise AssertionError("delta applied to a shared mirror")
+    first.apply_delta("subscribers", {"extra": 1}, [KEYS[0]])
+    second = first.overlay()                     # overlay of an overlay
+    assert second.roots() == first.roots() != shared.roots()
+    second.apply_delta("subscribers", {KEYS[0]: "v"}, ["extra"])
+    assert second.roots() == shared.roots()
+    assert len(second.trees["subscribers"]) == 20
+    # Rebuilding swaps in a fresh tree; views of the old one keep it.
+    shared.rebuild("subscribers", {"only": 1})
+    assert second.roots()["subscribers"] != shared.roots()["subscribers"]
+    assert len(second.trees["subscribers"]) == 20
+
+
 # -- the reconcile walk ------------------------------------------------------------
 
 
