@@ -75,14 +75,23 @@ def build_datapath(n_rules):
     return pipelined, sessions
 
 
-def linear_table_lookup(table, pkt, in_port=None):
-    """The pre-change FlowTable.lookup: O(rules) scan per table."""
-    table.lookups += 1
-    for rule in table._rules:
-        if rule.match.matches(pkt, in_port):
-            table.matches += 1
-            return rule
-    return None
+def linear_lookup_over(tables):
+    """The pre-classifier FlowTable.lookup: O(rules) scan per table.
+
+    The priority-ordered lists are snapshotted here, once: ``rules()``
+    sorts on demand, and the tables do not change during the linear leg.
+    """
+    ordered = [table.rules() for table in tables]
+
+    def lookup(table, pkt, in_port=None):
+        table.lookups += 1
+        for rule in ordered[table.table_id]:
+            if rule.match.matches(pkt, in_port):
+                table.matches += 1
+                return rule
+        return None
+
+    return lookup
 
 
 def drive(pipelined, packets, flows, sessions, churn_every=None):
@@ -120,7 +129,7 @@ def measure(n_rules):
     pipelined, sessions = build_datapath(n_rules)
     pipelined.switch.microflow_enabled = False
     original = FlowTable.lookup
-    FlowTable.lookup = linear_table_lookup
+    FlowTable.lookup = linear_lookup_over(pipelined.switch.tables)
     try:
         linear_pps = drive(pipelined, PACKETS_LINEAR, flows(sessions), sessions)
     finally:

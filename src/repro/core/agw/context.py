@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ...net.simnet import Network
+from ...obs.tracing import tracer_of
 from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
@@ -137,8 +138,4 @@ class AgwContext:
     @property
     def tracer(self):
         """The installed :class:`repro.obs.tracing.Tracer`, or a no-op."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            from ...obs.tracing import NOOP_TRACER
-            return NOOP_TRACER
-        return tracer
+        return tracer_of(self.sim)

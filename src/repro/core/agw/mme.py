@@ -116,8 +116,8 @@ class AccessManagement:
         self._fleet_attach_credit = 0.0
         self.stats = {"attach_requests": 0, "attach_accepted": 0,
                       "attach_rejected": 0, "auth_failures": 0,
-                      "detaches": 0, "registered": 0,
-                      "unknown_subscriber": 0, "overload_drops": 0}
+                      "detaches": 0, "unknown_subscriber": 0,
+                      "overload_drops": 0}
 
     # -- entry points (called by RAN frontends) ---------------------------------------
 
@@ -402,9 +402,6 @@ class AccessManagement:
             return
         ue_context.state = UeContextState.REGISTERED
         self.stats["attach_accepted"] += 1
-        self.stats["registered"] = len([
-            c for c in self._by_imsi.values()
-            if c.state == UeContextState.REGISTERED])
         if self.directoryd is not None:
             self.directoryd.update_location(
                 ue_context.imsi, ue_context.frontend.name,

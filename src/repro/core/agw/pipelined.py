@@ -88,8 +88,9 @@ class Pipelined:
 
         Everything installed/removed/re-rated inside the ``with`` block is
         committed as a single :class:`FlowBundle` on exit - one control
-        message and one table sort instead of ~6 switch operations per
-        session.  Used by ``Sessiond.restore()`` and bulk-attach paths.
+        message and one ``add_batch`` per table instead of ~6 switch
+        operations per session.  Used by ``Sessiond.restore()`` and
+        bulk-attach paths.
         On an exception inside the block, nothing reaches the switch.
         """
         if self._pending is not None:
@@ -198,8 +199,10 @@ class Pipelined:
                                         "direction": "downlink"})
         if had_tunnel:
             # Drop the previous downlink egress rule (intra-AGW handover).
-            # Fresh installs skip this: no rule exists, and the O(table)
-            # delete scan per session would make bulk restore quadratic.
+            # Fresh installs skip this: no rule exists to delete.  The
+            # strict delete itself is one classifier-bucket probe, but a
+            # DELETE inside a bundle forces a flush of the pending ADDs
+            # (and counts as a flow op), so bulk restore stays all-ADD.
             self._apply(FlowMod(command=FlowMod.DELETE,
                                 table_id=TABLE_EGRESS, priority=10,
                                 match=downlink))

@@ -5,10 +5,16 @@ each table holds rules at integer priorities; the highest-priority matching
 rule wins; every hit updates the rule's packet/byte counters (the paper's
 data-plane responsibility (ii): "collecting statistics for those flows").
 
-Scaling notes.  The *control* hot path (session programming) uses a binary
-search on the descending-priority order for single inserts, one stable sort
-for bulk inserts (:meth:`FlowTable.add_batch`), and a cookie index for
-per-session lookups.  The *data* hot path (:meth:`FlowTable.lookup`) is a
+Scaling notes.  A table *is* two indexes over one rule set and nothing
+else: the tuple-space classifier (by match) and the cookie index (by
+session).  The *control* hot path (session programming) is local to the
+buckets it touches: an add appends to one classifier bucket and one cookie
+bucket (re-sorting that classifier bucket only when it holds more than one
+rule; :meth:`FlowTable.add_batch` sorts each touched bucket once), a strict
+delete probes the one bucket an equal match can live in, and a cookie
+delete pops its cookie bucket - none of them scans or rebuilds the table.
+The priority-ordered flat view (:meth:`FlowTable.rules`) is sorted on
+demand.  The *data* hot path (:meth:`FlowTable.lookup`) is a
 tuple-space-search classifier, as in real OVS: rules are grouped by their
 wildcard mask (the set of constrained :class:`FlowMatch` fields), each mask
 group is an exact-match hash subtable keyed by the extracted field tuple,
@@ -86,12 +92,12 @@ class _Subtable:
 
 
 class FlowTable:
-    """A priority-ordered rule list with lookup and management operations."""
+    """A rule set indexed by match (classifier) and by cookie."""
 
     def __init__(self, table_id: int, name: str = ""):
         self.table_id = table_id
         self.name = name or f"table-{table_id}"
-        self._rules: List[FlowRule] = []
+        self._count = 0
         self._by_cookie: Dict[Any, List[FlowRule]] = {}
         # Tuple-space-search classifier state.
         self._subtables: Dict[Tuple[Any, ...], _Subtable] = {}
@@ -109,101 +115,90 @@ class FlowTable:
         self.matches = 0
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._count
 
     def rules(self) -> List[FlowRule]:
-        return list(self._rules)
+        """Every rule in linear-scan order, sorted on demand (O(n log n)).
 
-    def _index_for(self, priority: int) -> int:
-        """Insertion point: after every rule with priority >= ``priority``."""
-        rules = self._rules
-        lo, hi = 0, len(rules)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rules[mid].priority >= priority:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        ``seq`` is stamped in insertion order, so ``_rule_order`` is exactly
+        the order a stable priority-ordered list would have kept.
+        """
+        return sorted(itertools.chain.from_iterable(self._by_cookie.values()),
+                      key=_rule_order)
 
     def add(self, rule: FlowRule) -> FlowRule:
-        """Insert keeping rules sorted by descending priority (stable)."""
-        self._rules.insert(self._index_for(rule.priority), rule)
-        self._index_add(rule)
+        """Insert; equal priorities keep insertion order (first added wins)."""
+        self._by_cookie.setdefault(rule.cookie, []).append(rule)
         container = self._classifier_add(rule)
         if len(container) > 1:
             container.sort(key=_rule_order)
+        self._count += 1
         self._notify()
         return rule
 
     def add_batch(self, rules: Iterable[FlowRule]) -> int:
-        """Insert many rules with one stable sort (bundle fast path).
+        """Insert many rules, sorting each touched bucket once (bundle path).
 
-        Equivalent to calling :meth:`add` per rule - the sort is stable, so
-        existing rules keep their order and new equal-priority rules land
-        after them in insertion order - but costs O((n+k) log (n+k)) total
-        instead of one ordered insertion per rule.  Classifier buckets
-        touched by the batch are likewise re-sorted once each.
+        Equivalent to calling :meth:`add` per rule, with one ``on_change``
+        notification for the whole batch.
         """
         added = 0
         touched: Dict[int, List[FlowRule]] = {}
         for rule in rules:
-            self._rules.append(rule)
-            self._index_add(rule)
+            self._by_cookie.setdefault(rule.cookie, []).append(rule)
             container = self._classifier_add(rule)
             touched[id(container)] = container
             added += 1
         if added:
-            self._rules.sort(key=lambda r: -r.priority)
             for container in touched.values():
                 if len(container) > 1:
                     container.sort(key=_rule_order)
+            self._count += added
             self._notify()
         return added
 
     def remove_by_cookie(self, cookie: Any) -> int:
         """Delete all rules with this cookie; returns how many."""
-        doomed = self._by_cookie.pop(cookie, None)
-        if not doomed:
-            return 0
-        doomed_ids = {r.rule_id for r in doomed}
-        self._rules = [r for r in self._rules if r.rule_id not in doomed_ids]
-        for rule in doomed:
-            self._classifier_discard(rule)
-        self._notify()
-        return len(doomed_ids)
-
-    def remove_rule(self, rule_id: int) -> bool:
-        before = len(self._rules)
-        removed = [r for r in self._rules if r.rule_id == rule_id]
-        self._rules = [r for r in self._rules if r.rule_id != rule_id]
-        for rule in removed:
-            self._index_discard(rule)
-            self._classifier_discard(rule)
-        if removed:
-            self._notify()
-        return len(self._rules) < before
+        return self._discard(self._by_cookie.pop(cookie, ()))
 
     def remove_matching(self, match: Optional[FlowMatch], priority: int) -> int:
-        """Delete every rule with this exact match and priority in one pass.
+        """Delete every rule with this exact match and priority.
 
-        This is the OpenFlow strict-DELETE: one table rebuild however many
-        rules die, instead of one :meth:`remove_rule` rebuild per rule.
+        This is the OpenFlow strict-DELETE.  Matches that compare equal
+        produce the same ``classifier_fields()``, so every rule it can hit
+        sits in one classifier bucket (or on the residue list): the probe
+        costs that bucket, not the table.
         """
-        doomed = [r for r in self._rules
+        if match is None:
+            return 0
+        placed = match.classifier_fields()
+        if placed is None:
+            candidates: Sequence[FlowRule] = self._residue
+        else:
+            st = self._subtables.get(placed[0])
+            candidates = st.buckets.get(placed[1], ()) if st is not None else ()
+        doomed = [r for r in candidates
                   if r.priority == priority and r.match == match]
+        for rule in doomed:
+            bucket = self._by_cookie[rule.cookie]
+            bucket.remove(rule)
+            if not bucket:
+                del self._by_cookie[rule.cookie]
+        return self._discard(doomed)
+
+    def _discard(self, doomed: Sequence[FlowRule]) -> int:
+        """Shared tail of every removal; ``doomed`` already left the cookie
+        index.  Notifies once, and not at all when nothing was hit."""
         if not doomed:
             return 0
-        doomed_ids = {r.rule_id for r in doomed}
-        self._rules = [r for r in self._rules if r.rule_id not in doomed_ids]
         for rule in doomed:
-            self._index_discard(rule)
             self._classifier_discard(rule)
+        self._count -= len(doomed)
         self._notify()
         return len(doomed)
 
     def clear(self) -> None:
-        self._rules.clear()
+        self._count = 0
         self._by_cookie.clear()
         self._subtables.clear()
         self._residue.clear()
@@ -314,7 +309,7 @@ class FlowTable:
 
     def classifier_stats(self) -> Dict[str, int]:
         """Observability: how the rule set decomposed into subtables."""
-        return {"rules": len(self._rules),
+        return {"rules": self._count,
                 "subtables": len(self._subtables),
                 "residue_rules": len(self._residue),
                 "lookups": self.lookups,
@@ -352,23 +347,13 @@ class FlowTable:
     def _classifier_discard(self, rule: FlowRule) -> None:
         self._order = None
         if rule._mask is None:
-            try:
-                self._residue.remove(rule)
-            except ValueError:
-                return
+            self._residue.remove(rule)
             if rule.priority >= self._residue_max:
                 self._residue_dirty = True
             return
-        st = self._subtables.get(rule._mask)
-        if st is None:
-            return
-        bucket = st.buckets.get(rule._key)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(rule)
-        except ValueError:
-            return
+        st = self._subtables[rule._mask]
+        bucket = st.buckets[rule._key]
+        bucket.remove(rule)
         if not bucket:
             del st.buckets[rule._key]
             if not st.buckets:
@@ -380,16 +365,3 @@ class FlowTable:
     def _notify(self) -> None:
         if self.on_change is not None:
             self.on_change()
-
-    # -- cookie index maintenance -------------------------------------------------
-
-    def _index_add(self, rule: FlowRule) -> None:
-        self._by_cookie.setdefault(rule.cookie, []).append(rule)
-
-    def _index_discard(self, rule: FlowRule) -> None:
-        bucket = self._by_cookie.get(rule.cookie)
-        if bucket is None:
-            return
-        bucket[:] = [r for r in bucket if r.rule_id != rule.rule_id]
-        if not bucket:
-            del self._by_cookie[rule.cookie]

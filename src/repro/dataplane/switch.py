@@ -217,7 +217,8 @@ class SoftwareSwitch:
                     # Deletes must see every earlier ADD: flush preserves
                     # ordering.  (Meters live in their own namespace, so
                     # MeterMods apply inline without forcing a flush - the
-                    # common all-ADD bundle then costs ONE sort per table.)
+                    # common all-ADD bundle is then ONE add_batch, and one
+                    # microflow invalidation, per table.)
                     flush()
                     self._apply_flow_mod(mod)
             else:

@@ -30,12 +30,19 @@ REG_VALUES = ["uplink", "downlink", 7]
 TEIDS = [1, 2, 3]
 
 
-def linear_lookup(table, pkt, in_port=None):
+def linear_lookup(rules, pkt, in_port=None):
     """The pre-classifier reference: first match in priority order."""
-    for rule in table.rules():
+    for rule in rules:
         if rule.match.matches(pkt, in_port):
             return rule
     return None
+
+
+def shadow_add(shadow, rule):
+    """Keep the oracle's own list in (priority desc, first added first)
+    order, independently of the ``seq`` stamps the table keeps."""
+    shadow.append(rule)
+    shadow.sort(key=lambda r: -r.priority)    # stable
 
 
 def maybe(strategy):
@@ -79,33 +86,49 @@ def packets(draw):
 def test_classifier_equals_linear_scan(data):
     specs = data.draw(st.lists(st.tuples(st.integers(0, 3), matches),
                                max_size=25))
-    rules = [FlowRule(priority, match, [act.Drop()])
-             for priority, match in specs]
+    rules = [FlowRule(priority, match, [act.Drop()], cookie=index)
+             for index, (priority, match) in enumerate(specs)]
     table = FlowTable(0)
+    shadow = []
     if data.draw(st.booleans()):
         table.add_batch(rules)
     else:
         for rule in rules:
             table.add(rule)
+    for rule in rules:
+        shadow_add(shadow, rule)
     pkts = data.draw(st.lists(
         st.tuples(packets(), st.sampled_from([None, "ran", "internet"])),
         min_size=1, max_size=8))
 
     for pkt, in_port in pkts:
-        assert table.lookup(pkt, in_port) is linear_lookup(table, pkt, in_port)
+        assert table.lookup(pkt, in_port) is linear_lookup(shadow, pkt, in_port)
 
-    # Exercise the discard paths, then incremental re-adds.
+    # Exercise both discard paths (cookie delete takes exactly the one
+    # rule, strict delete every rule with its match and priority), then
+    # incremental re-adds.
     if rules:
-        doomed = data.draw(st.lists(st.sampled_from(rules), unique=True))
-        for rule in doomed:
-            table.remove_rule(rule.rule_id)
+        doomed = data.draw(st.lists(
+            st.tuples(st.sampled_from(rules), st.booleans()),
+            unique_by=lambda pick: pick[0].cookie))
+        for rule, strict in doomed:
+            if strict:
+                gone = [r for r in shadow if r.priority == rule.priority
+                        and r.match == rule.match]
+                assert table.remove_matching(
+                    rule.match, rule.priority) == len(gone)
+            else:
+                gone = [r for r in shadow if r is rule]
+                assert table.remove_by_cookie(rule.cookie) == len(gone)
+            shadow = [r for r in shadow if r not in gone]
     extra_specs = data.draw(st.lists(st.tuples(st.integers(0, 3), matches),
                                      max_size=5))
     for priority, match in extra_specs:
-        table.add(FlowRule(priority, match, [act.Drop()]))
+        shadow_add(shadow, table.add(FlowRule(priority, match, [act.Drop()])))
 
+    assert len(table) == len(shadow)
     for pkt, in_port in pkts:
-        assert table.lookup(pkt, in_port) is linear_lookup(table, pkt, in_port)
+        assert table.lookup(pkt, in_port) is linear_lookup(shadow, pkt, in_port)
 
 
 def test_priority_tie_first_added_wins_across_subtables():
@@ -118,7 +141,7 @@ def test_priority_tie_first_added_wins_across_subtables():
                        [act.Drop()], cookie="by-dst"))
     pkt = ip_packet("10.0.0.1", "8.8.8.8")
     assert table.lookup(pkt) is first
-    assert table.lookup(pkt) is linear_lookup(table, pkt)
+    assert table.lookup(pkt) is linear_lookup(table.rules(), pkt)
 
 
 def test_priority_tie_residue_vs_subtable():

@@ -52,13 +52,15 @@ def test_remove_by_cookie_counts():
     assert len(table) == 1
 
 
-def test_remove_rule_by_id():
+def test_remove_single_rule_by_strict_delete():
+    # Same match at two priorities: the strict delete hits only its own.
     table = FlowTable(0)
     kept = table.add(rule(1, cookie="keep"))
     gone = table.add(rule(2, cookie="gone"))
-    assert table.remove_rule(gone.rule_id)
-    assert not table.remove_rule(gone.rule_id)
+    assert table.remove_matching(gone.match, gone.priority) == 1
+    assert table.remove_matching(gone.match, gone.priority) == 0
     assert table.rules() == [kept]
+    assert len(table) == 1
 
 
 def test_find_by_cookie_and_clear():
@@ -107,12 +109,16 @@ def test_add_batch_updates_cookie_index():
     assert [r.cookie for r in table.rules()] == ["y"]
 
 
-def test_remove_rule_purges_cookie_index():
+def test_remove_matching_purges_cookie_index():
     table = FlowTable(0)
     kept = table.add(rule(1, cookie="x"))
     gone = table.add(rule(2, cookie="x"))
-    table.remove_rule(gone.rule_id)
+    table.remove_matching(gone.match, gone.priority)
     assert table.find_by_cookie("x") == [kept]
+    # Emptying a cookie's bucket drops the cookie itself.
+    table.remove_matching(kept.match, kept.priority)
+    assert table.find_by_cookie("x") == []
+    assert table.remove_by_cookie("x") == 0
 
 
 def test_remove_matching_deletes_all_in_one_pass():
@@ -155,7 +161,12 @@ def test_on_change_fires_for_every_mutation():
     table.on_change = lambda: events.append(1)
     r = table.add(rule(10, cookie="x"))
     table.add_batch([rule(5, cookie="y")])
-    table.remove_rule(r.rule_id)
+    table.remove_matching(r.match, r.priority)
     table.remove_by_cookie("y")
     table.clear()
+    assert len(events) == 5
+    # Deletes that hit nothing (and an empty batch) are not mutations.
+    table.remove_matching(r.match, r.priority)
+    table.remove_by_cookie("y")
+    table.add_batch([])
     assert len(events) == 5
