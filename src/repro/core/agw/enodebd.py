@@ -43,7 +43,7 @@ class Enodebd:
             self._devices[device_id] = device
             self.stats["registrations"] += 1
         device.last_seen = now
-        self._push_config(device)
+        self._push_if_behind(device)
         return device
 
     def heartbeat(self, device_id: str) -> None:
@@ -56,11 +56,16 @@ class Enodebd:
         self.desired_config = dict(config)
         self.desired_version = version
         for device in self._devices.values():
-            self._push_config(device)
+            self._push_if_behind(device)
 
     def apply_desired_delta(self, upserts: Dict[str, Any],
                             deletes: List[str], version: int) -> None:
-        """Apply a digest-reconciled delta to the desired RAN config."""
+        """Apply a digest-reconciled delta to the desired RAN config.
+
+        A digest walk delivers one delta per divergent leaf bucket, all
+        at the *same* version, so the version cannot say whether a
+        device already holds this delta: every delta is pushed.
+        """
         for key in deletes:
             self.desired_config.pop(key, None)
         self.desired_config.update(upserts)
@@ -68,11 +73,14 @@ class Enodebd:
         for device in self._devices.values():
             self._push_config(device)
 
-    def _push_config(self, device: RanDevice) -> None:
+    def _push_if_behind(self, device: RanDevice) -> None:
         if device.config_version < self.desired_version:
-            device.config = dict(self.desired_config)
-            device.config_version = self.desired_version
-            self.stats["config_pushes"] += 1
+            self._push_config(device)
+
+    def _push_config(self, device: RanDevice) -> None:
+        device.config = dict(self.desired_config)
+        device.config_version = self.desired_version
+        self.stats["config_pushes"] += 1
 
     def devices(self) -> List[RanDevice]:
         return list(self._devices.values())

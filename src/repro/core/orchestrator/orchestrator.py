@@ -286,11 +286,6 @@ class Orchestrator:
         return self._published(network_id, self.store.delete(
             scoped(NS_SUBSCRIBERS, network_id), imsi))
 
-    def get_subscriber(self, imsi: str,
-                       network_id: str = DEFAULT_NETWORK
-                       ) -> Optional[SubscriberProfile]:
-        return self.store.get(scoped(NS_SUBSCRIBERS, network_id), imsi)
-
     def subscriber_count(self, network_id: str = DEFAULT_NETWORK) -> int:
         return len(self.store.keys(scoped(NS_SUBSCRIBERS, network_id)))
 

@@ -31,10 +31,11 @@ same engineering bet real digest-sync systems make (a random collision is
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ...net.rpc import dataclass_fields
 from ...obs import profiler as _profiler
 
 #: Bytes per digest (128-bit truncated BLAKE2b).
@@ -52,58 +53,100 @@ def canonical_bytes(obj: Any) -> bytes:
     ``SubscriberProfile`` / ``PolicyRule``.  Anything else raises
     ``TypeError`` instead of silently hashing an address-bearing
     ``repr`` — a nondeterministic digest is worse than no digest.
+    ``tests/test_sync_canonical_bytes.py`` holds the ``isinstance``
+    ladder this replaced as the byte-for-byte oracle.
     """
     out = bytearray()
-    _canonical_into(obj, out)
+    _canonical_into(((b"", obj),), out)
     return bytes(out)
 
 
-def _canonical_into(obj: Any, out: bytearray) -> None:
-    if obj is None:
-        out += b"N"
-    elif obj is True:
-        out += b"T"
-    elif obj is False:
-        out += b"F"
-    elif isinstance(obj, int):
-        out += b"i%d;" % obj
-    elif isinstance(obj, float):
-        out += b"f"
-        out += repr(obj).encode("ascii")
-        out += b";"
-    elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-        out += b"s%d:" % len(data)
-        out += data
-    elif isinstance(obj, bytes):
-        out += b"b%d:" % len(obj)
-        out += obj
-    elif isinstance(obj, (list, tuple)):
-        out += b"l%d:" % len(obj)
-        for item in obj:
-            _canonical_into(item, out)
-    elif isinstance(obj, dict):
-        out += b"d%d:" % len(obj)
-        for key in sorted(obj, key=_dict_sort_key):
-            _canonical_into(key, out)
-            _canonical_into(obj[key], out)
-    elif isinstance(obj, (set, frozenset)):
-        parts = sorted(canonical_bytes(item) for item in obj)
-        out += b"e%d:" % len(parts)
-        for part in parts:
-            out += part
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = dataclasses.fields(obj)
-        out += b"D"
-        _canonical_into(type(obj).__name__, out)
-        out += b"%d:" % len(fields)
-        for f in fields:
-            _canonical_into(f.name, out)
-            _canonical_into(getattr(obj, f.name), out)
-    else:
+#: Exact type -> the rule that encodes it: for a built-in, the type
+#: whose branch of :func:`_canonical_into` applies; for a dataclass, its
+#: plan ``(header, encoded field names, values getter)`` — everything
+#: about an instance's encoding that is the same for every instance.
+#: :func:`_rule_for` adds a dataclass type the first time it is met;
+#: nothing keyed by a *value* is ever kept.
+_RULES: Dict[type, Any] = {kind: kind for kind in (
+    str, bytes, type(None), bool, int, float, list, dict, set)}
+_RULES[tuple] = list
+_RULES[frozenset] = set
+
+#: The prefix of every member of a sequence.
+_NO_PREFIX = itertools.repeat(b"")
+
+
+def _canonical_into(members: Iterable[Tuple[bytes, Any]],
+                    out: bytearray) -> None:
+    """Append each ``(prefix, value)`` member: the prefix bytes as they
+    are (a dataclass field's encoded name; nothing for a sequence item
+    or the top-level value), then the value's encoding.
+
+    Taking members rather than one value is what makes an entry one
+    pass: a dataclass costs one frame for all its fields, and a scalar
+    field is encoded right here in the loop.
+    """
+    for prefix, obj in members:
+        out += prefix
+        try:
+            rule = _RULES[type(obj)]
+        except KeyError:
+            rule = _rule_for(obj)
+        if rule is str:
+            data = obj.encode("utf-8")
+            out += b"s%d:" % len(data)
+            out += data
+        elif rule is bytes:
+            out += b"b%d:" % len(obj)
+            out += obj
+        elif obj is None:
+            out += b"N"
+        elif rule is bool:
+            out += b"T" if obj else b"F"
+        elif rule is int:
+            out += b"i%d;" % obj
+        elif rule is float:
+            out += b"f%s;" % repr(obj).encode("ascii")
+        elif rule is list:
+            out += b"l%d:" % len(obj)
+            _canonical_into(zip(_NO_PREFIX, obj), out)
+        elif rule is dict:
+            out += b"d%d:" % len(obj)
+            for key in sorted(obj, key=_dict_sort_key):
+                _canonical_into(((b"", key), (b"", obj[key])), out)
+        elif rule is set:
+            parts = sorted(map(canonical_bytes, obj))
+            out += b"e%d:" % len(parts)
+            out += b"".join(parts)
+        else:
+            header, names, values_of = rule
+            out += header
+            _canonical_into(zip(names, values_of(obj)), out)
+
+
+def _rule_for(obj: Any) -> Any:
+    """The rule for a value whose exact type :data:`_RULES` does not hold.
+
+    The ``isinstance`` order is the rule set: an ``IntEnum`` is an int, a
+    ``str`` subclass a string, a namedtuple a list, and a dataclass that
+    extends a built-in is that built-in.  Only a dataclass type is
+    remembered (its plan is derived from the class alone); subclasses of
+    built-ins are resolved each time, as they always were.
+    """
+    for base in (int, float, str, bytes, list, tuple, dict, set, frozenset):
+        if isinstance(obj, base):
+            return _RULES[base]
+    kind = type(obj)
+    fields = dataclass_fields(kind)
+    if fields is None:
         raise TypeError(
-            f"cannot canonicalize {type(obj).__name__!r} for digesting; "
+            f"cannot canonicalize {kind.__name__!r} for digesting; "
             "config values must be scalars, containers, or dataclasses")
+    names, values_of = fields
+    plan = _RULES[kind] = (
+        b"D" + canonical_bytes(kind.__name__) + b"%d:" % len(names),
+        tuple(map(canonical_bytes, names)), values_of)
+    return plan
 
 
 def _dict_sort_key(key: Any) -> Tuple[str, bytes]:
@@ -111,12 +154,11 @@ def _dict_sort_key(key: Any) -> Tuple[str, bytes]:
 
 
 def _entry_digest(key: str, value: Any) -> int:
-    h = blake2b(digest_size=DIGEST_BYTES)
-    h.update(b"entry:")
-    h.update(key.encode("utf-8"))
-    h.update(b"=")
-    h.update(canonical_bytes(value))
-    return int.from_bytes(h.digest(), "big")
+    entry = bytearray(b"entry:")
+    entry += key.encode("utf-8")
+    _canonical_into(((b"=", value),), entry)
+    return int.from_bytes(
+        blake2b(entry, digest_size=DIGEST_BYTES).digest(), "big")
 
 
 def entry_digest(key: str, value: Any) -> int:

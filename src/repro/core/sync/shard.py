@@ -81,9 +81,6 @@ class ShardRouter:
         self.shards = shards
         self.stats = {"routed": 0}
 
-    def shard_id_for(self, gateway_id: str) -> str:
-        return self.ring.shard_for(gateway_id)
-
     def shard_for(self, gateway_id: str) -> Any:
         self.stats["routed"] += 1
         return self.shards[self.ring.shard_for(gateway_id)]

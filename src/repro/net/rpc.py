@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..obs import profiler as _profiler
@@ -32,6 +33,36 @@ DEFAULT_DEADLINE = 5.0
 DEFAULT_RETRY_INTERVAL = 0.25
 
 
+#: ``instance -> tuple of its field values``, for one dataclass type.
+ValuesOf = Callable[[Any], Tuple[Any, ...]]
+
+
+def dataclass_fields(kind: type) -> \
+        Optional[Tuple[Tuple[str, ...], ValuesOf]]:
+    """``(field names, values getter)`` of dataclass type ``kind``, in
+    definition order, or None when it is not one.
+
+    The one place the wire sizer here and the digest encoder
+    (``core.sync.digest``) ask ``dataclasses`` about a class: each keeps
+    what it derives from the names per *type*, so a value costs one
+    C-level ``attrgetter`` call instead of a ``dataclasses.fields()``
+    scan and a ``getattr`` per field.
+    """
+    if not dataclasses.is_dataclass(kind):
+        return None
+    names = tuple(f.name for f in dataclasses.fields(kind))
+    if len(names) > 1:
+        return names, operator.attrgetter(*names)
+    # attrgetter needs a name and hands back a bare value for just one.
+    return names, lambda obj: tuple(getattr(obj, name) for name in names)
+
+
+#: Dataclass type -> ``(2 + the size of its field names, values getter)``:
+#: the part of an instance's size that is the same for every instance.
+#: Filled by :func:`_other_bytes` the first time a type is sized.
+_DATACLASS_PLANS: Dict[type, Tuple[int, ValuesOf]] = {}
+
+
 def _payload_bytes(obj: Any) -> int:
     """One iterative depth-first pass over the object graph (see
     :func:`payload_bytes`).
@@ -39,8 +70,10 @@ def _payload_bytes(obj: Any) -> int:
     ``stack`` holds one iterator per container being walked, so scalars
     are sized where they are met and memory is O(nesting depth) however
     wide the payload.  The shapes real messages are made of dispatch on
-    their exact type; everything else (subclasses, bytes, sets,
-    dataclasses, opaque objects) goes through :func:`_other_bytes`.
+    their exact type, a dataclass seen before on its per-type plan (only
+    its values are walked); everything else (subclasses, sets, a
+    dataclass type's first instance, opaque objects) goes through
+    :func:`_other_bytes`.
     """
     total = 0
     stack = [iter((obj,))]
@@ -63,6 +96,13 @@ def _payload_bytes(obj: Any) -> int:
                 break
             elif node is None or kind is bool:
                 total += 1
+            elif kind is bytes:
+                total += 2 + len(node)
+            elif kind in _DATACLASS_PLANS:
+                own, values_of = _DATACLASS_PLANS[kind]
+                total += own
+                stack.append(iter(values_of(node)))
+                break
             else:
                 own, members = _other_bytes(node)
                 total += own
@@ -89,9 +129,13 @@ def _other_bytes(obj: Any) -> Tuple[int, Optional[Iterable[Any]]]:
         return 2, itertools.chain.from_iterable(obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
         return 2, obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return 2, [part for f in dataclasses.fields(obj)
-                   for part in (f.name, getattr(obj, f.name))]
+    kind = type(obj)
+    fields = dataclass_fields(kind)
+    if fields is not None:
+        names, values_of = fields
+        own = 2 + sum(map(_payload_bytes, names))
+        _DATACLASS_PLANS[kind] = (own, values_of)
+        return own, values_of(obj)
     # Opaque object: charge a fixed envelope rather than guessing from a
     # repr (which could embed memory addresses and break determinism).
     return 16, None

@@ -155,6 +155,25 @@ def test_enodebd_registration_and_config_push():
     assert enodebd.stats["config_pushes"] == 2
 
 
+def test_enodebd_applies_every_leaf_delta_of_one_digest_walk():
+    # A digest walk hands over one delta per divergent leaf bucket, all
+    # stamped with the same version (ReconcileClient.feed).
+    enodebd = Enodebd()
+    enodebd.apply_desired_config({"old": 1}, version=4)
+    device = enodebd.register("enb-1")
+    enodebd.apply_desired_delta({"earfcn": 2}, [], 5)
+    enodebd.apply_desired_delta({"tx_power": 20}, ["old"], 5)
+    assert enodebd.desired_config == {"earfcn": 2, "tx_power": 20}
+    assert device.config == enodebd.desired_config
+    assert device.config_version == 5
+    assert enodebd.stats["config_pushes"] == 3
+    # Registration still only pushes to a device that is behind.
+    enodebd.register("enb-1")
+    assert enodebd.stats["config_pushes"] == 3
+    assert enodebd.register("enb-2").config == enodebd.desired_config
+    assert enodebd.stats["config_pushes"] == 4
+
+
 def test_enodebd_stale_devices():
     clock = {"now": 0.0}
     enodebd = Enodebd(clock=lambda: clock["now"])

@@ -9,7 +9,7 @@ stays here, verbatim, as the oracle.  Sizes feed ``tx_bytes`` /
 import dataclasses
 import enum
 from collections import OrderedDict, namedtuple
-from typing import Any
+from typing import Any, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +77,25 @@ class Outer:
     extra: Any = None
 
 
+@dataclasses.dataclass(frozen=True)
+class Keyed(Inner):
+    """A subclass that adds fields (one with a non-ASCII name) to the two
+    it inherits: sized from its own per-type plan, not its parent's."""
+
+    key: bytes = b""
+    größe: Optional[int] = None
+
+
+@dataclasses.dataclass
+class Empty:
+    pass
+
+
+@dataclasses.dataclass
+class Single:
+    only: Any = None
+
+
 EDGE_CASES = [
     None, True, False, 0, 1, -7, 2 ** 127, 0.0, float("inf"),
     Rat.NR, "", "imsi", "café", "中文", "\U0001f4f6", Tag("täg"),
@@ -86,6 +105,8 @@ EDGE_CASES = [
     OrderedDict([("b", 1), ("a", [True, None])]),
     Pair(1, "x"),
     Inner("n"), Outer(1, Inner("ü"), ("a", Rat.LTE), {"k": Inner("z")}),
+    Keyed("k", 2.0, b"\x00" * 16, 3), [Inner("a"), Keyed("b"), Inner("c")],
+    Empty(), Single(), Single(Single([Empty(), b"xyz"])),
     Inner,                                        # a dataclass *type* is opaque
     Opaque(), [Opaque(), {"o": Opaque()}],
     {"gateway_id": "gw-1", "status": {"health": {"checks": {"x": True}}},
@@ -100,14 +121,23 @@ def test_fast_sizer_matches_reference_on_every_rule_edge():
     assert payload_bytes(True) == 1 and payload_bytes(1) == 8
     assert payload_bytes(Rat.NR) == 8
     assert payload_bytes("café") == 2 + 5
+    assert payload_bytes(b"\x00" * 16) == 2 + 16
+    assert payload_bytes(Empty()) == 2
+    assert payload_bytes(Single()) == 2 + (2 + 4) + 1
+    # 2 + field names (name, weight, key, größe: 2 + UTF-8 length each)
+    # + a 1-char string, a float, 16 bytes and an int.
+    assert payload_bytes(Keyed("k", 2.0, b"\x00" * 16, 3)) == \
+        2 + (6 + 8 + 5 + 9) + (3 + 8 + 18 + 8)
 
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
     st.sampled_from(list(Rat)), st.text(), st.text().map(Tag),
     st.binary(max_size=16), st.binary(max_size=16).map(bytearray),
-    st.builds(Opaque),
-    st.builds(Inner, st.text(max_size=8), st.floats(allow_nan=False)))
+    st.builds(Opaque), st.builds(Empty),
+    st.builds(Inner, st.text(max_size=8), st.floats(allow_nan=False)),
+    st.builds(Keyed, st.text(max_size=4), st.floats(allow_nan=False),
+              st.binary(max_size=16), st.none() | st.integers()))
 
 hashables = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=8),
@@ -125,6 +155,7 @@ def containers(children):
         st.dictionaries(st.text(max_size=6), children,
                         max_size=4).map(OrderedDict),
         st.builds(Pair, children, children),
+        st.builds(Single, children),
         st.builds(Outer, st.integers(), st.builds(Inner, st.text(max_size=4)),
                   st.lists(children, max_size=3).map(tuple), children))
 
@@ -144,6 +175,13 @@ def test_fast_sizer_matches_reference_on_nested_payloads(payload):
 def profile(index: int) -> SubscriberProfile:
     return SubscriberProfile(imsi=f"00101{index:010d}", k=bytes([index]) * 16,
                              opc=bytes([index + 1]) * 16)
+
+
+def test_golden_size_of_a_subscriber_profile():
+    # 2 + 62 for the eight field names + imsi 17, k and opc 18 each,
+    # wifi_secret None 1, policy_id 9, apn 10, two bools.
+    assert payload_bytes(profile(1)) == 2 + 62 + 75 == \
+        reference_payload_bytes(profile(1))
 
 
 def test_golden_sizes_of_a_checkin_a_sync_opener_and_a_reconcile_response():

@@ -11,8 +11,9 @@ be inert under it.
 
 from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
 from repro.core.orchestrator import Orchestrator
+from repro.core.policy import PolicyRule
 from repro.core.sync import canonical_bytes
-from repro.lte import make_imsi
+from repro.lte import Enodeb, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import Monitor, RngRegistry, Simulator
 
@@ -106,6 +107,45 @@ def test_deletion_propagates_as_tombstone():
     assert agw.magmad.stats["delta_tombstones"] == 1
     assert agw.subscriberdb.get(make_imsi(2)) is None
     assert len(agw.subscriberdb) == 2
+    assert agw.magmad.mirror.roots() == \
+        orc.statesync.reconciler.roots("default")
+
+
+def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
+    """Desired RAN config (plain dict / scalar values, not dataclasses)
+    and a policy deletion converge through one digest walk whose deltas
+    span several leaf buckets — all the way to the eNodeB device record
+    that enodebd pushes to."""
+    sim, orc, agw, log, monitor = build()
+    network = agw.context.network
+    network.connect("enb-1", "agw-1", backhaul.lan("lan-enb-1"))
+    enb = Enodeb(sim, network, "enb-1", "agw-1")
+    enb.s1_setup()
+    orc.set_ran_config("pci", 7)
+    orc.upsert_policy(PolicyRule(policy_id="gold", rate_limit_mbps=50.0))
+    sim.run(until=7.0)                       # first check-in: full bundle
+    device = agw.enodebd.device("enb-1")
+    assert device.config == {"pci": 7}
+    assert agw.policydb.has("gold")
+
+    tx_power = {"dbm": 20, "mimo": [2, 2], "boost": None}
+    tree = agw.magmad.mirror.trees["ran"]
+    assert len({tree.path_for_key(key)
+                for key in ("earfcn", "tx_power", "pci")}) == 3
+    orc.set_ran_config("earfcn", 2)
+    orc.set_ran_config("tx_power", tx_power)
+    orc.store.delete("ran", "pci")
+    orc.delete_policy("gold")
+    sim.run(until=13.0)                      # second check-in: digest walk
+    assert orc.statesync.stats["config_pushes"] == 1    # no second bundle
+    assert agw.magmad.stats["reconciles"] == 1
+    assert agw.magmad.stats["delta_upserts"] == 2
+    assert agw.magmad.stats["delta_tombstones"] == 2
+    assert agw.enodebd.desired_config == {"earfcn": 2, "tx_power": tx_power}
+    assert device.config == agw.enodebd.desired_config
+    assert device.config_version == orc.store.version
+    assert not agw.policydb.has("gold")
+    assert agw.magmad.config_version == orc.store.version
     assert agw.magmad.mirror.roots() == \
         orc.statesync.reconciler.roots("default")
 
