@@ -38,7 +38,6 @@ class AgwHardwareProfile:
     attach_cpu_cost: float          # total core-seconds per attach
     nas_message_cpu_cost: float     # per non-attach NAS message
     up_cost_per_mbps: float         # core-seconds per second per Mbps forwarded
-    quantum: float = 0.05
 
     def attach_capacity_per_sec(self, cores_available: Optional[float] = None) -> float:
         """Theoretical attach saturation rate on the given cores."""
@@ -129,10 +128,8 @@ class AgwContext:
         self.monitor = monitor or Monitor()
         self.rng = rng or RngRegistry(0)
         hardware = self.config.hardware
-        self.cpu = CpuModel(
-            sim, cores=hardware.cores, quantum=hardware.quantum,
-            partition=self.config.cpu_partition, monitor=self.monitor,
-            name=node)
+        self.cpu = CpuModel(sim, cores=hardware.cores,
+                            partition=self.config.cpu_partition, name=node)
         network.add_node(node)
 
     @property

@@ -10,7 +10,7 @@ last checkpoint.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ...net.rpc import RpcChannel, RpcServer
 from ...net.simnet import Network
@@ -48,6 +48,8 @@ class AccessGateway:
                                   monitor=monitor, rng=rng)
         self.node = node
         self.crashed = False
+        # (time, busy core-seconds) at the previous metrics_summary().
+        self._cpu_mark = (sim.now, 0.0)
         self.server = RpcServer(sim, network, node)
         self.subscriberdb = SubscriberDb()
         self.policydb = PolicyDb()
@@ -177,13 +179,16 @@ class AccessGateway:
             "checkin_tx_bytes": float(self.magmad.stats["checkin_tx_bytes"]),
             "checkin_rx_bytes": float(self.magmad.stats["checkin_rx_bytes"]),
         }
+        cpu = self.context.cpu
+        now = self.context.sim.now
+        since, busy_then = self._cpu_mark
+        if now > since:
+            # CPU headroom input for the orchestrator's health engine:
+            # the mean utilization since the previous summary.
+            busy = cpu.busy_core_seconds()
+            metrics["cpu_util"] = (busy - busy_then) / (cpu.cores * (now - since))
+            self._cpu_mark = (now, busy)
         monitor = self.context.monitor
-        cpu_series = f"cpu.{self.node}.util"
-        if monitor.has_series(cpu_series):
-            series = monitor.series(cpu_series)
-            if series.count:
-                # CPU headroom input for the orchestrator's health engine.
-                metrics["cpu_util"] = series.last()
         metrics.update(monitor.counters())
         metrics.update(monitor.gauges())
         return metrics
@@ -205,6 +210,10 @@ class AccessGateway:
         cost = self.context.config.hardware.up_cost_per_mbps
         self.context.cpu.set_fluid_demand("up", "traffic", total_mbps * cost)
 
-    def user_plane_service_fraction(self) -> float:
-        """Fraction of offered user-plane work the CPU served last quantum."""
-        return self.context.cpu.fluid_service_fraction("up")
+    def user_plane_work(self) -> Tuple[float, float]:
+        """Cumulative ``(offered, served)`` user-plane core-seconds.
+
+        The ratio of the two differences over a consumer's own tick is the
+        fraction of its traffic the CPU forwarded in that tick.
+        """
+        return self.context.cpu.fluid_work("up")

@@ -285,7 +285,7 @@ class Pipelined:
         self.context.cpu.set_fluid_demand("up", "fleet", offered_mbps * cost)
 
     def fleet_served_mbps(self) -> float:
-        """Fleet offered load scaled by the served fraction last quantum."""
+        """Fleet offered load scaled by the fraction being served now."""
         return (self._fleet_offered_mbps *
                 self.context.cpu.fluid_service_fraction("up"))
 

@@ -63,7 +63,6 @@ class OrchestratorConfig:
     reconcile_cpu_cost: float = 0.003
     northbound_cpu_cost: float = 0.005
     offline_threshold: float = 300.0
-    quantum: float = 0.05
 
 
 class OrchestratorShard:
@@ -95,9 +94,7 @@ class Orchestrator:
         self.monitor = monitor or Monitor()
         self.num_shards = num_shards
         network.add_node(node)
-        self.cpu = CpuModel(sim, cores=self.config.cores,
-                            quantum=self.config.quantum,
-                            monitor=self.monitor, name=node)
+        self.cpu = CpuModel(sim, cores=self.config.cores, name=node)
         self.store = ConfigStore()
         self.digests = DigestIndex(self.store) if digest_sync else None
         # Publish→all-applied lag tracker, shared by every shard's
@@ -119,9 +116,7 @@ class Orchestrator:
                                        digests=self.digests,
                                        monitor=self.monitor,
                                        convergence=self.convergence)
-                shard_cpu = CpuModel(sim, cores=shard_cores,
-                                     quantum=self.config.quantum,
-                                     monitor=self.monitor, name=shard_node)
+                shard_cpu = CpuModel(sim, cores=shard_cores, name=shard_node)
                 shard_server = RpcServer(sim, network, shard_node)
                 shard_server.register(
                     "statesync", "checkin",

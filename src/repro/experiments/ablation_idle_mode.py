@@ -67,15 +67,11 @@ def _run_mode(mode: str, devices: int, report_interval: float,
     iot.start()
     site.sim.run(until=site.sim.now + duration)
     iot.stop()
-    util = site.monitor.series("cpu.agw-1.util.cp")
-    # Integrate CP utilization over the run (quantum-weighted).
-    quantum = site.agw.context.config.hardware.quantum
-    cp_core_seconds = sum(util.values) * quantum * BARE_METAL.cores
     return IdleModePoint(
         mode=mode, devices=devices, cycles=iot.stats.attaches,
         success_rate=iot.success_rate(),
         full_attaches=site.agw.mme.stats["attach_requests"],
-        cp_core_seconds=cp_core_seconds)
+        cp_core_seconds=site.agw.context.cpu.busy_core_seconds("cp"))
 
 
 def run_idle_mode_ablation(devices: int = 30,

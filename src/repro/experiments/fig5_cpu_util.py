@@ -79,15 +79,31 @@ def run_fig5(config: Fig5Config = None) -> Fig5Result:
     storm.start()
     engine.start()
     attach_phase = config.num_ues / config.attach_rate
-    site.sim.run(until=start + attach_phase + config.steady_duration)
-    engine.stop()
-
-    cpu = site.monitor.series(f"cpu.agw-1.util")
-    tput = site.monitor.series("traffic.agw-1.achieved_mbps")
-    cpu_bins = cpu.binned(config.bin_width, t0=start, agg="mean")
-    tput_bins = tput.binned(config.bin_width, t0=start, agg="mean")
     steady_t0 = start + attach_phase + min(20.0, config.steady_duration / 2)
-    steady_cpu = cpu.between(steady_t0, site.sim.now).mean()
+    # The CPU model keeps a busy integral, not a series: sample it at the
+    # plot's resolution, and once more where the steady window opens.
+    cpu = site.agw.context.cpu
+    marks = [(start, cpu.busy_core_seconds())]
+
+    def mark():
+        marks.append((site.sim.now, cpu.busy_core_seconds()))
+
+    sampler = site.sim.schedule_periodic(config.bin_width, mark)
+    site.sim.run(until=steady_t0)
+    steady_busy0 = cpu.busy_core_seconds()
+    site.sim.run(until=start + attach_phase + config.steady_duration)
+    sampler.cancel()
+    engine.stop()
+    if site.sim.now > marks[-1][0]:
+        mark()
+
+    cpu_bins = [(t0, (b1 - b0) / (cpu.cores * (t1 - t0)))
+                for (t0, b0), (t1, b1) in zip(marks, marks[1:])]
+    steady_cpu = ((cpu.busy_core_seconds() - steady_busy0)
+                  / (cpu.cores * (site.sim.now - steady_t0)))
+    tput = site.monitor.series("traffic.agw-1.achieved_mbps")
+    tput_bins = tput.binned(config.bin_width, t0=start, t1=site.sim.now,
+                            agg="mean")
     steady_tput = tput.between(steady_t0, site.sim.now).mean()
     offered = config.num_ues * config.per_ue_mbps
     finished = [r.finished_at for r in storm.records]
@@ -100,5 +116,5 @@ def run_fig5(config: Fig5Config = None) -> Fig5Result:
         offered_mbps=offered,
         steady_state_mbps=steady_tput,
         steady_state_cpu=steady_cpu,
-        peak_cpu=max(v for _t, v in cpu_bins if v == v),  # skip NaN bins
+        peak_cpu=max(v for _t, v in cpu_bins),
     )

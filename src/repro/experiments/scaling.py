@@ -131,7 +131,7 @@ class AgwStub:
 class ScalingPoint:
     num_agws: int
     checkin_rate: float              # check-ins/s arriving
-    orchestrator_cpu_util: float     # mean utilization during steady state
+    orchestrator_cpu_util: float     # time-weighted share, steady state
     checkin_success_fraction: float
     convergence_fraction: float      # gateways on latest config at the end
     subscribers: int = 0             # fleet population across all AGWs
@@ -204,19 +204,15 @@ def run_scaling_point(num_agws: int, checkin_interval: float = 60.0,
             orc.add_subscriber(SubscriberProfile(imsi=make_imsi(i + 1)))
 
     sim.call_later(duration / 3, provision)
+    # Time-weighted CPU share over the steady window [checkin_interval,
+    # duration]; the hottest shard governs a sharded control plane.
+    cpus = [shard.cpu for shard in orc.shards] or [orc.cpu]
+    sim.run(until=checkin_interval)
+    busy0 = [cpu.busy_core_seconds() for cpu in cpus]
     sim.run(until=duration)
-    if num_shards > 0:
-        # The hottest shard governs capacity in a sharded control plane.
-        utils = []
-        for shard in orc.shards:
-            steady = monitor.series(f"cpu.{shard.node}.util").between(
-                checkin_interval, duration)
-            utils.append(steady.mean() if len(steady) else 0.0)
-        util = max(utils)
-    else:
-        cpu = monitor.series("cpu.orc.util")
-        steady = cpu.between(checkin_interval, duration)
-        util = steady.mean() if len(steady) else 0.0
+    util = max((cpu.busy_core_seconds() - before)
+               / (cpu.cores * (duration - checkin_interval))
+               for cpu, before in zip(cpus, busy0))
     ok = sum(s.checkins_ok for s in stubs)
     failed = sum(s.checkins_failed for s in stubs)
     converged = sum(1 for s in stubs

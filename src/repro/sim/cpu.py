@@ -1,4 +1,4 @@
-"""Quantized multi-core CPU model.
+"""Event-driven multi-core CPU model.
 
 The paper's performance results (Figs. 5-8) are all about contention between
 *control-plane* work (discrete tasks: processing an attach request, including
@@ -6,80 +6,81 @@ authentication crypto) and *user-plane* work (a fluid load: forwarding UE
 traffic) on a small number of commodity cores.  This module models exactly
 that contention.
 
-Model
------
-- The CPU has ``cores`` cores and advances in fixed quanta (default 50 ms).
 - **Discrete tasks** (:meth:`CpuModel.submit`) carry a service demand in
   core-seconds and belong to a named class (e.g. ``"cp"``).  Tasks are served
   FIFO within their class; at most one core serves a task at a time (an
-  attach cannot be parallelized), so a class with *n* cores serves at most
-  *n* tasks concurrently.
+  attach cannot be parallelized), so a class with *n* cores runs at most
+  *n* tasks concurrently and queues the rest.
 - **Fluid demand** (:meth:`CpuModel.set_fluid_demand`) models packet
-  forwarding: a continuous work *rate* in core-seconds per second.  The model
-  reports how much of that rate was actually served each quantum, from which
-  the caller derives achieved throughput.
+  forwarding: a continuous work *rate* in core-seconds per second.
 - **Scheduling**: with ``partition=None`` (the "flexible" kernel scheduler of
-  Figs. 7-8), all classes share every core and contend via processor sharing.
-  With a static partition (``{"up": 3, "cp": 1}``), each class may only use
-  its own cores and excess capacity in one pool is *not* available to the
-  other - reproducing the trade-off the paper measures.
+  Figs. 7-8) all classes share every core, max-min fairly (a light class gets
+  its full demand, heavy classes split the rest), each dividing its share
+  evenly over its running tasks and fluid load.  With a static partition
+  (``{"up": 3, "cp": 1}``) a class may only use its own cores and spare
+  capacity in one pool is *not* available to the other - reproducing the
+  trade-off the paper measures.
 
-Utilization per quantum is recorded into an optional
-:class:`~repro.sim.monitor.Monitor` as ``cpu.<name>.util`` (total, fraction
-of all cores) and ``cpu.<name>.util.<class>``.
+Service rates change only when a task starts to run, a task completes or a
+fluid rate changes (DESIGN.md §6.10).  Between such change points every
+running task of a class is served at one constant rate, so a class keeps a
+*virtual service clock* (``vtime += scale * elapsed``), a task that starts to
+run is tagged with the ``vtime`` at which it will be done, and the model holds
+one kernel entry, at the earliest completion (none under fluid demand alone).
+Nothing is sampled: per-class *integrals* - busy, offered-fluid and
+served-fluid core-seconds - are exact whenever they are read, and a reader
+takes the difference over its own window.  A consumer that ticks slower than
+tasks come and go must use :meth:`CpuModel.fluid_work` differences, not the
+instantaneous :meth:`CpuModel.fluid_service_fraction`, which aliases against
+task arrivals.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from math import inf
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .fairshare import max_min_share
-from .kernel import Event, Simulator
-from .monitor import Monitor
+from .kernel import Event, ScheduledCall, Simulator
 
-DEFAULT_QUANTUM = 0.05
-
-
-class CpuTask:
-    """A queued discrete task; ``done`` triggers when fully served."""
-
-    __slots__ = ("cls", "demand", "remaining", "enqueued_at", "done")
-
-    def __init__(self, cls: str, demand: float, enqueued_at: float, done: Event):
-        self.cls = cls
-        self.demand = demand
-        self.remaining = demand
-        self.enqueued_at = enqueued_at
-        self.done = done
+# A running task this close (core-seconds) to its finish tag is complete;
+# the guard is in virtual time so a wake can never re-arm at the same instant.
+_DONE_EPS = 1e-9
 
 
-class _Pool:
-    """A set of cores serving one or more classes."""
+class _Class:
+    """One work class: its tasks, fluid sources, service clock, integrals."""
 
-    __slots__ = ("cores", "classes")
+    __slots__ = ("cores", "limit", "running", "waiting", "fluid", "rate",
+                 "scale", "vtime", "work", "busy", "offered", "served",
+                 "work_rate", "busy_rate")
 
-    def __init__(self, cores: float, classes: Tuple[str, ...]):
-        self.cores = cores
-        self.classes = classes
+    def __init__(self, cores: float):
+        self.cores = cores                 # the most this class may ever use
+        self.limit = max(1, int(cores))    # tasks that may run concurrently
+        # (finish tag, submit order, submit time, done), earliest finish first
+        self.running: List[Tuple[float, int, float, Event]] = []
+        # (demand, submit time, done), first come first served
+        self.waiting: Deque[Tuple[float, float, Event]] = deque()
+        self.fluid: Dict[str, float] = {}  # source -> core-sec/s
+        self.rate = 0.0                    # total fluid rate
+        self.scale = 1.0                   # service rate per unit of demand
+        self.vtime = 0.0                   # service one running task has seen
+        # Integrals as of the model's last change point, and their slopes:
+        self.work = self.work_rate = 0.0       # discrete core-seconds left
+        self.busy = self.busy_rate = 0.0       # core-seconds served, all work
+        self.offered = self.served = 0.0       # fluid core-seconds asked, given
 
 
 class CpuModel:
-    """A quantized processor-sharing model of a small multi-core CPU."""
+    """Event-driven processor sharing on a small multi-core CPU."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cores: float,
-        quantum: float = DEFAULT_QUANTUM,
-        partition: Optional[Dict[str, float]] = None,
-        monitor: Optional[Monitor] = None,
-        name: str = "cpu",
-    ):
+    def __init__(self, sim: Simulator, cores: float,
+                 partition: Optional[Dict[str, float]] = None, name: str = "cpu"):
         if cores <= 0:
             raise ValueError("cores must be positive")
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
         if partition is not None:
             total = sum(partition.values())
             if total - cores > 1e-9:
@@ -88,161 +89,160 @@ class CpuModel:
                 raise ValueError("partition core counts must be >= 0")
         self.sim = sim
         self.cores = float(cores)
-        self.quantum = quantum
         self.partition = dict(partition) if partition else None
-        self.monitor = monitor
         self.name = name
-        self._queues: Dict[str, Deque[CpuTask]] = {}
-        self._fluid: Dict[str, Dict[str, float]] = {}  # cls -> source -> rate
-        self._fluid_served_rate: Dict[str, float] = {}  # cls -> core-sec/s last quantum
-        self._queued_work: Dict[str, float] = {}
-        self._ticking = False
+        self._classes: Dict[str, _Class] = {}
+        self._changed_at = sim.now         # the last change point
+        self._submitted = 0
+        self._wake: Optional[ScheduledCall] = None
+        self._wake_for: Optional[Tuple[Event, float]] = None
         self._stopped = False
 
     # -- public API ---------------------------------------------------------
 
     def submit(self, cls: str, demand: float) -> Event:
-        """Enqueue a discrete task; the returned event fires on completion.
-
-        The event value is the task's total sojourn time (queueing +
-        service), which experiments use to detect deadline misses.
-        """
+        """Enqueue a discrete task; the returned event fires on completion
+        with the task's sojourn time (queueing + service) as its value."""
         if demand <= 0:
             raise ValueError("task demand must be positive")
-        done = self.sim.event(f"{self.name}.task.{cls}")
-        task = CpuTask(cls, demand, self.sim.now, done)
-        self._queues.setdefault(cls, deque()).append(task)
-        self._queued_work[cls] = self._queued_work.get(cls, 0.0) + demand
-        self._ensure_ticking()
+        done = Event(self.sim, f"{self.name}.task.{cls}")
+        now = self.sim.now
+        c = self._class(cls)
+        c.work += demand
+        if len(c.running) >= c.limit:
+            # Behind a full runnable set no service rate changes.
+            c.waiting.append((demand, now, done))
+        else:
+            self._advance(now)
+            self._start(c, demand, now, done)
+            self._replan()
         return done
 
     def set_fluid_demand(self, cls: str, source: str, rate: float) -> None:
         """Set the continuous work rate (core-sec/s) offered by ``source``."""
         if rate < 0:
             raise ValueError("fluid rate must be >= 0")
-        per_source = self._fluid.setdefault(cls, {})
-        if rate == 0.0:
-            per_source.pop(source, None)
-        else:
-            per_source[source] = rate
-        self._ensure_ticking()
+        c = self._class(cls)
+        c.fluid[source] = rate
+        total = sum(c.fluid.values())
+        if total != c.rate:
+            self._advance(self.sim.now)
+            c.rate = total
+            self._replan()
 
     def fluid_demand(self, cls: str) -> float:
-        return sum(self._fluid.get(cls, {}).values())
+        return self._class(cls).rate
 
     def fluid_served_rate(self, cls: str) -> float:
-        """Core-sec/s actually delivered to ``cls`` fluid in the last quantum."""
-        return self._fluid_served_rate.get(cls, 0.0)
+        """Core-sec/s being delivered to ``cls`` fluid right now."""
+        c = self._class(cls)
+        return c.rate * c.scale
 
     def fluid_service_fraction(self, cls: str) -> float:
-        """Fraction of offered fluid demand served in the last quantum."""
-        demand = self.fluid_demand(cls)
-        if demand <= 0:
-            return 1.0
-        return min(1.0, self.fluid_served_rate(cls) / demand)
+        """Fraction of offered fluid demand being served right now."""
+        c = self._class(cls)
+        return c.scale if c.rate > 0 else 1.0
+
+    def fluid_work(self, cls: str) -> Tuple[float, float]:
+        """Cumulative ``(offered, served)`` fluid core-seconds of ``cls``."""
+        c = self._class(cls)
+        dt = self.sim.now - self._changed_at
+        return c.offered + c.rate * dt, c.served + c.rate * c.scale * dt
+
+    def busy_core_seconds(self, cls: Optional[str] = None) -> float:
+        """Cumulative core-seconds served to ``cls`` (default: every class)."""
+        dt = self.sim.now - self._changed_at
+        return sum(c.busy + c.busy_rate * dt for name, c in self._classes.items()
+                   if cls is None or name == cls)
 
     def queue_depth(self, cls: str) -> int:
-        return len(self._queues.get(cls, ()))
+        c = self._class(cls)
+        return len(c.running) + len(c.waiting)
 
     def queued_work(self, cls: str) -> float:
         """Outstanding core-seconds of discrete work for ``cls``."""
-        return self._queued_work.get(cls, 0.0)
+        c = self._class(cls)
+        return max(0.0, c.work - c.work_rate * (self.sim.now - self._changed_at))
 
     def stop(self) -> None:
-        """Stop ticking (used when tearing down an experiment)."""
+        """Stop serving (used when tearing down an experiment)."""
+        self._advance(self.sim.now)
         self._stopped = True
+        self._replan()
 
     # -- internals -----------------------------------------------------------
 
-    def _ensure_ticking(self) -> None:
-        if not self._ticking and not self._stopped:
-            self._ticking = True
-            self.sim.call_later(self.quantum, self._tick)
+    def _class(self, cls: str) -> _Class:
+        c = self._classes.get(cls)
+        if c is None:
+            cores = self.partition.get(cls, 0.0) if self.partition else self.cores
+            c = self._classes[cls] = _Class(cores)
+        return c
 
-    def _pools(self) -> Iterable[_Pool]:
-        if self.partition is None:
-            classes = set(self._queues) | set(self._fluid)
-            yield _Pool(self.cores, tuple(sorted(classes)))
-        else:
-            for cls, cores in self.partition.items():
-                yield _Pool(cores, (cls,))
+    def _start(self, c: _Class, demand: float, since: float, done: Event) -> None:
+        self._submitted += 1
+        insort(c.running, (c.vtime + demand, self._submitted, since, done))
 
-    def _tick(self) -> None:
-        if self._stopped:
-            self._ticking = False
-            return
-        dt = self.quantum
-        served_by_class: Dict[str, float] = {}
-        for pool in self._pools():
-            self._serve_pool(pool, dt, served_by_class)
-        total_served = sum(served_by_class.values())
-        if self.monitor is not None:
-            self.monitor.record(f"cpu.{self.name}.util", self.sim.now,
-                                total_served / (self.cores * dt))
-            for cls, served in served_by_class.items():
-                self.monitor.record(f"cpu.{self.name}.util.{cls}", self.sim.now,
-                                    served / (self.cores * dt))
-        # Keep ticking while there is anything to do; go idle otherwise.
-        if any(self._queues.get(c) for c in self._queues) or any(
-            self._fluid.get(c) for c in self._fluid
-        ):
-            self.sim.call_later(dt, self._tick)
-        else:
-            self._ticking = False
-            self._fluid_served_rate.clear()
+    def _advance(self, now: float) -> None:
+        """Bring every clock and integral up to ``now``."""
+        dt = now - self._changed_at
+        if dt > 0:
+            self._changed_at = now
+            for c in self._classes.values():
+                c.vtime += c.scale * dt
+                c.work -= c.work_rate * dt
+                c.busy += c.busy_rate * dt
+                c.offered += c.rate * dt
+                c.served += c.rate * c.scale * dt
 
-    def _serve_pool(self, pool: _Pool, dt: float, served_by_class: Dict[str, float]) -> None:
-        capacity = pool.cores * dt
-        if capacity <= 0:
-            for cls in pool.classes:
-                if self._fluid.get(cls):
-                    self._fluid_served_rate[cls] = 0.0
-            return
-        max_parallel = max(1, int(pool.cores))
-        # Gather demands: per class, discrete task slice + fluid slice.
-        slices: Dict[str, float] = {}
-        runnable: Dict[str, list] = {}
-        fluid_need: Dict[str, float] = {}
-        for cls in pool.classes:
-            queue = self._queues.get(cls)
-            tasks = []
-            if queue:
-                for task in list(queue)[:max_parallel]:
-                    tasks.append(task)
-            runnable[cls] = tasks
-            discrete_need = sum(min(t.remaining, dt) for t in tasks)
-            fneed = self.fluid_demand(cls) * dt
-            fluid_need[cls] = fneed
-            slices[cls] = discrete_need + fneed
-        total_need = sum(slices.values())
-        if total_need <= 0:
-            for cls in pool.classes:
-                if self._fluid.get(cls):
-                    self._fluid_served_rate[cls] = 0.0
-            return
-        # Between classes: max-min fair (a work-conserving kernel scheduler
-        # gives a light class its full demand; heavy classes split the rest).
-        # Within a class: proportional among runnable tasks and fluid load.
-        grants = max_min_share(slices, capacity)
-        for cls in pool.classes:
-            need = slices[cls]
-            scale = min(1.0, grants.get(cls, 0.0) / need) if need > 0 else 0.0
-            served_cls = 0.0
-            # Discrete tasks: each runnable task receives its scaled slice.
-            queue = self._queues.get(cls)
-            for task in runnable[cls]:
-                grant = min(task.remaining, dt) * scale
-                task.remaining -= grant
-                served_cls += grant
-                self._queued_work[cls] = max(0.0, self._queued_work.get(cls, 0.0) - grant)
-                if task.remaining <= 1e-12:
-                    queue.remove(task)
-                    if not task.done.triggered:
-                        sojourn = self.sim.now + dt - task.enqueued_at
-                        task.done.succeed(sojourn)
-            # Fluid load.
-            fgrant = fluid_need[cls] * scale
-            served_cls += fgrant
-            if self._fluid.get(cls) or fluid_need[cls] > 0:
-                self._fluid_served_rate[cls] = fgrant / dt
-            served_by_class[cls] = served_by_class.get(cls, 0.0) + served_cls
+    def _replan(self) -> None:
+        """Recompute service rates and (re)arm the one completion wake."""
+        classes = self._classes
+        needs = {}
+        total = 0.0
+        for name, c in classes.items():
+            needs[name] = need = len(c.running) + c.rate
+            total += need
+        # A class may use its own cores (static partition) or, when the
+        # shared pool is oversubscribed, its max-min share of them.
+        shares = None
+        if self.partition is None and total > self.cores:
+            shares = max_min_share(needs, self.cores)
+        first, delay = None, inf
+        for name, c in classes.items():
+            tasks = len(c.running)
+            need = needs[name]
+            cap = 0.0 if self._stopped else shares[name] if shares else c.cores
+            scale = 1.0 if need <= cap else cap / need
+            c.scale = scale
+            c.work_rate = tasks * scale
+            c.busy_rate = need * scale
+            if tasks and scale > 0:
+                due = (c.running[0][0] - c.vtime) / scale
+                if due < delay:
+                    first, delay = c, due
+        # The pending wake stays when it is still for the same task served
+        # at the same rate: its completion time has not moved.
+        wake_for = (first.running[0][3], first.scale) if first else None
+        if wake_for != self._wake_for:
+            self._wake_for = wake_for
+            if self._wake is not None:
+                self._wake.cancel()
+            # Rounding can leave a head a hair past due: then wake at once.
+            self._wake = None if first is None else self.sim.schedule(
+                delay if delay > 0 else 0.0, self._on_wake)
+
+    def _on_wake(self) -> None:
+        self._wake = self._wake_for = None
+        now = self.sim.now
+        self._advance(now)
+        for c in self._classes.values():
+            running = c.running
+            while running and running[0][0] - c.vtime <= _DONE_EPS:
+                _tag, _order, since, done = running.pop(0)
+                done.succeed(now - since)
+                if c.waiting:
+                    self._start(c, *c.waiting.popleft())
+                elif not running:
+                    c.work = 0.0  # shed the rounding residue of the integral
+        self._replan()

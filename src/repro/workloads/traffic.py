@@ -6,9 +6,9 @@ Each tick (default 1 s) the engine walks the chain a real packet would:
    offered rates.
 2. **Policy/data plane**: the AGW's pipeline shapes each UE's
    radio-admitted rate through its session meters (fluid mode).
-3. **CPU**: the total admitted rate becomes user-plane CPU demand; the CPU
-   model's service fraction (which reflects contention with control-plane
-   work - the heart of Figs. 5-8) scales what is actually forwarded.
+3. **CPU**: the total admitted rate becomes user-plane CPU demand; the share
+   of it the CPU model served over the tick (which reflects contention with
+   control-plane work - the heart of Figs. 5-8) scales what is forwarded.
 4. **Accounting**: achieved bytes are recorded into ``sessiond`` (driving
    usage caps and OCS quotas) and into the experiment monitor.
 
@@ -45,6 +45,7 @@ class TrafficEngine:
         self.gtpa = gtpa
         self.record_usage = record_usage
         self._running = False
+        self._up_work = agw.user_plane_work()  # integrals at the last step
         self.last_achieved_mbps = 0.0
         self.last_admitted_mbps = 0.0
         self.last_radio_mbps = 0.0
@@ -92,9 +93,13 @@ class TrafficEngine:
                     admitted[imsi] = gtpa_alloc.get((self.agw.node, imsi), 0.0)
         total_admitted = sum(admitted.values())
         self.last_admitted_mbps = total_admitted
-        # 3. CPU: set demand for the *next* quantum; scale by the service
-        # fraction the CPU actually delivered over the last one.
-        fraction = self.agw.user_plane_service_fraction()
+        # 3. CPU: scale by the share of the offered work the CPU actually
+        # served since the last step (a point sample of the service rate
+        # would alias against task arrivals), then set the next demand.
+        offered, served = self.agw.user_plane_work()
+        asked = offered - self._up_work[0]
+        fraction = ((served - self._up_work[1]) / asked) if asked > 0 else 1.0
+        self._up_work = (offered, served)
         self.agw.set_user_plane_load(total_admitted)
         achieved_total = 0.0
         for imsi, mbps in admitted.items():
