@@ -14,7 +14,8 @@ protocol for the reproduction:
   ``delete``) plus the per-key entry digests needed to compute exact
   deltas; internal nodes hash their children and are cached lazily, so
   an unchanged namespace recomputes *nothing* — the memoization the
-  check-in storm lives on.
+  check-in storm lives on.  A node's public and wire name is its path;
+  inside, nodes are numbered in level order (DESIGN.md §6.11).
 - :class:`OverlayTree` — a copy-on-write view over a shared base tree:
   only touched leaf buckets are copied.  Lets tens of thousands of
   simulated gateways with identical applied state share one mirror.
@@ -32,6 +33,7 @@ same engineering bet real digest-sync systems make (a random collision is
 from __future__ import annotations
 
 import itertools
+import operator
 from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -184,11 +186,14 @@ def key_hash(key: str) -> int:
         blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def _combine(children: Iterable[int]) -> int:
-    h = blake2b(digest_size=DIGEST_BYTES)
-    for digest in children:
-        h.update(digest.to_bytes(DIGEST_BYTES, "big"))
-    return int.from_bytes(h.digest(), "big")
+#: One child digest as the bytes a parent hashes.
+_digest_bytes = operator.methodcaller("to_bytes", DIGEST_BYTES, "big")
+
+
+def _combine(children: List[int]) -> int:
+    return int.from_bytes(
+        blake2b(b"".join(map(_digest_bytes, children)),
+                digest_size=DIGEST_BYTES).digest(), "big")
 
 
 _SHARED_BASE_WRITE = ("digest tree is the base of an overlay and is "
@@ -198,15 +203,24 @@ _SHARED_BASE_WRITE = ("digest tree is the base of an overlay and is "
 class DigestTree:
     """Fixed-fanout digest tree over one namespace's ``{key: value}`` set.
 
-    Node addressing: the root is the empty path ``()``; a node at level
-    ``l`` is a tuple of ``l`` base-``fanout`` digits.  Leaves sit at
-    level ``depth``.  A key's leaf is the first ``depth`` digits of its
-    bucket hash, so the same key lands in the same leaf on every replica
-    — divergence between two trees is always a key-set/value difference,
-    never a placement difference.
+    To callers and on the wire a node is a *path*: the root is ``()``, a
+    node at level ``l`` a tuple of ``l`` base-``fanout`` digits, leaves
+    sit at level ``depth``.  Inside, a node is its level-order *number*:
+    root 0, the children of ``n`` at ``n * fanout + 1 ... n * fanout +
+    fanout``, its parent ``(n - 1) // fanout``, leaf bucket ``i`` at
+    ``_first_leaf + i`` where ``_first_leaf = (fanout**depth - 1) //
+    (fanout - 1)`` counts the internal nodes.  Siblings are consecutive
+    numbers - just above the leaves, one slice of the leaf accumulators -
+    and every internal table is keyed by an int.  :meth:`_number`
+    converts and validates a path once, where it enters.
+
+    A key's bucket is ``key_hash(key) % leaf_count`` - its leaf path is
+    that number's ``depth`` base-``fanout`` digits - so the same key
+    lands in the same leaf on every replica: divergence between two trees
+    is always a key-set/value difference, never a placement difference.
     """
 
-    __slots__ = ("fanout", "depth", "leaf_count", "_leaf_acc",
+    __slots__ = ("fanout", "depth", "leaf_count", "_first_leaf", "_leaf_acc",
                  "_leaf_entries", "_node_cache", "_count", "_shared",
                  "stats")
 
@@ -218,33 +232,44 @@ class DigestTree:
         self.fanout = fanout
         self.depth = depth
         self.leaf_count = fanout ** depth
+        self._first_leaf = (self.leaf_count - 1) // (fanout - 1)
         self._alloc_leaves()
-        self._node_cache: Dict[NodePath, int] = {}
+        # Internal node number -> digest; a write pops its leaf's ancestors.
+        self._node_cache: Dict[int, int] = {}
         self._count = 0
         # Set once an OverlayTree reads through to this tree: overlays
         # trust the base's digests and len(), so it is frozen from then on.
         self._shared = False
         self.stats = {"puts": 0, "deletes": 0, "node_recomputes": 0}
 
-    # -- key placement -------------------------------------------------------------
+    # -- paths <-> numbers ---------------------------------------------------------
 
     def path_for_key(self, key: str) -> NodePath:
         """The leaf path (``depth`` digits) that ``key`` buckets into."""
-        h = key_hash(key)
+        index = key_hash(key) % self.leaf_count
         digits = []
         for _ in range(self.depth):
-            digits.append(h % self.fanout)
-            h //= self.fanout
+            index, digit = divmod(index, self.fanout)
+            digits.append(digit)
         return tuple(reversed(digits))
 
-    def _leaf_index(self, path: NodePath) -> int:
-        index = 0
-        for digit in path:
-            index = index * self.fanout + digit
-        return index
+    def _number(self, path: NodePath) -> int:
+        """The number of the node at ``path``.
 
-    def is_leaf(self, path: NodePath) -> bool:
-        return len(path) == self.depth
+        Paths arrive from outside (a gateway's reconcile request), and a
+        digit out of range would silently name a cousin, so each digit is
+        checked here and nowhere else.
+        """
+        fanout, first_leaf = self.fanout, self._first_leaf
+        number = 0
+        for digit in path:
+            # A leaf has no children: the path is longer than the tree is deep.
+            if number >= first_leaf or not 0 <= digit < fanout:
+                raise ValueError(
+                    f"no node at path {tuple(path)} in a digest tree of "
+                    f"fanout {fanout} and depth {self.depth}")
+            number = number * fanout + digit + 1
+        return number
 
     # -- mutation ------------------------------------------------------------------
 
@@ -256,20 +281,18 @@ class DigestTree:
         """Insert/update with a precomputed entry digest (mirror rebuilds)."""
         if self._shared:
             raise RuntimeError(_SHARED_BASE_WRITE)
-        path = self.path_for_key(key)
-        index = self._leaf_index(path)
-        entries = self._writable_leaf(index, path)
+        index = key_hash(key) % self.leaf_count
+        entries = self._writable_leaf(index)
         old = entries.get(key)
         if old == digest:
             return False
         entries[key] = digest
-        acc = self._leaf_acc[index] ^ digest
-        if old is not None:
-            acc ^= old
-        else:
+        if old is None:
             self._count += 1
-        self._set_leaf_acc(index, acc)
-        self._invalidate(path)
+            self._leaf_acc[index] ^= digest
+        else:
+            self._leaf_acc[index] ^= digest ^ old
+        self._invalidate(index)
         self.stats["puts"] += 1
         return True
 
@@ -277,22 +300,24 @@ class DigestTree:
         """Remove one entry; returns True if it was present."""
         if self._shared:
             raise RuntimeError(_SHARED_BASE_WRITE)
-        path = self.path_for_key(key)
-        index = self._leaf_index(path)
+        index = key_hash(key) % self.leaf_count
         view = self._leaf_entry_map(index)
         if not view or key not in view:
             return False
-        old = self._writable_leaf(index, path).pop(key)
-        self._set_leaf_acc(index, self._leaf_acc[index] ^ old)
+        old = self._writable_leaf(index).pop(key)   # may copy the bucket first
+        self._leaf_acc[index] ^= old
         self._count -= 1
-        self._invalidate(path)
+        self._invalidate(index)
         self.stats["deletes"] += 1
         return True
 
-    def _invalidate(self, leaf_path: NodePath) -> None:
-        cache = self._node_cache
-        for level in range(self.depth):
-            cache.pop(leaf_path[:level], None)
+    def _invalidate(self, index: int) -> None:
+        """Forget the cached digest of every ancestor of leaf ``index``."""
+        cache, fanout = self._node_cache, self.fanout
+        number = self._first_leaf + index
+        while number:
+            number = (number - 1) // fanout
+            cache.pop(number, None)
 
     # -- leaf storage hooks (OverlayTree overrides these) ----------------------------
 
@@ -305,62 +330,71 @@ class DigestTree:
     def _leaf_entry_map(self, index: int) -> Optional[Dict[str, int]]:
         return self._leaf_entries[index]
 
-    def _writable_leaf(self, index: int, path: NodePath) -> Dict[str, int]:
+    def _writable_leaf(self, index: int) -> Dict[str, int]:
         entries = self._leaf_entries[index]
         if entries is None:
             entries = {}
             self._leaf_entries[index] = entries
         return entries
 
-    def _set_leaf_acc(self, index: int, acc: int) -> None:
-        self._leaf_acc[index] = acc
-
-    def _leaf_digest(self, index: int) -> int:
-        return self._leaf_acc[index]
+    def _leaf_digests(self, start: int, stop: int) -> List[int]:
+        """The accumulators of leaf buckets ``start .. stop - 1`` (a new list)."""
+        return self._leaf_acc[start:stop]
 
     # -- digests -------------------------------------------------------------------
 
-    def node(self, path: NodePath) -> int:
-        """Digest of the node at ``path`` (leaf accumulator or cached
-        hash over children — only dirty subtrees recompute)."""
-        path = tuple(path)
-        if len(path) == self.depth:
-            return self._leaf_digest(self._leaf_index(path))
-        if len(path) > self.depth:
-            raise ValueError(f"path {path} deeper than tree depth {self.depth}")
-        cached = self._node_cache.get(path)
-        if cached is not None:
-            return cached
-        digest = _combine(self.node(path + (i,)) for i in range(self.fanout))
-        self._node_cache[path] = digest
+    def _child_digests(self, number: int) -> List[int]:
+        """Digests of the ``fanout`` children of internal node ``number``."""
+        first = number * self.fanout + 1
+        bucket = first - self._first_leaf
+        if bucket >= 0:
+            return self._leaf_digests(bucket, bucket + self.fanout)
+        return [self._digest(child)
+                for child in range(first, first + self.fanout)]
+
+    def _digest(self, number: int) -> int:
+        """Digest of node ``number`` (leaf accumulator or cached hash over
+        children - only dirty subtrees recompute)."""
+        cache = self._node_cache
+        if number in cache:
+            return cache[number]
+        bucket = number - self._first_leaf
+        if bucket >= 0:
+            return self._leaf_digests(bucket, bucket + 1)[0]
+        digest = cache[number] = _combine(self._child_digests(number))
         self.stats["node_recomputes"] += 1
         return digest
 
+    def node(self, path: NodePath) -> int:
+        """Digest of the node at ``path``."""
+        return self._digest(self._number(path))
+
     def root(self) -> int:
-        return self.node(())
+        return self._digest(0)
 
     def children(self, path: NodePath) -> Dict[NodePath, int]:
         """Digests of the children of an internal node, keyed by path."""
+        number = self._number(path)
+        if number >= self._first_leaf:
+            raise ValueError(f"node {tuple(path)} is a leaf; it has no children")
         path = tuple(path)
-        if len(path) >= self.depth:
-            raise ValueError(f"node {path} is a leaf; it has no children")
-        return {path + (i,): self.node(path + (i,))
-                for i in range(self.fanout)}
+        return {path + (digit,): digest for digit, digest
+                in enumerate(self._child_digests(number))}
 
     def leaf_entries(self, path: NodePath) -> Dict[str, int]:
         """``{key: entry_digest}`` for a leaf bucket (copy; wire-safe)."""
-        path = tuple(path)
-        if len(path) != self.depth:
-            raise ValueError(f"{path} is not a leaf path")
-        entries = self._leaf_entry_map(self._leaf_index(path))
+        bucket = self._number(path) - self._first_leaf
+        if bucket < 0:
+            raise ValueError(f"{tuple(path)} is not a leaf path")
+        entries = self._leaf_entry_map(bucket)
         return dict(entries) if entries else {}
 
     def __len__(self) -> int:
         return self._count
 
 
-#: An untouched overlay's (shared, empty) set of overlaid internal paths.
-_NO_PATHS: frozenset = frozenset()
+#: An untouched overlay's (shared, empty) set of overlaid internal nodes.
+_NOTHING_OVERLAID: frozenset = frozenset()
 
 
 class OverlayTree(DigestTree):
@@ -372,7 +406,7 @@ class OverlayTree(DigestTree):
     config is identical can then share one base mirror and each pay
     only for the buckets their own reconciliation touches.
 
-    Copying a bucket also records its ancestors' paths, so "is anything
+    Copying a bucket also records its ancestors' numbers, so "is anything
     under this node overlaid?" is one set probe and an untouched
     overlay answers ``root()`` from the base's cache without looking at
     a single leaf.  That shortcut (and ``len()``) trusts the base, so
@@ -380,15 +414,15 @@ class OverlayTree(DigestTree):
     base may itself be an overlay.
     """
 
-    __slots__ = ("_base", "_overlaid_paths")
+    __slots__ = ("_base", "_overlaid")
 
     def __init__(self, base: DigestTree):
         super().__init__(base.fanout, base.depth)
         self._base = base
         self._count = len(base)
-        # Internal paths with a copied bucket beneath them; a real set
+        # Internal nodes with a copied bucket beneath them; a real set
         # replaces the shared empty one on the first copy.
-        self._overlaid_paths = _NO_PATHS
+        self._overlaid = _NOTHING_OVERLAID
         base._shared = True
 
     def _alloc_leaves(self) -> None:
@@ -402,30 +436,34 @@ class OverlayTree(DigestTree):
             return entries
         return self._base._leaf_entry_map(index)
 
-    def _writable_leaf(self, index: int, path: NodePath) -> Dict[str, int]:
+    def _writable_leaf(self, index: int) -> Dict[str, int]:
         entries = self._leaf_entries.get(index)
         if entries is None:
             base_entries = self._base._leaf_entry_map(index)
             entries = dict(base_entries) if base_entries else {}
             self._leaf_entries[index] = entries
-            self._leaf_acc[index] = self._base._leaf_digest(index)
-            if not self._overlaid_paths:
-                self._overlaid_paths = set()
-            self._overlaid_paths.update(
-                path[:level] for level in range(self.depth))
+            self._leaf_acc[index] = \
+                self._base._leaf_digests(index, index + 1)[0]
+            if not self._overlaid:
+                self._overlaid = set()
+            number = self._first_leaf + index
+            while number:
+                number = (number - 1) // self.fanout
+                self._overlaid.add(number)
         return entries
 
-    def _leaf_digest(self, index: int) -> int:
-        acc = self._leaf_acc.get(index)
-        if acc is not None:
-            return acc
-        return self._base._leaf_digest(index)
+    def _leaf_digests(self, start: int, stop: int) -> List[int]:
+        digests = self._base._leaf_digests(start, stop)
+        copied = self._leaf_acc
+        for index in range(start, stop):
+            if index in copied:
+                digests[index - start] = copied[index]
+        return digests
 
-    def node(self, path: NodePath) -> int:
-        path = tuple(path)
-        if len(path) < self.depth and path not in self._overlaid_paths:
-            return self._base.node(path)
-        return super().node(path)
+    def _digest(self, number: int) -> int:
+        if number < self._first_leaf and number not in self._overlaid:
+            return self._base._digest(number)
+        return super()._digest(number)
 
 
 class DigestIndex:

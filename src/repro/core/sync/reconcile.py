@@ -17,7 +17,9 @@ Three pieces, all sans-io so the same engine runs over simulated RPC
 - :class:`ReconcileClient` — the gateway-side walk as a request/response
   state machine: ``start()`` consumes the check-in's sync info and
   returns the first follow-up request (or None); ``feed()`` consumes
-  each response and returns the next request until converged.
+  each response and returns the next request until converged.  It
+  compares a sibling set at a time: what a response carries per parent
+  against one ``tree.children(parent)`` of the mirror.
 
 Convergence takes at most ``depth`` follow-up rounds: each round either
 descends one tree level or applies leaf deltas, and applying a leaf
@@ -29,7 +31,7 @@ sync heals everything" property at leaf granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...obs import profiler as _profiler
@@ -82,15 +84,6 @@ class DigestMirror:
 
     def roots(self) -> Dict[str, int]:
         return {label: tree.root() for label, tree in self.trees.items()}
-
-    def node(self, label: str, path: NodePath) -> int:
-        return self.trees[label].node(path)
-
-    def is_leaf(self, path: NodePath) -> bool:
-        return len(path) == self.depth
-
-    def leaf_entries(self, label: str, path: NodePath) -> Dict[str, int]:
-        return self.trees[label].leaf_entries(path)
 
 
 class ReconcileServer:
@@ -188,9 +181,7 @@ class ReconcileResult:
     upserts: int = 0
     tombstones: int = 0
     leaves_shipped: int = 0
-    labels_elided: int = 0
     labels_synced: int = 0
-    aborted: bool = field(default=False)
 
 
 class ReconcileClient:
@@ -242,8 +233,9 @@ class ReconcileClient:
         self._synced_labels = len(sync)
         self._target_roots = {label: info["root"]
                               for label, info in sync.items()}
-        pending = {label: info["children"] for label, info in sync.items()}
-        return self._next_request(pending)
+        # The opener's children are the root's sibling set.
+        return self._next_request({label: {(): info["children"]}
+                                   for label, info in sync.items()})
 
     def feed(self, response: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Consume a reconcile response; return the next request or None."""
@@ -260,27 +252,30 @@ class ReconcileClient:
                 self._leaves += 1
         if self._rounds >= self.max_rounds:
             return None
-        # Merge multiple expanded parents per label.
-        pending: Dict[str, Dict[NodePath, int]] = {}
-        for label, by_parent in response.get("nodes", {}).items():
-            target = pending.setdefault(label, {})
-            for children in by_parent.values():
-                target.update(children)
-        return self._next_request(pending)
+        return self._next_request(response.get("nodes", {}))
 
-    def _next_request(self, pending: Dict[str, Dict[NodePath, int]]) -> \
-            Optional[Dict[str, Any]]:
+    def _next_request(
+            self, pending: Dict[str, Dict[NodePath, Dict[NodePath, int]]]
+    ) -> Optional[Dict[str, Any]]:
+        """Compare ``{label: {parent: its children's digests}}`` with the
+        mirror a sibling set at a time; ask about the children that differ
+        (parent-major, in child order)."""
         ns_paths: Dict[str, List[NodePath]] = {}
         ns_leaves: Dict[str, Dict[NodePath, Dict[str, int]]] = {}
-        for label, nodes in pending.items():
-            for path, digest in nodes.items():
-                if self.mirror.node(label, path) == digest:
+        for label, by_parent in pending.items():
+            tree = self.mirror.trees[label]
+            for parent, theirs in by_parent.items():
+                mine = tree.children(parent)
+                differing = [path for path, digest in theirs.items()
+                             if mine.get(path) != digest]
+                if not differing:
                     continue
-                if self.mirror.is_leaf(path):
-                    ns_leaves.setdefault(label, {})[path] = \
-                        self.mirror.leaf_entries(label, path)
+                if len(parent) + 1 < tree.depth:
+                    ns_paths.setdefault(label, []).extend(differing)
                 else:
-                    ns_paths.setdefault(label, []).append(path)
+                    leaves = ns_leaves.setdefault(label, {})
+                    for path in differing:
+                        leaves[path] = tree.leaf_entries(path)
         if not ns_paths and not ns_leaves:
             return None
         self._rounds += 1

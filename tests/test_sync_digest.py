@@ -6,9 +6,13 @@ divergence within tree-depth rounds, and every byte of it must be
 deterministic under a fixed seed (replayable simulations).
 """
 
+from hashlib import blake2b
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.agw import SubscriberProfile
 from repro.core.orchestrator import ConfigStore
 from repro.core.orchestrator.statesync import scoped
 from repro.core.sync import (
@@ -21,6 +25,7 @@ from repro.core.sync import (
     canonical_bytes,
     entry_digest,
 )
+from repro.net.rpc import payload_bytes
 
 KEYS = [f"k{i}" for i in range(40)]
 
@@ -239,14 +244,45 @@ def test_mirror_overlay_freezes_its_base_and_overlays_nest():
     assert len(second.trees["subscribers"]) == 20
 
 
+@pytest.mark.parametrize("overlaid", [False, True], ids=["plain", "overlay"])
+def test_a_path_digit_out_of_range_names_no_node(overlaid):
+    """``(0, 17)`` used to read bucket ``(1, 1)``, ``(0, -1)`` the last
+    bucket, and a bad first digit died with IndexError."""
+    tree = DigestTree()
+    for key in KEYS:
+        tree.put(key, "v")
+    if overlaid:
+        tree = OverlayTree(tree)
+        tree.put("extra", 1)
+    for read in (lambda: tree.leaf_entries((0, 17)),
+                 lambda: tree.node((0, 17)),
+                 lambda: tree.node((0, -1)),
+                 lambda: tree.node((17,)),
+                 lambda: tree.children((16,)),
+                 lambda: tree.node((0, 0, 0)),           # deeper than the tree
+                 lambda: tree.children((0, 0)),          # a leaf
+                 lambda: tree.leaf_entries((0,))):       # not a leaf
+        with pytest.raises(ValueError):
+            read()
+    assert tree.node([0, 15]) == tree.node((0, 15))      # lists off the wire
+
+
 # -- the reconcile walk ------------------------------------------------------------
 
 
-def run_reconcile(store, digests, mirror, applied, network_id="default"):
-    """Drive the sans-io walk to completion; returns (result, transcript)."""
+def run_reconcile(store, digests, mirror, applied, network_id="default",
+                  messages=None):
+    """Drive the sans-io walk to completion; returns (result, transcript).
+
+    ``messages``, when given, collects the sync opener and every request
+    and response in wire order.
+    """
     server = ReconcileServer(digests, store, scoped)
     sync = server.sync_info(network_id, mirror.roots())
     transcript = [canonical_bytes(sorted(sync))]
+    if messages is None:
+        messages = []
+    messages.append(sync)
 
     def apply_delta(label, upserts, deletes, version):
         content = applied.setdefault(label, {})
@@ -261,6 +297,7 @@ def run_reconcile(store, digests, mirror, applied, network_id="default"):
         response = server.handle(request)
         response["config_version"] = store.version
         transcript.append(canonical_bytes(response))
+        messages += (request, response)
         request = client.feed(response)
     return client.result(), b"".join(transcript)
 
@@ -314,6 +351,55 @@ def test_reconcile_transcript_is_bit_identical_on_replay(orc_ops, gw_ops):
     assert transcript_a == transcript_b
 
 
+def churn_profile(index, generation=0):
+    return SubscriberProfile(imsi=f"00101{index:010d}",
+                             k=bytes([index % 251]) * 16,
+                             opc=bytes([(index + generation) % 241 + 1]) * 16)
+
+
+# Taken at the commit before nodes were numbered (DESIGN.md §6.11): the
+# wire of a many-leaf walk is not allowed to move.
+CHURN_TRANSCRIPT_BLAKE2B = "06e40f03148825ff2cacdef565045e7d"
+CHURN_MESSAGE_BYTES = [331, 241, 6969, 30111, 27344]    # opener, 2 x (up, down)
+CHURN_RESULT = (2, 135, 60, 139)     # rounds, upserts, tombstones, leaves
+
+
+def test_golden_wire_of_a_many_leaf_walk():
+    """120 adds, 60 deletes and 15 rewrites over a 2,000-entry namespace,
+    walked by one overlay gateway of a shared mirror: the transcript's
+    hash and every message's size are pinned."""
+    store = ConfigStore()
+    content = {}
+    for index in range(2000):
+        entry = churn_profile(index)
+        store.put("subscribers", entry.imsi, entry)
+        content[entry.imsi] = entry
+    digests = DigestIndex(store)
+    shared = DigestMirror()
+    shared.rebuild("subscribers", content)
+    mirror = shared.overlay()
+    applied = {"subscribers": dict(content)}
+    for index in range(2000, 2120):
+        entry = churn_profile(index)
+        store.put("subscribers", entry.imsi, entry)
+    for index in range(0, 1980, 33):
+        store.delete("subscribers", churn_profile(index).imsi)
+    for index in range(7, 1500, 100):
+        entry = churn_profile(index, generation=1)
+        store.put("subscribers", entry.imsi, entry)
+    messages = []
+    result, transcript = run_reconcile(store, digests, mirror, applied,
+                                       messages=messages)
+    assert result.converged
+    assert applied["subscribers"] == store.namespace("subscribers")
+    assert (result.rounds, result.upserts, result.tombstones,
+            result.leaves_shipped) == CHURN_RESULT
+    assert [payload_bytes(message) for message in messages] == \
+        CHURN_MESSAGE_BYTES
+    assert blake2b(transcript, digest_size=16).hexdigest() == \
+        CHURN_TRANSCRIPT_BLAKE2B
+
+
 def test_reconcile_tombstones_delete_gateway_extras():
     store = ConfigStore()
     store.put("subscribers", "keep", 1)
@@ -325,6 +411,21 @@ def test_reconcile_tombstones_delete_gateway_extras():
     assert result.converged
     assert result.tombstones == 2
     assert applied["subscribers"] == {"keep": 1}
+
+
+def test_reconcile_server_refuses_a_malformed_path():
+    store = ConfigStore()
+    for key in KEYS:
+        store.put("subscribers", key, 1)
+    server = ReconcileServer(DigestIndex(store), store, scoped)
+    request = {"gateway_id": "gw-1", "network_id": "default"}
+    listed = {key: 7 for key in KEYS[:3]}
+    # Answering from an aliased bucket would tombstone every listed key.
+    with pytest.raises(ValueError):
+        server.handle({**request, "ns_leaves": {"subscribers":
+                                                {(0, 17): listed}}})
+    with pytest.raises(ValueError):
+        server.handle({**request, "ns_paths": {"subscribers": [(16,)]}})
 
 
 def test_matching_namespaces_are_elided_entirely():

@@ -111,6 +111,46 @@ def test_deletion_propagates_as_tombstone():
         orc.statesync.reconciler.roots("default")
 
 
+def test_malformed_leaf_path_is_an_error_reply_and_applies_nothing():
+    """A reconcile request naming ``(0, 17)`` - digits that used to alias
+    bucket ``(1, 1)`` - is refused by the orchestrator's real RPC server;
+    the gateway abandons the walk with its stores untouched (it used to
+    receive a tombstone for every key it had listed) and converges on the
+    next check-in."""
+    sim, orc, agw, log, monitor = build(num_subscribers=200)
+    sim.run(until=7.0)
+    before = set(agw.subscriberdb.all_imsis())
+    assert len(before) == 200
+    k, opc = subscriber_keys(999)
+    orc.add_subscriber(SubscriberProfile(imsi=make_imsi(999), k=k, opc=opc))
+    channel = agw.magmad._orc_channel
+    real_call, corrupted = channel.call, []
+
+    def corrupting_call(service, method, request, **kwargs):
+        leaves = request.get("ns_leaves", {}).get("subscribers") \
+            if method == "reconcile" and not corrupted else None
+        if leaves:
+            corrupted.append(dict(leaves))
+            entries = leaves.pop(next(iter(leaves)))
+            assert entries                   # keys the gateway holds
+            leaves[(0, 17)] = entries
+        return real_call(service, method, request, **kwargs)
+
+    channel.call = corrupting_call
+    errors = orc.server.stats["errors"]
+    sim.run(until=13.0)                      # second check-in: refused walk
+    assert corrupted
+    assert orc.server.stats["errors"] == errors + 1
+    assert agw.magmad.stats["reconciles_aborted"] == 1
+    assert agw.magmad.stats["delta_tombstones"] == 0
+    assert set(agw.subscriberdb.all_imsis()) == before
+    sim.run(until=19.0)                      # third check-in: a clean walk
+    assert agw.magmad.stats["reconciles"] == 1
+    assert set(agw.subscriberdb.all_imsis()) == before | {make_imsi(999)}
+    assert agw.magmad.mirror.roots() == \
+        orc.statesync.reconciler.roots("default")
+
+
 def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
     """Desired RAN config (plain dict / scalar values, not dataclasses)
     and a policy deletion converge through one digest walk whose deltas
