@@ -10,9 +10,9 @@ Three measurements:
   schedules a deadline timer (+10 s, the repo's ``rpc_deadline``) and a
   retry probe (+0.25 s), then completes at +10 ms, revoking both.  Run
   twice: once on the real kernel (timer wheel + ``ScheduledCall.release``)
-  and once in heap-baseline mode (``Simulator(timer_wheel=False)``, no
-  cancellation — the pre-wheel kernel's behaviour, where completed calls'
-  timers rot in the heap until their full deadline).  The in-run ratio is
+  and once on the plain-heap reference kernel (``tests/reference_kernel.py``)
+  without cancellation — the pre-wheel kernel's behaviour, where completed
+  calls' timers rot in the heap until their full deadline.  The in-run ratio is
   machine-independent and is the primary regression gate.
 - **attach storm**: end-to-end wall time of a full emulated-site attach
   storm; its deterministic success count doubles as an event-ordering
@@ -55,10 +55,12 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from repro.experiments.common import build_emulated_site  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
+from reference_kernel import ReferenceSimulator  # noqa: E402
 
 # Measured on the kernel exactly as it stood before this PR (extracted from
 # git: single global heap, no cancellation, per-entry handle-free tuples)
@@ -95,10 +97,11 @@ def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
     ``batch`` (RPC load is bursty — attach storms, check-in rounds) so the
     driver's own scheduling overhead stays out of the measured churn.  With
     ``cancel=False, wheel=False`` this reproduces the pre-change kernel's
-    behaviour bit-for-bit: completed calls leave their deadline and retry
-    timers queued until they fire as no-ops.
+    behaviour bit-for-bit on the plain-heap reference kernel: completed
+    calls leave their deadline and retry timers queued until they fire as
+    no-ops.
     """
-    sim = Simulator(timer_wheel=wheel)
+    sim = Simulator() if wheel else ReferenceSimulator()
     if profiler is not None:
         # bench_profile replays this leg under the self-profiler; the
         # default path is untouched (and the canaries prove it).

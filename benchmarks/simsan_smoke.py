@@ -9,17 +9,23 @@ reprolint-shaped JSON artifact so CI can upload it for inspection.
 
 The legs deliberately reuse the bench harnesses' exact workload shapes
 (same seeds, sizes, and drain protocol) so a clean run here certifies the
-same event stream the deterministic bench canaries pin down.
+same event stream the deterministic bench canaries pin down.  With
+``--profile`` the self-profiler rides the attach storm on the same kernel
+hook seam as the sanitizer, and the run also fails unless it attributed
+kernel time.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/simsan_smoke.py \
         --out-dir simsan-reports
+    PYTHONPATH=src python benchmarks/simsan_smoke.py --leg attach-storm \
+        --profile --out-dir simsan-reports
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,6 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.agw import VIRTUAL_8VCPU, AgwConfig  # noqa: E402
 from repro.experiments.common import build_emulated_site  # noqa: E402
+from repro.obs.profiler import detach, install  # noqa: E402
 from repro.sim import SimSan  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
@@ -52,21 +59,30 @@ FLEET_SEED = 23
 FLEET_CONFIG = AgwConfig(hardware=VIRTUAL_8VCPU)
 
 
-def attach_storm_leg(san: SimSan) -> dict:
+def attach_storm_leg(san: SimSan, profile: bool = False) -> dict:
     site = build_emulated_site(num_enbs=4, num_ues=STORM_UES,
                                seed=STORM_SEED, sanitizer=san)
+    profiler = install(site.sim) if profile else None
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=STORM_RATE,
                         monitor=site.monitor)
     storm.start()
-    site.sim.run_until_triggered(
-        storm.done, limit=site.sim.now + 120.0 + STORM_UES / STORM_RATE)
-    site.sim.run(until=site.sim.now + 10.0)
-    return {
+    try:
+        site.sim.run_until_triggered(
+            storm.done, limit=site.sim.now + 120.0 + STORM_UES / STORM_RATE)
+        site.sim.run(until=site.sim.now + 10.0)
+    finally:
+        if profiler is not None:
+            detach(site.sim)
+    summary = {
         "leg": "attach-storm",
         "n_ues": STORM_UES,
         "successes": storm.success_count(),
         "pending_after_drain": site.sim.pending,
     }
+    if profiler is not None:
+        summary["profiled_subsystems"] = sorted(
+            profiler.report()["subsystems"])
+    return summary
 
 
 def fleet_leg(san: SimSan) -> dict:
@@ -111,6 +127,11 @@ def run_leg(name, leg_fn, out_dir: str) -> bool:
             print(f"  {key}: {value}")
     for rep in san.reports[:10]:
         print(f"  !! {rep['code']} {rep['check']}: {rep['message']}")
+    if "profiled_subsystems" in summary and not \
+            {"kernel.loop", "kernel.dispatch"} <= \
+            set(summary["profiled_subsystems"]):
+        print(f"  !! profiler attributed no kernel time ({name})")
+        return False
     return n == 0
 
 
@@ -120,10 +141,15 @@ def main(argv=None) -> int:
                         help="directory for the JSON report artifacts")
     parser.add_argument("--leg", choices=["attach-storm", "fleet"],
                         help="run only one leg (default: both)")
+    parser.add_argument("--profile", action="store_true",
+                        help="also install the self-profiler on the "
+                             "attach-storm leg")
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    legs = [("attach-storm", attach_storm_leg), ("fleet", fleet_leg)]
+    legs = [("attach-storm",
+             functools.partial(attach_storm_leg, profile=args.profile)),
+            ("fleet", fleet_leg)]
     if args.leg:
         legs = [(n, fn) for n, fn in legs if n == args.leg]
     clean = True

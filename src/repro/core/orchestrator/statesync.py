@@ -86,9 +86,8 @@ class StateSync:
         # Shared publish->all-applied lag tracker (one per orchestrator,
         # shared across shards); fed on every check-in.
         self.convergence = convergence
-        # digest_sync=False is the escape hatch mirroring
-        # Simulator(timer_wheel=False): byte-identical event order to the
-        # pre-digest protocol, for A/B runs and bisection.
+        # digest_sync=False keeps the pre-digest bundle protocol, for A/B
+        # runs against it.
         self.digest_sync = digest_sync
         self.digests: Optional[DigestIndex] = None
         self.reconciler: Optional[ReconcileServer] = None

@@ -2,19 +2,18 @@
 
 "As fast as the hardware allows" is a claim until it is a breakdown.
 This module turns a run into flame-style per-subsystem shares of host
-wall-clock time — kernel dispatch vs. timer wheel vs. RPC serialization
-vs. digest hashing vs. fleet ticks vs. tracer overhead — committed per-PR
-as ``BENCH_profile.json`` so regressions show up as a share shift, not a
+wall-clock time — kernel loop vs. dispatch vs. RPC serialization vs.
+digest hashing vs. fleet ticks vs. tracer overhead — committed per-PR as
+``BENCH_profile.json`` so regressions show up as a share shift, not a
 vibe.
 
-Two integration layers, both following the SimSan enable/disable design:
+Two integration layers:
 
-- **Kernel**: :func:`install` swaps the simulator's class to
-  :class:`_ProfiledSimulator` (empty ``__slots__``), whose overridden
-  ``run``/``_execute``/wheel methods bracket the hot paths with
-  :meth:`Profiler.push`/:meth:`Profiler.pop`.  The base class is
-  untouched, so the profiler-off path is byte-identical to today's
-  kernel — the bench canaries prove it.
+- **Kernel**: :func:`install` adds the profiler as a
+  :class:`~repro.sim.kernel.Hook` on the simulator's dispatch seam:
+  ``kernel.loop`` brackets each run, ``kernel.dispatch`` each callback
+  (timer-wheel flushes are loop time).  It composes with the sanitizer
+  and the tracer on the same simulator.
 - **Subsystems** (RPC, digest sync, fleet ticks, tracer): module-level
   hooks read ``profiler.ACTIVE``; when it is ``None`` (the default) the
   cost is one global load and an ``is None`` test.
@@ -29,24 +28,23 @@ readings.  Those calls carry ``reprolint`` pragmas for exactly that
 reason.
 
 Only one profiler can be active per process (the ``ACTIVE`` global is
-how zero-touch subsystem hooks find it); :func:`detach` restores both
-the simulator class and the global.
+how zero-touch subsystem hooks find it); :func:`detach` removes the hook
+and clears the global.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import Any, Dict, List, Optional
 
-from ..sim.kernel import SimulationError, Simulator
+from ..sim.kernel import Hook, Simulator
 
 # The process-wide active profiler; subsystem hooks poll this.  None when
 # profiling is off, which must stay the cheap path.
 ACTIVE: Optional["Profiler"] = None
 
 
-class Profiler:
+class Profiler(Hook):
     """Scoped self-time counters keyed by flame path."""
 
     __slots__ = ("self_s", "calls", "_stack", "_mark")
@@ -91,6 +89,20 @@ class Profiler:
         del self._stack[:]
         self._mark = 0.0
 
+    # -- kernel hook -----------------------------------------------------------
+
+    def run_started(self) -> None:
+        self.push("kernel.loop")
+
+    def run_ended(self) -> None:
+        self.pop()
+
+    def dispatching(self, seq: int, fn: Any) -> None:
+        self.push("kernel.dispatch")
+
+    def dispatched(self) -> None:
+        self.pop()
+
     # -- reporting -------------------------------------------------------------
 
     def subsystems(self) -> Dict[str, Dict[str, float]]:
@@ -123,93 +135,23 @@ class Profiler:
         return {"total_s": total, "subsystems": subsystems, "flame": flame}
 
 
-class _ProfiledSimulator(Simulator):
-    """Simulator with profiled dispatch.
-
-    Uses the generic ``_surface()`` event loop rather than the base
-    class's inlined one; both implement the identical total order (the
-    parity test pins this), so profiling never perturbs event order —
-    only wall-clock attribution differs.
-    """
-
-    __slots__ = ()
-
-    def run(self, until: Optional[float] = None) -> float:
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        prof = self._prof
-        prof.push("kernel.loop")
-        try:
-            while True:
-                entry = self._surface()
-                if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and entry.when > until:
-                    self._now = until
-                    break
-                heapq.heappop(self._queue)
-                self._now = entry.when
-                self._execute(entry)
-        finally:
-            prof.pop()
-            self._running = False
-        return self._now
-
-    def _execute(self, entry) -> None:
-        prof = self._prof
-        prof.push("kernel.dispatch")
-        try:
-            Simulator._execute(self, entry)
-        finally:
-            prof.pop()
-
-    def _flush_far(self) -> None:
-        prof = self._prof
-        prof.push("kernel.timer_wheel")
-        try:
-            Simulator._flush_far(self)
-        finally:
-            prof.pop()
-
-    def _wheel_flush_min(self) -> None:
-        prof = self._prof
-        prof.push("kernel.timer_wheel")
-        try:
-            Simulator._wheel_flush_min(self)
-        finally:
-            prof.pop()
-
-
-def _install(sim: Simulator, profiler: Profiler) -> Profiler:
-    """Swap ``sim`` onto the profiled subclass and set the ACTIVE global."""
+def install(sim: Simulator, profiler: Optional[Profiler] = None) -> Profiler:
+    """Attach a (new, by default) profiler to ``sim``; returns it."""
     global ACTIVE
-    if type(sim) is not Simulator:
-        raise ValueError(
-            f"profiler needs a plain Simulator (got {type(sim).__name__}); "
-            f"it is mutually exclusive with the sanitizer's class swap")
+    if profiler is None:
+        profiler = Profiler()
     if ACTIVE is not None and ACTIVE is not profiler:
         raise ValueError("another profiler is already active in this process")
-    sim._prof = profiler
-    sim.__class__ = _ProfiledSimulator
+    sim.add_hook(profiler)
     ACTIVE = profiler
     return profiler
 
 
-def install(sim: Simulator, profiler: Optional[Profiler] = None) -> Profiler:
-    """Attach a (new, by default) profiler to ``sim``; returns it."""
-    return _install(sim, profiler if profiler is not None else Profiler())
-
-
 def detach(sim: Simulator) -> Optional[Profiler]:
-    """Undo :func:`install`: restore the base class, clear ACTIVE."""
+    """Undo :func:`install`: remove the hook, clear ACTIVE."""
     global ACTIVE
-    if isinstance(sim, _ProfiledSimulator):
-        sim.__class__ = Simulator
-        prof, sim._prof = sim._prof, None
-        if ACTIVE is prof:
-            ACTIVE = None
-        return prof
-    return None
+    prof = ACTIVE
+    if prof is None or not sim.remove_hook(prof):
+        return None
+    ACTIVE = None
+    return prof

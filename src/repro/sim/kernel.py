@@ -149,7 +149,7 @@ class PeriodicCall:
     Built for batched cohort/fleet ticks: one wrapper object drives an
     arbitrary number of aggregate state machines from a single kernel
     timer, and every reschedule rides the pooled fire-and-forget path
-    (:meth:`Simulator._schedule_pooled`), so steady-state ticking allocates
+    (:meth:`Simulator.call_later`), so steady-state ticking allocates
     nothing — unlike a ``Timeout``-per-tick coroutine loop, which builds
     an event object and a callback list every period.
 
@@ -169,7 +169,7 @@ class PeriodicCall:
         self.fn = fn
         self.args = args
         self._active = True
-        sim._schedule_pooled(period, self._fire, ())
+        sim.call_later(period, self._fire)
 
     @property
     def active(self) -> bool:
@@ -182,7 +182,7 @@ class PeriodicCall:
         # The callback may have cancelled us (a fleet draining to empty
         # stops its own ticker); only then does the chain end.
         if self._active:
-            self.sim._schedule_pooled(self.period, self._fire, ())
+            self.sim.call_later(self.period, self._fire)
 
     def cancel(self) -> bool:
         """Stop the periodic chain.  Returns True if it was running."""
@@ -261,12 +261,12 @@ class Event:
         callbacks, self._callbacks = self._callbacks, []
         sim = self.sim
         for cb in callbacks:
-            sim._schedule_pooled(0.0, cb, (self,))
+            sim.call_later(0.0, cb, self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register ``cb`` to run (as a scheduled callback) once triggered."""
         if self._triggered:
-            self.sim._schedule_pooled(0.0, cb, (self,))
+            self.sim.call_later(0.0, cb, self)
         else:
             self._callbacks.append(cb)
 
@@ -285,7 +285,7 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(sim, name=f"timeout({delay:g})")
         self.delay = delay
-        sim._schedule_pooled(delay, self._fire, (value,))
+        sim.call_later(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
         if not self._triggered:
@@ -368,7 +368,7 @@ class Process(Event):
         # time (or an explicit override), restored around every generator
         # resume so causality survives arbitrary interleavings.
         self.ctx = sim.ctx if ctx is None else ctx
-        sim._schedule_pooled(0.0, self._resume, (None,))
+        sim.call_later(0.0, self._resume, None)
 
     @property
     def alive(self) -> bool:
@@ -389,7 +389,7 @@ class Process(Event):
                 target._callbacks.remove(self._on_wait_done)
             except ValueError:
                 pass
-        self.sim._schedule_pooled(0.0, self._throw, (Interrupted(cause),))
+        self.sim.call_later(0.0, self._throw, Interrupted(cause))
 
     def _throw(self, exc: BaseException) -> None:
         if self._triggered:
@@ -424,10 +424,10 @@ class Process(Event):
                 self.fail(exc)            # code must fail the process event
                 return
             if not isinstance(target, Event):
-                sim._schedule_pooled(
+                sim.call_later(
                     0.0, self._resume_error,
-                    (SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}"),))
+                    SimulationError(
+                        f"process {self.name!r} yielded non-event {target!r}"))
                 return
             self._waiting_on = target
             target.add_callback(self._on_wait_done)
@@ -448,10 +448,10 @@ class Process(Event):
                 self.fail(exc)            # code must fail the process event
                 return
             if not isinstance(target, Event):
-                sim._schedule_pooled(
+                sim.call_later(
                     0.0, self._resume_error,
-                    (SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}"),))
+                    SimulationError(
+                        f"process {self.name!r} yielded non-event {target!r}"))
                 return
             self._waiting_on = target
             target.add_callback(self._on_wait_done)
@@ -473,6 +473,41 @@ class Process(Event):
             self._resume_error(value)
 
 
+class _Halt(Exception):
+    """Raised by a stop entry to unwind the dispatch loop (never escapes)."""
+
+
+class Hook:
+    """An observer on the kernel's dispatch seam (:meth:`Simulator.add_hook`).
+
+    Every method is a no-op here; a hook overrides what it watches.
+    ``scheduled`` sees each handle :meth:`Simulator.schedule` hands out and
+    returns the handle the caller gets (the fire-and-forget paths carry no
+    handle and are not reported).  ``dispatching``/``dispatched`` bracket
+    every callback the loop fires — ``seq`` is the entry's sequence number,
+    ``dispatched`` runs even when the callback raises.  ``run_started`` and
+    ``run_ended`` bracket every :meth:`Simulator.run` and
+    :meth:`Simulator.run_until_triggered`.
+    """
+
+    __slots__ = ()
+
+    def scheduled(self, handle: Any) -> Any:
+        return handle
+
+    def dispatching(self, seq: int, fn: Callable) -> None:
+        pass
+
+    def dispatched(self) -> None:
+        pass
+
+    def run_started(self) -> None:
+        pass
+
+    def run_ended(self) -> None:
+        pass
+
+
 class Simulator:
     """The discrete-event scheduler and virtual clock.
 
@@ -486,29 +521,32 @@ class Simulator:
 
     Every entry reaches the heap before its fire time and the heap orders by
     ``(when, seq)`` with a global monotone ``seq``, so event order — FIFO
-    among ties included — is byte-identical to the single-heap kernel.
+    among ties included — is byte-identical to a single-heap kernel
+    (``tests/reference_kernel.py`` is that kernel, kept as the oracle).
     Cancelled entries are dropped wherever they are found, without advancing
     the clock, so they neither bloat the heap nor stretch run-until-drain.
+
+    One loop dispatches every event.  A stop condition is a queue entry, not
+    a per-event test: ``run(until=t)`` pushes a halt entry at ``(t, inf)``,
+    after every real entry at ``t``, and ``run_until_triggered`` adds a halt
+    callback on the awaited event.  Observers (sanitizer, profiler) attach
+    as :class:`Hook` objects; with none installed and no tracer, the loop
+    pays one local test per event for them.
     """
 
-    __slots__ = ("_now", "_queue", "_counter", "_running", "_cutoff",
+    __slots__ = ("_now", "_queue", "_counter", "_running",
                  "_wheel_slots", "_wheel_order", "_wheel_next", "_wheel_count",
                  "_far", "_far_min", "_live", "_dead", "_pool", "ctx",
-                 "tracer", "_san", "recorder", "_prof")
+                 "tracer", "recorder", "_hooks")
 
-    def __init__(self, timer_wheel: bool = True, sanitizer: Any = None,
-                 profiler: Any = None):
+    def __init__(self, sanitizer: Any = None):
         self._now = 0.0
         self._queue: List = []
         self._counter = itertools.count()
         self._running = False
         # Timer wheel: per-level {slot_index: [ScheduledCall]} plus a heap of
         # occupied slot indices per level (lazily pruned).  ``_wheel_next``
-        # caches the earliest occupied slot start across levels.  The wheel
-        # cutoff is per-instance so disabling the wheel (heap-baseline mode)
-        # folds into the same ``delay < cutoff`` test the hot path already
-        # performs.
-        self._cutoff = _WHEEL_CUTOFF if timer_wheel else _INF
+        # caches the earliest occupied slot start across levels.
         self._wheel_slots: List[dict] = [{} for _ in _WHEEL_WIDTHS]
         self._wheel_order: List[List[int]] = [[] for _ in _WHEEL_WIDTHS]
         self._wheel_next = _INF
@@ -533,31 +571,17 @@ class Simulator:
         # any explicit plumbing.  None whenever tracing is off.
         self.ctx: Any = None
         # The installed ``obs.tracing.Tracer`` (or None).  Components read
-        # this at call time; assigning it retroactively enables tracing.
+        # this at call time; the dispatch loop reads it when a run starts.
         self.tracer: Any = None
-        # The attached ``sim.sansim.SimSan`` (or None).  Enabling it swaps
-        # this instance's class to the instrumented subclass, so the base
-        # class's hot paths carry no per-event sanitizer check at all —
-        # the disabled cost is zero by construction, like the tracer-off
-        # fast path.
-        self._san: Any = None
         # The installed ``obs.flightrec.FlightRecorder`` (or None).
         # Components read this at log sites; None keeps the disabled cost
         # at one attribute load.
         self.recorder: Any = None
-        # The attached ``obs.profiler.Profiler`` (or None).  Like the
-        # sanitizer, enabling it swaps this instance's class to the
-        # instrumented subclass, so the base hot loop carries no per-event
-        # profiling check when disabled.
-        self._prof: Any = None
+        # Installed :class:`Hook` observers, in installation order.
+        self._hooks: tuple = ()
         if sanitizer is not None:
-            from .sansim import _install  # deferred: sansim imports kernel
-            _install(self, sanitizer)
-        if profiler is not None:
-            # Deferred import for the same layering reason; mutually
-            # exclusive with the sanitizer (both claim the class slot).
-            from ..obs.profiler import _install as _install_prof
-            _install_prof(self, profiler)
+            sanitizer.attach(self)
+            self.add_hook(sanitizer)
 
     @property
     def now(self) -> float:
@@ -574,6 +598,18 @@ class Simulator:
         buffer (dead entries included until they are swept); the heap
         high-water input."""
         return len(self._queue) + self._wheel_count + len(self._far)
+
+    # -- hooks ------------------------------------------------------------
+
+    def add_hook(self, hook: Hook) -> None:
+        """Install ``hook``; it observes from the next run on."""
+        self._hooks += (hook,)
+
+    def remove_hook(self, hook: Hook) -> bool:
+        """Uninstall ``hook``; returns False if it was not installed."""
+        hooks = self._hooks
+        self._hooks = tuple(h for h in hooks if h is not hook)
+        return len(self._hooks) != len(hooks)
 
     # -- scheduling -------------------------------------------------------
 
@@ -597,28 +633,25 @@ class Simulator:
         pool = self._pool
         if pool:
             entry = pool.pop()
-            entry.when = when
-            entry.seq = seq = next(self._counter)
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
-            entry._pooled = False
         else:
             entry = _new_entry(ScheduledCall)
             entry.sim = self
-            entry.when = when
-            entry.seq = seq = next(self._counter)
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
-            entry._pooled = False
+        entry.when = when
+        entry.seq = seq = next(self._counter)
+        entry.fn = fn
+        entry.args = args
+        entry.ctx = self.ctx
+        entry._pooled = False
         self._live += 1
-        if delay < self._cutoff:
+        if delay < _WHEEL_CUTOFF:
             heapq.heappush(self._queue, (when, seq, entry))
         else:
             self._far.append(entry)
             if when < self._far_min:
                 self._far_min = when
+        if self._hooks:
+            for hook in self._hooks:
+                entry = hook.scheduled(entry)
         return entry
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> ScheduledCall:
@@ -640,64 +673,27 @@ class Simulator:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so the
         callback cannot be cancelled — and the kernel recycles the entry the
         moment it fires.  Use it for callbacks that are never revoked
-        (datagram delivery, completion notifications); at millions of events
-        per run the saved allocation is the difference between a steady-state
-        and a growing garbage set."""
+        (datagram delivery, completion notifications, every internal resume
+        and trigger); at millions of events per run the saved allocation is
+        the difference between a steady-state and a growing garbage set."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        # Body of _schedule_pooled, inlined: this runs once per datagram.
         when = self._now + delay
         seq = next(self._counter)
         pool = self._pool
         if pool:
             entry = pool.pop()
-            entry.when = when
-            entry.seq = seq
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
         else:
             entry = _new_entry(ScheduledCall)
             entry.sim = self
-            entry.when = when
-            entry.seq = seq
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
             entry._pooled = True
+        entry.when = when
+        entry.seq = seq
+        entry.fn = fn
+        entry.args = args
+        entry.ctx = self.ctx
         self._live += 1
-        if delay < self._cutoff:
-            heapq.heappush(self._queue, (when, seq, entry))
-        else:
-            self._far.append(entry)
-            if when < self._far_min:
-                self._far_min = when
-
-    def _schedule_pooled(self, delay: float, fn: Callable, args: tuple) -> None:
-        """Internal hot-path scheduling: recycles entry objects from the
-        freelist.  No handle escapes, so pooled entries are never cancelled
-        and can be reused the moment they fire."""
-        when = self._now + delay
-        seq = next(self._counter)
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry.when = when
-            entry.seq = seq
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
-        else:
-            entry = _new_entry(ScheduledCall)
-            entry.sim = self
-            entry.when = when
-            entry.seq = seq
-            entry.fn = fn
-            entry.args = args
-            entry.ctx = self.ctx
-            entry._pooled = True
-        self._live += 1
-        if delay < self._cutoff:
+        if delay < _WHEEL_CUTOFF:
             heapq.heappush(self._queue, (when, seq, entry))
         else:
             self._far.append(entry)
@@ -810,7 +806,7 @@ class Simulator:
         """Sweep dead (cancelled) entries out of the heap and every wheel
         slot.  O(physical entries), triggered from :meth:`ScheduledCall.cancel`
         only when the dead majority threshold is crossed, so the amortized
-        cost per cancel is O(1).  Mutates the heap list in place: ``run()``
+        cost per cancel is O(1).  Mutates the heap list in place: ``_run()``
         holds a local reference to it."""
         pool = self._pool
         queue = self._queue
@@ -860,38 +856,6 @@ class Simulator:
         self._wheel_next = nxt
         self._dead = 0
 
-    def _surface(self) -> Optional[ScheduledCall]:
-        """Bring the next live entry to the heap top and return it (without
-        popping); sweeps cancelled entries and flushes due wheel slots.
-        Returns None when nothing live remains.  Never advances the clock."""
-        queue = self._queue
-        pool = self._pool
-        while True:
-            while queue and queue[0][2].fn is None:
-                entry = heapq.heappop(queue)[2]
-                if entry._pooled and len(pool) < _POOL_MAX:
-                    pool.append(entry)
-            # A buffered far entry or a wheel slot starting at or before the
-            # next event time may hold an entry due sooner; organize those
-            # before trusting the heap top.  ``_far_min``/``_wheel_next``
-            # are +inf whenever their structure is empty.
-            if queue:
-                top = queue[0][0]
-                if self._far_min <= top:
-                    self._flush_far()
-                    continue
-                if self._wheel_next <= top:
-                    self._wheel_flush_min()
-                    continue
-                return queue[0][2]
-            if self._far:
-                self._flush_far()
-                continue
-            if self._wheel_count:
-                self._wheel_flush_min()
-                continue
-            return None
-
     # -- awaitable factories ----------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -915,140 +879,157 @@ class Simulator:
         """
         return Process(self, generator, name, ctx=ctx)
 
+
     # -- execution ---------------------------------------------------------
-
-    def _execute(self, entry: ScheduledCall) -> None:
-        """Fire an entry already popped from the heap (clock already set)."""
-        self._live -= 1
-        fn = entry.fn
-        args = entry.args
-        ctx = entry.ctx
-        entry.fn = None  # marks fired: a late cancel() is now a no-op
-        if entry._pooled:
-            entry.args = ()
-            entry.ctx = None
-            pool = self._pool
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
-        if self.tracer is None:
-            fn(*args)
-        else:
-            prev, self.ctx = self.ctx, ctx
-            try:
-                fn(*args)
-            finally:
-                self.ctx = prev
-
-    def step(self) -> bool:
-        """Execute the next scheduled callback.  Returns False if idle."""
-        entry = self._surface()
-        if entry is None:
-            return False
-        heapq.heappop(self._queue)
-        self._now = entry.when
-        self._execute(entry)
-        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the live events drain or ``until`` (absolute time).
 
         Returns the clock value when the run stops.  When stopping at
-        ``until``, the clock is advanced to exactly ``until`` and any events
-        scheduled for later remain queued.  Cancelled callbacks never run
-        and never advance the clock: a run whose tail is all-cancelled ends
-        at the last live event.
+        ``until``, the clock is advanced to exactly ``until``; events at
+        ``until`` itself run, later ones remain queued, and an ``until``
+        before ``now`` is a ValueError.  Cancelled callbacks never run and
+        never advance the clock: a run whose tail is all-cancelled ends at
+        the last live event.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        heappop = heapq.heappop
-        queue = self._queue
-        try:
-            if until is None:
-                # Hot loop: no stop-time check; the tracer check stays
-                # per-iteration so installing a tracer mid-run still works.
-                # _surface() is inlined — one call frame per event is the
-                # single largest fixed cost at millions of events/run.
-                pool = self._pool
-                while True:
-                    if queue:
-                        head = queue[0]
-                        entry = head[2]
-                        if entry.fn is None:
-                            heappop(queue)
-                            # Dead entries are only released entries here
-                            # (pooled internals are never cancelled).
-                            if entry._pooled and len(pool) < _POOL_MAX:
-                                pool.append(entry)
-                            continue
-                        # _far_min / _wheel_next are +inf whenever the far
-                        # buffer / wheel are empty, so the <= checks alone
-                        # are safe (and one attribute load cheaper).
-                        if self._far_min <= head[0]:
-                            self._flush_far()
-                            continue
-                        if self._wheel_next <= head[0]:
-                            self._wheel_flush_min()
-                            continue
-                    elif self._far:
-                        self._flush_far()
-                        continue
-                    elif self._wheel_count:
-                        self._wheel_flush_min()
-                        continue
-                    else:
-                        break
-                    heappop(queue)
-                    self._now = head[0]
-                    self._live -= 1
-                    fn = entry.fn
-                    args = entry.args
-                    ctx = entry.ctx
-                    entry.fn = None
-                    if entry._pooled:
-                        entry.args = ()
-                        entry.ctx = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(entry)
-                    if self.tracer is None:
-                        fn(*args)
-                    else:
-                        prev, self.ctx = self.ctx, ctx
-                        try:
-                            fn(*args)
-                        finally:
-                            self.ctx = prev
-                return self._now
-            while True:
-                entry = self._surface()
-                if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and entry.when > until:
-                    self._now = until
-                    break
-                heappop(queue)
-                self._now = entry.when
-                self._execute(entry)
-        finally:
-            self._running = False
+        self._run(until)
         return self._now
 
-    def run_until_triggered(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` triggers; raise on failure or time limit."""
-        while not event.triggered:
-            entry = self._surface()
-            if entry is None:
-                raise SimulationError("deadlock: event queue drained while waiting")
-            if entry.when > limit:
-                raise SimulationError(f"time limit {limit} reached while waiting")
-            heapq.heappop(self._queue)
-            self._now = entry.when
-            self._execute(entry)
+    def run_until_triggered(self, event: Event, limit: float = _INF) -> Any:
+        """Run until ``event`` triggers; raise on failure or time limit.
+
+        The run stops when the callback the trigger schedules fires — at
+        the trigger's instant, after entries already queued for it.  A
+        finite ``limit`` bounds the run like ``run(until=limit)``.
+        """
+        if not event._triggered:
+            armed = True
+
+            def stop(_event: Event) -> None:
+                if armed:  # a stale stop from an aborted wait is a no-op
+                    raise _Halt
+
+            event.add_callback(stop)
+            try:
+                self._run(None if limit == _INF else limit)
+            finally:
+                armed = False
+                if not event._triggered:
+                    event._callbacks.remove(stop)
+            if not event._triggered:
+                if self._live:
+                    raise SimulationError(
+                        f"time limit {limit} reached while waiting")
+                raise SimulationError(
+                    "deadlock: event queue drained while waiting")
         if not event.ok:
             value = event.value
             if isinstance(value, BaseException):
                 raise value
             raise SimulationError(f"awaited event failed: {value!r}")
         return event.value
+
+    def _halt(self) -> None:
+        # Callback of a stop sentinel, which is not a live entry: undo the
+        # loop's live-count decrement, then unwind it.
+        self._live += 1
+        raise _Halt
+
+    def _run(self, stop_at: Optional[float]) -> None:
+        """The dispatch loop: runs until nothing live remains or a halt
+        entry fires (the ``stop_at`` sentinel or a halt callback)."""
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        queue = self._queue
+        halt = None
+        if stop_at is not None:
+            if stop_at < self._now:
+                raise ValueError(f"cannot run until the past "
+                                 f"(until={stop_at}, now={self._now})")
+            # A seq of +inf sorts after every entry at ``stop_at``, those
+            # scheduled during the run included; it takes no number from
+            # the counter.
+            halt = ScheduledCall(self, stop_at, _INF, self._halt, (), None)
+            heapq.heappush(queue, (stop_at, _INF, halt))
+        self._running = True
+        hooks = self._hooks
+        plain = self.tracer is None and not hooks
+        heappop = heapq.heappop
+        pool = self._pool
+        for hook in hooks:
+            hook.run_started()
+        try:
+            while True:
+                if queue:
+                    head = queue[0]
+                    entry = head[2]
+                    if entry.fn is None:
+                        heappop(queue)
+                        # Dead entries are only released entries here
+                        # (pooled internals are never cancelled).
+                        if entry._pooled and len(pool) < _POOL_MAX:
+                            pool.append(entry)
+                        continue
+                    # A buffered far entry or a wheel slot starting at or
+                    # before the heap top may hold an entry due sooner;
+                    # organize those first.  _far_min / _wheel_next are +inf
+                    # whenever the far buffer / wheel are empty.
+                    if self._far_min <= head[0]:
+                        self._flush_far()
+                        continue
+                    if self._wheel_next <= head[0]:
+                        self._wheel_flush_min()
+                        continue
+                elif self._far:
+                    self._flush_far()
+                    continue
+                elif self._wheel_count:
+                    self._wheel_flush_min()
+                    continue
+                else:
+                    break
+                heappop(queue)
+                self._now = head[0]
+                self._live -= 1
+                fn = entry.fn
+                args = entry.args
+                ctx = entry.ctx
+                entry.fn = None  # marks fired: a late cancel() is a no-op
+                if entry._pooled:
+                    entry.args = ()
+                    entry.ctx = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(entry)
+                if plain:
+                    fn(*args)
+                else:
+                    prev, self.ctx = self.ctx, ctx
+                    try:
+                        if hooks:
+                            self._dispatch_hooked(hooks, head[1], fn, args)
+                        else:
+                            fn(*args)
+                    finally:
+                        self.ctx = prev
+        except _Halt:
+            pass
+        finally:
+            self._running = False
+            if halt is not None and halt.fn is not None:
+                # Stopped some other way: unlink the sentinel so it neither
+                # halts a later run nor counts as queued.
+                queue.remove((stop_at, _INF, halt))
+                heapq.heapify(queue)
+            for hook in hooks:
+                hook.run_ended()
+
+    @staticmethod
+    def _dispatch_hooked(hooks: tuple, seq: int, fn: Callable,
+                         args: tuple) -> None:
+        for hook in hooks:
+            hook.dispatching(seq, fn)
+        try:
+            fn(*args)
+        finally:
+            for hook in reversed(hooks):
+                hook.dispatched()

@@ -22,13 +22,13 @@ assume but cannot afford to verify per event:
   or any use after one is reported instead of silently corrupting an
   unrelated recycled timer.
 
-Zero cost when off: ``Simulator(sanitizer=SimSan())`` swaps the
-instance's class to :class:`_SanSimulator` (a ``__slots__ = ()`` subclass
-— the layouts are identical, so the swap is legal), overriding only
-``schedule``/``run``/``_execute``.  A plain ``Simulator()`` executes the
-exact same bytecode as before this module existed; like the tracer-off
-fast path, the disabled sanitizer is unmeasurable because it is not
-there.
+Zero cost when off: ``Simulator(sanitizer=SimSan())`` installs the
+sanitizer as a :class:`~repro.sim.kernel.Hook` on the kernel's one
+dispatch seam — ``scheduled`` wraps each handle and records its owner,
+``dispatching`` tracks the running process, ``run_ended`` audits the
+survivors.  A simulator without hooks and without a tracer pays one local
+test per event for the seam, so the disabled sanitizer costs nothing
+measurable; it composes with the profiler and the tracer on one run.
 
 Reports flow through the reprolint machinery: :meth:`SimSan.findings`
 yields ``repro.analysis`` ``Finding`` objects (rule ``simsan-*``) and
@@ -38,11 +38,10 @@ treats both tiers uniformly.
 
 from __future__ import annotations
 
-import heapq
 import traceback
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .kernel import Process, ScheduledCall, SimulationError, Simulator
+from .kernel import Hook, Process, ScheduledCall, SimulationError, Simulator
 
 __all__ = ["SimSan", "SanHandle"]
 
@@ -141,7 +140,7 @@ class _TimerRecord:
         self.site = site
 
 
-class SimSan:
+class SimSan(Hook):
     """The sanitizer state: pass one to ``Simulator(sanitizer=...)``.
 
     ``capture_stacks=False`` skips the (expensive) creation-stack capture
@@ -232,7 +231,7 @@ class SimSan:
 
     # -- timer ownership ---------------------------------------------------
 
-    def _note_schedule(self, entry: ScheduledCall) -> None:
+    def scheduled(self, handle: ScheduledCall) -> SanHandle:
         stack = None
         site = ("<unknown>", 0)
         if self.capture_stacks:
@@ -241,8 +240,8 @@ class SimSan:
             if frames:
                 site = (frames[-1].filename, frames[-1].lineno or 0)
             stack = "".join(traceback.format_list(frames[-6:]))
-        self._timers[entry.seq] = _TimerRecord(self.current, stack,
-                                               entry.when, site)
+        self._timers[handle.seq] = _TimerRecord(self.current, stack,
+                                                handle.when, site)
         # With a flight recorder installed, every tracked schedule leaves a
         # breadcrumb carrying the resolved scheduling site; the record picks
         # up the ambient span context, so an orphan-timer report's snapshot
@@ -252,7 +251,19 @@ class SimSan:
             owner = self.current
             rec.node(owner.name if owner is not None else "kernel").debug(
                 "kernel", "timer.scheduled",
-                site=f"{site[0]}:{site[1]}", when=entry.when)
+                site=f"{site[0]}:{site[1]}", when=handle.when)
+        return SanHandle(handle, self)
+
+    def dispatching(self, seq: int, fn: Any) -> None:
+        self._timers.pop(seq, None)
+        owner = getattr(fn, "__self__", None)
+        self.current = owner if isinstance(owner, Process) else None
+
+    def dispatched(self) -> None:
+        self.current = None
+
+    def run_ended(self) -> None:
+        self.check_drain(self._sim)
 
     def _forget(self, seq: int) -> None:
         self._timers.pop(seq, None)
@@ -338,61 +349,3 @@ class SimSan:
             f"after release(); the entry may have been recycled for an "
             f"unrelated callback — use cancel() when the handle can "
             f"outlive its revocation site")
-
-
-class _SanSimulator(Simulator):
-    """Layout-compatible subclass installed by ``Simulator(sanitizer=...)``
-    via class swap.  Only the instrumented paths are overridden; everything
-    else (timer wheel, freelist, pooled internals) is inherited untouched."""
-
-    __slots__ = ()
-
-    def schedule(self, delay: float, fn: Any, *args: Any) -> SanHandle:
-        entry = Simulator.schedule(self, delay, fn, *args)
-        san = self._san
-        san._note_schedule(entry)
-        return SanHandle(entry, san)
-
-    def _execute(self, entry: ScheduledCall) -> None:
-        san = self._san
-        san._forget(entry.seq)
-        fn = entry.fn
-        owner = getattr(fn, "__self__", None)
-        san.current = owner if isinstance(owner, Process) else None
-        try:
-            Simulator._execute(self, entry)
-        finally:
-            san.current = None
-
-    def run(self, until: Optional[float] = None) -> float:
-        # The base fast loop inlines _execute; route everything through the
-        # instrumented step path instead, then audit the survivors.
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        heappop = heapq.heappop
-        queue = self._queue
-        try:
-            while True:
-                entry = self._surface()
-                if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                if until is not None and entry.when > until:
-                    self._now = until
-                    break
-                heappop(queue)
-                self._now = entry.when
-                self._execute(entry)
-        finally:
-            self._running = False
-        self._san.check_drain(self)
-        return self._now
-
-
-def _install(sim: Simulator, sanitizer: SimSan) -> None:
-    """Called from ``Simulator.__init__`` when a sanitizer is supplied."""
-    sanitizer.attach(sim)
-    sim.__class__ = _SanSimulator
-    sim._san = sanitizer

@@ -41,6 +41,58 @@ def test_run_not_reentrant():
     assert errors and "reentrant" in errors[0]
 
 
+@pytest.mark.parametrize("nested", [
+    lambda sim: sim.run(),
+    lambda sim: sim.run(until=sim.now + 0.5),
+    lambda sim: sim.run_until_triggered(sim.timeout(0.5)),
+])
+def test_every_run_entry_point_refuses_reentry(nested):
+    sim = Simulator()
+    fired = []
+    errors = []
+
+    def inner():
+        fired.append(sim.now)
+        depth = sim.queue_depth()
+        try:
+            nested(sim)
+        except SimulationError as exc:
+            errors.append(str(exc))
+        # Nothing ran under the outer loop's feet; only what the nested
+        # call itself scheduled (its timeout) was added.
+        assert sim.now == 1.0 and fired == [1.0]
+        assert sim.queue_depth() - depth <= 1
+
+    sim.schedule(1.0, inner)
+    sim.schedule(1.2, fired.append, "later")
+    sim.schedule(3.0, fired.append, "last")
+    assert sim.run(until=2.0) == 2.0
+    assert errors and "reentrant" in errors[0]
+    assert fired == [1.0, "later"]
+    assert sim.run() == 3.0
+    assert fired == [1.0, "later", "last"]
+
+
+def test_run_until_before_now_is_refused_with_events_queued():
+    sim = Simulator()
+    fired = []
+    sim.schedule(12.0, fired.append, "x")
+    assert sim.run(until=10.0) == 10.0
+    with pytest.raises(ValueError, match="past"):
+        sim.run(until=5.0)
+    assert sim.now == 10.0
+    assert sim.run() == 12.0 and fired == ["x"]
+
+
+def test_run_until_before_now_is_refused_when_drained():
+    sim = Simulator()
+    assert sim.run(until=5.0) == 5.0
+    with pytest.raises(ValueError, match="past"):
+        sim.run(until=2.0)
+    assert sim.now == 5.0
+    assert sim.run(until=5.0) == 5.0  # the same instant is fine
+
+
 def test_all_of_failure_fails_composite():
     sim = Simulator()
     caught = []
@@ -112,9 +164,10 @@ def test_interrupted_process_event_after_detached_target_fires():
     assert sim.now >= 10.0  # the detached timeout still fired harmlessly
 
 
-def test_step_on_empty_queue_returns_false():
+def test_run_on_empty_queue_fires_nothing():
     sim = Simulator()
-    assert sim.step() is False
+    assert sim.run() == 0.0
+    assert sim.pending == 0 and sim.queue_depth() == 0
 
 
 def test_process_waits_on_already_failed_event():

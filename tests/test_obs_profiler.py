@@ -1,4 +1,4 @@
-"""Self-profiler: accounting, class-swap wiring, and behaviour parity.
+"""Self-profiler: accounting, hook wiring, and behaviour parity.
 
 The profiler may never perturb the simulation: a profiled run must
 observe the exact same event order and final clock as a plain one, and
@@ -9,7 +9,7 @@ import pytest
 
 from repro.net.rpc import payload_bytes
 from repro.obs import profiler
-from repro.obs.profiler import Profiler, _ProfiledSimulator, detach, install
+from repro.obs.profiler import Profiler, detach, install
 from repro.sim import SimSan, Simulator
 
 
@@ -76,20 +76,31 @@ def test_reset_clears_everything():
 # -- install/detach wiring ---------------------------------------------------------
 
 
-def test_install_swaps_class_and_detach_restores():
+def test_install_hooks_the_loop_and_detach_unhooks():
     sim = Simulator()
     prof = install(sim)
-    assert type(sim) is _ProfiledSimulator
     assert profiler.ACTIVE is prof
+    churn(sim, [], n=10)
+    assert prof.calls["kernel.loop;kernel.dispatch"] == 20
     assert detach(sim) is prof
-    assert type(sim) is Simulator
     assert profiler.ACTIVE is None
     assert detach(sim) is None  # idempotent on a plain sim
+    churn(sim, [], n=10)
+    assert prof.calls["kernel.loop;kernel.dispatch"] == 20  # not counting
 
 
-def test_install_refuses_sanitized_sim_and_second_profiler():
-    with pytest.raises(ValueError):
-        install(Simulator(sanitizer=SimSan()))
+def test_install_composes_with_sanitizer_but_refuses_second_profiler():
+    san = SimSan()
+    sim = Simulator(sanitizer=san)
+    prof = install(sim)
+    try:
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "x")
+        sim.run()
+        assert fired == ["x"] and not handle.active and san.ok
+        assert prof.calls["kernel.loop;kernel.dispatch"] == 1
+    finally:
+        detach(sim)
     sim = Simulator()
     install(sim)
     try:
@@ -124,8 +135,8 @@ def test_profiled_run_observes_identical_event_order():
     report = prof.report()
     assert "kernel.loop" in report["subsystems"]
     assert "kernel.dispatch" in report["subsystems"]
-    # Far timers crossed the wheel, so flush time was attributed too.
-    assert "kernel.timer_wheel" in report["subsystems"]
+    # Wheel flushes are loop time: no scope of their own.
+    assert set(report["subsystems"]) == {"kernel.loop", "kernel.dispatch"}
     assert report["subsystems"]["kernel.dispatch"]["calls"] == 400
 
 

@@ -88,7 +88,8 @@ def task_stream(gap, count, warm_up, submit):
 
     for i in range(warm_up + count):
         sim.schedule_at(i * gap, arrive)
-    sim.run(until=warm_up * gap - gap / 2)
+    if warm_up:
+        sim.run(until=warm_up * gap - gap / 2)
     return sim
 
 

@@ -9,6 +9,8 @@ from repro.sim import (
     Simulator,
 )
 
+from reference_kernel import ReferenceSimulator
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -373,8 +375,8 @@ def test_event_order_identical_with_and_without_wheel():
     delays = [0.1, 0.24, 0.25, 0.26, 1.0, 3.99, 4.0, 65.0, 1025.0,
               0.25, 1.0, 0.0, 2048.0, 63.9, 0.25]
     runs = []
-    for wheel in (True, False):
-        sim = Simulator(timer_wheel=wheel)
+    for kernel in (Simulator, ReferenceSimulator):
+        sim = kernel()
         seen = []
         for i, d in enumerate(delays):
             sim.schedule(d, seen.append, (d, i))
@@ -384,8 +386,8 @@ def test_event_order_identical_with_and_without_wheel():
 
 
 def test_event_order_identical_with_nested_schedules():
-    def drive(wheel):
-        sim = Simulator(timer_wheel=wheel)
+    def drive(kernel):
+        sim = kernel()
         seen = []
 
         def tick(tag, depth):
@@ -399,7 +401,7 @@ def test_event_order_identical_with_nested_schedules():
         sim.run()
         return seen
 
-    assert drive(True) == drive(False)
+    assert drive(Simulator) == drive(ReferenceSimulator)
 
 
 def test_release_recycles_without_misfiring():

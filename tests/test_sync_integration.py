@@ -2,8 +2,7 @@
 
 The first half drives a real ``AccessGateway`` against an orchestrator
 and asserts the digest path ships leaf deltas (not bundles) for
-incremental changes.  The second half mirrors the
-``Simulator(timer_wheel=False)`` equivalence tests: with
+incremental changes.  The second half is an equivalence test: with
 ``digest_sync=False`` the control plane must replay the legacy
 full-bundle protocol byte-for-byte, and the new client-side fields must
 be inert under it.
@@ -240,9 +239,7 @@ def run_churn(digest_sync, send_roots):
 def test_escape_hatch_is_byte_identical_to_legacy_protocol():
     """``digest_sync=False`` must reproduce the pre-digest control plane
     exactly — same events at the same times with byte-identical
-    responses — whether or not the client sends digest roots.  This is
-    the same A/B contract ``Simulator(timer_wheel=False)`` gives the
-    event kernel."""
+    responses — whether or not the client sends digest roots."""
     legacy = run_churn(digest_sync=False, send_roots=False)
     hatch_new_client = run_churn(digest_sync=False, send_roots=True)
     old_client_new_server = run_churn(digest_sync=True, send_roots=False)
