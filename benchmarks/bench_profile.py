@@ -97,8 +97,7 @@ def sync_leg(n: int, profiler=None) -> dict:
     sim = Simulator()
     if profiler is not None:
         install(sim, profiler)
-    statesync = StateSync(sim, store, digest_sync=True,
-                          digests=DigestIndex(store))
+    statesync = StateSync(sim, store, digests=DigestIndex(store))
     roots = base.roots()
     converged = 0
     rounds = 0

@@ -8,9 +8,11 @@ The scenario is the worst case for full-bundle sync and the best case
 the digest protocol was built for (§3.4 / real Magma's subscriberdb
 digest streaming): a fleet of N gateways, all converged on a 500-entry
 subscriber bundle, sees a *single key* change.  Every gateway's next
-check-in is stale.  Two legs over the same store and the same change:
+check-in is stale.  Two legs over the same ``StateSync`` protocol, store
+and change:
 
-- **bundle leg** (``digest_sync=False``): every check-in re-ships the
+- **bundle leg**: gateways check in without digest roots, as a
+  first-contact or rootless client does, so every check-in re-ships the
   entire bundle — N x ~60 KB for one changed key.
 - **digest leg**: check-ins carry per-namespace digest roots; the
   orchestrator opens a tree walk that narrows to the one divergent
@@ -107,8 +109,8 @@ def _peak_rss_kb() -> int:
 
 
 def bundle_leg(store: ConfigStore, stale_version: int, n: int) -> dict:
-    """The legacy path: every stale check-in re-ships the full bundle."""
-    statesync = StateSync(Simulator(), store, digest_sync=False)
+    """Rootless check-ins: every stale one re-ships the full bundle."""
+    statesync = StateSync(Simulator(), store)
     gc.collect()
     t0 = time.perf_counter()
     for i in range(n):
@@ -125,8 +127,8 @@ def digest_leg(store: ConfigStore, stale_version: int, n: int,
                base: DigestMirror) -> dict:
     """The digest path: roots at check-in, tree walk to the one delta."""
     monitor = Monitor()
-    statesync = StateSync(Simulator(), store, digest_sync=True,
-                          digests=DigestIndex(store), monitor=monitor)
+    statesync = StateSync(Simulator(), store, digests=DigestIndex(store),
+                          monitor=monitor)
     roots = base.roots()             # every gateway is identically synced
     converged = 0
     rounds = 0

@@ -37,7 +37,7 @@ every call as a potential raise would drown them in infeasible paths.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["CfgNode", "Cfg", "build_cfg", "stmt_has_yield"]
 
@@ -106,7 +106,6 @@ class Cfg:
     def __init__(self, func: ast.AST):
         self.func = func
         self.nodes: List[CfgNode] = []
-        self._by_stmt: Dict[int, CfgNode] = {}
 
     @property
     def entry(self) -> CfgNode:
@@ -115,11 +114,6 @@ class Cfg:
     @property
     def exit(self) -> CfgNode:
         return self.nodes[self.EXIT]
-
-    def node_of(self, stmt: ast.stmt) -> Optional[CfgNode]:
-        """The node for a simple statement (None for compound statements,
-        whose structure is edges rather than a node)."""
-        return self._by_stmt.get(id(stmt))
 
 
 class _Builder:
@@ -174,10 +168,8 @@ class _Builder:
         return preds
 
     def _stmt(self, stmt: ast.stmt, preds: List[int]) -> List[int]:
-        cfg = self.cfg
         if isinstance(stmt, _SIMPLE):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)) and stmt_has_yield(stmt):
@@ -186,7 +178,6 @@ class _Builder:
 
         if isinstance(stmt, ast.Return):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             if stmt.value is not None and _expr_has_yield(stmt.value):
                 self._mark_yield(node)
@@ -199,7 +190,6 @@ class _Builder:
 
         if isinstance(stmt, ast.Raise):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             for target in self._exception_targets():
                 self._edge(node.index, target)
@@ -207,7 +197,6 @@ class _Builder:
 
         if isinstance(stmt, ast.Break):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             if self._loops:
                 self._loops[-1][1].append(node.index)
@@ -215,7 +204,6 @@ class _Builder:
 
         if isinstance(stmt, ast.Continue):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             if self._loops:
                 self._edge(node.index, self._loops[-1][0])
@@ -223,7 +211,6 @@ class _Builder:
 
         if isinstance(stmt, ast.If):
             test = self._new("test", stmt, stmt.test)
-            cfg._by_stmt[id(stmt)] = test
             self._connect(preds, test.index)
             if _expr_has_yield(stmt.test):
                 self._mark_yield(test)
@@ -237,7 +224,6 @@ class _Builder:
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             header_expr = stmt.test if isinstance(stmt, ast.While) else stmt.iter
             header = self._new("test", stmt, header_expr)
-            cfg._by_stmt[id(stmt)] = header
             self._connect(preds, header.index)
             if _expr_has_yield(header_expr):
                 self._mark_yield(header)
@@ -254,7 +240,6 @@ class _Builder:
 
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             node = self._new("stmt", stmt)
-            cfg._by_stmt[id(stmt)] = node
             self._connect(preds, node.index)
             if any(_expr_has_yield(item.context_expr) for item in stmt.items):
                 self._mark_yield(node)
@@ -267,7 +252,6 @@ class _Builder:
         # simple node so the graph stays connected and analyses stay sound
         # on the rest of the function.
         node = self._new("stmt", stmt)
-        cfg._by_stmt[id(stmt)] = node
         self._connect(preds, node.index)
         return [node.index]
 

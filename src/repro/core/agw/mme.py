@@ -15,7 +15,7 @@ control-plane class.  This is what produces the Fig. 6 attach-rate knee.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...lte import nas
@@ -565,25 +565,6 @@ class AccessManagement:
         self.stats["attach_accepted"] += 1
         return session
 
-    def authenticate_secret(self, imsi: str, secret: str):
-        """Generator: WiFi-style shared-secret authentication + session.
-
-        Returns the session record; raises SessionError on failure.  Charged
-        to the control-plane CPU like any other attach.
-        """
-        cost = self.context.config.hardware.attach_cpu_cost
-        yield self.context.cpu.submit(CPU_CLASS_CONTROL, cost)
-        profile = self.subscriberdb.get(imsi)
-        if profile is None or profile.wifi_secret is None:
-            self.stats["unknown_subscriber"] += 1
-            raise SessionError(f"unknown WiFi subscriber {imsi}")
-        if profile.wifi_secret != secret:
-            self.stats["auth_failures"] += 1
-            raise SessionError("WiFi authentication failure")
-        session = yield from self.sessiond.create_session(imsi)
-        self.stats["attach_accepted"] += 1
-        return session
-
     # -- context management ----------------------------------------------------------------
 
     def update_ue_ref(self, mme_ue_id: int, new_ue_ref: Any) -> bool:
@@ -595,24 +576,11 @@ class AccessManagement:
         ue_context.ue_ref = new_ue_ref
         return True
 
-    def release_ue(self, imsi: str, cause: str = "network") -> None:
-        """Network-initiated release (e.g. session teardown on failure)."""
-        ue_context = self._by_imsi.get(imsi)
-        if ue_context is None:
-            return
-        self.sessiond.terminate_session(imsi, reason=cause)
-        ue_context.frontend.release_context(ue_context.ue_ref,
-                                            ue_context.mme_ue_id, cause)
-        self._drop_context(ue_context)
-
     def _drop_context(self, ue_context: MmeUeContext) -> None:
         self._by_mme_ue_id.pop(ue_context.mme_ue_id, None)
         existing = self._by_imsi.get(ue_context.imsi)
         if existing is ue_context:
             self._by_imsi.pop(ue_context.imsi, None)
-
-    def context_count(self) -> int:
-        return len(self._by_imsi)
 
     def context_for(self, imsi: str) -> Optional[MmeUeContext]:
         return self._by_imsi.get(imsi)

@@ -9,7 +9,6 @@ home-routed throughput - the scaling implication the paper notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ...sim.fairshare import max_min_share
@@ -85,12 +84,8 @@ class GtpAggregator:
         self._accounting = True
 
         def loop():
-            while self._accounting:
+            while True:
                 yield self.sim.timeout(tick)
-                if self._accounting:
-                    self.forward(tick)
+                self.forward(tick)
 
         self.sim.spawn(loop(), name=f"gtpa-accounting:{self.node}")
-
-    def stop_accounting(self) -> None:
-        self._accounting = False

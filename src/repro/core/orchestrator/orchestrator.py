@@ -85,7 +85,6 @@ class Orchestrator:
     def __init__(self, sim: Simulator, network: Network, node: str = "orc",
                  config: Optional[OrchestratorConfig] = None,
                  monitor: Optional[Monitor] = None,
-                 digest_sync: bool = True,
                  num_shards: int = 0):
         self.sim = sim
         self.network = network
@@ -96,7 +95,7 @@ class Orchestrator:
         network.add_node(node)
         self.cpu = CpuModel(sim, cores=self.config.cores, name=node)
         self.store = ConfigStore()
-        self.digests = DigestIndex(self.store) if digest_sync else None
+        self.digests = DigestIndex(self.store)
         # Publish→all-applied lag tracker, shared by every shard's
         # StateSync; its metricsd sink is attached below once one exists.
         self.convergence = ConvergenceTracker(sim, monitor=self.monitor)
@@ -112,7 +111,6 @@ class Orchestrator:
                 network.add_node(shard_node)
                 shard_metricsd = Metricsd()
                 shard_sync = StateSync(sim, self.store, shard_metricsd,
-                                       digest_sync=digest_sync,
                                        digests=self.digests,
                                        monitor=self.monitor,
                                        convergence=self.convergence)
@@ -138,7 +136,6 @@ class Orchestrator:
         else:
             self.metricsd = Metricsd()
             self.statesync = StateSync(sim, self.store, self.metricsd,
-                                       digest_sync=digest_sync,
                                        digests=self.digests,
                                        monitor=self.monitor,
                                        convergence=self.convergence)
@@ -218,13 +215,10 @@ class Orchestrator:
 
     def _run_checkin(self, statesync: StateSync, cpu: CpuModel,
                      request: Dict[str, Any]):
-        cost = self.config.checkin_cpu_cost
-        backlog = request.get("metrics_backlog")
-        if backlog is not None:
-            samples = sum(len(entry.get("metrics", {})) for entry in backlog)
-        else:
-            samples = len(request.get("metrics") or {})
-        cost += samples * self.config.metrics_cpu_cost_per_sample
+        samples = sum(len(entry.get("metrics", {}))
+                      for entry in request.get("metrics_backlog") or ())
+        cost = self.config.checkin_cpu_cost \
+            + samples * self.config.metrics_cpu_cost_per_sample
         response = statesync.handle_checkin(request)
         if response.get("config") is not None:
             cost += self.config.config_push_cpu_cost

@@ -5,16 +5,17 @@ the gateway's applied config version; when stale, the response carries
 the current configuration, and losing any number of pushes never
 desynchronizes a gateway - the next successful check-in converges it.
 
-Two transfer paths, selected per check-in:
+One protocol.  A check-in carries per-namespace digest roots; matching
+namespaces are elided and divergent ones are narrowed by a digest-tree
+walk (``statesync/reconcile``) that ships only divergent leaf-bucket
+deltas with tombstones - real Magma's subscriberdb digest streaming.
+The full network bundle is the reply to a first-contact (version 0)
+check-in, where a walk would ship every leaf anyway at more round trips,
+and to a check-in that carries no roots.
 
-- **Full bundle** (the original path, and the ``digest_sync=False``
-  escape hatch): the response carries the *entire* network bundle.
-- **Digest sync** (default): check-ins carry per-namespace digest roots;
-  matching namespaces are elided and divergent ones are narrowed by a
-  digest-tree walk (``statesync/reconcile``) that ships only divergent
-  leaf-bucket deltas with tombstones - real Magma's subscriberdb digest
-  streaming.  A gateway that never sends roots (older client, direct
-  caller) transparently gets the full-bundle path.
+Metrics ride the same request as a seq-acked ``metrics_backlog``: each
+entry is ingested at its capture time, and the reply's ``metrics_ack``
+lets the gateway drop what has landed.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class StateSync:
 
     def __init__(self, sim: Simulator, store: ConfigStore,
                  metricsd: Optional[Metricsd] = None,
-                 digest_sync: bool = True,
                  digests: Optional[DigestIndex] = None,
                  monitor: Optional[Monitor] = None,
                  convergence: Optional["ConvergenceTracker"] = None):
@@ -86,15 +86,8 @@ class StateSync:
         # Shared publish->all-applied lag tracker (one per orchestrator,
         # shared across shards); fed on every check-in.
         self.convergence = convergence
-        # digest_sync=False keeps the pre-digest bundle protocol, for A/B
-        # runs against it.
-        self.digest_sync = digest_sync
-        self.digests: Optional[DigestIndex] = None
-        self.reconciler: Optional[ReconcileServer] = None
-        if digest_sync:
-            self.digests = digests if digests is not None \
-                else DigestIndex(store)
-            self.reconciler = ReconcileServer(self.digests, store, scoped)
+        self.digests = digests if digests is not None else DigestIndex(store)
+        self.reconciler = ReconcileServer(self.digests, store, scoped)
         self._gateways: Dict[str, GatewayState] = {}
         # Check-in recency order (oldest first): each check-in moves the
         # gateway to the end, so offline_gateways() scans only the stale
@@ -128,6 +121,7 @@ class StateSync:
 
     def handle_checkin(self, request: Dict[str, Any]) -> Dict[str, Any]:
         gateway_id = request["gateway_id"]
+        network_id = request.get("network_id", DEFAULT_NETWORK)
         now = self.sim.now
         state = self._gateways.get(gateway_id)
         if state is None:
@@ -136,11 +130,15 @@ class StateSync:
             self._gateways[gateway_id] = state
         else:
             self._applied_bucket(state).discard(gateway_id)
+            if state.network_id != network_id \
+                    and self.convergence is not None:
+                # Re-homed: release the old network's convergence floor.
+                self.convergence.note_left(state.network_id, gateway_id)
         state.last_checkin = now
         state.checkins += 1
         state.config_version = request.get("config_version", 0)
         state.status = request.get("status", {})
-        state.network_id = request.get("network_id", DEFAULT_NETWORK)
+        state.network_id = network_id
         self._by_recency[gateway_id] = state
         self._by_recency.move_to_end(gateway_id)
         self._applied_bucket(state).add(gateway_id)
@@ -178,12 +176,6 @@ class StateSync:
                                 trace_id=row[2] if len(row) > 2 else None)
                 state.last_metrics_seq = seq
             response["metrics_ack"] = state.last_metrics_seq
-        else:
-            # Legacy single-bundle path (direct callers/tests).
-            metrics = request.get("metrics")
-            if metrics and self.metricsd is not None:
-                self.metricsd.ingest_bundle(metrics, now,
-                                            labels={"gateway_id": gateway_id})
         # Push only when *this gateway's network* changed since the version
         # it applied - version bumps from other tenants' namespaces leave
         # its desired state identical, so no bundle (full-state semantics
@@ -192,8 +184,7 @@ class StateSync:
         bundle = None
         stale = state.config_version < self.network_config_version(
             state.network_id)
-        if (stale and self.digest_sync and digest_roots is not None
-                and state.config_version > 0):
+        if stale and digest_roots is not None and state.config_version > 0:
             # Digest path: elide matching namespaces entirely; open a tree
             # walk for divergent ones.  A first-contact gateway (version 0)
             # still gets the full bundle - walking a fully-divergent tree
@@ -225,8 +216,6 @@ class StateSync:
 
     def handle_reconcile(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One round of the digest-tree walk (see ``repro.core.sync``)."""
-        if self.reconciler is None:
-            raise ValueError("digest sync is disabled on this StateSync")
         response = self.reconciler.handle(request)
         response["config_version"] = self.store.version
         self.stats["reconcile_requests"] += 1
@@ -413,8 +402,9 @@ class ConvergenceTracker:
     publish is converged and its lag lands in the ``sync.convergence.lag_s``
     series (monitor and/or metricsd, labelled by network).
 
-    A gateway counts toward the floor from its first check-in onward, so a
-    fleet member that goes dark holds its network's publishes pending —
+    A gateway counts toward the floor from its first check-in until it
+    checks in under another network, so a fleet member that goes dark
+    holds its network's publishes pending —
     which is exactly the visibility the health engine wants: the pending
     age *is* the convergence lag the operator is living with.
     """
@@ -441,11 +431,18 @@ class ConvergenceTracker:
         self.stats["publishes"] += 1
 
     def note_applied(self, network_id: str, gateway_id: str,
-                     version: int) -> None:
+                     version: Optional[int]) -> None:
+        """Record a gateway's applied version; ``None`` means it left the
+        network and no longer holds its floor (see :meth:`note_left`)."""
         applied = self._applied.setdefault(network_id, {})
         if applied.get(gateway_id) == version:
             return  # steady-state check-in: nothing moved
-        applied[gateway_id] = version
+        if version is None:
+            del applied[gateway_id]
+            if not applied:
+                return
+        else:
+            applied[gateway_id] = version
         pending = self._pending.get(network_id)
         if not pending:
             return
@@ -464,6 +461,11 @@ class ConvergenceTracker:
             if self.metricsd is not None:
                 self.metricsd.ingest(self.SERIES, lag, now,
                                      labels={"network_id": network_id})
+
+    def note_left(self, network_id: str, gateway_id: str) -> None:
+        """A gateway moved to another network: publishes only it lagged
+        on converge now."""
+        self.note_applied(network_id, gateway_id, None)
 
     # -- health-engine queries -------------------------------------------------
 

@@ -100,9 +100,6 @@ class SoftwareSwitch:
     def remove_port(self, name: str) -> None:
         self._ports.pop(name, None)
 
-    def ports(self) -> List[str]:
-        return list(self._ports)
-
     def set_controller(self, callback: Callable[[PacketIn], None]) -> None:
         self._controller = callback
 

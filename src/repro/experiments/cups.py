@@ -18,7 +18,7 @@ control plane).  A final trial lets the kernel scheduler allocate flexibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.agw import AgwConfig, virtual_profile
@@ -54,14 +54,6 @@ class CupsPoint:
 class CupsResult:
     points: List[CupsPoint]
     generator_cap_mbps: float
-
-    def fig7_rows(self) -> List[List[object]]:
-        return [[p.allocation, f"{p.throughput_mbps:.0f}"]
-                for p in self.points]
-
-    def fig8_rows(self) -> List[List[object]]:
-        return [[p.allocation, f"{p.median_csr * 100:.1f}"]
-                for p in self.points]
 
     def render(self) -> str:
         rows = [[p.allocation, f"{p.throughput_mbps:.0f}",

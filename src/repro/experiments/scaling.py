@@ -11,7 +11,7 @@ because runtime state never leaves the AGWs (§3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from ..core.orchestrator import Orchestrator, OrchestratorConfig
@@ -36,10 +36,10 @@ class AgwStub:
 
     The scaling question is about orchestrator-side load, so the gateway
     side only needs to produce the same message pattern a real ``magmad``
-    does: periodic check-ins carrying status and a metrics bundle, pulling
-    config when stale.  Each stub also implements the fleet-host protocol
-    (``fleet_attach`` / ``fleet_detach`` / ``fleet_set_load``) so a
-    :class:`~repro.workloads.fleet.UeFleet` can load it with a realistic
+    does: periodic check-ins carrying status and a metrics backlog entry,
+    pulling config when stale.  Each stub also implements the fleet-host
+    protocol (``fleet_attach`` / ``fleet_detach`` / ``fleet_set_load``) so
+    a :class:`~repro.workloads.fleet.UeFleet` can load it with a realistic
     subscriber population — check-ins then report *real* session counts,
     attach rates, and a CPU figure derived from the carried load, instead
     of the zeroed placeholders an empty stub would send.
@@ -53,6 +53,7 @@ class AgwStub:
         self.config_version = 0
         self.checkins_ok = 0
         self.checkins_failed = 0
+        self.metrics_seq = 0
         # Fleet-host state: the subscriber load this gateway carries.
         self.sessions = 0
         self.attach_requests = 0
@@ -102,18 +103,25 @@ class AgwStub:
     def _loop(self):
         while True:
             dt = self.interval
+            self.metrics_seq += 1
             request = {
                 "gateway_id": self.node,
                 "config_version": self.config_version,
                 "status": {"sessions": self.sessions},
-                "metrics": {
-                    "attach_requests":
-                        (self.attach_requests - self._last_requests) / dt,
-                    "attach_accepted":
-                        (self.attach_accepted - self._last_accepted) / dt,
-                    "sessions_active": float(self.sessions),
-                    "cpu_util": self.cpu_util(),
-                },
+                # One interval's sample, in magmad's back-fill format; a
+                # lost check-in's sample is not re-sent.
+                "metrics_backlog": [{
+                    "seq": self.metrics_seq,
+                    "time": self.sim.now,
+                    "metrics": {
+                        "attach_requests":
+                            (self.attach_requests - self._last_requests) / dt,
+                        "attach_accepted":
+                            (self.attach_accepted - self._last_accepted) / dt,
+                        "sessions_active": float(self.sessions),
+                        "cpu_util": self.cpu_util(),
+                    },
+                }],
             }
             self._last_requests = self.attach_requests
             self._last_accepted = self.attach_accepted

@@ -60,32 +60,6 @@ class CreateSessionResponse:
     cause: str = "accepted"
 
 
-@dataclass(frozen=True)
-class ModifyBearerRequest:
-    imsi: str
-    bearer_id: int
-    enb_teid: int
-    enb_address: str
-
-
-@dataclass(frozen=True)
-class ModifyBearerResponse:
-    imsi: str
-    cause: str = "accepted"
-
-
-@dataclass(frozen=True)
-class DeleteSessionRequest:
-    imsi: str
-    bearer_id: int = 5
-
-
-@dataclass(frozen=True)
-class DeleteSessionResponse:
-    imsi: str
-    cause: str = "accepted"
-
-
 class GtpcEndpoint:
     """One GTP-C protocol endpoint (e.g. an SGW-facing MME, or a PGW)."""
 

@@ -13,7 +13,7 @@ state-synchronization and GTP-termination arguments are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
@@ -121,9 +121,6 @@ class Network:
         if self._node_up.get(name) != up:
             self._route_cache.clear()
         self._node_up[name] = up
-
-    def node_is_up(self, name: str) -> bool:
-        return self._node_up.get(name, False)
 
     # -- sockets ---------------------------------------------------------------
 

@@ -8,7 +8,7 @@ latency percentiles per procedure type.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.monitor import percentile
 from .tracing import Span
@@ -80,28 +80,6 @@ class TraceView:
 
     def children(self, span: Span) -> List[Span]:
         return self._children.get(span.span_id, [])
-
-    def self_time(self, span: Span) -> float:
-        """Span duration minus the union of its children's intervals.
-
-        This is the span's *exclusive* contribution to the trace: time not
-        accounted to any deeper layer.  Child intervals are clipped to the
-        parent's bounds, so fire-and-forget children that outlive their
-        parent never produce negative self-time.
-        """
-        if not span.finished:
-            return 0.0
-        end = span.end_time
-        intervals = []
-        for child in self.children(span):
-            if not child.finished:
-                continue
-            lo = max(child.start, span.start)
-            hi = min(child.end_time, end)
-            if hi > lo:
-                intervals.append((lo, hi))
-        covered = sum(b - a for a, b in _merged_intervals(intervals))
-        return max(0.0, span.duration - covered)
 
     def breakdown(self, by: str = "component") -> Dict[str, float]:
         """Exclusive time per component (or span ``name``), in seconds.

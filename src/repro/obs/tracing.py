@@ -255,15 +255,7 @@ class Tracer:
         return self.start_trace(name, component=component, node=node,
                                 tags=tags)
 
-    def activate(self, span: Any) -> None:
-        """Make ``span`` the ambient context (sticks across yields)."""
-        if span.recording:
-            self.sim.ctx = span.context
-
     # -- accessors ---------------------------------------------------------
-
-    def finished_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.finished]
 
     def clear(self) -> None:
         self.spans = []
@@ -318,12 +310,6 @@ class NoopTracer:
     def begin(self, name: str, component: str = "", node: str = "",
               tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
         return NOOP_SPAN
-
-    def activate(self, span: Any) -> None:
-        pass
-
-    def finished_spans(self) -> List[Span]:
-        return []
 
 
 NOOP_TRACER = NoopTracer()

@@ -134,10 +134,6 @@ class Series:
         return [(t, v, linked.get((t, v)))
                 for t, v in zip(self.times[lo:], self.values[lo:])]
 
-    def exemplars_between(self, t0: float, t1: float) -> List[Exemplar]:
-        """Exemplars with ``t0 <= time < t1`` (retained ones only)."""
-        return [e for e in self.exemplars if t0 <= e.time < t1]
-
     @property
     def count(self) -> int:
         """Exact number of recorded samples (retained or not)."""
@@ -333,9 +329,6 @@ class Monitor:
     def set_gauge(self, name: str, value: float) -> None:
         """Set a last-value-wins metric (e.g. cache size, subtable count)."""
         self._gauges[name] = float(value)
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
 
     def gauges(self) -> Dict[str, float]:
         return dict(self._gauges)

@@ -151,6 +151,3 @@ class WifiAp:
 
     def client(self, username: str) -> Optional[WifiClientState]:
         return self._clients.get(username)
-
-    def client_count(self) -> int:
-        return len(self._clients)

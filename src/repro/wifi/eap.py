@@ -12,41 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class EapIdentity:
-    """Supplicant announces who it is."""
-
-    identity: str
-
-
-@dataclass(frozen=True)
-class EapChallenge:
-    """Authenticator's challenge."""
-
-    identity: str
-    nonce: bytes
-
-
-@dataclass(frozen=True)
-class EapResponse:
-    """Supplicant's proof of the shared secret."""
-
-    identity: str
-    proof: bytes
-
-
-@dataclass(frozen=True)
-class EapSuccess:
-    identity: str
-
-
-@dataclass(frozen=True)
-class EapFailure:
-    identity: str
-    cause: str = "bad credentials"
 
 
 def compute_proof(secret: str, nonce: bytes) -> bytes:

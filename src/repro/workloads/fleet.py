@@ -185,9 +185,6 @@ class AgwFleetAdapter:
     def fleet_set_load(self, offered_mbps: float) -> None:
         self.agw.pipelined.set_fleet_load(offered_mbps)
 
-    def fleet_session_count(self) -> int:
-        return self.agw.sessiond.session_count()
-
 
 class _SampledUe:
     """A full-fidelity coroutine UE riding inside a cohort."""

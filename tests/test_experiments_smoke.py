@@ -82,6 +82,55 @@ def test_scaling_point_small():
     assert point.orchestrator_cpu_util < 0.5
 
 
+def test_scaling_stub_metrics_use_the_backfill_path():
+    """A stub ships each interval's four metrics as a one-entry
+    ``metrics_backlog``: they land in metricsd at the stub's send time,
+    the reply acks the entry's seq, and the check-in is charged for four
+    samples."""
+    from repro.core.orchestrator import Orchestrator
+    from repro.experiments.scaling import AgwStub
+    from repro.net.simnet import Link, Network
+    from repro.sim import RngRegistry, Simulator
+
+    sim = Simulator()
+    network = Network(sim, RngRegistry(0))
+    orc = Orchestrator(sim, network, "orc")
+    network.connect("agw-0", "orc", Link(latency=0.02))
+    stub = AgwStub(sim, network, "agw-0", "orc", interval=10.0, offset=1.0)
+    exchanges, charges = [], []
+    handle_checkin, submit = orc.statesync.handle_checkin, orc.cpu.submit
+
+    def spy_checkin(request):
+        response = handle_checkin(request)
+        exchanges.append((request, response))
+        return response
+
+    def spy_submit(cls, demand):
+        charges.append((cls, demand))
+        return submit(cls, demand)
+
+    orc.statesync.handle_checkin = spy_checkin
+    orc.cpu.submit = spy_submit
+    sim.run(until=35.0)
+
+    assert stub.checkins_ok == len(exchanges) == 4
+    sent = []
+    for seq, (request, response) in enumerate(exchanges, start=1):
+        assert "metrics" not in request
+        [entry] = request["metrics_backlog"]
+        assert entry["seq"] == seq
+        assert len(entry["metrics"]) == 4
+        assert response["metrics_ack"] == seq
+        sent.append(entry["time"])
+    samples = orc.metricsd.query("sessions_active", {"gateway_id": "agw-0"})
+    assert [s.time for s in samples] == sent
+    assert [s.time for s in orc.metricsd.query(
+        "cpu_util", {"gateway_id": "agw-0"})] == sent
+    config = orc.config
+    assert charges == [("checkin", config.checkin_cpu_cost
+                        + 4 * config.metrics_cpu_cost_per_sample)] * 4
+
+
 def test_state_sync_point_lossless():
     point = run_state_sync_point(0.0, num_operations=30)
     assert point.crud_divergence == 0

@@ -12,8 +12,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.orchestrator.alerting import AlertManager
+from repro.core.orchestrator.config_store import ConfigStore
 from repro.core.orchestrator.metricsd import Metricsd
-from repro.core.orchestrator.statesync import ConvergenceTracker, GatewayState
+from repro.core.orchestrator.statesync import (
+    ConvergenceTracker,
+    GatewayState,
+    StateSync,
+)
 from repro.obs.health import HealthEngine, HealthSlo, health_rule
 from repro.sim import Monitor, Simulator
 from repro.sim.monitor import Series
@@ -212,6 +217,46 @@ def test_convergence_steady_state_checkins_are_cheap_noops():
     tracker.note_publish("net", 2)
     tracker.note_applied("net", "a", 1)  # unchanged version: early return
     assert tracker.pending_count("net") == 1
+
+
+def test_rehomed_gateway_stops_holding_its_old_networks_floor():
+    """A gateway that checks in under another network no longer counts
+    toward its old network's floor: once the gateways still there apply
+    a publish, it converges (it used to stay pending forever)."""
+    sim = Simulator()
+    store = ConfigStore()
+    tracker = ConvergenceTracker(sim)
+    sync = StateSync(sim, store, convergence=tracker)
+
+    def checkin(gateway_id, version, network_id="default"):
+        sync.handle_checkin({"gateway_id": gateway_id,
+                             "config_version": version,
+                             "network_id": network_id})
+
+    checkin("a", 0)
+    checkin("b", 0)
+    version = store.put("subscribers", "imsi1", {"k": 1})
+    tracker.note_publish("default", version)
+    sim._now = 5.0
+    checkin("b", 0, network_id="tenant")
+    assert tracker.pending_count("default") == 1     # a still behind
+    sim._now = 9.0
+    checkin("a", version)
+    assert sync.stale_gateways() == []
+    assert tracker.pending_count("default") == 0
+    assert tracker.stats["converged"] == 1
+    assert tracker.last_lag["default"] == pytest.approx(9.0)
+
+
+def test_last_gateway_leaving_a_network_leaves_its_publish_pending():
+    sim = Simulator()
+    tracker = ConvergenceTracker(sim)
+    tracker.note_applied("net", "a", 1)
+    tracker.note_publish("net", 2)
+    tracker.note_left("net", "a")
+    tracker.note_left("net", "never-seen")
+    assert tracker.pending_count("net") == 1
+    assert tracker.stats["converged"] == 0
 
 
 # -- exemplars ---------------------------------------------------------------------

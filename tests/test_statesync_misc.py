@@ -75,9 +75,19 @@ def test_bundle_cache_reused_until_version_changes():
 
 def test_checkin_metrics_land_in_metricsd():
     sim, store, sync = make_statesync()
-    checkin(sync, "agw-1", metrics={"sessions_active": 7.0})
+    response = checkin(sync, "agw-1", metrics_backlog=[
+        {"seq": 1, "time": 0.5, "metrics": {"sessions_active": 7.0}}])
     sample = sync.metricsd.latest("sessions_active", {"gateway_id": "agw-1"})
-    assert sample.value == 7.0
+    assert (sample.time, sample.value) == (0.5, 7.0)
+    assert response["metrics_ack"] == 1
+
+
+def test_a_bare_metrics_bundle_is_not_ingested():
+    """``metrics_backlog`` is the only metrics format a check-in carries."""
+    sim, store, sync = make_statesync()
+    response = checkin(sync, "agw-1", metrics={"sessions_active": 7.0})
+    assert sync.metricsd.series_names() == []
+    assert "metrics_ack" not in response
 
 
 def test_bundles_isolated_per_network():

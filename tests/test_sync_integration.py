@@ -1,12 +1,13 @@
-"""End-to-end digest sync over real AGWs, plus the escape hatch.
+"""End-to-end digest sync over real AGWs, plus the rootless golden.
 
 The first half drives a real ``AccessGateway`` against an orchestrator
 and asserts the digest path ships leaf deltas (not bundles) for
-incremental changes.  The second half is an equivalence test: with
-``digest_sync=False`` the control plane must replay the legacy
-full-bundle protocol byte-for-byte, and the new client-side fields must
-be inert under it.
+incremental changes.  The second half pins the reply to a gateway that
+sends no digest roots: it is the retired full-bundle protocol, byte for
+byte, against a wire log taken from that protocol before it was deleted.
 """
+
+import hashlib
 
 from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
 from repro.core.orchestrator import Orchestrator
@@ -19,7 +20,7 @@ from repro.sim import Monitor, RngRegistry, Simulator
 from helpers import subscriber_keys
 
 
-def build(digest_sync=True, send_roots=True, num_subscribers=3, seed=1):
+def build(send_roots=True, num_subscribers=3, seed=1):
     """One real AGW checking in every 5s, with a wire/event recorder.
 
     ``log`` captures, in order, every check-in and reconcile the
@@ -30,8 +31,7 @@ def build(digest_sync=True, send_roots=True, num_subscribers=3, seed=1):
     rng = RngRegistry(seed)
     network = Network(sim, rng)
     monitor = Monitor()
-    orc = Orchestrator(sim, network, "orc", monitor=monitor,
-                       digest_sync=digest_sync)
+    orc = Orchestrator(sim, network, "orc", monitor=monitor)
     network.connect("agw-1", "orc", backhaul.by_name("fiber"))
     agw = AccessGateway(sim, network, "agw-1",
                         config=AgwConfig(checkin_interval=5.0),
@@ -214,13 +214,20 @@ def test_in_sync_gateway_gets_no_config_and_no_walk():
     assert ss.stats["digest_elisions"] == 0  # version matched; no walk
 
 
-# -- the escape hatch: digest_sync=False replays the legacy protocol ----------------
+# -- rootless check-ins: the retired bundle protocol, pinned ----------------------
+
+#: BLAKE2b (16 bytes) over every served exchange's ``repr(time)``, kind and
+#: canonical response bytes, and those responses' sizes, for
+#: ``run_churn(send_roots=False)``.  Taken from the bundle-only protocol
+#: (``StateSync`` before digest sync became its only mode) on a rootless
+#: client; the digest server must reproduce it exactly.
+ROOTLESS_WIRE_DIGEST = "426671c121e6e6bb5a746ddc7c149dbc"
+ROOTLESS_WIRE_SIZES = [686, 52, 883, 52, 686, 52, 52]
 
 
-def run_churn(digest_sync, send_roots):
+def run_churn(send_roots):
     """A scenario with every kind of config churn, returning the wire log."""
-    sim, orc, agw, log, monitor = build(digest_sync=digest_sync,
-                                        send_roots=send_roots)
+    sim, orc, agw, log, monitor = build(send_roots=send_roots)
     k, opc = subscriber_keys(50)
 
     def churn():
@@ -236,29 +243,32 @@ def run_churn(digest_sync, send_roots):
     return log
 
 
-def test_escape_hatch_is_byte_identical_to_legacy_protocol():
-    """``digest_sync=False`` must reproduce the pre-digest control plane
-    exactly — same events at the same times with byte-identical
-    responses — whether or not the client sends digest roots."""
-    legacy = run_churn(digest_sync=False, send_roots=False)
-    hatch_new_client = run_churn(digest_sync=False, send_roots=True)
-    old_client_new_server = run_churn(digest_sync=True, send_roots=False)
-    assert legacy == hatch_new_client
-    assert legacy == old_client_new_server
-    # The scenario exercised real churn: a bundle re-push per change.
-    kinds = [kind for _, kind, _ in legacy]
-    assert kinds.count("checkin") >= 7
-    assert "reconcile" not in kinds
+def wire_digest(log):
+    h = hashlib.blake2b(digest_size=16)
+    for time, kind, body in log:
+        h.update(repr(time).encode())
+        h.update(kind.encode())
+        h.update(body)
+    return h.hexdigest()
 
 
-def test_escape_hatch_converges_to_same_state_as_digest_path():
-    """Both paths are desired-state sync: they must land every replica on
-    identical content, differing only in bytes shipped."""
-    digest_log = run_churn(digest_sync=True, send_roots=True)
-    legacy_log = run_churn(digest_sync=False, send_roots=False)
+def test_rootless_checkins_replay_the_retired_bundle_protocol():
+    """A gateway that sends no digest roots gets exactly what the deleted
+    bundle-only protocol served: same exchanges at the same times with
+    byte-identical responses — a bundle re-push per change, no walk."""
+    log = run_churn(send_roots=False)
+    assert [len(body) for _, _, body in log] == ROOTLESS_WIRE_SIZES
+    assert wire_digest(log) == ROOTLESS_WIRE_DIGEST
+    assert {kind for _, kind, _ in log} == {"checkin"}
+
+
+def test_rootless_and_digest_checkins_converge_alike():
+    """Both are desired-state sync: they land every replica on identical
+    content (``run_churn`` asserts it), differing only in bytes shipped."""
+    digest_log = run_churn(send_roots=True)
+    rootless_log = run_churn(send_roots=False)
     kinds = [kind for _, kind, _ in digest_log]
     assert kinds.count("reconcile") >= 2     # one walk per churn event
     # Same number of check-ins on both paths (the reconcile round trips
     # shift later check-ins by milliseconds, so times aren't compared).
-    assert kinds.count("checkin") == \
-        sum(1 for _, kind, _ in legacy_log if kind == "checkin")
+    assert kinds.count("checkin") == len(rootless_log)
