@@ -13,7 +13,7 @@ from repro.core.orchestrator.alerting import (
     AlertRule,
     metric_threshold_rule,
 )
-from repro.core.orchestrator.metricsd import Metricsd
+from repro.core.orchestrator.metricsd import Metricsd, Sample
 
 
 def cpu_rule(metricsd, for_duration=0.0):
@@ -81,19 +81,42 @@ def test_below_threshold_rule_direction():
 # -- empty / pruned series ---------------------------------------------------------
 
 
+class SeriesStore:
+    """The three reads an alert rule makes (``label_sets``, ``latest``,
+    ``query``) over plain sample lists, so a test can put a series in
+    states ingest alone does not produce: known but emptied by
+    retention, or gone."""
+
+    def __init__(self):
+        self.series = {}
+
+    @staticmethod
+    def key(name, labels):
+        return name, tuple(sorted((labels or {}).items()))
+
+    def ingest(self, name, value, time, labels):
+        self.series.setdefault(self.key(name, labels), []).append(
+            Sample(time, value))
+
+    def label_sets(self, name):
+        return [dict(labels) for (n, labels) in self.series if n == name]
+
+    def query(self, name, labels=None):
+        return list(self.series.get(self.key(name, labels), ()))
+
+    def latest(self, name, labels=None):
+        samples = self.query(name, labels)
+        return max(samples, key=lambda s: s.time) if samples else None
+
+
 def test_retention_pruned_series_holds_state_not_resolves():
-    metricsd = Metricsd(retention=50.0)
+    metricsd = SeriesStore()
     rule = cpu_rule(metricsd)
     labels = {"gateway_id": "a"}
     metricsd.ingest("cpu_util", 0.95, 10.0, labels)
     assert rule.evaluate() == ["a"]
-    # A sample on an unrelated metric advances the retention clock far
-    # enough to prune the cpu series empty — but keep it *known*.
-    metricsd.ingest("heartbeat", 1.0, 200.0, labels)
-    metricsd.ingest("cpu_util", 0.95, 200.0, labels)
-    metricsd._evict(("cpu_util", (("gateway_id", "a"),)),
-                    metricsd._series[("cpu_util", (("gateway_id", "a"),))],
-                    300.0)
+    # Retention prunes the cpu series empty — but keeps it *known*.
+    metricsd.series[SeriesStore.key("cpu_util", labels)].clear()
     assert metricsd.latest("cpu_util", labels) is None
     assert metricsd.label_sets("cpu_util") == [labels]
     # No data is not evidence of recovery: the subject keeps firing, and
@@ -102,12 +125,12 @@ def test_retention_pruned_series_holds_state_not_resolves():
 
 
 def test_vanished_label_set_does_resolve():
-    metricsd = Metricsd()
+    metricsd = SeriesStore()
     rule = cpu_rule(metricsd)
     labels = {"gateway_id": "a"}
     metricsd.ingest("cpu_util", 0.95, 10.0, labels)
     assert rule.evaluate() == ["a"]
-    del metricsd._series[("cpu_util", (("gateway_id", "a"),))]
+    del metricsd.series[SeriesStore.key("cpu_util", labels)]
     assert rule.evaluate() == []
 
 
