@@ -1,0 +1,650 @@
+"""Component bench: kernel, fleet and sync legs, measured, snapshotted, gated.
+
+Emits ``BENCH_components.json`` - the committed trajectory of the three
+mechanisms the whole-stack benchmark (``benchmarks/e2e``) cannot isolate
+- and checks fresh runs against it.  Three legs:
+
+- **kernel**: *timer churn*, the dominant RPC pattern - every call
+  schedules a deadline timer (+10 s, the repo's ``rpc_deadline``) and a
+  retry probe (+0.25 s), then completes at +10 ms, revoking both - run on
+  the real kernel (timer wheel + ``ScheduledCall.release``) and on the
+  plain-heap reference kernel (``tests/reference_kernel.py``) without
+  cancellation, where completed calls' timers rot in the heap until their
+  deadline.  Plus an emulated-site *attach storm* whose success count is
+  an event-order canary, and the scheduler's high-water entry count.
+- **fleet**: a cohort-aggregated :class:`~repro.workloads.fleet.UeFleet`
+  across >= 20 full ``AccessGateway``s with sampled coroutine UEs, against
+  the all-coroutine configuration of the same dynamics.  The headline is
+  subscriber-sim-seconds per wall second.
+- **sync**: N gateways converged on a 500-entry bundle see one key
+  change.  Rootless check-ins re-ship the whole bundle; digest check-ins
+  walk to the one divergent leaf over copy-on-write overlays of a shared
+  base mirror.  Wire bytes are ``StateSync``'s own accounting.
+
+Each leg's gate is an in-run ratio (churn vs heap, fleet vs coroutine,
+bundle vs digest bytes) against a per-mode floor, absolute floors far
+below observed throughput, and deterministic canaries that must equal
+the committed snapshot exactly.  Absolute timings are machine-bound:
+recorded, never compared; ``peak_rss_kb`` is the process's high-water
+mark so far, so it includes every leg that ran before.  Protocol: best-of-3 (minimum wall time, ``gc.collect()``
+before each rep); timing noise is additive, so the fastest rep is the
+low-variance sample.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_components.py --all \
+        --out BENCH_components.json
+    PYTHONPATH=src python benchmarks/bench_components.py --smoke \
+        --out BENCH_components.fresh.json --check BENCH_components.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import resource
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+
+from repro.core.agw import VIRTUAL_8VCPU, AccessGateway, AgwConfig  # noqa: E402
+from repro.core.orchestrator import ConfigStore  # noqa: E402
+from repro.core.orchestrator.statesync import StateSync  # noqa: E402
+from repro.core.sync import (  # noqa: E402
+    DigestIndex,
+    DigestMirror,
+    ReconcileClient,
+)
+from repro.experiments.common import build_emulated_site  # noqa: E402
+from repro.sim import Monitor, Simulator  # noqa: E402
+from repro.workloads.attach_storm import AttachStorm  # noqa: E402
+from repro.workloads.fleet import (  # noqa: E402
+    AgwFleetAdapter,
+    CohortSpec,
+    UeFleet,
+)
+from reference_kernel import ReferenceSimulator  # noqa: E402
+
+MODES = ("smoke", "full")
+
+
+def _peak_rss_kb() -> int:
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _best_of(measure, reps: int = 3) -> dict:
+    """Min-wall estimator: the fastest of ``reps`` runs, GC drained
+    before each."""
+    best = None
+    for _ in range(reps):
+        gc.collect()
+        result = measure()
+        if best is None or result["wall_seconds"] < best["wall_seconds"]:
+            best = result
+    return best
+
+
+def _canaries(failures: list, where: str, new: dict, old: dict,
+              keys) -> None:
+    """Exact-equality canaries; a key the committed side lacks is skipped."""
+    for key in keys:
+        if key in old and new[key] != old[key]:
+            failures.append(f"{where} canary {key!r} changed: {new[key]} "
+                            f"vs committed {old[key]}")
+
+
+# -- kernel leg ----------------------------------------------------------------
+
+# The kernel as it stood before the timer wheel (single global heap, no
+# cancellation), measured with the full-mode churn below and this
+# protocol on the machine and session of the original snapshot.  Kept so
+# the snapshot documents the before/after curve.
+PRE_CHANGE_REFERENCE = {
+    "note": ("pre-change kernel (global heap, no cancelation) from git, "
+             "full-mode timer churn, best-of-3, snapshot machine/session"),
+    "events_per_sec": 362_714,
+    "heap_high_water": 102_657,
+    "drained_at": 19.9968,
+}
+
+# mode: (churn calls, storm UEs)
+KERNEL_SIZES = {"smoke": (20_000, 120), "full": (100_000, 300)}
+
+# Churn vs heap-reference floors.  The rot scales with the in-flight
+# window, so smoke's 20k-call heap shows less of it than full's 100k;
+# losing cancellation drops the ratio to ~1x, far under either floor.
+CHURN_SPEEDUP_FLOOR = {"smoke": 1.5, "full": 3.0}
+HIGH_WATER_TOLERANCE = 0.20  # >20% more queued entries than committed fails
+
+
+def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
+                retry: float = 0.25, complete: float = 0.01,
+                cancel: bool = True, wheel: bool = True,
+                batch: int = 64) -> dict:
+    """Pure timer churn: ``n_calls`` schedule-then-complete cycles.
+
+    Calls arrive in bursts of ``batch`` (RPC load is bursty) so the
+    driver's own scheduling stays out of the measured churn.  With
+    ``cancel=False, wheel=False`` this is the pre-wheel kernel's
+    behaviour on the plain-heap reference kernel: completed calls leave
+    their deadline and retry timers queued until they fire as no-ops.
+    """
+    sim = Simulator() if wheel else ReferenceSimulator()
+    high_water = 0
+    schedule = sim.schedule
+    call_later = sim.call_later
+
+    def noop(i):
+        pass
+
+    if cancel:
+        def finish(expire, attempt):
+            # rpc._PendingCall.cancel_timers' pattern: the handles die with
+            # this frame, so they go back to the kernel freelist.
+            expire.release()
+            attempt.release()
+
+        def start(base):
+            nonlocal high_water
+            for i in range(base, min(base + batch, n_calls)):
+                expire = schedule(deadline, noop, i)
+                attempt = schedule(retry, noop, i)
+                # Completions are never revoked: fire-and-forget, as
+                # simnet delivers datagrams.
+                call_later(complete, finish, expire, attempt)
+            high_water = max(high_water, sim.queue_depth())
+    else:
+        def start(base):
+            nonlocal high_water
+            for i in range(base, min(base + batch, n_calls)):
+                schedule(deadline, noop, i)
+                schedule(retry, noop, i)
+                schedule(complete, noop, i)
+            high_water = max(high_water, sim.queue_depth())
+
+    for b in range(0, n_calls, batch):
+        sim.schedule(spacing * b, start, b)
+    t0 = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - t0
+    assert sim.pending == 0, "live timers left after drain"
+    return {
+        "n_calls": n_calls,
+        "events_per_sec": round(n_calls * 3 / wall),
+        "wall_seconds": round(wall, 4),
+        "heap_high_water": high_water,
+        "drained_at": round(sim.now, 6),
+    }
+
+
+def attach_storm(n_ues: int, rate: float = 10.0, seed: int = 7) -> dict:
+    """Wall time of a full emulated-site attach storm (S1AP/NAS/RPC over
+    the kernel); the success count is deterministic for a fixed seed."""
+    site = build_emulated_site(num_enbs=4, num_ues=n_ues, seed=seed)
+    storm = AttachStorm(site.sim, site.ues, rate_per_sec=rate,
+                        monitor=site.monitor)
+    storm.start()
+    t0 = time.perf_counter()
+    site.sim.run_until_triggered(
+        storm.done, limit=site.sim.now + 120.0 + n_ues / rate)
+    site.sim.run(until=site.sim.now + 10.0)
+    wall = time.perf_counter() - t0
+    return {
+        "n_ues": n_ues,
+        "rate_per_sec": rate,
+        "wall_seconds": round(wall, 4),
+        "successes": storm.success_count(),
+        "queue_high_water": site.sim.queue_depth(),
+        "pending_after_drain": site.sim.pending,
+    }
+
+
+def kernel_leg(mode: str) -> dict:
+    n_calls, n_ues = KERNEL_SIZES[mode]
+    timer_churn(min(n_calls, 20_000))  # warmup: interpreter specialization
+    churn = _best_of(lambda: timer_churn(n_calls))
+    heap = _best_of(lambda: timer_churn(n_calls, cancel=False, wheel=False))
+    section = {
+        "timer_churn": churn,
+        "timer_churn_heap_baseline": heap,
+        "speedup": round(churn["events_per_sec"] / heap["events_per_sec"],
+                         2),
+        "attach_storm": attach_storm(n_ues),
+    }
+    if mode == "full":
+        section["speedup_vs_pre_change"] = round(
+            churn["events_per_sec"] / PRE_CHANGE_REFERENCE["events_per_sec"],
+            2)
+    return section
+
+
+def check_kernel(new: dict, old: dict, mode: str) -> list:
+    failures = []
+    floor = CHURN_SPEEDUP_FLOOR[mode]
+    if new["speedup"] < floor:
+        failures.append(
+            f"churn speedup {new['speedup']}x below the {mode} {floor}x floor")
+    new_hw = new["timer_churn"]["heap_high_water"]
+    old_hw = old["timer_churn"]["heap_high_water"]
+    if new_hw > (1 + HIGH_WATER_TOLERANCE) * old_hw:
+        failures.append(f"churn heap high-water regressed >20%: {new_hw} "
+                        f"vs committed {old_hw}")
+    _canaries(failures, "kernel churn", new["timer_churn"],
+              old["timer_churn"], ("drained_at",))
+    _canaries(failures, "kernel attach storm", new["attach_storm"],
+              old["attach_storm"], ("successes", "pending_after_drain"))
+    return failures
+
+
+def print_kernel(section: dict) -> None:
+    churn = section["timer_churn"]
+    heap = section["timer_churn_heap_baseline"]
+    storm = section["attach_storm"]
+    print(f"  timer churn   : {churn['events_per_sec']:>12,} events/sec  "
+          f"(heap baseline {heap['events_per_sec']:,}; "
+          f"{section['speedup']}x)")
+    print(f"  heap high-water: {churn['heap_high_water']:>11,} entries  "
+          f"(heap baseline {heap['heap_high_water']:,})")
+    print(f"  drained at    : t={churn['drained_at']:g}s  "
+          f"(heap baseline t={heap['drained_at']:g}s)")
+    print(f"  attach storm  : {storm['wall_seconds']}s wall, "
+          f"{storm['successes']} successes")
+
+
+# -- fleet leg -----------------------------------------------------------------
+
+# Shared per-UE dynamics for both fleet legs (per-second exponential rates).
+ATTACH_RATE = 0.01
+DETACH_RATE = 0.002
+IDLE_RATE = 0.005
+RESUME_RATE = 0.02
+TRAFFIC_MBPS = 0.01
+TICK = 1.0
+FLEET_SEED = 23
+FLEET_CONFIG = AgwConfig(hardware=VIRTUAL_8VCPU)   # 32 attaches/s per AGW
+
+FLEET_SIZES = {
+    # mode: (agws, subscribers, sample_ues, coroutine_ues, sim_duration)
+    "smoke": (20, 10_000, 50, 200, 120.0),
+    "full": (100, 100_000, 500, 2_000, 300.0),
+}
+
+# Fleet vs coroutine subscriber-rate floors.  Full mode's 10x is the
+# scale-out acceptance bar; smoke's sub-second legs swing ~2x on shared
+# runners (observed 4.9-6.3x), and losing batching drops it to ~1x.
+FLEET_SPEEDUP_FLOOR = {"smoke": 2.5, "full": 10.0}
+
+# Fleet subscriber-sim-seconds per wall second, ~100x under the ~10^7
+# observed: only a catastrophic regression (per-UE work back) trips it.
+SUBSCRIBER_RATE_FLOOR = {"smoke": 100_000.0, "full": 1_000_000.0}
+
+FLEET_CANARIES = ("attached_at_end", "attach_accepted",
+                  "sample_attach_successes", "sessions_at_end", "events")
+
+
+def _cohort(size: int) -> CohortSpec:
+    return CohortSpec("subs", size=size, attach_rate=ATTACH_RATE,
+                      detach_rate=DETACH_RATE, idle_rate=IDLE_RATE,
+                      resume_rate=RESUME_RATE, traffic_mbps=TRAFFIC_MBPS)
+
+
+def _events_scheduled(sim) -> int:
+    """Total entries ever scheduled (the kernel's sequence counter)."""
+    probe = sim.schedule(0.0, _noop)
+    probe.release()
+    return probe.seq
+
+
+def _noop():
+    pass
+
+
+def _timed_fleet_run(site, fleet, duration: float, subscribers: int,
+                     agws: int) -> dict:
+    start_events = _events_scheduled(site.sim)
+    gc.collect()
+    t0 = time.perf_counter()
+    site.sim.run(until=duration)
+    wall = time.perf_counter() - t0
+    events = _events_scheduled(site.sim) - start_events
+    return {
+        "agws": agws,
+        "subscribers": subscribers,
+        "sim_duration": duration,
+        "wall_seconds": round(wall, 4),
+        "events": events,
+        "events_per_sec": round(events / wall),
+        "subscriber_sim_seconds_per_wall_sec":
+            round(subscribers * duration / wall),
+        "peak_rss_kb": _peak_rss_kb(),
+        "sample_attach_successes": fleet.counters["sample_attach_successes"],
+    }
+
+
+def fleet_run(num_agws: int, subscribers: int, sample_ues: int,
+              duration: float) -> dict:
+    """Cohort-aggregated population across ``num_agws`` full AGWs."""
+    # AGW 0 comes from the site builder with real eNodeBs for the sampled
+    # sub-population; the rest are full AccessGateways on the same sim.
+    site = build_emulated_site(num_enbs=max(1, (sample_ues + 95) // 96),
+                               num_ues=sample_ues, config=FLEET_CONFIG,
+                               seed=FLEET_SEED)
+    agws = [site.agw]
+    for i in range(1, num_agws):
+        agw = AccessGateway(site.sim, site.network, f"agw-fleet-{i}",
+                            config=FLEET_CONFIG, monitor=site.monitor,
+                            rng=site.rng)
+        agw.start()
+        agws.append(agw)
+    fleet = UeFleet(site.sim, site.rng,
+                    [AgwFleetAdapter(agw) for agw in agws],
+                    [_cohort(subscribers)],
+                    monitor=site.monitor, tick=TICK, name="bench")
+    if sample_ues:
+        fleet.add_sample_ues("subs", site.ues)
+    fleet.start()
+    out = _timed_fleet_run(site, fleet, duration, subscribers, num_agws)
+    out.update({
+        "mode": "fleet",
+        "sample_ues": sample_ues,
+        "attached_at_end": fleet.attached(),
+        "attach_accepted": fleet.counters["attach_accepted"],
+        "sessions_at_end": sum(agw.sessiond.session_count() for agw in agws),
+    })
+    return out
+
+
+def coroutine_run(num_ues: int, duration: float) -> dict:
+    """The same dynamics with every subscriber a real coroutine UE: a
+    size-0 cohort and a 100% sample population."""
+    site = build_emulated_site(num_enbs=(num_ues + 95) // 96, num_ues=num_ues,
+                               config=FLEET_CONFIG, seed=FLEET_SEED)
+    fleet = UeFleet(site.sim, site.rng, [AgwFleetAdapter(site.agw)],
+                    [_cohort(0)], monitor=site.monitor,
+                    tick=TICK, name="bench")
+    fleet.add_sample_ues("subs", site.ues)
+    fleet.start()
+    out = _timed_fleet_run(site, fleet, duration, num_ues, 1)
+    out.update({"mode": "coroutine",
+                "attached_at_end": fleet.sample_attached()})
+    return out
+
+
+def fleet_leg(mode: str) -> dict:
+    agws, subscribers, sample_ues, coroutine_ues, duration = FLEET_SIZES[mode]
+    fleet = _best_of(lambda: fleet_run(agws, subscribers, sample_ues,
+                                       duration))
+    coroutine = _best_of(lambda: coroutine_run(coroutine_ues, duration))
+    ratio = (fleet["subscriber_sim_seconds_per_wall_sec"]
+             / coroutine["subscriber_sim_seconds_per_wall_sec"])
+    return {"fleet": fleet, "coroutine": coroutine,
+            "speedup_vs_coroutine": round(ratio, 2)}
+
+
+def check_fleet(new: dict, old: dict, mode: str) -> list:
+    failures = []
+    floor = FLEET_SPEEDUP_FLOOR[mode]
+    if new["speedup_vs_coroutine"] < floor:
+        failures.append(f"fleet speedup {new['speedup_vs_coroutine']}x "
+                        f"below the {mode} {floor}x floor")
+    rate_floor = SUBSCRIBER_RATE_FLOOR[mode]
+    rate = new["fleet"]["subscriber_sim_seconds_per_wall_sec"]
+    if rate < rate_floor:
+        failures.append(f"fleet subscriber rate {rate:,}/s below the {mode} "
+                        f"floor {rate_floor:,.0f}/s")
+    for run in ("fleet", "coroutine"):
+        _canaries(failures, f"fleet {run}", new[run], old[run],
+                  FLEET_CANARIES)
+    return failures
+
+
+def print_fleet(section: dict) -> None:
+    for run in (section["fleet"], section["coroutine"]):
+        print(f"  {run['mode']:<10}: {run['subscribers']:>9,} subs x "
+              f"{run['sim_duration']:g}s sim in {run['wall_seconds']}s wall "
+              f"({run['subscriber_sim_seconds_per_wall_sec']:,} sub-sim-s/s, "
+              f"{run['events_per_sec']:,} events/s, "
+              f"peak RSS {run['peak_rss_kb'] / 1024:.0f} MB)")
+    print(f"  speedup    : {section['speedup_vs_coroutine']}x "
+          "subscriber-rate vs all-coroutine")
+
+
+# -- sync leg ------------------------------------------------------------------
+
+SUBSCRIBERS = 500
+NETWORK = "default"
+
+# mode: gateway counts for the storm sweep
+SYNC_SIZES = {"smoke": [1_000], "full": [1_000, 10_000, 50_000]}
+
+# Digest vs bundle wire bytes at every size: observed ~47x with a
+# 500-entry bundle; the scale-out acceptance bar is 20x.
+WIRE_REDUCTION_FLOOR = 20.0
+
+# Digest check-ins/sec (walk rounds included), far under the observed
+# ~5k/s: only an O(bundle) step back on the per-check-in path trips it.
+CHECKINS_PER_SEC_FLOOR = 1_000.0
+
+BUNDLE_CANARIES = ("tx_bytes", "rx_bytes", "bytes_per_checkin")
+DIGEST_CANARIES = BUNDLE_CANARIES + ("reconcile_rounds", "converged")
+
+
+def build_store() -> ConfigStore:
+    """A 500-subscriber desired state; content fixed, fully deterministic."""
+    store = ConfigStore()
+    for i in range(SUBSCRIBERS):
+        imsi = f"00101{i:010d}"
+        store.put("subscribers", imsi, {
+            "imsi": imsi, "policy_id": "default", "apn": "internet",
+            "sub_profile": "max", "state": "ACTIVE"})
+    store.put("policies", "default", {
+        "id": "default", "priority": 1, "rate_mbps": 0.0})
+    return store
+
+
+def synced_mirror(store: ConfigStore) -> DigestMirror:
+    """The digest mirror of a gateway that fully applied the store."""
+    mirror = DigestMirror()
+    for label in ("subscribers", "policies", "ran"):
+        mirror.rebuild(label, store.namespace(label))
+    return mirror
+
+
+def _sync_result(mode: str, statesync: StateSync, n: int,
+                 wall: float) -> dict:
+    tx = statesync.stats["tx_bytes"]
+    return {
+        "mode": mode,
+        "gateways": n,
+        "tx_bytes": tx,
+        "rx_bytes": statesync.stats["rx_bytes"],
+        "bytes_per_checkin": round(tx / n, 1),
+        "wall_seconds": round(wall, 4),
+        "checkins_per_sec": round(n / wall),
+        "peak_rss_kb": _peak_rss_kb(),
+    }
+
+
+def bundle_run(store: ConfigStore, stale_version: int, n: int) -> dict:
+    """Rootless check-ins: every stale one re-ships the full bundle."""
+    statesync = StateSync(Simulator(), store)
+    gc.collect()
+    t0 = time.perf_counter()
+    for i in range(n):
+        response = statesync.handle_checkin({
+            "gateway_id": f"agw-{i}", "network_id": NETWORK,
+            "config_version": stale_version})
+        assert response["config"] is not None
+    wall = time.perf_counter() - t0
+    assert statesync.stats["config_pushes"] == n
+    return _sync_result("bundle", statesync, n, wall)
+
+
+def _discard_delta(label, upserts, deletes, version):
+    """The bench measures the wire, not gateway-local stores."""
+
+
+def digest_run(store: ConfigStore, stale_version: int, n: int,
+               base: DigestMirror) -> dict:
+    """Roots at check-in, a tree walk to the one delta."""
+    monitor = Monitor()
+    statesync = StateSync(Simulator(), store, digests=DigestIndex(store),
+                          monitor=monitor)
+    roots = base.roots()             # every gateway is identically synced
+    converged = 0
+    rounds = 0
+    gc.collect()
+    t0 = time.perf_counter()
+    for i in range(n):
+        gateway_id = f"agw-{i}"
+        response = statesync.handle_checkin({
+            "gateway_id": gateway_id, "network_id": NETWORK,
+            "config_version": stale_version, "digest_roots": roots})
+        assert response["config"] is None and response.get("sync")
+        # Only the divergent leaf bucket is copied into the overlay.
+        client = ReconcileClient(base.overlay(), _discard_delta, NETWORK,
+                                 gateway_id)
+        request = client.start(response)
+        while request is not None:
+            request = client.feed(statesync.handle_reconcile(request))
+        result = client.result()
+        converged += result.converged
+        rounds += result.rounds
+    wall = time.perf_counter() - t0
+    out = _sync_result("digest", statesync, n, wall)
+    out["converged"] = converged
+    out["reconcile_rounds"] = rounds
+    out["digest_syncs"] = statesync.stats["digest_syncs"]
+    out["wire_series_samples"] = len(monitor.series("sync.checkin.tx_bytes"))
+    return out
+
+
+def sync_point(n: int) -> dict:
+    """One storm size: same store, same single-key change, both runs."""
+    store = build_store()
+    base = synced_mirror(store)      # fleet state *before* the change
+    stale_version = store.version
+    store.put("subscribers", "001019999999999", {
+        "imsi": "001019999999999", "policy_id": "default",
+        "apn": "internet", "sub_profile": "max", "state": "ACTIVE"})
+    bundle = _best_of(lambda: bundle_run(store, stale_version, n))
+    digest = _best_of(lambda: digest_run(store, stale_version, n, base))
+    assert digest["converged"] == n, "digest walk failed to converge"
+    return {
+        "gateways": n,
+        "subscribers": SUBSCRIBERS,
+        "bundle": bundle,
+        "digest": digest,
+        "wire_reduction_x": round(bundle["tx_bytes"] / digest["tx_bytes"], 1),
+    }
+
+
+def sync_leg(mode: str) -> dict:
+    return {str(n): sync_point(n) for n in SYNC_SIZES[mode]}
+
+
+def check_sync(new: dict, old: dict, mode: str) -> list:
+    failures = []
+    for size, point in new.items():
+        if point["wire_reduction_x"] < WIRE_REDUCTION_FLOOR:
+            failures.append(
+                f"{size} gateways: wire reduction {point['wire_reduction_x']}x "
+                f"below the {WIRE_REDUCTION_FLOOR}x floor")
+        rate = point["digest"]["checkins_per_sec"]
+        if rate < CHECKINS_PER_SEC_FLOOR:
+            failures.append(f"{size} gateways: digest {rate:,}/s below the "
+                            f"floor {CHECKINS_PER_SEC_FLOOR:,.0f}/s")
+        if size not in old:
+            failures.append(f"committed snapshot has no {size}-gateway point")
+            continue
+        for run, keys in (("bundle", BUNDLE_CANARIES),
+                          ("digest", DIGEST_CANARIES)):
+            _canaries(failures, f"sync {size} gateways {run}", point[run],
+                      old[size][run], keys)
+    return failures
+
+
+def print_sync(section: dict) -> None:
+    for size, point in section.items():
+        for run in (point["bundle"], point["digest"]):
+            print(f"  {size:>6} gws {run['mode']:<7}: "
+                  f"{run['tx_bytes']:>13,} tx B "
+                  f"({run['bytes_per_checkin']:>9,.1f} B/checkin, "
+                  f"{run['checkins_per_sec']:>9,}/s, "
+                  f"peak RSS {run['peak_rss_kb'] / 1024:.0f} MB)")
+        print(f"  {size:>6} gws reduction: "
+              f"{point['wire_reduction_x']}x fewer wire bytes")
+
+
+# -- harness -------------------------------------------------------------------
+
+#: leg name -> (measure(mode), check(new, old, mode), print(section))
+LEGS = {
+    "kernel": (kernel_leg, check_kernel, print_kernel),
+    "fleet": (fleet_leg, check_fleet, print_fleet),
+    "sync": (sync_leg, check_sync, print_sync),
+}
+
+
+def check(fresh: dict, committed: dict, mode: str) -> list:
+    """Compare a fresh run against the committed snapshot; returns a list
+    of failure strings (empty = green)."""
+    failures = []
+    for leg, new in fresh[mode].items():
+        old = committed.get(mode, {}).get(leg)
+        if old is None:
+            failures.append(f"committed snapshot has no {mode} {leg!r} leg")
+        else:
+            failures.extend(LEGS[leg][1](new, old, mode))
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="small sizes for CI (writes the 'smoke' section)")
+    parser.add_argument("--all", action="store_true",
+                        help="run both smoke and full modes")
+    parser.add_argument("--out", default=None,
+                        help="write the fresh snapshot JSON here")
+    parser.add_argument("--check", default=None, metavar="SNAPSHOT",
+                        help="compare against a committed snapshot; exit 1 "
+                             "on a floor breach or canary divergence")
+    args = parser.parse_args(argv)
+
+    snapshot = {"schema": 1,
+                "kernel_pre_change_reference": PRE_CHANGE_REFERENCE}
+    modes = MODES if args.all else (("smoke",) if args.smoke else ("full",))
+    for mode in modes:
+        snapshot[mode] = {}
+        for leg, (measure, _check, show) in LEGS.items():
+            print(f"== {mode} {leg} ==")
+            snapshot[mode][leg] = measure(mode)
+            show(snapshot[mode][leg])
+
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(snapshot, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+
+    if args.check:
+        with open(args.check) as fh:
+            committed = json.load(fh)
+        failures = []
+        for mode in modes:
+            failures.extend(check(snapshot, committed, mode))
+        if failures:
+            for failure in failures:
+                print(f"REGRESSION: {failure}", file=sys.stderr)
+            return 1
+        print(f"regression check green vs {args.check}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

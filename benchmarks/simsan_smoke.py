@@ -1,7 +1,7 @@
 """SimSan smoke harness: real workloads under the runtime sanitizer.
 
-Runs the workloads CI gates on — the bench_kernel attach storm, a
-bench_fleet smoke-sized fleet leg, and a mixed-RAT leg (LTE, 5G and WiFi
+Runs the workloads CI gates on — the bench_components attach storm, a
+smoke-sized cohort fleet, and a mixed-RAT leg (LTE, 5G and WiFi
 clients cycling through one AGW's three frontends) — with
 ``Simulator(sanitizer=SimSan())`` armed, and fails (exit 1) if the
 sanitizer produces *any* report: an orphaned timer at drain, a
@@ -9,12 +9,13 @@ cross-process RNG stream interleaving, or a release-discipline violation.
 Each leg writes its sanitizer report as a reprolint-shaped JSON artifact
 so CI can upload it for inspection.
 
-The first two legs deliberately reuse the bench harnesses' exact workload
+The first two legs deliberately reuse bench_components' exact workload
 shapes (same seeds, sizes, and drain protocol) so a clean run here
 certifies the same event stream the deterministic bench canaries pin
 down.  With ``--profile`` the self-profiler rides the attach-storm and
 mixed-RAT legs on the same kernel hook seam as the sanitizer, and the run
-also fails unless it attributed kernel time.
+also fails unless it charged time to the kernel loop and to callbacks'
+owner modules.
 
 Usage::
 
@@ -43,7 +44,7 @@ from repro.experiments.common import (  # noqa: E402
 )
 from repro.fiveg import Gnb, Ue5g  # noqa: E402
 from repro.net import backhaul  # noqa: E402
-from repro.obs.profiler import detach, install  # noqa: E402
+from repro.obs.profiler import KERNEL, Profiler  # noqa: E402
 from repro.sim import SimSan  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
@@ -53,13 +54,13 @@ from repro.workloads.fleet import (  # noqa: E402
 )
 from repro.wifi import WifiAp  # noqa: E402
 
-# Attach-storm leg: identical to bench_kernel.attach_storm's smoke shape,
-# whose success count (61 for 120 UEs, seed 7) is a committed canary.
+# Attach-storm leg: identical to bench_components' smoke attach storm,
+# whose success count (59 for 120 UEs, seed 7) is a committed canary.
 STORM_UES = 120
 STORM_RATE = 10.0
 STORM_SEED = 7
 
-# Fleet leg: bench_fleet's smoke fleet shape, scaled to one AGW so the
+# Fleet leg: bench_components' smoke fleet shape, scaled to one AGW so the
 # sanitized run stays under a minute while still exercising the cohort
 # aggregator, sampled coroutine UEs, and the periodic fleet ticker.
 FLEET_SUBSCRIBERS = 2_000
@@ -75,21 +76,27 @@ MULTI_RAT_CLIENTS = 10
 MULTI_RAT_CYCLES = 2
 MULTI_RAT_SEED = 11
 
+# Owner keys every profiled leg must charge: the loop itself and the one
+# access-procedure module all three RATs run through.
+PROFILED_OWNERS = {KERNEL, "core.agw.mme"}
+
+
+def _profiled(sim) -> Profiler:
+    profiler = Profiler()
+    sim.add_hook(profiler)
+    return profiler
+
 
 def attach_storm_leg(san: SimSan, profile: bool = False) -> dict:
     site = build_emulated_site(num_enbs=4, num_ues=STORM_UES,
                                seed=STORM_SEED, sanitizer=san)
-    profiler = install(site.sim) if profile else None
+    profiler = _profiled(site.sim) if profile else None
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=STORM_RATE,
                         monitor=site.monitor)
     storm.start()
-    try:
-        site.sim.run_until_triggered(
-            storm.done, limit=site.sim.now + 120.0 + STORM_UES / STORM_RATE)
-        site.sim.run(until=site.sim.now + 10.0)
-    finally:
-        if profiler is not None:
-            detach(site.sim)
+    site.sim.run_until_triggered(
+        storm.done, limit=site.sim.now + 120.0 + STORM_UES / STORM_RATE)
+    site.sim.run(until=site.sim.now + 10.0)
     summary = {
         "leg": "attach-storm",
         "n_ues": STORM_UES,
@@ -114,7 +121,7 @@ def multi_rat_leg(san: SimSan, profile: bool = False) -> dict:
     network.connect("ap-1", "agw-1", backhaul.lan("lan-ap"))
     ap = WifiAp(sim, network, "ap-1", "agw-1")
     sim.run(until=sim.now + 1.0)
-    profiler = install(sim) if profile else None
+    profiler = _profiled(sim) if profile else None
     outcomes = {"lte": 0, "nr": 0, "wifi": 0, "wifi_refused": 0}
 
     def lte(ue, delay):
@@ -157,11 +164,7 @@ def multi_rat_leg(san: SimSan, profile: bool = False) -> dict:
         username = site.imsis[2 * n + i]
         secret = "wrong-secret" if i % 4 == 3 else f"wifi-{username}"
         sim.spawn(wifi(username, secret, 0.3 * i), name=f"smoke-wifi:{i}")
-    try:
-        sim.run(until=sim.now + 60.0)
-    finally:
-        if profiler is not None:
-            detach(sim)
+    sim.run(until=sim.now + 60.0)
     summary = {"leg": "multi-rat", "clients_per_rat": n, **outcomes,
                "attach_requests": site.agw.mme.stats["attach_requests"],
                "attach_accepted": site.agw.mme.stats["attach_accepted"],
@@ -216,9 +219,9 @@ def run_leg(name, leg_fn, out_dir: str) -> bool:
     for rep in san.reports[:10]:
         print(f"  !! {rep['code']} {rep['check']}: {rep['message']}")
     if "profiled_subsystems" in summary and not \
-            {"kernel.loop", "kernel.dispatch"} <= \
-            set(summary["profiled_subsystems"]):
-        print(f"  !! profiler attributed no kernel time ({name})")
+            PROFILED_OWNERS <= set(summary["profiled_subsystems"]):
+        print(f"  !! profiler charged no time to the kernel loop or the "
+              f"MME ({name})")
         return False
     return n == 0
 
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
                                           "multi-rat"],
                         help="run only one leg (default: all three)")
     parser.add_argument("--profile", action="store_true",
-                        help="also install the self-profiler on the "
+                        help="also run the self-profiler on the "
                              "attach-storm and multi-rat legs")
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -38,7 +38,6 @@ from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...net.rpc import dataclass_fields
-from ...obs import profiler as _profiler
 
 #: Bytes per digest (128-bit truncated BLAKE2b).
 DIGEST_BYTES = 16
@@ -155,29 +154,13 @@ def _dict_sort_key(key: Any) -> Tuple[str, bytes]:
     return (type(key).__name__, canonical_bytes(key))
 
 
-def _entry_digest(key: str, value: Any) -> int:
+def entry_digest(key: str, value: Any) -> int:
+    """128-bit digest of one ``(key, value)`` entry."""
     entry = bytearray(b"entry:")
     entry += key.encode("utf-8")
     _canonical_into(((b"=", value),), entry)
     return int.from_bytes(
         blake2b(entry, digest_size=DIGEST_BYTES).digest(), "big")
-
-
-def entry_digest(key: str, value: Any) -> int:
-    """128-bit digest of one ``(key, value)`` entry.
-
-    The wrapper is the self-profiler's hook point for digest hashing;
-    with no active profiler it costs one global load and an ``is None``
-    test on top of the hash itself.
-    """
-    prof = _profiler.ACTIVE
-    if prof is None:
-        return _entry_digest(key, value)
-    prof.push("sync.digest_hash")
-    try:
-        return _entry_digest(key, value)
-    finally:
-        prof.pop()
 
 
 def key_hash(key: str) -> int:

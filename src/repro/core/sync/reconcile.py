@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ...obs import profiler as _profiler
 from .digest import DigestTree, NodePath, OverlayTree
 
 #: Wire labels for the config namespaces a gateway syncs, in push order.
@@ -128,16 +127,6 @@ class ReconcileServer:
 
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One reconcile round: expand internal nodes, emit leaf deltas."""
-        prof = _profiler.ACTIVE
-        if prof is None:
-            return self._handle(request)
-        prof.push("sync.reconcile")
-        try:
-            return self._handle(request)
-        finally:
-            prof.pop()
-
-    def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         network_id = request["network_id"]
         nodes: Dict[str, Dict[NodePath, Dict[NodePath, int]]] = {}
         deltas: Dict[str, Dict[NodePath, Dict[str, Any]]] = {}

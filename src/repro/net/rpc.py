@@ -24,7 +24,6 @@ import itertools
 import operator
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from ..obs import profiler as _profiler
 from ..sim.kernel import Event, Simulator
 from .simnet import Datagram, Network
 
@@ -63,10 +62,23 @@ def dataclass_fields(kind: type) -> \
 _DATACLASS_PLANS: Dict[type, Tuple[int, ValuesOf]] = {}
 
 
-def _payload_bytes(obj: Any) -> int:
-    """One iterative depth-first pass over the object graph (see
-    :func:`payload_bytes`).
+def payload_bytes(obj: Any) -> int:
+    """Deterministic wire-size estimate of an RPC payload, in bytes.
 
+    The simulated RPC layer passes Python objects by reference, so
+    nothing is actually serialized; this estimator stands in for the
+    encoded size a protobuf/JSON codec would produce — close enough in
+    shape (per-field tag overhead, length-prefixed strings, fixed-width
+    numbers) for *relative* comparisons like full-bundle vs digest sync:
+    ``None``/bools 1 byte, numbers 8, strings and bytes 2 + their
+    (UTF-8) length, containers and dataclasses 2 + their members (field
+    names included), any other object a flat 16.
+    It is pure arithmetic over the object graph: no ``id()``, no
+    ``repr`` of arbitrary objects, so the same payload always measures
+    the same on any run or platform.  ``tests/test_rpc_payload_bytes.py``
+    holds the recursive rule-per-line walker this replaced as the oracle.
+
+    The walk is one iterative depth-first pass over the object graph.
     ``stack`` holds one iterator per container being walked, so scalars
     are sized where they are met and memory is O(nesting depth) however
     wide the payload.  The shapes real messages are made of dispatch on
@@ -133,42 +145,12 @@ def _other_bytes(obj: Any) -> Tuple[int, Optional[Iterable[Any]]]:
     fields = dataclass_fields(kind)
     if fields is not None:
         names, values_of = fields
-        own = 2 + sum(map(_payload_bytes, names))
+        own = 2 + sum(map(payload_bytes, names))
         _DATACLASS_PLANS[kind] = (own, values_of)
         return own, values_of(obj)
     # Opaque object: charge a fixed envelope rather than guessing from a
     # repr (which could embed memory addresses and break determinism).
     return 16, None
-
-
-def payload_bytes(obj: Any) -> int:
-    """Deterministic wire-size estimate of an RPC payload, in bytes.
-
-    The simulated RPC layer passes Python objects by reference, so
-    nothing is actually serialized; this estimator stands in for the
-    encoded size a protobuf/JSON codec would produce — close enough in
-    shape (per-field tag overhead, length-prefixed strings, fixed-width
-    numbers) for *relative* comparisons like full-bundle vs digest sync:
-    ``None``/bools 1 byte, numbers 8, strings and bytes 2 + their
-    (UTF-8) length, containers and dataclasses 2 + their members (field
-    names included), any other object a flat 16.
-    It is pure arithmetic over the object graph: no ``id()``, no
-    ``repr`` of arbitrary objects, so the same payload always measures
-    the same on any run or platform.  ``tests/test_rpc_payload_bytes.py``
-    holds the recursive rule-per-line walker this replaced as the oracle.
-
-    The wrapper exists for the self-profiler: the walk stays inside
-    ``_payload_bytes`` so only the entry point pays the scope cost, and
-    the profiled and unprofiled paths compute identical sizes.
-    """
-    prof = _profiler.ACTIVE
-    if prof is None:
-        return _payload_bytes(obj)
-    prof.push("rpc.serialize")
-    try:
-        return _payload_bytes(obj)
-    finally:
-        prof.pop()
 
 
 class RpcError(Exception):
@@ -222,17 +204,6 @@ class RpcServer:
     # -- internals ---------------------------------------------------------------
 
     def _handle(self, dgram: Datagram) -> None:
-        prof = _profiler.ACTIVE
-        if prof is None:
-            self._dispatch(dgram)
-            return
-        prof.push("rpc.deliver")
-        try:
-            self._dispatch(dgram)
-        finally:
-            prof.pop()
-
-    def _dispatch(self, dgram: Datagram) -> None:
         request_id, service, method, payload, reply_node, reply_port, ctx = \
             dgram.payload
         cached = self._response_cache.get(request_id)
@@ -373,17 +344,6 @@ class RpcChannel:
              deadline: float = DEFAULT_DEADLINE) -> Event:
         """Issue a call; the returned event succeeds with the response or
         fails with :class:`RpcError`."""
-        prof = _profiler.ACTIVE
-        if prof is None:
-            return self._call(service, method, request, deadline)
-        prof.push("rpc.call")
-        try:
-            return self._call(service, method, request, deadline)
-        finally:
-            prof.pop()
-
-    def _call(self, service: str, method: str, request: Any,
-              deadline: float) -> Event:
         self.stats["calls"] += 1
         request_id = (self.local, self.port, next(RpcChannel._request_ids))
         done = self.sim.event(f"rpc:{service}/{method}")

@@ -28,8 +28,6 @@ from .flightrec import (
 )
 from .health import HealthEngine, HealthSlo, health_rule
 from .profiler import Profiler
-from .profiler import detach as detach_profiler
-from .profiler import install as install_profiler
 from .tracing import (
     NOOP_SPAN,
     NOOP_TRACER,
@@ -60,10 +58,8 @@ __all__ = [
     "Tracer",
     "aggregate_breakdown",
     "build_traces",
-    "detach_profiler",
     "format_summary",
     "health_rule",
-    "install_profiler",
     "procedure_summary",
     "recorder_of",
     "to_chrome_trace",

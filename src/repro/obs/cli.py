@@ -63,12 +63,12 @@ def _trace_main(argv: Sequence[str]) -> int:
     print(f"attach storm: {run.attach_successes}/{args.ues} attached, "
           f"{tracer.stats['traces_sampled']}/{tracer.stats['traces_started']}"
           f" traces sampled, {tracer.stats['spans']} spans")
-    recorder = getattr(run.site.sim, "recorder", None)
-    records = recorder.records() if recorder is not None else None
-    events = write_chrome_trace(args.output, tracer.spans, records=records)
+    recorder = run.site.sim.recorder
+    events = write_chrome_trace(args.output, tracer.spans,
+                                records=recorder.records())
     print(f"wrote {events} trace events to {args.output} "
           "(load in chrome://tracing or ui.perfetto.dev)")
-    if args.flightrec and recorder is not None:
+    if args.flightrec:
         lines = recorder.dump_jsonl(args.flightrec)
         print(f"wrote {lines} flight-recorder lines to {args.flightrec}")
 

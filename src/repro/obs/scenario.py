@@ -2,8 +2,9 @@
 
 Used by ``python -m repro.obs`` and the CI smoke step: stands up an
 emulated site, traces an attach storm (plus an idle/paging round trip and
-a detach wave, so the exported trace shows more than one procedure type),
-and returns the tracer for analysis/export.
+a detach wave, so the exported trace shows more than one procedure type,
+and an AGW crash and recovery, the post-mortem the flight recorder is
+for), and returns the tracer for analysis/export.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ class TracedRun:
 def run_traced_attach_storm(num_ues: int = 20, rate: float = 5.0,
                             seed: int = 1, sample_rate: float = 1.0,
                             num_enbs: int = 2) -> TracedRun:
-    """Run a short attach storm with tracing enabled."""
+    """Run a short attach storm with the tracer and flight recorder on."""
     site = build_emulated_site(num_enbs=num_enbs, num_ues=num_ues, seed=seed)
     tracer = Tracer(site.sim, site.rng, sample_rate=sample_rate)
+    FlightRecorder(site.sim)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=rate,
                         monitor=site.monitor)
     storm.start()
@@ -48,6 +50,10 @@ def run_traced_attach_storm(num_ues: int = 20, rate: float = 5.0,
     for ue in attached[:2]:
         ue.detach(switch_off=False)
     site.sim.run(until=site.sim.now + 10.0)
+    site.agw.crash()
+    site.sim.run(until=site.sim.now + 5.0)
+    site.agw.recover()
+    site.sim.run(until=site.sim.now + 5.0)
     return TracedRun(site=site, tracer=tracer, storm=storm,
                      attach_successes=storm.success_count())
 

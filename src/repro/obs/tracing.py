@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from . import profiler as _profiler
-
 
 class SpanContext(NamedTuple):
     """The propagated part of a span: enough to parent children to it."""
@@ -267,17 +265,6 @@ class Tracer:
         return self._ids.getrandbits(48)
 
     def _record(self, span: Span) -> None:
-        prof = _profiler.ACTIVE
-        if prof is None:
-            self._record_span(span)
-            return
-        prof.push("obs.tracer")
-        try:
-            self._record_span(span)
-        finally:
-            prof.pop()
-
-    def _record_span(self, span: Span) -> None:
         if len(self.spans) >= self.max_spans:
             self.stats["spans_dropped"] += 1
             return

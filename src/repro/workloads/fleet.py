@@ -35,7 +35,7 @@ spans are an unbiased probe of the load the aggregate supplies.
 A fleet with ``size=0`` cohorts and a 100% sample population degenerates
 to a pure coroutine run driven by identical tick dynamics — which is
 exactly how ``tests/test_fleet_calibration.py`` checks that the aggregate
-and coroutine populations agree, and how ``benchmarks/bench_fleet.py``
+and coroutine populations agree, and how ``benchmarks/bench_components.py``
 measures the speedup between the two modes in one session.
 """
 
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lte.ue import Ue, UeState
-from ..obs import profiler as _profiler
 from ..sim.kernel import PeriodicCall, Simulator
 from ..sim.monitor import Monitor
 from ..sim.rng import RngRegistry
@@ -314,17 +313,6 @@ class UeFleet:
     # -- the batched tick --------------------------------------------------------
 
     def _advance(self) -> None:
-        prof = _profiler.ACTIVE
-        if prof is None:
-            self._advance_tick()
-            return
-        prof.push("fleet.tick")
-        try:
-            self._advance_tick()
-        finally:
-            prof.pop()
-
-    def _advance_tick(self) -> None:
         self.ticks += 1
         dt = self.tick
         counters = self.counters

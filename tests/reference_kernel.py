@@ -8,8 +8,8 @@ ordered by ``(when, seq)``, cancel marks the entry dead where it sits, and
 each run tests its stop condition before every event.  It shares the
 product's ``ScheduledCall`` / ``Event`` / ``Process`` classes, so the two
 can only differ in the order they fire entries and where they stop —
-which is what ``test_sim_kernel_oracle.py`` compares.  ``bench_kernel``'s
-heap-baseline leg runs on it too.
+which is what ``test_sim_kernel_oracle.py`` compares.  ``bench_components``'
+heap-baseline churn runs on it too.
 
 The stop rules it spells out are the product's:
 

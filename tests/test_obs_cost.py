@@ -28,7 +28,7 @@ def counted(fn, *args, **kwargs):
                        if "_lsprof.Profiler" not in str(entry.code))
 
 
-def test_a_child_span_costs_twelve_calls_to_open_and_close():
+def test_a_child_span_costs_eleven_calls_to_open_and_close():
     sim = Simulator()
     tracer = Tracer(sim, RngRegistry(1))
     with tracer.start_trace("attach", component="ue").active():
@@ -36,9 +36,9 @@ def test_a_child_span_costs_twelve_calls_to_open_and_close():
                                node="agw-1", tags={"imsi": "001010000000001"})
         _, closed = counted(span.end)
     assert span.recording and span.finished
-    # 10 to open: child -> start_span -> Span(), the span id, the clock,
+    # 9 to open: child -> start_span -> Span(), the span id, the clock,
     # the record and its append; 2 to close (end and the clock).
-    assert opened + closed <= 12
+    assert opened + closed <= 11
 
 
 def test_a_span_with_no_ambient_context_costs_three_calls():

@@ -213,3 +213,17 @@ def test_simsan_orphan_timer_dump_ends_with_traced_scheduling_site(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     snaps = [ln for ln in lines if "snapshot" in ln]
     assert any(s["snapshot"]["reason"] == "simsan:SIMSAN01" for s in snaps)
+
+
+def test_trace_cli_dumps_the_flight_recorder(tmp_path, capsys):
+    """``python -m repro.obs --flightrec`` dumps the demo's recorder; the
+    demo ends with a crash and recovery, so the dump is not empty."""
+    from repro.obs.cli import main
+
+    path = tmp_path / "flightrec.jsonl"
+    assert main([str(tmp_path / "trace.json"), "--ues", "4", "--rate", "4",
+                 "--flightrec", str(path)]) == 0
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    events = [line["event"] for line in lines if "event" in line]
+    assert events == ["crash", "restore"]
+    assert "wrote 2 flight-recorder lines" in capsys.readouterr().out

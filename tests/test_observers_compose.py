@@ -8,8 +8,7 @@ order.  A plain run fires the same callbacks minus the ones the tracer
 adds to close its spans.
 """
 
-from repro.obs import FlightRecorder, Tracer
-from repro.obs.profiler import detach, install
+from repro.obs import FlightRecorder, Profiler, Tracer
 from repro.sim import Hook, SimSan
 from repro.workloads.attach_storm import AttachStorm
 
@@ -36,17 +35,14 @@ def attach_storm(tracer=False, everything=False):
     if tracer or everything:
         observers["tracer"] = Tracer(site.sim, site.rng)
     if everything:
-        observers["profiler"] = install(site.sim)
+        observers["profiler"] = Profiler()
+        site.sim.add_hook(observers["profiler"])
         observers["recorder"] = FlightRecorder(site.sim)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=8.0,
                         monitor=site.monitor)
     storm.start()
-    try:
-        site.sim.run_until_triggered(storm.done, limit=site.sim.now + 120.0)
-        site.sim.run(until=site.sim.now + 10.0)
-    finally:
-        if everything:
-            detach(site.sim)
+    site.sim.run_until_triggered(storm.done, limit=site.sim.now + 120.0)
+    site.sim.run(until=site.sim.now + 10.0)
     return storm.success_count(), order.fired, observers
 
 
@@ -65,7 +61,7 @@ def test_all_observers_compose_without_perturbing_the_run():
     san = observers["sanitizer"]
     assert san.ok, [report["message"] for report in san.reports]
     report = observers["profiler"].report()
-    assert {"kernel.loop", "kernel.dispatch", "rpc.deliver"} <= \
+    assert {"sim.kernel", "core.agw.mme", "net.simnet", "lte.enodeb"} <= \
         set(report["subsystems"])
     assert observers["tracer"].stats["spans"] > 0
     assert observers["recorder"].stats["records"] > 0
