@@ -7,7 +7,7 @@ mechanisms the whole-stack benchmark (``benchmarks/e2e``) cannot isolate
 - **kernel**: *timer churn*, the dominant RPC pattern - every call
   schedules a deadline timer (+10 s, the repo's ``rpc_deadline``) and a
   retry probe (+0.25 s), then completes at +10 ms, revoking both - run on
-  the real kernel (timer wheel + ``ScheduledCall.release``) and on the
+  the real kernel (far buffer + ``ScheduledCall.cancel``) and on the
   plain-heap reference kernel (``tests/reference_kernel.py``) without
   cancellation, where completed calls' timers rot in the heap until their
   deadline.  Plus an emulated-site *attach storm* whose success count is
@@ -99,7 +99,7 @@ def _canaries(failures: list, where: str, new: dict, old: dict,
 
 # -- kernel leg ----------------------------------------------------------------
 
-# The kernel as it stood before the timer wheel (single global heap, no
+# The kernel as it stood before cancelable timers (single global heap, no
 # cancellation), measured with the full-mode churn below and this
 # protocol on the machine and session of the original snapshot.  Kept so
 # the snapshot documents the before/after curve.
@@ -123,17 +123,17 @@ HIGH_WATER_TOLERANCE = 0.20  # >20% more queued entries than committed fails
 
 def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
                 retry: float = 0.25, complete: float = 0.01,
-                cancel: bool = True, wheel: bool = True,
+                cancel: bool = True, reference: bool = False,
                 batch: int = 64) -> dict:
     """Pure timer churn: ``n_calls`` schedule-then-complete cycles.
 
     Calls arrive in bursts of ``batch`` (RPC load is bursty) so the
     driver's own scheduling stays out of the measured churn.  With
-    ``cancel=False, wheel=False`` this is the pre-wheel kernel's
+    ``cancel=False, reference=True`` this is the pre-change kernel's
     behaviour on the plain-heap reference kernel: completed calls leave
     their deadline and retry timers queued until they fire as no-ops.
     """
-    sim = Simulator() if wheel else ReferenceSimulator()
+    sim = ReferenceSimulator() if reference else Simulator()
     high_water = 0
     schedule = sim.schedule
     call_later = sim.call_later
@@ -143,10 +143,9 @@ def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
 
     if cancel:
         def finish(expire, attempt):
-            # rpc._PendingCall.cancel_timers' pattern: the handles die with
-            # this frame, so they go back to the kernel freelist.
-            expire.release()
-            attempt.release()
+            # rpc._PendingCall.cancel_timers' pattern.
+            expire.cancel()
+            attempt.cancel()
 
         def start(base):
             nonlocal high_water
@@ -207,7 +206,8 @@ def kernel_leg(mode: str) -> dict:
     n_calls, n_ues = KERNEL_SIZES[mode]
     timer_churn(min(n_calls, 20_000))  # warmup: interpreter specialization
     churn = _best_of(lambda: timer_churn(n_calls))
-    heap = _best_of(lambda: timer_churn(n_calls, cancel=False, wheel=False))
+    heap = _best_of(lambda: timer_churn(n_calls, cancel=False,
+                                        reference=True))
     section = {
         "timer_churn": churn,
         "timer_churn_heap_baseline": heap,
@@ -295,7 +295,7 @@ def _cohort(size: int) -> CohortSpec:
 def _events_scheduled(sim) -> int:
     """Total entries ever scheduled (the kernel's sequence counter)."""
     probe = sim.schedule(0.0, _noop)
-    probe.release()
+    probe.cancel()
     return probe.seq
 
 

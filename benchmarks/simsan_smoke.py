@@ -4,8 +4,8 @@ Runs the workloads CI gates on — the bench_components attach storm, a
 smoke-sized cohort fleet, and a mixed-RAT leg (LTE, 5G and WiFi
 clients cycling through one AGW's three frontends) — with
 ``Simulator(sanitizer=SimSan())`` armed, and fails (exit 1) if the
-sanitizer produces *any* report: an orphaned timer at drain, a
-cross-process RNG stream interleaving, or a release-discipline violation.
+sanitizer produces *any* report: an orphaned timer at drain or a
+cross-process RNG stream interleaving.
 Each leg writes its sanitizer report as a reprolint-shaped JSON artifact
 so CI can upload it for inspection.
 

@@ -12,7 +12,7 @@ binding a plain local, a backward must-analysis over the function's CFG
 (:mod:`repro.analysis.cfg`) demands that *every* path from the binding to
 function exit reaches one of:
 
-- ``h.cancel()`` / ``h.release()`` — the handle is revoked;
+- ``h.cancel()`` — the handle is revoked;
 - an *escape* — ``h`` is stored into an attribute/subscript/collection,
   passed to a call, returned, yielded, aliased, or captured by a nested
   function: ownership moved somewhere this intra-procedural analysis
@@ -29,7 +29,7 @@ Two companion checks need no dataflow:
 
 - a schedule call whose handle is discarded outright (a bare expression
   statement) — fire-and-forget work belongs on ``call_later()``, which
-  recycles its entry at fire time instead of growing the garbage set;
+  builds no handle and is not tracked by kernel hooks;
 - a handle-shaped binding from ``call_later()``, which returns ``None``
   by design — the author wanted ``schedule()``.
 
@@ -48,7 +48,7 @@ from ..core import FileContext, Finding, Rule, dotted_name, register
 from ..dataflow import must_reach
 
 SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_periodic")
-REVOKE_METHODS = ("cancel", "release")
+REVOKE_METHODS = ("cancel",)
 # Receiver heads that identify the kernel scheduler: ``sim.schedule`` and
 # ``self.sim.schedule`` cover this codebase's convention.
 _SIM_HEADS = ("sim", "simulator", "_sim")
@@ -114,7 +114,7 @@ def _stmt_exprs(node: CfgNode) -> List[ast.AST]:
 
 
 def _revokes(node: CfgNode, var: str) -> bool:
-    """True when the node calls ``var.cancel()``/``var.release()`` — or is a
+    """True when the node calls ``var.cancel()`` — or is a
     branch test on ``var`` guarding such a call (``if h: h.cancel()``)."""
     for root in _stmt_exprs(node):
         for expr in _walk_exprs(root):

@@ -302,13 +302,11 @@ class _PendingCall:
         self.attempt = None  # ScheduledCall for the next retransmission
 
     def cancel_timers(self) -> None:
-        # release() (cancel + freelist return) is safe here: the handles
-        # live only on this record and both references die right now.
         if self.expire is not None:
-            self.expire.release()
+            self.expire.cancel()
             self.expire = None
         if self.attempt is not None:
-            self.attempt.release()
+            self.attempt.cancel()
             self.attempt = None
 
 

@@ -16,7 +16,7 @@ keyed by module path with ``repro.`` stripped (``net.rpc``,
 :class:`~repro.sim.kernel.PeriodicCall` tick to its callback's module,
 anything else to the callback's own module.  What has no module of its
 own (timeouts, event fan-out, builtins) and the loop between callbacks
-(wheel flushes, pops) is ``sim.kernel``.
+(far-buffer flushes, pops) is ``sim.kernel``.
 
 Accounting is *self-time* at callback granularity: work a callback does
 in other modules (an RPC it sizes, a digest it hashes) is the

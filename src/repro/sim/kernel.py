@@ -37,17 +37,17 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 _INF = float("inf")
 
-# Timer-wheel geometry.  Delays shorter than the cutoff go straight to the
-# heap (they are about to fire anyway); longer delays park in a hashed
-# hierarchical wheel — per-level dicts of slot-index -> entry list — and only
-# migrate into the heap when the clock approaches their slot.  The payoff is
-# the dominant schedule-then-cancel pattern (RPC deadlines/retries, guard
-# timers): a cancelled entry parked in the wheel is dropped at slot flush
-# without ever touching the heap, so it costs O(1) total instead of a
-# heappush + heappop at ~100k-entry heap depth.
-_WHEEL_CUTOFF = 0.25
-_WHEEL_WIDTHS = (0.25, 4.0, 64.0, 1024.0)
-_POOL_MAX = 16384
+# Entries due sooner than this go straight onto the heap.  Later ones are
+# appended to a far buffer and only pushed onto the heap when the clock
+# approaches the earliest of them.  The payoff is the dominant
+# schedule-then-cancel pattern (RPC deadlines and retries, guard timers):
+# an entry cancelled while buffered is dropped at the flush without ever
+# touching the heap.
+_FAR = 0.25
+# Dead entries are swept out once they outnumber the live ones and exceed
+# this floor, so after a cancel the queue holds at most
+# ``2 * live + _COMPACT_MIN`` entries.
+_COMPACT_MIN = 64
 
 
 class SimulationError(Exception):
@@ -58,22 +58,21 @@ class ScheduledCall:
     """Cancelable handle for one scheduled callback.
 
     Returned by :meth:`Simulator.schedule`.  ``cancel()`` is O(1): it marks
-    the entry dead where it sits (heap or timer wheel); the kernel drops dead
+    the entry dead where it sits (heap or far buffer); the kernel drops dead
     entries without executing them and without advancing the clock to their
     deadline, so a drained run ends at the last *live* event.
     """
 
-    __slots__ = ("sim", "when", "seq", "fn", "args", "ctx", "_pooled")
+    __slots__ = ("sim", "when", "seq", "fn", "args", "ctx")
 
     def __init__(self, sim: "Simulator", when: float, seq: int, fn, args,
-                 ctx, pooled: bool = False):
+                 ctx):
         self.sim = sim
         self.when = when
         self.seq = seq
         self.fn = fn
         self.args = args
         self.ctx = ctx
-        self._pooled = pooled
 
     @property
     def active(self) -> bool:
@@ -90,47 +89,12 @@ class ScheduledCall:
         self.ctx = None
         sim = self.sim
         sim._live -= 1
-        # Amortized compaction: every 16384 cancels, check whether dead
-        # entries are the physical majority and sweep them out if so, so
-        # cancellation actually reclaims memory instead of leaving corpses
-        # parked in wheel slots until their original deadline.  The far-buffer
-        # flush already recycles corpses cancelled before their first
-        # organize, so the threshold is deliberately lazy — the sweep is for
-        # long-lived wheel corpses, not the common cancel-quickly pattern.
         sim._dead += 1
-        if sim._dead > 16384:
-            physical = len(sim._queue) + sim._wheel_count + len(sim._far)
-            if (physical - sim._live) * 2 > physical:
-                sim._compact()
-            else:
-                sim._dead = 0
-        return True
-
-    def release(self) -> bool:
-        """:meth:`cancel`, plus hand the entry back to the kernel freelist.
-
-        The caller asserts it is dropping its reference *now*: the object
-        will be recycled for unrelated callbacks once the kernel unlinks it,
-        so any later method call on the handle is undefined behaviour.  Use
-        it for the schedule-then-revoke pattern where the handle provably
-        does not outlive its owner (the RPC layer's per-call deadline and
-        retry timers); when in doubt, use :meth:`cancel`.
-        """
-        if self.fn is None:
-            return False
-        self.fn = None
-        self.args = ()
-        self.ctx = None
-        self._pooled = True  # recyclable at whichever drop site finds it
-        sim = self.sim
-        sim._live -= 1
-        sim._dead += 1
-        if sim._dead > 16384:
-            physical = len(sim._queue) + sim._wheel_count + len(sim._far)
-            if (physical - sim._live) * 2 > physical:
-                sim._compact()
-            else:
-                sim._dead = 0
+        # ``_dead`` counts exactly the dead entries still queued, so this
+        # sweep keeps the queue within twice the live count (plus a floor)
+        # at an amortized O(1) per cancel.
+        if sim._dead > sim._live and sim._dead > _COMPACT_MIN:
+            sim._compact()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -148,17 +112,16 @@ class PeriodicCall:
 
     Built for batched cohort/fleet ticks: one wrapper object drives an
     arbitrary number of aggregate state machines from a single kernel
-    timer, and every reschedule rides the pooled fire-and-forget path
-    (:meth:`Simulator.call_later`), so steady-state ticking allocates
-    nothing — unlike a ``Timeout``-per-tick coroutine loop, which builds
-    an event object and a callback list every period.
+    entry per period — unlike a ``Timeout``-per-tick coroutine loop, which
+    builds an event object and a callback list every period.
 
-    ``cancel()`` stops the chain; at most one already-pooled entry remains
-    queued and fires as a cheap no-op (pooled entries cannot be revoked,
-    by design).  The first tick fires at ``now + period``.
+    ``cancel()`` stops the chain and revokes the queued tick, so a
+    cancelled ticker is not pending and does not stretch a drained run.
+    Ticks are kernel-internal entries: :meth:`Hook.scheduled` never sees
+    them.  The first tick fires at ``now + period``.
     """
 
-    __slots__ = ("sim", "period", "fn", "args", "_active")
+    __slots__ = ("sim", "period", "fn", "args", "_next")
 
     def __init__(self, sim: "Simulator", period: float, fn: Callable,
                  args: tuple):
@@ -168,31 +131,31 @@ class PeriodicCall:
         self.period = period
         self.fn = fn
         self.args = args
-        self._active = True
-        sim.call_later(period, self._fire)
+        # The queued tick; None once cancelled.
+        self._next: Optional[ScheduledCall] = sim._arm(period, self._fire, ())
 
     @property
     def active(self) -> bool:
-        return self._active
+        return self._next is not None
 
     def _fire(self) -> None:
-        if not self._active:
-            return
         self.fn(*self.args)
         # The callback may have cancelled us (a fleet draining to empty
         # stops its own ticker); only then does the chain end.
-        if self._active:
-            self.sim.call_later(self.period, self._fire)
+        if self._next is not None:
+            self._next = self.sim._arm(self.period, self._fire, ())
 
     def cancel(self) -> bool:
         """Stop the periodic chain.  Returns True if it was running."""
-        if not self._active:
+        tick = self._next
+        if tick is None:
             return False
-        self._active = False
+        self._next = None
+        tick.cancel()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self._active else "cancelled"
+        state = "active" if self._next is not None else "cancelled"
         return f"<PeriodicCall every {self.period:g}s {state}>"
 
 
@@ -313,10 +276,10 @@ class AnyOf(Event):
     def _on_child(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
         else:
-            self.succeed({ev: ev.value})
+            self.succeed({ev: ev._value})
 
 
 class AllOf(Event):
@@ -341,12 +304,12 @@ class AllOf(Event):
     def _on_child(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed({e: e.value for e in self.events})
+            self.succeed({e: e._value for e in self.events})
 
 
 class Process(Event):
@@ -368,7 +331,7 @@ class Process(Event):
         # time (or an explicit override), restored around every generator
         # resume so causality survives arbitrary interleavings.
         self.ctx = sim.ctx if ctx is None else ctx
-        sim.call_later(0.0, self._resume, None)
+        sim.call_later(0.0, self._step, generator.send, None)
 
     @property
     def alive(self) -> bool:
@@ -383,73 +346,37 @@ class Process(Event):
             return
         target = self._waiting_on
         self._waiting_on = None
-        if target is not None and not target.triggered:
+        if target is not None and not target._triggered:
             # Detach: the old target may still fire but we will ignore it.
             try:
                 target._callbacks.remove(self._on_wait_done)
             except ValueError:
                 pass
-        self.sim.call_later(0.0, self._throw, Interrupted(cause))
+        self.sim.call_later(0.0, self._step, self.generator.throw,
+                            Interrupted(cause))
 
-    def _throw(self, exc: BaseException) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
+        """Resume the generator with ``advance(arg)`` — its ``send`` or its
+        ``throw`` — and wait on the event it yields next."""
         if self._triggered:
             return
-        self._step(lambda: self.generator.throw(exc))
-
-    def _resume(self, value: Any) -> None:
-        if self._triggered:
-            return
-        self._step(lambda: self.generator.send(value))
-
-    def _resume_error(self, exc: BaseException) -> None:
-        if self._triggered:
-            return
-        self._step(lambda: self.generator.throw(exc))
-
-    def _step(self, advance: Callable[[], Any]) -> None:
         self._waiting_on = None
         sim = self.sim
-        if sim.tracer is None:
-            # Fast path: tracing is off, so there is no ambient span context
-            # to pin/restore around the resume.
-            try:
-                target = advance()
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except Interrupted as exc:
-                self.fail(exc)
-                return
-            except BaseException as exc:  # process boundary: any error in user
-                self.fail(exc)            # code must fail the process event
-                return
-            if not isinstance(target, Event):
-                sim.call_later(
-                    0.0, self._resume_error,
-                    SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}"))
-                return
-            self._waiting_on = target
-            target.add_callback(self._on_wait_done)
-            return
+        # Pin the process's trace context for the resume (with tracing off
+        # both are None and the swap is free).
         prev, sim.ctx = sim.ctx, self.ctx
         try:
             try:
-                target = advance()
+                target = advance(arg)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
-            except Interrupted as exc:
-                # An un-caught interrupt terminates the process "successfully
-                # failed": surface it as a failure so waiters notice.
-                self.fail(exc)
-                return
-            except BaseException as exc:  # process boundary: any error in user
-                self.fail(exc)            # code must fail the process event
-                return
+            except BaseException as exc:  # process boundary: any error in
+                self.fail(exc)            # user code, an uncaught interrupt
+                return                    # included, fails the process event
             if not isinstance(target, Event):
                 sim.call_later(
-                    0.0, self._resume_error,
+                    0.0, self._step, self.generator.throw,
                     SimulationError(
                         f"process {self.name!r} yielded non-event {target!r}"))
                 return
@@ -462,15 +389,15 @@ class Process(Event):
             sim.ctx = prev
 
     def _on_wait_done(self, ev: Event) -> None:
-        if self._triggered or self._waiting_on is not ev:
+        if self._waiting_on is not ev:
             return
-        if ev.ok:
-            self._resume(ev.value)
+        if ev._ok:
+            self._step(self.generator.send, ev._value)
         else:
-            value = ev.value
-            if not isinstance(value, BaseException):
-                value = SimulationError(f"event failed with non-exception {value!r}")
-            self._resume_error(value)
+            exc = ev._value
+            if not isinstance(exc, BaseException):
+                exc = SimulationError(f"event failed with non-exception {exc!r}")
+            self._step(self.generator.throw, exc)
 
 
 class _Halt(Exception):
@@ -511,20 +438,21 @@ class Hook:
 class Simulator:
     """The discrete-event scheduler and virtual clock.
 
-    Two pending-event structures sit behind one total order:
+    Pending entries sit in two structures behind one total order:
 
-    - a binary heap of ``(when, seq, ScheduledCall)`` for near events, the
-      final ordering authority;
-    - a hashed hierarchical timer wheel for far events (delay >=
-      ``_WHEEL_CUTOFF``), which cascades entries down a level at a time and
-      hands them to the heap just before they become due.
+    - a binary heap of ``(when, seq, ScheduledCall)``, the ordering
+      authority, which takes every entry due within ``_FAR`` seconds;
+    - a far buffer, a plain list the later entries are appended to.  The
+      loop flushes it onto the heap once its earliest deadline
+      (``_far_min``) reaches the heap head, dropping what was cancelled
+      meanwhile.
 
     Every entry reaches the heap before its fire time and the heap orders by
     ``(when, seq)`` with a global monotone ``seq``, so event order — FIFO
-    among ties included — is byte-identical to a single-heap kernel
+    among ties included — is that of a single-heap kernel
     (``tests/reference_kernel.py`` is that kernel, kept as the oracle).
     Cancelled entries are dropped wherever they are found, without advancing
-    the clock, so they neither bloat the heap nor stretch run-until-drain.
+    the clock, so they neither bloat the queue nor stretch run-until-drain.
 
     One loop dispatches every event.  A stop condition is a queue entry, not
     a per-event test: ``run(until=t)`` pushes a halt entry at ``(t, inf)``,
@@ -534,37 +462,21 @@ class Simulator:
     pays one local test per event for them.
     """
 
-    __slots__ = ("_now", "_queue", "_counter", "_running",
-                 "_wheel_slots", "_wheel_order", "_wheel_next", "_wheel_count",
-                 "_far", "_far_min", "_live", "_dead", "_pool", "ctx",
-                 "tracer", "recorder", "_hooks")
+    __slots__ = ("_now", "_queue", "_counter", "_running", "_far",
+                 "_far_min", "_live", "_dead", "ctx", "tracer", "recorder",
+                 "_hooks")
 
     def __init__(self, sanitizer: Any = None):
         self._now = 0.0
         self._queue: List = []
         self._counter = itertools.count()
         self._running = False
-        # Timer wheel: per-level {slot_index: [ScheduledCall]} plus a heap of
-        # occupied slot indices per level (lazily pruned).  ``_wheel_next``
-        # caches the earliest occupied slot start across levels.
-        self._wheel_slots: List[dict] = [{} for _ in _WHEEL_WIDTHS]
-        self._wheel_order: List[List[int]] = [[] for _ in _WHEEL_WIDTHS]
-        self._wheel_next = _INF
-        self._wheel_count = 0
-        # Far-entry front buffer: schedule() parks far timers here with a
-        # bare list append and they are only sorted into the wheel when the
-        # clock approaches ``_far_min``.  Under the dominant
-        # schedule-then-cancel pattern most entries are cancelled before the
-        # buffer is ever organized, so they cost two O(1) list ops total.
         self._far: List[ScheduledCall] = []
         self._far_min = _INF
-        # Live (not-yet-fired, not-cancelled) entries across heap and wheel,
-        # plus the cancels-since-last-compaction-check countdown.
+        # Live (not fired, not cancelled) entries, and dead (cancelled,
+        # still queued) ones, across heap and far buffer.
         self._live = 0
         self._dead = 0
-        # Freelist of pooled ScheduledCall objects (internal, no handle ever
-        # exposed, so recycling them is safe).
-        self._pool: List[ScheduledCall] = []
         # Ambient trace context (an ``obs.tracing.SpanContext`` or None).
         # Captured by schedule() and pinned on spawned processes, so trace
         # context follows the causal chain of callbacks and resumes without
@@ -594,10 +506,9 @@ class Simulator:
         return self._live
 
     def queue_depth(self) -> int:
-        """Physical entries held in the heap, the timer wheel, and the far
-        buffer (dead entries included until they are swept); the heap
-        high-water input."""
-        return len(self._queue) + self._wheel_count + len(self._far)
+        """Physical entries held in the heap and the far buffer (dead ones
+        included until they are swept); the heap high-water input."""
+        return len(self._queue) + len(self._far)
 
     # -- hooks ------------------------------------------------------------
 
@@ -619,39 +530,9 @@ class Simulator:
         Returns a :class:`ScheduledCall` handle; ``handle.cancel()`` revokes
         the callback in O(1) without leaving a stale heap entry behind.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
-        # The ambient trace context rides along; ordering still compares only
-        # (when, seq), so tracing never perturbs event order.  The entry
-        # comes from the freelist when possible and is otherwise built via
-        # __new__ + slot stores: schedule() runs millions of times per
-        # experiment and the __init__ call frame is measurable.  Handing a
-        # recycled entry out as a public handle is safe because it is marked
-        # non-pooled here: it will never be auto-recycled at fire time, only
-        # if its new owner calls release() again.
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-        else:
-            entry = _new_entry(ScheduledCall)
-            entry.sim = self
-        entry.when = when
-        entry.seq = seq = next(self._counter)
-        entry.fn = fn
-        entry.args = args
-        entry.ctx = self.ctx
-        entry._pooled = False
-        self._live += 1
-        if delay < _WHEEL_CUTOFF:
-            heapq.heappush(self._queue, (when, seq, entry))
-        else:
-            self._far.append(entry)
-            if when < self._far_min:
-                self._far_min = when
-        if self._hooks:
-            for hook in self._hooks:
-                entry = hook.scheduled(entry)
+        entry = self._arm(delay, fn, args)
+        for hook in self._hooks:
+            entry = hook.scheduled(entry)
         return entry
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> ScheduledCall:
@@ -662,198 +543,89 @@ class Simulator:
                           *args: Any) -> PeriodicCall:
         """Run ``fn(*args)`` every ``period`` seconds until cancelled.
 
-        Each tick reuses the pooled zero-allocation scheduling path, so a
-        long-lived ticker (a fleet advancing 10⁵ aggregated UEs per tick)
-        costs one recycled entry per period instead of a fresh ``Timeout``.
-        The first tick fires at ``now + period``.
+        One kernel entry per period, with no ``Timeout`` or process behind
+        it, so a long-lived ticker (a fleet advancing 10⁵ aggregated UEs per
+        tick) costs one callback per tick.  The first tick fires at
+        ``now + period``.
         """
         return PeriodicCall(self, period, fn, args)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so the
-        callback cannot be cancelled — and the kernel recycles the entry the
-        moment it fires.  Use it for callbacks that are never revoked
-        (datagram delivery, completion notifications, every internal resume
-        and trigger); at millions of events per run the saved allocation is
-        the difference between a steady-state and a growing garbage set."""
+        callback cannot be cancelled and no hook sees it.  Use it for
+        callbacks that are never revoked (datagram delivery, completion
+        notifications, every internal resume and trigger)."""
+        # The body is _arm's, inline: this is the hottest call in the
+        # kernel and the extra frame is measurable.
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         when = self._now + delay
-        seq = next(self._counter)
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-        else:
-            entry = _new_entry(ScheduledCall)
-            entry.sim = self
-            entry._pooled = True
+        entry = _new_entry(ScheduledCall)
+        entry.sim = self
         entry.when = when
-        entry.seq = seq
+        entry.seq = seq = next(self._counter)
         entry.fn = fn
         entry.args = args
         entry.ctx = self.ctx
         self._live += 1
-        if delay < _WHEEL_CUTOFF:
+        if delay < _FAR:
             heapq.heappush(self._queue, (when, seq, entry))
         else:
             self._far.append(entry)
             if when < self._far_min:
                 self._far_min = when
 
-    # -- timer wheel ------------------------------------------------------
+    def _arm(self, delay: float, fn: Callable, args: tuple) -> ScheduledCall:
+        """Queue ``fn(*args)`` after ``delay`` and return its entry.  The
+        ambient trace context rides along; ordering compares only
+        ``(when, seq)``, so tracing never perturbs event order."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        when = self._now + delay
+        entry = _new_entry(ScheduledCall)
+        entry.sim = self
+        entry.when = when
+        entry.seq = seq = next(self._counter)
+        entry.fn = fn
+        entry.args = args
+        entry.ctx = self.ctx
+        self._live += 1
+        if delay < _FAR:
+            heapq.heappush(self._queue, (when, seq, entry))
+        else:
+            self._far.append(entry)
+            if when < self._far_min:
+                self._far_min = when
+        return entry
+
+    # -- far buffer and compaction ----------------------------------------
 
     def _flush_far(self) -> None:
-        """Organize the far buffer: cancelled entries are dropped, near
-        entries go to the heap, the rest park in the wheel by *remaining*
-        delay (slot start strictly after ``now``, as in the cascade).  Runs
-        when the clock reaches ``_far_min``, i.e. at most once per
-        ``_WHEEL_CUTOFF`` of virtual time, and every entry passes through at
-        most once — amortized O(1) per schedule."""
-        now = self._now
-        queue = self._queue
-        pool = self._pool
+        """Move the far buffer onto the heap, dropping cancelled entries.
+        Runs when the clock approaches ``_far_min``, and every entry passes
+        through at most once — amortized O(1) per schedule."""
         far, self._far = self._far, []
         self._far_min = _INF
+        queue = self._queue
+        dropped = 0
         for entry in far:
             if entry.fn is None:
-                # Cancelled while buffered: two list ops total.  Released
-                # handles go back to the freelist.
-                if entry._pooled and len(pool) < _POOL_MAX:
-                    pool.append(entry)
-                continue
-            remaining = entry.when - now
-            if remaining < _WHEEL_CUTOFF:
-                heapq.heappush(queue, (entry.when, entry.seq, entry))
+                dropped += 1
             else:
-                if remaining >= 4.0:
-                    level = 3 if remaining >= 1024.0 else (
-                        2 if remaining >= 64.0 else 1)
-                else:
-                    level = 0
-                self._wheel_put(level, entry)
-
-    def _wheel_put(self, level: int, entry: ScheduledCall) -> None:
-        width = _WHEEL_WIDTHS[level]
-        idx = int(entry.when / width)
-        slots = self._wheel_slots[level]
-        bucket = slots.get(idx)
-        if bucket is None:
-            slots[idx] = [entry]
-            heapq.heappush(self._wheel_order[level], idx)
-            start = idx * width
-            if start < self._wheel_next:
-                self._wheel_next = start
-        else:
-            bucket.append(entry)
-        self._wheel_count += 1
-
-    def _wheel_flush_min(self) -> None:
-        """Empty the earliest occupied wheel slot: dead entries are dropped,
-        near entries go to the heap, far entries cascade a level down (by
-        offset from the slot start, so cascading strictly descends and
-        terminates).  Recomputes ``_wheel_next``."""
-        best_level = -1
-        best_start = _INF
-        best_idx = 0
-        for level, order in enumerate(self._wheel_order):
-            slots = self._wheel_slots[level]
-            while order and order[0] not in slots:
-                heapq.heappop(order)
-            if order:
-                start = order[0] * _WHEEL_WIDTHS[level]
-                if start < best_start:
-                    best_start = start
-                    best_level = level
-                    best_idx = order[0]
-        if best_level < 0:
-            self._wheel_next = _INF
-            return
-        heapq.heappop(self._wheel_order[best_level])
-        bucket = self._wheel_slots[best_level].pop(best_idx)
-        self._wheel_count -= len(bucket)
-        queue = self._queue
-        pool = self._pool
-        for entry in bucket:
-            if entry.fn is None:
-                # Cancelled while parked: drop, never hits the heap.
-                if entry._pooled and len(pool) < _POOL_MAX:
-                    pool.append(entry)
-                continue
-            remaining = entry.when - best_start
-            if best_level == 0 or remaining < _WHEEL_CUTOFF:
                 heapq.heappush(queue, (entry.when, entry.seq, entry))
-            else:
-                if remaining >= 64.0:
-                    level = 2
-                elif remaining >= 4.0:
-                    level = 1
-                else:
-                    level = 0
-                self._wheel_put(level, entry)
-        # New earliest slot (cascade may have created nearer ones).
-        nxt = _INF
-        for level, order in enumerate(self._wheel_order):
-            slots = self._wheel_slots[level]
-            while order and order[0] not in slots:
-                heapq.heappop(order)
-            if order:
-                start = order[0] * _WHEEL_WIDTHS[level]
-                if start < nxt:
-                    nxt = start
-        self._wheel_next = nxt
+        self._dead -= dropped
 
     def _compact(self) -> None:
-        """Sweep dead (cancelled) entries out of the heap and every wheel
-        slot.  O(physical entries), triggered from :meth:`ScheduledCall.cancel`
-        only when the dead majority threshold is crossed, so the amortized
-        cost per cancel is O(1).  Mutates the heap list in place: ``_run()``
-        holds a local reference to it."""
-        pool = self._pool
+        """Sweep dead entries out of the heap and the far buffer.  O(queued
+        entries), triggered from :meth:`ScheduledCall.cancel` only once dead
+        entries outnumber live ones, so the amortized cost per cancel is
+        O(1).  Mutates both lists in place: ``_run()`` holds the heap."""
         queue = self._queue
-        live = []
-        for item in queue:
-            entry = item[2]
-            if entry.fn is not None:
-                live.append(item)
-            elif entry._pooled and len(pool) < _POOL_MAX:
-                pool.append(entry)
-        heapq.heapify(live)
-        queue[:] = live
+        queue[:] = [item for item in queue if item[2].fn is not None]
+        heapq.heapify(queue)
         far = self._far
-        survivors = []
-        for entry in far:
-            if entry.fn is not None:
-                survivors.append(entry)
-            elif entry._pooled and len(pool) < _POOL_MAX:
-                pool.append(entry)
-        far[:] = survivors
-        self._far_min = min((e.when for e in far), default=_INF)
-        count = 0
-        nxt = _INF
-        for level, slots in enumerate(self._wheel_slots):
-            order = self._wheel_order[level]
-            width = _WHEEL_WIDTHS[level]
-            del order[:]
-            for idx in list(slots):
-                bucket = []
-                for entry in slots[idx]:
-                    if entry.fn is not None:
-                        bucket.append(entry)
-                    elif entry._pooled and len(pool) < _POOL_MAX:
-                        pool.append(entry)
-                if bucket:
-                    slots[idx] = bucket
-                    order.append(idx)
-                    count += len(bucket)
-                else:
-                    del slots[idx]
-            heapq.heapify(order)
-            if order:
-                start = order[0] * width
-                if start < nxt:
-                    nxt = start
-        self._wheel_count = count
-        self._wheel_next = nxt
+        far[:] = [entry for entry in far if entry.fn is not None]
+        self._far_min = min([entry.when for entry in far], default=_INF)
         self._dead = 0
 
     # -- awaitable factories ----------------------------------------------
@@ -922,12 +694,12 @@ class Simulator:
                         f"time limit {limit} reached while waiting")
                 raise SimulationError(
                     "deadlock: event queue drained while waiting")
-        if not event.ok:
-            value = event.value
+        if not event._ok:
+            value = event._value
             if isinstance(value, BaseException):
                 raise value
             raise SimulationError(f"awaited event failed: {value!r}")
-        return event.value
+        return event._value
 
     def _halt(self) -> None:
         # Callback of a stop sentinel, which is not a live entry: undo the
@@ -955,58 +727,38 @@ class Simulator:
         hooks = self._hooks
         plain = self.tracer is None and not hooks
         heappop = heapq.heappop
-        pool = self._pool
         for hook in hooks:
             hook.run_started()
         try:
             while True:
                 if queue:
-                    head = queue[0]
-                    entry = head[2]
-                    if entry.fn is None:
-                        heappop(queue)
-                        # Dead entries are only released entries here
-                        # (pooled internals are never cancelled).
-                        if entry._pooled and len(pool) < _POOL_MAX:
-                            pool.append(entry)
-                        continue
-                    # A buffered far entry or a wheel slot starting at or
-                    # before the heap top may hold an entry due sooner;
-                    # organize those first.  _far_min / _wheel_next are +inf
-                    # whenever the far buffer / wheel are empty.
-                    if self._far_min <= head[0]:
+                    # A buffered far entry due at or before the heap head
+                    # may precede it; move the buffer onto the heap first.
+                    # ``_far_min`` is +inf whenever the buffer is empty.
+                    if self._far_min <= queue[0][0]:
                         self._flush_far()
                         continue
-                    if self._wheel_next <= head[0]:
-                        self._wheel_flush_min()
+                    when, seq, entry = heappop(queue)
+                    if entry.fn is None:
+                        self._dead -= 1
                         continue
                 elif self._far:
                     self._flush_far()
                     continue
-                elif self._wheel_count:
-                    self._wheel_flush_min()
-                    continue
                 else:
                     break
-                heappop(queue)
-                self._now = head[0]
+                self._now = when
                 self._live -= 1
                 fn = entry.fn
                 args = entry.args
-                ctx = entry.ctx
                 entry.fn = None  # marks fired: a late cancel() is a no-op
-                if entry._pooled:
-                    entry.args = ()
-                    entry.ctx = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(entry)
                 if plain:
                     fn(*args)
                 else:
-                    prev, self.ctx = self.ctx, ctx
+                    prev, self.ctx = self.ctx, entry.ctx
                     try:
                         if hooks:
-                            self._dispatch_hooked(hooks, head[1], fn, args)
+                            self._dispatch_hooked(hooks, seq, fn, args)
                         else:
                             fn(*args)
                     finally:

@@ -16,11 +16,6 @@ assume but cannot afford to verify per event:
   silently breaks replay determinism.  Sequential handoff (A finishes,
   then B draws) is fine and common — per-component streams drawn by
   short-lived procedure processes stay quiet.
-- **Freelist discipline** — ``release()`` hands the entry back to the
-  kernel freelist; the API contract says the caller drops its reference
-  *now*.  SimSan interposes a checking handle so a double ``release()``
-  or any use after one is reported instead of silently corrupting an
-  unrelated recycled timer.
 
 Zero cost when off: ``Simulator(sanitizer=SimSan())`` installs the
 sanitizer as a :class:`~repro.sim.kernel.Hook` on the kernel's one
@@ -49,61 +44,33 @@ _MAX_SEEN_DRAWERS = 4096
 
 
 class SanHandle:
-    """A checking proxy for :class:`ScheduledCall` handed out by sanitized
-    ``schedule()``.  Delegates the real work; reports discipline violations."""
+    """The :class:`ScheduledCall` proxy sanitized ``schedule()`` hands out:
+    cancelling through it drops the timer's ownership record."""
 
-    __slots__ = ("_entry", "_san", "_seq", "_released")
+    __slots__ = ("_entry", "_san")
 
     def __init__(self, entry: ScheduledCall, san: "SimSan"):
         self._entry = entry
         self._san = san
-        self._seq = entry.seq
-        self._released = False
 
     @property
     def when(self) -> float:
-        if self._released:
-            self._san._use_after_release(self._seq, "when")
-            return 0.0
         return self._entry.when
 
     @property
     def seq(self) -> int:
-        return self._seq
+        return self._entry.seq
 
     @property
     def active(self) -> bool:
-        if self._released:
-            self._san._use_after_release(self._seq, "active")
-            return False
-        entry = self._entry
-        return entry.fn is not None and entry.seq == self._seq
+        return self._entry.fn is not None
 
     def cancel(self) -> bool:
-        if self._released:
-            self._san._use_after_release(self._seq, "cancel")
-            return False
-        entry = self._entry
-        if entry.seq != self._seq or entry.fn is None:
-            return False  # already fired (benign, the normal race loser)
-        self._san._forget(self._seq)
-        return entry.cancel()
-
-    def release(self) -> bool:
-        if self._released:
-            self._san._double_release(self._seq)
-            return False
-        self._released = True
-        entry = self._entry
-        self._entry = None  # the entry may be recycled; never touch it again
-        self._san._forget(self._seq)
-        if entry.seq != self._seq or entry.fn is None:
-            return False
-        return entry.release()
+        self._san._forget(self._entry.seq)
+        return self._entry.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "released" if self._released else "checking"
-        return f"<SanHandle seq={self._seq} {state}>"
+        return f"<SanHandle seq={self._entry.seq}>"
 
 
 class _SanStream:
@@ -207,8 +174,7 @@ class SimSan(Hook):
         return {
             "tool": "simsan",
             "version": 1,
-            "checks": ["orphan-timer", "rng-stream-sharing",
-                       "release-discipline"],
+            "checks": ["orphan-timer", "rng-stream-sharing"],
             "reports": list(self.reports),
             "report_count": len(self.reports),
         }
@@ -274,7 +240,7 @@ class SimSan(Hook):
         for entry in self._iter_pending(sim):
             record = self._timers.get(entry.seq)
             if record is None:
-                continue  # untracked (pooled/fire-and-forget) entry
+                continue  # untracked (fire-and-forget or periodic) entry
             owner = record.owner
             if owner is None or not owner.triggered:
                 continue
@@ -301,11 +267,6 @@ class SimSan(Hook):
         for entry in sim._far:
             if entry.fn is not None:
                 yield entry
-        for slots in sim._wheel_slots:
-            for bucket in slots.values():
-                for entry in bucket:
-                    if entry.fn is not None:
-                        yield entry
 
     # -- RNG stream sharing ------------------------------------------------
 
@@ -332,20 +293,3 @@ class SimSan(Hook):
             if len(seen) < _MAX_SEEN_DRAWERS:
                 seen.add(owner)
             state[0] = owner
-
-    # -- release discipline ------------------------------------------------
-
-    def _double_release(self, seq: int) -> None:
-        self._report(
-            "release-discipline", "SIMSAN03",
-            f"double release() of timer handle (seq={seq}): the entry went "
-            f"back to the kernel freelist on the first call and may "
-            f"already drive an unrelated callback")
-
-    def _use_after_release(self, seq: int, method: str) -> None:
-        self._report(
-            "release-discipline", "SIMSAN03",
-            f"use-after-release: {method}() on timer handle (seq={seq}) "
-            f"after release(); the entry may have been recycled for an "
-            f"unrelated callback — use cancel() when the handle can "
-            f"outlive its revocation site")

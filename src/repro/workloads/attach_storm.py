@@ -72,9 +72,9 @@ class AttachStorm:
         self._next_index = 0
 
     def start(self) -> None:
-        """Begin launching; rides the kernel's zero-allocation callback
+        """Begin launching; rides the kernel's fire-and-forget callback
         path (``call_later``) instead of a coroutine + per-launch Timeout,
-        so a 10⁵-UE storm schedules one recycled entry per launch."""
+        so a 10⁵-UE storm schedules one kernel entry per launch."""
         if self.ues:
             self.sim.call_later(0.0, self._launch_next)
         elif not self.done.triggered:
@@ -122,7 +122,7 @@ class AttachStorm:
         if not outcome.success and self._attempts_left.get(ue.imsi, 0) > 0:
             # The UE retries after T3411-style backoff (still one UE; each
             # attempt is its own CSR data point, as the paper counts them).
-            # Retry timers are never revoked, so take the recycled path.
+            # Retry timers are never revoked: fire-and-forget.
             self._attempts_left[ue.imsi] -= 1
             self.sim.call_later(self.retry_delay, self._launch, ue, False)
             return

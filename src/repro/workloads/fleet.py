@@ -5,7 +5,7 @@ UEs — each attach is ~30 scheduled events, each idle/resume cycle a handful
 more.  The paper's deployments (§4.3) run five-digit gateway counts with
 six-digit subscriber populations, so the next order of magnitude has to
 come from aggregating the *population*, not from making each coroutine
-cheaper (the PR 6 timer wheel already did that).
+cheaper.
 
 A :class:`UeFleet` models a large population as table-driven cohort state
 machines.  Each :class:`CohortSpec` carries a size, per-UE transition
@@ -13,7 +13,7 @@ rates (attach / detach / idle / resume), an offered-traffic figure, and a
 RAT label; the fleet partitions the cohort across its AGW hosts and keeps
 only three integers per (cohort, host) bucket — detached / connected /
 idle counts.  One batched periodic timer (``Simulator.schedule_periodic``,
-the pooled zero-allocation path) advances *every* bucket per tick: the
+one kernel entry per tick) advances *every* bucket per tick: the
 number of UEs making each transition is drawn from seeded binomial
 streams (one named RNG stream per bucket, so results are independent of
 host iteration order), and the resulting aggregate load is injected

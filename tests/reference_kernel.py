@@ -1,11 +1,10 @@
 """Reference kernel: one plain heap, the event-order oracle.
 
 ``repro.sim.kernel.Simulator`` keeps near entries in a heap and far ones
-in a far buffer and a hierarchical timer wheel, recycles fire-and-forget
-entries through a freelist and stops its one dispatch loop with sentinel
-entries.  This kernel has none of that: every entry goes on a single heap
-ordered by ``(when, seq)``, cancel marks the entry dead where it sits, and
-each run tests its stop condition before every event.  It shares the
+in a far buffer, and stops its one dispatch loop with sentinel entries.
+This kernel has neither: every entry goes on a single heap ordered by
+``(when, seq)``, cancel marks the entry dead where it sits, and each run
+tests its stop condition before every event.  It shares the
 product's ``ScheduledCall`` / ``Event`` / ``Process`` classes, so the two
 can only differ in the order they fire entries and where they stop —
 which is what ``test_sim_kernel_oracle.py`` compares.  ``bench_components``'
@@ -41,18 +40,16 @@ _INF = float("inf")
 
 
 class ReferenceSimulator:
-    """The public surface of ``Simulator`` on one heap, no wheel, no pool."""
+    """The public surface of ``Simulator`` on one heap."""
 
     def __init__(self):
         self._now = 0.0
         self._queue = []
         self._counter = itertools.count()
         self._running = False
+        # ScheduledCall.cancel() keeps these and calls _compact().
         self._live = 0
         self._dead = 0
-        # ScheduledCall.cancel() reads these to decide on compaction.
-        self._far = []
-        self._wheel_count = 0
         self.ctx = None
         self.tracer = None
 
@@ -69,7 +66,7 @@ class ReferenceSimulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, delay, fn, *args):
+    def _arm(self, delay, fn, args):
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         when = self._now + delay
@@ -79,6 +76,9 @@ class ReferenceSimulator:
         self._live += 1
         return entry
 
+    def schedule(self, delay, fn, *args):
+        return self._arm(delay, fn, args)
+
     def schedule_at(self, when, fn, *args):
         return self.schedule(when - self._now, fn, *args)
 
@@ -86,7 +86,7 @@ class ReferenceSimulator:
         return PeriodicCall(self, period, fn, args)
 
     def call_later(self, delay, fn, *args):
-        self.schedule(delay, fn, *args)
+        self._arm(delay, fn, args)
 
     def _compact(self):
         self._queue[:] = [item for item in self._queue
@@ -152,6 +152,7 @@ class ReferenceSimulator:
             while not stopped():
                 while queue and queue[0][2].fn is None:
                     heapq.heappop(queue)
+                    self._dead -= 1
                 if not queue or (until is not None and queue[0][0] > until):
                     if until is not None:
                         self._now = until

@@ -58,8 +58,8 @@ class UeFixed:
     def straight_line_release(self):
         probe = self.sim.schedule(0.25, self._probe)
         expire = self.sim.schedule(10.0, self._probe)
-        probe.release()
-        expire.release()
+        probe.cancel()
+        expire.cancel()
 
     def _probe(self):
         pass

@@ -88,9 +88,9 @@ def test_calls_count_dispatches_per_owner():
     sim.call_later(2.5, b)
     sim.call_later(4.5, ticker.cancel)
     sim.run()
-    # Ticks of ``a`` at 1-4 s, ``b``, then the ticker's ``cancel`` and its
-    # no-op tick at 5 s (a PeriodicCall's methods are its callback's).
-    assert prof.calls[HERE] == 7
+    # Ticks of ``a`` at 1-4 s, ``b``, then the ticker's ``cancel`` (a
+    # PeriodicCall's methods are its callback's), which revokes the 5 s tick.
+    assert prof.calls[HERE] == 6
 
 
 def test_owner_of_a_process_is_its_generators_module():
@@ -100,14 +100,14 @@ def test_owner_of_a_process_is_its_generators_module():
         yield sim.timeout(1.0)
 
     process = sim.spawn(proc())
-    assert owner_of(process._resume) == HERE
+    assert owner_of(process._step) == HERE
     assert owner_of(process._on_wait_done) == HERE
     ticker = PeriodicCall(sim, 1.0, churn, ())
     assert owner_of(ticker._fire) == HERE
     ticker.cancel()
     sim.run()
     # A finished generator has no frame: its leftovers are kernel time.
-    assert owner_of(process._resume) == KERNEL
+    assert owner_of(process._step) == KERNEL
     assert owner_of(sim.timeout(1.0)._fire) == KERNEL
 
 
@@ -190,7 +190,7 @@ def cohort_fleet(prof=None, subscribers=2_000, sample_ues=20,
         site.sim.add_hook(prof)
     site.sim.run(until=duration)
     probe = site.sim.schedule(0.0, churn)   # its seq counts every entry
-    probe.release()
+    probe.cancel()
     return {
         "attached_at_end": fleet.attached(),
         "attach_accepted": fleet.counters["attach_accepted"],
@@ -241,7 +241,7 @@ def test_profiled_run_observes_identical_event_order():
     prof_end = churn(sim, prof_fired)
     assert prof_fired == plain_fired
     assert prof_end == plain_end
-    # Wheel flushes are loop time, ``list.append`` has no module: all
+    # Far-buffer flushes are loop time, ``list.append`` has no module: all
     # of it is the kernel's.
     assert set(prof.report()["subsystems"]) == {KERNEL}
     assert prof.calls[KERNEL] == 400

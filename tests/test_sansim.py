@@ -1,9 +1,8 @@
 """SimSan: the kernel-integrated runtime sanitizer.
 
-Covers the three checks (orphan timers, RNG stream sharing, release
-discipline), the zero-cost wiring (plain simulators are untouched), and
-determinism parity: a sanitized run observes the exact same event order
-as a plain one.
+Covers the two checks (orphan timers, RNG stream sharing), the zero-cost
+wiring (plain simulators are untouched), and determinism parity: a
+sanitized run observes the exact same event order as a plain one.
 """
 
 import pytest
@@ -205,30 +204,6 @@ def test_top_level_draws_are_ignored():
     assert san.ok
 
 
-# -- release discipline ------------------------------------------------------------
-
-
-def test_double_release_reported():
-    san = SimSan()
-    sim = Simulator(sanitizer=san)
-    handle = sim.schedule(1.0, lambda: None)
-    assert handle.release()
-    assert not handle.release()
-    assert not san.ok
-    assert san.reports[0]["code"] == "SIMSAN03"
-    assert "double release" in san.reports[0]["message"]
-
-
-def test_use_after_release_reported():
-    san = SimSan()
-    sim = Simulator(sanitizer=san)
-    handle = sim.schedule(1.0, lambda: None)
-    handle.release()
-    assert handle.cancel() is False
-    assert not san.ok
-    assert "use-after-release" in san.reports[0]["message"]
-
-
 def test_cancel_then_release_is_the_normal_pattern():
     san = SimSan()
     sim = Simulator(sanitizer=san)
@@ -239,43 +214,37 @@ def test_cancel_then_release_is_the_normal_pattern():
     assert san.ok
 
 
-def test_release_after_fire_is_benign():
-    san = SimSan()
-    sim = Simulator(sanitizer=san)
-    fired = []
-    handle = sim.schedule(1.0, fired.append, 1)
-    drain(sim)
-    assert fired == [1]
-    assert handle.release() is False  # already fired: returns False, no report
-    assert san.ok
-
-
 # -- reporting surfaces ------------------------------------------------------------
+
+
+def _leaky(sim):
+    # A guard timer its owner never revokes before exiting.
+    sim.schedule(30.0, lambda: None)
+    yield sim.timeout(1.0)
 
 
 def test_findings_and_report_shapes():
     san = SimSan()
     sim = Simulator(sanitizer=san)
-    handle = sim.schedule(1.0, lambda: None)
-    handle.release()
-    handle.release()
+    sim.spawn(_leaky(sim), name="leaky")
+    drain(sim, until=5.0)
     findings = san.findings()
     assert len(findings) == 1
-    assert findings[0].rule == "simsan-release-discipline"
-    assert findings[0].code == "SIMSAN03"
+    assert findings[0].rule == "simsan-orphan-timer"
+    assert findings[0].code == "SIMSAN01"
     report = san.to_report()
     assert report["tool"] == "simsan"
+    assert report["checks"] == ["orphan-timer", "rng-stream-sharing"]
     assert report["report_count"] == 1
-    assert report["reports"][0]["check"] == "release-discipline"
+    assert report["reports"][0]["check"] == "orphan-timer"
 
 
 def test_max_reports_cap():
     san = SimSan(max_reports=3)
     sim = Simulator(sanitizer=san)
-    for _ in range(10):
-        handle = sim.schedule(1.0, lambda: None)
-        handle.release()
-        handle.release()
+    for i in range(10):
+        sim.spawn(_leaky(sim), name=f"leaky-{i}")
+    drain(sim, until=5.0)
     assert len(san.reports) == 3
 
 

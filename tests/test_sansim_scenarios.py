@@ -3,8 +3,8 @@
 Each scenario drives a full control-procedure path that used to leak
 timers (idle/paging/service-request guards, handover, 5G registration,
 GTP-C and reliable-transport retry timers), drains the sim under the
-runtime sanitizer, and asserts zero reports: no orphaned timers, no
-cross-process RNG interleaving, no release-discipline violations.
+runtime sanitizer, and asserts zero reports: no orphaned timers and no
+cross-process RNG interleaving.
 
 A reintroduced leak — e.g. reverting a finally-revoke or dropping a
 retry-timer cancel on the response path — fails these with the creation

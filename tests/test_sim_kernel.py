@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import (
     Event,
+    Hook,
     Interrupted,
     SimulationError,
     Simulator,
@@ -331,7 +334,7 @@ def test_nested_processes_deep_chain():
     assert p.value == 20
 
 
-# -- cancelable handles, timer wheel, freelist --------------------------------
+# -- cancelable handles, far buffer, compaction -------------------------------
 
 
 def test_cancel_revokes_callback():
@@ -369,9 +372,9 @@ def test_cancelled_timer_does_not_extend_drain():
     assert sim.pending == 0
 
 
-def test_event_order_identical_with_and_without_wheel():
-    """The wheel is a container, not an ordering authority: firing order
-    (including FIFO ties) must match the plain-heap kernel exactly."""
+def test_event_order_identical_around_the_far_cutoff():
+    """The far buffer is a container, not an ordering authority: firing
+    order (including FIFO ties) must match the plain-heap kernel exactly."""
     delays = [0.1, 0.24, 0.25, 0.26, 1.0, 3.99, 4.0, 65.0, 1025.0,
               0.25, 1.0, 0.0, 2048.0, 63.9, 0.25]
     runs = []
@@ -405,12 +408,13 @@ def test_event_order_identical_with_nested_schedules():
 
 
 def test_release_recycles_without_misfiring():
-    """A released entry may still be physically linked in the scheduler;
-    recycling must never fire it or corrupt unrelated callbacks."""
+    """A cancelled far entry stays queued until a flush or sweep drops it;
+    it must never fire, delay the live entries around it or hold the
+    clock."""
     sim = Simulator()
     fired = []
     stale = sim.schedule(1.0, fired.append, "stale")
-    stale.release()
+    stale.cancel()
     for i in range(10):
         sim.schedule(0.5 + i, fired.append, i)
     assert sim.run() == 9.5
@@ -418,17 +422,28 @@ def test_release_recycles_without_misfiring():
     assert sim.pending == 0
 
 
-def test_released_entry_returns_to_freelist():
+def test_cancelled_periodic_call_revokes_its_queued_tick():
+    """Cancelling a ticker between ticks revokes the tick already queued:
+    it is no longer pending and a drained run ends at the last live event.
+    Ticks stay invisible to ``Hook.scheduled``."""
+    scheduled = []
+
+    class Watch(Hook):
+        def scheduled(self, handle):
+            scheduled.append(handle.when)
+            return handle
+
     sim = Simulator()
-    first = sim.schedule(5.0, lambda: None)
-    first.release()
-    sim.run()  # the drop site unlinks and recycles the entry
-    fired = []
-    second = sim.schedule(1.0, fired.append, "ok")
-    assert second is first  # same object, drawn back out of the pool
-    sim.run()
-    assert fired == ["ok"]
-    assert second.cancel() is False  # already fired; handle stayed coherent
+    sim.add_hook(Watch())
+    ticks = []
+    call = sim.schedule_periodic(10.0, lambda: ticks.append(sim.now))
+    sim.schedule(25.0, lambda: None)
+    sim.run(until=25.0)
+    assert call.cancel() is True
+    assert sim.pending == 0
+    assert sim.run() == 25.0
+    assert ticks == [10.0, 20.0]
+    assert scheduled == [25.0]
 
 
 def test_call_later_fire_and_forget():
@@ -456,7 +471,7 @@ def test_pending_and_queue_depth_accounting():
 
 def test_mass_cancellation_compacts_storage():
     """Cancelling en masse must reclaim memory via the amortized sweep,
-    not park corpses in wheel slots until their 50 s deadline."""
+    not park corpses in the queue until their 50 s deadline."""
     sim = Simulator()
     handles = [sim.schedule(50.0, lambda: None) for _ in range(20_000)]
     for h in handles:
@@ -464,3 +479,21 @@ def test_mass_cancellation_compacts_storage():
     assert sim.pending == 0
     assert sim.queue_depth() < 20_000
     assert sim.run() == 0.0  # nothing live: the clock never advances
+
+
+@pytest.mark.parametrize("order", ["oldest", "newest", "shuffled"])
+def test_queue_stays_within_twice_the_live_count(order):
+    """Dead entries are swept once they outnumber the live ones, so after
+    any cancel the queue holds at most ``2 * pending`` plus a small floor -
+    heap and far buffer alike, before and after a partial run."""
+    sim = Simulator()
+    handles = [sim.schedule(0.1 if i % 5 == 0 else 50.0 + i, lambda: None)
+               for i in range(5_000)]
+    victims = handles[:4_000] if order == "oldest" else handles[1_000:]
+    if order == "shuffled":
+        victims = random.Random(7).sample(handles, 4_000)
+    for i, handle in enumerate(victims):
+        if i == 2_000:
+            sim.run(until=1.0)  # fires the live near entries
+        handle.cancel()
+        assert sim.queue_depth() <= 2 * sim.pending + 65

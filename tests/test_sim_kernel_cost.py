@@ -70,8 +70,8 @@ def calls_per_entry(workload, how, tracer=False):
 @pytest.mark.parametrize("workload, budget", [
     # With a loop per stop mode, run(until=) / run_until_triggered paid
     # 10.0 / 11.0 per timer event and 35.0 / 37.0 per resume.
-    (timer_chains, 8.1),
-    (process_loops, 31.1),
+    (timer_chains, 6.1),
+    (process_loops, 23.1),
     (cancelled_entries, 1.01),  # one heappop each
 ])
 @pytest.mark.parametrize("how", ["run", "until", "triggered"])
