@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..core.agw.mobilityd import Mobilityd
 from ..core.agw.subscriberdb import SubscriberDb, SubscriberProfile
@@ -227,14 +227,8 @@ class MonolithicEpc:
             nas=message))
 
     def _send(self, channel: RpcChannel, method: str, payload: Any) -> None:
-        def proc(sim):
-            try:
-                yield channel.call(ENB_S1AP_SERVICE, method, payload,
-                                   deadline=self.config.rpc_deadline)
-            except RpcError:
-                pass
-
-        self.sim.spawn(proc(self.sim), name=f"epc-dl:{method}")
+        self.sim.call_later(0.0, channel.call, ENB_S1AP_SERVICE, method,
+                            payload, self.config.rpc_deadline)
 
     def _channel_for(self, enb_id: str) -> RpcChannel:
         channel = self._channels.get(enb_id)

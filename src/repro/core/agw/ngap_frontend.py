@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from ...fiveg import nas5g, ngap
-from ...net.rpc import RpcChannel, RpcError, RpcServer
+from ...net.rpc import RpcChannel, RpcServer
 from ...sim.kernel import Event
 from .context import AgwContext
 from .enodebd import Enodebd
@@ -156,18 +156,10 @@ class NgapFrontend(RanFrontend):
         gnb_id, ran_ue_id = ue.ue_ref
         transport = ngap.DownlinkNasTransport5g(
             ran_ue_id=ran_ue_id, amf_ue_id=ue.ue_id, nas=message)
-        channel = self._channel_for(gnb_id)
-
-        def proc(sim):
-            try:
-                yield channel.call(ngap.GNB_NGAP_SERVICE, "downlink_nas",
-                                   transport,
-                                   deadline=self.context.config.rpc_deadline)
-            except RpcError:
-                pass
-
-        self.context.sim.spawn(proc(self.context.sim),
-                               name=f"ng-dl:{gnb_id}")
+        self.context.sim.call_later(0.0, self._channel_for(gnb_id).call,
+                                    ngap.GNB_NGAP_SERVICE, "downlink_nas",
+                                    transport,
+                                    self.context.config.rpc_deadline)
 
     def _channel_for(self, gnb_id: str) -> RpcChannel:
         channel = self._channels.get(gnb_id)

@@ -14,7 +14,8 @@ from typing import Any, Dict, Tuple
 
 from ...lte import nas, s1ap
 from ...lte.enodeb import ENB_S1AP_SERVICE
-from ...net.rpc import RpcChannel, RpcError, RpcServer
+from ...net.rpc import RpcChannel, RpcServer
+from ...sim.kernel import Event
 from .context import AgwContext
 from .enodebd import Enodebd
 from .mme import (
@@ -44,7 +45,8 @@ class S1apFrontend(RanFrontend):
         self._channels: Dict[str, RpcChannel] = {}
         self.stats = {"s1_setups": 0, "uplink_messages": 0,
                       "downlink_messages": 0, "context_setups": 0,
-                      "context_setup_failures": 0, "releases": 0}
+                      "context_setup_failures": 0, "releases": 0,
+                      "idle_releases": 0, "pages": 0, "path_switches": 0}
         server.register(s1ap.S1AP_SERVICE, "setup", self._on_setup)
         server.register(s1ap.S1AP_SERVICE, "uplink", self._on_uplink)
         server.register(s1ap.S1AP_SERVICE, "path_switch",
@@ -100,8 +102,7 @@ class S1apFrontend(RanFrontend):
                     self.mme.abort(ue)
             return {"accepted": True}
         if isinstance(message, s1ap.UeContextReleaseRequest):
-            self.stats["idle_releases"] = \
-                self.stats.get("idle_releases", 0) + 1
+            self.stats["idle_releases"] += 1
             self.mme.idle(message.imsi)
             return {"accepted": True}
         return {"accepted": False}
@@ -111,8 +112,8 @@ class S1apFrontend(RanFrontend):
 
     def page(self, location: str, imsi: str) -> None:
         """Send a paging request to the eNodeB the UE last camped on."""
-        self.stats["pages"] = self.stats.get("pages", 0) + 1
-        self._spawn_call(location, "paging", s1ap.Paging(imsi=imsi))
+        self.stats["pages"] += 1
+        self._send(location, "paging", s1ap.Paging(imsi=imsi))
 
     def _on_path_switch(self, request: s1ap.PathSwitchRequest
                         ) -> s1ap.PathSwitchRequestAck:
@@ -125,7 +126,7 @@ class S1apFrontend(RanFrontend):
             return s1ap.PathSwitchRequestAck(
                 enb_ue_id=request.enb_ue_id, mme_ue_id=request.mme_ue_id,
                 success=False, cause="unknown UE context or session")
-        self.stats["path_switches"] = self.stats.get("path_switches", 0) + 1
+        self.stats["path_switches"] += 1
         self.sessiond.set_enb_tunnel(request.imsi, request.enb_teid,
                                      request.enb_address or request.enb_id)
         return s1ap.PathSwitchRequestAck(
@@ -164,28 +165,9 @@ class S1apFrontend(RanFrontend):
             ue_agg_max_bitrate_mbps=session.installed_rate_mbps,
             agw_teid=session.agw_teid, agw_address=self.context.node,
             nas=message)
-        channel = self._channel_for(enb_id)
-        imsi = session.imsi
-
-        def proc(sim):
-            try:
-                response = yield channel.call(
-                    ENB_S1AP_SERVICE, "initial_context_setup", request,
-                    deadline=self.context.config.rpc_deadline)
-            except RpcError:
-                self.stats["context_setup_failures"] += 1
-                return
-            if response.success:
-                self.stats["context_setups"] += 1
-                if self.sessiond.session(imsi) is not None:
-                    self.sessiond.set_enb_tunnel(
-                        imsi, response.enb_teid,
-                        response.enb_address or enb_id)
-            else:
-                self.stats["context_setup_failures"] += 1
-
-        self.context.sim.spawn(proc(self.context.sim),
-                               name=f"ics:{imsi}")
+        self.context.sim.call_later(0.0, self._setup_context,
+                                    self._channel_for(enb_id), request,
+                                    session.imsi, enb_id)
 
     def release(self, ue: AccessContext, cause: str, answer: Any) -> None:
         if answer is not None:
@@ -194,7 +176,7 @@ class S1apFrontend(RanFrontend):
         self.stats["releases"] += 1
         command = s1ap.UeContextReleaseCommand(
             enb_ue_id=enb_ue_id, mme_ue_id=ue.ue_id, cause=cause)
-        self._spawn_call(enb_id, "ue_context_release", command)
+        self._send(enb_id, "ue_context_release", command)
 
     # -- internals ----------------------------------------------------------------------
 
@@ -203,7 +185,7 @@ class S1apFrontend(RanFrontend):
         self.stats["downlink_messages"] += 1
         transport = s1ap.DownlinkNasTransport(
             enb_ue_id=enb_ue_id, mme_ue_id=ue_id, nas=message)
-        self._spawn_call(enb_id, "downlink_nas", transport)
+        self._send(enb_id, "downlink_nas", transport)
 
     def _channel_for(self, enb_id: str) -> RpcChannel:
         channel = self._channels.get(enb_id)
@@ -213,15 +195,27 @@ class S1apFrontend(RanFrontend):
             self._channels[enb_id] = channel
         return channel
 
-    def _spawn_call(self, enb_id: str, method: str, payload: Any) -> None:
-        channel = self._channel_for(enb_id)
+    def _send(self, enb_id: str, method: str, payload: Any) -> None:
+        """A downlink whose reply nobody reads: the UE-side guard timers
+        own failure semantics."""
+        self.context.sim.call_later(0.0, self._channel_for(enb_id).call,
+                                    ENB_S1AP_SERVICE, method, payload,
+                                    self.context.config.rpc_deadline)
 
-        def proc(sim):
-            try:
-                yield channel.call(ENB_S1AP_SERVICE, method, payload,
-                                   deadline=self.context.config.rpc_deadline)
-            except RpcError:
-                pass  # the UE-side guard timers own failure semantics
+    def _setup_context(self, channel: RpcChannel,
+                       request: s1ap.InitialContextSetupRequest, imsi: str,
+                       enb_id: str) -> None:
+        reply = channel.call(ENB_S1AP_SERVICE, "initial_context_setup",
+                             request, self.context.config.rpc_deadline)
+        reply.add_callback(
+            lambda ev: self._on_context_setup(ev, imsi, enb_id))
 
-        self.context.sim.spawn(proc(self.context.sim),
-                               name=f"s1ap-dl:{enb_id}/{method}")
+    def _on_context_setup(self, reply: Event, imsi: str, enb_id: str) -> None:
+        response = reply.value
+        if not reply.ok or not response.success:
+            self.stats["context_setup_failures"] += 1
+            return
+        self.stats["context_setups"] += 1
+        if self.sessiond.session(imsi) is not None:
+            self.sessiond.set_enb_tunnel(imsi, response.enb_teid,
+                                         response.enb_address or enb_id)

@@ -12,7 +12,7 @@ Sessions are checkpointed by ``magmad`` and restorable after a crash
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ...lte.identifiers import TeidAllocator
@@ -236,7 +236,9 @@ class Sessiond:
             enforcement = record.enforcement
             if (enforcement is not None and self.ocs_client is not None
                     and enforcement.quota_grant_id is not None):
-                self._spawn_usage_report(record, final=True)
+                self.context.sim.call_later(0.0, self._report_final_usage,
+                                            record,
+                                            enforcement.quota_grant_id)
             self.accounting.append(ChargingDataRecord(
                 imsi=imsi, agw_id=self.context.node,
                 session_id=record.session_id, start_time=record.start_time,
@@ -349,22 +351,14 @@ class Sessiond:
         self.context.sim.spawn(refill(self.context.sim),
                                name=f"quota-refill:{imsi}")
 
-    def _spawn_usage_report(self, record: SessionRecord, final: bool) -> None:
-        enforcement = record.enforcement
-        grant_id = enforcement.quota_grant_id
-
-        def report(sim):
-            try:
-                yield self.ocs_client.report_usage(
-                    grant_id,
-                    min(record.cumulative_quota_used,
-                        enforcement._last_grant_size),
-                    final)
-            except Exception:  # noqa: BLE001 - OCS unreachable; best effort
-                pass
-
-        self.context.sim.spawn(report(self.context.sim),
-                               name=f"usage-report:{record.imsi}")
+    def _report_final_usage(self, record: SessionRecord,
+                            grant_id: int) -> None:
+        """Close a terminated session's grant.  Nobody awaits the reply (an
+        unreachable OCS loses the report); the usage is read here, when
+        the deferred report goes out."""
+        used = min(record.cumulative_quota_used,
+                   record.enforcement._last_grant_size)
+        self.ocs_client.report_usage(grant_id, used, True)
 
     def set_connected(self, imsi: str, connected: bool) -> None:
         """Track the UE's ECM state; the session stays anchored when idle."""

@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional
 
 from ..lte.identifiers import TeidAllocator
 from ..lte.radio import CellCapacityError, CellConfig, CellModel
-from ..net.rpc import RpcChannel, RpcError, RpcServer
+from ..net.rpc import RpcChannel, RpcServer
 from ..net.simnet import Network
 from ..sim.kernel import Event, Simulator
 from . import ngap
@@ -47,7 +47,7 @@ class Gnb:
         self._by_ran_ue_id: Dict[int, GnbUeContext] = {}
         self.ng_ready = False
         self.stats = {"uplink_nas": 0, "downlink_nas": 0,
-                      "pdu_setups": 0, "releases": 0, "uplink_errors": 0}
+                      "pdu_setups": 0, "releases": 0}
         network.add_node(gnb_id)
         self._server = RpcServer(sim, network, gnb_id)
         self._server.register(ngap.GNB_NGAP_SERVICE, "downlink_nas",
@@ -59,8 +59,6 @@ class Gnb:
         self._channel = RpcChannel(sim, network, gnb_id, core_node)
 
     def ng_setup(self) -> Event:
-        done = self.sim.event(f"gnb.{self.gnb_id}.ngsetup")
-
         def proc(sim):
             response = yield self._channel.call(
                 ngap.NGAP_SERVICE, "setup",
@@ -69,10 +67,7 @@ class Gnb:
             self.ng_ready = bool(response.accepted)
             return response
 
-        p = self.sim.spawn(proc(self.sim), name=f"ngsetup:{self.gnb_id}")
-        p.add_callback(lambda ev: done.succeed(ev.value) if ev.ok
-                       else done.fail(ev.value))
-        return done
+        return self.sim.spawn(proc(self.sim), name=f"ngsetup:{self.gnb_id}")
 
     # -- UE-facing ------------------------------------------------------------------
 
@@ -122,15 +117,8 @@ class Gnb:
             wrapped = ngap.UplinkNasTransport5g(
                 gnb_id=self.gnb_id, ran_ue_id=context.ran_ue_id,
                 amf_ue_id=context.amf_ue_id, nas=message)
-
-        def proc(sim):
-            try:
-                yield self._channel.call(ngap.NGAP_SERVICE, "uplink", wrapped,
-                                         deadline=self.ngap_deadline)
-            except RpcError:
-                self.stats["uplink_errors"] += 1
-
-        self.sim.spawn(proc(self.sim), name=f"ng-uplink:{self.gnb_id}")
+        self.sim.call_later(0.0, self._channel.call, ngap.NGAP_SERVICE,
+                            "uplink", wrapped, self.ngap_deadline)
 
     def _on_downlink_nas(self, message: ngap.DownlinkNasTransport5g) -> Any:
         context = self._by_ran_ue_id.get(message.ran_ue_id)

@@ -21,10 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..net.rpc import RpcChannel, RpcError, RpcServer
+from ..net.rpc import RpcChannel, RpcServer
 from ..net.simnet import Network
 from ..sim.kernel import Event, Simulator
-from . import nas, s1ap
+from . import s1ap
 from .identifiers import TeidAllocator
 from .radio import CellCapacityError, CellConfig, CellModel
 from .ue import Ue
@@ -61,8 +61,7 @@ class Enodeb:
         self._camped: Dict[str, Ue] = {}  # idle UEs listening for paging
         self.s1_ready = False
         self.stats = {"uplink_nas": 0, "downlink_nas": 0, "rrc_connects": 0,
-                      "rrc_rejects": 0, "context_setups": 0, "releases": 0,
-                      "uplink_errors": 0}
+                      "rrc_rejects": 0, "context_setups": 0, "releases": 0}
         network.add_node(enb_id)
         self._server = RpcServer(sim, network, enb_id)
         self._server.register(ENB_S1AP_SERVICE, "downlink_nas",
@@ -78,20 +77,14 @@ class Enodeb:
 
     def s1_setup(self) -> Event:
         """Register with the core; the returned event carries the response."""
-        done = self.sim.event(f"enb.{self.enb_id}.s1setup")
 
         def proc(sim):
-            request = s1ap.S1SetupRequest(enb_id=self.enb_id)
-            response = yield self._channel.call(
-                s1ap.S1AP_SERVICE, "setup", request,
-                deadline=self.s1ap_deadline)
+            response = yield self._call_core(
+                "setup", s1ap.S1SetupRequest(enb_id=self.enb_id))
             self.s1_ready = bool(response.accepted)
             return response
 
-        p = self.sim.spawn(proc(self.sim), name=f"s1setup:{self.enb_id}")
-        p.add_callback(lambda ev: done.succeed(ev.value) if ev.ok
-                       else done.fail(ev.value))
-        return done
+        return self.sim.spawn(proc(self.sim), name=f"s1setup:{self.enb_id}")
 
     def retarget_core(self, new_core_node: str) -> Event:
         """Re-point S1 at a different core endpoint (AGW failover, §3.3).
@@ -169,16 +162,7 @@ class Enodeb:
             mme_ue_id=context.mme_ue_id or 0, imsi=ue.imsi)
         self.rrc_release(ue)
         self._camped[ue.imsi] = ue
-
-        def proc(sim):
-            try:
-                yield self._channel.call(s1ap.S1AP_SERVICE, "uplink",
-                                         request,
-                                         deadline=self.s1ap_deadline)
-            except RpcError:
-                self.stats["uplink_errors"] += 1
-
-        self.sim.spawn(proc(self.sim), name=f"idle:{ue.imsi}")
+        self.sim.call_later(0.0, self._call_core, "uplink", request)
 
     def _on_paging(self, message: s1ap.Paging) -> Dict[str, bool]:
         ue = self._camped.get(message.imsi)
@@ -204,21 +188,7 @@ class Enodeb:
             enb_id=self.enb_id, enb_ue_id=context.enb_ue_id,
             mme_ue_id=mme_ue_id, imsi=ue.imsi,
             enb_teid=context.enb_teid, enb_address=self.enb_id)
-        done = self.sim.event(f"handover:{ue.imsi}->{self.enb_id}")
-
-        def proc(sim):
-            try:
-                ack = yield self._channel.call(s1ap.S1AP_SERVICE,
-                                               "path_switch", request,
-                                               deadline=self.s1ap_deadline)
-            except RpcError as exc:
-                done.fail(exc)
-                return
-            if not done.triggered:
-                done.succeed(ack)
-
-        self.sim.spawn(proc(self.sim), name=f"path-switch:{ue.imsi}")
-        return done
+        return self._call_core("path_switch", request)
 
     def s1_path_failure(self, cause: str = "s1 path failure") -> None:
         """The eNodeB lost its core connection (e.g. GTP path failure over
@@ -243,15 +213,14 @@ class Enodeb:
             wrapped = s1ap.UplinkNasTransport(
                 enb_id=self.enb_id, enb_ue_id=context.enb_ue_id,
                 mme_ue_id=context.mme_ue_id, nas=message)
+        self.sim.call_later(0.0, self._call_core, "uplink", wrapped)
 
-        def proc(sim):
-            try:
-                yield self._channel.call(s1ap.S1AP_SERVICE, "uplink", wrapped,
-                                         deadline=self.s1ap_deadline)
-            except RpcError:
-                self.stats["uplink_errors"] += 1
-
-        self.sim.spawn(proc(self.sim), name=f"uplink:{self.enb_id}")
+    def _call_core(self, method: str, request: Any) -> Event:
+        """S1AP call to the core.  The channel is read here, when the call
+        is made: :meth:`retarget_core` may replace it after a deferred
+        send was scheduled."""
+        return self._channel.call(s1ap.S1AP_SERVICE, method, request,
+                                  self.s1ap_deadline)
 
     def _on_downlink_nas(self, message: s1ap.DownlinkNasTransport) -> Any:
         context = self._by_enb_ue_id.get(message.enb_ue_id)

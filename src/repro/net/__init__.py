@@ -3,14 +3,13 @@
 from . import backhaul
 from .rpc import RpcChannel, RpcError, RpcServer, RPC_PORT
 from .simnet import Datagram, Link, Network
-from .transport import DatagramSocket, ReliableChannel
+from .transport import DatagramSocket
 
 __all__ = [
     "Datagram",
     "DatagramSocket",
     "Link",
     "Network",
-    "ReliableChannel",
     "RpcChannel",
     "RpcError",
     "RpcServer",

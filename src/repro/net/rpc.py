@@ -311,14 +311,7 @@ class _PendingCall:
 
 
 class RpcChannel:
-    """Client side of the RPC layer; one per (client node, server node) pair.
-
-    Calls where client and server share a node take a loopback fast path:
-    the request skips routing/loss/retransmission entirely (in-process
-    delivery cannot lose datagrams), leaving only the deadline timer — which,
-    like the retry timer on the remote path, is cancelled the moment the
-    response lands.
-    """
+    """Client side of the RPC layer; one per (client node, server node) pair."""
 
     _port_alloc = itertools.count(40_000)
     _request_ids = itertools.count(1)
@@ -335,7 +328,7 @@ class RpcChannel:
         self.port = next(RpcChannel._port_alloc)
         self._pending: Dict[Any, _PendingCall] = {}
         self.stats = {"calls": 0, "ok": 0, "deadline_exceeded": 0,
-                      "errors": 0, "retries": 0, "local_fast_path": 0}
+                      "errors": 0, "retries": 0}
         network.bind(local, self.port, self._handle)
 
     def call(self, service: str, method: str, request: Any,
@@ -358,14 +351,7 @@ class RpcChannel:
                 ctx = span.context
         payload = (request_id, service, method, request, self.local, self.port,
                    ctx)
-        if self.peer == self.local:
-            # Co-located fast path: lossless loopback, no retransmission
-            # chain; only the (cancelable) deadline timer is scheduled.
-            self.stats["local_fast_path"] += 1
-            self.network.send_local(
-                Datagram(self.local, self.peer, self.peer_port, payload, 8_000))
-        else:
-            self._attempt(request_id, payload, expiry, first=True)
+        self._attempt(request_id, payload, expiry, first=True)
         record.expire = self.sim.schedule(deadline, self._expire, request_id)
         return done
 

@@ -139,12 +139,14 @@ class Network:
 
     def send(self, dgram: Datagram) -> None:
         """Route and deliver ``dgram`` asynchronously (or drop it)."""
-        if dgram.src == dgram.dst:
-            self.send_local(dgram)
-            return
         self.stats["sent"] += 1
         if not self._node_up.get(dgram.src, False):
             self.stats["dropped_down"] += 1
+            return
+        if dgram.src == dgram.dst:
+            # Loopback: lossless and latency-free, an asynchronous handoff
+            # to the local handler with no route, loss or jitter draw.
+            self.sim.call_later(0.0, self._deliver, dgram)
             return
         path = self._route(dgram.src, dgram.dst)
         if path is None:
@@ -172,18 +174,6 @@ class Network:
                 state.busy_until = start + serialization
                 delay = (start + serialization) - now
         self.sim.call_later(delay, self._deliver, dgram)
-
-    def send_local(self, dgram: Datagram) -> None:
-        """Same-node delivery fast path: no routing, no per-hop loss/jitter
-        draws, no serialization queueing — just an asynchronous handoff to
-        the local handler.  Loopback traffic is lossless and latency-free,
-        exactly as ``send()`` treated the zero-hop path, but without paying
-        for the route-cache and RNG-stream lookups."""
-        self.stats["sent"] += 1
-        if not self._node_up.get(dgram.dst, False):
-            self.stats["dropped_down"] += 1
-            return
-        self.sim.call_later(0.0, self._deliver, dgram)
 
     def _deliver(self, dgram: Datagram) -> None:
         if not self._node_up.get(dgram.dst, False):

@@ -1,25 +1,17 @@
-"""Transports over the simulated network.
+"""Datagram transport over the simulated network.
 
-Two transports matter to the paper's argument (§3.1):
-
-- :class:`DatagramSocket` - fire-and-forget, loses whatever the links lose.
-  This is what raw 3GPP GTP-C runs over, and why GTP "struggles to operate
-  over lower quality or congested backhaul links".
-- :class:`ReliableChannel` - a TCP-like connection with retransmission and
-  in-order delivery.  This is what gRPC inherits, and why Magma's control
-  traffic tolerates lossy backhaul.
+:class:`DatagramSocket` is fire-and-forget and loses whatever the links
+lose.  This is what raw 3GPP GTP-C runs over, and why GTP "struggles to
+operate over lower quality or congested backhaul links" (§3.1).  The
+reliable side of that contrast is :class:`~repro.net.rpc.RpcChannel`,
+which retransmits within each call's deadline as gRPC over TCP does.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
-from ..sim.kernel import Simulator
 from .simnet import Datagram, Network
-
-DEFAULT_RTO = 0.2
-MAX_RTO = 10.0
 
 
 class DatagramSocket:
@@ -43,106 +35,3 @@ class DatagramSocket:
     def _handle(self, dgram: Datagram) -> None:
         if self._on_message is not None:
             self._on_message(dgram.payload, dgram.src, dgram.port)
-
-
-class ReliableChannel:
-    """A TCP-like reliable, in-order message stream between two endpoints.
-
-    Simplified mechanics that preserve the properties the paper relies on:
-
-    - every message carries a sequence number and is retransmitted on an
-      exponentially backed-off timer until acknowledged;
-    - the receiver acknowledges and delivers in order, buffering gaps;
-    - delivery survives arbitrary (sub-100%) link loss at the cost of delay.
-
-    Both endpoints construct a ReliableChannel bound to the same port pair.
-    """
-
-    def __init__(self, sim: Simulator, network: Network, local: str, peer: str,
-                 port: int, on_message: Callable[[Any], None],
-                 rto: float = DEFAULT_RTO, max_retries: int = 30):
-        self.sim = sim
-        self.network = network
-        self.local = local
-        self.peer = peer
-        self.port = port
-        self.on_message = on_message
-        self.rto = rto
-        self.max_retries = max_retries
-        self._send_seq = itertools.count(1)
-        self._unacked: Dict[int, Any] = {}
-        # seq -> pending retransmission timer, revoked on ack/give-up/close.
-        # Left alone, every acked message parks a dead timer for up to one
-        # full (exponentially backed-off) RTO.
-        self._retry: Dict[int, Any] = {}
-        self._recv_next = 1
-        self._recv_buffer: Dict[int, Any] = {}
-        self._closed = False
-        self.stats = {"sent": 0, "retransmits": 0, "delivered": 0,
-                      "duplicates": 0, "gave_up": 0}
-        network.bind(local, port, self._handle)
-
-    def send(self, payload: Any, size_bits: int = 8_000) -> int:
-        """Queue ``payload`` for reliable delivery; returns its seq number."""
-        if self._closed:
-            raise RuntimeError("channel is closed")
-        seq = next(self._send_seq)
-        self._unacked[seq] = payload
-        self.stats["sent"] += 1
-        self._transmit(seq, payload, size_bits, self.rto, 0)
-        return seq
-
-    @property
-    def unacked_count(self) -> int:
-        return len(self._unacked)
-
-    def close(self) -> None:
-        self._closed = True
-        self.network.unbind(self.local, self.port)
-        for timer in self._retry.values():
-            timer.cancel()
-        self._retry.clear()
-
-    # -- internals --------------------------------------------------------------
-
-    def _transmit(self, seq: int, payload: Any, size_bits: int,
-                  rto: float, attempt: int) -> None:
-        if self._closed or seq not in self._unacked:
-            self._retry.pop(seq, None)
-            return
-        if attempt > 0:
-            self.stats["retransmits"] += 1
-        if attempt > self.max_retries:
-            self.stats["gave_up"] += 1
-            del self._unacked[seq]
-            self._retry.pop(seq, None)
-            return
-        self.network.send(Datagram(self.local, self.peer, self.port,
-                                   ("data", seq, payload), size_bits))
-        self._retry[seq] = self.sim.schedule(rto, self._transmit, seq, payload,
-                                             size_bits, min(rto * 2, MAX_RTO),
-                                             attempt + 1)
-
-    def _handle(self, dgram: Datagram) -> None:
-        if self._closed:
-            return
-        kind = dgram.payload[0]
-        if kind == "data":
-            _, seq, payload = dgram.payload
-            self.network.send(Datagram(self.local, self.peer, self.port,
-                                       ("ack", seq), 512))
-            if seq < self._recv_next or seq in self._recv_buffer:
-                self.stats["duplicates"] += 1
-                return
-            self._recv_buffer[seq] = payload
-            while self._recv_next in self._recv_buffer:
-                message = self._recv_buffer.pop(self._recv_next)
-                self._recv_next += 1
-                self.stats["delivered"] += 1
-                self.on_message(message)
-        elif kind == "ack":
-            _, seq = dgram.payload
-            if self._unacked.pop(seq, None) is not None:
-                timer = self._retry.pop(seq, None)
-                if timer is not None:
-                    timer.cancel()

@@ -554,7 +554,15 @@ class Simulator:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so the
         callback cannot be cancelled and no hook sees it.  Use it for
         callbacks that are never revoked (datagram delivery, completion
-        notifications, every internal resume and trigger)."""
+        notifications, every internal resume and trigger).
+
+        It is also the one way to send an RPC whose reply nobody awaits:
+        ``call_later(0.0, channel.call, service, method, request,
+        deadline)``.  The zero delay is part of the model.  A direct call
+        puts the request on the wire ahead of the sends the current
+        callback makes after it, such as the reply an RPC server sends
+        once the running handler returns, and so reorders serialization
+        on a shared link."""
         # The body is _arm's, inline: this is the hottest call in the
         # kernel and the extra frame is measurable.
         if delay < 0:

@@ -102,14 +102,18 @@ class WifiAp:
                     deadline=self.radius_deadline)
             except RpcError:
                 response = AccessReject(username=username, cause="timeout")
-            if isinstance(response, AccessAccept):
+            if not isinstance(response, AccessAccept):
+                self._clients.pop(username, None)
+                self.stats["auth_failed"] += 1
+            elif self._clients.get(username) is not state:
+                # Disconnected while EAP was in flight: close the session
+                # the AGW has just opened for it.
+                self._stop_accounting(username, response.session_id)
+            else:
                 state.ip = response.framed_ip
                 state.session_id = response.session_id
                 state.connected = True
                 self.stats["auth_ok"] += 1
-            else:
-                self._clients.pop(username, None)
-                self.stats["auth_failed"] += 1
             done.succeed(state)
 
         span = tracer_of(self.sim).begin("eap", component="ap",
@@ -126,19 +130,13 @@ class WifiAp:
         if state is None or not state.connected:
             return
         self.stats["disconnects"] += 1
+        self._stop_accounting(username, state.session_id)
 
-        def proc(sim):
-            request = AccountingRequest(
-                username=username, session_id=state.session_id,
-                acct_type=AccountingRequest.ACCT_STOP)
-            try:
-                yield self._channel.call(RADIUS_SERVICE, "accounting",
-                                         request,
-                                         deadline=self.radius_deadline)
-            except RpcError:
-                pass
-
-        self.sim.spawn(proc(self.sim), name=f"wifi-acct-stop:{username}")
+    def _stop_accounting(self, username: str, session_id: str) -> None:
+        request = AccountingRequest(username=username, session_id=session_id,
+                                    acct_type=AccountingRequest.ACCT_STOP)
+        self.sim.call_later(0.0, self._channel.call, RADIUS_SERVICE,
+                            "accounting", request, self.radius_deadline)
 
     # -- traffic ---------------------------------------------------------------------
 

@@ -12,13 +12,20 @@ Measured on CPython 3.11: 1,701 / 38 (LTE), 2,093 / 43 (5G) and
 Before the frontends became translators onto one procedure set the
 procedure layer took 31, 37 and 6 calls - 5G and WiFi then ran no
 overload check, attach counter, latency sample or span.
+
+The kernel side of a whole cycle per RAT is pinned too: the processes it
+creates and the entries it schedules.  A process is spent only on a
+procedure that waits - the UE's and access management's stages - and a
+send whose reply nobody reads is one deferred call, not a process.
 """
 
 import cProfile
 import os
 
+from repro.core.agw import AgwConfig
 from repro.fiveg import Gnb, Ue5g
 from repro.net import backhaul
+from repro.sim.kernel import Process
 from repro.wifi import WifiAp
 
 from helpers import build_site, subscriber_keys
@@ -53,8 +60,10 @@ def counted(run):
     return total, layer
 
 
-def procedure_costs():
-    site = build_site(num_ues=6)
+def multi_rat_site(config=None):
+    """``build_site`` plus a gNB and a WiFi AP on its AGW; returns the
+    site, the AP and two 5G UEs."""
+    site = build_site(num_ues=6, config=config)
     sim = site.sim
     site.network.connect("gnb-1", "agw-1", backhaul.lan("lan-gnb"))
     gnb = Gnb(sim, site.network, "gnb-1", "agw-1")
@@ -64,24 +73,34 @@ def procedure_costs():
     sim.run(until=sim.now + 1.0)
     nr = [Ue5g(sim, site.imsis[i], *subscriber_keys(i + 1), gnb)
           for i in (2, 3)]
+    return site, ap, nr
 
-    def settle(start):
-        done = start()
+
+def settle(sim, start):
+    """Start a step, run until its event (if it returns one) triggers,
+    then two more seconds for the messages that trail it."""
+    done = start()
+    if done is not None:
         sim.run_until_triggered(done, limit=sim.now + 60.0)
-        sim.run(until=sim.now + 2.0)
+    sim.run(until=sim.now + 2.0)
+
+
+def procedure_costs():
+    site, ap, nr = multi_rat_site()
+    sim = site.sim
 
     def lte(ue):
-        return lambda: settle(ue.attach)
+        return lambda: settle(sim, ue.attach)
 
     def registration_and_pdu(ue):
         def run():
-            settle(ue.register)
-            settle(ue.establish_pdu_session)
+            settle(sim, ue.register)
+            settle(sim, ue.establish_pdu_session)
         return run
 
     def wifi(username):
-        return lambda: settle(lambda: ap.connect(username,
-                                                 f"wifi-{username}"))
+        return lambda: settle(sim, lambda: ap.connect(username,
+                                                      f"wifi-{username}"))
 
     # The first of each warms caches (dataclass plans, RNG streams, RPC
     # channels); the second is measured.
@@ -99,3 +118,65 @@ def test_each_rats_procedure_stays_inside_its_call_budget():
         total_budget, layer_budget = BUDGET[rat]
         assert total <= total_budget, (rat, total)
         assert layer <= layer_budget, (rat, layer)
+
+
+#: (processes created, most kernel entries scheduled) per cycle: LTE
+#: attach + graceful detach; 5G registration + PDU session + release +
+#: deregistration; WiFi connect + disconnect.  With a process per send
+#: the cycles took 14 / 86, 17 / 108 and 3 / 30.
+CYCLE_BUDGET = {"lte": (4, 77), "nr": (6, 99), "wifi": (2, 29)}
+
+
+def _entries_scheduled(sim):
+    """Entries ever scheduled: the kernel's sequence counter."""
+    probe = sim.schedule(0.0, lambda: None)
+    probe.cancel()
+    return probe.seq
+
+
+def test_each_rats_cycle_spends_a_process_only_on_waiting(monkeypatch):
+    created = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    # No checkpoint tick inside a measured cycle.
+    site, ap, nr = multi_rat_site(AgwConfig(checkpoint_interval=3600.0))
+    sim = site.sim
+
+    def lte(ue):
+        return [ue.attach, lambda: ue.detach(switch_off=False)]
+
+    def nr_cycle(ue):
+        return [ue.register, ue.establish_pdu_session,
+                ue.release_pdu_session, ue.deregister]
+
+    def wifi(user):
+        return [lambda: ap.connect(user, f"wifi-{user}"),
+                lambda: ap.disconnect(user)]
+
+    def measured(steps):
+        del created[:]
+        start = _entries_scheduled(sim)
+        for step in steps:
+            settle(sim, step)
+        # The entries numbered between the two probes.
+        return len(created), _entries_scheduled(sim) - start - 1
+
+    # The first cycle of each RAT warms up; the second is measured.
+    measured(lte(site.ue(0)))
+    measured(nr_cycle(nr[0]))
+    measured(wifi(site.imsis[4]))
+    costs = {"lte": measured(lte(site.ue(1))),
+             "nr": measured(nr_cycle(nr[1])),
+             "wifi": measured(wifi(site.imsis[5]))}
+    assert site.ue(1).stats["attach_successes"] == 1
+    assert nr[1].stats["pdu_sessions"] == 2
+    assert ap.stats["disconnects"] == 2
+    for rat, (processes, entries) in costs.items():
+        process_budget, entry_budget = CYCLE_BUDGET[rat]
+        assert processes == process_budget, (rat, processes)
+        assert entries <= entry_budget, (rat, entries)

@@ -94,6 +94,11 @@ def test_deadline_exceeded_when_server_down():
     outcome = call(sim, channel, "svc", "m", None, deadline=2.0)
     assert outcome["err"].code == RpcError.DEADLINE_EXCEEDED
     assert sim.now >= 2.0
+    # A co-located call to the crashed node times out the same way.
+    local = RpcChannel(sim, net, "server", "server")
+    outcome = call(sim, local, "svc", "m", None, deadline=2.0)
+    assert outcome["err"].code == RpcError.DEADLINE_EXCEEDED
+    assert local.stats["deadline_exceeded"] == 1
 
 
 def test_rpc_survives_heavy_loss_via_retries():
@@ -221,7 +226,7 @@ def test_close_revokes_in_flight_timers():
     assert sim.pending == 0
 
 
-def test_colocated_call_takes_fast_path():
+def test_colocated_call_replies_without_retries_or_timer_rot():
     sim = Simulator()
     net = Network(sim, RngRegistry(1))
     server = RpcServer(sim, net, "host")
@@ -235,7 +240,6 @@ def test_colocated_call_takes_fast_path():
     sim.spawn(caller(sim))
     sim.run()
     assert got == [2]
-    assert channel.stats["local_fast_path"] == 1
     assert channel.stats["retries"] == 0
     assert sim.pending == 0
 

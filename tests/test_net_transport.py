@@ -1,8 +1,8 @@
-"""Unit tests for datagram sockets and the TCP-like reliable channel."""
+"""Unit tests for datagram sockets and backhaul link profiles."""
 
 import pytest
 
-from repro.net import DatagramSocket, Link, Network, ReliableChannel
+from repro.net import DatagramSocket, Link, Network
 from repro.net import backhaul
 from repro.sim import RngRegistry, Simulator
 
@@ -40,72 +40,6 @@ def test_datagram_socket_close_unbinds():
     sock = DatagramSocket(net, "b", 100, lambda p, s, po: None)
     sock.close()
     DatagramSocket(net, "b", 100, lambda p, s, po: None)  # rebinding works
-
-
-def channel_pair(sim, net, **kwargs):
-    received_b = []
-    received_a = []
-    chan_a = ReliableChannel(sim, net, "a", "b", 200, received_a.append, **kwargs)
-    chan_b = ReliableChannel(sim, net, "b", "a", 200, received_b.append, **kwargs)
-    return chan_a, chan_b, received_a, received_b
-
-
-def test_reliable_channel_delivers_in_order_lossless():
-    sim, net = build()
-    chan_a, chan_b, _, received_b = channel_pair(sim, net)
-    for i in range(10):
-        chan_a.send(i)
-    sim.run()
-    assert received_b == list(range(10))
-
-
-def test_reliable_channel_survives_heavy_loss():
-    """The paper's core transport claim: reliable transport tolerates the
-    lossy backhaul that breaks raw datagram protocols."""
-    sim, net = build(loss=0.3, seed=7)
-    chan_a, chan_b, _, received_b = channel_pair(sim, net)
-    for i in range(50):
-        chan_a.send(i)
-    sim.run(until=120.0)
-    assert received_b == list(range(50))
-    assert chan_a.stats["retransmits"] > 0
-
-
-def test_reliable_channel_bidirectional():
-    sim, net = build(loss=0.1, seed=3)
-    chan_a, chan_b, received_a, received_b = channel_pair(sim, net)
-    chan_a.send("ping")
-    chan_b.send("pong")
-    sim.run(until=30.0)
-    assert received_b == ["ping"]
-    assert received_a == ["pong"]
-
-
-def test_reliable_channel_no_duplicate_delivery():
-    sim, net = build(loss=0.25, seed=11)
-    chan_a, chan_b, _, received_b = channel_pair(sim, net)
-    for i in range(20):
-        chan_a.send(i)
-    sim.run(until=60.0)
-    assert received_b == list(range(20))  # exactly once, in order
-
-
-def test_reliable_channel_gives_up_when_peer_gone():
-    sim, net = build()
-    chan_a, chan_b, _, _ = channel_pair(sim, net, max_retries=3)
-    net.set_node_up("b", False)
-    chan_a.send("into the void")
-    sim.run(until=60.0)
-    assert chan_a.stats["gave_up"] == 1
-    assert chan_a.unacked_count == 0
-
-
-def test_reliable_channel_closed_send_raises():
-    sim, net = build()
-    chan_a, _, _, _ = channel_pair(sim, net)
-    chan_a.close()
-    with pytest.raises(RuntimeError):
-        chan_a.send("x")
 
 
 def test_backhaul_profiles():

@@ -56,6 +56,23 @@ def test_wifi_disconnect_terminates_session():
     assert len(site.agw.accounting) == 1
 
 
+def test_wifi_disconnect_during_eap_closes_the_agw_session():
+    site, ap = build_wifi_site()
+    username = site.imsis[0]
+    done = ap.connect(username, f"wifi-{username}")
+    site.sim.run(until=site.sim.now + 0.0005)
+    ap.disconnect(username)
+    site.sim.run(until=site.sim.now + 10.0)
+    assert done.triggered and not done.value.connected
+    assert ap.client(username) is None
+    assert ap.stats["auth_ok"] == 0
+    # The Access-Accept landed after the disconnect: the AP answers it
+    # with an Accounting-Stop, so the AGW session does not leak.
+    assert site.agw.radius.stats["accepts"] == 1
+    assert site.agw.radius.stats["accounting_stops"] == 1
+    assert site.agw.sessiond.session(username) is None
+
+
 def test_wifi_interim_accounting_records_usage():
     from repro.wifi.radius import AccountingRequest
     site, ap = build_wifi_site()
