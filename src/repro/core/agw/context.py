@@ -25,6 +25,10 @@ from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
 from ...sim.rng import RngRegistry
 
+#: Deadline of the AGW's own RPCs: downlinks to its RAN nodes, check-ins,
+#: inter-AGW calls.
+RPC_DEADLINE = 5.0
+
 CPU_CLASS_CONTROL = "cp"
 CPU_CLASS_USER = "up"
 
@@ -92,11 +96,6 @@ class AgwConfig:
     ip_block: str = "10.128.0.0/16"
     checkpoint_interval: float = 10.0
     checkin_interval: float = 60.0
-    quota_request_bytes: Optional[int] = None  # None = OCS default
-    sgi_port: str = "internet"
-    ran_port: str = "ran"
-    gtpa_port: str = "gtpa"
-    rpc_deadline: float = 5.0
     # MME overload protection: reject new attaches outright when this much
     # control-plane work is already queued, instead of letting doomed
     # attempts consume CPU past their guard timers (congestion collapse).
@@ -109,9 +108,8 @@ class AgwConfig:
     network_id: str = "default"
     # Telemetry buffering during headless operation (§3.4): how many
     # check-in-interval snapshots to retain while the orchestrator is
-    # unreachable, and how many to back-fill per check-in on reconnect.
+    # unreachable.
     metrics_buffer_max: int = 240
-    metrics_max_backfill: int = 20
 
 
 class AgwContext:

@@ -18,7 +18,7 @@ from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
 from ...sim.rng import RngRegistry
 from ..policy.accounting import AccountingLog
-from .context import AgwConfig, AgwContext
+from .context import RPC_DEADLINE, AgwConfig, AgwContext
 from .directoryd import Directoryd
 from .enodebd import Enodebd
 from .magmad import CheckpointStore, Magmad
@@ -61,8 +61,7 @@ class AccessGateway:
             ocs_client = LocalOcsClient(sim, ocs)
         elif ocs_node is not None:
             channel = RpcChannel(sim, network, node, ocs_node)
-            ocs_client = RpcOcsClient(channel,
-                                      deadline=self.context.config.rpc_deadline)
+            ocs_client = RpcOcsClient(channel, deadline=RPC_DEADLINE)
         self.sessiond = Sessiond(self.context, self.subscriberdb,
                                  self.policydb, self.mobilityd,
                                  self.pipelined, ocs_client=ocs_client,

@@ -12,6 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+#: A RAN device silent this long (seconds) is stale.
+ENB_STALE_AFTER = 300.0
+#: Queued control-plane work (core-seconds) that marks a backlog.
+CP_BACKLOG_WARN = 30.0
+
 
 @dataclass
 class HealthCheck:
@@ -23,14 +28,8 @@ class HealthCheck:
 class HealthService:
     """Evaluates gateway-local health checks on demand."""
 
-    def __init__(self, gateway: "AccessGateway",
-                 enb_stale_after: float = 300.0,
-                 cp_backlog_warn: float = 30.0,
-                 ip_pool_warn_fraction: float = 0.9):
+    def __init__(self, gateway: "AccessGateway"):
         self.gateway = gateway
-        self.enb_stale_after = enb_stale_after
-        self.cp_backlog_warn = cp_backlog_warn
-        self.ip_pool_warn_fraction = ip_pool_warn_fraction
 
     def evaluate(self) -> List[HealthCheck]:
         gateway = self.gateway
@@ -38,7 +37,7 @@ class HealthService:
         checks.append(HealthCheck(
             name="process", healthy=not gateway.crashed,
             detail="crashed" if gateway.crashed else "running"))
-        stale = gateway.enodebd.stale_devices(self.enb_stale_after)
+        stale = gateway.enodebd.stale_devices(ENB_STALE_AFTER)
         checks.append(HealthCheck(
             name="ran-devices", healthy=not stale,
             detail=f"stale: {stale}" if stale else
@@ -46,7 +45,7 @@ class HealthService:
         backlog = gateway.context.cpu.queued_work("cp")
         checks.append(HealthCheck(
             name="control-plane-backlog",
-            healthy=backlog < self.cp_backlog_warn,
+            healthy=backlog < CP_BACKLOG_WARN,
             detail=f"{backlog:.1f} core-seconds queued"))
         sessions = gateway.sessiond.session_count()
         installed = gateway.pipelined.session_count()

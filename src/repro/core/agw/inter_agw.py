@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...net.rpc import RpcChannel, RpcError, RpcServer
-from .context import AgwContext
+from .context import RPC_DEADLINE, AgwContext
 from .sessiond import Sessiond
 
 S10_SERVICE = "s10"
@@ -106,7 +106,7 @@ class InterAgwMobility:
             with span.active():
                 transferred = yield channel.call(
                     S10_SERVICE, "context_transfer", {"imsi": imsi},
-                    deadline=self.context.config.rpc_deadline)
+                    deadline=RPC_DEADLINE)
         except RpcError:
             span.end("error")
             return None

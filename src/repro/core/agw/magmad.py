@@ -22,7 +22,11 @@ from typing import Any, Deque, Dict, List, Optional
 from ...net.rpc import RpcChannel, RpcError, payload_bytes
 from ...sim.kernel import Interrupted, Process
 from ..sync import DigestMirror, ReconcileClient
-from .context import AgwContext
+from .context import RPC_DEADLINE, AgwContext
+
+#: Buffered metric snapshots back-filled per check-in after headless
+#: operation; the rest wait for the next round.
+METRICS_MAX_BACKFILL = 20
 
 
 class CheckpointStore:
@@ -142,9 +146,8 @@ class Magmad:
         """Generator: one check-in exchange with the orchestrator."""
         self._buffer_metrics()
         backlog = list(self._metrics_buffer)
-        max_backfill = self.context.config.metrics_max_backfill
-        if len(backlog) > max_backfill:
-            backlog = backlog[:max_backfill]  # oldest first; rest next round
+        if len(backlog) > METRICS_MAX_BACKFILL:
+            backlog = backlog[:METRICS_MAX_BACKFILL]  # oldest first
         request = {
             "gateway_id": self.context.node,
             "network_id": self.context.config.network_id,
@@ -161,7 +164,7 @@ class Magmad:
             with span.active():
                 response = yield self._orc_channel.call(
                     "statesync", "checkin", request,
-                    deadline=self.context.config.rpc_deadline)
+                    deadline=RPC_DEADLINE)
         except RpcError:
             self.stats["checkins_failed"] += 1
             span.end("error")
@@ -192,7 +195,7 @@ class Magmad:
             try:
                 reply = yield self._orc_channel.call(
                     "statesync", "reconcile", request,
-                    deadline=self.context.config.rpc_deadline)
+                    deadline=RPC_DEADLINE)
             except RpcError:
                 # Safe to abandon mid-walk: deltas applied so far only
                 # moved this replica *toward* the orchestrator, and the

@@ -13,44 +13,31 @@ is the NAS default.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from ...fiveg import nas5g, ngap
-from ...net.rpc import RpcChannel, RpcServer
 from ...sim.kernel import Event
-from .context import AgwContext
-from .enodebd import Enodebd
-from .mme import AccessContext, AccessManagement, RanFrontend, UeContextState
-from .sessiond import Sessiond
-
-UeRef5g = Tuple[str, int]  # (gnb_id, ran_ue_id)
+from .context import RPC_DEADLINE
+from .mme import AccessContext, UeContextState
+from .s1ap_frontend import RanNodeFrontend
 
 
-class NgapFrontend(RanFrontend):
+class NgapFrontend(RanNodeFrontend):
     """5G access frontend of one AGW."""
 
     name = "ngap"
-
-    def __init__(self, context: AgwContext, server: RpcServer,
-                 mme: AccessManagement, sessiond: Sessiond,
-                 enodebd: Enodebd):
-        self.context = context
-        self.mme = mme
-        self.sessiond = sessiond
-        self.enodebd = enodebd
-        self._channels: Dict[str, RpcChannel] = {}
-        self.stats = {"ng_setups": 0, "registrations": 0,
-                      "registration_rejects": 0, "pdu_sessions": 0,
-                      "pdu_rejects": 0, "deregistrations": 0}
-        server.register(ngap.NGAP_SERVICE, "setup", self._on_setup)
-        server.register(ngap.NGAP_SERVICE, "uplink", self._on_uplink)
+    service = ngap.NGAP_SERVICE
+    node_service = ngap.GNB_NGAP_SERVICE
+    kind = "gnb"
+    downlink_transport = ngap.DownlinkNasTransport5g
+    counters = ("ng_setups", "registrations", "registration_rejects",
+                "pdu_sessions", "pdu_rejects", "deregistrations")
 
     # -- southbound handlers ------------------------------------------------------
 
     def _on_setup(self, request: ngap.NgSetupRequest) -> ngap.NgSetupResponse:
         self.stats["ng_setups"] += 1
-        self.enodebd.register(request.gnb_id, kind="gnb")
-        self._channel_for(request.gnb_id)
+        self._register_node(request.gnb_id)
         return ngap.NgSetupResponse(amf_name=self.context.node, accepted=True)
 
     def _on_uplink(self, message: Any) -> Dict[str, bool]:
@@ -92,10 +79,9 @@ class NgapFrontend(RanFrontend):
             self.mme.deregister(ue.imsi, "deregistration", ue, None
                                 if request.switch_off
                                 else nas5g.DeregistrationAccept(imsi=ue.imsi))
+        elif isinstance(request, nas5g.AuthenticationFailure5g):
+            self._refused(ue, request.cause)
         return {"accepted": True}
-
-    def location_of(self, ue_ref: UeRef5g) -> str:
-        return ue_ref[0]
 
     # -- RanFrontend outcomes (access management -> gNB) ----------------------------
 
@@ -135,7 +121,7 @@ class NgapFrontend(RanFrontend):
                                                     ue_ip=session.ue_ip))
         reply = self._channel_for(gnb_id).call(
             ngap.GNB_NGAP_SERVICE, "pdu_session_setup", setup,
-            deadline=self.context.config.rpc_deadline)
+            deadline=RPC_DEADLINE)
         reply.add_callback(lambda ev: self._on_pdu_setup(ev, ue.imsi, gnb_id))
 
     def _on_pdu_setup(self, reply: Event, imsi: str, gnb_id: str) -> None:
@@ -149,22 +135,3 @@ class NgapFrontend(RanFrontend):
         """The gNB frees its own radio context on deregistration."""
         if answer is not None:
             self._downlink(ue, answer)
-
-    # -- plumbing ----------------------------------------------------------------------------
-
-    def _downlink(self, ue: AccessContext, message: Any) -> None:
-        gnb_id, ran_ue_id = ue.ue_ref
-        transport = ngap.DownlinkNasTransport5g(
-            ran_ue_id=ran_ue_id, amf_ue_id=ue.ue_id, nas=message)
-        self.context.sim.call_later(0.0, self._channel_for(gnb_id).call,
-                                    ngap.GNB_NGAP_SERVICE, "downlink_nas",
-                                    transport,
-                                    self.context.config.rpc_deadline)
-
-    def _channel_for(self, gnb_id: str) -> RpcChannel:
-        channel = self._channels.get(gnb_id)
-        if channel is None:
-            channel = RpcChannel(self.context.sim, self.context.network,
-                                 self.context.node, gnb_id)
-            self._channels[gnb_id] = channel
-        return channel

@@ -35,6 +35,12 @@ TABLE_CLASSIFY = 0
 TABLE_POLICY = 1
 TABLE_EGRESS = 2
 
+#: Switch ports: toward the RAN (GTP-U), the internet (SGi), and the
+#: federated MNO's core (home-routed roamers, §3.6).
+RAN_PORT = "ran"
+SGI_PORT = "internet"
+GTPA_PORT = "gtpa"
+
 # 3GPP QCI -> IP DSCP marking (standard operator mapping, abbreviated).
 # QCI 1 = conversational voice (EF), 5 = IMS signalling (AF41 here),
 # 9 = default best effort.
@@ -58,12 +64,11 @@ class Pipelined:
 
     def __init__(self, context: AgwContext):
         self.context = context
-        config = context.config
         self.switch = SoftwareSwitch(f"{context.node}-dp", num_tables=3,
                                      clock=lambda: context.sim.now)
-        self.ran_port = config.ran_port
-        self.sgi_port = config.sgi_port
-        self.gtpa_port = config.gtpa_port
+        self.ran_port = RAN_PORT
+        self.sgi_port = SGI_PORT
+        self.gtpa_port = GTPA_PORT
         self._meter_ids = itertools.count(1)
         self._sessions: Dict[str, SessionFlows] = {}
         self._ran_sink = []

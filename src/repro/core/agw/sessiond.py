@@ -23,7 +23,7 @@ from ..policy.enforcer import EnforcementState, UNLIMITED_MBPS
 from ..policy.rules import ChargingMode
 from .context import AgwContext
 from .mobilityd import Mobilityd
-from .pipelined import Pipelined
+from .pipelined import GTPA_PORT, SGI_PORT, Pipelined
 from .policydb import PolicyDb
 from .subscriberdb import SubscriberDb
 
@@ -35,8 +35,8 @@ class SessionError(Exception):
 class OcsClient:
     """Interface to the online charging system (local or over RPC)."""
 
-    def request_quota(self, imsi: str, agw_id: str,
-                      requested_bytes: Optional[int]) -> Event:
+    def request_quota(self, imsi: str, agw_id: str) -> Event:
+        """Ask for a quota grant of the OCS's default size."""
         raise NotImplementedError
 
     def report_usage(self, grant_id: int, used_bytes: int,
@@ -51,9 +51,9 @@ class LocalOcsClient(OcsClient):
         self.sim = sim
         self.ocs = ocs
 
-    def request_quota(self, imsi, agw_id, requested_bytes):
+    def request_quota(self, imsi, agw_id):
         ev = self.sim.event("ocs.request_quota")
-        grant = self.ocs.request_quota(imsi, agw_id, requested_bytes)
+        grant = self.ocs.request_quota(imsi, agw_id)
         if grant is None:
             ev.succeed(None)
         else:
@@ -78,10 +78,11 @@ class RpcOcsClient(OcsClient):
         self.channel = channel
         self.deadline = deadline
 
-    def request_quota(self, imsi, agw_id, requested_bytes):
+    def request_quota(self, imsi, agw_id):
+        # A None size asks for the OCS's default grant.
         return self.channel.call("ocs", "request_quota",
                                  {"imsi": imsi, "agw_id": agw_id,
-                                  "requested_bytes": requested_bytes},
+                                  "requested_bytes": None},
                                  deadline=self.deadline)
 
     def report_usage(self, grant_id, used_bytes, final):
@@ -194,8 +195,8 @@ class Sessiond:
             if self.ocs_client is None:
                 self._release(record)
                 raise SessionError("online-charged policy but no OCS configured")
-            grant = yield self.ocs_client.request_quota(
-                imsi, self.context.node, self.context.config.quota_request_bytes)
+            grant = yield self.ocs_client.request_quota(imsi,
+                                                        self.context.node)
             if grant is None:
                 self._release(record)
                 self.stats["quota_denials"] += 1
@@ -204,8 +205,7 @@ class Sessiond:
         decision = enforcement.decide(sim.now)
         egress = user_plane_egress(self.context.config.deployment_mode,
                                    profile.federated)
-        egress_port = (self.context.config.gtpa_port if egress == "gtpa"
-                       else self.context.config.sgi_port)
+        egress_port = GTPA_PORT if egress == "gtpa" else SGI_PORT
         record.home_routed = egress == "gtpa"
         self.pipelined.install_session(imsi, ue_ip, agw_teid,
                                        decision.allowed_mbps,
@@ -330,8 +330,7 @@ class Sessiond:
                     except Exception:  # noqa: BLE001 - OCS unreachable
                         pass
                 grant = yield self.ocs_client.request_quota(
-                    imsi, self.context.node,
-                    self.context.config.quota_request_bytes)
+                    imsi, self.context.node)
             except Exception:  # noqa: BLE001 - OCS unreachable
                 grant = None
             enforcement._refill_in_flight = False
@@ -489,9 +488,7 @@ class Sessiond:
                 self._sessions[imsi] = record
                 self._teids.reserve(record.agw_teid)
                 self._seed_session_id(record.session_id)
-                egress_port = (self.context.config.gtpa_port
-                               if record.home_routed
-                               else self.context.config.sgi_port)
+                egress_port = GTPA_PORT if record.home_routed else SGI_PORT
                 self.pipelined.install_session(imsi, record.ue_ip,
                                                record.agw_teid,
                                                record.installed_rate_mbps,

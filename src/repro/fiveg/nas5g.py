@@ -33,6 +33,14 @@ class AuthenticationResponse5g(Nas5gMessage):
 
 
 @dataclass(frozen=True)
+class AuthenticationFailure5g(Nas5gMessage):
+    """The USIM refused the challenge: a MAC failure, or
+    ``sync_failure:<sqn>`` asking the network to resynchronise."""
+
+    cause: str = ""
+
+
+@dataclass(frozen=True)
 class SecurityModeCommand5g(Nas5gMessage):
     integrity_algo: str = "nia2"
     ciphering_algo: str = "nea2"

@@ -64,15 +64,3 @@ class PduSessionResourceSetupResponse:
     gnb_address: str = ""
     success: bool = True
 
-
-@dataclass(frozen=True)
-class UeContextReleaseCommand5g:
-    ran_ue_id: int
-    amf_ue_id: int
-    cause: str = "deregistration"
-
-
-@dataclass(frozen=True)
-class UeContextReleaseComplete5g:
-    ran_ue_id: int
-    amf_ue_id: int

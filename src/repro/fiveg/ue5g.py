@@ -3,20 +3,19 @@
 Unlike the LTE UE, a 5G UE performs two separate procedures: it first
 *registers* (authentication + security), then establishes a *PDU session*
 to get an IP and user plane.  Both are driven against the same AGW generic
-functions via the NGAP frontend.
+functions via the NGAP frontend.  The USIM, the guard timer and the root
+span are the LTE UE's (:class:`~repro.lte.ue.UeBase`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..lte import auth
+from ..lte.nas import T3410_ATTACH
 from ..lte.radio import CellCapacityError
-from ..obs.tracing import tracer_of
+from ..lte.ue import UeBase
 from ..sim.kernel import Event, Simulator
 from . import nas5g
-
-DEFAULT_GUARD_TIMER = 15.0
 
 
 class Ue5gState:
@@ -25,40 +24,30 @@ class Ue5gState:
     REGISTERED = "registered"            # no PDU session yet
     SESSION_PENDING = "session-pending"
     SESSION_ACTIVE = "session-active"
-    STUCK = "stuck"
 
 
-class Ue5g:
+class Ue5g(UeBase):
     """A simulated 5G UE."""
 
+    auth_response = nas5g.AuthenticationResponse5g
+    auth_failure = nas5g.AuthenticationFailure5g
+
     def __init__(self, sim: Simulator, imsi: str, k: bytes, opc: bytes,
-                 gnb: "Gnb", radio_delay: float = 0.02,
-                 guard_timer: float = DEFAULT_GUARD_TIMER,
-                 fragile_baseband: bool = False):
-        self.sim = sim
-        self.imsi = imsi
-        self.k = k
-        self.opc = opc
+                 gnb: "Gnb"):
+        super().__init__(sim, imsi, k, opc)
         self.gnb = gnb
-        self.radio_delay = radio_delay
-        self.guard_timer = guard_timer
-        self.fragile_baseband = fragile_baseband
         self.state = Ue5gState.DEREGISTERED
-        self.usim_sqn = 0
-        self.ip_address: Optional[str] = None
         self.guti_5g: Optional[str] = None
-        self.offered_mbps = 0.0
         self._procedure_done: Optional[Event] = None
         self.stats = {"registrations": 0, "registration_failures": 0,
-                      "pdu_sessions": 0, "pdu_failures": 0,
-                      "session_errors": 0}
+                      "pdu_sessions": 0, "pdu_failures": 0}
 
     # -- procedures ---------------------------------------------------------------
 
     def register(self) -> Event:
         """Run the registration procedure; event value is True/False."""
         result = self.sim.event(f"ue5g.{self.imsi}.register")
-        if self.state not in (Ue5gState.DEREGISTERED,):
+        if self.state != Ue5gState.DEREGISTERED:
             result.succeed(False)
             return result
         self.state = Ue5gState.REGISTERING
@@ -70,7 +59,7 @@ class Ue5g:
             success_counter="registrations",
             failure_counter="registration_failures"),
             name=f"5g-register:{self.imsi}",
-            ctx=self._root_span("register", result))
+            ctx=self._root_span("register", result).context)
         return result
 
     def establish_pdu_session(self) -> Event:
@@ -89,7 +78,7 @@ class Ue5g:
             failure_counter="pdu_failures",
             connect=False),
             name=f"5g-pdu:{self.imsi}",
-            ctx=self._root_span("pdu_session", result))
+            ctx=self._root_span("pdu_session", result).context)
         return result
 
     def release_pdu_session(self) -> Event:
@@ -113,7 +102,7 @@ class Ue5g:
         return result
 
     def deregister(self) -> None:
-        if self.state in (Ue5gState.DEREGISTERED, Ue5gState.STUCK):
+        if self.state == Ue5gState.DEREGISTERED:
             return
         self._send_nas(nas5g.DeregistrationRequest(imsi=self.imsi,
                                                    switch_off=True))
@@ -127,13 +116,6 @@ class Ue5g:
         self.offered_mbps = mbps
         if self.state == Ue5gState.SESSION_ACTIVE:
             self.gnb.set_ue_offered_rate(self.imsi, mbps)
-
-    def notify_session_error(self, cause: str = "") -> None:
-        self.stats["session_errors"] += 1
-        self.ip_address = None
-        self.gnb.rrc_release(self)
-        self.state = (Ue5gState.STUCK if self.fragile_baseband
-                      else Ue5gState.DEREGISTERED)
 
     # -- NAS handling -----------------------------------------------------------------
 
@@ -158,16 +140,6 @@ class Ue5g:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _root_span(self, name: str, result: Event) -> Any:
-        """Open the procedure's trace (as the LTE UE's ``attach`` does),
-        closed by ``result``; returns the context to run it under."""
-        span = tracer_of(self.sim).begin(name, component="ue",
-                                         tags={"imsi": self.imsi})
-        if span.recording:
-            result.add_callback(lambda ev: span.end(
-                "ok" if ev.ok and ev.value else "error"))
-        return span.context
-
     def _run_procedure(self, result: Event, initial_message: Any,
                        success_state: str, failure_state: str,
                        success_counter: str, failure_counter: str,
@@ -182,17 +154,8 @@ class Ue5g:
                 return
         inner = self._procedure_done
         self._send_nas(initial_message)
-        # Cancelable guard: revoked when the race resolves instead of rotting
-        # in the scheduler for the full guard window.
-        guard = self.sim.event("guard")
-        guard_timer = self.sim.schedule(self.guard_timer, guard.succeed)
-        try:
-            race = yield self.sim.any_of([inner, guard])
-        except Exception:  # any failed procedure event means the attempt failed
-            race = {}
-        finally:
-            guard_timer.cancel()
-        ok = inner in race and inner.value is True
+        won = yield from self._guarded(inner, T3410_ATTACH, "guard")
+        ok = won and inner.value is True
         if ok:
             self.state = success_state
             self.stats[success_counter] += 1
@@ -206,22 +169,13 @@ class Ue5g:
                 self.gnb.rrc_release(self)
         result.succeed(ok)
 
-    def _on_auth_request(self, message: nas5g.AuthenticationRequest5g) -> None:
-        try:
-            network_sqn = auth.usim_verify_autn(
-                self.k, self.opc, message.rand, message.autn, self.usim_sqn)
-        except auth.AuthenticationFailure:
-            self._finish(False)
-            return
-        self.usim_sqn = network_sqn
-        res = auth.usim_compute_res(self.k, self.opc, message.rand)
-        self._send_nas(nas5g.AuthenticationResponse5g(imsi=self.imsi,
-                                                      res_star=res))
-
     def _finish(self, ok: bool) -> None:
         if self._procedure_done is not None and \
                 not self._procedure_done.triggered:
             self._procedure_done.succeed(ok)
+
+    def _fail_procedure(self, cause: str) -> None:
+        self._finish(False)
 
     def _send_nas(self, message: Any) -> None:
         self.gnb.uplink_nas(self, message)

@@ -1,7 +1,7 @@
 """LTE substrate: UEs, eNodeBs, NAS/S1AP, EPS-AKA, GTP-C, radio capacity."""
 
 from . import auth, gtp, nas, s1ap
-from .enodeb import ENB_S1AP_SERVICE, Enodeb, UeContext
+from .enodeb import ENB_S1AP_SERVICE, Enodeb
 from .identifiers import EcgI, Tai, TeidAllocator, TEST_PLMN, make_imsi, validate_imsi
 from .radio import (
     CellCapacityError,
@@ -9,6 +9,7 @@ from .radio import (
     CellModel,
     max_min_share,
 )
+from .ran import RanNode, RanUeContext
 from .ue import AttachOutcome, Ue, UeConfig, UeState
 
 __all__ = [
@@ -19,12 +20,13 @@ __all__ = [
     "EcgI",
     "ENB_S1AP_SERVICE",
     "Enodeb",
+    "RanNode",
+    "RanUeContext",
     "Tai",
     "TeidAllocator",
     "TEST_PLMN",
     "Ue",
     "UeConfig",
-    "UeContext",
     "UeState",
     "auth",
     "gtp",

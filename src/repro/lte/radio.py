@@ -22,6 +22,8 @@ from ..sim.fairshare import max_min_share as _max_min_share
 DEFAULT_MAX_ACTIVE_UES = 96
 DEFAULT_CELL_CAPACITY_MBPS = 150.0
 DEFAULT_PER_UE_PEAK_MBPS = 40.0
+#: One-way UE <-> RAN node signalling delay.
+RADIO_DELAY = 0.02
 
 
 class CellCapacityError(Exception):

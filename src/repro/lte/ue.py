@@ -1,6 +1,11 @@
-"""UE (user equipment) model: the LTE attach/detach state machine.
+"""UE (user equipment) models: the parts every UE shares, and the LTE UE.
 
-The UE drives the NAS dialogue end-to-end: attach request, EPS-AKA
+:class:`UeBase` is what the LTE and 5G UEs share: the USIM that answers a
+network challenge (or reports why it cannot, SQN resynchronisation
+included), the guard timer each procedure races, and the procedure's root
+span.
+
+:class:`Ue` drives the LTE NAS dialogue end-to-end: attach request, EPS-AKA
 challenge response, security mode, attach accept/complete.  Its guard timer
 (T3410) defines what a *failed connection attempt* means for the paper's
 connection success rate (CSR) metric.
@@ -14,7 +19,7 @@ paper describes, and the behaviour Magma's local GTP termination shields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net.rpc import RpcError
@@ -36,7 +41,6 @@ class UeState:
 class UeConfig:
     attach_guard_timer: float = nas.T3410_ATTACH
     fragile_baseband: bool = False
-    radio_delay: float = 0.02  # one-way UE <-> eNodeB signaling delay
 
 
 class AttachOutcome:
@@ -54,27 +58,105 @@ class AttachOutcome:
         return f"<AttachOutcome {status} {self.latency:.2f}s>"
 
 
-class Ue:
-    """A simulated LTE UE with a USIM."""
+def _succeeded(ev: Event) -> bool:
+    """Whether a procedure's result event reports success: True, or an
+    :class:`AttachOutcome` whose attach worked."""
+    if not ev.ok:
+        return False
+    value = ev.value
+    return bool(value.success if isinstance(value, AttachOutcome) else value)
 
-    def __init__(self, sim: Simulator, imsi: str, k: bytes, opc: bytes,
-                 enb: "Enodeb", config: Optional[UeConfig] = None):
+
+class UeBase:
+    """A UE's USIM and procedure plumbing, whichever RAT carries its NAS.
+
+    A subclass names its RAT's answers to a challenge and provides
+    ``_send_nas(message)`` (uplink through its RAN node) and
+    ``_fail_procedure(cause)`` (end the running procedure as failed).
+    """
+
+    #: The NAS answers to a challenge: constructed ``(imsi, res)`` and
+    #: ``(imsi, cause)``.
+    auth_response: type
+    auth_failure: type
+
+    def __init__(self, sim: Simulator, imsi: str, k: bytes, opc: bytes):
         self.sim = sim
         self.imsi = imsi
         self.k = k
         self.opc = opc
+        self.usim_sqn = 0
+        self.ip_address: Optional[str] = None
+        self.offered_mbps = 0.0
+
+    def _root_span(self, name: str, result: Event, **tags: Any) -> Any:
+        """Open a procedure's span - a child of the ambient trace when
+        there is one (a paging-triggered service request), else a new
+        trace - closed by ``result``."""
+        span = tracer_of(self.sim).begin(name, component="ue",
+                                         tags={"imsi": self.imsi, **tags})
+        if span.recording:
+            result.add_callback(lambda ev: span.end(
+                "ok" if _succeeded(ev) else "error"))
+        return span
+
+    def _guarded(self, inner: Event, timeout: float, name: str):
+        """Race a procedure's ``inner`` event against a guard timer; True
+        when ``inner`` won, and a failed ``inner`` raises.  Reached with
+        ``yield from``, so it costs the calling process no kernel entry.
+
+        The timer is revoked however the race ends instead of rotting in
+        the scheduler for its full window (with thousands of UEs those
+        corpses dominate the heap).
+        """
+        guard = self.sim.event(name)
+        guard_timer = self.sim.schedule(timeout, guard.succeed)
+        try:
+            race = yield self.sim.any_of([inner, guard])
+        finally:
+            guard_timer.cancel()
+        return inner in race
+
+    def _on_auth_request(self, message: Any) -> None:
+        """The USIM's side of AKA: check AUTN, then answer with RES.
+
+        An SQN failure reports the USIM's SQN so the network can re-issue
+        a fresh vector (3GPP resynchronisation: a UE appears at an AGW
+        whose SQN state lags the USIM's); any other failure is reported
+        and ends the procedure.
+        """
+        try:
+            network_sqn = auth.usim_verify_autn(
+                self.k, self.opc, message.rand, message.autn, self.usim_sqn)
+        except auth.AuthenticationFailure as exc:
+            if "SQN" in str(exc):
+                self._send_nas(self.auth_failure(
+                    self.imsi, f"sync_failure:{self.usim_sqn}"))
+                return
+            self._send_nas(self.auth_failure(self.imsi, str(exc)))
+            self._fail_procedure(str(exc))
+            return
+        self.usim_sqn = network_sqn
+        self._send_nas(self.auth_response(
+            self.imsi, auth.usim_compute_res(self.k, self.opc, message.rand)))
+
+
+class Ue(UeBase):
+    """A simulated LTE UE with a USIM."""
+
+    auth_response = nas.AuthenticationResponse
+    auth_failure = nas.AuthenticationFailureMsg
+
+    def __init__(self, sim: Simulator, imsi: str, k: bytes, opc: bytes,
+                 enb: "Enodeb", config: Optional[UeConfig] = None):
+        super().__init__(sim, imsi, k, opc)
         self.enb = enb
         self.config = config or UeConfig()
         self.state = UeState.DEREGISTERED
-        self.usim_sqn = 0
-        self.ip_address: Optional[str] = None
         self.bearer_id: Optional[int] = None
         self.guti: Optional[str] = None
-        self.kasme: Optional[bytes] = None
-        self.offered_mbps = 0.0
         self._attach_done: Optional[Event] = None
         self._attach_started_at = 0.0
-        self._last_rand: Optional[bytes] = None
         self.stats = {"attach_attempts": 0, "attach_successes": 0,
                       "attach_failures": 0, "session_errors": 0,
                       "power_cycles": 0}
@@ -100,11 +182,7 @@ class Ue:
         self.state = UeState.ATTACHING
         self._attach_started_at = self.sim.now
         self._attach_done = self.sim.event(f"ue.{self.imsi}.attach_inner")
-        span = tracer_of(self.sim).begin("attach", component="ue",
-                                         tags={"imsi": self.imsi})
-        if span.recording:
-            result.add_callback(lambda ev: span.end(
-                "ok" if ev.ok and ev.value.success else "error"))
+        span = self._root_span("attach", result)
         self.sim.spawn(self._attach_procedure(result),
                        name=f"attach:{self.imsi}", ctx=span.context)
         return result
@@ -121,11 +199,7 @@ class Ue:
         if self.state != UeState.REGISTERED:
             done.succeed(False)
             return done
-        span = tracer_of(self.sim).begin("detach", component="ue",
-                                         tags={"imsi": self.imsi,
-                                               "switch_off": switch_off})
-        if span.recording:
-            span.end_on(done)
+        span = self._root_span("detach", done, switch_off=switch_off)
         with span.active():
             self._send_nas(nas.DetachRequest(imsi=self.imsi,
                                              switch_off=switch_off))
@@ -179,14 +253,7 @@ class Ue:
         if self.state != UeState.IDLE:
             result.succeed(False)
             return result
-        # ``begin``: a paging-triggered SR nests under the paging trace
-        # (on_paged runs with the paging span ambient); a UE-originated SR
-        # starts a fresh trace.
-        span = tracer_of(self.sim).begin("service_request", component="ue",
-                                         tags={"imsi": self.imsi})
-        if span.recording:
-            result.add_callback(lambda ev: span.end(
-                "ok" if ev.ok and ev.value else "error"))
+        span = self._root_span("service_request", result)
 
         def proc(sim):
             try:
@@ -196,16 +263,7 @@ class Ue:
                 return
             self._sr_done = self.sim.event("sr-inner")
             self._send_nas(nas.ServiceRequest(imsi=self.imsi))
-            # Cancelable guard: when the SR wins the race, the guard timer
-            # is revoked instead of rotting in the scheduler for its full
-            # window (with thousands of UEs those corpses dominate the heap).
-            guard = self.sim.event("sr-guard")
-            guard_timer = self.sim.schedule(10.0, guard.succeed)
-            try:
-                race = yield self.sim.any_of([self._sr_done, guard])
-            finally:
-                guard_timer.cancel()
-            if self._sr_done in race:
+            if (yield from self._guarded(self._sr_done, 10.0, "sr-guard")):
                 self.state = UeState.REGISTERED
                 if self.offered_mbps > 0:
                     self.enb.set_ue_offered_rate(self.imsi,
@@ -238,18 +296,14 @@ class Ue:
             return result
         source_enb = self.enb
         source_context = source_enb.context_for(self.imsi)
-        if source_context is None or source_context.mme_ue_id is None:
+        if source_context is None or source_context.core_ue_id is None:
             result.succeed(False)
             return result
-        span = tracer_of(self.sim).begin("handover", component="ue",
-                                         tags={"imsi": self.imsi})
-        if span.recording:
-            result.add_callback(lambda ev: span.end(
-                "ok" if ev.ok and ev.value else "error"))
+        span = self._root_span("handover", result)
         try:
             with span.active():
                 ack_event = target_enb.handover_in(self,
-                                                   source_context.mme_ue_id)
+                                                   source_context.core_ue_id)
         except CellCapacityError:  # target cell full or its S1 is down
             result.succeed(False)
             return result
@@ -284,8 +338,7 @@ class Ue:
             self.state = UeState.STUCK
         else:
             self.state = UeState.DEREGISTERED
-        if self._attach_done is not None and not self._attach_done.triggered:
-            self._attach_done.fail(RuntimeError(cause or "session error"))
+        self._fail_procedure(cause or "session error")
 
     def power_cycle(self) -> None:
         """Operator/user power cycles the device, clearing a stuck baseband."""
@@ -308,8 +361,7 @@ class Ue:
         elif isinstance(message, nas.AttachAccept):
             self._on_attach_accept(message)
         elif isinstance(message, (nas.AttachReject, nas.AuthenticationReject)):
-            if self._attach_done is not None and not self._attach_done.triggered:
-                self._attach_done.fail(RuntimeError(message.cause))
+            self._fail_procedure(message.cause)
         elif isinstance(message, nas.DetachAccept):
             self._finish_detach()
         elif isinstance(message, nas.ServiceAccept):
@@ -329,59 +381,25 @@ class Ue:
             result.succeed(AttachOutcome(False, 0.0, str(exc)))
             return
         self._send_nas(nas.AttachRequest(imsi=self.imsi))
-        # Cancelable guard (see service_request): revoked on any exit path.
-        guard = self.sim.event("attach-guard")
-        guard_timer = self.sim.schedule(self.config.attach_guard_timer,
-                                        guard.succeed)
+        cause = "T3410 expiry"
         try:
-            race = yield self.sim.any_of([self._attach_done, guard])
+            attached = yield from self._guarded(
+                self._attach_done, self.config.attach_guard_timer,
+                "attach-guard")
         except Exception as exc:  # reject / auth failure / session error
-            latency = self.sim.now - self._attach_started_at
-            self.state = UeState.DEREGISTERED
-            self.stats["attach_failures"] += 1
-            self.enb.rrc_release(self)
-            result.succeed(AttachOutcome(False, latency, str(exc)))
-            return
-        finally:
-            guard_timer.cancel()
+            attached, cause = False, str(exc)
         latency = self.sim.now - self._attach_started_at
-        if self._attach_done in race:
+        if attached:
             self.state = UeState.REGISTERED
             self.stats["attach_successes"] += 1
             if self.offered_mbps > 0:
                 self.enb.set_ue_offered_rate(self.imsi, self.offered_mbps)
             result.succeed(AttachOutcome(True, latency))
         else:
-            cause = "T3410 expiry"
             self.state = UeState.DEREGISTERED
             self.stats["attach_failures"] += 1
             self.enb.rrc_release(self)
             result.succeed(AttachOutcome(False, latency, cause))
-
-    def _on_auth_request(self, message: nas.AuthenticationRequest) -> None:
-        try:
-            network_sqn = auth.usim_verify_autn(
-                self.k, self.opc, message.rand, message.autn, self.usim_sqn)
-        except auth.AuthenticationFailure as exc:
-            if "SQN" in str(exc):
-                # 3GPP SQN resynchronization: report the USIM's SQN so the
-                # network can re-issue a fresh vector (needed when a UE
-                # appears at an AGW whose SQN state lags the USIM's).
-                self._send_nas(nas.AuthenticationFailureMsg(
-                    imsi=self.imsi,
-                    cause=f"sync_failure:{self.usim_sqn}"))
-                return
-            self._send_nas(nas.AuthenticationFailureMsg(imsi=self.imsi,
-                                                        cause=str(exc)))
-            if self._attach_done is not None and not self._attach_done.triggered:
-                self._attach_done.fail(RuntimeError(str(exc)))
-            return
-        self.usim_sqn = network_sqn
-        self._last_rand = message.rand
-        res = auth.usim_compute_res(self.k, self.opc, message.rand)
-        self.kasme = auth.derive_kasme(self.k, self.opc, message.rand,
-                                       network_sqn)
-        self._send_nas(nas.AuthenticationResponse(imsi=self.imsi, res=res))
 
     def _on_attach_accept(self, message: nas.AttachAccept) -> None:
         self.ip_address = message.ue_ip
@@ -394,9 +412,12 @@ class Ue:
     def _send_nas(self, message: Any) -> None:
         self.enb.uplink_nas(self, message)
 
+    def _fail_procedure(self, cause: str) -> None:
+        if self._attach_done is not None and not self._attach_done.triggered:
+            self._attach_done.fail(RuntimeError(cause))
+
     def _clear_session(self) -> None:
         self.ip_address = None
         self.bearer_id = None
-        self.kasme = None
         self.offered_mbps = self.offered_mbps  # offered intent persists
         self.enb.rrc_release(self)

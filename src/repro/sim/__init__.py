@@ -11,8 +11,6 @@ Public surface:
 - :class:`~repro.sim.kernel.Hook`, the one observation seam on that loop
   (``Simulator.add_hook``): scheduled handles, dispatches, run start/end.
   The sanitizer and the profiler are hooks and can be on together.
-- :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Signal` for coordination.
 - :class:`~repro.sim.cpu.CpuModel` for the calibrated AGW CPU model.
 - :class:`~repro.sim.monitor.Monitor` for experiment time series.
 - :class:`~repro.sim.rng.RngRegistry` for reproducible randomness.
@@ -35,7 +33,6 @@ from .kernel import (
 )
 from .cpu import CpuModel
 from .monitor import Monitor, Series, median, percentile
-from .resources import Resource, Signal, Store
 from .rng import RngRegistry
 from .sansim import SimSan
 
@@ -49,15 +46,12 @@ __all__ = [
     "Monitor",
     "PeriodicCall",
     "Process",
-    "Resource",
     "RngRegistry",
     "ScheduledCall",
     "Series",
-    "Signal",
     "SimSan",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
     "median",
     "percentile",

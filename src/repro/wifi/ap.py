@@ -27,6 +27,7 @@ from .radius import (
 
 DEFAULT_AP_CAPACITY_MBPS = 50.0   # contended unlicensed spectrum
 DEFAULT_MAX_CLIENTS = 64
+RADIUS_DEADLINE = 5.0
 
 
 @dataclass
@@ -44,8 +45,7 @@ class WifiAp:
 
     def __init__(self, sim: Simulator, network: Network, ap_id: str,
                  agw_node: str, capacity_mbps: float = DEFAULT_AP_CAPACITY_MBPS,
-                 max_clients: int = DEFAULT_MAX_CLIENTS,
-                 radius_deadline: float = 5.0):
+                 max_clients: int = DEFAULT_MAX_CLIENTS):
         if capacity_mbps <= 0 or max_clients < 1:
             raise ValueError("capacity and max_clients must be positive")
         self.sim = sim
@@ -54,7 +54,6 @@ class WifiAp:
         self.agw_node = agw_node
         self.capacity_mbps = capacity_mbps
         self.max_clients = max_clients
-        self.radius_deadline = radius_deadline
         self._clients: Dict[str, WifiClientState] = {}
         self._mac_counter = itertools.count(1)
         network.add_node(ap_id)
@@ -91,7 +90,7 @@ class WifiAp:
                     RADIUS_SERVICE, "eap_start",
                     EapStartRequest(username=username, ap_id=self.ap_id,
                                     client_mac=mac),
-                    deadline=self.radius_deadline)
+                    deadline=RADIUS_DEADLINE)
                 # Round 2: proof of the shared secret.
                 request = AccessRequest(
                     username=username, ap_id=self.ap_id, client_mac=mac,
@@ -99,7 +98,7 @@ class WifiAp:
                     eap_proof=eap.compute_proof(secret, challenge.nonce))
                 response = yield self._channel.call(
                     RADIUS_SERVICE, "access_request", request,
-                    deadline=self.radius_deadline)
+                    deadline=RADIUS_DEADLINE)
             except RpcError:
                 response = AccessReject(username=username, cause="timeout")
             if not isinstance(response, AccessAccept):
@@ -136,7 +135,7 @@ class WifiAp:
         request = AccountingRequest(username=username, session_id=session_id,
                                     acct_type=AccountingRequest.ACCT_STOP)
         self.sim.call_later(0.0, self._channel.call, RADIUS_SERVICE,
-                            "accounting", request, self.radius_deadline)
+                            "accounting", request, RADIUS_DEADLINE)
 
     # -- traffic ---------------------------------------------------------------------
 

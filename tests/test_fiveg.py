@@ -55,6 +55,35 @@ def test_5g_pdu_session_gets_ip_and_dataplane():
     assert site.agw.pipelined.has_session(ue.imsi)
 
 
+def test_5g_usim_mac_failure_is_a_counted_auth_failure():
+    """A USIM that cannot verify the network's AUTN says so, as an LTE UE
+    does: the AGW counts a rejected registration and drops the context
+    instead of leaving it waiting for an answer that never comes."""
+    site, gnb, ues = build_5g_site()
+    ue = ues[0]
+    ue.opc = bytes(16)  # wrong OPc: the AUTN MAC check fails
+    ok = site.sim.run_until_triggered(ue.register(), limit=60.0)
+    site.sim.run(until=site.sim.now + 1.0)
+    assert not ok
+    assert ue.state == Ue5gState.DEREGISTERED
+    stats = site.agw.mme.stats
+    assert (stats["auth_failures"], stats["attach_rejected"]) == (1, 1)
+    assert site.agw.mme.context_for(ue.imsi) is None
+
+
+def test_5g_usim_ahead_of_the_agw_resyncs_and_registers():
+    """A USIM whose SQN is ahead of this AGW's (it registered at another
+    AGW) reports an SQN failure; the AGW resynchronises and registers it."""
+    site, gnb, ues = build_5g_site()
+    ue = ues[0]
+    ue.usim_sqn = 1000
+    ok = site.sim.run_until_triggered(ue.register(), limit=60.0)
+    assert ok
+    assert ue.state == Ue5gState.REGISTERED
+    assert site.agw.subscriberdb._sqn[ue.imsi] > 1000
+    assert site.agw.mme.stats["auth_failures"] == 0
+
+
 def test_5g_unknown_subscriber_rejected():
     site, gnb, ues = build_5g_site()
     ue = ues[0]

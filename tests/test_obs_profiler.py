@@ -210,7 +210,7 @@ def test_attach_storm_is_charged_to_owner_modules():
     assert len(keys) >= 8
     assert all(map(is_repro_module, keys))
     # The procedure's own modules, each a process or a delivery owner.
-    assert {KERNEL, "core.agw.mme", "net.simnet", "lte.enodeb",
+    assert {KERNEL, "core.agw.mme", "net.simnet", "lte.ran",
             "lte.ue", "workloads.attach_storm"} <= keys
     largest = max(row["share"] for row in report["subsystems"].values())
     assert largest < 0.35

@@ -61,7 +61,7 @@ def test_all_observers_compose_without_perturbing_the_run():
     san = observers["sanitizer"]
     assert san.ok, [report["message"] for report in san.reports]
     report = observers["profiler"].report()
-    assert {"sim.kernel", "core.agw.mme", "net.simnet", "lte.enodeb"} <= \
+    assert {"sim.kernel", "core.agw.mme", "net.simnet", "lte.ran"} <= \
         set(report["subsystems"])
     assert observers["tracer"].stats["spans"] > 0
     assert observers["recorder"].stats["records"] > 0

@@ -1,9 +1,12 @@
 """Edge cases for the RAN models (eNodeB, gNB, 5G UE) and RPC internals."""
 
+from dataclasses import astuple
+from types import SimpleNamespace
+
 import pytest
 
-from repro.fiveg import Gnb, Ue5g, Ue5gState
-from repro.lte import CellCapacityError, Enodeb, Ue, make_imsi
+from repro.fiveg import Gnb, Ue5g, Ue5gState, ngap
+from repro.lte import CellCapacityError, CellConfig, Enodeb, Ue, make_imsi, s1ap
 from repro.net import Link, Network, RpcChannel, RpcError, RpcServer
 from repro.sim import RngRegistry, Simulator
 
@@ -101,7 +104,6 @@ def test_5g_pdu_twice_second_fails_fast():
 def test_5g_register_times_out_when_agw_down():
     sim, network, agw, gnb, ue = build_5g()
     network.set_node_up("agw-1", False)
-    ue.guard_timer = 5.0
     ok = sim.run_until_triggered(ue.register(), limit=60.0)
     assert not ok
     assert ue.state == Ue5gState.DEREGISTERED
@@ -111,15 +113,6 @@ def test_5g_deregister_before_register_is_noop():
     sim, network, agw, gnb, ue = build_5g()
     ue.deregister()  # must not raise
     assert ue.state == Ue5gState.DEREGISTERED
-
-
-def test_5g_fragile_baseband_sticks():
-    sim, network, agw, gnb, ue = build_5g()
-    ue.fragile_baseband = True
-    sim.run_until_triggered(ue.register(), limit=60.0)
-    ue.notify_session_error("test")
-    assert ue.state == Ue5gState.STUCK
-    assert ue.stats["session_errors"] == 1
 
 
 def test_gnb_rejects_before_ng_setup():
@@ -132,6 +125,90 @@ def test_gnb_rejects_before_ng_setup():
     ue = Ue5g(sim, imsi, k, opc, gnb)
     with pytest.raises(CellCapacityError):
         gnb.rrc_connect(ue)
+
+
+# -- one RAN node, two RATs ---------------------------------------------------------
+
+#: Per RAT: the node, its setup call and the core's answer, the rejection
+#: text, the uplink and downlink wrappers, the first TEID, and a bearer
+#: setup (node, RAN UE id) -> RAN-side TEID.
+RATS = {
+    "enodeb": SimpleNamespace(
+        node=Enodeb, setup="s1_setup", service=s1ap.S1AP_SERVICE,
+        accepted=s1ap.S1SetupResponse(mme_name="core", served_plmn="00101"),
+        rejected="S1 not established", initial=s1ap.InitialUeMessage,
+        transport=s1ap.UplinkNasTransport,
+        downlink=s1ap.DownlinkNasTransport, teid_base=0x2000,
+        bearer=lambda node, ran_ue_id: node._on_initial_context_setup(
+            s1ap.InitialContextSetupRequest(
+                enb_ue_id=ran_ue_id, mme_ue_id=7, ue_agg_max_bitrate_mbps=1.0,
+                agw_teid=0x99, agw_address="core")).enb_teid),
+    "gnb": SimpleNamespace(
+        node=Gnb, setup="ng_setup", service=ngap.NGAP_SERVICE,
+        accepted=ngap.NgSetupResponse(amf_name="core"),
+        rejected="NG not established", initial=ngap.InitialUeMessage5g,
+        transport=ngap.UplinkNasTransport5g,
+        downlink=ngap.DownlinkNasTransport5g, teid_base=0x3000,
+        bearer=lambda node, ran_ue_id: node._on_pdu_session_setup(
+            ngap.PduSessionResourceSetupRequest(
+                ran_ue_id=ran_ue_id, amf_ue_id=7, pdu_session_id=1,
+                agw_teid=0x99, agw_address="core")).gnb_teid),
+}
+
+
+def radio_ue(index):
+    """What a RAN node needs of a UE: an IMSI and a NAS receiver."""
+    delivered = []
+    return SimpleNamespace(imsi=make_imsi(index), delivered=delivered,
+                           deliver_nas=delivered.append)
+
+
+@pytest.mark.parametrize("name", sorted(RATS))
+def test_ran_node_admits_relays_and_anchors_for_each_rat(name):
+    rat = RATS[name]
+    sim = Simulator()
+    network = Network(sim, RngRegistry(5))
+    network.connect("ran-1", "core", Link(latency=0.001))
+    core = RpcServer(sim, network, "core")
+    uplinks = []
+    core.register(rat.service, "setup", lambda request: rat.accepted)
+    core.register(rat.service, "uplink",
+                  lambda message: uplinks.append(message) or {})
+    node = rat.node(sim, network, "ran-1", "core",
+                    cell_config=CellConfig(max_active_ues=1))
+    first, second = radio_ue(1), radio_ue(2)
+
+    # Admission: refused (and counted) before setup and when the cell is full.
+    with pytest.raises(CellCapacityError, match=rat.rejected):
+        node.rrc_connect(first)
+    getattr(node, rat.setup)()
+    sim.run(until=1.0)
+    context = node.rrc_connect(first)
+    with pytest.raises(CellCapacityError, match="cell full"):
+        node.rrc_connect(second)
+    assert node.stats["rrc_rejects"] == 2
+
+    # Relay: an initial message first, then transports carrying the core's
+    # UE id learned from the downlink.
+    node.uplink_nas(first, "attach")
+    sim.run(until=2.0)
+    assert type(uplinks[-1]) is rat.initial
+    assert astuple(uplinks[-1])[:3] == ("ran-1", context.ran_ue_id, "attach")
+    assert node._on_downlink_nas(
+        rat.downlink(context.ran_ue_id, 42, "challenge")) == \
+        {"delivered": True}
+    node.uplink_nas(first, "answer")
+    sim.run(until=3.0)
+    assert first.delivered == ["challenge"]
+    assert type(uplinks[-1]) is rat.transport
+    assert astuple(uplinks[-1]) == ("ran-1", context.ran_ue_id, 42, "answer")
+
+    # Bearer anchoring: the TEID comes from the node's base and is freed
+    # on release for the next UE.
+    assert rat.bearer(node, context.ran_ue_id) == rat.teid_base
+    node.rrc_release(first)
+    context = node.rrc_connect(second)
+    assert rat.bearer(node, context.ran_ue_id) == rat.teid_base
 
 
 # -- RPC server internals ---------------------------------------------------------------
