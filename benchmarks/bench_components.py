@@ -59,7 +59,7 @@ from repro.core.sync import (  # noqa: E402
     DigestMirror,
     ReconcileClient,
 )
-from repro.experiments.common import build_emulated_site  # noqa: E402
+from repro.deploy import build  # noqa: E402
 from repro.sim import Monitor, Simulator  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
@@ -183,7 +183,7 @@ def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
 def attach_storm(n_ues: int, rate: float = 10.0, seed: int = 7) -> dict:
     """Wall time of a full emulated-site attach storm (S1AP/NAS/RPC over
     the kernel); the success count is deterministic for a fixed seed."""
-    site = build_emulated_site(num_enbs=4, num_ues=n_ues, seed=seed)
+    site = build(num_enbs=4, num_ues=n_ues, seed=seed)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=rate,
                         monitor=site.monitor)
     storm.start()
@@ -330,9 +330,8 @@ def fleet_run(num_agws: int, subscribers: int, sample_ues: int,
     """Cohort-aggregated population across ``num_agws`` full AGWs."""
     # AGW 0 comes from the site builder with real eNodeBs for the sampled
     # sub-population; the rest are full AccessGateways on the same sim.
-    site = build_emulated_site(num_enbs=max(1, (sample_ues + 95) // 96),
-                               num_ues=sample_ues, config=FLEET_CONFIG,
-                               seed=FLEET_SEED)
+    site = build(num_enbs=max(1, (sample_ues + 95) // 96),
+                 num_ues=sample_ues, config=FLEET_CONFIG, seed=FLEET_SEED)
     agws = [site.agw]
     for i in range(1, num_agws):
         agw = AccessGateway(site.sim, site.network, f"agw-fleet-{i}",
@@ -361,8 +360,8 @@ def fleet_run(num_agws: int, subscribers: int, sample_ues: int,
 def coroutine_run(num_ues: int, duration: float) -> dict:
     """The same dynamics with every subscriber a real coroutine UE: a
     size-0 cohort and a 100% sample population."""
-    site = build_emulated_site(num_enbs=(num_ues + 95) // 96, num_ues=num_ues,
-                               config=FLEET_CONFIG, seed=FLEET_SEED)
+    site = build(num_enbs=(num_ues + 95) // 96, num_ues=num_ues,
+                 config=FLEET_CONFIG, seed=FLEET_SEED)
     fleet = UeFleet(site.sim, site.rng, [AgwFleetAdapter(site.agw)],
                     [_cohort(0)], monitor=site.monitor,
                     tick=TICK, name="bench")

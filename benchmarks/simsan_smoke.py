@@ -38,12 +38,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.agw import VIRTUAL_8VCPU, AgwConfig  # noqa: E402
-from repro.experiments.common import (  # noqa: E402
-    build_emulated_site,
-    subscriber_keys,
-)
-from repro.fiveg import Gnb, Ue5g  # noqa: E402
-from repro.net import backhaul  # noqa: E402
+from repro.deploy import build, subscriber_keys  # noqa: E402
+from repro.fiveg import Ue5g  # noqa: E402
 from repro.obs.profiler import KERNEL, Profiler  # noqa: E402
 from repro.sim import SimSan  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
@@ -52,7 +48,6 @@ from repro.workloads.fleet import (  # noqa: E402
     CohortSpec,
     UeFleet,
 )
-from repro.wifi import WifiAp  # noqa: E402
 
 # Attach-storm leg: identical to bench_components' smoke attach storm,
 # whose success count (59 for 120 UEs, seed 7) is a committed canary.
@@ -88,8 +83,8 @@ def _profiled(sim) -> Profiler:
 
 
 def attach_storm_leg(san: SimSan, profile: bool = False) -> dict:
-    site = build_emulated_site(num_enbs=4, num_ues=STORM_UES,
-                               seed=STORM_SEED, sanitizer=san)
+    site = build(num_enbs=4, num_ues=STORM_UES, seed=STORM_SEED,
+                 sanitizer=san)
     profiler = _profiled(site.sim) if profile else None
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=STORM_RATE,
                         monitor=site.monitor)
@@ -111,16 +106,10 @@ def attach_storm_leg(san: SimSan, profile: bool = False) -> dict:
 
 def multi_rat_leg(san: SimSan, profile: bool = False) -> dict:
     n = MULTI_RAT_CLIENTS
-    site = build_emulated_site(num_enbs=2, num_ues=3 * n,
-                               config=AgwConfig(hardware=VIRTUAL_8VCPU),
-                               seed=MULTI_RAT_SEED, sanitizer=san)
-    sim, network = site.sim, site.network
-    network.connect("gnb-1", "agw-1", backhaul.lan("lan-gnb"))
-    gnb = Gnb(sim, network, "gnb-1", "agw-1")
-    gnb.ng_setup()
-    network.connect("ap-1", "agw-1", backhaul.lan("lan-ap"))
-    ap = WifiAp(sim, network, "ap-1", "agw-1")
-    sim.run(until=sim.now + 1.0)
+    site = build(num_enbs=2, num_ues=3 * n, rats=("5g", "wifi"),
+                 config=AgwConfig(hardware=VIRTUAL_8VCPU),
+                 seed=MULTI_RAT_SEED, sanitizer=san)
+    sim, gnb, ap = site.sim, site.gnbs[0], site.aps[0]
     profiler = _profiled(sim) if profile else None
     outcomes = {"lte": 0, "nr": 0, "wifi": 0, "wifi_refused": 0}
 
@@ -178,9 +167,8 @@ def multi_rat_leg(san: SimSan, profile: bool = False) -> dict:
 
 def fleet_leg(san: SimSan) -> dict:
     enbs = max(1, (FLEET_SAMPLE_UES + 95) // 96)
-    site = build_emulated_site(num_enbs=enbs, num_ues=FLEET_SAMPLE_UES,
-                               config=FLEET_CONFIG, seed=FLEET_SEED,
-                               sanitizer=san)
+    site = build(num_enbs=enbs, num_ues=FLEET_SAMPLE_UES, config=FLEET_CONFIG,
+                 seed=FLEET_SEED, sanitizer=san)
     cohort = CohortSpec("subs", size=FLEET_SUBSCRIBERS, attach_rate=0.01,
                         detach_rate=0.002, idle_rate=0.005,
                         resume_rate=0.02, traffic_mbps=0.01)

@@ -13,7 +13,7 @@ measures divergence.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..net.simnet import Network
 from ..net.transport import DatagramSocket

@@ -15,7 +15,7 @@ Hardware profiles are calibrated to the paper's reported operating points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ...net.simnet import Network

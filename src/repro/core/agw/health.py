@@ -9,7 +9,7 @@ the orchestrator with each check-in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
 #: A RAN device silent this long (seconds) is stale.

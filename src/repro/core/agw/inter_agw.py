@@ -24,7 +24,7 @@ cap/usage state follows the subscriber across gateways.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ...net.rpc import RpcChannel, RpcError, RpcServer
 from .context import RPC_DEADLINE, AgwContext

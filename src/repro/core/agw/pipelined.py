@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...dataplane import actions as act
 from ...dataplane.matcher import FlowMatch
 from ...dataplane.openflow import FlowBundle, FlowMod, MeterMod, StatsRequest
-from ...dataplane.packet import Packet, ip_packet
+from ...dataplane.packet import ip_packet
 from ...dataplane.switch import SoftwareSwitch
 from ..policy.enforcer import UNLIMITED_MBPS
 from .context import AgwContext

@@ -14,7 +14,7 @@ carry a password-equivalent instead; unused fields are simply None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ...lte import auth

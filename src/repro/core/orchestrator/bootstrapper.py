@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 CERT_LIFETIME = 30 * 24 * 3600.0
 

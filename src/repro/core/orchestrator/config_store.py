@@ -11,7 +11,7 @@ tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 
 @dataclass(frozen=True)

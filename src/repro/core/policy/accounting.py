@@ -7,7 +7,7 @@ long sessions); operators' business systems consume these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 

@@ -12,7 +12,6 @@ enforcer answers two questions each accounting tick:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .rules import ChargingMode, PolicyRule

@@ -16,7 +16,7 @@ decision" (§3.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 DEFAULT_QUOTA_BYTES = 1_000_000  # the paper's example quota: 1 MB

@@ -13,7 +13,7 @@ AGWs, and cached there for headless operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 GB = 1_000_000_000

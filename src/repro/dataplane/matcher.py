@@ -10,10 +10,10 @@ are wildcards.  IP address fields accept either exact addresses or
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from .packet import GtpuHeader, IPv4Header, Packet, TcpHeader, UdpHeader
+from .packet import GtpuHeader, Packet, TcpHeader, UdpHeader
 
 
 def _ip_matches(pattern: str, address: str) -> bool:

@@ -13,7 +13,6 @@ Both views are consistent: a bucket of rate R admits at most R on average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 
 class TokenBucketMeter:

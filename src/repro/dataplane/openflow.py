@@ -10,7 +10,7 @@ would change (§3.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .actions import Action

@@ -12,7 +12,7 @@ from .ablation_idle_mode import run_idle_mode_ablation
 from .ablation_headless import run_headless_ablation
 from .ablation_state_sync import run_state_sync
 from .calibration import run_calibration
-from .common import EmulatedSite, build_emulated_site, format_table
+from .common import format_table
 from .cups import CupsConfig, run_cups, run_cups_point
 from .fig5_cpu_util import Fig5Config, run_fig5
 from .fig6_attach_rate import Fig6Config, run_fig6, run_fig6_point
@@ -22,10 +22,8 @@ from .tables import run_table2, run_table3
 
 __all__ = [
     "CupsConfig",
-    "EmulatedSite",
     "Fig5Config",
     "Fig6Config",
-    "build_emulated_site",
     "format_table",
     "run_backhaul_ablation",
     "run_calibration",

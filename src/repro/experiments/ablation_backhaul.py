@@ -17,10 +17,11 @@ from typing import List, Tuple
 
 from ..baseline import MonolithicEpc
 from ..core.agw import AccessGateway, SubscriberProfile
+from ..deploy import subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator, median
-from .common import format_table, subscriber_keys
+from .common import format_table
 
 PROFILES = ("fiber", "microwave", "satellite")
 

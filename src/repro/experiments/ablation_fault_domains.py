@@ -13,10 +13,11 @@ from typing import List
 
 from ..baseline import MonolithicEpc
 from ..core.agw import AccessGateway, CheckpointStore, SubscriberProfile
+from ..deploy import subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator
-from .common import format_table, subscriber_keys
+from .common import format_table
 
 
 @dataclass

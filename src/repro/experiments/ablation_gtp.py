@@ -19,11 +19,12 @@ from typing import List
 from ..baseline import EpcConfig, MonolithicEpc
 from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
 from ..core.orchestrator import Orchestrator
+from ..deploy import subscriber_keys
 from ..lte import Enodeb, Ue, UeConfig, UeState, make_imsi
 from ..lte.gtp import GtpcEndpoint
-from ..net import Link, Network, backhaul
+from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator
-from .common import format_table, subscriber_keys
+from .common import format_table
 
 
 @dataclass

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
-from ..core.orchestrator import Orchestrator
-from ..lte import Enodeb, Ue, make_imsi
-from ..net import Network, backhaul
-from ..sim import RngRegistry, Simulator
-from .common import format_table, subscriber_keys
+from ..core.agw import AgwConfig, SubscriberProfile
+from ..deploy import build, subscriber_keys
+from ..lte import Ue, make_imsi
+from .common import format_table
 
 
 @dataclass
@@ -51,24 +49,9 @@ def run_headless_ablation(partition_seconds: float = 120.0,
                           num_cached_ues: int = 5,
                           checkin_interval: float = 10.0,
                           seed: int = 0) -> HeadlessResult:
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
-    network.connect("agw-1", "orc", backhaul.microwave())
-    agw = AccessGateway(sim, network, "agw-1",
-                        config=AgwConfig(checkin_interval=checkin_interval),
-                        orchestrator_node="orc", rng=rng)
-    network.connect("enb-1", "agw-1", backhaul.lan())
-    enb = Enodeb(sim, network, "enb-1", "agw-1")
-    ues: List[Ue] = []
-    for i in range(num_cached_ues):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
-        orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-        ues.append(Ue(sim, imsi, k, opc, enb))
-    agw.start()
-    enb.s1_setup()
+    d = build(num_ues=num_cached_ues, backhaul="microwave", seed=seed,
+              config=AgwConfig(checkin_interval=checkin_interval))
+    sim, network, orc, agw, enb = d.sim, d.network, d.orc, d.agw, d.enbs[0]
     # Sync the cache, then partition.
     sim.run(until=2 * checkin_interval + 5.0)
     if len(agw.subscriberdb) != num_cached_ues:
@@ -77,7 +60,7 @@ def run_headless_ablation(partition_seconds: float = 120.0,
     partition_start = sim.now
 
     successes = 0
-    for ue in ues:
+    for ue in d.ues:
         done = ue.attach()
         outcome = sim.run_until_triggered(done, limit=sim.now + 60.0)
         if outcome.success:

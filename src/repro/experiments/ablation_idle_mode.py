@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import List
 
 from ..core.agw import AgwConfig, BARE_METAL
+from ..deploy import build
 from ..lte import CellConfig
 from ..workloads import IotWorkload
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 
 @dataclass
@@ -57,7 +58,7 @@ class IdleModeResult:
 
 def _run_mode(mode: str, devices: int, report_interval: float,
               duration: float, seed: int) -> IdleModePoint:
-    site = build_emulated_site(
+    site = build(
         num_enbs=2, num_ues=devices,
         config=AgwConfig(hardware=BARE_METAL),
         cell_config=CellConfig(max_active_ues=500),

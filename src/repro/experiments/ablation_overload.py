@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
+from ..deploy import build
 from ..lte import CellConfig
 from ..workloads import AttachStorm
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 
 @dataclass
@@ -52,7 +53,7 @@ def _run_storm(rate: float, protected: bool, duration: float,
                seed: int) -> float:
     max_pending = 25 if protected else 1_000_000
     num_ues = max(20, int(rate * duration))
-    site = build_emulated_site(
+    site = build(
         num_enbs=4, num_ues=num_ues,
         config=AgwConfig(hardware=BARE_METAL, mme_max_pending=max_pending),
         cell_config=CellConfig(max_active_ues=500, capacity_mbps=5_000.0),

@@ -10,7 +10,7 @@ re-converges on the next successful push.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..baseline.crud_sync import (
     CrudReplica,

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.agw import AgwConfig, BARE_METAL, VIRTUAL_4VCPU
+from ..deploy import build
 from ..lte import CellConfig
 from ..workloads import AttachStorm
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 
 @dataclass
@@ -51,7 +52,7 @@ def measured_attach_capacity(hardware, background_mbps: float = 0.0,
     offered_rate = 2.0 * hardware.attach_capacity_per_sec()
     num_ues = int(offered_rate * 30)
     num_enbs = 6
-    site = build_emulated_site(
+    site = build(
         num_enbs=num_enbs, num_ues=num_ues + num_enbs * 4,
         config=AgwConfig(hardware=hardware),
         cell_config=CellConfig(max_active_ues=2000, capacity_mbps=5_000.0,

@@ -1,112 +1,17 @@
-"""Shared experiment scaffolding: the emulation testbed (§4.1).
+"""Shared experiment scaffolding: the text-table renderer.
 
-``build_emulated_site`` is this reproduction's Spirent Landslide: it stands
-up an AGW, a configurable number of emulated eNodeBs and pre-provisioned
-UEs, exactly as the paper's testbed does ("the emulated SIM cards were
-pre-provisioned into the orchestrator and AGW in advance of all
-experiments").
+The emulated testbed itself (§4.1) is :func:`repro.deploy.build`;
+``subscriber_keys`` is re-exported here because the frozen whole-stack
+benchmark imports it from this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
-from ..core.agw import (
-    AccessGateway,
-    AgwConfig,
-    CheckpointStore,
-    SubscriberProfile,
-)
-from ..core.policy import PolicyRule
-from ..lte import CellConfig, Enodeb, Ue, UeConfig, auth, make_imsi
-from ..net import Network, backhaul
-from ..sim import Monitor, RngRegistry, Simulator
+from ..deploy import subscriber_keys
 
-OPERATOR_OP = b"repro-operator-op"
-
-
-def subscriber_keys(index: int):
-    """Deterministic per-subscriber K/OPc (test-network credentials)."""
-    k = index.to_bytes(4, "big") * 4
-    opc = auth.derive_opc(k, OPERATOR_OP)
-    return k, opc
-
-
-@dataclass
-class EmulatedSite:
-    """One cell site under emulation: AGW + eNodeBs + UE population."""
-
-    sim: Simulator
-    network: Network
-    rng: RngRegistry
-    monitor: Monitor
-    agw: AccessGateway
-    enbs: List[Enodeb]
-    ues: List[Ue]
-    imsis: List[str]
-    checkpoint_store: CheckpointStore
-
-    def run_attach(self, ue: Ue, limit: float = 120.0):
-        done = ue.attach()
-        return self.sim.run_until_triggered(done, limit=self.sim.now + limit)
-
-
-def build_emulated_site(num_enbs: int = 1, num_ues: int = 1,
-                        config: Optional[AgwConfig] = None,
-                        cell_config: Optional[CellConfig] = None,
-                        ue_config: Optional[UeConfig] = None,
-                        policies: Optional[Dict[str, PolicyRule]] = None,
-                        policy_id: str = "default",
-                        ocs=None,
-                        orchestrator_node: Optional[str] = None,
-                        seed: int = 0,
-                        sanitizer=None) -> EmulatedSite:
-    """Stand up a complete emulated Magma cell site, S1 established.
-
-    ``sanitizer`` (a :class:`repro.sim.SimSan`) arms the runtime sanitizer
-    on the site's kernel and watches its RNG registry.
-    """
-    sim = Simulator(sanitizer=sanitizer)
-    rng = RngRegistry(seed)
-    if sanitizer is not None:
-        sanitizer.watch_rng(rng)
-    monitor = Monitor()
-    network = Network(sim, rng)
-    store = CheckpointStore()
-    agw = AccessGateway(sim, network, "agw-1", config=config,
-                        orchestrator_node=orchestrator_node, ocs=ocs,
-                        checkpoint_store=store, monitor=monitor, rng=rng)
-    if policies:
-        for policy in policies.values():
-            agw.policydb.upsert(policy)
-    enbs = []
-    for i in range(num_enbs):
-        enb_id = f"enb-{i + 1}"
-        network.connect(enb_id, "agw-1", backhaul.lan(f"lan-{enb_id}"))
-        enbs.append(Enodeb(sim, network, enb_id, "agw-1",
-                           cell_config=cell_config))
-    ues: List[Ue] = []
-    imsis: List[str] = []
-    for i in range(num_ues):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
-        agw.subscriberdb.upsert(SubscriberProfile(
-            imsi=imsi, k=k, opc=opc, policy_id=policy_id,
-            wifi_secret=f"wifi-{imsi}"))
-        ues.append(Ue(sim, imsi, k, opc, enbs[i % len(enbs)],
-                      config=ue_config))
-        imsis.append(imsi)
-    agw.start()
-    for enb in enbs:
-        enb.s1_setup()
-    sim.run(until=1.0)
-    for enb in enbs:
-        if not enb.s1_ready:
-            raise RuntimeError(f"S1 setup failed for {enb.enb_id}")
-    return EmulatedSite(sim=sim, network=network, rng=rng, monitor=monitor,
-                        agw=agw, enbs=enbs, ues=ues, imsis=imsis,
-                        checkpoint_store=store)
+__all__ = ["format_table", "subscriber_keys"]
 
 
 def format_table(headers: List[str], rows: List[List[object]]) -> str:

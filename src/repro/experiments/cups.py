@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.agw import AgwConfig, virtual_profile
-from ..lte import CellConfig, UeConfig
+from ..deploy import build
+from ..lte import CellConfig
 from ..workloads import AttachStorm, TrafficEngine
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 TRAFFIC_GENERATOR_CAP_MBPS = 2_500.0
 
@@ -80,7 +81,7 @@ def run_cups_point(up_cores: Optional[int], config: CupsConfig) -> CupsPoint:
         partition = {"up": float(up_cores),
                      "cp": float(config.vcpus - up_cores)}
     num_attach_ues = int(config.attach_rate * config.measure_duration)
-    site = build_emulated_site(
+    site = build(
         num_enbs=2,
         num_ues=config.num_traffic_ues + num_attach_ues,
         config=AgwConfig(hardware=hardware, cpu_partition=partition,
@@ -89,7 +90,6 @@ def run_cups_point(up_cores: Optional[int], config: CupsConfig) -> CupsPoint:
         # variable under test (the Landslide arrangement).
         cell_config=CellConfig(max_active_ues=2000, capacity_mbps=5_000.0,
                                per_ue_peak_mbps=200.0),
-        ue_config=UeConfig(),
         seed=config.seed)
     traffic_ues = site.ues[:config.num_traffic_ues]
     attach_ues = site.ues[config.num_traffic_ues:]

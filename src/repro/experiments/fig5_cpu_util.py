@@ -10,13 +10,14 @@ is the bottleneck* - with AGW CPU comfortably below saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
-from ..lte import CellConfig, UeConfig
+from ..deploy import build
+from ..lte import CellConfig
 from ..workloads import AttachStorm, TrafficEngine
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 
 @dataclass
@@ -62,11 +63,10 @@ class Fig5Result:
 
 def run_fig5(config: Fig5Config = None) -> Fig5Result:
     config = config or Fig5Config()
-    site = build_emulated_site(
+    site = build(
         num_enbs=config.num_enbs, num_ues=config.num_ues,
         config=AgwConfig(hardware=BARE_METAL),
         cell_config=CellConfig(max_active_ues=96, capacity_mbps=150.0),
-        ue_config=UeConfig(),
         seed=config.seed)
     storm = AttachStorm(site.sim, site.ues,
                         rate_per_sec=config.attach_rate,

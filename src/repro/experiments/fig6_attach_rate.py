@@ -9,13 +9,14 @@ falls roughly linearly: the MME component is the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
-from ..lte import CellConfig, UeConfig
+from ..deploy import build
+from ..lte import CellConfig
 from ..workloads import AttachStorm, TrafficEngine
-from .common import build_emulated_site, format_table
+from .common import format_table
 
 DEFAULT_RATES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 
@@ -62,12 +63,11 @@ def run_fig6_point(rate: float, config: Fig6Config) -> Fig6Point:
     num_background = config.num_enbs * config.background_ues_per_enb
     num_storm = max(config.min_storm_ues,
                     int(rate * config.storm_duration))
-    site = build_emulated_site(
+    site = build(
         num_enbs=config.num_enbs, num_ues=num_background + num_storm,
         config=AgwConfig(hardware=BARE_METAL),
         cell_config=CellConfig(max_active_ues=96, capacity_mbps=150.0,
                                per_ue_peak_mbps=150.0),
-        ue_config=UeConfig(),
         seed=config.seed)
     background = site.ues[:num_background]
     storm_ues = site.ues[num_background:]

@@ -10,7 +10,7 @@ growth the deployment exhibited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..workloads.diurnal import DiurnalConfig, HourSample, generate_trace, summarize

@@ -9,8 +9,7 @@ whose expiry defines a *failed connection attempt* for the CSR metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 # 3GPP TS 24.301 timer defaults (seconds).
 T3410_ATTACH = 15.0       # attach procedure guard timer

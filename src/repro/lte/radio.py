@@ -15,7 +15,7 @@ capped by ``per_ue_peak_mbps`` (the UE category / MCS limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..sim.fairshare import max_min_share as _max_min_share
 

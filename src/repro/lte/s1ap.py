@@ -8,8 +8,8 @@ access frontend (the paper's "terminate radio-specific protocols early").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any
 
 from .identifiers import EcgI, Tai
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from ..experiments.common import EmulatedSite, build_emulated_site
+from ..deploy import Deployment, build
 from ..workloads.attach_storm import AttachStorm
 from .flightrec import FlightRecorder
 from .tracing import Tracer
@@ -20,7 +20,7 @@ from .tracing import Tracer
 
 @dataclass
 class TracedRun:
-    site: EmulatedSite
+    site: Deployment
     tracer: Tracer
     storm: AttachStorm
     attach_successes: int
@@ -30,7 +30,7 @@ def run_traced_attach_storm(num_ues: int = 20, rate: float = 5.0,
                             seed: int = 1, sample_rate: float = 1.0,
                             num_enbs: int = 2) -> TracedRun:
     """Run a short attach storm with the tracer and flight recorder on."""
-    site = build_emulated_site(num_enbs=num_enbs, num_ues=num_ues, seed=seed)
+    site = build(num_enbs=num_enbs, num_ues=num_ues, seed=seed)
     tracer = Tracer(site.sim, site.rng, sample_rate=sample_rate)
     FlightRecorder(site.sim)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=rate,
@@ -87,9 +87,13 @@ def run_health_fleet(num_agws: int = 20, num_shards: int = 4,
     health report plus every handle a caller could want to drill into —
     including the tracer, so attach-p99 exemplar trace ids can be resolved
     back to recorded spans.
+
+    Built by hand, not by :func:`repro.deploy.build`, whose AGWs
+    checkpoint: each checkpoint opens a root span, which would renumber
+    the exemplar trace ids the report prints.
     """
     from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
-    from ..experiments.common import subscriber_keys
+    from ..deploy import subscriber_keys
     from ..lte import Enodeb, Ue, make_imsi
     from ..net import Network, backhaul
     from ..sim import Monitor, RngRegistry, Simulator

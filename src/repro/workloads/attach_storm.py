@@ -9,7 +9,7 @@ are recorded per attempt so the harness can compute the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..lte.ue import AttachOutcome, Ue

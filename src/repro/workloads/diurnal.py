@@ -15,7 +15,7 @@ Deterministic given (seed, parameters) - replicable like everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from ..sim.rng import RngRegistry

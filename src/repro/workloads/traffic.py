@@ -18,12 +18,11 @@ capacity (§3.6).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..core.agw.gateway import AccessGateway
 from ..core.federation.gtp_aggregator import GtpAggregator
 from ..lte.enodeb import Enodeb
-from ..lte.ue import Ue
 from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
 

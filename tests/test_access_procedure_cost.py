@@ -19,16 +19,14 @@ procedure that waits - the UE's and access management's stages - and a
 send whose reply nobody reads is one deferred call, not a process.
 """
 
-import cProfile
 import os
 
 from repro.core.agw import AgwConfig
-from repro.fiveg import Gnb, Ue5g
-from repro.net import backhaul
+from repro.deploy import build, subscriber_keys
+from repro.fiveg import Ue5g
 from repro.sim.kernel import Process
-from repro.wifi import WifiAp
 
-from helpers import build_site, subscriber_keys
+from costs import profiled
 
 PROCEDURE_FILES = ("mme.py", "s1ap_frontend.py", "ngap_frontend.py",
                    "radius_frontend.py")
@@ -39,21 +37,10 @@ BUDGET = {"lte": (1790, 40), "nr": (2200, 45), "wifi": (850, 15)}
 
 def counted(run):
     """(all calls, calls in access management and the frontends)."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        run()
-    finally:
-        profiler.disable()
     total = layer = 0
-    for entry in profiler.getstats():
-        code = entry.code
-        if not hasattr(code, "co_filename"):
-            if "_lsprof.Profiler" not in str(code):     # the disable() above
-                total += entry.callcount
-            continue
+    for entry in profiled(run)[1]:
         total += entry.callcount
-        path = code.co_filename
+        path = getattr(entry.code, "co_filename", "")
         if os.path.basename(path) in PROCEDURE_FILES \
                 and os.sep + "agw" + os.sep in path:
             layer += entry.callcount
@@ -61,19 +48,12 @@ def counted(run):
 
 
 def multi_rat_site(config=None):
-    """``build_site`` plus a gNB and a WiFi AP on its AGW; returns the
-    site, the AP and two 5G UEs."""
-    site = build_site(num_ues=6, config=config)
-    sim = site.sim
-    site.network.connect("gnb-1", "agw-1", backhaul.lan("lan-gnb"))
-    gnb = Gnb(sim, site.network, "gnb-1", "agw-1")
-    gnb.ng_setup()
-    site.network.connect("ap-1", "agw-1", backhaul.lan("lan-ap"))
-    ap = WifiAp(sim, site.network, "ap-1", "agw-1")
-    sim.run(until=sim.now + 1.0)
-    nr = [Ue5g(sim, site.imsis[i], *subscriber_keys(i + 1), gnb)
-          for i in (2, 3)]
-    return site, ap, nr
+    """An AGW with an eNodeB, a gNB and a WiFi AP; returns the site, the
+    AP and two 5G UEs."""
+    site = build(num_ues=6, rats=("5g", "wifi"), config=config)
+    nr = [Ue5g(site.sim, site.imsis[i], *subscriber_keys(i + 1),
+               site.gnbs[0]) for i in (2, 3)]
+    return site, site.aps[0], nr
 
 
 def settle(sim, start):
@@ -104,10 +84,10 @@ def procedure_costs():
 
     # The first of each warms caches (dataclass plans, RNG streams, RPC
     # channels); the second is measured.
-    lte(site.ue(0))()
+    lte(site.ues[0])()
     registration_and_pdu(nr[0])()
     wifi(site.imsis[4])()
-    return {"lte": counted(lte(site.ue(1))),
+    return {"lte": counted(lte(site.ues[1])),
             "nr": counted(registration_and_pdu(nr[1])),
             "wifi": counted(wifi(site.imsis[5]))}
 
@@ -167,13 +147,13 @@ def test_each_rats_cycle_spends_a_process_only_on_waiting(monkeypatch):
         return len(created), _entries_scheduled(sim) - start - 1
 
     # The first cycle of each RAT warms up; the second is measured.
-    measured(lte(site.ue(0)))
+    measured(lte(site.ues[0]))
     measured(nr_cycle(nr[0]))
     measured(wifi(site.imsis[4]))
-    costs = {"lte": measured(lte(site.ue(1))),
+    costs = {"lte": measured(lte(site.ues[1])),
              "nr": measured(nr_cycle(nr[1])),
              "wifi": measured(wifi(site.imsis[5]))}
-    assert site.ue(1).stats["attach_successes"] == 1
+    assert site.ues[1].stats["attach_successes"] == 1
     assert nr[1].stats["pdu_sessions"] == 2
     assert ap.stats["disconnects"] == 2
     for rat, (processes, entries) in costs.items():

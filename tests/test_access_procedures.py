@@ -6,10 +6,11 @@ the generic procedures do - overload shedding, the attach counters, the
 on LTE, 5G and WiFi alike.
 """
 
-from repro.fiveg import Gnb, Ue5g, nas5g
-from repro.net import RpcChannel, backhaul
+from repro.deploy import build, subscriber_keys
+from repro.fiveg import Ue5g, nas5g
+from repro.net import RpcChannel
 from repro.obs import Tracer, build_traces
-from repro.wifi import WifiAp, eap
+from repro.wifi import eap
 from repro.wifi.radius import (
     AccessReject,
     AccessRequest,
@@ -17,21 +18,12 @@ from repro.wifi.radius import (
     RADIUS_SERVICE,
 )
 
-from helpers import build_site, subscriber_keys
-
 
 def multirat_site(num_subscribers=6, **kwargs):
     """An AGW with an eNodeB, a gNB and a WiFi AP; returns
     ``(site, gnb, ap)``."""
-    site = build_site(num_ues=num_subscribers, **kwargs)
-    site.network.connect("gnb-1", "agw-1", backhaul.lan("lan-gnb"))
-    gnb = Gnb(site.sim, site.network, "gnb-1", "agw-1")
-    gnb.ng_setup()
-    site.network.connect("ap-1", "agw-1", backhaul.lan("lan-ap"))
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
-    site.sim.run(until=site.sim.now + 1.0)
-    assert gnb.ng_ready
-    return site, gnb, ap
+    site = build(num_ues=num_subscribers, rats=("5g", "wifi"), **kwargs)
+    return site, site.gnbs[0], site.aps[0]
 
 
 def ue5g(site, gnb, index):
@@ -86,7 +78,7 @@ def test_attach_counters_balance_across_rats_with_failures():
     is admitted, a reject at every refusal - on each RAT."""
     site, gnb, ap = multirat_site(num_subscribers=8)
     agw = site.agw
-    lte_ok, lte_unknown, lte_wrong_key = site.ue(0), site.ue(1), site.ue(2)
+    lte_ok, lte_unknown, lte_wrong_key = site.ues[:3]
     agw.subscriberdb.delete(lte_unknown.imsi)
     lte_wrong_key.k = bytes(16)
     for ue in (lte_ok, lte_unknown, lte_wrong_key):
@@ -110,9 +102,8 @@ def test_attach_counters_balance_across_rats_with_failures():
 
 
 def test_health_reports_the_wifi_reject_fraction():
-    site = build_site(num_ues=12)
-    site.network.connect("ap-1", "agw-1", backhaul.lan())
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
+    site = build(num_ues=12, rats=("wifi",))
+    ap = site.aps[0]
     for n, username in enumerate(site.imsis):
         secret = f"wifi-{username}" if n % 2 else "wrong-secret"
         settle(site, ap.connect(username, secret))

@@ -16,12 +16,10 @@ The RAN-facing half (S1AP/NGAP requests each eNodeB and the gNB serve,
 and the AGW's non-trivial replies to them) is pinned per RAN node.
 """
 
+from repro.deploy import build, subscriber_keys
 from repro.fiveg import Gnb, Ue5g
 from repro.net import backhaul
-from repro.wifi import WifiAp
 from repro.wifi.radius import AccessAccept
-
-from helpers import build_site, subscriber_keys
 
 UNKNOWN_WIFI_USER = "001010999999999"
 
@@ -38,7 +36,7 @@ def _recording(log, label, sim, deliver):
 
 
 def run_transcripts():
-    site = build_site(num_enbs=2, num_ues=8)
+    site = build(num_enbs=2, num_ues=8, rats=("wifi",))
     sim, agw = site.sim, site.agw
     log = {}
 
@@ -47,8 +45,8 @@ def run_transcripts():
         sim.run(until=sim.now + settle)
         return value
 
-    lte = {"lte": site.ue(0), "lte-unknown": site.ue(1),
-           "lte-wrong-key": site.ue(2)}
+    lte = {"lte": site.ues[0], "lte-unknown": site.ues[1],
+           "lte-wrong-key": site.ues[2]}
     for label, ue in lte.items():
         ue.deliver_nas = _recording(log, label, sim, ue.deliver_nas)
 
@@ -73,8 +71,7 @@ def run_transcripts():
         for key, handler in list(handlers.items()):
             handlers[key] = _recording(log, ran._server.node, sim, handler)
 
-    site.network.connect("ap-1", agw.node, backhaul.lan("lan-ap"))
-    ap = WifiAp(sim, site.network, "ap-1", agw.node)
+    ap = site.aps[0]
     wifi = {site.imsis[6]: "wifi", site.imsis[7]: "wifi-wrong-key",
             UNKNOWN_WIFI_USER: "wifi-unknown"}
     users_by_session = {}

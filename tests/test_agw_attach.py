@@ -1,32 +1,29 @@
 """End-to-end LTE attach through the full Magma AGW stack."""
 
-import pytest
-
-from repro.lte import UeConfig, UeState
+from repro.deploy import build
+from repro.lte import UeState
 from repro.core.agw import SessionState
-
-from helpers import build_site
 
 
 def test_single_ue_attach_succeeds():
-    site = build_site(num_ues=1)
-    outcome = site.run_attach(site.ue(0))
+    site = build(num_ues=1)
+    outcome = site.run_attach(site.ues[0])
     assert outcome.success, outcome.cause
-    ue = site.ue(0)
+    ue = site.ues[0]
     assert ue.state == UeState.REGISTERED
     assert ue.ip_address is not None
     assert ue.ip_address.startswith("10.128.")
 
 
 def test_attach_creates_session_and_dataplane_state():
-    site = build_site(num_ues=1)
-    site.run_attach(site.ue(0))
+    site = build(num_ues=1)
+    site.run_attach(site.ues[0])
     site.sim.run(until=site.sim.now + 2.0)
     imsi = site.imsis[0]
     session = site.agw.sessiond.session(imsi)
     assert session is not None
     assert session.state == SessionState.ACTIVE
-    assert session.ue_ip == site.ue(0).ip_address
+    assert session.ue_ip == site.ues[0].ip_address
     assert session.enb_teid is not None  # ICS response arrived
     assert site.agw.pipelined.has_session(imsi)
     flows = site.agw.pipelined.session(imsi)
@@ -34,15 +31,15 @@ def test_attach_creates_session_and_dataplane_state():
 
 
 def test_attach_latency_is_reasonable():
-    site = build_site(num_ues=1)
-    outcome = site.run_attach(site.ue(0))
+    site = build(num_ues=1)
+    outcome = site.run_attach(site.ues[0])
     # A lone attach on an idle AGW: a few radio RTTs + ~1s of CPU.
     assert 0.1 < outcome.latency < 5.0
 
 
 def test_mme_stats_track_attach():
-    site = build_site(num_ues=1)
-    site.run_attach(site.ue(0))
+    site = build(num_ues=1)
+    site.run_attach(site.ues[0])
     site.sim.run(until=site.sim.now + 1.0)
     stats = site.agw.mme.stats
     assert stats["attach_requests"] == 1
@@ -51,8 +48,8 @@ def test_mme_stats_track_attach():
 
 
 def test_unknown_subscriber_rejected():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     site.agw.subscriberdb.delete(ue.imsi)
     outcome = site.run_attach(ue)
     assert not outcome.success
@@ -61,8 +58,8 @@ def test_unknown_subscriber_rejected():
 
 
 def test_wrong_key_fails_authentication():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     ue.k = bytes(16)  # corrupt the USIM key
     outcome = site.run_attach(ue)
     assert not outcome.success
@@ -71,9 +68,8 @@ def test_wrong_key_fails_authentication():
 
 
 def test_inactive_subscriber_rejected():
-    from repro.core.agw import SubscriberProfile
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     profile = site.agw.subscriberdb._profiles[ue.imsi]
     from dataclasses import replace
     site.agw.subscriberdb.upsert(replace(profile, active=False))
@@ -82,7 +78,7 @@ def test_inactive_subscriber_rejected():
 
 
 def test_multiple_ues_attach():
-    site = build_site(num_ues=10)
+    site = build(num_ues=10)
     events = [ue.attach() for ue in site.ues]
     site.sim.run(until=60.0)
     outcomes = [ev.value for ev in events]
@@ -93,8 +89,8 @@ def test_multiple_ues_attach():
 
 
 def test_detach_releases_everything():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     site.run_attach(ue)
     site.sim.run(until=site.sim.now + 1.0)
     imsi = ue.imsi
@@ -115,8 +111,8 @@ def test_detach_releases_everything():
 
 
 def test_reattach_replaces_stale_session():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     site.run_attach(ue)
     site.sim.run(until=site.sim.now + 1.0)
     # UE loses state without detaching (e.g. battery pull) and re-attaches.
@@ -128,16 +124,17 @@ def test_reattach_replaces_stale_session():
 
 
 def test_attach_times_out_when_agw_down():
-    site = build_site(num_ues=1, ue_config=UeConfig(attach_guard_timer=5.0))
+    site = build(num_ues=1)
+    site.ues[0].config.attach_guard_timer = 5.0
     site.network.set_node_up("agw-1", False)
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert not outcome.success
     assert "T3410" in outcome.cause
 
 
 def test_cell_capacity_rejects_excess_ues():
     from repro.lte import CellConfig
-    site = build_site(num_ues=3, cell_config=CellConfig(max_active_ues=2))
+    site = build(num_ues=3, cell_config=CellConfig(max_active_ues=2))
     events = [ue.attach() for ue in site.ues]
     site.sim.run(until=60.0)
     outcomes = [ev.value for ev in events]
@@ -149,7 +146,7 @@ def test_cell_capacity_rejects_excess_ues():
 
 
 def test_directoryd_tracks_location():
-    site = build_site(num_enbs=2, num_ues=2)
+    site = build(num_enbs=2, num_ues=2)
     for ue in site.ues:
         site.run_attach(ue)
     site.sim.run(until=site.sim.now + 1.0)
@@ -159,15 +156,15 @@ def test_directoryd_tracks_location():
 
 
 def test_enodebd_registers_enbs():
-    site = build_site(num_enbs=3, num_ues=1)
+    site = build(num_enbs=3, num_ues=1)
     assert site.agw.enodebd.count() == 3
     assert site.agw.enodebd.device("enb-2") is not None
 
 
 def test_service_request_accepted_with_session():
     from repro.lte import nas
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     site.run_attach(ue)
     site.sim.run(until=site.sim.now + 1.0)
     # Simulate idle->active: UE sends a ServiceRequest as an initial message.
@@ -182,8 +179,8 @@ def test_service_request_accepted_with_session():
 def test_sqn_resynchronization_recovers_stale_network_sqn():
     """A USIM whose SQN is ahead of the network's (e.g. after serving time
     at a different AGW) triggers 3GPP-style resync, then attaches."""
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     ue.usim_sqn = 25  # USIM far ahead of this AGW's SQN state
     outcome = site.run_attach(ue)
     assert outcome.success, outcome.cause
@@ -193,8 +190,8 @@ def test_sqn_resynchronization_recovers_stale_network_sqn():
 
 def test_sqn_resync_only_tried_once():
     """If resync doesn't fix it (hostile/broken UE), attach fails."""
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
 
     # A UE that always claims sync failure regardless of the vector.
     from repro.lte import nas as nas_mod
@@ -213,8 +210,8 @@ def test_sqn_resync_only_tried_once():
 
 
 def test_graceful_detach_waits_for_accept():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     done = ue.detach(switch_off=False)
@@ -226,8 +223,8 @@ def test_graceful_detach_waits_for_accept():
 
 
 def test_graceful_detach_falls_back_on_timer_when_agw_dies():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     site.network.set_node_up("agw-1", False)

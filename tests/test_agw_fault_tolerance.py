@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.lte import UeConfig
-
-from helpers import build_site
+from repro.deploy import build
 
 
 def attach_all(site, settle=2.0):
@@ -16,7 +14,7 @@ def attach_all(site, settle=2.0):
 
 
 def test_checkpoint_contains_sessions():
-    site = build_site(num_ues=3)
+    site = build(num_ues=3)
     attach_all(site)
     snapshot = site.agw.magmad.checkpoint_now()
     assert len(snapshot["sessions"]) == 3
@@ -25,7 +23,7 @@ def test_checkpoint_contains_sessions():
 
 
 def test_periodic_checkpoint_loop_runs():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     attach_all(site)
     before = site.agw.magmad.stats["checkpoints"]
     site.sim.run(until=site.sim.now + 35.0)
@@ -33,7 +31,7 @@ def test_periodic_checkpoint_loop_runs():
 
 
 def test_crash_loses_runtime_state_and_recover_restores_it():
-    site = build_site(num_ues=3)
+    site = build(num_ues=3)
     attach_all(site)
     site.agw.magmad.checkpoint_now()
     ips_before = {imsi: site.agw.sessiond.session(imsi).ue_ip
@@ -54,8 +52,8 @@ def test_crash_loses_runtime_state_and_recover_restores_it():
 
 def test_recover_without_checkpoint_starts_empty():
     from repro.core.agw import AgwConfig
-    site = build_site(num_ues=2,
-                      config=AgwConfig(checkpoint_interval=1e9))
+    site = build(num_ues=2,
+                 config=AgwConfig(checkpoint_interval=1e9))
     attach_all(site)
     # No checkpoint was ever taken (interval is effectively infinite).
     site.agw.crash()
@@ -65,7 +63,7 @@ def test_recover_without_checkpoint_starts_empty():
 
 
 def test_sessions_created_after_checkpoint_are_lost():
-    site = build_site(num_ues=2)
+    site = build(num_ues=2)
     first = site.ues[0]
     second = site.ues[1]
     outcome = site.run_attach(first)
@@ -84,9 +82,9 @@ def test_sessions_created_after_checkpoint_are_lost():
 
 
 def test_ue_can_reattach_after_agw_recovery():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     attach_all(site)
-    ue = site.ue(0)
+    ue = site.ues[0]
     site.agw.crash()
     site.agw.recover(from_checkpoint=False)
     # The UE lost its session; model the UE noticing and re-attaching.
@@ -97,12 +95,14 @@ def test_ue_can_reattach_after_agw_recovery():
 
 
 def test_attaches_fail_while_agw_down_succeed_after_recovery():
-    site = build_site(num_ues=2, ue_config=UeConfig(attach_guard_timer=5.0))
+    site = build(num_ues=2)
+    for ue in site.ues:
+        ue.config.attach_guard_timer = 5.0
     site.agw.crash()
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert not outcome.success
     site.agw.recover()
-    outcome = site.run_attach(site.ue(1))
+    outcome = site.run_attach(site.ues[1])
     assert outcome.success
 
 
@@ -111,13 +111,13 @@ def test_fault_domain_is_one_agw():
 
     This is the §3.3 claim - each AGW is a small, independent fault domain.
     """
-    site_a = build_site(num_ues=2, seed=1)
+    site_a = build(num_ues=2, seed=1)
     # A second, entirely independent site (its own simulator would be
     # trivially isolated, so build both on one simulator/network instead).
     from repro.core.agw import AccessGateway, SubscriberProfile
     from repro.lte import Enodeb, Ue, make_imsi
     from repro.net import backhaul
-    from helpers import subscriber_keys
+    from repro.deploy import subscriber_keys
 
     sim, network = site_a.sim, site_a.network
     agw_b = AccessGateway(sim, network, "agw-2", rng=site_a.rng)

@@ -8,15 +8,13 @@ from repro.core.policy import (
     capped,
     prepaid,
     rate_limited,
-    unlimited,
 )
 from repro.core.agw import SessionState
-
-from helpers import build_site
+from repro.deploy import build
 
 
 def attach_one(site):
-    ue = site.ue(0)
+    ue = site.ues[0]
     outcome = site.run_attach(ue)
     assert outcome.success
     site.sim.run(until=site.sim.now + 2.0)  # let ICS response land
@@ -24,17 +22,14 @@ def attach_one(site):
 
 
 def test_unlimited_policy_admits_offered_rate():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attach_one(site)
     admitted = site.agw.admitted_downlink(ue.imsi, 500.0)
     assert admitted == pytest.approx(500.0)
 
 
 def test_rate_limit_shapes_downlink():
-    site = build_site(
-        num_ues=1,
-        policies={"bronze": rate_limited("bronze", 5.0)},
-        policy_id="bronze")
+    site = build(num_ues=1, policy=rate_limited("bronze", 5.0))
     ue = attach_one(site)
     assert site.agw.admitted_downlink(ue.imsi, 100.0) == pytest.approx(5.0)
     assert site.agw.admitted_downlink(ue.imsi, 2.0) == pytest.approx(2.0)
@@ -42,11 +37,10 @@ def test_rate_limit_shapes_downlink():
 
 def test_usage_cap_throttles_after_cap():
     """The paper's example policy: X Mbps until Y bytes, then Z Mbps."""
-    site = build_site(
+    site = build(
         num_ues=1,
-        policies={"capped": capped("capped", mbps=10.0, cap_bytes=5 * MB,
-                                   throttled_mbps=1.0)},
-        policy_id="capped")
+        policy=capped("capped", mbps=10.0, cap_bytes=5 * MB,
+                      throttled_mbps=1.0))
     ue = attach_one(site)
     imsi = ue.imsi
     assert site.agw.admitted_downlink(imsi, 100.0) == pytest.approx(10.0)
@@ -58,11 +52,10 @@ def test_usage_cap_throttles_after_cap():
 
 
 def test_usage_cap_interval_resets():
-    site = build_site(
+    site = build(
         num_ues=1,
-        policies={"daily": capped("daily", mbps=10.0, cap_bytes=1 * MB,
-                                  throttled_mbps=1.0, interval_s=100.0)},
-        policy_id="daily")
+        policy=capped("daily", mbps=10.0, cap_bytes=1 * MB,
+                      throttled_mbps=1.0, interval_s=100.0))
     ue = attach_one(site)
     imsi = ue.imsi
     site.agw.sessiond.record_usage(imsi, dl_bytes=2 * MB, ul_bytes=0)
@@ -75,10 +68,7 @@ def test_usage_cap_interval_resets():
 
 def test_online_charging_grants_quota_on_attach():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid", mbps=20.0)},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid", mbps=20.0))
     for imsi in site.imsis:
         ocs.provision(imsi, balance_bytes=10 * MB)
     ue = attach_one(site)
@@ -89,22 +79,16 @@ def test_online_charging_grants_quota_on_attach():
 
 def test_online_charging_zero_balance_rejects_attach():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid")},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid"))
     ocs.provision(site.imsis[0], balance_bytes=0)
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert not outcome.success
     assert site.agw.sessiond.stats["quota_denials"] == 1
 
 
 def test_online_charging_refills_quota_as_used():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid")},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid"))
     ocs.provision(site.imsis[0], balance_bytes=10 * MB)
     ue = attach_one(site)
     imsi = ue.imsi
@@ -120,10 +104,7 @@ def test_online_charging_refills_quota_as_used():
 
 def test_online_charging_blocks_when_balance_gone():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid")},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid"))
     ocs.provision(site.imsis[0], balance_bytes=1 * MB)  # exactly one grant
     ue = attach_one(site)
     imsi = ue.imsi
@@ -136,10 +117,7 @@ def test_online_charging_blocks_when_balance_gone():
 
 def test_online_charging_topup_unblocks():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid", mbps=15.0)},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid", mbps=15.0))
     ocs.provision(site.imsis[0], balance_bytes=1 * MB)
     ue = attach_one(site)
     imsi = ue.imsi
@@ -157,10 +135,7 @@ def test_online_charging_topup_unblocks():
 
 def test_detach_reports_final_usage_to_ocs():
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    site = build_site(
-        num_ues=1, ocs=ocs,
-        policies={"prepaid": prepaid("prepaid")},
-        policy_id="prepaid")
+    site = build(num_ues=1, ocs=ocs, policy=prepaid("prepaid"))
     ocs.provision(site.imsis[0], balance_bytes=10 * MB)
     ue = attach_one(site)
     imsi = ue.imsi
@@ -174,7 +149,7 @@ def test_detach_reports_final_usage_to_ocs():
 
 
 def test_cdr_written_with_usage():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attach_one(site)
     site.agw.sessiond.record_usage(ue.imsi, dl_bytes=1000, ul_bytes=200)
     ue.detach()

@@ -15,7 +15,7 @@ from repro.core.agw import (
     SubscriberProfile,
     virtual_profile,
 )
-from repro.core.policy import rate_limited, unlimited
+from repro.core.policy import rate_limited
 from repro.net import Network
 from repro.sim import Simulator
 

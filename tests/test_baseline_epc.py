@@ -1,15 +1,12 @@
 """Baseline monolithic EPC: attach over backhaul, GTP fragility, fault domain."""
 
-import pytest
-
 from repro.baseline import MonolithicEpc, EpcConfig
 from repro.core.agw import SubscriberProfile
+from repro.deploy import subscriber_keys
 from repro.lte import Enodeb, Ue, UeConfig, UeState, make_imsi
 from repro.lte.gtp import GtpcEndpoint
 from repro.net import Link, Network, backhaul
 from repro.sim import RngRegistry, Simulator
-
-from helpers import subscriber_keys
 
 
 def build_baseline(backhaul_link=None, num_ues=1, fragile=False, seed=1,

@@ -6,13 +6,10 @@ end consistent (no duplicate IPs, session table matches data plane, UEs
 can eventually attach) and the simulation itself must never wedge.
 """
 
-import pytest
-
 from repro.core.agw import AgwConfig
-from repro.lte import UeConfig, UeState
+from repro.deploy import build
+from repro.lte import UeState
 from repro.workloads import AttachStorm
-
-from helpers import build_site
 
 
 def consistent(site):
@@ -28,8 +25,9 @@ def consistent(site):
 
 
 def test_crash_mid_storm_then_recover():
-    site = build_site(num_ues=20, num_enbs=2,
-                      ue_config=UeConfig(attach_guard_timer=8.0))
+    site = build(num_ues=20, num_enbs=2)
+    for ue in site.ues:
+        ue.config.attach_guard_timer = 8.0
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0)
     storm.start()
     site.sim.run(until=4.0)      # a few UEs in, several mid-procedure
@@ -47,7 +45,7 @@ def test_crash_mid_storm_then_recover():
 
 
 def test_repeated_crash_recover_cycles():
-    site = build_site(num_ues=6)
+    site = build(num_ues=6)
     rng = site.rng.stream("chaos")
     for cycle in range(5):
         for ue in site.ues:
@@ -69,31 +67,9 @@ def test_repeated_crash_recover_cycles():
 
 
 def test_flapping_backhaul_during_operation():
-    from repro.core.agw import AccessGateway, SubscriberProfile
-    from repro.core.orchestrator import Orchestrator
-    from repro.lte import Enodeb, Ue, make_imsi
-    from repro.net import Network, backhaul
-    from repro.sim import RngRegistry, Simulator
-    from helpers import subscriber_keys
-
-    sim = Simulator()
-    rng = RngRegistry(99)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
-    network.connect("agw-1", "orc", backhaul.satellite())
-    agw = AccessGateway(sim, network, "agw-1",
-                        config=AgwConfig(checkin_interval=5.0),
-                        orchestrator_node="orc", rng=rng)
-    network.connect("enb-1", "agw-1", backhaul.lan())
-    enb = Enodeb(sim, network, "enb-1", "agw-1")
-    ues = []
-    for i in range(4):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
-        orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-        ues.append(Ue(sim, imsi, k, opc, enb))
-    agw.start()
-    enb.s1_setup()
+    d = build(num_ues=4, backhaul="satellite", seed=99,
+              config=AgwConfig(checkin_interval=5.0))
+    sim, network, rng, agw, ues = d.sim, d.network, d.rng, d.agw, d.ues
     sim.run(until=20.0)
     # Flap the orchestrator link while UEs churn.
     flap = rng.stream("flap")
@@ -120,7 +96,7 @@ def test_flapping_backhaul_during_operation():
 
 
 def test_enb_failure_only_affects_its_ues():
-    site = build_site(num_enbs=2, num_ues=4)
+    site = build(num_enbs=2, num_ues=4)
     for ue in site.ues:
         assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)

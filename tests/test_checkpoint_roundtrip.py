@@ -10,8 +10,7 @@ field that misses the serializer fails here *and* in the static pass.
 import dataclasses
 
 from repro.core.agw.sessiond import SessionRecord
-
-from helpers import build_site
+from repro.deploy import build
 
 
 def attach_all(site, settle=2.0):
@@ -26,7 +25,7 @@ ENFORCEMENT_SCALARS = ("total_bytes", "interval_bytes", "interval_start",
 
 
 def test_cumulative_quota_used_survives_recovery():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     attach_all(site)
     imsi = site.imsis[0]
     site.agw.sessiond.record_usage(imsi, dl_bytes=5_000, ul_bytes=1_500)
@@ -41,7 +40,7 @@ def test_cumulative_quota_used_survives_recovery():
 
 
 def test_every_sessionrecord_field_roundtrips():
-    site = build_site(num_ues=2)
+    site = build(num_ues=2)
     attach_all(site)
     # Give the record non-default runtime state on several fields.
     site.agw.sessiond.record_usage(site.imsis[0], 10_000, 2_000)
@@ -67,7 +66,7 @@ def test_every_sessionrecord_field_roundtrips():
 
 
 def test_magmad_config_version_roundtrips():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     attach_all(site)
     site.agw.magmad.config_version = 7
     site.agw.magmad.checkpoint_now()
@@ -78,7 +77,7 @@ def test_magmad_config_version_roundtrips():
 
 
 def test_mobilityd_assignments_rebuilt_consistently():
-    site = build_site(num_ues=3)
+    site = build(num_ues=3)
     attach_all(site)
     assigned_before = {imsi: site.agw.mobilityd.lookup_ip(imsi)
                        for imsi in site.imsis}

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.costmodel import (
-    ComparisonRow,
     ComparisonTable,
     CostItem,
     CostTable,
-    DeploymentCostParams,
     SiteParams,
     agw_cost_share,
     minimum_viable_deployment_cost,

@@ -11,20 +11,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.agw import (
-    AccessGateway,
-    AgwConfig,
-    BARE_METAL,
-    SubscriberProfile,
-    virtual_profile,
-)
-from repro.core.orchestrator import Orchestrator
-from repro.lte import CellConfig, Enodeb, Ue, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import RngRegistry, Simulator
+from repro.core.agw import AgwConfig, BARE_METAL, virtual_profile
+from repro.deploy import build
+from repro.lte import CellConfig
 from repro.workloads import TrafficEngine, start_streaming
-
-from helpers import build_site, subscriber_keys
 
 GATEWAY = {"gateway_id": "agw-1"}
 
@@ -33,24 +23,9 @@ def test_checkin_reports_time_weighted_cpu_util_to_health():
     """A steady 25% forwarding load with a burst of three attaches inside
     one check-in interval: that interval - and only that one - reports the
     mean of both, and the health engine scores headroom from it."""
-    sim = Simulator()
-    rng = RngRegistry(1)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
-    network.connect("agw-1", "orc", backhaul.by_name("fiber"))
-    agw = AccessGateway(
-        sim, network, "agw-1", orchestrator_node="orc", rng=rng,
-        config=AgwConfig(hardware=BARE_METAL, checkin_interval=5.0))
-    network.connect("enb-1", "agw-1", backhaul.lan())
-    enb = Enodeb(sim, network, "enb-1", "agw-1")
-    ues = []
-    for i in range(3):
-        k, opc = subscriber_keys(i + 1)
-        orc.add_subscriber(SubscriberProfile(imsi=make_imsi(i + 1),
-                                             k=k, opc=opc))
-        ues.append(Ue(sim, make_imsi(i + 1), k, opc, enb))
-    agw.start()
-    enb.s1_setup()
+    d = build(num_ues=3, backhaul="fiber",
+              config=AgwConfig(hardware=BARE_METAL, checkin_interval=5.0))
+    sim, orc, agw, ues = d.sim, d.orc, d.agw, d.ues
     sim.run(until=8.0)
     cpu = agw.context.cpu
     agw.set_user_plane_load(250.0)      # 1.0 of the 4 cores from here on
@@ -93,9 +68,9 @@ def test_traffic_engine_achieves_the_tick_window_fraction():
     engine forwards in a tick is the mean over the tick, whatever the
     service rate happens to be at the instant it looks."""
     costly = replace(virtual_profile(1), up_cost_per_mbps=0.05)
-    site = build_site(num_ues=1, config=AgwConfig(hardware=costly),
-                      cell_config=CellConfig(capacity_mbps=1000.0))
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1, config=AgwConfig(hardware=costly),
+                 cell_config=CellConfig(capacity_mbps=1000.0))
+    assert site.run_attach(site.ues[0]).success
     start_streaming(site.ues, rate_mbps=1000.0)
     site.sim.run(until=10.0)
     engine = TrafficEngine(site.sim, site.agw, site.enbs)

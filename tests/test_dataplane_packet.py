@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dataplane import (
-    GTPU_PORT,
     GtpuHeader,
     IPv4Header,
     Packet,

@@ -8,13 +8,11 @@ from repro.core.agw import (
     fail_back,
     promote_backup,
 )
-from repro.lte import UeState
-
-from helpers import build_site
+from repro.deploy import build
 
 
 def site_with_backup(num_ues=3):
-    site = build_site(num_ues=num_ues)
+    site = build(num_ues=num_ues)
     from repro.net import backhaul
     # The backup runs "as a cloud service": reachable from the site over
     # backhaul rather than the LAN.
@@ -52,7 +50,7 @@ def test_promote_backup_restores_sessions():
 
 def test_enb_retargets_to_backup_and_new_attaches_work():
     site, backup = site_with_backup(num_ues=3)
-    first, second = site.ues[0], site.ues[1]
+    first, second = site.ues[:2]
     assert site.run_attach(first).success
     site.sim.run(until=site.sim.now + 2.0)
     site.agw.magmad.checkpoint_now()
@@ -142,7 +140,7 @@ def test_attach_after_promotion_avoids_restored_identifiers():
     """The promoted backup's fresh allocators must skip everything the
     restored sessions hold (TEIDs, IPs) - the seed behaviour collided."""
     site, backup = site_with_backup(num_ues=2)
-    first, second = site.ues[0], site.ues[1]
+    first, second = site.ues[:2]
     assert site.run_attach(first).success
     site.sim.run(until=site.sim.now + 2.0)
     site.agw.magmad.checkpoint_now()

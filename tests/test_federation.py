@@ -12,11 +12,10 @@ from repro.core.federation import (
     validate_mode,
 )
 from repro.core.policy import OnlineChargingSystem, rate_limited
+from repro.deploy import subscriber_keys
 from repro.lte import Enodeb, Ue, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-
-from helpers import subscriber_keys
 
 
 def build_federated(mode=DeploymentMode.LOCAL_BREAKOUT, seed=1):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from helpers import build_site
+from repro.deploy import build
 
 
 def test_handover_target_agw_unreachable_fails_cleanly():
     """Handover to a radio whose AGW link is down: the UE keeps service."""
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     # Sever the target eNB from the AGW mid-handover.
@@ -23,7 +23,7 @@ def test_handover_target_agw_unreachable_fails_cleanly():
 
 def test_failover_without_store_raises():
     from repro.core.agw import AccessGateway, FailoverError, promote_backup
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     backup = AccessGateway(site.sim, site.network, "agw-nostore",
                            rng=site.rng.fork("nostore"))
     with pytest.raises(FailoverError, match="no checkpoint store"):
@@ -42,8 +42,8 @@ def test_fig9_hourly_series_shape():
 
 
 def test_gateway_metrics_summary_fields():
-    site = build_site(num_ues=1)
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1)
+    assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
     metrics = site.agw.metrics_summary()
     assert metrics["attach_requests"] == 1.0
@@ -52,8 +52,8 @@ def test_gateway_metrics_summary_fields():
 
 
 def test_ue_attach_while_attaching_rejected_fast():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     first = ue.attach()
     second = ue.attach()  # immediately: still ATTACHING
     outcome = site.sim.run_until_triggered(second, limit=5.0)
@@ -63,22 +63,22 @@ def test_ue_attach_while_attaching_rejected_fast():
 
 
 def test_ue_set_offered_rate_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     with pytest.raises(ValueError):
-        site.ue(0).set_offered_rate(-1.0)
+        site.ues[0].set_offered_rate(-1.0)
 
 
 def test_monitor_counters_through_attach():
-    site = build_site(num_ues=1)
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1)
+    assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
     assert site.monitor.counter("mme.attach_accepted") == 1.0
 
 
 def test_switch_stats_request_filtered_by_table():
     from repro.dataplane import StatsRequest
-    site = build_site(num_ues=1)
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1)
+    assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
     reply_t0 = site.agw.pipelined.switch.apply(StatsRequest(table_id=0))
     reply_all = site.agw.pipelined.switch.apply(StatsRequest())

@@ -2,24 +2,14 @@
 
 import pytest
 
-from repro.fiveg import Gnb, Ue5g, Ue5gState
-
-from helpers import build_site, subscriber_keys
+from repro.deploy import build, subscriber_keys
+from repro.fiveg import Ue5g, Ue5gState
 
 
 def build_5g_site(num_subscribers=2, **kwargs):
-    site = build_site(num_ues=num_subscribers, **kwargs)
-    from repro.net import backhaul
-    site.network.connect("gnb-1", "agw-1", backhaul.lan())
-    gnb = Gnb(site.sim, site.network, "gnb-1", "agw-1")
-    gnb.ng_setup()
-    site.sim.run(until=site.sim.now + 1.0)
-    assert gnb.ng_ready
-    ues5g = []
-    for i, imsi in enumerate(site.imsis):
-        k, opc = subscriber_keys(i + 1)
-        ues5g.append(Ue5g(site.sim, imsi, k, opc, gnb))
-    return site, gnb, ues5g
+    """A gNB-only site: its UEs are 5G UEs."""
+    site = build(num_enbs=0, num_ues=num_subscribers, rats=("5g",), **kwargs)
+    return site, site.gnbs[0], site.ues
 
 
 def register_and_session(site, ue):
@@ -123,8 +113,7 @@ def test_5g_deregistration_cleans_up():
 
 def test_5g_policy_enforced_like_lte():
     from repro.core.policy import rate_limited
-    site, gnb, ues = build_5g_site(
-        policies={"gold": rate_limited("gold", 50.0)}, policy_id="gold")
+    site, gnb, ues = build_5g_site(policy=rate_limited("gold", 50.0))
     register_and_session(site, ues[0])
     assert site.agw.admitted_downlink(ues[0].imsi, 200.0) == pytest.approx(50.0)
 
@@ -146,17 +135,15 @@ def test_lte_5g_wifi_one_core():
     single AGW; all three get sessions from the same generic functions and
     appear in the same session table, address pool, and accounting log.
     """
-    from repro.wifi import WifiAp
-    from repro.net import backhaul
-    site, gnb, ues5g = build_5g_site(num_subscribers=3)
-    site.network.connect("ap-1", "agw-1", backhaul.lan())
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
+    site = build(num_ues=3, rats=("5g", "wifi"))
+    ap = site.aps[0]
 
     # Subscriber 1: LTE.
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert outcome.success
     # Subscriber 2: 5G.
-    register_and_session(site, ues5g[1])
+    register_and_session(
+        site, Ue5g(site.sim, site.imsis[1], *subscriber_keys(2), site.gnbs[0]))
     # Subscriber 3: WiFi.
     done = ap.connect(site.imsis[2], f"wifi-{site.imsis[2]}")
     state = site.sim.run_until_triggered(done, limit=site.sim.now + 60.0)

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.agw import VIRTUAL_4VCPU, AgwConfig
-from repro.experiments.common import build_emulated_site
+from repro.deploy import build
 from repro.experiments.scaling import AgwStub
 from repro.lte.ue import UeState
 from repro.sim import Monitor, RngRegistry, Simulator
@@ -134,7 +134,7 @@ def test_monitor_bounded_series_cap_mismatch():
 
 
 def _site(**kwargs):
-    return build_emulated_site(num_enbs=1, num_ues=0, seed=11, **kwargs)
+    return build(num_enbs=1, num_ues=0, seed=11, **kwargs)
 
 
 def test_bulk_attach_respects_capacity():
@@ -178,7 +178,7 @@ def test_fleet_load_drives_user_plane_demand():
 
 
 def _run_storm(summary_only):
-    site = build_emulated_site(num_enbs=2, num_ues=30, seed=5)
+    site = build(num_enbs=2, num_ues=30, seed=5)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=3.0,
                         summary_only=summary_only)
     storm.start()
@@ -332,8 +332,8 @@ def test_fleet_duplicate_cohort_names_rejected():
 
 
 def test_fleet_sampled_ues_attach_through_real_stack():
-    site = build_emulated_site(num_enbs=2, num_ues=20, seed=13,
-                               config=AgwConfig(hardware=VIRTUAL_4VCPU))
+    site = build(num_enbs=2, num_ues=20, seed=13,
+                 config=AgwConfig(hardware=VIRTUAL_4VCPU))
     fleet = UeFleet(
         site.sim, site.rng, [AgwFleetAdapter(site.agw)],
         [CohortSpec("pop", size=0, attach_rate=0.05, idle_rate=0.01,
@@ -356,8 +356,8 @@ def test_fleet_sampled_ues_attach_through_real_stack():
 
 
 def test_fleet_through_real_agw_shows_in_sessiond():
-    site = build_emulated_site(num_enbs=1, num_ues=0, seed=3,
-                               config=AgwConfig(hardware=VIRTUAL_4VCPU))
+    site = build(num_enbs=1, num_ues=0, seed=3,
+                 config=AgwConfig(hardware=VIRTUAL_4VCPU))
     fleet = UeFleet(
         site.sim, site.rng, [AgwFleetAdapter(site.agw)],
         [CohortSpec("pop", size=2_000, attach_rate=0.01,

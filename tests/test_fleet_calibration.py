@@ -25,7 +25,7 @@ not run-to-run variance.
 import math
 
 from repro.core.agw import VIRTUAL_8VCPU, AgwConfig
-from repro.experiments.common import build_emulated_site
+from repro.deploy import build
 from repro.workloads.fleet import AgwFleetAdapter, CohortSpec, UeFleet
 
 NUM_UES = 500
@@ -50,8 +50,8 @@ def _cohort(size):
 
 
 def _run_aggregate():
-    site = build_emulated_site(num_enbs=NUM_ENBS, num_ues=0, seed=SEED,
-                               config=CONFIG)
+    site = build(num_enbs=NUM_ENBS, num_ues=0, seed=SEED,
+                 config=CONFIG)
     fleet = UeFleet(site.sim, site.rng, [AgwFleetAdapter(site.agw)],
                     [_cohort(NUM_UES)], tick=TICK)
     fleet.start()
@@ -60,8 +60,8 @@ def _run_aggregate():
 
 
 def _run_coroutines():
-    site = build_emulated_site(num_enbs=NUM_ENBS, num_ues=NUM_UES, seed=SEED,
-                               config=CONFIG)
+    site = build(num_enbs=NUM_ENBS, num_ues=NUM_UES, seed=SEED,
+                 config=CONFIG)
     # size=0 cohort + a 100% sample population: the same UeFleet tick
     # drives every subscriber through the real per-UE attach/detach
     # procedures instead of the aggregate table.

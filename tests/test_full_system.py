@@ -9,57 +9,30 @@ invariants checked at each stage.
 
 import pytest
 
-from repro.core.agw import (
-    AccessGateway,
-    AgwConfig,
-    CheckpointStore,
-    SubscriberProfile,
-)
-from repro.core.orchestrator import Orchestrator
+from repro.core.agw import AgwConfig, SubscriberProfile
 from repro.core.policy import MB, OnlineChargingSystem, capped, prepaid
-from repro.lte import Enodeb, Ue, UeState, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import Monitor, RngRegistry, Simulator
+from repro.deploy import build
+from repro.lte import UeState
 from repro.workloads import TrafficEngine
-
-from helpers import subscriber_keys
 
 
 def test_day_in_the_life():
-    sim = Simulator()
-    rng = RngRegistry(2026)
-    network = Network(sim, rng)
-    monitor = Monitor()
-    store = CheckpointStore()
     ocs = OnlineChargingSystem(quota_bytes=2 * MB, clock=lambda: sim.now)
 
     # --- Morning: the operator stands up the network. ---------------------
-    orc = Orchestrator(sim, network, "orc")
+    d = build(num_enbs=2, num_ues=6, backhaul="microwave", seed=2026,
+              config=AgwConfig(checkin_interval=10.0, checkpoint_interval=5.0),
+              ocs=ocs)
+    sim, network, monitor, orc, agw = d.sim, d.network, d.monitor, d.orc, d.agw
+    enbs, subscribers = d.enbs, d.ues
     orc.upsert_policy(capped("family", mbps=8.0, cap_bytes=20 * MB,
                              throttled_mbps=1.0))
     orc.upsert_policy(prepaid("payg", mbps=6.0))
-    network.connect("agw-1", "orc", backhaul.microwave())
-    agw = AccessGateway(sim, network, "agw-1",
-                        config=AgwConfig(checkin_interval=10.0,
-                                         checkpoint_interval=5.0),
-                        orchestrator_node="orc", ocs=ocs,
-                        checkpoint_store=store, monitor=monitor, rng=rng)
-    enbs = []
-    for i in (1, 2):
-        network.connect(f"enb-{i}", "agw-1", backhaul.lan())
-        enbs.append(Enodeb(sim, network, f"enb-{i}", "agw-1"))
-    subscribers = []
-    for i in range(6):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
+    for i, ue in enumerate(subscribers):
         policy = "payg" if i % 3 == 0 else "family"
-        orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc,
+        orc.add_subscriber(SubscriberProfile(imsi=ue.imsi, k=ue.k, opc=ue.opc,
                                              policy_id=policy))
-        ocs.provision(imsi, balance_bytes=100 * MB)
-        subscribers.append(Ue(sim, imsi, k, opc, enbs[i % 2]))
-    agw.start()
-    for enb in enbs:
-        enb.s1_setup()
+        ocs.provision(ue.imsi, balance_bytes=100 * MB)
     sim.run(until=15.0)  # bring-up + first config sync
     assert len(agw.subscriberdb) == 6
 

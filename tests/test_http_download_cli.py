@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.deploy import build
 from repro.workloads import HttpDownload, DEFAULT_RATE_MBPS
-
-from helpers import build_site
 
 
 def test_download_default_rate_matches_paper():
@@ -12,8 +11,8 @@ def test_download_default_rate_matches_paper():
 
 
 def test_endless_stream_sets_rate_and_never_completes():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     download = HttpDownload(site.sim, ue, rate_mbps=2.0)
     done = download.start()
@@ -23,8 +22,8 @@ def test_endless_stream_sets_rate_and_never_completes():
 
 
 def test_finite_download_completes_and_stops_offering():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     # 1 MB at 8 Mbps = 1 second of offered time.
     download = HttpDownload(site.sim, ue, rate_mbps=8.0,
@@ -37,11 +36,11 @@ def test_finite_download_completes_and_stops_offering():
 
 
 def test_download_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     with pytest.raises(ValueError):
-        HttpDownload(site.sim, site.ue(0), rate_mbps=0)
+        HttpDownload(site.sim, site.ues[0], rate_mbps=0)
     with pytest.raises(ValueError):
-        HttpDownload(site.sim, site.ue(0), rate_mbps=1.0, size_bytes=0)
+        HttpDownload(site.sim, site.ues[0], rate_mbps=1.0, size_bytes=0)
 
 
 # -- CLI runner -----------------------------------------------------------------------

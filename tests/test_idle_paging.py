@@ -2,20 +2,19 @@
 
 import pytest
 
+from repro.deploy import build
 from repro.lte import UeState
-
-from helpers import build_site
 
 
 def attached(site, index=0):
-    ue = site.ue(index)
+    ue = site.ues[index]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     return ue
 
 
 def test_go_idle_keeps_session_frees_radio():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     ip = ue.ip_address
     ue.go_idle()
@@ -31,17 +30,17 @@ def test_go_idle_keeps_session_frees_radio():
 
 def test_idle_frees_cell_capacity_for_others():
     from repro.lte import CellConfig
-    site = build_site(num_ues=2, cell_config=CellConfig(max_active_ues=1))
+    site = build(num_ues=2, cell_config=CellConfig(max_active_ues=1))
     first = attached(site, 0)
     first.go_idle()
     site.sim.run(until=site.sim.now + 1.0)
     # The freed slot admits the second UE.
-    outcome = site.run_attach(site.ue(1))
+    outcome = site.run_attach(site.ues[1])
     assert outcome.success
 
 
 def test_service_request_returns_to_connected():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     ue.go_idle()
     site.sim.run(until=site.sim.now + 2.0)
@@ -58,7 +57,7 @@ def test_service_request_returns_to_connected():
 
 
 def test_paging_wakes_idle_ue():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     ue.go_idle()
     site.sim.run(until=site.sim.now + 2.0)
@@ -70,20 +69,20 @@ def test_paging_wakes_idle_ue():
 
 
 def test_page_connected_ue_is_noop_true():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     assert site.agw.page(ue.imsi) is True
     assert site.agw.s1ap.stats.get("pages", 0) == 0
 
 
 def test_page_unknown_ue_false():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     assert site.agw.page("9" * 15) is False
 
 
 def test_idle_then_detach_path():
     """A UE can come back from idle and cleanly detach."""
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     ue.go_idle()
     site.sim.run(until=site.sim.now + 2.0)
@@ -95,7 +94,7 @@ def test_idle_then_detach_path():
 
 
 def test_usage_counters_survive_idle_cycle():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     site.agw.sessiond.record_usage(ue.imsi, dl_bytes=12345, ul_bytes=0)
     ue.go_idle()
@@ -108,7 +107,7 @@ def test_usage_counters_survive_idle_cycle():
 
 def test_traffic_stops_while_idle_resumes_after():
     from repro.workloads import TrafficEngine
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     ue = attached(site)
     ue.set_offered_rate(5.0)
     engine = TrafficEngine(site.sim, site.agw, site.enbs)

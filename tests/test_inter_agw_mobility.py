@@ -4,11 +4,10 @@ import pytest
 
 from repro.core.agw import AccessGateway, SubscriberProfile
 from repro.core.policy import MB, capped
+from repro.deploy import subscriber_keys
 from repro.lte import Enodeb, Ue, UeState, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-
-from helpers import subscriber_keys
 
 
 def two_agw_network(policy=None, seed=1):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    Interrupted,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Interrupted, SimulationError, Simulator
 
 
 def test_schedule_at_absolute_time():

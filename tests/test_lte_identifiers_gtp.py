@@ -6,7 +6,6 @@ from repro.lte import TeidAllocator, make_imsi, validate_imsi
 from repro.lte.gtp import (
     CreateSessionRequest,
     CreateSessionResponse,
-    EchoRequest,
     GtpcEndpoint,
     GtpTimeout,
 )

@@ -1,18 +1,15 @@
 """Direct tests for magmad (checkpointing/config) and the health service."""
 
-import pytest
-
 from repro.core.agw import SubscriberProfile
 from repro.core.policy import rate_limited
-
-from helpers import build_site
+from repro.deploy import build
 
 
 # -- magmad -----------------------------------------------------------------------
 
 
 def test_checkpoint_snapshot_structure():
-    site = build_site(num_ues=2)
+    site = build(num_ues=2)
     for ue in site.ues:
         assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
@@ -28,7 +25,7 @@ def test_checkpoint_snapshot_structure():
 
 
 def test_apply_config_bundle_updates_all_stores():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     bundle = {
         "subscribers": {"9" * 15: SubscriberProfile(imsi="9" * 15)},
         "policies": {"gold": rate_limited("gold", 99.0)},
@@ -45,14 +42,14 @@ def test_apply_config_bundle_updates_all_stores():
 
 
 def test_apply_partial_bundle_leaves_others():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     before = len(site.agw.subscriberdb)
     site.agw.magmad.apply_config({"policies": {}}, version=3)
     assert len(site.agw.subscriberdb) == before  # untouched
 
 
 def test_magmad_start_idempotent():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     site.agw.magmad.start()
     site.agw.magmad.start()  # second call is a no-op
     site.sim.run(until=site.sim.now + 25.0)
@@ -64,14 +61,14 @@ def test_magmad_start_idempotent():
 
 
 def test_health_all_green_on_fresh_gateway():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     assert site.agw.health.is_healthy()
     summary = site.agw.health.summary()
     assert summary["healthy"] and summary["failing"] == []
 
 
 def test_health_flags_crash():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     site.agw.crash()
     checks = {c.name: c for c in site.agw.health.evaluate()}
     assert not checks["process"].healthy
@@ -79,7 +76,7 @@ def test_health_flags_crash():
 
 
 def test_health_flags_stale_ran_device():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     site.sim.run(until=site.sim.now + 400.0)  # no heartbeats for > 300 s
     checks = {c.name: c for c in site.agw.health.evaluate()}
     assert not checks["ran-devices"].healthy
@@ -87,7 +84,7 @@ def test_health_flags_stale_ran_device():
 
 
 def test_health_flags_reject_storm():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     site.agw.mme.stats["attach_rejected"] = 50
     site.agw.mme.stats["attach_accepted"] = 10
     checks = {c.name: c for c in site.agw.health.evaluate()}
@@ -95,6 +92,6 @@ def test_health_flags_reject_storm():
 
 
 def test_health_in_checkin_status():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     status = site.agw.status_summary()
     assert status["health"]["healthy"] is True

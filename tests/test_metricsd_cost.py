@@ -9,22 +9,11 @@ this replaced paid about six calls per sample: 151 for a 24-name bundle,
 583 for 96, 12 for one sample on its own.
 """
 
-import cProfile
-import gc
-
 from repro.core.orchestrator import Metricsd
 
+from costs import calls
+
 LABELS = {"gateway_id": "gw-1"}
-
-
-def calls(fn, *args):
-    # Collect first: finalizers of an earlier test's garbage, run by a
-    # collection inside ``fn``, would count as its calls.
-    gc.collect()
-    profiler = cProfile.Profile()
-    profiler.runcall(fn, *args)
-    return sum(entry.callcount for entry in profiler.getstats()
-               if "_lsprof.Profiler" not in str(entry.code))
 
 
 def names(width):

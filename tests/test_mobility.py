@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.deploy import build
 from repro.lte import UeState
-
-from helpers import build_site
 
 
 def attach(site, ue):
@@ -14,8 +13,8 @@ def attach(site, ue):
 
 
 def test_handover_keeps_session_and_ip():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     ip_before = ue.ip_address
     session_before = site.agw.sessiond.session(ue.imsi)
@@ -37,8 +36,8 @@ def test_handover_keeps_session_and_ip():
 
 
 def test_handover_moves_radio_attachment():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     ue.set_offered_rate(3.0)
     done = ue.handover_to(site.enbs[1])
@@ -52,8 +51,8 @@ def test_handover_moves_radio_attachment():
 
 
 def test_handover_updates_directoryd():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     moves_before = site.agw.directoryd.stats["moves"]
     done = ue.handover_to(site.enbs[1])
@@ -65,8 +64,8 @@ def test_handover_updates_directoryd():
 
 def test_handover_downlink_rule_replaced_not_duplicated():
     from repro.core.agw.pipelined import TABLE_EGRESS
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     done = ue.handover_to(site.enbs[1])
     site.sim.run_until_triggered(done, limit=site.sim.now + 30.0)
@@ -80,8 +79,8 @@ def test_handover_downlink_rule_replaced_not_duplicated():
 
 
 def test_handover_back_and_forth():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     for target in (site.enbs[1], site.enbs[0], site.enbs[1]):
         done = ue.handover_to(target)
@@ -91,8 +90,8 @@ def test_handover_back_and_forth():
 
 
 def test_handover_requires_registration():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     done = ue.handover_to(site.enbs[1])
     ok = site.sim.run_until_triggered(done, limit=site.sim.now + 10.0)
     assert not ok
@@ -100,12 +99,12 @@ def test_handover_requires_registration():
 
 def test_handover_to_full_cell_fails_cleanly():
     from repro.lte import CellConfig
-    site = build_site(num_enbs=2, num_ues=2,
-                      cell_config=CellConfig(max_active_ues=1))
+    site = build(num_enbs=2, num_ues=2,
+                 cell_config=CellConfig(max_active_ues=1))
     # UE0 on enb-1, UE1 on enb-2 (round-robin assignment), both attach.
     for ue in site.ues:
         attach(site, ue)
-    ue = site.ue(0)
+    ue = site.ues[0]
     done = ue.handover_to(site.enbs[1])  # enb-2 is full
     ok = site.sim.run_until_triggered(done, limit=site.sim.now + 30.0)
     assert not ok
@@ -116,8 +115,8 @@ def test_handover_to_full_cell_fails_cleanly():
 
 
 def test_handover_detach_after_move_cleans_target():
-    site = build_site(num_enbs=2, num_ues=1)
-    ue = site.ue(0)
+    site = build(num_enbs=2, num_ues=1)
+    ue = site.ues[0]
     attach(site, ue)
     done = ue.handover_to(site.enbs[1])
     site.sim.run_until_triggered(done, limit=site.sim.now + 30.0)

@@ -1,15 +1,12 @@
 """Multi-network (tenant) support: per-network config isolation."""
 
-import pytest
-
 from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
 from repro.core.orchestrator import Orchestrator
 from repro.core.policy import rate_limited
+from repro.deploy import subscriber_keys
 from repro.lte import Enodeb, Ue, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-
-from helpers import subscriber_keys
 
 
 def build_two_networks(checkin_interval=5.0, seed=1):

@@ -8,24 +8,11 @@ counter - so they are deterministic.  The budgets are the counts of the
 code as it stands: a span or a record that grows a call fails here.
 """
 
-import cProfile
-import gc
-
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracing import NOOP_SPAN, Tracer, tracer_of
 from repro.sim import RngRegistry, Simulator
 
-
-def counted(fn, *args, **kwargs):
-    """``(result, calls)``: Python + C calls executed inside ``fn``.
-
-    Collects first: finalizers of an earlier test's garbage, run by a
-    collection inside ``fn``, would count as its calls."""
-    gc.collect()
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args, **kwargs)
-    return result, sum(entry.callcount for entry in profiler.getstats()
-                       if "_lsprof.Profiler" not in str(entry.code))
+from costs import counted
 
 
 def test_a_child_span_costs_eleven_calls_to_open_and_close():

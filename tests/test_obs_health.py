@@ -322,41 +322,18 @@ def test_5g_only_agw_attach_p99_exemplar_resolves():
     """5G registrations record the same attach latency, with exemplars,
     as LTE attaches: a gateway serving only 5G gets an attach p99 whose
     exemplar resolves to a recorded registration trace."""
-    from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
-    from repro.core.orchestrator import Orchestrator
-    from repro.fiveg import Gnb, Ue5g
-    from repro.lte import make_imsi
-    from repro.net import Network, backhaul
+    from repro.core.agw import AgwConfig
+    from repro.deploy import build
     from repro.obs import Tracer
-    from repro.sim import RngRegistry
 
-    from helpers import subscriber_keys
-
-    sim = Simulator()
-    rng = RngRegistry(3)
-    network = Network(sim, rng)
-    monitor = Monitor()
-    tracer = Tracer(sim, rng)
-    orc = Orchestrator(sim, network, "orc", monitor=monitor)
-    network.connect("agw-1", "orc", backhaul.by_name("fiber"))
-    agw = AccessGateway(sim, network, "agw-1",
-                        config=AgwConfig(checkin_interval=5.0),
-                        orchestrator_node="orc", monitor=monitor, rng=rng)
-    network.connect("gnb-1", "agw-1", backhaul.lan("lan-gnb"))
-    gnb = Gnb(sim, network, "gnb-1", "agw-1")
-    ues = []
-    for index in range(1, 5):
-        imsi = make_imsi(index)
-        k, opc = subscriber_keys(index)
-        orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-        ues.append(Ue5g(sim, imsi, k, opc, gnb))
-    agw.start()
-    gnb.ng_setup()
-    for n, ue in enumerate(ues):
-        sim.call_later(7.0 + 3.0 * n, ue.register)
-    sim.run(until=40.0)
-    assert all(ue.state == "registered" for ue in ues)
-    health = orc.health_report()["agws"]["agw-1"]
+    d = build(num_enbs=0, num_ues=4, rats=("5g",), backhaul="fiber", seed=3,
+              config=AgwConfig(checkin_interval=5.0))
+    tracer = Tracer(d.sim, d.rng)
+    for n, ue in enumerate(d.ues):
+        d.sim.schedule_at(7.0 + 3.0 * n, ue.register)
+    d.sim.run(until=40.0)
+    assert all(ue.state == "registered" for ue in d.ues)
+    health = d.orc.health_report()["agws"]["agw-1"]
     exemplar = health["detail"]["attach_p99_exemplar"]
     registrations = {span.trace_id for span in tracer.spans
                      if span.name == "register" and span.parent_id is None}

@@ -77,23 +77,13 @@ def test_headless_metrics_backfill_without_duplicates():
 
 def test_headless_buffer_is_bounded():
     from repro.core.agw import AgwConfig
-    import repro.net.backhaul as backhaul
-    from repro.core.orchestrator import Orchestrator
-    from repro.core.agw import AccessGateway
-    from repro.net import Network
-    from repro.sim import RngRegistry, Simulator
+    from repro.deploy import build
 
-    sim = Simulator()
-    rng = RngRegistry(1)
-    network = Network(sim, rng)
-    Orchestrator(sim, network, "orc")
-    config = AgwConfig(checkin_interval=1.0, metrics_buffer_max=5)
-    network.connect("agw-1", "orc", backhaul.by_name("fiber"))
-    agw = AccessGateway(sim, network, "agw-1", config=config,
-                        orchestrator_node="orc", rng=rng)
-    agw.start()
-    network.set_node_up("orc", False)
-    sim.run(until=60.0)  # ~60 failed check-ins against a 5-deep buffer
+    d = build(num_enbs=0, num_ues=0, backhaul="fiber",
+              config=AgwConfig(checkin_interval=1.0, metrics_buffer_max=5))
+    agw = d.agw
+    d.network.set_node_up("orc", False)
+    d.sim.run(until=60.0)  # ~60 failed check-ins against a 5-deep buffer
     assert agw.magmad.metrics_backlog_depth() == 5
     assert agw.magmad.stats["metrics_buffered"] > 5
 

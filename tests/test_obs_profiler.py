@@ -13,7 +13,7 @@ import importlib.util
 import pytest
 
 from repro.core.agw import VIRTUAL_8VCPU, AgwConfig
-from repro.experiments.common import build_emulated_site
+from repro.deploy import build
 from repro.obs.profiler import KERNEL, Profiler, owner_of
 from repro.sim import PeriodicCall, SimSan, Simulator
 from repro.workloads.attach_storm import AttachStorm
@@ -158,7 +158,7 @@ def test_disabled_path_leaves_class_untouched():
 
 def attach_storm(n_ues=120, rate=10.0, seed=7, prof=None):
     """bench_components' smoke attach storm."""
-    site = build_emulated_site(num_enbs=4, num_ues=n_ues, seed=seed)
+    site = build(num_enbs=4, num_ues=n_ues, seed=seed)
     if prof is not None:
         site.sim.add_hook(prof)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=rate,
@@ -175,9 +175,9 @@ def cohort_fleet(prof=None, subscribers=2_000, sample_ues=20,
                  duration=60.0):
     """A cohort fleet with sampled coroutine UEs; returns the canaries
     ``bench_components``' fleet leg commits."""
-    site = build_emulated_site(num_enbs=1, num_ues=sample_ues,
-                               config=AgwConfig(hardware=VIRTUAL_8VCPU),
-                               seed=23)
+    site = build(num_enbs=1, num_ues=sample_ues,
+                 config=AgwConfig(hardware=VIRTUAL_8VCPU),
+                 seed=23)
     cohort = CohortSpec("subs", size=subscribers, attach_rate=0.01,
                         detach_rate=0.002, idle_rate=0.005,
                         resume_rate=0.02, traffic_mbps=0.01)

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.deploy import build
 from repro.obs import (
     NOOP_SPAN,
     Tracer,
@@ -11,17 +12,15 @@ from repro.obs import (
     tracer_of,
 )
 
-from helpers import build_site
-
 
 def traced_site(sample_rate=1.0, seed=1, **kwargs):
-    site = build_site(seed=seed, **kwargs)
+    site = build(seed=seed, **kwargs)
     tracer = Tracer(site.sim, site.rng, sample_rate=sample_rate)
     return site, tracer
 
 
 def run_one_attach(site):
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert outcome.success
     site.sim.run(until=site.sim.now + 2.0)  # let stragglers finish
 
@@ -94,13 +93,13 @@ def test_partial_sampling_records_subset_of_roots():
 
 
 def test_no_tracer_is_noop():
-    site = build_site()
+    site = build()
     tracer = tracer_of(site.sim)
     span = tracer.begin("anything")
     assert span is NOOP_SPAN
     assert not span.recording
     span.set_tag("k", "v").end("error")  # all no-ops
-    outcome = site.run_attach(site.ue(0))
+    outcome = site.run_attach(site.ues[0])
     assert outcome.success
     assert site.sim.ctx is None
 
@@ -155,7 +154,7 @@ def test_chrome_trace_export_is_valid():
 def test_detach_idle_and_paging_traced():
     site, tracer = traced_site()
     run_one_attach(site)
-    ue = site.ue(0)
+    ue = site.ues[0]
     ue.go_idle()
     site.sim.run(until=site.sim.now + 1.0)
     assert site.agw.page(ue.imsi)

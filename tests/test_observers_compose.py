@@ -8,11 +8,10 @@ order.  A plain run fires the same callbacks minus the ones the tracer
 adds to close its spans.
 """
 
+from repro.deploy import build
 from repro.obs import FlightRecorder, Profiler, Tracer
 from repro.sim import Hook, SimSan
 from repro.workloads.attach_storm import AttachStorm
-
-from helpers import build_site
 
 
 class FiringOrder(Hook):
@@ -28,7 +27,7 @@ class FiringOrder(Hook):
 
 def attach_storm(tracer=False, everything=False):
     san = SimSan() if everything else None
-    site = build_site(num_enbs=2, num_ues=24, seed=5, sanitizer=san)
+    site = build(num_enbs=2, num_ues=24, seed=5, sanitizer=san)
     order = FiringOrder(site.sim)
     site.sim.add_hook(order)
     observers = {"sanitizer": san}

@@ -2,38 +2,17 @@
 
 import pytest
 
-from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
-from repro.core.orchestrator import Orchestrator
+from repro.core.agw import AgwConfig, SubscriberProfile
 from repro.core.policy import rate_limited
-from repro.lte import Enodeb, Ue, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import RngRegistry, Simulator
-
-from helpers import subscriber_keys
+from repro.deploy import build, subscriber_keys
+from repro.lte import Ue, make_imsi
 
 
 def build_deployment(checkin_interval=5.0, backhaul_profile="fiber",
                      num_subscribers=2, seed=1):
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
-    config = AgwConfig(checkin_interval=checkin_interval)
-    network.connect("agw-1", "orc", backhaul.by_name(backhaul_profile))
-    agw = AccessGateway(sim, network, "agw-1", config=config,
-                        orchestrator_node="orc", rng=rng)
-    network.connect("enb-1", "agw-1", backhaul.lan())
-    enb = Enodeb(sim, network, "enb-1", "agw-1")
-    ues = []
-    for i in range(num_subscribers):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
-        orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-        ues.append(Ue(sim, imsi, k, opc, enb))
-    agw.start()
-    enb.s1_setup()
-    sim.run(until=1.0)
-    return sim, network, orc, agw, enb, ues
+    d = build(num_ues=num_subscribers, backhaul=backhaul_profile, seed=seed,
+              config=AgwConfig(checkin_interval=checkin_interval))
+    return d.sim, d.network, d.orc, d.agw, d.enbs[0], d.ues
 
 
 def test_config_syncs_on_checkin():

@@ -5,16 +5,13 @@ pipeline end to end after a real attach: uplink GTP-U decap -> policy ->
 SGi, and downlink SGi -> policy -> GTP-U encap toward the eNodeB's TEID.
 """
 
-import pytest
-
 from repro.dataplane import GtpuHeader, gtpu_encap, ip_packet
-
-from helpers import build_site
+from repro.deploy import build
 
 
 def attached_site():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     session = site.agw.sessiond.session(ue.imsi)

@@ -8,12 +8,12 @@ work - ``FlowMatch`` comparisons and executed calls - rather than time,
 so they are deterministic.
 """
 
-import sys
-
 from repro.core.agw import AgwContext, Pipelined
 from repro.dataplane import FlowMatch
 from repro.net import Network
 from repro.sim import Simulator
+
+from costs import calls
 
 
 def loaded_pipelined(sessions):
@@ -30,23 +30,6 @@ def loaded_pipelined(sessions):
 def handover_then_detach(pipelined, imsi):
     pipelined.set_enb_tunnel(imsi, 0x7777, "enb-b")
     assert pipelined.remove_session(imsi)
-
-
-def calls_executed(fn, *args):
-    """Python + C calls made while running ``fn`` (a count, not a time)."""
-    calls = 0
-
-    def profiler(_frame, event, _arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_handover_and_detach_compare_a_handful_of_matches(monkeypatch):
@@ -71,8 +54,8 @@ def test_handover_and_detach_compare_a_handful_of_matches(monkeypatch):
 
 
 def test_handover_and_detach_cost_is_flat_in_table_size():
-    small = calls_executed(handover_then_detach, loaded_pipelined(200),
+    small = calls(handover_then_detach, loaded_pipelined(200),
                            "imsi00100")
-    large = calls_executed(handover_then_detach, loaded_pipelined(2000),
+    large = calls(handover_then_detach, loaded_pipelined(2000),
                            "imsi01000")
     assert small == large

@@ -1,8 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.orchestrator import ConfigStore

@@ -1,6 +1,6 @@
 """Second round of property-based tests: radio, diurnal, CSR bins, matcher."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lte import CellConfig, CellModel

@@ -5,36 +5,37 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.deploy import build, subscriber_keys
 from repro.fiveg import Gnb, Ue5g, Ue5gState, ngap
 from repro.lte import CellCapacityError, CellConfig, Enodeb, Ue, make_imsi, s1ap
 from repro.net import Link, Network, RpcChannel, RpcError, RpcServer
 from repro.sim import RngRegistry, Simulator
-
-from helpers import build_site, subscriber_keys
 
 
 # -- eNodeB edges -------------------------------------------------------------------
 
 
 def test_enb_rejects_rrc_before_s1_setup():
-    site = build_site(num_ues=1, do_s1_setup=False)
+    site = build(num_enbs=0)
+    enb = Enodeb(site.sim, site.network, "enb-1", "agw-1")
+    ue = Ue(site.sim, site.imsis[0], *subscriber_keys(1), enb)
     with pytest.raises(CellCapacityError, match="S1 not established"):
-        site.enbs[0].rrc_connect(site.ue(0))
-    assert site.enbs[0].stats["rrc_rejects"] == 1
+        enb.rrc_connect(ue)
+    assert enb.stats["rrc_rejects"] == 1
 
 
 def test_enb_rrc_connect_idempotent():
-    site = build_site(num_ues=1)
-    context1 = site.enbs[0].rrc_connect(site.ue(0))
-    context2 = site.enbs[0].rrc_connect(site.ue(0))
+    site = build(num_ues=1)
+    context1 = site.enbs[0].rrc_connect(site.ues[0])
+    context2 = site.enbs[0].rrc_connect(site.ues[0])
     assert context1 is context2
     assert site.enbs[0].connected_ues() == 1
 
 
 def test_enb_uplink_after_release_is_dropped():
     from repro.lte import nas
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     site.enbs[0].rrc_connect(ue)
     site.enbs[0].rrc_release(ue)
     before = site.enbs[0].stats["uplink_nas"]
@@ -44,7 +45,7 @@ def test_enb_uplink_after_release_is_dropped():
 
 def test_enb_downlink_for_unknown_ue_reports_undelivered():
     from repro.lte import s1ap
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     result = site.enbs[0]._on_downlink_nas(
         s1ap.DownlinkNasTransport(enb_ue_id=999, mme_ue_id=1, nas=None))
     assert result == {"delivered": False}
@@ -52,7 +53,7 @@ def test_enb_downlink_for_unknown_ue_reports_undelivered():
 
 def test_enb_context_setup_for_unknown_ue_fails():
     from repro.lte import s1ap
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     response = site.enbs[0]._on_initial_context_setup(
         s1ap.InitialContextSetupRequest(
             enb_ue_id=999, mme_ue_id=1, ue_agg_max_bitrate_mbps=1.0,
@@ -61,7 +62,7 @@ def test_enb_context_setup_for_unknown_ue_fails():
 
 
 def test_enb_s1_path_failure_with_no_ues_is_noop():
-    site = build_site(num_ues=0)
+    site = build(num_ues=0)
     site.enbs[0].s1_path_failure()  # must not raise
 
 

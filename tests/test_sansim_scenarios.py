@@ -11,10 +11,9 @@ retry-timer cancel on the response path — fails these with the creation
 stack of the leaked ``schedule()`` call in the assertion message.
 """
 
+from repro.deploy import build
 from repro.lte import UeState
 from repro.sim import SimSan
-
-from helpers import build_site, subscriber_keys
 
 
 def assert_clean(san):
@@ -24,7 +23,7 @@ def assert_clean(san):
 
 
 def attach(site, index=0):
-    ue = site.ue(index)
+    ue = site.ues[index]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     return ue
@@ -32,7 +31,7 @@ def attach(site, index=0):
 
 def test_attach_idle_paging_sr_detach_cycle_is_sanitizer_clean():
     san = SimSan()
-    site = build_site(num_ues=2, sanitizer=san)
+    site = build(num_ues=2, sanitizer=san)
     ue = attach(site, 0)
     ue.go_idle()
     site.sim.run(until=site.sim.now + 2.0)
@@ -50,7 +49,7 @@ def test_attach_idle_paging_sr_detach_cycle_is_sanitizer_clean():
 
 def test_detach_guard_timer_is_cancelled_when_detach_wins():
     san = SimSan()
-    site = build_site(num_ues=1, sanitizer=san)
+    site = build(num_ues=1, sanitizer=san)
     ue = attach(site)
     done = ue.detach(switch_off=False)
     ok = site.sim.run_until_triggered(done, limit=site.sim.now + 30.0)
@@ -63,7 +62,7 @@ def test_detach_guard_timer_is_cancelled_when_detach_wins():
 
 def test_handover_roundtrip_is_sanitizer_clean():
     san = SimSan()
-    site = build_site(num_enbs=2, num_ues=1, sanitizer=san)
+    site = build(num_enbs=2, num_ues=1, sanitizer=san)
     ue = attach(site)
     for target in (site.enbs[1], site.enbs[0]):
         done = ue.handover_to(target)
@@ -75,18 +74,9 @@ def test_handover_roundtrip_is_sanitizer_clean():
 
 
 def test_5g_registration_session_deregistration_is_sanitizer_clean():
-    from repro.fiveg import Gnb, Ue5g
-    from repro.net import backhaul
-
     san = SimSan()
-    site = build_site(num_ues=1, sanitizer=san)
-    site.network.connect("gnb-1", "agw-1", backhaul.lan())
-    gnb = Gnb(site.sim, site.network, "gnb-1", "agw-1")
-    gnb.ng_setup()
-    site.sim.run(until=site.sim.now + 1.0)
-    assert gnb.ng_ready
-    k, opc = subscriber_keys(1)
-    ue = Ue5g(site.sim, site.imsis[0], k, opc, gnb)
+    site = build(num_enbs=0, num_ues=1, rats=("5g",), sanitizer=san)
+    ue = site.ues[0]
     done = ue.register()
     assert site.sim.run_until_triggered(done, limit=site.sim.now + 60.0)
     done = ue.establish_pdu_session()
@@ -97,13 +87,9 @@ def test_5g_registration_session_deregistration_is_sanitizer_clean():
 
 
 def test_wifi_connect_and_accounting_stop_is_sanitizer_clean():
-    from repro.net import backhaul
-    from repro.wifi import WifiAp
-
     san = SimSan()
-    site = build_site(num_ues=2, sanitizer=san)
-    site.network.connect("ap-1", "agw-1", backhaul.lan())
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
+    site = build(num_ues=2, rats=("wifi",), sanitizer=san)
+    ap = site.aps[0]
     for username, secret in ((site.imsis[0], f"wifi-{site.imsis[0]}"),
                              (site.imsis[1], "wrong-secret")):
         done = ap.connect(username, secret)
@@ -120,7 +106,7 @@ def test_gtp_and_transport_retry_timers_cancelled_on_response():
     channel: every retry timer armed for a message that got its response
     must be cancelled, not left to rot for its full backoff window."""
     san = SimSan()
-    site = build_site(num_enbs=2, num_ues=4, sanitizer=san)
+    site = build(num_enbs=2, num_ues=4, sanitizer=san)
     for index in range(4):
         attach(site, index)
     site.sim.run(until=site.sim.now + 60.0)

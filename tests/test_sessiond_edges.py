@@ -1,17 +1,14 @@
 """Sessiond edge cases: pool exhaustion, reattach, OCS unreachable, teids."""
 
-import pytest
-
-from repro.core.agw import AgwConfig, SessionError
+from repro.core.agw import AgwConfig
+from repro.deploy import build
 from repro.lte import UeConfig, UeState
-
-from helpers import build_site
 
 
 def test_ip_pool_exhaustion_rejects_attach_cleanly():
     """A full address pool must produce an AttachReject, not a hang."""
-    site2 = build_site(num_ues=3, config=AgwConfig(ip_block="10.128.0.0/30"),
-                       seed=2)
+    site2 = build(num_ues=3, config=AgwConfig(ip_block="10.128.0.0/30"),
+                  seed=2)
     outcomes = []
     for ue in site2.ues:
         outcomes.append(site2.run_attach(ue))
@@ -25,8 +22,8 @@ def test_ip_pool_exhaustion_rejects_attach_cleanly():
 
 
 def test_session_teid_reused_after_release():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     teid = site.agw.sessiond.session(ue.imsi).agw_teid
@@ -39,27 +36,25 @@ def test_session_teid_reused_after_release():
 
 
 def test_record_usage_for_unknown_imsi_is_noop():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     site.agw.sessiond.record_usage("9" * 15, dl_bytes=100, ul_bytes=0)
     assert site.agw.sessiond.session_count() == 0
 
 
 def test_terminate_unknown_session_returns_false():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     assert site.agw.sessiond.terminate_session("9" * 15) is False
 
 
 def test_allowed_rate_for_unknown_is_zero():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     assert site.agw.sessiond.allowed_rate("9" * 15) == 0.0
 
 
 def test_online_policy_without_ocs_rejects():
     from repro.core.policy import prepaid
-    site = build_site(num_ues=1,
-                      policies={"prepaid": prepaid("prepaid")},
-                      policy_id="prepaid")  # no OCS configured at all
-    outcome = site.run_attach(site.ue(0))
+    site = build(num_ues=1, policy=prepaid("prepaid"))  # no OCS at all
+    outcome = site.run_attach(site.ues[0])
     assert not outcome.success
 
 
@@ -71,7 +66,7 @@ def test_ocs_unreachable_over_network_rejects_attach():
     from repro.lte import Enodeb, Ue, make_imsi
     from repro.net import Network, backhaul
     from repro.sim import RngRegistry, Simulator
-    from helpers import subscriber_keys
+    from repro.deploy import subscriber_keys
 
     sim = Simulator()
     network = Network(sim, RngRegistry(3))
@@ -96,8 +91,8 @@ def test_ocs_unreachable_over_network_rejects_attach():
 
 
 def test_reattach_while_active_replaces_session_once():
-    site = build_site(num_ues=1)
-    ue = site.ue(0)
+    site = build(num_ues=1)
+    ue = site.ues[0]
     assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     first_id = site.agw.sessiond.session(ue.imsi).session_id
@@ -121,19 +116,19 @@ def test_restore_into_fresh_gateway_seeds_teid_and_session_ids():
     session ids, or UE IPs its restored sessions still hold.  (The seed
     behaviour allocated TEID 0x1000 / session id ``agw-1-s1`` / IP
     ``10.128.0.1`` again on the first post-restore attach.)"""
-    site = build_site(num_ues=1)
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1)
+    assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
     snapshot = site.agw.sessiond.checkpoint()
 
     # A brand-new gateway process under the same node name: every
     # allocator starts from scratch, exactly like a post-crash replacement.
-    fresh = build_site(num_ues=2, seed=7)
+    fresh = build(num_ues=2, seed=7)
     assert fresh.agw.sessiond.restore(snapshot) == 1
-    restored = fresh.agw.sessiond.session(site.ue(0).imsi)
+    restored = fresh.agw.sessiond.session(site.ues[0].imsi)
     assert restored is not None
 
-    new_ue = fresh.ue(1)  # a different subscriber than the restored one
+    new_ue = fresh.ues[1]  # a different subscriber than the restored one
     assert fresh.run_attach(new_ue).success
     fresh.sim.run(until=fresh.sim.now + 2.0)
     created = fresh.agw.sessiond.session(new_ue.imsi)
@@ -145,27 +140,27 @@ def test_restore_into_fresh_gateway_seeds_teid_and_session_ids():
 def test_restore_seeds_only_own_node_session_ids():
     """Ids minted by another gateway (failover promotion) use a different
     prefix and must not advance this node's counter."""
-    site = build_site(num_ues=1)
-    assert site.run_attach(site.ue(0)).success
+    site = build(num_ues=1)
+    assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
     snapshot = site.agw.sessiond.checkpoint()
     for entry in snapshot:
         entry["session_id"] = "agw-other-s999"
-    fresh = build_site(num_ues=2, seed=8)
+    fresh = build(num_ues=2, seed=8)
     fresh.agw.sessiond.restore(snapshot)
-    assert fresh.run_attach(fresh.ue(1)).success
+    assert fresh.run_attach(fresh.ues[1]).success
     fresh.sim.run(until=fresh.sim.now + 2.0)
-    created = fresh.agw.sessiond.session(fresh.ue(1).imsi)
+    created = fresh.agw.sessiond.session(fresh.ues[1].imsi)
     assert created.session_id == "agw-1-s1"   # counter untouched
 
 
 def test_restore_programs_dataplane_in_one_bundle():
-    site = build_site(num_ues=3)
+    site = build(num_ues=3)
     for ue in site.ues:
         assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     snapshot = site.agw.sessiond.checkpoint()
-    fresh = build_site(num_ues=1, seed=9)
+    fresh = build(num_ues=1, seed=9)
     before = fresh.agw.pipelined.switch.stats["control_msgs"]
     assert fresh.agw.sessiond.restore(snapshot) == 3
     switch_stats = fresh.agw.pipelined.switch.stats
@@ -178,12 +173,12 @@ def test_restore_programs_dataplane_in_one_bundle():
 
 
 def test_restore_rebuilds_mobilityd_with_single_bulk_call():
-    site = build_site(num_ues=3)
+    site = build(num_ues=3)
     for ue in site.ues:
         assert site.run_attach(ue).success
     site.sim.run(until=site.sim.now + 2.0)
     snapshot = site.agw.sessiond.checkpoint()
-    fresh = build_site(num_ues=1, seed=10)
+    fresh = build(num_ues=1, seed=10)
     calls = []
     original = fresh.agw.mobilityd.restore
     fresh.agw.mobilityd.restore = lambda assignments: (

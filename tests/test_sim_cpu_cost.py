@@ -9,7 +9,7 @@ executed calls - never time - so they are deterministic.
 
 from repro.sim import CpuModel, Simulator
 
-from test_pipelined_teardown_cost import calls_executed
+from costs import calls
 
 CORES = 8
 STAGE = 0.083     # one attach stage on the virtual profile, core-seconds
@@ -96,8 +96,8 @@ def task_stream(gap, count, warm_up, submit):
 def calls_per_task(gap, count=200, warm_up=0):
     """Calls from ``submit`` to ``done`` per task, all layers: a run of the
     arrivals minus the same run with arrivals that submit nothing."""
-    return (calls_executed(task_stream(gap, count, warm_up, True).run)
-            - calls_executed(task_stream(gap, count, warm_up, False).run)
+    return (calls(task_stream(gap, count, warm_up, True).run)
+            - calls(task_stream(gap, count, warm_up, False).run)
             ) / count
 
 

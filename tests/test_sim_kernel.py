@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import (
-    Event,
-    Hook,
-    Interrupted,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Hook, Interrupted, SimulationError, Simulator
 
 from reference_kernel import ReferenceSimulator
 

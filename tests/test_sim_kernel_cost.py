@@ -12,7 +12,7 @@ import pytest
 from repro.obs import Tracer
 from repro.sim import RngRegistry, Simulator
 
-from test_pipelined_teardown_cost import calls_executed
+from costs import calls
 
 N = 10_000
 CHAINS = 10
@@ -64,7 +64,7 @@ def calls_per_entry(workload, how, tracer=False):
     if tracer:
         Tracer(sim, RngRegistry(1))
     workload(sim)
-    return calls_executed(stopper(sim, how)) / N
+    return calls(stopper(sim, how)) / N
 
 
 @pytest.mark.parametrize("workload, budget", [

@@ -1,7 +1,5 @@
 """StateSync direct units + misc small-module coverage."""
 
-import pytest
-
 from repro.core.agw import SubscriberProfile
 from repro.core.orchestrator import ConfigStore, Metricsd, StateSync
 from repro.experiments.common import format_table

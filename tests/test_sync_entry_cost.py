@@ -9,12 +9,13 @@ the benchmark's ``host_calls`` - rather than time, so they are
 deterministic.
 """
 
-import cProfile
 import dataclasses
 
 from repro.core.agw import SubscriberProfile
 from repro.core.sync import entry_digest
 from repro.net.rpc import payload_bytes
+
+from costs import profiled
 
 
 def profile(index):
@@ -25,19 +26,12 @@ def profile(index):
 
 def calls_by_function(fn, *args):
     """``{(file, function): calls}`` for Python + C calls inside ``fn``."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        fn(*args)
-    finally:
-        profiler.disable()
     calls = {}
-    for entry in profiler.getstats():
+    for entry in profiled(fn, *args)[1]:
         code = entry.code
         name = (code.co_filename, code.co_name) \
             if hasattr(code, "co_name") else ("<builtin>", code)
-        if "_lsprof.Profiler" not in name[1]:       # the disable() above
-            calls[name] = calls.get(name, 0) + entry.callcount
+        calls[name] = calls.get(name, 0) + entry.callcount
     return calls
 
 

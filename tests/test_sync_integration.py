@@ -9,37 +9,23 @@ byte, against a wire log taken from that protocol before it was deleted.
 
 import hashlib
 
-from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
-from repro.core.orchestrator import Orchestrator
+from repro.core.agw import AgwConfig, SubscriberProfile
 from repro.core.policy import PolicyRule
 from repro.core.sync import canonical_bytes
-from repro.lte import Enodeb, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import Monitor, RngRegistry, Simulator
-
-from helpers import subscriber_keys
+from repro.deploy import build, subscriber_keys
+from repro.lte import make_imsi
 
 
-def build(send_roots=True, num_subscribers=3, seed=1):
+def logged(send_roots=True, num_subscribers=3, num_enbs=0):
     """One real AGW checking in every 5s, with a wire/event recorder.
 
     ``log`` captures, in order, every check-in and reconcile the
     orchestrator served: ``(time, kind, canonical response bytes)``.
     Comparing two runs' logs compares both event order *and* bytes.
     """
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, rng)
-    monitor = Monitor()
-    orc = Orchestrator(sim, network, "orc", monitor=monitor)
-    network.connect("agw-1", "orc", backhaul.by_name("fiber"))
-    agw = AccessGateway(sim, network, "agw-1",
-                        config=AgwConfig(checkin_interval=5.0),
-                        orchestrator_node="orc", monitor=monitor, rng=rng)
-    for i in range(num_subscribers):
-        k, opc = subscriber_keys(i + 1)
-        orc.add_subscriber(SubscriberProfile(imsi=make_imsi(i + 1),
-                                             k=k, opc=opc))
+    d = build(num_enbs=num_enbs, num_ues=num_subscribers, backhaul="fiber",
+              config=AgwConfig(checkin_interval=5.0))
+    sim, orc, agw = d.sim, d.orc, d.agw
     if not send_roots:
         # A pre-digest client: same check-in cadence, no digest roots
         # (the server treats None exactly like the field being absent).
@@ -61,15 +47,14 @@ def build(send_roots=True, num_subscribers=3, seed=1):
 
     statesync.handle_checkin = spy_checkin
     statesync.handle_reconcile = spy_reconcile
-    agw.start()
-    return sim, orc, agw, log, monitor
+    return sim, orc, agw, log, d.monitor
 
 
 # -- the digest path over a real gateway --------------------------------------------
 
 
 def test_incremental_change_ships_leaf_delta_not_bundle():
-    sim, orc, agw, log, monitor = build(num_subscribers=200)
+    sim, orc, agw, log, monitor = logged(num_subscribers=200)
     sim.run(until=7.0)                       # first check-in: full bundle
     ss = orc.statesync
     assert ss.stats["config_pushes"] == 1    # version 0 -> full bundle
@@ -99,7 +84,7 @@ def test_incremental_change_ships_leaf_delta_not_bundle():
 
 
 def test_deletion_propagates_as_tombstone():
-    sim, orc, agw, log, monitor = build()
+    sim, orc, agw, log, monitor = logged()
     sim.run(until=7.0)
     orc.delete_subscriber(make_imsi(2))
     sim.run(until=13.0)
@@ -116,7 +101,7 @@ def test_malformed_leaf_path_is_an_error_reply_and_applies_nothing():
     the gateway abandons the walk with its stores untouched (it used to
     receive a tombstone for every key it had listed) and converges on the
     next check-in."""
-    sim, orc, agw, log, monitor = build(num_subscribers=200)
+    sim, orc, agw, log, monitor = logged(num_subscribers=200)
     sim.run(until=7.0)
     before = set(agw.subscriberdb.all_imsis())
     assert len(before) == 200
@@ -155,11 +140,7 @@ def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
     and a policy deletion converge through one digest walk whose deltas
     span several leaf buckets — all the way to the eNodeB device record
     that enodebd pushes to."""
-    sim, orc, agw, log, monitor = build()
-    network = agw.context.network
-    network.connect("enb-1", "agw-1", backhaul.lan("lan-enb-1"))
-    enb = Enodeb(sim, network, "enb-1", "agw-1")
-    enb.s1_setup()
+    sim, orc, agw, log, monitor = logged(num_enbs=1)
     orc.set_ran_config("pci", 7)
     orc.upsert_policy(PolicyRule(policy_id="gold", rate_limit_mbps=50.0))
     sim.run(until=7.0)                       # first check-in: full bundle
@@ -190,7 +171,7 @@ def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
 
 
 def test_identical_rewrite_fast_forwards_without_transfer():
-    sim, orc, agw, log, monitor = build()
+    sim, orc, agw, log, monitor = logged()
     sim.run(until=7.0)
     # Rewriting the same profile bumps the store version but leaves the
     # content digest unchanged: the gateway fast-forwards, no reconcile.
@@ -205,7 +186,7 @@ def test_identical_rewrite_fast_forwards_without_transfer():
 
 
 def test_in_sync_gateway_gets_no_config_and_no_walk():
-    sim, orc, agw, log, monitor = build()
+    sim, orc, agw, log, monitor = logged()
     sim.run(until=23.0)                      # several idle check-ins
     ss = orc.statesync
     assert agw.magmad.stats["checkins_ok"] >= 4
@@ -220,22 +201,24 @@ def test_in_sync_gateway_gets_no_config_and_no_walk():
 #: canonical response bytes, and those responses' sizes, for
 #: ``run_churn(send_roots=False)``.  Taken from the bundle-only protocol
 #: (``StateSync`` before digest sync became its only mode) on a rootless
-#: client; the digest server must reproduce it exactly.
-ROOTLESS_WIRE_DIGEST = "426671c121e6e6bb5a746ddc7c149dbc"
+#: client; the digest server must reproduce it exactly.  The digest was
+#: re-taken, sizes unchanged, when the tests' subscriber keys moved to the
+#: operator OP of ``repro.deploy.subscriber_keys`` (the K/OPc bytes ship).
+ROOTLESS_WIRE_DIGEST = "dd52de5dfeee352fb8dd7f0818f59fd2"
 ROOTLESS_WIRE_SIZES = [686, 52, 883, 52, 686, 52, 52]
 
 
 def run_churn(send_roots):
     """A scenario with every kind of config churn, returning the wire log."""
-    sim, orc, agw, log, monitor = build(send_roots=send_roots)
+    sim, orc, agw, log, monitor = logged(send_roots=send_roots)
     k, opc = subscriber_keys(50)
 
     def churn():
         orc.add_subscriber(SubscriberProfile(imsi=make_imsi(50),
                                              k=k, opc=opc))
 
-    sim.call_later(12.0, churn)
-    sim.call_later(22.0, lambda: orc.delete_subscriber(make_imsi(1)))
+    sim.schedule_at(12.0, churn)
+    sim.schedule_at(22.0, lambda: orc.delete_subscriber(make_imsi(1)))
     sim.run(until=40.0)
     assert agw.magmad.stats["checkins_failed"] == 0
     assert agw.magmad.config_version == orc.store.version

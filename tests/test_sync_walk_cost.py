@@ -9,8 +9,6 @@ between the numbered tree's count and the path-tuple tree's, which is
 quoted beside it.
 """
 
-import cProfile
-
 from repro.core.orchestrator import ConfigStore
 from repro.core.orchestrator.statesync import scoped
 from repro.core.sync import (
@@ -22,17 +20,7 @@ from repro.core.sync import (
     ReconcileServer,
 )
 
-
-def counted(fn, *args):
-    """``(result, calls)``: Python + C calls executed inside ``fn(*args)``."""
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args)
-    return result, sum(entry.callcount for entry in profiler.getstats()
-                       if "_lsprof.Profiler" not in str(entry.code))
-
-
-def calls(fn, *args):
-    return counted(fn, *args)[1]
+from costs import calls, counted
 
 
 def key(index):

@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.wifi import CaptivePortal, PortalError, WifiAp
-
-from helpers import build_site
+from repro.deploy import build
+from repro.wifi import CaptivePortal, PortalError
 
 
 def build_wifi_site(num_subscribers=2, **kwargs):
-    site = build_site(num_ues=num_subscribers, **kwargs)
-    from repro.net import backhaul
-    site.network.connect("ap-1", "agw-1", backhaul.lan())
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
-    return site, ap
+    site = build(num_ues=num_subscribers, rats=("wifi",), **kwargs)
+    return site, site.aps[0]
 
 
 def test_wifi_connect_success():
@@ -116,7 +112,7 @@ def test_wifi_same_subscriberdb_as_lte():
     """One subscriber, two access technologies, one core (the paper's
     single-core claim): the same profile serves LTE and WiFi."""
     site, ap = build_wifi_site()
-    ue = site.ue(0)
+    ue = site.ues[0]
     outcome = site.run_attach(ue)   # LTE attach
     assert outcome.success
     site.sim.run(until=site.sim.now + 1.0)
@@ -134,8 +130,7 @@ def test_wifi_same_subscriberdb_as_lte():
 def test_wifi_policy_enforced_like_lte():
     from repro.core.policy import rate_limited
     site, ap = build_wifi_site(
-        policies={"bronze": rate_limited("bronze", 2.0)},
-        policy_id="bronze")
+        policy=rate_limited("bronze", 2.0))
     username = site.imsis[0]
     done = ap.connect(username, f"wifi-{username}")
     state = site.sim.run_until_triggered(done, limit=60.0)

@@ -1,7 +1,5 @@
 """EAP exchange units + QCI->DSCP QoS marking."""
 
-import pytest
-
 from repro.core.agw import SubscriberDb, SubscriberProfile
 from repro.wifi import eap
 
@@ -28,10 +26,9 @@ def test_eap_nonces_unique_per_exchange():
 def test_radius_frontend_rejects_proof_without_challenge():
     """A forged AccessRequest with no outstanding challenge is rejected."""
     from repro.wifi.radius import AccessRequest
-    from repro.wifi import WifiAp
 
-    from helpers import build_site
-    site = build_site(num_ues=1)
+    from repro.deploy import build
+    site = build(num_ues=1)
     from repro.net import backhaul, RpcChannel
     site.network.connect("ap-1", "agw-1", backhaul.lan())
     channel = RpcChannel(site.sim, site.network, "ap-1", "agw-1")
@@ -55,12 +52,9 @@ def test_radius_frontend_rejects_proof_without_challenge():
 
 def test_eap_challenge_single_use():
     """Replaying a captured proof after the challenge was consumed fails."""
-    from repro.wifi import WifiAp
-    from helpers import build_site
-    site = build_site(num_ues=1)
-    from repro.net import backhaul
-    site.network.connect("ap-1", "agw-1", backhaul.lan())
-    ap = WifiAp(site.sim, site.network, "ap-1", "agw-1")
+    from repro.deploy import build
+    site = build(num_ues=1, rats=("wifi",))
+    ap = site.aps[0]
     username = site.imsis[0]
     done = ap.connect(username, f"wifi-{username}")
     state = site.sim.run_until_triggered(done, limit=60.0)
@@ -118,13 +112,12 @@ def test_default_qci_unmarked():
 
 def test_policy_qci_reaches_dataplane_end_to_end():
     from repro.core.policy import PolicyRule
-    from helpers import build_site
-    site = build_site(
+    from repro.deploy import build
+    site = build(
         num_ues=1,
-        policies={"voice": PolicyRule(policy_id="voice",
-                                      rate_limit_mbps=1.0, qci=1)},
-        policy_id="voice")
-    ue = site.ue(0)
+        policy=PolicyRule(policy_id="voice",
+                          rate_limit_mbps=1.0, qci=1))
+    ue = site.ues[0]
     outcome = site.run_attach(ue)
     assert outcome.success
     site.sim.run(until=site.sim.now + 2.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.agw import AgwConfig, BARE_METAL
+from repro.deploy import build
 from repro.lte import CellConfig
 from repro.workloads import (
     AttachStorm,
@@ -15,11 +15,9 @@ from repro.workloads import (
     summarize,
 )
 
-from helpers import build_site
-
 
 def test_attach_storm_all_succeed_at_low_rate():
-    site = build_site(num_ues=5)
+    site = build(num_ues=5)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=1.0)
     storm.start()
     site.sim.run_until_triggered(storm.done, limit=120.0)
@@ -29,7 +27,7 @@ def test_attach_storm_all_succeed_at_low_rate():
 
 
 def test_attach_storm_csr_bins():
-    site = build_site(num_ues=6)
+    site = build(num_ues=6)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0)
     storm.start()
     site.sim.run_until_triggered(storm.done, limit=120.0)
@@ -42,9 +40,9 @@ def test_attach_storm_csr_bins():
 def test_attach_storm_degrades_under_overload():
     """Offering attaches much faster than the AGW's CPU can serve them
     must produce failures (the Fig. 6 mechanism)."""
-    from repro.lte import UeConfig
-    site = build_site(num_ues=60, num_enbs=2,
-                      ue_config=UeConfig(attach_guard_timer=10.0))
+    site = build(num_ues=60, num_enbs=2)
+    for ue in site.ues:
+        ue.config.attach_guard_timer = 10.0
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=12.0)
     storm.start()
     site.sim.run_until_triggered(storm.done, limit=600.0)
@@ -53,13 +51,13 @@ def test_attach_storm_degrades_under_overload():
 
 
 def test_attach_storm_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     with pytest.raises(ValueError):
         AttachStorm(site.sim, site.ues, rate_per_sec=0)
 
 
 def test_traffic_engine_delivers_offered_load():
-    site = build_site(num_ues=4)
+    site = build(num_ues=4)
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0,
                         offered_mbps_after_attach=1.5)
     storm.start()
@@ -76,9 +74,8 @@ def test_traffic_engine_delivers_offered_load():
 
 def test_traffic_engine_respects_policy_rate():
     from repro.core.policy import rate_limited
-    site = build_site(num_ues=2,
-                      policies={"slow": rate_limited("slow", 0.5)},
-                      policy_id="slow")
+    site = build(num_ues=2,
+                 policy=rate_limited("slow", 0.5))
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0,
                         offered_mbps_after_attach=10.0)
     storm.start()
@@ -90,7 +87,7 @@ def test_traffic_engine_respects_policy_rate():
 
 
 def test_traffic_engine_limited_by_radio_capacity():
-    site = build_site(num_ues=4, cell_config=CellConfig(capacity_mbps=10.0))
+    site = build(num_ues=4, cell_config=CellConfig(capacity_mbps=10.0))
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0,
                         offered_mbps_after_attach=20.0)
     storm.start()
@@ -102,13 +99,13 @@ def test_traffic_engine_limited_by_radio_capacity():
 
 
 def test_traffic_engine_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     with pytest.raises(ValueError):
         TrafficEngine(site.sim, site.agw, site.enbs, tick=0)
 
 
 def test_iot_workload_cycles():
-    site = build_site(num_ues=5)
+    site = build(num_ues=5)
     iot = IotWorkload(site.sim, site.ues, report_interval=20.0,
                       sessiond=site.agw.sessiond, rng=site.rng)
     iot.start()
@@ -120,13 +117,13 @@ def test_iot_workload_cycles():
 
 
 def test_iot_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     with pytest.raises(ValueError):
         IotWorkload(site.sim, site.ues, report_interval=0)
 
 
 def test_start_streaming_sets_rates():
-    site = build_site(num_ues=2)
+    site = build(num_ues=2)
     for ue in site.ues:
         site.run_attach(ue)
     start_streaming(site.ues, rate_mbps=1.5)
@@ -191,7 +188,7 @@ def test_diurnal_validation():
 
 
 def test_iot_idle_mode_uses_service_requests():
-    site = build_site(num_ues=4)
+    site = build(num_ues=4)
     from repro.workloads import IotWorkload
     iot = IotWorkload(site.sim, site.ues, report_interval=15.0,
                       sessiond=site.agw.sessiond, rng=site.rng,
@@ -212,7 +209,7 @@ def test_iot_idle_mode_uses_service_requests():
 
 
 def test_iot_mode_validation():
-    site = build_site(num_ues=1)
+    site = build(num_ues=1)
     from repro.workloads import IotWorkload
     with pytest.raises(ValueError):
         IotWorkload(site.sim, site.ues, mode="teleport")
