@@ -3,15 +3,13 @@
 The paper's evaluation (§4.1) runs every experiment on one emulated
 testbed: emulated UEs and base stations against an AGW whose SIMs were
 "pre-provisioned into the orchestrator and AGW in advance of all
-experiments".  :func:`build` stands that testbed up in three shapes:
+experiments".  :func:`build` stands that testbed up in two shapes:
 
 - a cell site: one AGW with ``num_enbs`` eNodeBs on LAN links, plus a gNB
   and/or a WiFi AP when ``rats`` names them, its subscribers provisioned
   straight into the AGW;
 - the same site behind an orchestrator over a ``backhaul`` profile, its
-  subscribers provisioned northbound and synced at the first check-in;
-- a fleet of ``num_agws`` such sites against an orchestrator of
-  ``num_shards`` shards, each AGW checking in to its shard.
+  subscribers provisioned northbound and synced at the first check-in.
 
 The only observer the builder takes is the sanitizer, which must exist
 before the :class:`Simulator` does.  The tracer, flight recorder and
@@ -40,9 +38,6 @@ from .wifi import WifiAp
 
 OPERATOR_OP = b"repro-operator-op"
 
-#: What ``rats`` may name beside LTE, which ``num_enbs`` sizes.
-RATS = ("5g", "wifi")
-
 
 def subscriber_keys(index: int) -> Tuple[bytes, bytes]:
     """Deterministic per-subscriber K/OPc (test-network credentials)."""
@@ -60,19 +55,14 @@ class Deployment:
     monitor: Monitor
     checkpoint_store: CheckpointStore
     orc: Optional[Orchestrator]
-    agws: List[AccessGateway]
+    agw: AccessGateway
     enbs: List[Enodeb]
     gnbs: List[Gnb]
     aps: List[WifiAp]
     ues: List[UeBase]
     imsis: List[str]
 
-    @property
-    def agw(self) -> AccessGateway:
-        """The cell site's AGW (a fleet's first)."""
-        return self.agws[0]
-
-    def run_attach(self, ue: Ue, limit: float = 120.0):
+    def run_attach(self, ue: UeBase, limit: float = 120.0):
         """Drive one attach to completion; returns the AttachOutcome."""
         done = ue.attach()
         return self.sim.run_until_triggered(done, limit=self.sim.now + limit)
@@ -81,8 +71,6 @@ class Deployment:
 def build(num_enbs: int = 1, num_ues: int = 1, *,
           rats: Sequence[str] = (),
           backhaul: Optional[str] = None,
-          num_agws: int = 1,
-          num_shards: int = 0,
           seed: int = 1,
           config: Optional[AgwConfig] = None,
           cell_config: Optional[CellConfig] = None,
@@ -91,86 +79,75 @@ def build(num_enbs: int = 1, num_ues: int = 1, *,
           sanitizer=None) -> Deployment:
     """Stand up a deployment and bring every RAN node's S1/NG link up.
 
-    Each AGW gets ``num_enbs`` eNodeBs, a gNB if ``rats`` names ``"5g"``
+    The AGW gets ``num_enbs`` eNodeBs, a gNB if ``rats`` names ``"5g"``
     and an AP if it names ``"wifi"``, and ``num_ues`` subscribers, each
     with a UE camped on the eNodeBs in turn (on the gNB when there are
-    none).  Subscribers get a WiFi secret only where there is WiFi.
-    ``policy`` is the one rule every subscriber is provisioned with.
+    none; ``ues`` is empty when the site has neither).  ``policy`` is the
+    one rule every subscriber is provisioned with.
 
-    ``backhaul`` names a :mod:`repro.net.backhaul` profile: given one,
-    an orchestrator ``orc`` is built, every AGW checks in to it over that
-    profile, and subscribers and ``policy`` are provisioned northbound.
-    A lone AGW is ``agw-1``; a fleet's are ``agw-0`` onwards.
+    Without ``backhaul`` the subscribers, each with a WiFi secret, go
+    straight into the AGW.  ``backhaul`` names a
+    :mod:`repro.net.backhaul` profile: given one, an orchestrator ``orc``
+    is built, the AGW checks in to it over that profile, and subscribers
+    (K/OPc only) and ``policy`` are provisioned northbound.  Either way
+    the AGW checkpoints to ``checkpoint_store``.
     """
-    unknown = set(rats) - set(RATS)
-    if unknown:
-        raise ValueError(f"unknown RATs {sorted(unknown)}; "
-                         f"choose from {list(RATS)}")
     sim = Simulator(sanitizer=sanitizer)
     rng = RngRegistry(seed)
     if sanitizer is not None:
         sanitizer.watch_rng(rng)
     monitor = Monitor()
     network = Network(sim, rng)
-    d = Deployment(sim=sim, network=network, rng=rng, monitor=monitor,
-                   checkpoint_store=CheckpointStore(), orc=None, agws=[],
-                   enbs=[], gnbs=[], aps=[], ues=[], imsis=[])
+    store = CheckpointStore()
+    orc = None
     if backhaul is not None:
-        d.orc = Orchestrator(sim, network, "orc", monitor=monitor,
-                             num_shards=num_shards)
+        orc = Orchestrator(sim, network, "orc", monitor=monitor)
         if policy is not None:
-            d.orc.upsert_policy(policy)
-    first = 1 if num_agws == 1 else 0
-    policy_id = policy.policy_id if policy is not None else "default"
-    wifi = "wifi" in rats
+            orc.upsert_policy(policy)
+        network.connect("agw-1", "orc", links.by_name(backhaul))
+    agw = AccessGateway(sim, network, "agw-1", config=config,
+                        orchestrator_node=None if orc is None else "orc",
+                        ocs=ocs,
+                        checkpoint_store=store, monitor=monitor, rng=rng)
+    if orc is None and policy is not None:
+        agw.policydb.upsert(policy)
+    d = Deployment(sim=sim, network=network, rng=rng, monitor=monitor,
+                   checkpoint_store=store, orc=orc, agw=agw,
+                   enbs=[], gnbs=[], aps=[], ues=[], imsis=[])
 
-    def ran_node(cls, nodes, kind, agw_node, **kwargs):
-        ran_id = f"{kind}-{first + len(nodes)}"
-        network.connect(ran_id, agw_node, links.lan(f"lan-{ran_id}"))
-        nodes.append(cls(sim, network, ran_id, agw_node, **kwargs))
+    def ran_node(cls, nodes, kind, **kwargs):
+        ran_id = f"{kind}-{len(nodes) + 1}"
+        network.connect(ran_id, "agw-1", links.lan(f"lan-{ran_id}"))
+        nodes.append(cls(sim, network, ran_id, "agw-1", **kwargs))
         return nodes[-1]
 
-    for a in range(first, first + num_agws):
-        node = f"agw-{a}"
-        upstream = None
-        if d.orc is not None:
-            upstream = d.orc.shard_node_for(node)
-            network.connect(node, upstream, links.by_name(backhaul))
-        agw = AccessGateway(sim, network, node, config=config,
-                            orchestrator_node=upstream, ocs=ocs,
-                            checkpoint_store=d.checkpoint_store,
-                            monitor=monitor, rng=rng)
-        if d.orc is None and policy is not None:
-            agw.policydb.upsert(policy)
-        d.agws.append(agw)
-        enbs = [ran_node(Enodeb, d.enbs, "enb", node, cell_config=cell_config)
-                for _ in range(num_enbs)]
-        gnb = None
-        if "5g" in rats:
-            gnb = ran_node(Gnb, d.gnbs, "gnb", node, cell_config=cell_config)
-        if wifi:
-            ran_node(WifiAp, d.aps, "ap", node)
-        for j in range(num_ues):
-            index = len(d.imsis) + 1
-            imsi = make_imsi(index)
-            k, opc = subscriber_keys(index)
-            profile = SubscriberProfile(
-                imsi=imsi, k=k, opc=opc, policy_id=policy_id,
-                wifi_secret=f"wifi-{imsi}" if wifi else None)
-            if d.orc is not None:
-                d.orc.add_subscriber(profile)
-            else:
-                agw.subscriberdb.upsert(profile)
-            d.imsis.append(imsi)
-            if enbs:
-                d.ues.append(Ue(sim, imsi, k, opc, enbs[j % len(enbs)]))
-            elif gnb is not None:
-                d.ues.append(Ue5g(sim, imsi, k, opc, gnb))
-        agw.start()
-        for enb in enbs:
-            enb.s1_setup()
-        if gnb is not None:
-            gnb.ng_setup()
+    for _ in range(num_enbs):
+        ran_node(Enodeb, d.enbs, "enb", cell_config=cell_config)
+    if "5g" in rats:
+        ran_node(Gnb, d.gnbs, "gnb", cell_config=cell_config)
+    if "wifi" in rats:
+        ran_node(WifiAp, d.aps, "ap")
+    policy_id = policy.policy_id if policy is not None else "default"
+    for i in range(num_ues):
+        imsi = make_imsi(i + 1)
+        k, opc = subscriber_keys(i + 1)
+        profile = SubscriberProfile(
+            imsi=imsi, k=k, opc=opc, policy_id=policy_id,
+            wifi_secret=f"wifi-{imsi}" if orc is None else None)
+        if orc is not None:
+            orc.add_subscriber(profile)
+        else:
+            agw.subscriberdb.upsert(profile)
+        d.imsis.append(imsi)
+        if d.enbs:
+            d.ues.append(Ue(sim, imsi, k, opc, d.enbs[i % num_enbs]))
+        elif d.gnbs:
+            d.ues.append(Ue5g(sim, imsi, k, opc, d.gnbs[0]))
+    agw.start()
+    for enb in d.enbs:
+        enb.s1_setup()
+    for gnb in d.gnbs:
+        gnb.ng_setup()
     sim.run(until=1.0)
     for ran in (*d.enbs, *d.gnbs):
         if not ran.ready:

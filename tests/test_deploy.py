@@ -9,7 +9,7 @@ from repro.lte import Enodeb
 
 def test_a_cell_site_provisions_the_agw_directly():
     d = build(num_enbs=2, num_ues=3, rats=("5g", "wifi"))
-    assert d.orc is None and [agw.node for agw in d.agws] == ["agw-1"]
+    assert d.orc is None and d.agw.node == "agw-1"
     assert [ran.node_id for ran in (*d.enbs, *d.gnbs)] == \
         ["enb-1", "enb-2", "gnb-1"]
     assert [ap.ap_id for ap in d.aps] == ["ap-1"]
@@ -18,35 +18,19 @@ def test_a_cell_site_provisions_the_agw_directly():
                for imsi in d.imsis)
 
 
-def test_without_wifi_no_subscriber_has_a_wifi_secret():
-    d = build(num_ues=2)
-    assert all(d.agw.subscriberdb.get(imsi).wifi_secret is None
-               for imsi in d.imsis)
-
-
-def test_a_sharded_fleet_provisions_northbound_and_syncs_each_agw():
-    d = build(num_ues=2, backhaul="fiber", num_agws=4, num_shards=2,
+def test_an_orchestrated_site_provisions_northbound_and_syncs():
+    d = build(num_ues=2, backhaul="fiber",
               config=AgwConfig(checkin_interval=5.0))
-    assert [agw.node for agw in d.agws] == [f"agw-{i}" for i in range(4)]
-    assert [enb.node_id for enb in d.enbs] == [f"enb-{i}" for i in range(4)]
-    assert [ue.enb for ue in d.ues] == [enb for enb in d.enbs for _ in "ab"]
-    for agw in d.agws:
-        shard = d.orc.shard_node_for(agw.node)
-        assert shard != "orc" and d.network.link_between(agw.node, shard)
-        assert len(agw.subscriberdb) == 0        # nothing synced yet
+    assert d.network.link_between("agw-1", "orc")
+    assert len(d.agw.subscriberdb) == 0          # nothing synced yet
     d.sim.run(until=6.0)                         # the first check-in
-    assert all(len(agw.subscriberdb) == 8 for agw in d.agws)
-    assert d.run_attach(d.ues[5]).success
+    assert d.agw.subscriberdb.get(d.imsis[1]).wifi_secret is None
+    assert d.run_attach(d.ues[1]).success
 
 
 def test_a_gnb_only_site_gets_5g_ues():
     d = build(num_enbs=0, num_ues=2, rats=("5g",))
     assert [ue.gnb for ue in d.ues] == d.gnbs * 2
-
-
-def test_an_unknown_rat_is_refused():
-    with pytest.raises(ValueError, match="unknown RATs"):
-        build(rats=("lte",))
 
 
 def test_a_ran_node_that_never_comes_up_is_an_error(monkeypatch):
