@@ -143,7 +143,8 @@ def timer_churn(n_calls: int, spacing: float = 0.0001, deadline: float = 10.0,
 
     if cancel:
         def finish(expire, attempt):
-            # rpc._PendingCall.cancel_timers' pattern.
+            # A deadline plus a retry timer per call, both revoked on
+            # completion: the RPC layer's pattern when this was recorded.
             expire.cancel()
             attempt.cancel()
 

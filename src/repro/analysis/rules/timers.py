@@ -17,7 +17,7 @@ function exit reaches one of:
   passed to a call, returned, yielded, aliased, or captured by a nested
   function: ownership moved somewhere this intra-procedural analysis
   cannot see, so the obligation moves with it (the RPC layer's
-  ``record.expire = sim.schedule(...)`` pattern).
+  ``record.timer = sim.schedule(...)`` pattern).
 
 Rebinding ``h`` before revoking kills the only reference — those paths
 are leaks too.  Yield points carry exception edges in the CFG, so

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+from types import GeneratorType
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..sim.kernel import Event, Simulator
@@ -220,7 +221,6 @@ class RpcServer:
                         RpcError(RpcError.NOT_FOUND, f"{service}/{method}"))
             return
         self.stats["requests"] += 1
-        self._in_flight.add(request_id)
         # Restore the caller's trace context for the duration of dispatch so
         # server-side spans (and any processes the handler spawns) nest under
         # the client's rpc span.
@@ -247,7 +247,10 @@ class RpcServer:
                 self._finish(reply_node, reply_port, request_id, "error",
                              RpcError(RpcError.INTERNAL, repr(exc)))
                 return
-            if _is_generator(result):
+            if type(result) is GeneratorType:
+                # Only a process outlives this dispatch, so only its
+                # request can be in flight when a retransmission arrives.
+                self._in_flight.add(request_id)
                 proc = self.sim.spawn(result, name=f"rpc:{service}/{method}")
                 if span is not None and span.recording:
                     span.end_on(proc)
@@ -263,6 +266,7 @@ class RpcServer:
 
     def _on_process_done(self, ev, reply_node: str, reply_port: int,
                          request_id: Any) -> None:
+        self._in_flight.discard(request_id)
         if ev.ok:
             self._finish(reply_node, reply_port, request_id, "ok", ev.value)
         else:
@@ -275,7 +279,6 @@ class RpcServer:
                 status: str, value: Any) -> None:
         if status == "error":
             self.stats["errors"] += 1
-        self._in_flight.discard(request_id)
         self._response_cache[request_id] = (status, value)
         if len(self._response_cache) > 10_000:
             # Bound the cache; drop roughly the older half.
@@ -290,24 +293,21 @@ class RpcServer:
 
 
 class _PendingCall:
-    """Book-keeping for one in-flight call: the completion event plus the
-    cancelable timer handles, so completion revokes the expiry/retry timers
-    instead of leaving them to rot in the scheduler until the deadline."""
+    """Book-keeping for one in-flight call: the completion event, the
+    request as sent, its deadline, and the call's one timer.
 
-    __slots__ = ("event", "expire", "attempt")
+    ``timer`` is the next retransmission while that lands before
+    ``expiry``; from then on it is the deadline itself.  Completion and
+    ``close()`` revoke it, so a finished call leaves nothing queued.
+    """
 
-    def __init__(self, event: Event):
+    __slots__ = ("event", "payload", "expiry", "timer")
+
+    def __init__(self, event: Event, payload: Any, expiry: float):
         self.event = event
-        self.expire = None   # ScheduledCall for the deadline
-        self.attempt = None  # ScheduledCall for the next retransmission
-
-    def cancel_timers(self) -> None:
-        if self.expire is not None:
-            self.expire.cancel()
-            self.expire = None
-        if self.attempt is not None:
-            self.attempt.cancel()
-            self.attempt = None
+        self.payload = payload
+        self.expiry = expiry
+        self.timer = None  # ScheduledCall: retransmission, then deadline
 
 
 class RpcChannel:
@@ -335,14 +335,16 @@ class RpcChannel:
              deadline: float = DEFAULT_DEADLINE) -> Event:
         """Issue a call; the returned event succeeds with the response or
         fails with :class:`RpcError`."""
+        if deadline < 0:
+            raise ValueError(f"negative RPC deadline: {deadline}")
         self.stats["calls"] += 1
+        sim = self.sim
         request_id = (self.local, self.port, next(RpcChannel._request_ids))
-        done = self.sim.event(f"rpc:{service}/{method}")
-        record = _PendingCall(done)
-        self._pending[request_id] = record
-        expiry = self.sim.now + deadline
-        tracer = self.sim.tracer
-        ctx = self.sim.ctx
+        done = Event(sim, f"rpc:{service}/{method}")
+        now = sim.now
+        expiry = now + deadline
+        tracer = sim.tracer
+        ctx = sim.ctx
         if tracer is not None:
             span = tracer.child(f"rpc:{service}/{method}", component="rpc",
                                 node=self.local, tags={"peer": self.peer})
@@ -351,14 +353,18 @@ class RpcChannel:
                 ctx = span.context
         payload = (request_id, service, method, request, self.local, self.port,
                    ctx)
-        self._attempt(request_id, payload, expiry, first=True)
-        record.expire = self.sim.schedule(deadline, self._expire, request_id)
+        record = _PendingCall(done, payload, expiry)
+        self._pending[request_id] = record
+        if now < expiry:  # a zero deadline sends nothing
+            self.network.send(Datagram(self.local, self.peer, self.peer_port,
+                                       payload, 8_000))
+        self._arm(request_id, record, now, deadline)
         return done
 
     def close(self) -> None:
         self.network.unbind(self.local, self.port)
-        for request_id, record in list(self._pending.items()):
-            record.cancel_timers()
+        for record in list(self._pending.values()):
+            record.timer.cancel()
             if not record.event.triggered:
                 record.event.fail(RpcError(RpcError.UNAVAILABLE, "channel closed"))
         self._pending.clear()
@@ -368,23 +374,37 @@ class RpcChannel:
 
     # -- internals -----------------------------------------------------------------
 
-    def _attempt(self, request_id: Any, payload: Any, expiry: float,
-                 first: bool = False) -> None:
-        record = self._pending.get(request_id)
-        if record is None or self.sim.now >= expiry:
-            return
-        if not first:
-            self.stats["retries"] += 1
+    def _arm(self, request_id: Any, record: _PendingCall, now: float,
+             to_expiry: float) -> None:
+        """Arm the call's one timer: the next retransmission if that
+        lands before ``expiry``, else the deadline, ``to_expiry`` seconds
+        from ``now``.
+
+        The retransmission is due at ``now + retry_interval`` exactly as
+        the kernel computes it, so it is armed only if it would find the
+        call still inside its deadline.  The deadline lands on ``expiry``
+        itself: at call time ``to_expiry`` is the deadline that ``expiry``
+        was summed from, and on a retransmission ``now`` lies within a
+        factor of two of ``expiry`` (it is at least one retry interval,
+        and one more reaches ``expiry``), so ``expiry - now`` is exact.
+        """
+        retry_interval = self.retry_interval
+        if now + retry_interval < record.expiry:
+            record.timer = self.sim.schedule(retry_interval, self._retry,
+                                             request_id, record)
+        else:
+            record.timer = self.sim.schedule(to_expiry, self._expire,
+                                             request_id)
+
+    def _retry(self, request_id: Any, record: _PendingCall) -> None:
+        self.stats["retries"] += 1
         self.network.send(Datagram(self.local, self.peer, self.peer_port,
-                                   payload, 8_000))
-        record.attempt = self.sim.schedule(self.retry_interval, self._attempt,
-                                           request_id, payload, expiry)
+                                   record.payload, 8_000))
+        now = self.sim.now
+        self._arm(request_id, record, now, record.expiry - now)
 
     def _expire(self, request_id: Any) -> None:
-        record = self._pending.pop(request_id, None)
-        if record is None:
-            return
-        record.cancel_timers()
+        record = self._pending.pop(request_id)
         if not record.event.triggered:
             self.stats["deadline_exceeded"] += 1
             record.event.fail(RpcError(RpcError.DEADLINE_EXCEEDED))
@@ -394,7 +414,7 @@ class RpcChannel:
         record = self._pending.pop(request_id, None)
         if record is None:
             return
-        record.cancel_timers()
+        record.timer.cancel()
         if record.event.triggered:
             return
         if status == "ok":
@@ -404,7 +424,3 @@ class RpcChannel:
             self.stats["errors"] += 1
             record.event.fail(value if isinstance(value, RpcError)
                               else RpcError(RpcError.INTERNAL, repr(value)))
-
-
-def _is_generator(obj: Any) -> bool:
-    return hasattr(obj, "send") and hasattr(obj, "throw")

@@ -20,7 +20,7 @@ from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """An unreliable message in flight between two nodes."""
 
@@ -66,6 +66,9 @@ class _LinkState:
 
 Handler = Callable[[Datagram], None]
 
+#: A compiled route: one ``(next node, link state)`` pair per hop.
+HopPlan = Tuple[Tuple[str, _LinkState], ...]
+
 
 class Network:
     """A graph of named nodes connected by links, with BFS routing.
@@ -77,10 +80,15 @@ class Network:
     def __init__(self, sim: Simulator, rng: Optional[RngRegistry] = None):
         self.sim = sim
         self.rng = rng or RngRegistry(0)
+        # A named stream is one object for its registry's life, so it is
+        # looked up once here rather than on every send.
+        self._loss_rng = self.rng.stream("network.loss")
+        self._jitter_rng = self.rng.stream("network.jitter")
         self._handlers: Dict[Tuple[str, int], Handler] = {}
         self._adjacency: Dict[str, Dict[str, _LinkState]] = {}
         self._node_up: Dict[str, bool] = {}
-        self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
+        # (src, dst) -> hop plan, or None when dst is unreachable.
+        self._route_cache: Dict[Tuple[str, str], Optional[HopPlan]] = {}
         self.stats = {"sent": 0, "delivered": 0, "dropped_loss": 0,
                       "dropped_down": 0, "dropped_unroutable": 0,
                       "dropped_no_handler": 0}
@@ -88,8 +96,16 @@ class Network:
     # -- topology ------------------------------------------------------------
 
     def add_node(self, name: str) -> None:
-        self._adjacency.setdefault(name, {})
-        self._node_up.setdefault(name, True)
+        """Add ``name`` (up, with no links); a known node is left as is.
+
+        The route cache is flushed only for a new node.  A known one
+        changes no route, so binding a port on a node already in the
+        network (every ``RpcChannel`` does) keeps the compiled routes.
+        """
+        if name in self._adjacency:
+            return
+        self._adjacency[name] = {}
+        self._node_up[name] = True
         self._route_cache.clear()
 
     def connect(self, a: str, b: str, link: Optional[Link] = None) -> Link:
@@ -138,45 +154,63 @@ class Network:
     # -- sending ---------------------------------------------------------------
 
     def send(self, dgram: Datagram) -> None:
-        """Route and deliver ``dgram`` asynchronously (or drop it)."""
-        self.stats["sent"] += 1
-        if not self._node_up.get(dgram.src, False):
-            self.stats["dropped_down"] += 1
+        """Route and deliver ``dgram`` asynchronously (or drop it).
+
+        Each hop, in path order: drop if the next node is down, draw the
+        link's loss, add its latency and a jitter draw, then take its
+        serialization slot.  ``Link`` fields are read here, on every send,
+        so a link mutated after its route was compiled takes effect at
+        once.
+        """
+        stats = self.stats
+        stats["sent"] += 1
+        src = dgram.src
+        dst = dgram.dst
+        node_up = self._node_up
+        if not node_up.get(src, False):
+            stats["dropped_down"] += 1
             return
-        if dgram.src == dgram.dst:
+        if src == dst:
             # Loopback: lossless and latency-free, an asynchronous handoff
             # to the local handler with no route, loss or jitter draw.
             self.sim.call_later(0.0, self._deliver, dgram)
             return
-        path = self._route(dgram.src, dgram.dst)
-        if path is None:
-            self.stats["dropped_unroutable"] += 1
+        try:
+            plan = self._route_cache[src, dst]
+        except KeyError:
+            plan = self._compile_route(src, dst)
+        if plan is None:
+            stats["dropped_unroutable"] += 1
             return
         delay = 0.0
-        rng = self.rng.stream("network.loss")
-        jrng = self.rng.stream("network.jitter")
-        now = self.sim.now
-        for hop_src, hop_dst in zip(path, path[1:]):
-            if not self._node_up.get(hop_dst, False):
-                self.stats["dropped_down"] += 1
+        for hop, state in plan:
+            # Every node on a plan is known: plans are built from the
+            # adjacency, and add_node registers both maps together.
+            if not node_up[hop]:
+                stats["dropped_down"] += 1
                 return
-            state = self._adjacency[hop_src][hop_dst]
             link = state.link
-            if link.loss > 0 and rng.random() < link.loss:
-                self.stats["dropped_loss"] += 1
+            loss = link.loss
+            if loss > 0 and self._loss_rng.random() < loss:
+                stats["dropped_loss"] += 1
                 return
             delay += link.latency
-            if link.jitter > 0:
-                delay += jrng.uniform(0, link.jitter)
-            if link.bandwidth_mbps is not None:
-                serialization = dgram.size_bits / (link.bandwidth_mbps * 1e6)
+            jitter = link.jitter
+            if jitter > 0:
+                delay += self._jitter_rng.uniform(0, jitter)
+            bandwidth = link.bandwidth_mbps
+            if bandwidth is not None:
+                now = self.sim.now
+                serialization = dgram.size_bits / (bandwidth * 1e6)
                 start = max(now + delay, state.busy_until)
                 state.busy_until = start + serialization
                 delay = (start + serialization) - now
         self.sim.call_later(delay, self._deliver, dgram)
 
     def _deliver(self, dgram: Datagram) -> None:
-        if not self._node_up.get(dgram.dst, False):
+        # send() only schedules a delivery to a known node: the sender
+        # itself, or the last hop of a plan.
+        if not self._node_up[dgram.dst]:
             self.stats["dropped_down"] += 1
             return
         handler = self._handlers.get((dgram.dst, dgram.port))
@@ -188,13 +222,18 @@ class Network:
 
     # -- routing -----------------------------------------------------------------
 
-    def _route(self, src: str, dst: str) -> Optional[List[str]]:
-        key = (src, dst)
-        if key in self._route_cache:
-            return self._route_cache[key]
+    def _compile_route(self, src: str, dst: str) -> Optional[HopPlan]:
+        """BFS a path from ``src`` to ``dst`` once and cache it as a hop
+        plan; the cache lives until the topology or a node's state
+        changes."""
         path = self._bfs(src, dst)
-        self._route_cache[key] = path
-        return path
+        plan = None
+        if path is not None:
+            adjacency = self._adjacency
+            plan = tuple((hop_dst, adjacency[hop_src][hop_dst])
+                         for hop_src, hop_dst in zip(path, path[1:]))
+        self._route_cache[src, dst] = plan
+        return plan
 
     def _bfs(self, src: str, dst: str) -> Optional[List[str]]:
         if src == dst:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Datagram, Link, Network
+from repro.net import Datagram, Link, Network, RpcChannel
 from repro.sim import RngRegistry, Simulator
 
 
@@ -203,3 +203,56 @@ def test_recovery_invalidates_negative_route_cache():
     net.send(Datagram("a", "b", 9, "found"))
     sim.run()
     assert [d.payload for d in got] == ["found"]
+
+
+def test_binding_on_a_known_node_keeps_the_compiled_routes():
+    """A bind, or a new RPC channel, on a node already in the network
+    changes no route, so it must not flush the cached hop plans."""
+    sim = Simulator()
+    net = Network(sim, RngRegistry(1))
+    net.connect("a", "m", Link(latency=0.01))
+    net.connect("m", "b", Link(latency=0.01))
+    net.bind("b", 9, lambda d: None)
+    searches = []
+    bfs = net._bfs
+    net._bfs = lambda src, dst: searches.append((src, dst)) or bfs(src, dst)
+    net.send(Datagram("a", "b", 9, "compile"))
+    plan = net._route_cache["a", "b"]
+    net.bind("b", 10, lambda d: None)
+    net.bind("a", 11, lambda d: None)
+    RpcChannel(sim, net, "a", "b")
+    net.send(Datagram("a", "b", 10, "reuse"))
+    sim.run()
+    assert searches == [("a", "b")]
+    assert net._route_cache["a", "b"] is plan
+    assert net.stats["delivered"] == 2
+
+
+def test_a_link_mutated_after_its_route_is_compiled_applies_at_once():
+    """Loss and latency flaps on a live Link take effect on the next send,
+    though the route through it was compiled before the flap."""
+    sim = Simulator()
+    net = Network(sim, RngRegistry(1))
+    first = net.connect("a", "m", Link(latency=0.01))
+    second = net.connect("m", "b", Link(latency=0.02))
+    got = []
+    net.bind("b", 9, lambda d: got.append((sim.now, d.payload)))
+
+    def transit(payload):
+        """Seconds from send to delivery, or None when it was dropped."""
+        sent = sim.now
+        net.send(Datagram("a", "b", 9, payload))
+        sim.run()
+        if got and got[-1][1] == payload:
+            return got[-1][0] - sent
+        return None
+
+    assert transit("compile") == pytest.approx(0.03)
+    second.latency = 0.5
+    assert transit("slow") == pytest.approx(0.51)
+    first.loss = 0.999999
+    assert transit("lost") is None
+    assert net.stats["dropped_loss"] == 1
+    first.loss = 0.0
+    second.latency = 0.02
+    assert transit("healed") == pytest.approx(0.03)
