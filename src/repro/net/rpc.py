@@ -335,8 +335,6 @@ class RpcChannel:
              deadline: float = DEFAULT_DEADLINE) -> Event:
         """Issue a call; the returned event succeeds with the response or
         fails with :class:`RpcError`."""
-        if deadline < 0:
-            raise ValueError(f"negative RPC deadline: {deadline}")
         self.stats["calls"] += 1
         sim = self.sim
         request_id = (self.local, self.port, next(RpcChannel._request_ids))
@@ -354,11 +352,13 @@ class RpcChannel:
         payload = (request_id, service, method, request, self.local, self.port,
                    ctx)
         record = _PendingCall(done, payload, expiry)
-        self._pending[request_id] = record
         if now < expiry:  # a zero deadline sends nothing
             self.network.send(Datagram(self.local, self.peer, self.peer_port,
                                        payload, 8_000))
+        # Registered once armed: a negative deadline fails in the kernel
+        # and leaves no record without a timer behind.
         self._arm(request_id, record, now, deadline)
+        self._pending[request_id] = record
         return done
 
     def close(self) -> None:

@@ -20,15 +20,18 @@ from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 
 
-@dataclass(slots=True)
 class Datagram:
     """An unreliable message in flight between two nodes."""
 
-    src: str
-    dst: str
-    port: int
-    payload: Any
-    size_bits: int = 8_000  # 1 KB default control message
+    __slots__ = ("src", "dst", "port", "payload", "size_bits")
+
+    def __init__(self, src: str, dst: str, port: int, payload: Any,
+                 size_bits: int = 8_000):  # 1 KB default control message
+        self.src = src
+        self.dst = dst
+        self.port = port
+        self.payload = payload
+        self.size_bits = size_bits
 
 
 @dataclass

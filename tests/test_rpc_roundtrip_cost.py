@@ -17,8 +17,11 @@ from costs import calls
 
 CALLS = 10
 #: Calls and kernel entries per lossless two-hop round trip, the first
-#: call's route compilation amortised over ``CALLS``.
-ROUNDTRIP_BUDGET = (56.0, 4.0)
+#: call's route compilation amortised over ``CALLS``.  Measured at 55.8
+#: to 55.9 calls on CPython 3.9, 3.11 and 3.12; the headroom absorbs
+#: interpreter versions, and the budget still fails a round trip that
+#: arms two timers or walks its route hop by hop (88.9).
+ROUNDTRIP_BUDGET = (62.0, 4.0)
 
 
 def two_hops(loss=0.0):
@@ -104,3 +107,23 @@ def test_a_lossy_call_rearms_one_timer_and_expires_at_its_deadline():
     assert when == expiry
     assert isinstance(error, RpcError)
     assert error.code == RpcError.DEADLINE_EXCEEDED
+
+
+def test_a_reply_landing_exactly_at_expiry_beats_the_deadline():
+    # One 0.5 s hop and a 1 s deadline: the reply to the first send is
+    # scheduled at 0.5 for 1.0; the deadline is armed at the last
+    # retransmission, 0.75, for the same instant, and so runs after it.
+    sim = Simulator()
+    net = Network(sim, RngRegistry(3))
+    net.connect("client", "server", Link(latency=0.5))
+    server = RpcServer(sim, net, "server")
+    channel = RpcChannel(sim, net, "client", "server")
+    server.register("svc", "echo", lambda request: request)
+    done = channel.call("svc", "echo", "late", deadline=1.0)
+    answered = []
+    done.add_callback(lambda ev: answered.append((sim.now, ev.ok, ev.value)))
+    sim.run()
+    assert answered == [(1.0, True, "late")]
+    assert channel.stats["retries"] == 3
+    assert channel.stats["deadline_exceeded"] == 0
+    assert channel.pending_calls() == 0
