@@ -52,21 +52,16 @@ def fail_back(primary: AccessGateway, backup: AccessGateway) -> int:
 
     The backup checkpoints its current (possibly updated) session state
     under the *primary's* node name, the primary restores from it, and the
-    backup steps down.  Returns the sessions handed back.
+    backup steps down with the wipe a crash recovery starts from (sessions,
+    data-plane rules, IPs and UE contexts).  Returns the sessions handed
+    back.
     """
     if primary.crashed:
         raise FailoverError("primary has not recovered")
-    snapshot = {
-        "time": backup.context.sim.now,
-        "sessions": backup.sessiond.checkpoint(),
-        "config_version": backup.magmad.config_version,
-    }
+    snapshot = backup.magmad.snapshot()
     store = primary.magmad.checkpoint_store
     if store is not None:
         store.save(primary.node, snapshot)
     restored = primary.sessiond.restore(snapshot["sessions"])
-    for imsi in list(backup.pipelined.installed_imsis()):
-        backup.pipelined.remove_session(imsi)
-    backup.sessiond._sessions.clear()
-    backup.mobilityd.restore({})
+    backup._wipe_runtime_state()
     return restored

@@ -115,15 +115,19 @@ class Magmad:
 
     # -- checkpointing -------------------------------------------------------------
 
+    def snapshot(self) -> Dict[str, Any]:
+        """The runtime state a checkpoint carries."""
+        return {
+            "time": self.context.sim.now,
+            "sessions": self.gateway.sessiond.checkpoint(),
+            "config_version": self.config_version,
+        }
+
     def checkpoint_now(self) -> Dict[str, Any]:
         with self.context.tracer.begin("magmad.checkpoint",
                                        component="magmad",
                                        node=self.context.node):
-            snapshot = {
-                "time": self.context.sim.now,
-                "sessions": self.gateway.sessiond.checkpoint(),
-                "config_version": self.config_version,
-            }
+            snapshot = self.snapshot()
             if self.checkpoint_store is not None:
                 self.checkpoint_store.save(self.context.node, snapshot)
             self.stats["checkpoints"] += 1

@@ -10,7 +10,7 @@ from .bootstrapper import (
 )
 from .config_store import ConfigStore, WalEntry
 from .metricsd import Metricsd, Sample
-from .orchestrator import Orchestrator, OrchestratorConfig
+from .orchestrator import Orchestrator
 from .statesync import (
     DEFAULT_NETWORK,
     GatewayState,
@@ -38,7 +38,6 @@ __all__ = [
     "NS_RAN",
     "NS_SUBSCRIBERS",
     "Orchestrator",
-    "OrchestratorConfig",
     "Sample",
     "StateSync",
     "scoped",

@@ -5,23 +5,21 @@ bootstrapper, and alert manager, and exposes the *northbound API* that
 operators (and their OSS/BSS systems) integrate with.  All configuration
 mutations flow through here - AGWs never write config state (§3.4).
 
-The orchestrator has its own CPU model so the §4.3.2 scaling study can
-measure control-plane load as a function of gateway count.
-
-**Scale-out** (``num_shards > 0``): the control plane splits into N
-``StateSync`` shards, each with its own metrics store, CPU model, and
-network node.  Gateways are partitioned by consistent hash of
-``gateway_id`` (``repro.core.sync.shard``); check-ins arriving at the
-main node are routed to the owning shard, and gateways may also address
+The control plane is N >= 1 shards (default one), each a ``StateSync``
+with its own metrics store, CPU model and network node, so the §4.3.2
+scaling study can measure control-plane load as a function of gateway
+count.  Gateways are partitioned by consistent hash of ``gateway_id``
+(``repro.core.sync.shard``); check-ins arriving at the main node are
+routed in-process to the owning shard, and gateways may also address
 their shard's node directly (``shard_node_for``).  The config store stays
-single-writer on the main node - shards serve reads of it, which is the
-real orchestrator's stateless-service-over-shared-DB shape.
+single-writer on the main node, whose CPU carries the northbound writes -
+shards serve reads of it, which is the real orchestrator's
+stateless-service-over-shared-DB shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ...net.rpc import RpcError, RpcServer
 from ...net.simnet import Network
@@ -35,7 +33,6 @@ from ..sync import (
     DigestIndex,
     MergedGatewayView,
     MergedMetricsView,
-    ShardRouter,
 )
 from .alerting import AlertManager, AlertRule, metric_threshold_rule
 from .bootstrapper import Bootstrapper, BootstrapError
@@ -51,18 +48,17 @@ from .statesync import (
     scoped,
 )
 
-
-@dataclass
-class OrchestratorConfig:
-    """Sizing and per-operation CPU costs for the orchestrator cluster."""
-
-    cores: float = 12.0              # ~3 modest VMs of the minimal deploy
-    checkin_cpu_cost: float = 0.002
-    metrics_cpu_cost_per_sample: float = 0.0002
-    config_push_cpu_cost: float = 0.01
-    reconcile_cpu_cost: float = 0.003
-    northbound_cpu_cost: float = 0.005
-    offline_threshold: float = 300.0
+#: Cores of the cluster (~3 modest VMs of the minimal deploy), split
+#: evenly across the shards; the main node has its own CPU of this size.
+CORES = 12.0
+#: Per-operation CPU costs, in core-seconds.
+CHECKIN_CPU_COST = 0.002
+METRICS_CPU_COST_PER_SAMPLE = 0.0002
+CONFIG_PUSH_CPU_COST = 0.01
+RECONCILE_CPU_COST = 0.003
+NORTHBOUND_CPU_COST = 0.005
+#: Seconds without a check-in before a gateway counts as offline.
+OFFLINE_THRESHOLD = 300.0
 
 
 class OrchestratorShard:
@@ -83,67 +79,32 @@ class Orchestrator:
     """The central controller, reachable at a network node."""
 
     def __init__(self, sim: Simulator, network: Network, node: str = "orc",
-                 config: Optional[OrchestratorConfig] = None,
-                 monitor: Optional[Monitor] = None,
-                 num_shards: int = 0):
+                 monitor: Optional[Monitor] = None, num_shards: int = 1):
         self.sim = sim
         self.network = network
         self.node = node
-        self.config = config or OrchestratorConfig()
         self.monitor = monitor or Monitor()
-        self.num_shards = num_shards
+        # Raises ValueError for num_shards < 1.
+        self.ring = ConsistentHashRing(
+            [f"{node}-s{i}" for i in range(num_shards)])
         network.add_node(node)
-        self.cpu = CpuModel(sim, cores=self.config.cores, name=node)
+        self.cpu = CpuModel(sim, cores=CORES, name=node)
         self.store = ConfigStore()
         self.digests = DigestIndex(self.store)
         # Publish→all-applied lag tracker, shared by every shard's
-        # StateSync; its metricsd sink is attached below once one exists.
+        # StateSync; its metricsd sink is attached below.
         self.convergence = ConvergenceTracker(sim, monitor=self.monitor)
-        self.shards: List[OrchestratorShard] = []
-        self.router: Optional[ShardRouter] = None
-        if num_shards > 0:
-            # Each shard is its own slice of the cluster's cores: the load
-            # question is whether N small shards absorb what one big
-            # process would, so total hardware is held constant.
-            shard_cores = self.config.cores / num_shards
-            for i in range(num_shards):
-                shard_node = f"{node}-s{i}"
-                network.add_node(shard_node)
-                shard_metricsd = Metricsd()
-                shard_sync = StateSync(sim, self.store, shard_metricsd,
-                                       digests=self.digests,
-                                       monitor=self.monitor,
-                                       convergence=self.convergence)
-                shard_cpu = CpuModel(sim, cores=shard_cores, name=shard_node)
-                shard_server = RpcServer(sim, network, shard_node)
-                shard_server.register(
-                    "statesync", "checkin",
-                    self._make_checkin_handler(shard_sync, shard_cpu))
-                shard_server.register(
-                    "statesync", "reconcile",
-                    self._make_reconcile_handler(shard_sync, shard_cpu))
-                self.shards.append(OrchestratorShard(
-                    shard_id=shard_node, node=shard_node,
-                    statesync=shard_sync, metricsd=shard_metricsd,
-                    cpu=shard_cpu, server=shard_server))
-            ring = ConsistentHashRing([s.shard_id for s in self.shards])
-            self.router = ShardRouter(ring,
-                                      {s.shard_id: s for s in self.shards})
-            self.statesync: Union[StateSync, MergedGatewayView] = \
-                MergedGatewayView([s.statesync for s in self.shards])
-            self.metricsd: Union[Metricsd, MergedMetricsView] = \
-                MergedMetricsView([s.metricsd for s in self.shards])
-        else:
-            self.metricsd = Metricsd()
-            self.statesync = StateSync(sim, self.store, self.metricsd,
-                                       digests=self.digests,
-                                       monitor=self.monitor,
-                                       convergence=self.convergence)
-        # Convergence-lag samples land in one concrete store: the first
-        # shard's when sharded (the merged view reads across shards), the
-        # single store otherwise.
-        self.convergence.metricsd = self.shards[0].metricsd \
-            if self.shards else self.metricsd
+        # Each shard is its own slice of the cluster's cores: the load
+        # question is whether N small shards absorb what one big process
+        # would, so total hardware is held constant.
+        self.shards = [self._build_shard(shard_id, CORES / num_shards)
+                       for shard_id in self.ring.shard_ids]
+        self._shard_by_id = {s.shard_id: s for s in self.shards}
+        self.statesync = MergedGatewayView([s.statesync for s in self.shards])
+        self.metricsd = MergedMetricsView([s.metricsd for s in self.shards])
+        # Convergence-lag samples land in the first shard's store; the
+        # merged view reads across shards.
+        self.convergence.metricsd = self.shards[0].metricsd
         self.bootstrapper = Bootstrapper(clock=lambda: sim.now)
         self.alerts = AlertManager(
             clock=lambda: sim.now,
@@ -151,7 +112,7 @@ class Orchestrator:
         self.alerts.add_rule(AlertRule(
             name="gateway-offline",
             evaluate=lambda: self.statesync.offline_gateways(
-                self.config.offline_threshold),
+                OFFLINE_THRESHOLD),
             message="gateway has missed check-ins"))
         self.alerts.add_rule(AlertRule(
             name="gateway-unhealthy",
@@ -173,55 +134,52 @@ class Orchestrator:
         self.server.register("bootstrap", "challenge", self._challenge_handler)
         self.server.register("bootstrap", "complete", self._complete_handler)
 
+    def _build_shard(self, shard_id: str, cores: float) -> OrchestratorShard:
+        self.network.add_node(shard_id)
+        metricsd = Metricsd()
+        statesync = StateSync(self.sim, self.store, metricsd,
+                              digests=self.digests, monitor=self.monitor,
+                              convergence=self.convergence)
+        cpu = CpuModel(self.sim, cores=cores, name=shard_id)
+        server = RpcServer(self.sim, self.network, shard_id)
+        server.register("statesync", "checkin",
+                        lambda request: self._run_checkin(
+                            statesync, cpu, request))
+        server.register("statesync", "reconcile",
+                        lambda request: self._run_reconcile(
+                            statesync, cpu, request))
+        return OrchestratorShard(shard_id=shard_id, node=shard_id,
+                                 statesync=statesync, metricsd=metricsd,
+                                 cpu=cpu, server=server)
+
     # -- sharding --------------------------------------------------------------------
 
-    def shard_for(self, gateway_id: str) -> Optional[OrchestratorShard]:
-        """The shard owning ``gateway_id`` (None when unsharded)."""
-        if self.router is None:
-            return None
-        return self.router.shard_for(gateway_id)
+    def shard_for(self, gateway_id: str) -> OrchestratorShard:
+        """The shard owning ``gateway_id``."""
+        return self._shard_by_id[self.ring.shard_for(gateway_id)]
 
     def shard_node_for(self, gateway_id: str) -> str:
         """The node a gateway should address its check-ins to."""
-        shard = self.shard_for(gateway_id)
-        return self.node if shard is None else shard.node
+        return self.shard_for(gateway_id).node
 
     # -- RPC handlers ---------------------------------------------------------------
 
-    def _route(self, gateway_id: str) -> tuple:
-        """(statesync, cpu) serving ``gateway_id``'s sync traffic."""
-        shard = self.shard_for(gateway_id)
-        if shard is None:
-            return self.statesync, self.cpu
-        return shard.statesync, shard.cpu
-
     def _checkin_handler(self, request: Dict[str, Any]):
-        statesync, cpu = self._route(request["gateway_id"])
-        return self._run_checkin(statesync, cpu, request)
+        shard = self.shard_for(request["gateway_id"])
+        return self._run_checkin(shard.statesync, shard.cpu, request)
 
     def _reconcile_handler(self, request: Dict[str, Any]):
-        statesync, cpu = self._route(request["gateway_id"])
-        return self._run_reconcile(statesync, cpu, request)
-
-    def _make_checkin_handler(self, statesync: StateSync, cpu: CpuModel):
-        def handler(request: Dict[str, Any]):
-            return self._run_checkin(statesync, cpu, request)
-        return handler
-
-    def _make_reconcile_handler(self, statesync: StateSync, cpu: CpuModel):
-        def handler(request: Dict[str, Any]):
-            return self._run_reconcile(statesync, cpu, request)
-        return handler
+        shard = self.shard_for(request["gateway_id"])
+        return self._run_reconcile(shard.statesync, shard.cpu, request)
 
     def _run_checkin(self, statesync: StateSync, cpu: CpuModel,
                      request: Dict[str, Any]):
         samples = sum(len(entry.get("metrics", {}))
                       for entry in request.get("metrics_backlog") or ())
-        cost = self.config.checkin_cpu_cost \
-            + samples * self.config.metrics_cpu_cost_per_sample
+        cost = CHECKIN_CPU_COST + samples * METRICS_CPU_COST_PER_SAMPLE
         response = statesync.handle_checkin(request)
         if response.get("config") is not None:
-            cost += self.config.config_push_cpu_cost
+            cost += CONFIG_PUSH_CPU_COST
 
         def proc(sim):
             yield cpu.submit("checkin", cost)
@@ -234,7 +192,7 @@ class Orchestrator:
         response = statesync.handle_reconcile(request)
 
         def proc(sim):
-            yield cpu.submit("reconcile", self.config.reconcile_cpu_cost)
+            yield cpu.submit("reconcile", RECONCILE_CPU_COST)
             return response
 
         return proc(self.sim)
@@ -340,4 +298,4 @@ class Orchestrator:
         return sorted(unhealthy)
 
     def _charge_northbound(self) -> None:
-        self.cpu.submit("northbound", self.config.northbound_cpu_cost)
+        self.cpu.submit("northbound", NORTHBOUND_CPU_COST)

@@ -28,7 +28,6 @@ from .shard import (
     ConsistentHashRing,
     MergedGatewayView,
     MergedMetricsView,
-    ShardRouter,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "ReconcileClient",
     "ReconcileResult",
     "ReconcileServer",
-    "ShardRouter",
     "SYNC_LABELS",
     "canonical_bytes",
     "entry_digest",

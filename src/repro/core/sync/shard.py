@@ -2,17 +2,14 @@
 
 §3.2's orchestrator is a horizontally scalable cloud service; TEGRA makes
 the same argument for sharded mobile-core state services.  This module
-partitions gateways across N ``StateSync`` shards by consistent hash of
-``gateway_id``:
+partitions gateways across the orchestrator's N >= 1 ``StateSync``
+shards by consistent hash of ``gateway_id``; the orchestrator resolves
+the owning shard from the ring and its own id -> shard table:
 
 - :class:`ConsistentHashRing` — a vnode ring mapping any string key to a
   shard.  Consistent hashing (rather than ``hash(gid) % N``) keeps
   assignments stable under reshards: growing the ring moves only
   ~1/N of the gateways.
-- :class:`ShardRouter` — the thin check-in router: resolves the owning
-  shard for a gateway and exposes it for in-process delegation (the main
-  orchestrator node) or direct addressing (gateways connecting straight
-  to their shard's node).
 - :class:`MergedGatewayView` / :class:`MergedMetricsView` — read-only
   merges over the per-shard ``StateSync`` registries and ``Metricsd``
   stores, so the northbound API (gateway listings, alerting, metric
@@ -68,22 +65,6 @@ class ConsistentHashRing:
         for key in keys:
             counts[self.shard_for(key)] += 1
         return counts
-
-
-class ShardRouter:
-    """Resolves the owning shard service for each gateway."""
-
-    def __init__(self, ring: ConsistentHashRing, shards: Dict[str, Any]):
-        missing = set(ring.shard_ids) - set(shards)
-        if missing:
-            raise ValueError(f"ring shards without services: {sorted(missing)}")
-        self.ring = ring
-        self.shards = shards
-        self.stats = {"routed": 0}
-
-    def shard_for(self, gateway_id: str) -> Any:
-        self.stats["routed"] += 1
-        return self.shards[self.ring.shard_for(gateway_id)]
 
 
 class MergedGatewayView:

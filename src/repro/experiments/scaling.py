@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.orchestrator import Orchestrator, OrchestratorConfig
+from ..core.orchestrator import Orchestrator
+from ..core.orchestrator.orchestrator import CORES
 from ..net.rpc import RpcChannel, RpcError
 from ..net.simnet import Link, Network
 from ..sim import Monitor, RngRegistry, Simulator
@@ -171,20 +172,17 @@ def run_scaling_point(num_agws: int, checkin_interval: float = 60.0,
                       duration: float = 180.0, seed: int = 0,
                       provision_burst: int = 20,
                       ues_per_agw: int = 100,
-                      fleet_tick: float = 5.0,
-                      num_shards: int = 0) -> ScalingPoint:
+                      fleet_tick: float = 5.0) -> ScalingPoint:
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng)
     monitor = Monitor()
-    orc = Orchestrator(sim, network, "orc", monitor=monitor,
-                       num_shards=num_shards)
+    orc = Orchestrator(sim, network, "orc", monitor=monitor)
     offsets = rng.stream("checkin.offsets")
     stubs = []
     for i in range(num_agws):
         node = f"agw-{i}"
-        # Sharded deployments hash each gateway to its owning shard's
-        # node; unsharded ones keep the single "orc" endpoint.
+        # Each gateway addresses its owning shard's node.
         target = orc.shard_node_for(node)
         network.connect(node, target, Link(latency=0.02))
         stubs.append(AgwStub(sim, network, node, target,
@@ -212,15 +210,15 @@ def run_scaling_point(num_agws: int, checkin_interval: float = 60.0,
             orc.add_subscriber(SubscriberProfile(imsi=make_imsi(i + 1)))
 
     sim.call_later(duration / 3, provision)
-    # Time-weighted CPU share over the steady window [checkin_interval,
-    # duration]; the hottest shard governs a sharded control plane.
-    cpus = [shard.cpu for shard in orc.shards] or [orc.cpu]
+    # Time-weighted CPU share of the whole cluster over the steady window
+    # [checkin_interval, duration]: check-ins run on the shards, the
+    # northbound writes on the main node.
+    cpus = [orc.cpu] + [shard.cpu for shard in orc.shards]
     sim.run(until=checkin_interval)
-    busy0 = [cpu.busy_core_seconds() for cpu in cpus]
+    busy0 = sum(cpu.busy_core_seconds() for cpu in cpus)
     sim.run(until=duration)
-    util = max((cpu.busy_core_seconds() - before)
-               / (cpu.cores * (duration - checkin_interval))
-               for cpu, before in zip(cpus, busy0))
+    busy = sum(cpu.busy_core_seconds() for cpu in cpus) - busy0
+    util = busy / (CORES * (duration - checkin_interval))
     ok = sum(s.checkins_ok for s in stubs)
     failed = sum(s.checkins_failed for s in stubs)
     converged = sum(1 for s in stubs
@@ -237,9 +235,7 @@ def run_scaling_point(num_agws: int, checkin_interval: float = 60.0,
 
 def run_scaling(agw_counts=(50, 200, 800, 2000, FREEDOMFI_AGWS),
                 checkin_interval: float = 60.0, duration: float = 180.0,
-                seed: int = 0, num_shards: int = 0) -> ScalingResult:
-    points = [run_scaling_point(n, checkin_interval, duration, seed,
-                                num_shards=num_shards)
+                seed: int = 0) -> ScalingResult:
+    points = [run_scaling_point(n, checkin_interval, duration, seed)
               for n in agw_counts]
-    return ScalingResult(points=points,
-                         orchestrator_cores=OrchestratorConfig().cores)
+    return ScalingResult(points=points, orchestrator_cores=CORES)

@@ -22,8 +22,9 @@ and the fleet rolls up the shards.  Everything reads orchestrator-side
 state only (metricsd, statesync, the convergence tracker) — the engine
 never talks to gateways, exactly like real Magma's health dashboards.
 
-This module is a *consumer* of the orchestrator (duck-typed; no import),
-so the orchestrator can build one without a dependency cycle.
+This module is a *consumer* of the orchestrator (duck-typed; only the
+offline threshold is imported, when an engine is built), so the
+orchestrator can build one without a load-time dependency cycle.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ class HealthEngine:
     """Computes health reports from an orchestrator's stores."""
 
     def __init__(self, orchestrator, slo: Optional[HealthSlo] = None):
+        from ..core.orchestrator.orchestrator import OFFLINE_THRESHOLD
         self.orc = orchestrator
         self.slo = slo or HealthSlo()
+        self.offline_after = OFFLINE_THRESHOLD
 
     # -- per-AGW ---------------------------------------------------------------
 
@@ -119,9 +122,8 @@ class HealthEngine:
             subscores["cpu"] = 1.0
 
         # Check-in freshness against the offline threshold.
-        offline_after = self.orc.config.offline_threshold
         age = now - state.last_checkin
-        subscores["freshness"] = _clamp(1.0 - age / offline_after)
+        subscores["freshness"] = _clamp(1.0 - age / self.offline_after)
         detail["checkin_age_s"] = age
 
         # Convergence: how stale is this gateway's applied config?
@@ -145,7 +147,7 @@ class HealthEngine:
             "score": score,
             "subscores": subscores,
             "detail": detail,
-            "shard": self._shard_id_for(gateway_id),
+            "shard": self.orc.shard_for(gateway_id).shard_id,
         }
 
     @staticmethod
@@ -163,10 +165,6 @@ class HealthEngine:
         else:
             best = max(linked, key=lambda s: s.value)
         return best
-
-    def _shard_id_for(self, gateway_id: str) -> str:
-        shard = self.orc.shard_for(gateway_id)
-        return shard.shard_id if shard is not None else self.orc.node
 
     # -- rollups ---------------------------------------------------------------
 

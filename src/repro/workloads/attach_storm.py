@@ -34,14 +34,11 @@ class AttachStorm:
                  offered_mbps_after_attach: float = 0.0,
                  monitor: Optional[Monitor] = None,
                  on_attached: Optional[Callable[[Ue], None]] = None,
-                 retries: int = 0, retry_delay: float = 3.0,
-                 summary_only: bool = False, summary_bin_width: float = 5.0):
+                 retries: int = 0, retry_delay: float = 3.0):
         if rate_per_sec <= 0:
             raise ValueError("attach rate must be positive")
         if retries < 0 or retry_delay <= 0:
             raise ValueError("retries must be >= 0 and delay positive")
-        if summary_bin_width <= 0:
-            raise ValueError("summary bin width must be positive")
         self.sim = sim
         self.ues = ues
         self.rate = rate_per_sec
@@ -50,25 +47,15 @@ class AttachStorm:
         self.on_attached = on_attached
         self.retries = retries
         self.retry_delay = retry_delay
-        # Summary mode (fleet-scale storms): per-attempt AttachRecord
-        # objects and the per-UE outcome dict grow O(attempts); with 10⁵+
-        # UEs they are the storm's memory bill.  summary_only keeps exact
-        # counters and fixed-width CSR bins instead — csr_bins() then only
-        # answers for the configured width.
-        self.summary_only = summary_only
-        self.summary_bin_width = summary_bin_width
         self.records: List[AttachRecord] = []
         self.ue_outcomes: dict = {}   # imsi -> final success (after retries)
         self.done = sim.event("attach-storm-done")
         self._outstanding = 0
         self._launched = 0
         self._attempts_left: dict = {}
-        self._attempts = 0
         self._successes = 0
         self._ue_final_ok = 0
         self._ue_final_total = 0
-        self._bin_totals: dict = {}     # bin index -> attempts started there
-        self._bin_successes: dict = {}
         self._next_index = 0
 
     def start(self) -> None:
@@ -100,19 +87,12 @@ class AttachStorm:
             lambda ev: self._on_done(ue, started, ev.value))
 
     def _on_done(self, ue: Ue, started: float, outcome: AttachOutcome) -> None:
-        self._attempts += 1
         if outcome.success:
             self._successes += 1
-        bin_index = int(started / self.summary_bin_width)
-        self._bin_totals[bin_index] = self._bin_totals.get(bin_index, 0) + 1
-        if outcome.success:
-            self._bin_successes[bin_index] = \
-                self._bin_successes.get(bin_index, 0) + 1
-        if not self.summary_only:
-            self.records.append(AttachRecord(
-                imsi=ue.imsi, started_at=started, finished_at=self.sim.now,
-                success=outcome.success, latency=outcome.latency,
-                cause=outcome.cause))
+        self.records.append(AttachRecord(
+            imsi=ue.imsi, started_at=started, finished_at=self.sim.now,
+            success=outcome.success, latency=outcome.latency,
+            cause=outcome.cause))
         if self.monitor is not None:
             self.monitor.record("attach.outcome", self.sim.now,
                                 1.0 if outcome.success else 0.0)
@@ -131,8 +111,7 @@ class AttachStorm:
         self._ue_final_total += 1
         if outcome.success:
             self._ue_final_ok += 1
-        if not self.summary_only:
-            self.ue_outcomes[ue.imsi] = outcome.success
+        self.ue_outcomes[ue.imsi] = outcome.success
         if outcome.success and self.on_attached is not None:
             self.on_attached(ue)
         if self._launched == len(self.ues) and self._outstanding == 0 \
@@ -144,9 +123,6 @@ class AttachStorm:
     def success_count(self) -> int:
         return self._successes
 
-    def attempt_count(self) -> int:
-        return self._attempts
-
     def ue_success_fraction(self) -> float:
         """Fraction of UEs that ended up attached (after retries)."""
         if not self._ue_final_total:
@@ -154,26 +130,16 @@ class AttachStorm:
         return self._ue_final_ok / self._ue_final_total
 
     def overall_csr(self) -> float:
-        if not self._attempts:
+        if not self.records:
             raise ValueError("no attach attempts recorded")
-        return self._successes / self._attempts
+        return self._successes / len(self.records)
 
     def csr_bins(self, width: float = 5.0) -> List[tuple]:
         """Connection success rate per time bin, the Fig. 6 metric.
 
         Binned by *attempt start time*; returns [(bin_start, csr), ...]
-        skipping empty bins.  In summary mode only the configured
-        ``summary_bin_width`` is answerable (per-attempt records are not
-        retained); other widths raise.
+        skipping empty bins.
         """
-        if width == self.summary_bin_width:
-            return [(i * width,
-                     self._bin_successes.get(i, 0) / self._bin_totals[i])
-                    for i in sorted(self._bin_totals)]
-        if self.summary_only:
-            raise ValueError(
-                f"summary-mode storm binned at {self.summary_bin_width}s; "
-                f"csr_bins({width}) needs per-attempt records")
         if not self.records:
             return []
         t_end = max(r.started_at for r in self.records) + width

@@ -1,4 +1,9 @@
-"""Every example script must run to completion (end-to-end smoke)."""
+"""Every example script must run to completion (end-to-end smoke).
+
+``quickstart.py`` and ``rural_isp.py`` cross the orchestrator over
+backhaul (``rural_isp.py`` also runs headless and recovers from a
+checkpoint); their whole stdout is deterministic and pinned.
+"""
 
 import os
 import subprocess
@@ -16,6 +21,35 @@ EXAMPLES = [
     ("enterprise_5g.py", "enterprise 5G scenario complete"),
 ]
 
+#: Whole stdout of the two examples that cross the orchestrator.
+EXPECTED_STDOUT = {
+    "quickstart.py": (
+        "[t= 12.0s] AGW synced 1 subscriber(s) from the orchestrator\n"
+        "[t= 13.1s] attach: success=True latency=1.12s ip=10.128.0.1\n"
+        "[t= 15.1s] session agw-1-s1: policy=bronze agw_teid=0x1000"
+        " enb_teid=0x2000\n"
+        "[t= 25.1s] offered 50.0 Mbps, achieved 10.0 Mbps (policy-limited)\n"
+        "[t= 27.1s] detached; CDR: 12,500,000 bytes over 12s\n"
+        "[t= 37.1s] orchestrator metric attach_accepted=1 for agw-1\n"
+        "quickstart complete\n"),
+    "rural_isp.py": (
+        "[t=  40.0s] subscriberdb sizes per site: [12, 12, 12]"
+        " (all 12 subscribers, synced over satellite)\n"
+        "[t=  58.5s] all 12 subscribers attached\n"
+        "[t=  68.5s] first subscriber used 23.0 MB, rate now 10.0 Mbps"
+        " (full)\n"
+        "[t=  68.5s] *** satellite backhaul outage begins ***\n"
+        "[t= 131.6s] re-attach during outage: success=False"
+        " (cached subscriber, headless AGW)\n"
+        "[t= 671.6s] *** backhaul restored ***\n"
+        "[t= 676.6s] site 2 down; sites 0-1 still serving 7 sessions\n"
+        "[t= 676.6s] site 2 battery back: 4 sessions restored from"
+        " checkpoint\n"
+        "[t= 676.6s] metered 842.5 MB in active sessions; OCS charged"
+        " 150.0 MB to prepaid users over 150 quota grants\n"
+        "rural ISP scenario complete\n"),
+}
+
 
 @pytest.mark.parametrize("script,sentinel", EXAMPLES)
 def test_example_runs(script, sentinel):
@@ -24,3 +58,5 @@ def test_example_runs(script, sentinel):
         capture_output=True, text=True, timeout=240)
     assert result.returncode == 0, result.stderr
     assert sentinel in result.stdout
+    if script in EXPECTED_STDOUT:
+        assert result.stdout == EXPECTED_STDOUT[script]

@@ -80,6 +80,10 @@ def test_scaling_point_small():
     assert point.checkin_success_fraction == 1.0
     assert point.convergence_fraction == 1.0
     assert point.orchestrator_cpu_util < 0.5
+    # Busy core-seconds of the main node and every shard over the whole
+    # cluster's cores: the figure a single-CPU orchestrator measured.
+    assert point.orchestrator_cpu_util == pytest.approx(
+        0.0012922222222222649, rel=1e-12)
 
 
 def test_scaling_stub_metrics_use_the_backfill_path():
@@ -88,6 +92,10 @@ def test_scaling_stub_metrics_use_the_backfill_path():
     the reply acks the entry's seq, and the check-in is charged for four
     samples."""
     from repro.core.orchestrator import Orchestrator
+    from repro.core.orchestrator.orchestrator import (
+        CHECKIN_CPU_COST,
+        METRICS_CPU_COST_PER_SAMPLE,
+    )
     from repro.experiments.scaling import AgwStub
     from repro.net.simnet import Link, Network
     from repro.sim import RngRegistry, Simulator
@@ -98,7 +106,8 @@ def test_scaling_stub_metrics_use_the_backfill_path():
     network.connect("agw-0", "orc", Link(latency=0.02))
     stub = AgwStub(sim, network, "agw-0", "orc", interval=10.0, offset=1.0)
     exchanges, charges = [], []
-    handle_checkin, submit = orc.statesync.handle_checkin, orc.cpu.submit
+    shard = orc.shards[0]
+    handle_checkin, submit = shard.statesync.handle_checkin, shard.cpu.submit
 
     def spy_checkin(request):
         response = handle_checkin(request)
@@ -109,8 +118,8 @@ def test_scaling_stub_metrics_use_the_backfill_path():
         charges.append((cls, demand))
         return submit(cls, demand)
 
-    orc.statesync.handle_checkin = spy_checkin
-    orc.cpu.submit = spy_submit
+    shard.statesync.handle_checkin = spy_checkin
+    shard.cpu.submit = spy_submit
     sim.run(until=35.0)
 
     assert stub.checkins_ok == len(exchanges) == 4
@@ -126,9 +135,8 @@ def test_scaling_stub_metrics_use_the_backfill_path():
     assert [s.time for s in samples] == sent
     assert [s.time for s in orc.metricsd.query(
         "cpu_util", {"gateway_id": "agw-0"})] == sent
-    config = orc.config
-    assert charges == [("checkin", config.checkin_cpu_cost
-                        + 4 * config.metrics_cpu_cost_per_sample)] * 4
+    assert charges == [("checkin", CHECKIN_CPU_COST
+                        + 4 * METRICS_CPU_COST_PER_SAMPLE)] * 4
 
 
 def test_state_sync_point_lossless():

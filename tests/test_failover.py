@@ -85,6 +85,30 @@ def test_fail_back_returns_sessions_to_primary():
     assert session.bytes_dl >= 5000  # updated state came back
 
 
+def test_fail_back_leaves_the_backup_with_no_ue_contexts():
+    """A UE that attached through the backup leaves a context there;
+    stepping down wipes it with the rest of the runtime state."""
+    site, backup = site_with_backup(num_ues=3)
+    first, second = site.ues[:2]
+    assert site.run_attach(first).success
+    site.sim.run(until=site.sim.now + 2.0)
+    site.agw.magmad.checkpoint_now()
+    site.agw.crash()
+    promote_backup(backup, "agw-1")
+    done = site.enbs[0].retarget_core("agw-backup")
+    response = site.sim.run_until_triggered(done,
+                                            limit=site.sim.now + 30.0)
+    assert response.accepted
+    assert site.run_attach(second).success
+    assert len(backup.mme.contexts) == 1
+    site.agw.recover(from_checkpoint=False)
+    assert fail_back(site.agw, backup) == 2
+    assert backup.mme.contexts == {}
+    assert backup.mme._by_imsi == {}
+    assert backup.sessiond.session_count() == 0
+    assert list(backup.pipelined.installed_imsis()) == []
+
+
 def test_promote_requires_checkpoint():
     site, backup = site_with_backup()
     attach_all(site)

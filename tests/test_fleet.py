@@ -1,9 +1,9 @@
 """Units for the cohort-aggregated fleet scale-out path.
 
 Covers the binomial sampler, the kernel's batched periodic timer, the
-bounded/streaming Series mode, the AGW bulk entry points, the AttachStorm
-summary mode, and the UeFleet tick machinery (conservation, determinism,
-rotation fairness, sampled sub-population).
+bounded/streaming Series mode, the AGW bulk entry points, and the UeFleet
+tick machinery (conservation, determinism, rotation fairness, sampled
+sub-population).
 """
 
 import math
@@ -16,7 +16,6 @@ from repro.experiments.scaling import AgwStub
 from repro.lte.ue import UeState
 from repro.sim import Monitor, RngRegistry, Simulator
 from repro.sim.monitor import Series
-from repro.workloads import AttachStorm
 from repro.workloads.fleet import (
     AgwFleetAdapter,
     CohortSpec,
@@ -172,35 +171,6 @@ def test_fleet_load_drives_user_plane_demand():
     assert site.agw.pipelined.fleet_served_mbps() == 0.0
     with pytest.raises(ValueError):
         site.agw.pipelined.set_fleet_load(-1.0)
-
-
-# -- AttachStorm summary mode --------------------------------------------------
-
-
-def _run_storm(summary_only):
-    site = build(num_enbs=2, num_ues=30, seed=5)
-    storm = AttachStorm(site.sim, site.ues, rate_per_sec=3.0,
-                        summary_only=summary_only)
-    storm.start()
-    site.sim.run_until_triggered(storm.done, limit=200.0)
-    return storm
-
-
-def test_storm_summary_mode_matches_full_mode():
-    full = _run_storm(summary_only=False)
-    summary = _run_storm(summary_only=True)
-    assert summary.records == []
-    assert summary.ue_outcomes == {}
-    assert summary.attempt_count() == full.attempt_count() == len(full.records)
-    assert summary.success_count() == full.success_count()
-    assert summary.overall_csr() == full.overall_csr()
-    assert summary.ue_success_fraction() == full.ue_success_fraction()
-    assert summary.csr_bins(5.0) == full.csr_bins(5.0)
-    assert summary.median_csr(5.0) == full.median_csr(5.0)
-    with pytest.raises(ValueError):
-        summary.csr_bins(1.0)
-    # Full mode still answers arbitrary widths from its records.
-    assert full.csr_bins(2.0)
 
 
 # -- CohortSpec / UeFleet ------------------------------------------------------

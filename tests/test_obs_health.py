@@ -14,6 +14,7 @@ import pytest
 from repro.core.orchestrator.alerting import AlertManager
 from repro.core.orchestrator.config_store import ConfigStore
 from repro.core.orchestrator.metricsd import Metricsd
+from repro.core.orchestrator.orchestrator import OFFLINE_THRESHOLD
 from repro.core.orchestrator.statesync import (
     ConvergenceTracker,
     GatewayState,
@@ -39,14 +40,13 @@ class FakeStateSync:
 
 
 def fake_orc(sim, states, metricsd=None):
+    shard = SimpleNamespace(shard_id="orc-s0")
     return SimpleNamespace(
         sim=sim,
-        node="orc",
         statesync=FakeStateSync(states),
         metricsd=metricsd or Metricsd(),
         convergence=ConvergenceTracker(sim),
-        config=SimpleNamespace(offline_threshold=100.0),
-        shard_for=lambda gateway_id: None,
+        shard_for=lambda gateway_id: shard,
     )
 
 
@@ -113,7 +113,7 @@ def test_cpu_and_freshness_subscores_decay():
     state = gw("agw-0", sim)
     orc = fake_orc(sim, [state])
     orc.metricsd.ingest("cpu_util", 0.45, 0.0, {"gateway_id": "agw-0"})
-    sim._now = 50.0  # half the 100s offline threshold since last check-in
+    sim._now = OFFLINE_THRESHOLD / 2  # half the threshold since check-in
     engine = HealthEngine(orc, HealthSlo(cpu_util_ceiling=0.9))
     health = engine.agw_health("agw-0")
     assert health["subscores"]["cpu"] == pytest.approx(0.5)
@@ -144,7 +144,7 @@ def test_report_rolls_up_shards_and_fleet():
     engine = HealthEngine(orc)
     report = engine.report()
     assert set(report["agws"]) == {"agw-0", "agw-1"}
-    (shard,) = report["shards"].values()  # no shards -> orc node bucket
+    (shard,) = report["shards"].values()  # one shard, one bucket
     assert shard["agws"] == 2
     assert report["fleet"]["mean_score"] == pytest.approx(100.0)
 
@@ -153,7 +153,7 @@ def test_health_rule_fires_below_threshold():
     sim = Simulator()
     state = gw("agw-0", sim)
     orc = fake_orc(sim, [state, gw("agw-1", sim)])
-    sim._now = 95.0  # agw-0/1 both stale -> freshness ~0.05
+    sim._now = 0.95 * OFFLINE_THRESHOLD  # both stale -> freshness ~0.05
     engine = HealthEngine(orc)
     manager = AlertManager(clock=lambda: sim.now)
     manager.add_rule(health_rule(engine, threshold=90.0))
@@ -161,7 +161,7 @@ def test_health_rule_fires_below_threshold():
     assert sorted(a.subject for a in raised) == ["agw-0", "agw-1"]
     # Fresh check-ins resolve on the next evaluation.
     for s in orc.statesync.gateways():
-        s.last_checkin = 95.0
+        s.last_checkin = sim.now
     manager.evaluate()
     assert manager.active_alerts() == []
 

@@ -31,7 +31,7 @@ def logged(send_roots=True, num_subscribers=3, num_enbs=0):
         # (the server treats None exactly like the field being absent).
         agw.magmad.mirror.roots = lambda: None
     log = []
-    statesync = orc.statesync
+    statesync = orc.shards[0].statesync
     real_checkin = statesync.handle_checkin
     real_reconcile = statesync.handle_reconcile
 
@@ -56,7 +56,7 @@ def logged(send_roots=True, num_subscribers=3, num_enbs=0):
 def test_incremental_change_ships_leaf_delta_not_bundle():
     sim, orc, agw, log, monitor = logged(num_subscribers=200)
     sim.run(until=7.0)                       # first check-in: full bundle
-    ss = orc.statesync
+    ss = orc.shards[0].statesync
     assert ss.stats["config_pushes"] == 1    # version 0 -> full bundle
     assert len(agw.subscriberdb) == 200
     bundle_tx = ss.stats["tx_bytes"]
@@ -92,7 +92,7 @@ def test_deletion_propagates_as_tombstone():
     assert agw.subscriberdb.get(make_imsi(2)) is None
     assert len(agw.subscriberdb) == 2
     assert agw.magmad.mirror.roots() == \
-        orc.statesync.reconciler.roots("default")
+        orc.shards[0].statesync.reconciler.roots("default")
 
 
 def test_malformed_leaf_path_is_an_error_reply_and_applies_nothing():
@@ -132,7 +132,7 @@ def test_malformed_leaf_path_is_an_error_reply_and_applies_nothing():
     assert agw.magmad.stats["reconciles"] == 1
     assert set(agw.subscriberdb.all_imsis()) == before | {make_imsi(999)}
     assert agw.magmad.mirror.roots() == \
-        orc.statesync.reconciler.roots("default")
+        orc.shards[0].statesync.reconciler.roots("default")
 
 
 def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
@@ -157,7 +157,7 @@ def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
     orc.store.delete("ran", "pci")
     orc.delete_policy("gold")
     sim.run(until=13.0)                      # second check-in: digest walk
-    assert orc.statesync.stats["config_pushes"] == 1    # no second bundle
+    assert orc.shards[0].statesync.stats["config_pushes"] == 1    # no second bundle
     assert agw.magmad.stats["reconciles"] == 1
     assert agw.magmad.stats["delta_upserts"] == 2
     assert agw.magmad.stats["delta_tombstones"] == 2
@@ -167,7 +167,7 @@ def test_ran_config_and_policy_tombstone_reach_the_enodeb_device():
     assert not agw.policydb.has("gold")
     assert agw.magmad.config_version == orc.store.version
     assert agw.magmad.mirror.roots() == \
-        orc.statesync.reconciler.roots("default")
+        orc.shards[0].statesync.reconciler.roots("default")
 
 
 def test_identical_rewrite_fast_forwards_without_transfer():
@@ -179,7 +179,7 @@ def test_identical_rewrite_fast_forwards_without_transfer():
     orc.add_subscriber(SubscriberProfile(imsi=make_imsi(1), k=k, opc=opc))
     assert orc.store.version > agw.magmad.config_version
     sim.run(until=13.0)
-    assert orc.statesync.stats["digest_elisions"] == 1
+    assert orc.shards[0].statesync.stats["digest_elisions"] == 1
     assert agw.magmad.stats["digest_fast_forwards"] == 1
     assert agw.magmad.stats["reconciles"] == 0
     assert agw.magmad.config_version == orc.store.version
@@ -188,7 +188,7 @@ def test_identical_rewrite_fast_forwards_without_transfer():
 def test_in_sync_gateway_gets_no_config_and_no_walk():
     sim, orc, agw, log, monitor = logged()
     sim.run(until=23.0)                      # several idle check-ins
-    ss = orc.statesync
+    ss = orc.shards[0].statesync
     assert agw.magmad.stats["checkins_ok"] >= 4
     assert ss.stats["config_pushes"] == 1    # only the first sync
     assert ss.stats["digest_syncs"] == 0

@@ -1,5 +1,7 @@
 """Sharded orchestrator: assignment, routing, fail/restore (repro.core.sync)."""
 
+import pytest
+
 from repro.core.orchestrator import Orchestrator
 from repro.core.orchestrator.statesync import StateSync
 from repro.core.sync import ConsistentHashRing
@@ -59,23 +61,28 @@ def test_ring_growth_moves_about_one_nth_of_keys():
 # -- routing: check-ins and metrics land on the owning shard ------------------------
 
 
-def build_sharded(num_shards=4, num_agws=12, interval=5.0, sanitizer=None):
+def build_sharded(num_shards=4, num_agws=12, interval=5.0, sanitizer=None,
+                  via_main=0):
+    """``num_agws`` stubs address their shard's node; ``via_main`` more
+    address the main node, which routes them in-process."""
     sim = Simulator(sanitizer=sanitizer)
     rng = RngRegistry(7)
     network = Network(sim, rng)
     orc = Orchestrator(sim, network, "orc", num_shards=num_shards)
     stubs = []
-    for i in range(num_agws):
+    for i in range(num_agws + via_main):
         node = f"agw-{i}"
-        target = orc.shard_node_for(node)
+        target = orc.shard_node_for(node) if i < num_agws else "orc"
         network.connect(node, target, Link(latency=0.02))
         stubs.append(AgwStub(sim, network, node, target,
                              interval=interval, offset=0.1 + 0.01 * i))
     return sim, network, orc, stubs
 
 
-def test_checkins_land_on_owning_shard_only():
-    sim, network, orc, stubs = build_sharded()
+@pytest.mark.parametrize("num_shards", [1, 4])
+def test_checkins_land_on_owning_shard_only(num_shards):
+    sim, network, orc, stubs = build_sharded(num_shards=num_shards,
+                                             via_main=4)
     sim.run(until=12.0)
     for stub in stubs:
         owner = orc.shard_for(stub.node)
@@ -87,6 +94,14 @@ def test_checkins_land_on_owning_shard_only():
     assert orc.statesync.gateway_count() == len(stubs)
     assert {g.gateway_id for g in orc.statesync.gateways()} == \
         {stub.node for stub in stubs}
+
+
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_orchestrator_needs_at_least_one_shard(num_shards):
+    sim = Simulator()
+    network = Network(sim, RngRegistry(0))
+    with pytest.raises(ValueError, match="at least one shard"):
+        Orchestrator(sim, network, "orc", num_shards=num_shards)
 
 
 def test_metrics_land_on_owning_shard_and_merge():
