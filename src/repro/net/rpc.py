@@ -76,54 +76,65 @@ def payload_bytes(obj: Any) -> int:
     names included), any other object a flat 16.
     It is pure arithmetic over the object graph: no ``id()``, no
     ``repr`` of arbitrary objects, so the same payload always measures
-    the same on any run or platform.  ``tests/test_rpc_payload_bytes.py``
-    holds the recursive rule-per-line walker this replaced as the oracle.
+    the same on any run or platform.  ``tests/reference_payload_bytes.py``
+    holds the two walkers this replaced as oracles.
 
-    The walk is one iterative depth-first pass over the object graph.
-    ``stack`` holds one iterator per container being walked, so scalars
-    are sized where they are met and memory is O(nesting depth) however
-    wide the payload.  The shapes real messages are made of dispatch on
-    their exact type, a dataclass seen before on its per-type plan (only
-    its values are walked); everything else (subclasses, sets, a
-    dataclass type's first instance, opaque objects) goes through
-    :func:`_other_bytes`.
+    One frame per container: the shapes real messages are made of
+    dispatch on their exact type, a dataclass seen before on its
+    per-type plan (only its values are walked), and the strings, numbers,
+    ``None``, bools and bytes in a container are sized inside its loop
+    (keys: exact ``str`` only).  Only a
+    nested container, a dataclass or an unknown type costs a call;
+    everything else (subclasses, sets, a dataclass type's first
+    instance, opaque objects) goes through :func:`_other_bytes`.
+    Recursion depth is the payload's nesting depth, so a payload nested
+    deeper than the interpreter's recursion limit (real messages nest
+    about 6 deep), or one that contains itself, raises
+    ``RecursionError``.
     """
-    total = 0
-    stack = [iter((obj,))]
-    while stack:
-        for node in stack[-1]:
-            kind = type(node)
-            if kind is str:
-                # UTF-8 length without encoding: ASCII is one byte a char.
-                total += 2 + (len(node) if node.isascii()
-                              else len(node.encode("utf-8")))
-            elif kind is float or kind is int:
-                total += 8
-            elif kind is dict:
-                total += 2
-                stack.append(itertools.chain(node, node.values()))
-                break
-            elif kind is list or kind is tuple:
-                total += 2
-                stack.append(iter(node))
-                break
-            elif node is None or kind is bool:
-                total += 1
-            elif kind is bytes:
-                total += 2 + len(node)
-            elif kind in _DATACLASS_PLANS:
-                own, values_of = _DATACLASS_PLANS[kind]
-                total += own
-                stack.append(iter(values_of(node)))
-                break
+    kind = type(obj)
+    if kind is dict:
+        total = 2
+        for key in obj:
+            if type(key) is str:
+                total += 2 + (len(key) if key.isascii()
+                              else len(key.encode("utf-8")))
             else:
-                own, members = _other_bytes(node)
-                total += own
-                if members is not None:
-                    stack.append(iter(members))
-                    break
+                total += payload_bytes(key)
+        members = obj.values()
+    elif kind is list or kind is tuple:
+        total = 2
+        members = obj
+    elif kind in _DATACLASS_PLANS:
+        # ``total`` starts at the plan's own bytes, envelope included.
+        total, values_of = _DATACLASS_PLANS[kind]
+        members = values_of(obj)
+    elif kind is str:
+        # UTF-8 length without encoding: ASCII is one byte a char.
+        return 2 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
+    elif kind is float or kind is int:
+        return 8
+    elif obj is None or kind is bool:
+        return 1
+    elif kind is bytes:
+        return 2 + len(obj)
+    else:
+        total, members = _other_bytes(obj)
+        if members is None:
+            return total
+    for value in members:
+        kind = type(value)
+        if kind is str:
+            total += 2 + (len(value) if value.isascii()
+                          else len(value.encode("utf-8")))
+        elif kind is float or kind is int:
+            total += 8
+        elif value is None or kind is bool:
+            total += 1
+        elif kind is bytes:
+            total += 2 + len(value)
         else:
-            stack.pop()
+            total += payload_bytes(value)
     return total
 
 

@@ -1,9 +1,10 @@
-"""Wire sizing: the single-pass sizer against the walker it replaced.
+"""Wire sizing: the recursive sizer against the two walkers it replaced.
 
-``reference_payload_bytes`` is the recursive rule-per-line walker that
-lived in ``repro.net.rpc`` until the sizer became one iterative pass; it
-stays here, verbatim, as the oracle.  Sizes feed ``tx_bytes`` /
-``rx_bytes`` and every wire-bytes canary, so "close" is not a pass.
+``tests/reference_payload_bytes.py`` holds, verbatim, the recursive
+rule-per-line ladder the sizer started as and the iterative
+stack-of-iterators pass that replaced it; both are oracles here.  Sizes
+feed ``tx_bytes`` / ``rx_bytes`` and every wire-bytes canary, so "close"
+is not a pass.
 """
 
 import dataclasses
@@ -11,37 +12,17 @@ import enum
 from collections import OrderedDict, namedtuple
 from typing import Any, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_payload_bytes import (iterative_payload_bytes,
+                                     reference_payload_bytes)
 from repro.core.agw import SubscriberProfile
 from repro.core.orchestrator import ConfigStore, StateSync
 from repro.core.sync import DigestMirror, ReconcileClient
 from repro.net.rpc import payload_bytes
 from repro.sim import Simulator
-
-
-def reference_payload_bytes(obj: Any) -> int:
-    if obj is None or isinstance(obj, bool):
-        return 1
-    if isinstance(obj, (int, float)):
-        return 8
-    if isinstance(obj, str):
-        return 2 + len(obj.encode("utf-8"))
-    if isinstance(obj, (bytes, bytearray)):
-        return 2 + len(obj)
-    if isinstance(obj, dict):
-        return 2 + sum(reference_payload_bytes(k) + reference_payload_bytes(v)
-                       for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 2 + sum(reference_payload_bytes(item) for item in obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return 2 + sum(reference_payload_bytes(f.name)
-                       + reference_payload_bytes(getattr(obj, f.name))
-                       for f in dataclasses.fields(obj))
-    # Opaque object: charge a fixed envelope rather than guessing from a
-    # repr (which could embed memory addresses and break determinism).
-    return 16
 
 
 # -- every rule's edge -------------------------------------------------------------
@@ -111,12 +92,23 @@ EDGE_CASES = [
     Opaque(), [Opaque(), {"o": Opaque()}],
     {"gateway_id": "gw-1", "status": {"health": {"checks": {"x": True}}},
      "metrics_backlog": [{"seq": 1, "time": 1.0, "metrics": {"m": 2.0}}]},
+    # Keys the inline exact-``str`` arm must leave to the recursive call.
+    {7: "i", (0, 3): [1], True: None, None: 2.5, Rat.NR: "n", Tag("t"): 1,
+     "plain": b"\x01"},
+    # Values the inline scalar arms must leave to the recursive call, in
+    # a dict and in a list.
+    {"dc": Inner("d"), "od": OrderedDict(a=1), "nt": Pair(None, 2.0),
+     "set": {1, 2}, "ba": bytearray(b"xy"), "rat": Rat.LTE, "tag": Tag("v"),
+     "empty": Empty(), "single": Single("s")},
+    [Inner("d"), OrderedDict(a=1), Pair(None, 2.0), {1, 2}, bytearray(b"xy"),
+     Rat.LTE, Tag("v"), Empty(), Single("s"), Opaque()],
 ]
 
 
 def test_fast_sizer_matches_reference_on_every_rule_edge():
     for case in EDGE_CASES:
-        assert payload_bytes(case) == reference_payload_bytes(case), case
+        assert payload_bytes(case) == reference_payload_bytes(case) == \
+            iterative_payload_bytes(case), case
     assert payload_bytes(Opaque()) == 16
     assert payload_bytes(True) == 1 and payload_bytes(1) == 8
     assert payload_bytes(Rat.NR) == 8
@@ -128,6 +120,31 @@ def test_fast_sizer_matches_reference_on_every_rule_edge():
     # + a 1-char string, a float, 16 bytes and an int.
     assert payload_bytes(Keyed("k", 2.0, b"\x00" * 16, 3)) == \
         2 + (6 + 8 + 5 + 9) + (3 + 8 + 18 + 8)
+
+
+def nested_lists(depth: int) -> Any:
+    payload: Any = 0
+    for _ in range(depth):
+        payload = [payload]
+    return payload
+
+
+def test_a_500_deep_list_sizes_like_the_iterative_walker():
+    # The ladder spends two frames a level (function + generator), so it
+    # cannot reach this depth; the iterative walker has no depth bound.
+    deep = nested_lists(500)
+    assert payload_bytes(deep) == iterative_payload_bytes(deep) == \
+        500 * 2 + 8 == 1008
+
+
+def test_a_payload_that_contains_itself_raises_recursion_error():
+    looped_list: list = [1, "a"]
+    looped_list.append(looped_list)
+    looped_dict: dict = {"a": 1}
+    looped_dict["self"] = looped_dict
+    for looped in (looped_list, looped_dict):
+        with pytest.raises(RecursionError):
+            payload_bytes(looped)
 
 
 scalars = st.one_of(
@@ -166,7 +183,8 @@ payloads = st.recursive(scalars, containers, max_leaves=40)
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_fast_sizer_matches_reference_on_nested_payloads(payload):
-    assert payload_bytes(payload) == reference_payload_bytes(payload)
+    assert payload_bytes(payload) == reference_payload_bytes(payload) == \
+        iterative_payload_bytes(payload)
 
 
 # -- golden sizes of real messages -------------------------------------------------
