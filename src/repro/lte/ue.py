@@ -96,8 +96,7 @@ class UeBase:
         span = tracer_of(self.sim).begin(name, component="ue",
                                          tags={"imsi": self.imsi, **tags})
         if span.recording:
-            result.add_callback(lambda ev: span.end(
-                "ok" if _succeeded(ev) else "error"))
+            span.end_on(result, ok=_succeeded)
         return span
 
     def _guarded(self, inner: Event, timeout: float, name: str):

@@ -19,7 +19,10 @@ tracer installed but ``sample_rate=0`` every root span is the shared
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
+
+# 48-bit ids: unique enough for any run, exactly representable in JSON.
+_ID_BITS = 48
 
 
 class SpanContext(NamedTuple):
@@ -27,6 +30,9 @@ class SpanContext(NamedTuple):
 
     trace_id: int
     span_id: int
+
+
+_new_context = tuple.__new__
 
 
 class _Activation:
@@ -52,10 +58,10 @@ class _Activation:
 class Span:
     """One timed operation within a trace.
 
-    Spans are recorded on the tracer at creation and closed by
-    :meth:`end` (directly, via the context-manager protocol, or deferred
-    with :meth:`end_on`).  ``start``/``end_time`` are virtual-clock
-    seconds; ``end_time`` is None while the span is open.
+    A span is recorded on its tracer when it opens and closed by
+    :meth:`end` (directly, via the context-manager protocol, or when an
+    event triggers with :meth:`end_on`).  ``start``/``end_time`` are
+    virtual-clock seconds; ``end_time`` is None while the span is open.
     """
 
     __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "name",
@@ -64,13 +70,20 @@ class Span:
 
     recording = True
 
-    def __init__(self, tracer: "Tracer", trace_id: int, span_id: int,
-                 parent_id: Optional[int], name: str, component: str,
-                 node: str, tags: Optional[Dict[str, Any]] = None):
+    def __init__(self, tracer: "Tracer", parent: Optional[SpanContext],
+                 name: str, component: str, node: str,
+                 tags: Optional[Dict[str, Any]] = None):
+        """Open a child of ``parent``, or a new trace's root when it is
+        None, and record it.  The one body behind every way to open a
+        span: ids drawn and the record appended inline, on the hot path."""
+        ids = tracer._ids
         self.tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        if parent is None:
+            self.trace_id = ids.getrandbits(_ID_BITS)
+            self.parent_id = None
+        else:
+            self.trace_id, self.parent_id = parent
+        self.span_id = ids.getrandbits(_ID_BITS)
         self.name = name
         self.component = component
         self.node = node
@@ -79,10 +92,17 @@ class Span:
         self.tags: Dict[str, Any] = dict(tags) if tags else {}
         self.status = "open"
         self._prev_ctx = None
+        spans = tracer.spans
+        if len(spans) < tracer.max_spans:
+            spans.append(self)
+            tracer.stats["spans"] += 1
+        else:
+            tracer.stats["spans_dropped"] += 1
 
     @property
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
+        # tuple.__new__ skips the namedtuple's generated __new__ frame.
+        return _new_context(SpanContext, (self.trace_id, self.span_id))
 
     @property
     def duration(self) -> float:
@@ -105,11 +125,23 @@ class Span:
         self.end_time = self.tracer.sim.now
         self.status = status
 
-    def end_on(self, event: Any) -> "Span":
-        """Close the span when ``event`` triggers (ok/error by outcome)."""
-        event.add_callback(
-            lambda ev: self.end("ok" if ev.ok else "error"))
+    def end_on(self, event: Any,
+               ok: Optional[Callable[[Any], bool]] = None) -> "Span":
+        """Close the span when ``event`` triggers, at the trigger's instant:
+        "ok" if ``ok(event)`` (by default, if the event succeeded), else
+        "error".  The close is an event watcher, so it takes no kernel
+        entry."""
+        if ok is None:
+            event.watch(self._end_by_outcome)
+        else:
+            event.watch(lambda ev: self.end("ok" if ok(ev) else "error"))
         return self
+
+    def _end_by_outcome(self, event: Any) -> None:
+        # end()'s body inline: the watcher behind most closed spans.
+        if self.end_time is None:
+            self.end_time = self.tracer.sim.now
+            self.status = "ok" if event.ok else "error"
 
     def active(self) -> _Activation:
         """``with span.active():`` - ambient activation without ending."""
@@ -163,7 +195,8 @@ class NoopSpan:
     def end(self, status: str = "ok") -> None:
         pass
 
-    def end_on(self, event: Any) -> "NoopSpan":
+    def end_on(self, event: Any,
+               ok: Optional[Callable[[Any], bool]] = None) -> "NoopSpan":
         return self
 
     def active(self) -> "NoopSpan":
@@ -216,11 +249,7 @@ class Tracer:
                 self._sampler.random() >= self.sample_rate:
             return NOOP_SPAN
         self.stats["traces_sampled"] += 1
-        trace_id = self._new_id()
-        span = Span(self, trace_id, self._new_id(), None, name,
-                    component, node, tags)
-        self._record(span)
-        return span
+        return Span(self, None, name, component, node, tags)
 
     def start_span(self, name: str, parent: Optional[SpanContext],
                    component: str = "", node: str = "",
@@ -228,16 +257,15 @@ class Tracer:
         """Child span of an explicit parent context (None -> no-op)."""
         if parent is None:
             return NOOP_SPAN
-        span = Span(self, parent.trace_id, self._new_id(), parent.span_id,
-                    name, component, node, tags)
-        self._record(span)
-        return span
+        return Span(self, parent, name, component, node, tags)
 
     def child(self, name: str, component: str = "", node: str = "",
               tags: Optional[Dict[str, Any]] = None):
         """Child of the ambient context; no-op when none is active."""
-        return self.start_span(name, self.sim.ctx, component=component,
-                               node=node, tags=tags)
+        parent = self.sim.ctx
+        if parent is None:
+            return NOOP_SPAN
+        return Span(self, parent, name, component, node, tags)
 
     def begin(self, name: str, component: str = "", node: str = "",
               tags: Optional[Dict[str, Any]] = None):
@@ -247,9 +275,9 @@ class Tracer:
         user-initiated (a fresh trace) or network-initiated mid-trace
         (e.g. a service request triggered by paging).
         """
-        if self.sim.ctx is not None:
-            return self.start_span(name, self.sim.ctx, component=component,
-                                   node=node, tags=tags)
+        parent = self.sim.ctx
+        if parent is not None:
+            return Span(self, parent, name, component, node, tags)
         return self.start_trace(name, component=component, node=node,
                                 tags=tags)
 
@@ -257,19 +285,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans = []
-
-    # -- internals ---------------------------------------------------------
-
-    def _new_id(self) -> int:
-        # 48 bits: unique enough for any run, exactly representable in JSON.
-        return self._ids.getrandbits(48)
-
-    def _record(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
-            self.stats["spans_dropped"] += 1
-            return
-        self.spans.append(span)
-        self.stats["spans"] += 1
 
 
 class NoopTracer:

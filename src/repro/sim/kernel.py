@@ -177,10 +177,12 @@ class Event:
     An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
     triggers it exactly once and resumes all waiting processes.  Waiting on an
     already-triggered event resumes the waiter immediately (on the next
-    kernel step).
+    kernel step).  A watcher (:meth:`watch`) observes the trigger inline
+    instead, without a kernel entry.
     """
 
-    __slots__ = ("sim", "_ok", "_value", "_callbacks", "_triggered", "name")
+    __slots__ = ("sim", "_ok", "_value", "_callbacks", "_triggered", "name",
+                 "_watchers")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -189,6 +191,8 @@ class Event:
         self._value: Any = None
         self._callbacks: List[Callable[["Event"], None]] = []
         self._triggered = False
+        # None until the first watch(): an unwatched trigger pays one test.
+        self._watchers: Optional[List[Callable[["Event"], None]]] = None
 
     @property
     def triggered(self) -> bool:
@@ -221,6 +225,11 @@ class Event:
         self._triggered = True
         self._ok = ok
         self._value = value
+        watchers = self._watchers
+        if watchers is not None:
+            self._watchers = None
+            for fn in watchers:
+                fn(self)
         callbacks, self._callbacks = self._callbacks, []
         sim = self.sim
         for cb in callbacks:
@@ -232,6 +241,22 @@ class Event:
             self.sim.call_later(0.0, cb, self)
         else:
             self._callbacks.append(cb)
+
+    def watch(self, fn: Callable[["Event"], None]) -> None:
+        """Run ``fn(self)`` inline and once when the event triggers, before
+        its callbacks are queued; at once if it already has.
+
+        A watcher only observes: it may read the event and the clock, but
+        must not schedule, trigger, spawn, resume or raise, because it runs
+        inside whatever dispatch triggered the event.  It takes no kernel
+        entry and no sequence number, so watching never moves event order.
+        """
+        if self._triggered:
+            fn(self)
+        elif self._watchers is None:
+            self._watchers = [fn]
+        else:
+            self._watchers.append(fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"

@@ -118,8 +118,7 @@ class WifiAp:
         span = tracer_of(self.sim).begin("eap", component="ap",
                                          tags={"imsi": username})
         if span.recording:
-            done.add_callback(lambda ev: span.end(
-                "ok" if ev.value.connected else "error"))
+            span.end_on(done, ok=lambda ev: ev.value.connected)
         self.sim.spawn(proc(self.sim), name=f"wifi-auth:{username}",
                        ctx=span.context)
         return done

@@ -34,3 +34,11 @@ def counted(fn, *args, **kwargs):
 def calls(fn, *args, **kwargs):
     """The calls ``fn`` executed."""
     return counted(fn, *args, **kwargs)[1]
+
+
+def entries_scheduled(sim):
+    """Entries ``sim`` has ever scheduled, by the kernel's sequence
+    counter; the probe itself takes one number."""
+    probe = sim.schedule(0.0, lambda: None)
+    probe.cancel()
+    return probe.seq

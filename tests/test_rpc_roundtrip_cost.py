@@ -13,7 +13,7 @@ cost 88.9 calls and 5 entries.
 from repro.net import Link, Network, RpcChannel, RpcError, RpcServer
 from repro.sim import Hook, RngRegistry, Simulator
 
-from costs import calls
+from costs import calls, entries_scheduled
 
 CALLS = 10
 #: Calls and kernel entries per lossless two-hop round trip, the first
@@ -32,13 +32,6 @@ def two_hops(loss=0.0):
     server = RpcServer(sim, net, "server")
     channel = RpcChannel(sim, net, "client", "server")
     return sim, server, channel
-
-
-def entries_scheduled(sim):
-    """Entries ever scheduled: the kernel's sequence counter."""
-    probe = sim.schedule(0.0, lambda: None)
-    probe.cancel()
-    return probe.seq
 
 
 def test_a_lossless_two_hop_round_trip_stays_inside_its_budget():

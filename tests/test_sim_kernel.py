@@ -152,6 +152,45 @@ def test_waiting_on_already_triggered_event():
     assert got == ["early"]
 
 
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_a_watcher_runs_inline_at_the_trigger_before_any_callback(outcome):
+    sim = Simulator()
+    ev = sim.event()
+    seen = []
+    ev.add_callback(lambda e: seen.append(("callback", sim.now)))
+    ev.watch(lambda e: seen.append(("watch", sim.now, e.ok)))
+    ev.watch(lambda e: seen.append(("watch2", sim.now, e.ok)))
+    sim.run(until=1.0)
+    if outcome == "succeed":
+        ev.succeed("v")
+    else:
+        ev.fail(RuntimeError("boom"))
+    ok = outcome == "succeed"
+    # Inline: both watchers ran inside the trigger, in order, before the
+    # callback they were registered after.
+    assert seen == [("watch", 1.0, ok), ("watch2", 1.0, ok)]
+    sim.run()
+    assert seen[2:] == [("callback", 1.0)]
+
+
+def test_a_watcher_on_a_triggered_event_runs_at_once_and_only_once():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("early")
+    seen = []
+    ev.watch(lambda e: seen.append(e.value))
+    assert seen == ["early"]
+    sim.run()
+    assert seen == ["early"]
+    late = sim.event()
+    late.watch(seen.append)
+    late.succeed()
+    sim.run()
+    with pytest.raises(SimulationError):
+        late.succeed()
+    assert seen == ["early", late]
+
+
 def test_process_waits_on_process():
     sim = Simulator()
 

@@ -3,7 +3,8 @@
 Random programs - timers and fire-and-forget calls at delays on both
 sides of the far-buffer cutoff and far beyond it, ties, periodic calls,
 cancels, callbacks that schedule more, processes that sleep,
-race an event with ``any_of`` and get interrupted - are played on both
+race an event with ``any_of``, get interrupted and are watched (a watcher
+logs inline when its process ends) - are played on both
 kernels, stopped in legs by ``run()``, ``run(until=)`` and
 ``run_until_triggered``.  The ``(now, tag)`` firing sequence, every run's
 return value or error and the clock after it must be identical.
@@ -29,6 +30,7 @@ op = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("process"), st.lists(delay, min_size=1, max_size=3),
               st.booleans(), st.one_of(st.none(), delay)),
+    st.tuples(st.just("watch"), st.integers(0, 20)),
     st.tuples(st.just("run")),
     st.tuples(st.just("until"), delay),
     st.tuples(st.just("triggered"), st.integers(0, 20),
@@ -94,6 +96,9 @@ def play(kernel, program):
             processes.append(proc)
             if interrupt_at is not None:
                 sim.schedule(interrupt_at, proc.interrupt, tag)
+        elif kind == "watch" and processes:
+            target = processes[args[0] % len(processes)]
+            target.watch(lambda ev, tag=tag: log.append((sim.now, tag)))
         elif kind in ("run", "until", "triggered"):
             try:
                 if kind == "run":
@@ -124,8 +129,8 @@ def test_oracle_program_covers_every_stop_mode():
     program = [("schedule", 4.0, 2, 0.25, 64.0),
                ("process", [1.0, 1500.0], True, 2.0),
                ("process", [0.1, 0.1], False, None),
-               ("periodic", 1.0, 3),
-               ("until", 1.0), ("triggered", 1, None),
+               ("periodic", 1.0, 3), ("watch", 0),
+               ("until", 1.0), ("triggered", 1, None), ("watch", 1),
                ("triggered", 0, 0.25), ("triggered", 0, 4.0),
                ("until", 63.9), ("run",)]
     log = play(Simulator, program)
@@ -136,3 +141,8 @@ def test_oracle_program_covers_every_stop_mode():
     assert stops[2][1:3] == ("SimulationError: time limit 1.25 reached "
                              "while waiting", 1.25)
     assert stops[3][1:3] == ("interrupted", 2.0)
+    # A watcher logs inside the dispatch that ends its process, so before
+    # the stop that waited on it; one on an ended process logs at once.
+    interrupted = log.index((2.0, "process1.interrupted.process1"))
+    assert log[interrupted + 1] == (2.0, "watch4")
+    assert log[log.index(stops[1]) + 1] == (1.0, "watch7")
