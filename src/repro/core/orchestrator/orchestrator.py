@@ -282,7 +282,11 @@ class Orchestrator:
         return self.metricsd.query(name, labels)
 
     def health_report(self) -> Dict[str, Any]:
-        """Northbound: per-AGW, per-shard, and fleet health scores."""
+        """Northbound: per-AGW, per-shard, and fleet health scores.
+
+        Each gateway is scored from its owner shard's own registry and
+        metrics store, not through the merged views (``HealthEngine``).
+        """
         return self.health.report()
 
     def evaluate_alerts(self):

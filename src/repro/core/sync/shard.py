@@ -23,6 +23,7 @@ so this package must not import ``statesync`` back.
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .digest import key_hash
@@ -31,6 +32,8 @@ from .digest import key_hash
 #: falls off as ~1/sqrt(vnodes); 256 keeps the max/mean shard load
 #: within a few percent at 10k gateways (the chi-square test bound).
 DEFAULT_VNODES = 256
+
+_BY_TIME = attrgetter("time")
 
 
 class ConsistentHashRing:
@@ -117,7 +120,7 @@ class MergedMetricsView:
         out: List[Any] = []
         for metricsd in self._metricsds:
             out.extend(metricsd.query(name, labels))
-        out.sort(key=lambda sample: sample.time)
+        out.sort(key=_BY_TIME)
         return out
 
     def latest(self, name: str,

@@ -30,12 +30,16 @@ orchestrator can build one without a load-time dependency cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from ..sim.monitor import percentile
 
 ATTACH_LATENCY_METRIC = "attach_latency_s"
 CONVERGENCE_METRIC = "sync.convergence.lag_s"
+
+_BY_TIME = attrgetter("time")
+_BY_VALUE = attrgetter("value")
 
 
 @dataclass
@@ -56,7 +60,17 @@ def _clamp(value: float) -> float:
 
 
 class HealthEngine:
-    """Computes health reports from an orchestrator's stores."""
+    """Computes health reports from an orchestrator's stores.
+
+    Every gateway is scored on its owner shard: its registration from
+    that shard's ``statesync`` and its series from that shard's
+    ``metricsd``, one read per metric.  This rests on sharding's
+    ownership precondition - a gateway checks in to, registers on and
+    ships ``gateway_id``-labelled samples to its owner shard only - so
+    the owner's store holds every sample the merged view would return.
+    Samples are still read in capture-time order (stably sorted, as the
+    merged view returns them): back-filled rows can arrive out of order.
+    """
 
     def __init__(self, orchestrator, slo: Optional[HealthSlo] = None):
         from ..core.orchestrator.orchestrator import OFFLINE_THRESHOLD
@@ -68,21 +82,27 @@ class HealthEngine:
 
     def agw_health(self, gateway_id: str) -> Optional[Dict[str, Any]]:
         """Subscores, blended score, and supporting numbers for one AGW."""
-        state = self.orc.statesync.gateway(gateway_id)
+        shard = self.orc.shard_for(gateway_id)
+        state = shard.statesync.gateway(gateway_id)
         if state is None:
             return None
+        return self._score(state, shard)
+
+    def _score(self, state, shard) -> Dict[str, Any]:
+        """Score ``state`` against its owner ``shard``'s metrics store."""
+        gateway_id = state.gateway_id
         now = self.orc.sim.now
         t0 = now - self.slo.window
         labels = {"gateway_id": gateway_id}
-        metricsd = self.orc.metricsd
+        query = shard.metricsd.query
         subscores: Dict[str, float] = {}
         detail: Dict[str, Any] = {}
 
         # Attach success: windowed delta of the cumulative counters.
-        accepted = [s for s in metricsd.query("attach_accepted", labels)
-                    if s.time >= t0]
-        requested = [s for s in metricsd.query("attach_requests", labels)
-                     if s.time >= t0]
+        accepted = sorted([s for s in query("attach_accepted", labels)
+                           if s.time >= t0], key=_BY_TIME)
+        requested = sorted([s for s in query("attach_requests", labels)
+                            if s.time >= t0], key=_BY_TIME)
         d_req = requested[-1].value - requested[0].value \
             if len(requested) >= 2 else 0.0
         d_acc = accepted[-1].value - accepted[0].value \
@@ -95,8 +115,8 @@ class HealthEngine:
             subscores["attach"] = 1.0  # no attempts: nothing failing
 
         # Attach latency p99 + exemplar.
-        lat = [s for s in metricsd.query(ATTACH_LATENCY_METRIC, labels)
-               if s.time >= t0]
+        lat = sorted([s for s in query(ATTACH_LATENCY_METRIC, labels)
+                      if s.time >= t0], key=_BY_TIME)
         if lat:
             p99 = percentile([s.value for s in lat], 99.0)
             subscores["latency"] = _clamp(self.slo.attach_p99_slo_s / p99) \
@@ -113,7 +133,7 @@ class HealthEngine:
             subscores["latency"] = 1.0
 
         # CPU headroom from the freshest utilization sample.
-        cpu = metricsd.latest("cpu_util", labels)
+        cpu = shard.metricsd.latest("cpu_util", labels)
         if cpu is not None:
             subscores["cpu"] = _clamp(
                 1.0 - cpu.value / self.slo.cpu_util_ceiling)
@@ -147,47 +167,46 @@ class HealthEngine:
             "score": score,
             "subscores": subscores,
             "detail": detail,
-            "shard": self.orc.shard_for(gateway_id).shard_id,
+            "shard": shard.shard_id,
         }
 
     @staticmethod
     def _exemplar_at_or_above(samples: List[Any], threshold: float):
         """The trace-linked sample closest above the threshold (falling
         back to the largest linked one), or None if no sample in the
-        window carries a trace id."""
-        best = None
+        window carries a trace id.  Ties go to the earliest sample."""
         linked = [s for s in samples if s.trace_id is not None]
         if not linked:
             return None
         at_or_above = [s for s in linked if s.value >= threshold]
         if at_or_above:
-            best = min(at_or_above, key=lambda s: s.value)
-        else:
-            best = max(linked, key=lambda s: s.value)
-        return best
+            return min(at_or_above, key=_BY_VALUE)
+        return max(linked, key=_BY_VALUE)
 
     # -- rollups ---------------------------------------------------------------
 
     def report(self) -> Dict[str, Any]:
-        """Per-AGW, per-shard, and fleet health at the current sim time."""
+        """Per-AGW, per-shard, and fleet health at the current sim time.
+
+        Walks the shards in order, each over its own registry, so AGWs
+        come out grouped by shard and a shard with no gateways has no row.
+        """
         agws: Dict[str, Dict[str, Any]] = {}
-        for state in self.orc.statesync.gateways():
-            health = self.agw_health(state.gateway_id)
-            if health is not None:
-                agws[state.gateway_id] = health
         shards: Dict[str, Dict[str, Any]] = {}
-        for health in agws.values():
-            row = shards.setdefault(health["shard"], {
-                "agws": 0, "score_sum": 0.0, "min_score": 100.0,
-                "worst_agw": None})
-            row["agws"] += 1
-            row["score_sum"] += health["score"]
-            if health["score"] <= row["min_score"]:
-                row["min_score"] = health["score"]
-                row["worst_agw"] = health["gateway_id"]
-        for row in shards.values():
-            row["mean_score"] = row["score_sum"] / row["agws"]
-            del row["score_sum"]
+        for shard in self.orc.shards:
+            count, score_sum, min_score, worst = 0, 0.0, 100.0, None
+            for state in shard.statesync.gateways():
+                health = self._score(state, shard)
+                agws[state.gateway_id] = health
+                score = health["score"]
+                count += 1
+                score_sum += score
+                if score <= min_score:
+                    min_score, worst = score, state.gateway_id
+            if count:
+                shards[shard.shard_id] = {
+                    "agws": count, "min_score": min_score,
+                    "worst_agw": worst, "mean_score": score_sum / count}
         convergence = self.orc.convergence
         fleet = {
             "time": self.orc.sim.now,

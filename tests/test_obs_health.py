@@ -40,11 +40,16 @@ class FakeStateSync:
 
 
 def fake_orc(sim, states, metricsd=None):
-    shard = SimpleNamespace(shard_id="orc-s0")
+    """One shard owning every gateway; ``statesync``/``metricsd`` are that
+    shard's stores, so tests write through either handle."""
+    shard = SimpleNamespace(shard_id="orc-s0",
+                            statesync=FakeStateSync(states),
+                            metricsd=metricsd or Metricsd())
     return SimpleNamespace(
         sim=sim,
-        statesync=FakeStateSync(states),
-        metricsd=metricsd or Metricsd(),
+        shards=[shard],
+        statesync=shard.statesync,
+        metricsd=shard.metricsd,
         convergence=ConvergenceTracker(sim),
         shard_for=lambda gateway_id: shard,
     )

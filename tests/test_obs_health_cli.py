@@ -1,0 +1,38 @@
+"""``python -m repro.obs health`` prints the same report, byte for byte.
+
+The health CLI stands up a sharded fleet of real AGWs and prints per-AGW,
+per-shard and fleet scores with exemplar-linked attach p99s; everything
+in it is simulated, so its stdout is deterministic.  The golden below was
+taken before health scoring moved onto each gateway's owner shard.
+"""
+
+from repro.obs.cli import main
+
+GOLDEN = """\
+fleet health @ t=120.0s: 8 AGWs, mean 99.8, min 99.8
+convergence lag (publish → all applied): default=5.13s
+  no unconverged publishes
+
+per-shard:
+  orc-s0   agws=1   mean=  99.8  min=  99.8  worst=agw-6
+  orc-s1   agws=1   mean=  99.8  min=  99.8  worst=agw-7
+  orc-s2   agws=5   mean=  99.8  min=  99.8  worst=agw-0
+  orc-s3   agws=1   mean=  99.8  min=  99.8  worst=agw-5
+
+per-AGW:
+  agw-0    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=6cc7ee0e4295
+  agw-1    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=ee37cc0462cd
+  agw-2    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=76018d2e84bb
+  agw-3    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=e01a13385dae
+  agw-4    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=496ea7162bd3
+  agw-5    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=a093ebf2ae47
+  agw-6    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=d40a903ef0d3
+  agw-7    score=  99.8  attach=1.00 latency=1.00 cpu=1.00 fresh=0.98 conv=1.00  p99=621.2ms trace=9e0aa4bcaee5
+
+exemplar check: 8/8 p99 exemplars resolve to recorded traces
+"""
+
+
+def test_health_cli_stdout_is_pinned(capsys):
+    assert main(["health", "--agws", "8", "--shards", "4"]) == 0
+    assert capsys.readouterr().out == GOLDEN
