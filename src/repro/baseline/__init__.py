@@ -5,13 +5,11 @@ from .crud_sync import (
     CrudSynchronizer,
     DesiredStateSynchronizer,
 )
-from .epc import EpcConfig, EpcUeContext, MonolithicEpc
+from .epc import MonolithicEpc
 
 __all__ = [
     "CrudReplica",
     "CrudSynchronizer",
     "DesiredStateSynchronizer",
-    "EpcConfig",
-    "EpcUeContext",
     "MonolithicEpc",
 ]

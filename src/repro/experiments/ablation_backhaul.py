@@ -19,6 +19,7 @@ from ..baseline import MonolithicEpc
 from ..core.agw import AccessGateway, SubscriberProfile
 from ..deploy import subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi
+from ..lte.gtp import GtpcEndpoint
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator, median
 from .common import format_table
@@ -72,18 +73,17 @@ def _measure(architecture: str, profile: str, num_ues: int,
         network.add_node("orc-far")
         network.connect("core", "orc-far", link)      # backhaul: northbound
         network.connect("enb-1", "core", backhaul.lan())
-        provision = lambda p: agw.subscriberdb.upsert(p)  # noqa: E731
         agw.start()
     else:
-        epc = MonolithicEpc(sim, network, "core", rng=rng)
+        agw = MonolithicEpc(sim, network, "core", rng=rng).agw
         network.connect("enb-1", "core", link)        # backhaul: to the core
-        provision = lambda p: epc.provision(p)  # noqa: E731
+        GtpcEndpoint(sim, network, "enb-1")           # answers GTP echoes
     enb = Enodeb(sim, network, "enb-1", "core")
     ues = []
     for i in range(num_ues):
         imsi = make_imsi(i + 1)
         k, opc = subscriber_keys(i + 1)
-        provision(SubscriberProfile(imsi=imsi, k=k, opc=opc))
+        agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
         ues.append(Ue(sim, imsi, k, opc, enb))
     enb.s1_setup()
     sim.run(until=10.0)

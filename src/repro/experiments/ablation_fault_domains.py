@@ -45,19 +45,27 @@ class FaultDomainResult:
             self.rows())
 
 
-def _serving(agw_or_epc, imsis) -> int:
-    count = 0
-    for imsi in imsis:
-        if isinstance(agw_or_epc, AccessGateway):
-            if agw_or_epc.sessiond.session(imsi) is not None \
-                    and not agw_or_epc.crashed:
-                count += 1
-        else:
-            context = agw_or_epc.context_for(imsi)
-            if context is not None and context.state == "registered" \
-                    and not agw_or_epc.crashed:
-                count += 1
-    return count
+def _serving(agw: AccessGateway, imsis) -> int:
+    if agw.crashed:
+        return 0
+    return sum(1 for imsi in imsis if agw.sessiond.session(imsi) is not None)
+
+
+def _attach_site(sim, agw: AccessGateway, enb, first: int,
+                 count: int) -> List[str]:
+    """Provision and attach ``count`` UEs at ``enb``, numbered from
+    ``first``; returns their IMSIs."""
+    imsis = []
+    for index in range(first, first + count):
+        imsi = make_imsi(index)
+        k, opc = subscriber_keys(index)
+        agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
+        ue = Ue(sim, imsi, k, opc, enb)
+        outcome = sim.run_until_triggered(ue.attach(), limit=sim.now + 120)
+        if not outcome.success:
+            raise RuntimeError(f"setup attach failed: {outcome.cause}")
+        imsis.append(imsi)
+    return imsis
 
 
 def run_fault_domain_ablation(num_sites: int = 4, ues_per_site: int = 5,
@@ -70,7 +78,6 @@ def run_fault_domain_ablation(num_sites: int = 4, ues_per_site: int = 5,
     store = CheckpointStore()
     agws: List[AccessGateway] = []
     site_imsis: List[List[str]] = []
-    index = 1
     for s in range(num_sites):
         agw = AccessGateway(sim_m, net_m, f"agw-{s}",
                             checkpoint_store=store,
@@ -80,20 +87,9 @@ def run_fault_domain_ablation(num_sites: int = 4, ues_per_site: int = 5,
         agw.start()
         enb.s1_setup()
         sim_m.run(until=sim_m.now + 1.0)
-        imsis = []
-        for _u in range(ues_per_site):
-            imsi = make_imsi(index)
-            k, opc = subscriber_keys(index)
-            index += 1
-            agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-            ue = Ue(sim_m, imsi, k, opc, enb)
-            done = ue.attach()
-            outcome = sim_m.run_until_triggered(done, limit=sim_m.now + 120)
-            if not outcome.success:
-                raise RuntimeError("magma setup attach failed")
-            imsis.append(imsi)
         agws.append(agw)
-        site_imsis.append(imsis)
+        site_imsis.append(_attach_site(sim_m, agw, enb,
+                                       1 + s * ues_per_site, ues_per_site))
     sim_m.run(until=sim_m.now + 15.0)  # settle + checkpoint
     # Fail one AGW.
     victim = agws[0]
@@ -108,26 +104,16 @@ def run_fault_domain_ablation(num_sites: int = 4, ues_per_site: int = 5,
     net_b = Network(sim_b, RngRegistry(seed))
     epc = MonolithicEpc(sim_b, net_b, "epc", rng=RngRegistry(seed))
     all_imsis_b: List[str] = []
-    index = 1
     for s in range(num_sites):
         net_b.connect(f"enb-{s}", "epc", backhaul.fiber())
         enb = Enodeb(sim_b, net_b, f"enb-{s}", "epc")
         enb.s1_setup()
         sim_b.run(until=sim_b.now + 1.0)
-        for _u in range(ues_per_site):
-            imsi = make_imsi(index)
-            k, opc = subscriber_keys(index)
-            index += 1
-            epc.provision(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-            ue = Ue(sim_b, imsi, k, opc, enb)
-            done = ue.attach()
-            outcome = sim_b.run_until_triggered(done, limit=sim_b.now + 120)
-            if not outcome.success:
-                raise RuntimeError("baseline setup attach failed")
-            all_imsis_b.append(imsi)
+        all_imsis_b += _attach_site(sim_b, epc.agw, enb,
+                                    1 + s * ues_per_site, ues_per_site)
     sim_b.run(until=sim_b.now + 5.0)
     epc.crash()
-    serving_after_b = _serving(epc, all_imsis_b)
+    serving_after_b = _serving(epc.agw, all_imsis_b)
     baseline_affected = (total_ues - serving_after_b) / total_ues
 
     return FaultDomainResult(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..baseline import EpcConfig, MonolithicEpc
+from ..baseline import MonolithicEpc
 from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
 from ..core.orchestrator import Orchestrator
 from ..deploy import subscriber_keys
@@ -62,17 +62,29 @@ def _attach_all(sim, ues, limit=600.0):
     sim.run(until=sim.now + 3.0)
 
 
+def _outage(sim, network, node, agw, ues, seconds):
+    """Take ``node`` off the network for ``seconds`` and let things settle;
+    returns ``(sessions lost, UEs stuck)``."""
+    sessions_before = agw.sessiond.session_count()
+    network.set_node_up(node, False)
+    sim.run(until=sim.now + seconds)
+    network.set_node_up(node, True)
+    sim.run(until=sim.now + 30.0)
+    return (sessions_before - agw.sessiond.session_count(),
+            sum(1 for ue in ues if ue.state == UeState.STUCK))
+
+
 def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
                      outage_seconds: float = 60.0,
                      seed: int = 0) -> GtpAblationResult:
     fragile_count = int(num_ues * fragile_fraction)
 
-    def make_ues(sim, enb, provision):
+    def make_ues(sim, enb, agw):
         ues = []
         for i in range(num_ues):
             imsi = make_imsi(i + 1)
             k, opc = subscriber_keys(i + 1)
-            provision(imsi, k, opc)
+            agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
             fragile = i < fragile_count
             ues.append(Ue(sim, imsi, k, opc, enb,
                           config=UeConfig(fragile_baseband=fragile)))
@@ -81,28 +93,20 @@ def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
     # ---- Baseline: EPC across the backhaul -----------------------------------
     sim_b = Simulator()
     net_b = Network(sim_b, RngRegistry(seed))
-    epc = MonolithicEpc(sim_b, net_b, "epc",
-                        config=EpcConfig(gtp_echo_interval=5.0),
-                        rng=RngRegistry(seed))
+    epc = MonolithicEpc(sim_b, net_b, "epc", rng=RngRegistry(seed),
+                        gtp_echo_interval=5.0)
     net_b.connect("site", "epc", backhaul.satellite())
     enb_b = Enodeb(sim_b, net_b, "site", "epc")
     enb_gtp = GtpcEndpoint(sim_b, net_b, "site")
     enb_gtp.set_path_failure_callback(
         lambda peer: enb_b.s1_path_failure("gtp path failure"))
     enb_gtp.start_path_monitor("epc", interval=5.0)
-    ues_b = make_ues(sim_b, enb_b,
-                     lambda imsi, k, opc: epc.provision(
-                         SubscriberProfile(imsi=imsi, k=k, opc=opc)))
+    ues_b = make_ues(sim_b, enb_b, epc.agw)
     enb_b.s1_setup()
     sim_b.run(until=sim_b.now + 5.0)
     _attach_all(sim_b, ues_b)
-    sessions_before_b = epc.session_count()
-    net_b.set_node_up("site", False)
-    sim_b.run(until=sim_b.now + outage_seconds)
-    net_b.set_node_up("site", True)
-    sim_b.run(until=sim_b.now + 30.0)
-    baseline_lost = sessions_before_b - epc.session_count()
-    baseline_stuck = sum(1 for ue in ues_b if ue.state == UeState.STUCK)
+    baseline_lost, baseline_stuck = _outage(sim_b, net_b, "site", epc.agw,
+                                            ues_b, outage_seconds)
 
     # ---- Magma: AGW at the site, orchestrator across the backhaul -------------
     sim_m = Simulator()
@@ -113,21 +117,14 @@ def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
                         orchestrator_node="orc", rng=RngRegistry(seed))
     net_m.connect("enb-1", "agw-1", backhaul.lan())
     enb_m = Enodeb(sim_m, net_m, "enb-1", "agw-1")
-    ues_m = make_ues(sim_m, enb_m,
-                     lambda imsi, k, opc: agw.subscriberdb.upsert(
-                         SubscriberProfile(imsi=imsi, k=k, opc=opc)))
+    ues_m = make_ues(sim_m, enb_m, agw)
     agw.start()
     enb_m.s1_setup()
     sim_m.run(until=sim_m.now + 5.0)
     _attach_all(sim_m, ues_m)
-    sessions_before_m = agw.sessiond.session_count()
     # The same outage: the backhaul (AGW <-> orchestrator) goes dark.
-    net_m.set_node_up("orc", False)
-    sim_m.run(until=sim_m.now + outage_seconds)
-    net_m.set_node_up("orc", True)
-    sim_m.run(until=sim_m.now + 30.0)
-    magma_lost = sessions_before_m - agw.sessiond.session_count()
-    magma_stuck = sum(1 for ue in ues_m if ue.state == UeState.STUCK)
+    magma_lost, magma_stuck = _outage(sim_m, net_m, "orc", agw, ues_m,
+                                      outage_seconds)
 
     return GtpAblationResult(
         num_ues=num_ues, fragile_fraction=fragile_fraction,

@@ -206,6 +206,16 @@ class RpcServer:
             raise ValueError(f"{service}/{method} already registered on {self.node}")
         self._handlers[key] = handler
 
+    def intercept(self, service: str, method: str,
+                  interceptor: Callable[[Any, Callable], Any]) -> None:
+        """Route service/method through ``interceptor(request, handler)``,
+        which calls the registered ``handler`` itself: a gRPC-style server
+        interceptor, for a host that adds behaviour around a service it
+        does not own."""
+        handler = self._handlers[(service, method)]
+        self._handlers[(service, method)] = \
+            lambda request: interceptor(request, handler)
+
     def unregister_service(self, service: str) -> None:
         for key in [k for k in self._handlers if k[0] == service]:
             del self._handlers[key]

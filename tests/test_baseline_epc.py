@@ -1,8 +1,8 @@
 """Baseline monolithic EPC: attach over backhaul, GTP fragility, fault domain."""
 
-from repro.baseline import MonolithicEpc, EpcConfig
+from repro.baseline import MonolithicEpc
 from repro.core.agw import SubscriberProfile
-from repro.deploy import subscriber_keys
+from repro.deploy import build, subscriber_keys
 from repro.lte import Enodeb, Ue, UeConfig, UeState, make_imsi
 from repro.lte.gtp import GtpcEndpoint
 from repro.net import Link, Network, backhaul
@@ -15,9 +15,8 @@ def build_baseline(backhaul_link=None, num_ues=1, fragile=False, seed=1,
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng)
-    epc = MonolithicEpc(sim, network, "epc",
-                        config=EpcConfig(gtp_echo_interval=echo_interval),
-                        rng=rng)
+    epc = MonolithicEpc(sim, network, "epc", rng=rng,
+                        gtp_echo_interval=echo_interval)
     link = backhaul_link or backhaul.fiber()
     network.connect("enb-1", "epc", link)
     enb = Enodeb(sim, network, "enb-1", "epc")
@@ -156,3 +155,59 @@ def test_epc_crash_is_a_large_fault_domain():
     epc.recover()
     done = ue2.attach()
     assert sim.run_until_triggered(done, limit=sim.now + 60.0).success
+
+
+def test_gtp_path_failure_mid_attach_leaves_nothing_behind():
+    """A UE whose AttachComplete is lost with the path goes too: no
+    session, no IP and no context survives for any UE at that eNodeB."""
+    sim, network, epc, enb, enb_gtp, ues = build_baseline(
+        backhaul_link=backhaul.satellite(), num_ues=6, seed=3)
+    for ue in ues:
+        outcome = sim.run_until_triggered(ue.attach(), limit=sim.now + 120.0)
+        assert outcome.success
+    # The site drops off the instant the last attach returns, so that
+    # UE's AttachComplete is still crossing the satellite.
+    network.set_node_up("enb-1", False)
+    sim.run(until=sim.now + 60.0)
+    network.set_node_up("enb-1", True)
+    sim.run(until=sim.now + 30.0)
+    assert epc.stats["gtp_path_failures"] == 1
+    assert epc.session_count() == 0
+    assert epc.agw.mobilityd.assigned_count == 0
+    assert [epc.context_for(ue.imsi) for ue in ues] == [None] * len(ues)
+
+
+def test_baseline_resynchronises_a_usim_ahead_of_the_hss():
+    """SQN resynchronisation belongs to the one access core, so a UE
+    whose USIM is ahead of the HSS attaches through the EPC as well."""
+    sim, network, epc, enb, enb_gtp, ues = build_baseline()
+    ues[0].usim_sqn = 25
+    outcome = sim.run_until_triggered(ues[0].attach(), limit=60.0)
+    assert outcome.success, outcome.cause
+    assert outcome.latency < 1.0
+
+
+def _attach_downlinks(sim, ue):
+    """The NAS message types ``ue`` receives during one attach."""
+    received = []
+    deliver = ue.deliver_nas
+
+    def record(message):
+        received.append(type(message).__name__)
+        return deliver(message)
+
+    ue.deliver_nas = record
+    outcome = sim.run_until_triggered(ue.attach(), limit=sim.now + 60.0)
+    assert outcome.success
+    return received
+
+
+def test_epc_and_agw_send_the_same_attach_downlinks():
+    """Only placement differs: one LTE attach through the EPC and through
+    a cell-site AGW sends the UE the same NAS downlinks."""
+    sim, network, epc, enb, enb_gtp, ues = build_baseline()
+    site = build()
+    through_epc = _attach_downlinks(sim, ues[0])
+    assert through_epc == _attach_downlinks(site.sim, site.ues[0])
+    assert through_epc == ["AuthenticationRequest", "SecurityModeCommand",
+                           "AttachAccept"]

@@ -1,0 +1,41 @@
+"""The three head-to-head ablations print the same tables, byte for byte.
+
+``python -m repro.experiments ablation-gtp ablation-faults
+ablation-backhaul`` runs Magma against the monolithic-EPC baseline on GTP
+termination (§3.1), fault domains (§3.3) and backhaul quality.  All of it
+is simulated, so its stdout is deterministic.  The Magma columns predate
+the baseline's move onto the AGW's access core and did not move with it;
+of the baseline cells only the satellite median did (2.12 s before).
+"""
+
+from repro.experiments.__main__ import main
+
+GOLDEN = """\
+=== ablation-gtp ================================================
+GTP-termination ablation: 12 UEs (50% fragile basebands), 60s backhaul outage
+architecture                      sessions_lost  ues_stuck
+--------------------------------  -------------  ---------
+baseline EPC (GTP over backhaul)  12             6        
+Magma (GTP terminated at AGW)     0              0        
+
+=== ablation-faults =============================================
+Fault-domain ablation: 4 sites x 5 UEs, one core element fails
+architecture              users_affected  sessions_restored
+------------------------  --------------  -----------------
+Magma (one AGW per site)  25%             5                
+baseline (one EPC)        100%            n/a              
+
+=== ablation-backhaul ===========================================
+Backhaul ablation (10 attaches per cell): attach latency and CSR by backhaul quality
+backhaul   magma_latency_s  magma_csr_pct  baseline_latency_s  baseline_csr_pct
+---------  ---------------  -------------  ------------------  ----------------
+fiber      1.12             100            0.23                100             
+microwave  1.12             100            0.30                100             
+satellite  1.12             100            2.11                100             
+
+"""
+
+
+def test_ablation_cli_stdout_is_pinned(capsys):
+    assert main(["ablation-gtp", "ablation-faults", "ablation-backhaul"]) == 0
+    assert capsys.readouterr().out == GOLDEN

@@ -147,6 +147,23 @@ def test_duplicate_registration_rejected():
         server.register("svc", "m", lambda r: None)
 
 
+def test_interceptor_wraps_the_registered_handler():
+    sim, net, server, channel = build()
+    server.register("svc", "m", lambda r: r + 1)
+    seen = []
+
+    def interceptor(request, handler):
+        response = handler(request)
+        seen.append((request, response))
+        return response * 10
+
+    server.intercept("svc", "m", interceptor)
+    assert call(sim, channel, "svc", "m", 1)["ok"] == 20
+    assert seen == [(1, 2)]
+    with pytest.raises(KeyError):
+        server.intercept("svc", "missing", interceptor)
+
+
 def test_unregister_service():
     sim, net, server, channel = build()
     server.register("svc", "m", lambda r: "ok")
