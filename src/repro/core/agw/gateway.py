@@ -163,17 +163,19 @@ class AccessGateway:
     def metrics_summary(self) -> Dict[str, float]:
         """The per-gateway telemetry bundle shipped at every check-in.
 
-        Session/attach counters, the pipelined lookup-stack gauges
-        (``dp_microflow_*``, ``dp_rules``, ...) and everything accumulated
-        in the AGW monitor, flattened to one {name: value} payload that
-        metricsd labels with this gateway's id.
+        Each value comes from the service of this gateway that owns it:
+        the MME's attach and idle counters, sessiond's session count,
+        magmad's check-in wire bytes, the CPU utilization since the
+        previous summary, and pipelined's lookup-stack gauges and fleet
+        load (``dp_*``).  One {name: value} payload with the same keys
+        at every check-in, which metricsd labels with this gateway's id.
         """
-        self.pipelined.record_datapath_metrics()
         mme = self.mme.stats
         metrics: Dict[str, float] = {
             "attach_requests": float(mme["attach_requests"]),
             "attach_accepted": float(mme["attach_accepted"]),
             "attach_rejected": float(mme["attach_rejected"]),
+            "idle_transitions": float(mme["idle_transitions"]),
             "sessions_active": float(self.sessiond.session_count()),
             "checkin_tx_bytes": float(self.magmad.stats["checkin_tx_bytes"]),
             "checkin_rx_bytes": float(self.magmad.stats["checkin_rx_bytes"]),
@@ -187,9 +189,7 @@ class AccessGateway:
             busy = cpu.busy_core_seconds()
             metrics["cpu_util"] = (busy - busy_then) / (cpu.cores * (now - since))
             self._cpu_mark = (now, busy)
-        monitor = self.context.monitor
-        metrics.update(monitor.counters())
-        metrics.update(monitor.gauges())
+        metrics.update(self.pipelined.datapath_metrics())
         return metrics
 
     # -- traffic integration (fluid user plane) ------------------------------------------

@@ -234,11 +234,6 @@ class Magmad:
     def _record_wire(self, tx: int = 0, rx: int = 0) -> None:
         self.stats["checkin_tx_bytes"] += tx
         self.stats["checkin_rx_bytes"] += rx
-        monitor = self.context.monitor
-        if tx:
-            monitor.count("checkin.tx_bytes", tx)
-        if rx:
-            monitor.count("checkin.rx_bytes", rx)
 
     def _buffer_metrics(self) -> None:
         """Snapshot current metrics into the seq-numbered backlog."""
@@ -265,11 +260,8 @@ class Magmad:
         sample's exemplar, carried through metricsd so the orchestrator's
         p99 stays resolvable to a real trace.
         """
-        monitor = self.context.monitor
-        name = f"attach.latency.{self.context.node}"
-        if not monitor.has_series(name):
-            return {}
-        rows = monitor.series(name).recent_samples(self._latency_since)
+        rows = self.gateway.mme.attach_latency.recent_samples(
+            self._latency_since)
         self._latency_since = self.context.sim.now
         if not rows:
             return {}

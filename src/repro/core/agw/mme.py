@@ -149,7 +149,11 @@ class AccessManagement:
         self.stats = {"attach_requests": 0, "attach_accepted": 0,
                       "attach_rejected": 0, "auth_failures": 0,
                       "detaches": 0, "unknown_subscriber": 0,
-                      "overload_drops": 0}
+                      "overload_drops": 0, "idle_transitions": 0}
+        #: Accepted attaches' latencies with their exemplars; magmad ships
+        #: the rows recorded since its previous check-in.
+        self.attach_latency = context.monitor.bounded_series(
+            f"attach.latency.{context.node}", 4096)
 
     # -- register ---------------------------------------------------------------------
 
@@ -225,15 +229,13 @@ class AccessManagement:
         if self.directoryd is not None:
             self.directoryd.update_location(
                 ue.imsi, ue.frontend.name, ue.frontend.location_of(ue.ue_ref))
-        self.context.monitor.count("mme.attach_accepted")
         # Attach latency with exemplar: the ambient span context (when
         # tracing is on) rides along as the sample's trace id, so the
         # orchestrator's p99 can be resolved back to this exact attach.
         sim = self.context.sim
         now = sim.now
         ctx = sim.ctx
-        self.context.monitor.bounded_series(
-            f"attach.latency.{self.context.node}", 4096).record(
+        self.attach_latency.record(
             now, now - ue.attach_started,
             trace_id=ctx.trace_id if ctx is not None else None)
 
@@ -268,7 +270,7 @@ class AccessManagement:
         only the radio side is gone until paging/service-request."""
         if self.sessiond.session(imsi) is not None:
             self.sessiond.set_connected(imsi, False)
-            self.context.monitor.count("mme.idle_transitions")
+            self.stats["idle_transitions"] += 1
 
     def page(self, imsi: str) -> bool:
         """Page an idle UE (downlink data pending).  Returns whether a

@@ -280,9 +280,9 @@ class Pipelined:
     def set_fleet_load(self, offered_mbps: float) -> None:
         """Offered downlink of the cohort-aggregated population, as one
         fluid demand instead of per-UE meters.  The CPU model polices it
-        (max-min against control-plane work, DESIGN.md §5), and the gauge
-        rides the normal datapath-metrics export so check-in telemetry
-        carries the fleet's user-plane load."""
+        (max-min against control-plane work, DESIGN.md §5), and
+        :meth:`datapath_metrics` reports it in every check-in bundle,
+        0.0 once the load is gone."""
         if offered_mbps < 0:
             raise ValueError(f"fleet load must be >= 0, got {offered_mbps}")
         self._fleet_offered_mbps = offered_mbps
@@ -300,29 +300,24 @@ class Pipelined:
         """Classifier decomposition + microflow cache counters (see switch)."""
         return self.switch.datapath_stats()
 
-    def record_datapath_metrics(self) -> None:
-        """Export lookup-stack gauges into the AGW monitor (metricsd feed).
-
-        Called from health/metrics collection loops; last value wins, so
-        it is safe to call at any cadence.
-        """
-        monitor = self.context.monitor
+    def datapath_metrics(self) -> Dict[str, float]:
+        """This gateway's lookup-stack gauges and fleet load, as floats
+        for its check-in bundle.  ``dp_fleet_offered_mbps`` is always
+        present (0.0 without a fleet), so the bundle keeps one shape."""
         dp = self.switch.datapath_stats()
         mf = dp["microflow"]
-        monitor.set_gauge("dp_microflow_size", mf["size"])
-        monitor.set_gauge("dp_microflow_hits", mf["hits"])
-        monitor.set_gauge("dp_microflow_misses", mf["misses"])
-        monitor.set_gauge("dp_microflow_evictions", mf["evictions"])
-        monitor.set_gauge("dp_microflow_invalidations", mf["invalidations"])
-        monitor.set_gauge("dp_rules",
-                          sum(t["rules"] for t in dp["tables"]))
-        monitor.set_gauge("dp_subtables",
-                          sum(t["subtables"] for t in dp["tables"]))
-        monitor.set_gauge("dp_residue_rules",
-                          sum(t["residue_rules"] for t in dp["tables"]))
-        if self._fleet_offered_mbps:
-            monitor.set_gauge("dp_fleet_offered_mbps",
-                              self._fleet_offered_mbps)
+        tables = dp["tables"]
+        return {
+            "dp_microflow_size": float(mf["size"]),
+            "dp_microflow_hits": float(mf["hits"]),
+            "dp_microflow_misses": float(mf["misses"]),
+            "dp_microflow_evictions": float(mf["evictions"]),
+            "dp_microflow_invalidations": float(mf["invalidations"]),
+            "dp_rules": float(sum(t["rules"] for t in tables)),
+            "dp_subtables": float(sum(t["subtables"] for t in tables)),
+            "dp_residue_rules": float(sum(t["residue_rules"] for t in tables)),
+            "dp_fleet_offered_mbps": float(self._fleet_offered_mbps),
+        }
 
     def _require(self, imsi: str) -> SessionFlows:
         flows = self._sessions.get(imsi)

@@ -1,4 +1,4 @@
-"""GTP-C: the 3GPP tunnel control protocol (baseline architecture).
+"""GTP-C path management: the echo exchange (baseline architecture).
 
 GTP-C runs over UDP with a fixed retry budget (3GPP TS 29.274: retransmit
 after T3 seconds, at most N3 times, then declare failure) and keeps tunnel
@@ -6,10 +6,13 @@ paths alive with periodic echo requests.  This is the protocol the paper
 singles out (§3.1) as "sensitive to loss and latency to the point that it
 struggles to operate over lower quality or congested backhaul links".
 
-In the *baseline* monolithic EPC, GTP-C crosses the backhaul between the
-RAN site and the remote core, so path failures tear down every session on
-the path - and fragile UEs never recover without a power cycle.  In Magma,
-GTP is terminated inside the AGW at the cell site and never experiences
+Only the echo request/response is modelled: an endpoint answers an
+``EchoRequest`` and silently drops any other request, as real GTP does an
+unknown one.  In the *baseline* monolithic EPC the echo path crosses the
+backhaul between the RAN site and the remote core, so a run of lost
+echoes declares path failure and tears down every session on the path -
+and fragile UEs never recover without a power cycle.  In Magma, GTP is
+terminated inside the AGW at the cell site and never experiences
 backhaul loss; this module is what the ablation in
 ``repro.experiments.ablation_gtp`` compares against.
 """
@@ -44,24 +47,9 @@ class EchoResponse:
     seq: int = 0
 
 
-@dataclass(frozen=True)
-class CreateSessionRequest:
-    imsi: str
-    sender_teid: int
-    bearer_id: int = 5
-    apn: str = "internet"
-
-
-@dataclass(frozen=True)
-class CreateSessionResponse:
-    imsi: str
-    ue_ip: str
-    sender_teid: int
-    cause: str = "accepted"
-
-
 class GtpcEndpoint:
-    """One GTP-C protocol endpoint (e.g. an SGW-facing MME, or a PGW)."""
+    """One GTP-C endpoint (e.g. an SGW toward its eNodeBs): sends
+    requests with T3/N3 retransmission, answers echoes, monitors paths."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
                  port: int = GTPC_PORT, t3: float = DEFAULT_T3,
@@ -78,7 +66,6 @@ class GtpcEndpoint:
         # response lands (or the request gives up): an un-cancelled T3 timer
         # rots for up to 3s per exchange and stretches run-until-drain.
         self._retry: Dict[int, Any] = {}
-        self._handlers: Dict[type, Callable[[Any, str], Any]] = {}
         self._path_monitors: Dict[str, bool] = {}  # peer -> active
         self._on_path_failure: Optional[Callable[[str], None]] = None
         self.stats = {"requests": 0, "responses": 0, "retransmits": 0,
@@ -87,11 +74,6 @@ class GtpcEndpoint:
         self._socket = DatagramSocket(network, node, port, self._on_datagram)
 
     # -- request/response ---------------------------------------------------------
-
-    def register_handler(self, message_type: type,
-                         handler: Callable[[Any, str], Any]) -> None:
-        """``handler(request, peer) -> response`` for a request type."""
-        self._handlers[message_type] = handler
 
     def set_path_failure_callback(self, cb: Callable[[str], None]) -> None:
         self._on_path_failure = cb
@@ -158,15 +140,10 @@ class GtpcEndpoint:
     def _on_datagram(self, payload: Any, src: str, port: int) -> None:
         kind, seq, body = payload
         if kind == "request":
+            # Anything but an echo is unknown here: silently dropped.
             if isinstance(body, EchoRequest):
-                response: Any = EchoResponse(seq=seq)
-            else:
-                handler = self._handlers.get(type(body))
-                if handler is None:
-                    return  # unknown message: silently dropped, like real GTP
-                response = handler(body, src)
-            if response is not None:
-                self._socket.send(src, self.port, ("response", seq, response))
+                self._socket.send(src, self.port,
+                                  ("response", seq, EchoResponse(seq=seq)))
         elif kind == "response":
             done = self._pending.pop(seq, None)
             timer = self._retry.pop(seq, None)

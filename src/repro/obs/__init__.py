@@ -1,7 +1,7 @@
 """Observability: procedure tracing, trace analysis, and export.
 
-The missing piece between the per-AGW :class:`~repro.sim.monitor.Monitor`
-and the orchestrator's :class:`~repro.core.orchestrator.metricsd.Metricsd`:
+The missing piece between each AGW's check-in metrics and the
+orchestrator's :class:`~repro.core.orchestrator.metricsd.Metricsd`:
 end-to-end traces of control-plane procedures (attach, paging, handover,
 checkpoint/restore, state sync) with deterministic ids and virtual-clock
 timestamps, plus critical-path analysis and Chrome-trace export.

@@ -272,12 +272,10 @@ def median(values: Sequence[float]) -> float:
 
 
 class Monitor:
-    """A registry of named series plus counter conveniences."""
+    """A registry of named time series."""
 
     def __init__(self):
         self._series: Dict[str, Series] = {}
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
 
     def series(self, name: str) -> Series:
         s = self._series.get(name)
@@ -317,24 +315,5 @@ class Monitor:
     def median(self, name: str) -> float:
         return self.percentile(name, 50.0)
 
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def counters(self) -> Dict[str, float]:
-        return dict(self._counters)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a last-value-wins metric (e.g. cache size, subtable count)."""
-        self._gauges[name] = float(value)
-
-    def gauges(self) -> Dict[str, float]:
-        return dict(self._gauges)
-
     def names(self) -> Iterable[str]:
         return self._series.keys()
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series

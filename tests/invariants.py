@@ -5,7 +5,7 @@ violations it found as strings (an empty list when the invariant holds),
 so any test - or a fuzzer checking at quiescent points - can call it.
 """
 
-from typing import List
+from typing import Dict, List
 
 
 def shard_ownership_violations(orc) -> List[str]:
@@ -35,4 +35,41 @@ def shard_ownership_violations(orc) -> List[str]:
                     violations.append(
                         f"series {name}{labels} stored on "
                         f"{shard.shard_id}, owner {owner}")
+    return violations
+
+
+def shipped_metric_violations(agw, shipped: Dict[str, float]) -> List[str]:
+    """Every metric a gateway ships is its own, and it ships all of them.
+
+    ``shipped`` is one bundle from ``agw.metrics_summary()``, checked at
+    the instant it was taken.  Each key must be owned by one of this
+    gateway's services and carry that service's current value: the MME's
+    counters, sessiond's session count, magmad's wire bytes, pipelined's
+    ``datapath_metrics()``.  ``cpu_util``, a mean since the previous
+    bundle, must be a fraction of the gateway's cores.
+    """
+    mme, magmad = agw.mme.stats, agw.magmad.stats
+    own = {
+        "attach_requests": mme["attach_requests"],
+        "attach_accepted": mme["attach_accepted"],
+        "attach_rejected": mme["attach_rejected"],
+        "idle_transitions": mme["idle_transitions"],
+        "sessions_active": agw.sessiond.session_count(),
+        "checkin_tx_bytes": magmad["checkin_tx_bytes"],
+        "checkin_rx_bytes": magmad["checkin_rx_bytes"],
+    }
+    own.update(agw.pipelined.datapath_metrics())
+    violations: List[str] = []
+    for name, value in shipped.items():
+        if name == "cpu_util":
+            if not 0.0 <= value <= 1.0:
+                violations.append(f"{agw.node} ships cpu_util={value}")
+        elif name not in own:
+            violations.append(f"{agw.node} ships {name}={value}, "
+                              f"which none of its services owns")
+        elif value != own[name]:
+            violations.append(f"{agw.node} ships {name}={value}, "
+                              f"its own is {own[name]}")
+    for name in own.keys() - shipped.keys():
+        violations.append(f"{agw.node} does not ship its own {name}")
     return violations

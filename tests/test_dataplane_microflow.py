@@ -234,9 +234,10 @@ def test_pipelined_exposes_datapath_stats_and_gauges():
     assert sum(t["rules"] for t in dp["tables"]) == 5
     assert sum(t["subtables"] for t in dp["tables"]) >= 3
 
-    pipelined.record_datapath_metrics()
-    gauges = context.monitor.gauges()
-    assert gauges["dp_rules"] == 5
+    gauges = pipelined.datapath_metrics()
+    assert gauges["dp_rules"] == 5.0
     assert gauges["dp_subtables"] >= 3
     assert "dp_microflow_size" in gauges
     assert "dp_microflow_invalidations" in gauges
+    assert gauges["dp_fleet_offered_mbps"] == 0.0
+    assert all(type(value) is float for value in gauges.values())

@@ -68,11 +68,14 @@ def test_ue_set_offered_rate_validation():
         site.ues[0].set_offered_rate(-1.0)
 
 
-def test_monitor_counters_through_attach():
+def test_attach_is_counted_and_timed_by_the_accepting_mme():
     site = build(num_ues=1)
     assert site.run_attach(site.ues[0]).success
     site.sim.run(until=site.sim.now + 2.0)
-    assert site.monitor.counter("mme.attach_accepted") == 1.0
+    mme = site.agw.mme
+    assert mme.stats["attach_accepted"] == 1
+    assert mme.attach_latency.count == 1
+    assert site.monitor.series("attach.latency.agw-1") is mme.attach_latency
 
 
 def test_switch_stats_request_filtered_by_table():

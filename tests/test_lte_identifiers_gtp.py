@@ -3,12 +3,7 @@
 import pytest
 
 from repro.lte import TeidAllocator, make_imsi, validate_imsi
-from repro.lte.gtp import (
-    CreateSessionRequest,
-    CreateSessionResponse,
-    GtpcEndpoint,
-    GtpTimeout,
-)
+from repro.lte.gtp import EchoRequest, EchoResponse, GtpcEndpoint, GtpTimeout
 from repro.net import Link, Network
 from repro.sim import RngRegistry, Simulator
 
@@ -49,21 +44,15 @@ def build_gtp(loss=0.0, t3=0.5, n3=2, seed=1):
 
 def test_gtpc_request_response():
     sim, net, mme, pgw = build_gtp()
-    pgw.register_handler(
-        CreateSessionRequest,
-        lambda req, peer: CreateSessionResponse(imsi=req.imsi,
-                                                ue_ip="10.0.0.1",
-                                                sender_teid=1))
     results = []
 
     def proc(sim):
-        resp = yield mme.send_request("pgw", CreateSessionRequest(
-            imsi="001010000000001", sender_teid=7))
+        resp = yield mme.send_request("pgw", EchoRequest())
         results.append(resp)
 
     sim.spawn(proc(sim))
     sim.run()
-    assert results[0].ue_ip == "10.0.0.1"
+    assert results == [EchoResponse(seq=1)]   # echoes the request's seq
     assert mme.stats["responses"] == 1
 
 
@@ -75,8 +64,7 @@ def test_gtpc_times_out_after_n3_retries():
 
     def proc(sim):
         try:
-            yield mme.send_request("pgw", CreateSessionRequest(
-                imsi="001010000000001", sender_teid=7))
+            yield mme.send_request("pgw", EchoRequest())
         except GtpTimeout as exc:
             failures.append(str(exc))
 
@@ -90,15 +78,11 @@ def test_gtpc_times_out_after_n3_retries():
 def test_gtpc_survives_light_loss_but_not_heavy():
     # Light loss: retransmissions cover it.
     sim, net, mme, pgw = build_gtp(loss=0.2, seed=3)
-    pgw.register_handler(CreateSessionRequest,
-                         lambda req, peer: CreateSessionResponse(
-                             imsi=req.imsi, ue_ip="10.0.0.1", sender_teid=1))
     outcomes = {"ok": 0, "timeout": 0}
 
     def proc(sim):
         try:
-            yield mme.send_request("pgw", CreateSessionRequest(
-                imsi="x" * 15, sender_teid=1))
+            yield mme.send_request("pgw", EchoRequest())
             outcomes["ok"] += 1
         except GtpTimeout:
             outcomes["timeout"] += 1
@@ -110,15 +94,11 @@ def test_gtpc_survives_light_loss_but_not_heavy():
 
     # Heavy loss: with only N3 retries, many requests fail outright.
     sim2, net2, mme2, pgw2 = build_gtp(loss=0.7, seed=4)
-    pgw2.register_handler(CreateSessionRequest,
-                          lambda req, peer: CreateSessionResponse(
-                              imsi=req.imsi, ue_ip="10.0.0.1", sender_teid=1))
     outcomes2 = {"ok": 0, "timeout": 0}
 
     def proc2(sim):
         try:
-            yield mme2.send_request("pgw", CreateSessionRequest(
-                imsi="x" * 15, sender_teid=1))
+            yield mme2.send_request("pgw", EchoRequest())
             outcomes2["ok"] += 1
         except GtpTimeout:
             outcomes2["timeout"] += 1
@@ -160,14 +140,13 @@ def test_unknown_request_type_ignored():
 
     def proc(sim):
         try:
-            yield mme.send_request("pgw", CreateSessionRequest(
-                imsi="x" * 15, sender_teid=1))
+            yield mme.send_request("pgw", ("create-session", "x" * 15))
         except GtpTimeout as exc:
             errors.append(exc)
 
     sim.spawn(proc(sim))
     sim.run()
-    assert len(errors) == 1  # no handler registered => silence => timeout
+    assert len(errors) == 1  # not an echo => silence => timeout
 
 
 def test_teid_reserve_seeds_restore_state():

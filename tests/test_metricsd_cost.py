@@ -11,7 +11,7 @@ this replaced paid about six calls per sample: 151 for a 24-name bundle,
 
 from repro.core.orchestrator import Metricsd
 
-from costs import calls
+from costs import calls, profiled
 
 LABELS = {"gateway_id": "gw-1"}
 
@@ -59,3 +59,30 @@ def test_a_single_sample_costs_no_more_than_before():
     # 9 as measured (12 before).
     assert calls(store.ingest, "attach.latency.agw-1", 0.2, 9.0, LABELS,
                  8) <= 12
+
+
+def metricsd_calls(entries):
+    """Calls per function name of ``metricsd.py`` among profiled entries."""
+    return {entry.code.co_name: entry.callcount for entry in entries
+            if not isinstance(entry.code, str)
+            and entry.code.co_filename.endswith("metricsd.py")}
+
+
+def test_a_gateway_bundle_lands_in_one_block_however_its_load_moves():
+    # An orchestrated one-AGW site whose fleet load starts after the
+    # first check-in: the bundle keeps its key set, so every check-in
+    # lands as one row and no block ever splits.
+    from repro.core.agw import AgwConfig
+    from repro.deploy import build
+
+    site = build(backhaul="fiber", config=AgwConfig(checkin_interval=5.0))
+    sim = site.sim
+    sim.run(until=6.0)                       # past the first check-in
+    site.agw.pipelined.set_fleet_load(5.0)
+    _, entries = profiled(sim.run, until=60.0)
+    counts = metricsd_calls(entries)
+    assert counts["ingest_bundle"] >= 10
+    assert counts.get("_split", 0) == 0
+    # One row per bundle; a lone sample (the convergence lag of the
+    # first config push) lands on its own.
+    assert counts["_land"] == counts["ingest_bundle"] + counts.get("ingest", 0)

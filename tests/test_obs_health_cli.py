@@ -16,7 +16,7 @@ convergence lag (publish → all applied): default=5.13s
 per-shard:
   orc-s0   agws=1   mean=  99.8  min=  99.8  worst=agw-6
   orc-s1   agws=1   mean=  99.8  min=  99.8  worst=agw-7
-  orc-s2   agws=5   mean=  99.8  min=  99.8  worst=agw-0
+  orc-s2   agws=5   mean=  99.8  min=  99.8  worst=agw-3
   orc-s3   agws=1   mean=  99.8  min=  99.8  worst=agw-5
 
 per-AGW:

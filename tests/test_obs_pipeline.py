@@ -36,15 +36,16 @@ def test_datapath_and_session_gauges_queryable_by_gateway():
     assert orc.metricsd.latest("dp_rules", labels).value > 0
 
 
-def test_monitor_counters_ride_along():
+def test_mme_counters_ride_along():
     sim, network, orc, agw, enb, ues = build_deployment()
     sim.run(until=10.0)
     attach_one(sim, ues)
+    ues[0].go_idle()
     sim.run(until=sim.now + 10.0)
-    sample = orc.metricsd.latest("mme.attach_accepted",
-                                 {"gateway_id": "agw-1"})
-    assert sample is not None
-    assert sample.value == 1.0
+    labels = {"gateway_id": "agw-1"}
+    assert orc.metricsd.latest("attach_accepted", labels).value == 1.0
+    assert orc.metricsd.latest("idle_transitions", labels).value == 1.0
+    assert agw.mme.stats["idle_transitions"] == 1
 
 
 # -- headless buffering + back-fill --------------------------------------------

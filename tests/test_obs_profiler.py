@@ -212,8 +212,11 @@ def test_attach_storm_is_charged_to_owner_modules():
     # The procedure's own modules, each a process or a delivery owner.
     assert {KERNEL, "core.agw.mme", "net.simnet", "lte.ran",
             "lte.ue", "workloads.attach_storm"} <= keys
-    largest = max(row["share"] for row in report["subsystems"].values())
-    assert largest < 0.35
+    # No one module takes the run: bounded on the dispatch counts, which
+    # are deterministic (``net.simnet`` is the largest, at 0.328), not on
+    # host-clock shares, which move with the machine's load.
+    calls = [row["calls"] for row in report["subsystems"].values()]
+    assert max(calls) < 0.35 * sum(calls)
     assert shares_sum_to_one(report)
 
 

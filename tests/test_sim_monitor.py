@@ -141,20 +141,12 @@ def test_monitor_percentile_and_median():
     assert m.median("latency") == 20.0
 
 
-def test_monitor_series_and_counters():
+def test_monitor_series_registry():
     m = Monitor()
     m.record("throughput", 0.0, 100.0)
     m.record("throughput", 1.0, 200.0)
-    m.count("attach.success")
-    m.count("attach.success")
-    m.count("attach.fail", 0.5)
     assert m.series("throughput").mean() == 150.0
-    assert m.counter("attach.success") == 2.0
-    assert m.counter("attach.fail") == 0.5
-    assert m.counter("missing") == 0.0
-    assert m.has_series("throughput")
-    assert not m.has_series("nope")
-    assert set(m.counters()) == {"attach.success", "attach.fail"}
+    assert list(m.names()) == ["throughput"]
 
 
 # -- float-robust binning -----------------------------------------------------
