@@ -60,7 +60,7 @@ from repro.core.sync import (  # noqa: E402
     ReconcileClient,
 )
 from repro.deploy import build  # noqa: E402
-from repro.sim import Monitor, Simulator  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
     AgwFleetAdapter,
@@ -491,9 +491,7 @@ def _discard_delta(label, upserts, deletes, version):
 def digest_run(store: ConfigStore, stale_version: int, n: int,
                base: DigestMirror) -> dict:
     """Roots at check-in, a tree walk to the one delta."""
-    monitor = Monitor()
-    statesync = StateSync(Simulator(), store, digests=DigestIndex(store),
-                          monitor=monitor)
+    statesync = StateSync(Simulator(), store, digests=DigestIndex(store))
     roots = base.roots()             # every gateway is identically synced
     converged = 0
     rounds = 0
@@ -519,7 +517,6 @@ def digest_run(store: ConfigStore, stale_version: int, n: int,
     out["converged"] = converged
     out["reconcile_rounds"] = rounds
     out["digest_syncs"] = statesync.stats["digest_syncs"]
-    out["wire_series_samples"] = len(monitor.series("sync.checkin.tx_bytes"))
     return out
 
 

@@ -48,8 +48,9 @@ class AccessGateway:
                                   monitor=monitor, rng=rng)
         self.node = node
         self.crashed = False
-        # (time, busy core-seconds) at the previous metrics_summary().
-        self._cpu_mark = (sim.now, 0.0)
+        # (time, busy core-seconds, utilization) at the previous
+        # metrics_summary(): a zero-length window re-ships that utilization.
+        self._cpu_mark = (sim.now, 0.0, 0.0)
         self.server = RpcServer(sim, network, node)
         self.subscriberdb = SubscriberDb()
         self.policydb = PolicyDb()
@@ -166,9 +167,10 @@ class AccessGateway:
         Each value comes from the service of this gateway that owns it:
         the MME's attach and idle counters, sessiond's session count,
         magmad's check-in wire bytes, the CPU utilization since the
-        previous summary, and pipelined's lookup-stack gauges and fleet
-        load (``dp_*``).  One {name: value} payload with the same keys
-        at every check-in, which metricsd labels with this gateway's id.
+        previous summary (the previous value when no time has passed),
+        and pipelined's lookup-stack gauges and fleet load (``dp_*``).
+        One {name: value} payload with the same keys at every check-in,
+        which metricsd labels with this gateway's id.
         """
         mme = self.mme.stats
         metrics: Dict[str, float] = {
@@ -182,13 +184,14 @@ class AccessGateway:
         }
         cpu = self.context.cpu
         now = self.context.sim.now
-        since, busy_then = self._cpu_mark
+        since, busy_then, util = self._cpu_mark
         if now > since:
             # CPU headroom input for the orchestrator's health engine:
             # the mean utilization since the previous summary.
             busy = cpu.busy_core_seconds()
-            metrics["cpu_util"] = (busy - busy_then) / (cpu.cores * (now - since))
-            self._cpu_mark = (now, busy)
+            util = (busy - busy_then) / (cpu.cores * (now - since))
+            self._cpu_mark = (now, busy, util)
+        metrics["cpu_util"] = util
         metrics.update(self.pipelined.datapath_metrics())
         return metrics
 

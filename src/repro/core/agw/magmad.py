@@ -253,20 +253,19 @@ class Magmad:
     #: best-effort telemetry; a huge storm ships its tail, not its bulk).
     LATENCY_ROWS_PER_BATCH = 200
 
-    def _collect_latency(self) -> Dict[str, List[list]]:
+    def _collect_latency(self) -> Dict[str, List[tuple]]:
         """Attach-latency rows recorded since the last buffered batch.
 
-        Rows are ``[time, value, trace_id|None]`` — the trace id is the
-        sample's exemplar, carried through metricsd so the orchestrator's
-        p99 stays resolvable to a real trace.
+        Rows are the series' own ``(time, value, trace_id|None)`` — the
+        trace id is the sample's exemplar, carried through metricsd so the
+        orchestrator's p99 stays resolvable to a real trace.
         """
         rows = self.gateway.mme.attach_latency.recent_samples(
             self._latency_since)
         self._latency_since = self.context.sim.now
         if not rows:
             return {}
-        rows = rows[-self.LATENCY_ROWS_PER_BATCH:]
-        return {"attach_latency_s": [[t, v, tid] for t, v, tid in rows]}
+        return {"attach_latency_s": rows[-self.LATENCY_ROWS_PER_BATCH:]}
 
     def _ack_metrics(self, ack: Optional[int]) -> None:
         if ack is None:

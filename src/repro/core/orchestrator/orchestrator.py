@@ -138,7 +138,7 @@ class Orchestrator:
         self.network.add_node(shard_id)
         metricsd = Metricsd()
         statesync = StateSync(self.sim, self.store, metricsd,
-                              digests=self.digests, monitor=self.monitor,
+                              digests=self.digests,
                               convergence=self.convergence)
         cpu = CpuModel(self.sim, cores=cores, name=shard_id)
         server = RpcServer(self.sim, self.network, shard_id)

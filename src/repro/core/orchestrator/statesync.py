@@ -38,12 +38,8 @@ NS_RAN = "ran"
 NS_GATEWAYS = "gateways"
 DEFAULT_NETWORK = "default"
 
-#: Retained samples per wire-bytes series (scalar aggregates stay exact).
-WIRE_SERIES_SAMPLES = 4096
-#: handler kind -> its (rx, tx) wire-bytes series names.
-_WIRE_SERIES = {kind: (f"sync.{kind}.rx_bytes", f"sync.{kind}.tx_bytes")
-                for kind in ("checkin", "reconcile")}
-#: A response that carries no bundle is charged the one-byte ``None``.
+#: A check-in response is sized with ``"config": None`` in it; one that
+#: carries the bundle swaps that ``None``'s byte for the bundle's size.
 _NO_CONFIG_BYTES = payload_bytes(None)
 
 
@@ -77,12 +73,10 @@ class StateSync:
     def __init__(self, sim: Simulator, store: ConfigStore,
                  metricsd: Optional[Metricsd] = None,
                  digests: Optional[DigestIndex] = None,
-                 monitor: Optional[Monitor] = None,
                  convergence: Optional["ConvergenceTracker"] = None):
         self.sim = sim
         self.store = store
         self.metricsd = metricsd
-        self.monitor = monitor
         # Shared publish->all-applied lag tracker (one per orchestrator,
         # shared across shards); fed on every check-in.
         self.convergence = convergence
@@ -165,15 +159,15 @@ class StateSync:
                         entry["metrics"], entry["time"],
                         labels={"gateway_id": gateway_id})
                     # Latency distributions ride next to the scalar bundle:
-                    # {series: [[time, value, trace_id|None], ...]}.  Each
+                    # {series: [(time, value, trace_id|None), ...]}.  Each
                     # row lands at its capture time, carrying its exemplar
                     # trace id through to metricsd.
                     for name, rows in (entry.get("latency") or {}).items():
-                        for row in rows:
+                        for t, value, trace_id in rows:
                             self.metricsd.ingest(
-                                name, row[1], row[0],
+                                name, value, t,
                                 labels={"gateway_id": gateway_id},
-                                trace_id=row[2] if len(row) > 2 else None)
+                                trace_id=trace_id)
                 state.last_metrics_seq = seq
             response["metrics_ack"] = state.last_metrics_seq
         # Push only when *this gateway's network* changed since the version
@@ -203,12 +197,13 @@ class StateSync:
             self.stats["config_pushes"] += 1
         # The full bundle dominates a response and is shared across a
         # storm of check-ins: it is sized once per (network, versions) and
-        # attached only after the shallow remainder has been sized.
-        self._record_wire(
-            "checkin", request, response,
-            _NO_CONFIG_BYTES if bundle is None
-            else self._bundle_payload_bytes(state.network_id))
-        response["config"] = bundle
+        # attached only after the rest of the response has been sized.
+        response["config"] = None
+        self._record_wire(request, response)
+        if bundle is not None:
+            self.stats["tx_bytes"] += \
+                self._bundle_payload_bytes(state.network_id) - _NO_CONFIG_BYTES
+            response["config"] = bundle
         span.end()
         return response
 
@@ -223,26 +218,16 @@ class StateSync:
             for delta in label_deltas.values():
                 self.stats["reconcile_upserts"] += len(delta["set"])
                 self.stats["reconcile_tombstones"] += len(delta["delete"])
-        self._record_wire("reconcile", request, response, _NO_CONFIG_BYTES)
+        self._record_wire(request, response)
         return response
 
-    # -- wire-size observability ----------------------------------------------------
+    # -- wire-size accounting -------------------------------------------------------
 
-    def _record_wire(self, kind: str, request: Dict[str, Any],
-                     response: Dict[str, Any], config_bytes: int) -> None:
-        """Account one exchange; ``response`` is everything but the
-        config bundle, whose size arrives as ``config_bytes``."""
-        rx = payload_bytes(request)
-        tx = payload_bytes(response) + config_bytes
-        self.stats["rx_bytes"] += rx
-        self.stats["tx_bytes"] += tx
-        if self.monitor is not None:
-            now = self.sim.now
-            rx_series, tx_series = _WIRE_SERIES[kind]
-            self.monitor.bounded_series(
-                rx_series, WIRE_SERIES_SAMPLES).record(now, rx)
-            self.monitor.bounded_series(
-                tx_series, WIRE_SERIES_SAMPLES).record(now, tx)
+    def _record_wire(self, request: Dict[str, Any],
+                     response: Dict[str, Any]) -> None:
+        """Count one exchange's bytes, each side sized as it is sent."""
+        self.stats["rx_bytes"] += payload_bytes(request)
+        self.stats["tx_bytes"] += payload_bytes(response)
 
     def _bundle_payload_bytes(self, network_id: str) -> int:
         versions = self._network_ns_versions(network_id)

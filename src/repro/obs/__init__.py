@@ -19,12 +19,9 @@ from .analysis import (
 )
 from .export import to_chrome_trace, write_chrome_trace
 from .flightrec import (
-    NOOP_LOG,
-    NOOP_RECORDER,
     FlightRecorder,
     LogRecord,
     NodeLog,
-    recorder_of,
 )
 from .health import HealthEngine, HealthSlo, health_rule
 from .profiler import Profiler
@@ -40,8 +37,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "NOOP_LOG",
-    "NOOP_RECORDER",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "FlightRecorder",
@@ -61,7 +56,6 @@ __all__ = [
     "format_summary",
     "health_rule",
     "procedure_summary",
-    "recorder_of",
     "to_chrome_trace",
     "tracer_of",
     "write_chrome_trace",

@@ -13,10 +13,7 @@ Design mirrors the SimSan enable/disable philosophy:
   ``sim.recorder`` (a kernel slot, ``None`` unless a
   :class:`FlightRecorder` installed itself) and skip logging entirely —
   one attribute load and an ``is not None`` test on the cold side of hot
-  paths.  Call sites that want an unconditional log handle can use
-  :func:`recorder_of`, which returns a shared NOOP singleton (the same
-  class-swap-free trick as ``NOOP_TRACER``): every method is a no-op
-  ``pass`` on an empty-``__slots__`` instance.
+  paths.
 - **Records are printf-free.**  A :class:`LogRecord` carries sim-time,
   severity, component, node, an event name, and key/value fields — no
   format strings, so exporting to JSONL / Chrome-trace needs no parsing.
@@ -119,53 +116,6 @@ class NodeLog:
 
     def error(self, component: str, event: str, **fields: Any) -> LogRecord:
         return self.log("error", component, event, **fields)
-
-
-class _NoopNodeLog:
-    """Log handle that swallows everything; shared singleton, zero state."""
-
-    __slots__ = ()
-
-    def log(self, severity: str, component: str, event: str,
-            **fields: Any) -> None:
-        pass
-
-    def debug(self, component: str, event: str, **fields: Any) -> None:
-        pass
-
-    def info(self, component: str, event: str, **fields: Any) -> None:
-        pass
-
-    def warn(self, component: str, event: str, **fields: Any) -> None:
-        pass
-
-    def error(self, component: str, event: str, **fields: Any) -> None:
-        pass
-
-
-class _NoopRecorder:
-    """Recorder stand-in when none is installed (mirrors NOOP_TRACER)."""
-
-    __slots__ = ()
-
-    def node(self, name: str) -> _NoopNodeLog:
-        return NOOP_LOG
-
-    def snapshot(self, reason: str, node: Optional[str] = None) -> None:
-        return None
-
-    def records(self) -> List[LogRecord]:
-        return []
-
-
-NOOP_LOG = _NoopNodeLog()
-NOOP_RECORDER = _NoopRecorder()
-
-
-def recorder_of(sim) -> Any:
-    """The sim's installed recorder, or the shared NOOP one."""
-    rec = getattr(sim, "recorder", None)
-    return rec if rec is not None else NOOP_RECORDER
 
 
 class FlightRecorder:

@@ -251,14 +251,6 @@ class Tracer:
         self.stats["traces_sampled"] += 1
         return Span(self, None, name, component, node, tags)
 
-    def start_span(self, name: str, parent: Optional[SpanContext],
-                   component: str = "", node: str = "",
-                   tags: Optional[Dict[str, Any]] = None):
-        """Child span of an explicit parent context (None -> no-op)."""
-        if parent is None:
-            return NOOP_SPAN
-        return Span(self, parent, name, component, node, tags)
-
     def child(self, name: str, component: str = "", node: str = "",
               tags: Optional[Dict[str, Any]] = None):
         """Child of the ambient context; no-op when none is active."""
@@ -298,11 +290,6 @@ class NoopTracer:
 
     def start_trace(self, name: str, component: str = "", node: str = "",
                     tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
-        return NOOP_SPAN
-
-    def start_span(self, name: str, parent: Optional[SpanContext] = None,
-                   component: str = "", node: str = "",
-                   tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
         return NOOP_SPAN
 
     def child(self, name: str, component: str = "", node: str = "",

@@ -10,67 +10,52 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-
-class Exemplar(NamedTuple):
-    """One trace-linked sample: the bridge from a metric to its trace.
-
-    Prometheus-style exemplars: a recorded value that also carries the
-    trace id of the procedure that produced it, so an operator can jump
-    from "attach p99 is 1.4s" to the exact trace that was that slow.
-    """
-
-    time: float
-    value: float
-    trace_id: int
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class Series:
-    """An append-only (time, value) series with simple analytics.
+    """An append-only series of ``(time, value, trace_id)`` rows.
+
+    One row per retained sample, held as three parallel lists (``times``,
+    ``values``, ``trace_ids``) that are appended and decimated together,
+    so a sample's trace id can never come apart from its value.
 
     Two recording modes:
 
-    - **Exact** (default, ``max_samples=None``): every sample is retained,
-      as before.
+    - **Exact** (default, ``max_samples=None``): every sample is retained.
     - **Streaming** (``max_samples=N``): scalar aggregates (count, sum,
-      min, max, last) stay exact, but the retained ``(time, value)`` buffer
-      is bounded at ``N`` samples by deterministic stride decimation — when
-      the buffer fills, every other retained sample is dropped and the
-      keep-stride doubles.  At fleet scale (10⁶ samples per metric) the
-      unbounded lists are the memory bill; the decimated buffer keeps
-      percentiles/binning usable (a uniform-in-index subsample) while
+      min, max, last) stay exact, but the retained rows are bounded by
+      stride decimation: sample *i* is kept exactly when *i* is a
+      multiple of the stride.  A full buffer halves (keeping its even
+      rows, whose indices are the multiples of the doubled stride) before
+      the next on-grid sample is appended, so it never holds more than
+      ``N`` rows, always holds ``range(0, count, stride)``, and keeps its
+      newest on-grid sample.  At fleet scale (10⁶ samples per metric) the
+      unbounded lists are the memory bill; the grid keeps percentiles and
+      binning usable (a uniform-in-index subsample) while
       ``mean``/``total``/``max``/``last``/``count`` remain exact.  No RNG
       is involved, so replay determinism is untouched.
     """
 
-    __slots__ = ("name", "times", "values", "max_samples", "_stride",
-                 "_phase", "_count", "_sum", "_min", "_max", "_last_t",
-                 "_last_v", "exemplars", "max_exemplars")
+    __slots__ = ("name", "times", "values", "trace_ids", "max_samples",
+                 "_stride", "_count", "_sum", "_min", "_max", "_last_t",
+                 "_last_v")
 
-    def __init__(self, name: str, max_samples: Optional[int] = None,
-                 max_exemplars: int = 64):
+    def __init__(self, name: str, max_samples: Optional[int] = None):
         if max_samples is not None and max_samples < 2:
             raise ValueError("max_samples must be >= 2 (or None for exact)")
-        if max_exemplars < 2:
-            raise ValueError("max_exemplars must be >= 2")
         self.name = name
         self.times: List[float] = []
         self.values: List[float] = []
+        self.trace_ids: List[Optional[int]] = []
         self.max_samples = max_samples
-        self._stride = 1      # keep every _stride-th sample when bounded
-        self._phase = 0       # samples seen since the last retained one
+        self._stride = 1      # keep sample i when i % _stride == 0
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._last_t = 0.0
         self._last_v = 0.0
-        # Trace-linked samples live in their own bounded buffer with its
-        # own decimation: a bounded series halving its value buffer must
-        # never be able to shed *every* exemplar from a window.
-        self.exemplars: List[Exemplar] = []
-        self.max_exemplars = max_exemplars
 
     def record(self, t: float, value: float,
                trace_id: Optional[int] = None) -> None:
@@ -81,13 +66,13 @@ class Series:
         same ``sim.now``) and preserve insertion order.  Only a strictly
         backwards ``t`` raises.
 
-        When ``trace_id`` is given the sample is also retained as an
-        :class:`Exemplar` in a separate bounded buffer, so the metric can
-        be resolved back to the trace that produced it even after the
-        value buffer decimates.
+        ``trace_id`` (the procedure's trace, a Prometheus-style exemplar)
+        rides in the sample's row, so the metric resolves back to the
+        trace that produced it for as long as the row is retained.
         """
         if self._count and t < self._last_t:
             raise ValueError(f"series {self.name!r}: time went backwards ({t} < {self._last_t})")
+        index = self._count
         self._count += 1
         self._sum += value
         if value < self._min:
@@ -96,43 +81,30 @@ class Series:
             self._max = value
         self._last_t = t
         self._last_v = value
-        if trace_id is not None:
-            self.exemplars.append(Exemplar(t, value, trace_id))
-            if len(self.exemplars) >= self.max_exemplars:
-                # Same stride trick as the value buffer, but independent:
-                # keeps index-uniform coverage and always retains >= N/2.
-                del self.exemplars[1::2]
-        if self.max_samples is None:
-            self.times.append(t)
-            self.values.append(value)
-            return
-        # Streaming mode: retain every _stride-th sample; on overflow halve
-        # the buffer and double the stride, so retention stays uniform in
-        # sample index and the buffer oscillates in [N/2, N].
-        if self._phase == 0:
-            self.times.append(t)
-            self.values.append(value)
-            if len(self.times) >= self.max_samples:
+        if self.max_samples is not None:
+            if index % self._stride:
+                return
+            if len(self.times) == self.max_samples:
                 del self.times[1::2]
                 del self.values[1::2]
+                del self.trace_ids[1::2]
                 self._stride *= 2
-        self._phase += 1
-        if self._phase >= self._stride:
-            self._phase = 0
+                if index % self._stride:
+                    return
+        self.times.append(t)
+        self.values.append(value)
+        self.trace_ids.append(trace_id)
 
     def recent_samples(self, t0: float) -> List[Tuple[float, float, Optional[int]]]:
         """Retained ``(time, value, trace_id)`` rows with ``time > t0``.
 
         The window is *exclusive* at ``t0`` so callers shipping deltas
         (e.g. magmad's metric back-fill) can pass the previous batch's
-        high-water mark without duplicating the boundary sample.  Trace
-        ids are joined back from the exemplar buffer by exact
-        ``(time, value)`` match; samples without one yield ``None``.
+        high-water mark without duplicating the boundary sample.
         """
         lo = bisect.bisect_right(self.times, t0)
-        linked = {(e.time, e.value): e.trace_id for e in self.exemplars}
-        return [(t, v, linked.get((t, v)))
-                for t, v in zip(self.times[lo:], self.values[lo:])]
+        return list(zip(self.times[lo:], self.values[lo:],
+                        self.trace_ids[lo:]))
 
     @property
     def count(self) -> int:
@@ -187,8 +159,9 @@ class Series:
         lo = bisect.bisect_left(self.times, t0)
         hi = bisect.bisect_left(self.times, t1)
         sub = Series(self.name)
-        for t, v in zip(self.times[lo:hi], self.values[lo:hi]):
-            sub.record(t, v)
+        for t, v, trace_id in zip(self.times[lo:hi], self.values[lo:hi],
+                                  self.trace_ids[lo:hi]):
+            sub.record(t, v, trace_id)
         return sub
 
     def binned(self, width: float, t0: float = 0.0, t1: Optional[float] = None,

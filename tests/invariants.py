@@ -38,6 +38,29 @@ def shard_ownership_violations(orc) -> List[str]:
     return violations
 
 
+def wire_byte_violations(orc, agws) -> List[str]:
+    """Both ends of every sync exchange count the same bytes.
+
+    On a lossless site every message a gateway sends reaches its owner
+    shard and every reply comes back, so each shard's ``statesync``
+    ``tx_bytes`` equals the sum of its gateways' magmad
+    ``checkin_rx_bytes``, and its ``rx_bytes`` their ``checkin_tx_bytes``.
+    Owners come from ``orc.shard_for``.
+    """
+    violations: List[str] = []
+    for shard in orc.shards:
+        mine = [agw for agw in agws
+                if orc.shard_for(agw.node).shard_id == shard.shard_id]
+        for sent, received in (("tx_bytes", "checkin_rx_bytes"),
+                               ("rx_bytes", "checkin_tx_bytes")):
+            ours = shard.statesync.stats[sent]
+            theirs = sum(agw.magmad.stats[received] for agw in mine)
+            if ours != theirs:
+                violations.append(f"{shard.shard_id} counts {sent}={ours}, "
+                                  f"its gateways {received}={theirs}")
+    return violations
+
+
 def shipped_metric_violations(agw, shipped: Dict[str, float]) -> List[str]:
     """Every metric a gateway ships is its own, and it ships all of them.
 

@@ -27,8 +27,7 @@ def test_a_child_span_costs_eight_calls_to_open_and_close():
         _, closed = counted(span.end)
     assert span.recording and span.finished
     # 6 to open: child -> Span(), the span id, the clock, the record's
-    # length and its append; 2 to close (end and the clock).  Through a
-    # start_span and an id and a record frame of their own it cost 11.
+    # length and its append; 2 to close (end and the clock).
     assert opened + closed <= 8
 
 
@@ -39,8 +38,9 @@ def test_closing_a_span_on_an_event_schedules_no_kernel_entry():
     pending, fired = sim.event("pending"), sim.event("fired")
     fired.succeed("done")
     start = entries_scheduled(sim)
-    on_pending = tracer.start_span("wait", root.context).end_on(pending)
-    on_fired = tracer.start_span("done", root.context).end_on(fired)
+    with root.active():
+        on_pending = tracer.child("wait").end_on(pending)
+        on_fired = tracer.child("done").end_on(fired)
     sim.run(until=2.0)
     pending.fail(RuntimeError("lost"))
     # No entry between the probes: each close ran inline at its trigger

@@ -237,9 +237,7 @@ def test_golden_sizes_of_a_checkin_a_sync_opener_and_a_reconcile_response():
         "checkin_request": payload_bytes(request),
         "sync_opener": payload_bytes(opener),
         "reconcile_responses": [payload_bytes(reply) for reply in replies],
-        # What the orchestrator accounted: the opener without its
-        # ``config`` key, a one-byte None for the absent bundle, and the
-        # same one byte on every reconcile response.
+        # What the orchestrator accounted: each message as it was sent.
         "rx_bytes": statesync.stats["rx_bytes"],
         "tx_bytes": statesync.stats["tx_bytes"],
     }
@@ -251,12 +249,12 @@ def test_golden_sizes_of_a_checkin_a_sync_opener_and_a_reconcile_response():
     assert sizes == GOLDEN_SIZES
 
 
-#: Taken from the recursive walker's commit; tx = (393 - 9 for the
-#: ``"config": None`` entry + 1) + (549 + 1) + (314 + 1).
+#: Taken from the recursive walker's commit; tx is the three responses
+#: sized as sent, ``"config": None`` included: 393 + 549 + 314.
 GOLDEN_SIZES = {
     "checkin_request": 328,
     "sync_opener": 393,
     "reconcile_responses": [549, 314],
     "rx_bytes": 522,
-    "tx_bytes": 1250,
+    "tx_bytes": 1256,
 }

@@ -50,6 +50,15 @@ def test_the_shipped_fleet_load_follows_the_gateways_own():
     assert shipped[0].keys() == shipped[1].keys()
 
 
+def test_two_bundles_at_one_instant_have_one_key_set():
+    site = build()
+    site.sim.run(until=1.0)
+    first, second = site.agw.metrics_summary(), site.agw.metrics_summary()
+    assert first.keys() == second.keys()
+    assert second["cpu_util"] == first["cpu_util"]
+    assert shipped_metric_violations(site.agw, second) == []
+
+
 def test_the_invariant_catches_foreign_stale_and_missing_metrics():
     site = build()
     site.sim.run(until=1.0)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Monitor, Series, median, percentile
 
@@ -58,6 +60,44 @@ def test_series_between():
         s.record(float(t), float(t))
     sub = s.between(2.0, 5.0)
     assert sub.times == [2.0, 3.0, 4.0]
+
+
+# -- bounded series: one row per sample, on an exact stride grid ---------------
+
+
+def _indices(series):
+    return [int(t) for t in series.times]
+
+
+def test_bounded_series_keeps_an_exact_stride_grid():
+    s = Series("x", max_samples=8)
+    for i in range(40):
+        s.record(float(i), float(i))
+    assert _indices(s) == [0, 8, 16, 24, 32]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2000))
+def test_bounded_series_retains_exactly_the_multiples_of_its_stride(cap, n):
+    s = Series("x", max_samples=cap)
+    for i in range(n):
+        s.record(float(i), float(i), trace_id=i)
+        assert s.retained <= cap
+    # The stride is the smallest power of two whose grid fits the cap.
+    stride = 1
+    while n > cap * stride:
+        stride *= 2
+    assert _indices(s) == list(range(0, n, stride))
+    assert s.values == [float(i) for i in range(0, n, stride)]
+    assert s.trace_ids == list(range(0, n, stride))
+
+
+def test_recent_samples_return_every_recorded_trace_id():
+    s = Series("x", max_samples=4096)
+    for i in range(70):
+        s.record(float(i), 0.5, trace_id=1000 + i)
+    assert [tid for _, _, tid in s.recent_samples(60.0)] == \
+        [1000 + i for i in range(61, 70)]
 
 
 def test_binned_mean():

@@ -9,6 +9,7 @@ byte, against a wire log taken from that protocol before it was deleted.
 
 import hashlib
 
+from invariants import wire_byte_violations
 from repro.core.agw import AgwConfig, SubscriberProfile
 from repro.core.policy import PolicyRule
 from repro.core.sync import canonical_bytes
@@ -77,10 +78,28 @@ def test_incremental_change_ships_leaf_delta_not_bundle():
     # delta) cost a small fraction of re-shipping the 200-entry bundle.
     delta_tx = ss.stats["tx_bytes"] - bundle_tx
     assert delta_tx < bundle_tx / 10
-    # Wire sizes are observable as monitor series.
-    assert len(monitor.series("sync.checkin.tx_bytes")) >= 2
-    assert len(monitor.series("sync.reconcile.tx_bytes")) >= 1
+    # Wire sizes are counters: the walk's reconcile replies are in them.
+    assert ss.stats["reconcile_requests"] >= 1
+    assert delta_tx > 0
     assert agw.magmad.stats["checkin_rx_bytes"] > 0
+
+
+def test_both_ends_of_every_exchange_count_the_same_bytes():
+    d = build(num_ues=2, backhaul="fiber")
+    d.sim.run(until=200.0)
+    k, opc = subscriber_keys(999)
+    d.orc.add_subscriber(SubscriberProfile(imsi=make_imsi(999), k=k, opc=opc))
+    d.sim.run(until=400.0)
+    ss = d.orc.shards[0].statesync
+    assert (ss.stats["checkins"], ss.stats["reconcile_requests"]) == (6, 2)
+    assert wire_byte_violations(d.orc, [d.agw]) == []
+    assert ss.stats["tx_bytes"] == d.agw.magmad.stats["checkin_rx_bytes"]
+    # A reply counted 8 B short on the sending side is caught.
+    ss.stats["tx_bytes"] -= 8
+    received = d.agw.magmad.stats["checkin_rx_bytes"]
+    assert wire_byte_violations(d.orc, [d.agw]) == [
+        f"orc-s0 counts tx_bytes={received - 8}, its gateways "
+        f"checkin_rx_bytes={received}"]
 
 
 def test_deletion_propagates_as_tombstone():
