@@ -16,7 +16,6 @@ from .enodebd import Enodebd, RanDevice
 from .failover import FailoverError, fail_back, promote_backup
 from .gateway import AccessGateway
 from .health import HealthCheck, HealthService
-from .inter_agw import InterAgwMobility, S10_SERVICE, TransferredContext
 from .magmad import CheckpointStore, Magmad
 from .mme import AccessContext, AccessManagement, RanFrontend, UeContextState
 from .mobilityd import IpPoolExhausted, Mobilityd
@@ -52,10 +51,7 @@ __all__ = [
     "promote_backup",
     "HealthCheck",
     "HealthService",
-    "InterAgwMobility",
     "IpPoolExhausted",
-    "S10_SERVICE",
-    "TransferredContext",
     "LocalOcsClient",
     "LocationRecord",
     "Magmad",

@@ -48,11 +48,6 @@ class AgwHardwareProfile:
         cores = self.cores if cores_available is None else cores_available
         return cores / self.attach_cpu_cost
 
-    def up_capacity_mbps(self, cores_available: Optional[float] = None) -> float:
-        cores = self.cores if cores_available is None else cores_available
-        return cores / self.up_cost_per_mbps
-
-
 BARE_METAL = AgwHardwareProfile(
     name="bare-metal-j3160",
     cores=4,

@@ -7,8 +7,11 @@ manage connections for the affected set of UEs until the primary AGW is
 restarted."
 
 :func:`promote_backup` restores the failed AGW's checkpointed sessions
-(and their data-plane state) into the standby; the site's eNodeBs are then
-re-targeted at the backup (see ``Enodeb.retarget_core``).
+(and their data-plane state) into the standby, and :func:`fail_back`
+hands them back to the recovered primary.  Neither moves the RAN: the
+operator re-points the site's eNodeBs (``Enodeb.retarget_core``) at the
+backup after promotion and at the primary after fail-back.
+``examples/backup_failover.py`` runs the whole cycle.
 """
 
 from __future__ import annotations

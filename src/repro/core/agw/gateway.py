@@ -88,9 +88,6 @@ class AccessGateway:
                              orchestrator_node=orchestrator_node)
         from .health import HealthService
         self.health = HealthService(self)
-        from .inter_agw import InterAgwMobility
-        self.inter_agw = InterAgwMobility(self.context, self.server,
-                                          self.sessiond)
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -63,9 +63,6 @@ class HealthService:
             detail=f"{rejected}/{total} rejected"))
         return checks
 
-    def is_healthy(self) -> bool:
-        return all(check.healthy for check in self.evaluate())
-
     def summary(self) -> Dict[str, Any]:
         """Compact form shipped with magmad check-ins."""
         checks = self.evaluate()

@@ -289,11 +289,6 @@ class Pipelined:
         cost = self.context.config.hardware.up_cost_per_mbps
         self.context.cpu.set_fluid_demand("up", "fleet", offered_mbps * cost)
 
-    def fleet_served_mbps(self) -> float:
-        """Fleet offered load scaled by the fraction being served now."""
-        return (self._fleet_offered_mbps *
-                self.context.cpu.fluid_service_fraction("up"))
-
     # -- lookup-stack observability -----------------------------------------------
 
     def datapath_stats(self) -> Dict[str, Any]:

@@ -143,9 +143,6 @@ class Sessiond:
         # layer; deliberately excluded from checkpoints — it is synthetic
         # workload state owned by the fleet, re-injected on the next tick.
         self.fleet_sessions = 0
-        # Inter-AGW hand-off: contexts staged by the S10 endpoint, consumed
-        # by the next create_session for that IMSI.
-        self._staged_transfers: Dict[str, Any] = {}
         self.stats = {"created": 0, "terminated": 0, "blocked": 0,
                       "quota_refills": 0, "quota_denials": 0}
 
@@ -180,13 +177,6 @@ class Sessiond:
             raise SessionError(f"no IP available: {exc}") from exc
         agw_teid = self._teids.allocate()
         enforcement = EnforcementState(policy, session_start=sim.now)
-        staged = self._staged_transfers.pop(imsi, None)
-        if staged is not None:
-            # Seed enforcement from the hand-off context: usage caps and
-            # interval position follow the subscriber between AGWs.
-            enforcement.total_bytes = staged.total_bytes
-            enforcement.interval_bytes = staged.interval_bytes
-            enforcement.interval_start = staged.interval_start
         record = SessionRecord(
             session_id=self._new_session_id(),
             imsi=imsi, ue_ip=ue_ip, policy_id=policy.policy_id,
@@ -365,10 +355,6 @@ class Sessiond:
         if record is not None:
             record.connected = connected
 
-    def stage_transfer(self, transferred: Any) -> None:
-        """Stage an inter-AGW hand-off context for the next attach."""
-        self._staged_transfers[transferred.imsi] = transferred
-
     # -- introspection -----------------------------------------------------------------------
 
     # -- aggregated fleet sessions (workloads.fleet) ---------------------------------
@@ -398,12 +384,6 @@ class Sessiond:
     def session_count(self) -> int:
         """Active sessions: per-IMSI records plus aggregated fleet sessions."""
         return len(self._sessions) + self.fleet_sessions
-
-    def allowed_rate(self, imsi: str) -> float:
-        record = self._sessions.get(imsi)
-        if record is None:
-            return 0.0
-        return record.installed_rate_mbps
 
     def _require(self, imsi: str) -> SessionRecord:
         record = self._sessions.get(imsi)

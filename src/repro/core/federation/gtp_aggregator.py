@@ -42,9 +42,6 @@ class GtpAggregator:
         else:
             self._offers[key] = mbps
 
-    def withdraw(self, agw_id: str, imsi: str) -> None:
-        self._offers.pop((agw_id, imsi), None)
-
     def allocate(self) -> Dict[Tuple[str, str], float]:
         """Admitted per-session rates under the GTP-A capacity."""
         offered = {f"{a}|{i}": r for (a, i), r in self._offers.items()}

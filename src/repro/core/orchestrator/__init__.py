@@ -1,13 +1,6 @@
 """The Magma orchestrator: central control plane (§3.2)."""
 
 from .alerting import Alert, AlertManager, AlertRule
-from .bootstrapper import (
-    BootstrapError,
-    Bootstrapper,
-    Certificate,
-    Challenge,
-    sign_challenge,
-)
 from .config_store import ConfigStore, WalEntry
 from .metricsd import Metricsd, Sample
 from .orchestrator import Orchestrator
@@ -26,10 +19,6 @@ __all__ = [
     "Alert",
     "AlertManager",
     "AlertRule",
-    "BootstrapError",
-    "Bootstrapper",
-    "Certificate",
-    "Challenge",
     "ConfigStore",
     "GatewayState",
     "Metricsd",
@@ -43,5 +32,4 @@ __all__ = [
     "scoped",
     "DEFAULT_NETWORK",
     "WalEntry",
-    "sign_challenge",
 ]

@@ -82,9 +82,6 @@ class ConfigStore:
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
         return self._data.get((namespace, key), default)
 
-    def contains(self, namespace: str, key: str) -> bool:
-        return (namespace, key) in self._data
-
     def namespace(self, namespace: str) -> Dict[str, Any]:
         """All entries in a namespace as {key: value}."""
         return {key: value for (ns, key), value in self._data.items()
@@ -92,9 +89,6 @@ class ConfigStore:
 
     def keys(self, namespace: str) -> List[str]:
         return [key for (ns, key) in self._data if ns == namespace]
-
-    def wal(self) -> List[WalEntry]:
-        return list(self._wal)
 
     def recover(self) -> "ConfigStore":
         """Rebuild a fresh store by replaying this store's WAL (crash test)."""

@@ -1,8 +1,8 @@
 """The Magma orchestrator: central point of control (§3.2).
 
-Composes the durable config store, state-sync service, metrics store,
-bootstrapper, and alert manager, and exposes the *northbound API* that
-operators (and their OSS/BSS systems) integrate with.  All configuration
+Composes the durable config store, state-sync service, metrics store
+and alert manager, and exposes the *northbound API* that operators (and
+their OSS/BSS systems) integrate with.  All configuration
 mutations flow through here - AGWs never write config state (§3.4).
 
 The control plane is N >= 1 shards (default one), each a ``StateSync``
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ...net.rpc import RpcError, RpcServer
+from ...net.rpc import RpcServer
 from ...net.simnet import Network
 from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
@@ -35,7 +35,6 @@ from ..sync import (
     MergedMetricsView,
 )
 from .alerting import AlertManager, AlertRule, metric_threshold_rule
-from .bootstrapper import Bootstrapper, BootstrapError
 from .config_store import ConfigStore
 from .metricsd import Metricsd
 from .statesync import (
@@ -105,7 +104,6 @@ class Orchestrator:
         # Convergence-lag samples land in the first shard's store; the
         # merged view reads across shards.
         self.convergence.metricsd = self.shards[0].metricsd
-        self.bootstrapper = Bootstrapper(clock=lambda: sim.now)
         self.alerts = AlertManager(
             clock=lambda: sim.now,
             recorder=lambda: self.sim.recorder)
@@ -131,8 +129,6 @@ class Orchestrator:
         self.server.register("statesync", "checkin", self._checkin_handler)
         self.server.register("statesync", "reconcile",
                              self._reconcile_handler)
-        self.server.register("bootstrap", "challenge", self._challenge_handler)
-        self.server.register("bootstrap", "complete", self._complete_handler)
 
     def _build_shard(self, shard_id: str, cores: float) -> OrchestratorShard:
         self.network.add_node(shard_id)
@@ -196,23 +192,6 @@ class Orchestrator:
             return response
 
         return proc(self.sim)
-
-    def _challenge_handler(self, request: Dict[str, Any]):
-        try:
-            challenge = self.bootstrapper.request_challenge(
-                request["gateway_id"])
-        except BootstrapError as exc:
-            raise RpcError(RpcError.PERMISSION_DENIED, str(exc))
-        return {"nonce": challenge.nonce}
-
-    def _complete_handler(self, request: Dict[str, Any]):
-        try:
-            cert = self.bootstrapper.complete(request["gateway_id"],
-                                              request["signature"])
-        except BootstrapError as exc:
-            raise RpcError(RpcError.PERMISSION_DENIED, str(exc))
-        return {"serial": cert.serial, "token": cert.token,
-                "expires_at": cert.expires_at}
 
     # -- northbound API (operator-facing) ----------------------------------------------
 

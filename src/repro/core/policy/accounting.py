@@ -1,4 +1,4 @@
-"""Accounting: charging data records (CDRs) and per-subscriber rollups.
+"""Accounting: charging data records (CDRs).
 
 Magma handles *metering and accounting* while billing lives in the OCS/BSS
 (§3.4).  ``sessiond`` emits a CDR when a session closes (or periodically for
@@ -8,7 +8,7 @@ long sessions); operators' business systems consume these.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,3 @@ class AccountingLog:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def usage_by_subscriber(self) -> Dict[str, int]:
-        """Total bytes per IMSI across all records."""
-        usage: Dict[str, int] = {}
-        for record in self._records:
-            usage[record.imsi] = usage.get(record.imsi, 0) + record.total_bytes
-        return usage
-
-    def usage_for(self, imsi: str) -> int:
-        return self.usage_by_subscriber().get(imsi, 0)

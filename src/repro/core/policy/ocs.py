@@ -76,9 +76,6 @@ class OnlineChargingSystem:
         self._accounts[imsi] = account
         return account
 
-    def top_up(self, imsi: str, amount_bytes: int) -> None:
-        self._account(imsi).balance_bytes += amount_bytes
-
     def account(self, imsi: str) -> Account:
         return self._account(imsi)
 
@@ -132,13 +129,9 @@ class OnlineChargingSystem:
         account.reserved_bytes -= unreported  # released, not charged
         grant.closed = True
 
-    def housekeeping(self) -> None:
-        """Release reservations whose TTL lapsed (also runs lazily on each
-        quota request).  Crashed/moved AGWs leave orphaned grants; this is
-        the mechanism that bounds the operator's exposure to quota size."""
-        self._expire_stale()
-
     def _expire_stale(self) -> None:
+        """Release reservations whose TTL lapsed.  Crashed/moved AGWs leave
+        orphaned grants; this bounds the operator's exposure to quota size."""
         now = self._clock()
         for grant in list(self._grants.values()):
             if grant.closed:
@@ -146,15 +139,3 @@ class OnlineChargingSystem:
             if now - grant.issued_at > self.reservation_ttl:
                 self.stats["expired_reservations"] += 1
                 self._close(grant)
-
-    # -- analysis ---------------------------------------------------------------------
-
-    def unbilled_exposure(self, imsi: str) -> int:
-        """Bytes ``imsi`` could consume without ever being charged.
-
-        The paper's double-spend bound: the sum of open grants' unreported
-        remainders - capped at quota_size per open grant/AGW.
-        """
-        return sum(g.granted_bytes - g.reported_bytes
-                   for g in self._grants.values()
-                   if g.imsi == imsi and not g.closed)

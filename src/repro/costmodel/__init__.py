@@ -5,7 +5,6 @@ from .site import (
     DeploymentCostParams,
     SiteParams,
     agw_cost_share,
-    minimum_viable_deployment_cost,
     per_site_cost_comparison,
     ran_site_capex,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "DeploymentCostParams",
     "SiteParams",
     "agw_cost_share",
-    "minimum_viable_deployment_cost",
     "per_site_cost_comparison",
     "ran_site_capex",
 ]

@@ -86,15 +86,3 @@ def per_site_cost_comparison(params: DeploymentCostParams = None) -> ComparisonT
         magma=params.lte_engineering_magma,
         notes="Planning, core config."))
     return table
-
-
-def minimum_viable_deployment_cost(agw_unit_cost: float = 450.0,
-                                   enodeb_unit_cost: float = 4_000.0,
-                                   orchestrator_monthly: float = 300.0) -> dict:
-    """The scale-down story (§3.2): one AGW + one eNodeB + a small cloud
-    orchestrator is a complete network."""
-    return {
-        "capex": agw_unit_cost + enodeb_unit_cost,
-        "orchestrator_monthly_opex": orchestrator_monthly,
-        "notes": "single AGW + single eNodeB + 3-VM orchestrator",
-    }

@@ -17,7 +17,6 @@ from .openflow import (
     FlowMod,
     FlowStatsEntry,
     MeterMod,
-    PacketIn,
     StatsReply,
     StatsRequest,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "MATCH_ALL",
     "MeterMod",
     "Packet",
-    "PacketIn",
     "PipelineError",
     "PROTO_ICMP",
     "PROTO_TCP",

@@ -32,9 +32,7 @@ class Drop(Action):
 
 @dataclass(frozen=True)
 class ToController(Action):
-    """Punt the packet to the datapath's controller callback (packet-in)."""
-
-    reason: str = "table-miss"
+    """Punt the packet to the controller (counted and dropped)."""
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,6 @@ class FlowMatch:
                     return False
         return True
 
-    def specificity(self) -> int:
-        """How many fields are constrained (used as a tiebreak in tests)."""
-        fields = [self.in_port, self.ip_src, self.ip_dst, self.ip_proto,
-                  self.dscp, self.l4_sport, self.l4_dport, self.tun_id]
-        count = sum(1 for f in fields if f is not None)
-        if self.registers:
-            count += len(self.registers)
-        return count
-
     def classifier_fields(self) -> Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...]]]:
         """``(mask, key)`` for tuple-space search, or None for residue rules.
 

@@ -96,13 +96,3 @@ class BundleReply:
 @dataclass(frozen=True)
 class BarrierRequest:
     """Complete all preceding mods before replying (ordering fence)."""
-
-
-@dataclass(frozen=True)
-class PacketIn:
-    """A packet punted to the controller (table miss or explicit action)."""
-
-    packet: Any
-    in_port: Optional[str]
-    table_id: int
-    reason: str

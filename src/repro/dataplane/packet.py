@@ -100,9 +100,6 @@ class Packet:
                 return header
         return None
 
-    def is_tunneled(self) -> bool:
-        return self.find(GtpuHeader) is not None
-
     def copy(self) -> "Packet":
         """A structural copy with a fresh packet id.
 

@@ -41,7 +41,6 @@ from .openflow import (
     FlowMod,
     FlowStatsEntry,
     MeterMod,
-    PacketIn,
     StatsReply,
     StatsRequest,
 )
@@ -70,7 +69,6 @@ class SoftwareSwitch:
         self.tables: List[FlowTable] = [FlowTable(i) for i in range(num_tables)]
         self.meters: Dict[int, TokenBucketMeter] = {}
         self._ports: Dict[str, Callable[[Packet], None]] = {}
-        self._controller: Optional[Callable[[PacketIn], None]] = None
         self._clock = clock or (lambda: 0.0)
         # control_msgs counts apply() calls (a bundle is ONE message);
         # flow_ops counts individual mods, batched or not.  The hot-path
@@ -90,7 +88,7 @@ class SoftwareSwitch:
         for table in self.tables:
             table.on_change = self._invalidate_microflows
 
-    # -- ports & controller ----------------------------------------------------
+    # -- ports ----------------------------------------------------------------
 
     def add_port(self, name: str, deliver: Callable[[Packet], None]) -> None:
         if name in self._ports:
@@ -99,9 +97,6 @@ class SoftwareSwitch:
 
     def remove_port(self, name: str) -> None:
         self._ports.pop(name, None)
-
-    def set_controller(self, callback: Callable[[PacketIn], None]) -> None:
-        self._controller = callback
 
     # -- control channel ---------------------------------------------------------
 
@@ -302,7 +297,7 @@ class SoftwareSwitch:
                     raise PipelineError("pipeline loop detected")
                 rule = self._table(table_id).lookup(pkt, in_port)
                 if rule is None:
-                    self._punt(pkt, in_port, table_id, "table-miss")
+                    self._punt()
                     return None
                 record.append(rule)
             else:
@@ -326,7 +321,7 @@ class SoftwareSwitch:
                         deliver(pkt)
                     return record
                 if isinstance(action, act.ToController):
-                    self._punt(pkt, in_port, table_id, action.reason)
+                    self._punt()
                     return None
                 if isinstance(action, act.GotoTable):
                     table_id = action.table_id
@@ -378,14 +373,11 @@ class SoftwareSwitch:
                        for table in self.tables],
         }
 
-    def _punt(self, pkt: Packet, in_port: Optional[str], table_id: int,
-              reason: str) -> None:
+    def _punt(self) -> None:
+        """A punt to the controller: no controller is attached to this
+        datapath, so the packet is counted and dropped."""
         self.stats["to_controller"] += 1
-        if self._controller is not None:
-            self._controller(PacketIn(packet=pkt, in_port=in_port,
-                                      table_id=table_id, reason=reason))
-        else:
-            self.stats["dropped"] += 1
+        self.stats["dropped"] += 1
 
     # -- fluid execution -------------------------------------------------------------
 

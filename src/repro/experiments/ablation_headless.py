@@ -61,18 +61,14 @@ def run_headless_ablation(partition_seconds: float = 120.0,
 
     successes = 0
     for ue in d.ues:
-        done = ue.attach()
-        outcome = sim.run_until_triggered(done, limit=sim.now + 60.0)
-        if outcome.success:
+        if d.run_attach(ue, limit=60.0).success:
             successes += 1
     # Provision a new subscriber mid-partition.
     new_imsi = make_imsi(500)
     k, opc = subscriber_keys(500)
     orc.add_subscriber(SubscriberProfile(imsi=new_imsi, k=k, opc=opc))
     new_ue = Ue(sim, new_imsi, k, opc, enb)
-    done = new_ue.attach()
-    outcome = sim.run_until_triggered(done, limit=sim.now + 60.0)
-    new_rejected = not outcome.success
+    new_rejected = not d.run_attach(new_ue, limit=60.0).success
     # Heal after the configured partition length.
     sim.run(until=partition_start + partition_seconds)
     network.set_node_up("orc", True)
@@ -83,9 +79,7 @@ def run_headless_ablation(partition_seconds: float = 120.0,
             raise RuntimeError("config never converged after heal")
         sim.run(until=sim.now + 1.0)
     provisioning_latency = sim.now - heal_time
-    done = new_ue.attach()
-    outcome = sim.run_until_triggered(done, limit=sim.now + 60.0)
-    if not outcome.success:
+    if not d.run_attach(new_ue, limit=60.0).success:
         raise RuntimeError("post-heal attach failed")
     return HeadlessResult(
         partition_seconds=partition_seconds,

@@ -11,7 +11,7 @@ growth the deployment exhibited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..workloads.diurnal import DiurnalConfig, HourSample, generate_trace, summarize
 from .common import format_table
@@ -21,11 +21,6 @@ from .common import format_table
 class Fig9Result:
     samples: List[HourSample]
     stats: dict
-
-    def hourly_series(self) -> List[Tuple[int, int, float]]:
-        """(hour_index, active_subscribers, throughput_mbps) rows."""
-        return [(s.hour_index, s.active_subscribers, s.throughput_mbps)
-                for s in self.samples]
 
     def daily_rows(self) -> List[List[object]]:
         """Per-day peak subscribers and mean throughput (compact view)."""

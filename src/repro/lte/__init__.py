@@ -2,7 +2,7 @@
 
 from . import auth, gtp, nas, s1ap
 from .enodeb import ENB_S1AP_SERVICE, Enodeb
-from .identifiers import EcgI, Tai, TeidAllocator, TEST_PLMN, make_imsi, validate_imsi
+from .identifiers import EcgI, Tai, TeidAllocator, TEST_PLMN, make_imsi
 from .radio import (
     CellCapacityError,
     CellConfig,
@@ -34,5 +34,4 @@ __all__ = [
     "max_min_share",
     "nas",
     "s1ap",
-    "validate_imsi",
 ]

@@ -95,8 +95,3 @@ def usim_verify_autn(k: bytes, opc: bytes, rand: bytes, autn: bytes,
         raise AuthenticationFailure(
             f"SQN out of range: network {network_sqn} vs usim {usim_sqn}")
     return network_sqn
-
-
-def derive_kasme(k: bytes, opc: bytes, rand: bytes, sqn: int) -> bytes:
-    """USIM/UE-side KASME derivation (matches the network's)."""
-    return _prf(k, b"kasme", opc, rand, sqn.to_bytes(6, "big"))

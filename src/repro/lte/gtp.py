@@ -116,9 +116,6 @@ class GtpcEndpoint:
         self.sim.spawn(self._echo_loop(peer, interval),
                        name=f"gtpc-echo:{self.node}->{peer}")
 
-    def stop_path_monitor(self, peer: str) -> None:
-        self._path_monitors[peer] = False
-
     def _echo_loop(self, peer: str, interval: float):
         while self._path_monitors.get(peer):
             yield self.sim.timeout(interval)

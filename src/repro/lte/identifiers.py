@@ -22,13 +22,6 @@ def make_imsi(index: int, plmn: str = TEST_PLMN) -> str:
     return plmn + msin
 
 
-def validate_imsi(imsi: str) -> str:
-    """Return ``imsi`` if well-formed, else raise ValueError."""
-    if not imsi.isdigit() or len(imsi) != 15:
-        raise ValueError(f"malformed IMSI {imsi!r} (need 15 digits)")
-    return imsi
-
-
 class TeidAllocator:
     """Allocates unique GTP tunnel endpoint ids within one endpoint.
 

@@ -61,10 +61,6 @@ class CellModel:
         self.config = config or CellConfig()
         self._active: Dict[str, float] = {}  # ue id -> offered mbps
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
     def admit(self, ue_id: str) -> None:
         """Admit a UE to active state; raises if the cell is full."""
         if ue_id in self._active:
@@ -91,9 +87,3 @@ class CellModel:
         """Per-UE achieved radio rate given current offered rates."""
         return max_min_share(self._active, self.config.capacity_mbps,
                              self.config.per_ue_peak_mbps)
-
-    def aggregate_offered(self) -> float:
-        return sum(self._active.values())
-
-    def aggregate_achieved(self) -> float:
-        return sum(self.allocate().values())

@@ -134,9 +134,6 @@ class RanNode:
         if self.cell.is_active(imsi):
             self.cell.set_offered_rate(imsi, mbps)
 
-    def connected_ues(self) -> int:
-        return len(self._by_imsi)
-
     def context_for(self, imsi: str) -> Optional[RanUeContext]:
         return self._by_imsi.get(imsi)
 

@@ -216,10 +216,6 @@ class RpcServer:
         self._handlers[(service, method)] = \
             lambda request: interceptor(request, handler)
 
-    def unregister_service(self, service: str) -> None:
-        for key in [k for k in self._handlers if k[0] == service]:
-            del self._handlers[key]
-
     def close(self) -> None:
         self.network.unbind(self.node, self.port)
 

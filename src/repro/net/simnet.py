@@ -123,10 +123,6 @@ class Network:
         self._route_cache.clear()
         return link
 
-    def link_between(self, a: str, b: str) -> Optional[Link]:
-        state = self._adjacency.get(a, {}).get(b)
-        return state.link if state else None
-
     def set_node_up(self, name: str, up: bool) -> None:
         """Crash or recover a node; affects both endpoints and transit.
 

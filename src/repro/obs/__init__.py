@@ -23,7 +23,7 @@ from .flightrec import (
     LogRecord,
     NodeLog,
 )
-from .health import HealthEngine, HealthSlo, health_rule
+from .health import HealthEngine, HealthSlo
 from .profiler import Profiler
 from .tracing import (
     NOOP_SPAN,
@@ -54,7 +54,6 @@ __all__ = [
     "aggregate_breakdown",
     "build_traces",
     "format_summary",
-    "health_rule",
     "procedure_summary",
     "to_chrome_trace",
     "tracer_of",

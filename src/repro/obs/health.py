@@ -221,23 +221,3 @@ class HealthEngine:
                 for network_id in convergence.pending_networks()},
         }
         return {"agws": agws, "shards": shards, "fleet": fleet}
-
-
-def health_rule(engine: HealthEngine, threshold: float = 70.0,
-                name: str = "agw-health"):
-    """An AlertManager-compatible rule: fires per AGW under ``threshold``.
-
-    Returned as a plain ``AlertRule``-shaped object is unnecessary — the
-    manager only needs ``name``/``evaluate``/``message`` — but we build
-    the real dataclass to keep one alert type in the system.
-    """
-    from ..core.orchestrator.alerting import AlertRule
-
-    def evaluate() -> List[str]:
-        report = engine.report()
-        return sorted(gateway_id
-                      for gateway_id, health in report["agws"].items()
-                      if health["score"] < threshold)
-
-    return AlertRule(name=name, evaluate=evaluate,
-                     message=f"gateway health score below {threshold:g}")

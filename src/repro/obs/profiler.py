@@ -2,12 +2,11 @@
 
 "As fast as the hardware allows" is a claim until it is a breakdown.
 The profiler is a :class:`~repro.sim.kernel.Hook` on the kernel's one
-dispatch seam, added and removed like any other hook::
+dispatch seam, added like any other hook::
 
     prof = Profiler()
     sim.add_hook(prof)
     sim.run(until=...)
-    sim.remove_hook(prof)
     prof.report()["subsystems"]     # {"core.agw.mme": {...}, ...}
 
 Each callback the loop fires is charged to the module that owns it,
@@ -80,10 +79,6 @@ class Profiler(Hook):
             self.self_s.get(current, 0.0) + (now - self._mark)
         self._key = key
         self._mark = now
-
-    def reset(self) -> None:
-        self.self_s.clear()
-        self.calls.clear()
 
     def run_started(self) -> None:
         self._key = KERNEL

@@ -4,10 +4,9 @@ Public surface:
 
 - :class:`~repro.sim.kernel.Simulator` and the awaitables
   (:class:`~repro.sim.kernel.Event`, :class:`~repro.sim.kernel.Timeout`,
-  :class:`~repro.sim.kernel.Process`, :class:`~repro.sim.kernel.AnyOf`,
-  :class:`~repro.sim.kernel.AllOf`).  One dispatch loop serves
-  ``run()``, ``run(until=)`` and ``run_until_triggered()``: every stop
-  condition is a queue entry.
+  :class:`~repro.sim.kernel.Process`, :class:`~repro.sim.kernel.AnyOf`).
+  One dispatch loop serves ``run()``, ``run(until=)`` and
+  ``run_until_triggered()``: every stop condition is a queue entry.
 - :class:`~repro.sim.kernel.Hook`, the one observation seam on that loop
   (``Simulator.add_hook``): scheduled handles, dispatches, run start/end.
   The sanitizer and the profiler are hooks and can be on together.
@@ -19,7 +18,6 @@ Public surface:
 """
 
 from .kernel import (
-    AllOf,
     AnyOf,
     Event,
     Hook,
@@ -37,7 +35,6 @@ from .rng import RngRegistry
 from .sansim import SimSan
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "CpuModel",
     "Event",

@@ -29,10 +29,8 @@ run is tagged with the ``vtime`` at which it will be done, and the model holds
 one kernel entry, at the earliest completion (none under fluid demand alone).
 Nothing is sampled: per-class *integrals* - busy, offered-fluid and
 served-fluid core-seconds - are exact whenever they are read, and a reader
-takes the difference over its own window.  A consumer that ticks slower than
-tasks come and go must use :meth:`CpuModel.fluid_work` differences, not the
-instantaneous :meth:`CpuModel.fluid_service_fraction`, which aliases against
-task arrivals.
+takes the difference over its own window (:meth:`CpuModel.fluid_work` for
+offered and served fluid work).
 """
 
 from __future__ import annotations
@@ -129,19 +127,6 @@ class CpuModel:
             self._advance(self.sim.now)
             c.rate = total
             self._replan()
-
-    def fluid_demand(self, cls: str) -> float:
-        return self._class(cls).rate
-
-    def fluid_served_rate(self, cls: str) -> float:
-        """Core-sec/s being delivered to ``cls`` fluid right now."""
-        c = self._class(cls)
-        return c.rate * c.scale
-
-    def fluid_service_fraction(self, cls: str) -> float:
-        """Fraction of offered fluid demand being served right now."""
-        c = self._class(cls)
-        return c.scale if c.rate > 0 else 1.0
 
     def fluid_work(self, cls: str) -> Tuple[float, float]:
         """Cumulative ``(offered, served)`` fluid core-seconds of ``cls``."""

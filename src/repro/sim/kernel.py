@@ -10,9 +10,9 @@ The design follows the classic event-list pattern:
   virtual clock (``now``, in seconds).
 - A :class:`Process` wraps a Python generator.  The generator *yields*
   awaitable objects (:class:`Timeout`, :class:`Event`, another
-  :class:`Process`, :class:`AnyOf`/:class:`AllOf`) and is resumed when the
-  awaited thing completes.  The value sent back into the generator is the
-  payload of the completed awaitable.
+  :class:`Process`, :class:`AnyOf`) and is resumed when the awaited
+  thing completes.  The value sent back into the generator is the payload
+  of the completed awaitable.
 - Processes may be interrupted (:meth:`Process.interrupt`), which raises
   :class:`Interrupted` inside the generator at its current yield point.
 
@@ -307,36 +307,6 @@ class AnyOf(Event):
             self.succeed({ev: ev._value})
 
 
-class AllOf(Event):
-    """Triggers when all child events have triggered.
-
-    The value is a dict mapping every event to its value.  The first failed
-    child fails the composite.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e._value for e in self.events})
-
-
 class Process(Event):
     """A running simulated activity, driven by a generator.
 
@@ -541,12 +511,6 @@ class Simulator:
         """Install ``hook``; it observes from the next run on."""
         self._hooks += (hook,)
 
-    def remove_hook(self, hook: Hook) -> bool:
-        """Uninstall ``hook``; returns False if it was not installed."""
-        hooks = self._hooks
-        self._hooks = tuple(h for h in hooks if h is not hook)
-        return len(self._hooks) != len(hooks)
-
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
@@ -671,9 +635,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def spawn(self, generator: Generator, name: str = "",
               ctx: Any = None) -> Process:

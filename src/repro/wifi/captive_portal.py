@@ -70,9 +70,6 @@ class CaptivePortal:
         self.stats["logins"] += 1
         return session
 
-    def logout(self, client_mac: str) -> None:
-        self._sessions.pop(client_mac, None)
-
     def is_allowed(self, client_mac: str) -> bool:
         session = self._sessions.get(client_mac)
         if session is None:

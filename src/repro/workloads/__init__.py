@@ -9,7 +9,6 @@ from .diurnal import (
     generate_trace,
     summarize,
 )
-from .http_download import DEFAULT_RATE_MBPS, HttpDownload, start_streaming
 from .iot import IotWorkload
 from .traffic import TrafficEngine
 
@@ -18,16 +17,13 @@ __all__ = [
     "AttachRecord",
     "AttachStorm",
     "CohortSpec",
-    "DEFAULT_RATE_MBPS",
     "DiurnalConfig",
     "HourSample",
-    "HttpDownload",
     "IotWorkload",
     "TrafficEngine",
     "UeFleet",
     "binomial",
     "diurnal_factor",
     "generate_trace",
-    "start_streaming",
     "summarize",
 ]

@@ -26,7 +26,6 @@ import heapq
 import itertools
 
 from repro.sim.kernel import (
-    AllOf,
     AnyOf,
     Event,
     PeriodicCall,
@@ -104,9 +103,6 @@ class ReferenceSimulator:
 
     def any_of(self, events):
         return AnyOf(self, events)
-
-    def all_of(self, events):
-        return AllOf(self, events)
 
     def spawn(self, generator, name="", ctx=None):
         return Process(self, generator, name, ctx=ctx)

@@ -124,7 +124,7 @@ def test_online_charging_topup_unblocks():
     site.agw.sessiond.record_usage(imsi, dl_bytes=1 * MB, ul_bytes=0)
     site.sim.run(until=site.sim.now + 2.0)
     assert site.agw.sessiond.session(imsi).state == SessionState.BLOCKED
-    ocs.top_up(imsi, 5 * MB)
+    ocs.account(imsi).balance_bytes += 5 * MB      # the user tops up
     # Next usage tick retries the refill.
     site.agw.sessiond.record_usage(imsi, dl_bytes=0, ul_bytes=0)
     site.sim.run(until=site.sim.now + 2.0)

@@ -258,7 +258,7 @@ def test_virtual_profile_scaling():
     profile = virtual_profile(16)
     assert profile.cores == 16
     assert profile.attach_capacity_per_sec() == pytest.approx(64.0)
-    assert profile.up_capacity_mbps(1) == pytest.approx(500.0)
+    assert 1 / profile.up_cost_per_mbps == pytest.approx(500.0)  # per core
     with pytest.raises(ValueError):
         virtual_profile(0)
 

@@ -8,7 +8,6 @@ from repro.costmodel import (
     CostTable,
     SiteParams,
     agw_cost_share,
-    minimum_viable_deployment_cost,
     per_site_cost_comparison,
     ran_site_capex,
 )
@@ -89,13 +88,6 @@ def test_comparison_table_missing_row():
     table = per_site_cost_comparison()
     with pytest.raises(KeyError):
         table.row("Yachts")
-
-
-def test_minimum_viable_deployment():
-    """Scale-down: a complete network for under $5k CapEx (§3.2)."""
-    cost = minimum_viable_deployment_cost()
-    assert cost["capex"] < 5_000
-    assert cost["orchestrator_monthly_opex"] < 1_000
 
 
 def test_empty_tables_raise():

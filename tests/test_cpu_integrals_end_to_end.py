@@ -14,7 +14,7 @@ import pytest
 from repro.core.agw import AgwConfig, BARE_METAL, virtual_profile
 from repro.deploy import build
 from repro.lte import CellConfig
-from repro.workloads import TrafficEngine, start_streaming
+from repro.workloads import TrafficEngine
 
 GATEWAY = {"gateway_id": "agw-1"}
 
@@ -29,8 +29,9 @@ def test_checkin_reports_time_weighted_cpu_util_to_health():
     sim.run(until=8.0)
     cpu = agw.context.cpu
     agw.set_user_plane_load(250.0)      # 1.0 of the 4 cores from here on
-    assert cpu.fluid_demand("up") == 1.0
+    offered = cpu.fluid_work("up")[0]
     sim.run(until=21.0)
+    assert cpu.fluid_work("up")[0] - offered == pytest.approx(13.0)
     reported = orc.metricsd.query("cpu_util", GATEWAY)
     assert [s.value for s in reported[-2:]] == [0.25, 0.25]
     # The partly loaded interval [~5, ~10] saw the load from t=8 only.
@@ -71,29 +72,31 @@ def test_traffic_engine_achieves_the_tick_window_fraction():
     site = build(num_ues=1, config=AgwConfig(hardware=costly),
                  cell_config=CellConfig(capacity_mbps=1000.0))
     assert site.run_attach(site.ues[0]).success
-    start_streaming(site.ues, rate_mbps=1000.0)
+    for ue in site.ues:
+        ue.set_offered_rate(1000.0)
     site.sim.run(until=10.0)
     engine = TrafficEngine(site.sim, site.agw, site.enbs)
     engine.start()
     cpu = site.agw.context.cpu
     site.sim.run(until=13.0)
     admitted = engine.last_admitted_mbps
-    assert cpu.fluid_demand("up") == pytest.approx(2.0)
+    offered, served = cpu.fluid_work("up")
     assert engine.last_achieved_mbps == pytest.approx(0.5 * admitted)
 
     # A 0.2 core-s task at 13.3 runs at half a core until 13.7: the tick
-    # [13, 14] is served 0.25 for 0.4 s and 0.5 for 0.6 s; at 14.0 the
-    # instantaneous fraction is back at 0.5.
+    # [13, 14] is served 0.25 for 0.4 s and 0.5 for 0.6 s, 0.8 of the 2.0
+    # core-s offered.
     site.sim.schedule_at(13.3, cpu.submit, "cp", 0.2)
     site.sim.run(until=14.0)
-    assert cpu.fluid_service_fraction("up") == 0.5
+    offered_after, served_after = cpu.fluid_work("up")
+    assert offered_after - offered == pytest.approx(2.0)
+    assert served_after - served == pytest.approx(0.8)
     assert engine.last_achieved_mbps == pytest.approx(0.40 * admitted)
 
     # The same task straddling a tick boundary (14.8 - 15.2): each tick gets
-    # its own share of it; at 15.0 the instantaneous fraction reads 0.25.
+    # its own share of it.
     site.sim.schedule_at(14.8, cpu.submit, "cp", 0.2)
     site.sim.run(until=15.0)
-    assert cpu.fluid_service_fraction("up") == 0.25
     assert engine.last_achieved_mbps == pytest.approx(0.45 * admitted)
     site.sim.run(until=16.0)
     assert engine.last_achieved_mbps == pytest.approx(0.45 * admitted)

@@ -75,12 +75,6 @@ def test_dscp_match():
     assert not match.matches(ip_packet("a", "b", dscp=0), None)
 
 
-def test_specificity_counts_fields():
-    assert FlowMatch().specificity() == 0
-    assert FlowMatch(ip_src="a", tun_id=1).specificity() == 2
-    assert FlowMatch(registers={"a": 1, "b": 2}).specificity() == 2
-
-
 # -- meters ---------------------------------------------------------------------
 
 

@@ -57,12 +57,12 @@ def test_encap_then_decap_roundtrip():
     pkt = ip_packet("10.0.0.5", "8.8.8.8")
     inner_before = pkt.inner_ip()
     gtpu_encap(pkt, teid=42, tunnel_src="172.16.0.1", tunnel_dst="172.16.0.2")
-    assert pkt.is_tunneled()
+    assert pkt.find(GtpuHeader) is not None
     assert pkt.find(GtpuHeader).teid == 42
     assert pkt.outermost().src == "172.16.0.1"
 
     gtpu_decap(pkt)
-    assert not pkt.is_tunneled()
+    assert pkt.find(GtpuHeader) is None
     assert pkt.inner_ip() is inner_before
     assert pkt.metadata["decapped_teid"] == 42
     assert pkt.metadata["decapped_from"] == "172.16.0.1"

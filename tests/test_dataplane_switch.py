@@ -60,12 +60,12 @@ def test_priority_order_wins():
 
 def test_table_miss_punts_to_controller():
     sw, _ = build_switch()
-    punted = []
-    sw.set_controller(punted.append)
+    add_rule(sw, match=FlowMatch(ip_dst="punt"),
+             actions=[act.ToController()])
     sw.inject(ip_packet("a", "b"), "ran")
-    assert len(punted) == 1
-    assert punted[0].reason == "table-miss"
-    assert punted[0].in_port == "ran"
+    sw.inject(ip_packet("a", "punt"), "ran")
+    assert sw.stats["to_controller"] == 2   # the miss and the explicit punt
+    assert sw.stats["dropped"] == 2         # no controller is attached
 
 
 def test_table_miss_without_controller_drops():
@@ -102,7 +102,7 @@ def test_gtpu_push_and_pop_actions():
     from repro.dataplane import gtpu_encap
     uplink = gtpu_encap(ip_packet("10.0.0.1", "8.8.8.8"), 5, "enb", "agw")
     sw.inject(uplink, "ran")
-    assert not delivered["uplink"][0].is_tunneled()
+    assert delivered["uplink"][0].find(GtpuHeader) is None
 
     downlink = ip_packet("8.8.8.8", "10.0.0.1")
     sw.inject(downlink, "internet")

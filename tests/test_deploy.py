@@ -21,7 +21,6 @@ def test_a_cell_site_provisions_the_agw_directly():
 def test_an_orchestrated_site_provisions_northbound_and_syncs():
     d = build(num_ues=2, backhaul="fiber",
               config=AgwConfig(checkin_interval=5.0))
-    assert d.network.link_between("agw-1", "orc")
     assert len(d.agw.subscriberdb) == 0          # nothing synced yet
     d.sim.run(until=6.0)                         # the first check-in
     assert d.agw.subscriberdb.get(d.imsis[1]).wifi_secret is None

@@ -1,8 +1,9 @@
 """Every example script must run to completion (end-to-end smoke).
 
-``quickstart.py`` and ``rural_isp.py`` cross the orchestrator over
-backhaul (``rural_isp.py`` also runs headless and recovers from a
-checkpoint); their whole stdout is deterministic and pinned.
+``quickstart.py``, ``rural_isp.py`` and ``backup_failover.py`` cross the
+orchestrator over backhaul (``rural_isp.py`` also runs headless and
+recovers from a checkpoint, ``backup_failover.py`` fails over to a
+standby AGW and back); their whole stdout is deterministic and pinned.
 """
 
 import os
@@ -19,9 +20,10 @@ EXAMPLES = [
     ("accessparks_backhaul.py", "AccessParks scenario complete"),
     ("neutral_host.py", "neutral host scenario complete"),
     ("enterprise_5g.py", "enterprise 5G scenario complete"),
+    ("backup_failover.py", "backup failover scenario complete"),
 ]
 
-#: Whole stdout of the two examples that cross the orchestrator.
+#: Whole stdout of the examples that cross the orchestrator.
 EXPECTED_STDOUT = {
     "quickstart.py": (
         "[t= 12.0s] AGW synced 1 subscriber(s) from the orchestrator\n"
@@ -48,6 +50,19 @@ EXPECTED_STDOUT = {
         "[t= 676.6s] metered 842.5 MB in active sessions; OCS charged"
         " 150.0 MB to prepaid users over 150 quota grants\n"
         "rural ISP scenario complete\n"),
+    "backup_failover.py": (
+        "[t= 65.0s] agw-1 and the backup synced 3 and 3 subscribers from"
+        " the orchestrator\n"
+        "[t= 69.2s] agw-1 serves 2 sessions\n"
+        "[t= 69.2s] agw-1 crashed; backup restored 2 sessions from its"
+        " checkpoint\n"
+        "[t= 69.3s] eNodeB re-pointed at the backup: accepted=True\n"
+        "[t= 70.5s] third UE attached through the backup: success=True,"
+        " backup serves 3 sessions\n"
+        "[t= 70.5s] agw-1 recovered: 3 sessions handed back, backup left"
+        " with 0\n"
+        "[t= 70.5s] eNodeB re-pointed at agw-1: accepted=True\n"
+        "backup failover scenario complete\n"),
 }
 
 

@@ -6,6 +6,9 @@ termination (§3.1), fault domains (§3.3) and backhaul quality.  All of it
 is simulated, so its stdout is deterministic.  The Magma columns predate
 the baseline's move onto the AGW's access core and did not move with it;
 of the baseline cells only the satellite median did (2.12 s before).
+
+``ablation-headless ablation-quota`` (§3.2 headless operation, §3.4
+double-spend bound) are pinned the same way.
 """
 
 from repro.experiments.__main__ import main
@@ -39,3 +42,28 @@ satellite  1.12             100            2.11                100
 def test_ablation_cli_stdout_is_pinned(capsys):
     assert main(["ablation-gtp", "ablation-faults", "ablation-backhaul"]) == 0
     assert capsys.readouterr().out == GOLDEN
+
+
+HEADLESS_QUOTA_GOLDEN = """\
+=== ablation-headless ===========================================
+Headless-operation ablation (120s partition)
+behaviour                                    result                      
+-------------------------------------------  ----------------------------
+cached-subscriber attaches during partition  5/5                         
+new subscriber usable during partition       no                          
+provisioning latency after heal              6.0s (check-in interval 10s)
+
+=== ablation-quota ==============================================
+Double-spend ablation: unbilled bytes vs quota size
+quota_bytes  agw_hops  consumed  charged  unbilled  bound     bound_holds
+-----------  --------  --------  -------  --------  --------  -----------
+100000       4         400000    0        400000    400000    yes        
+1000000      4         4000000   0        4000000   4000000   yes        
+10000000     4         40000000  0        40000000  40000000  yes        
+
+"""
+
+
+def test_headless_and_quota_ablation_stdout_is_pinned(capsys):
+    assert main(["ablation-headless", "ablation-quota"]) == 0
+    assert capsys.readouterr().out == HEADLESS_QUOTA_GOLDEN

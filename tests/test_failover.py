@@ -22,7 +22,7 @@ def site_with_backup(num_ues=3):
                            rng=site.rng.fork("backup"))
     # The backup holds the same cached config (subscribers/policies).
     for imsi in site.agw.subscriberdb.all_imsis():
-        backup.subscriberdb.upsert(site.agw.subscriberdb._profiles[imsi])
+        backup.subscriberdb.upsert(site.agw.subscriberdb.get(imsi))
     return site, backup
 
 

@@ -213,10 +213,8 @@ def test_gtpa_withdraw_and_validation():
     sim = Simulator()
     gtpa = GtpAggregator(sim, capacity_mbps=100.0)
     gtpa.offer("agw-1", "a", 10.0)
-    gtpa.withdraw("agw-1", "a")
+    gtpa.offer("agw-1", "a", 0.0)  # zero rate withdraws the offer
     assert gtpa.admitted("agw-1", "a") == 0.0
-    gtpa.offer("agw-1", "a", 5.0)
-    gtpa.offer("agw-1", "a", 0.0)  # zero rate removes the offer
     assert gtpa.allocate() == {}
     with pytest.raises(ValueError):
         gtpa.offer("agw-1", "a", -1.0)

@@ -34,7 +34,8 @@ def test_fig9_hourly_series_shape():
     from repro.experiments import run_fig9
     from repro.workloads import DiurnalConfig
     result = run_fig9(DiurnalConfig(days=2), seed=5)
-    series = result.hourly_series()
+    series = [(s.hour_index, s.active_subscribers, s.throughput_mbps)
+              for s in result.samples]
     assert len(series) == 48
     hour_indexes = [row[0] for row in series]
     assert hour_indexes == sorted(hour_indexes)

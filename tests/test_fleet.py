@@ -164,11 +164,17 @@ def test_bulk_attach_validates():
 
 def test_fleet_load_drives_user_plane_demand():
     site = _site()
-    site.agw.pipelined.set_fleet_load(100.0)
-    site.sim.run(until=site.sim.now + 1.0)   # let the CPU model tick
-    assert site.agw.pipelined.fleet_served_mbps() > 0
-    site.agw.pipelined.set_fleet_load(0.0)
-    assert site.agw.pipelined.fleet_served_mbps() == 0.0
+    pipelined, cpu = site.agw.pipelined, site.agw.context.cpu
+    pipelined.set_fleet_load(100.0)
+    served = cpu.fluid_work("up")[1]
+    site.sim.run(until=site.sim.now + 1.0)
+    assert cpu.fluid_work("up")[1] > served
+    assert pipelined.datapath_metrics()["dp_fleet_offered_mbps"] == 100.0
+    pipelined.set_fleet_load(0.0)
+    served = cpu.fluid_work("up")[1]
+    site.sim.run(until=site.sim.now + 1.0)
+    assert cpu.fluid_work("up")[1] == served
+    assert pipelined.datapath_metrics()["dp_fleet_offered_mbps"] == 0.0
     with pytest.raises(ValueError):
         site.agw.pipelined.set_fleet_load(-1.0)
 
@@ -337,7 +343,7 @@ def test_fleet_through_real_agw_shows_in_sessiond():
     site.sim.run(until=120.0)
     assert site.agw.sessiond.session_count() == fleet.attached()
     assert site.agw.mme.stats["attach_accepted"] == fleet.attached()
-    assert site.agw.pipelined.fleet_served_mbps() > 0
+    assert site.agw.context.cpu.fluid_work("up")[1] > 0
 
 
 # -- scaling stubs as fleet hosts ----------------------------------------------

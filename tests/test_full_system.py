@@ -98,22 +98,25 @@ def test_day_in_the_life():
     assert agw.sessiond.session_count() == 0
     assert agw.pipelined.session_count() == 0
     # Every subscriber has at least one CDR; usage totals are positive.
-    usage = agw.accounting.usage_by_subscriber()
+    usage = {}
+    for record in agw.accounting.records():
+        usage[record.imsi] = usage.get(record.imsi, 0) + record.total_bytes
     for ue in subscribers:
         assert usage.get(ue.imsi, 0) > 0
     # Prepaid users were charged at the OCS.  The mid-day crash may have
     # orphaned at most one open grant per user (the paper's double-spend
-    # bound); after the reservation TTL, housekeeping reclaims it.
+    # bound); after the reservation TTL, the next quota request reclaims
+    # it, leaving only that request's own grant reserved.
     for i, ue in enumerate(subscribers):
         if i % 3 == 0:
             account = ocs.account(ue.imsi)
             assert account.charged_bytes > 0
             assert account.reserved_bytes <= ocs.quota_bytes  # the bound
     sim.run(until=sim.now + ocs.reservation_ttl + 1.0)
-    ocs.housekeeping()
-    for i, ue in enumerate(subscribers):
-        if i % 3 == 0:
-            assert ocs.account(ue.imsi).reserved_bytes == 0
+    prepaid_ues = subscribers[::3]
+    grant = ocs.request_quota(prepaid_ues[0].imsi, "agw-1")
+    assert [ocs.account(ue.imsi).reserved_bytes for ue in prepaid_ues] == \
+        [grant.granted_bytes] + [0] * (len(prepaid_ues) - 1)
     # The orchestrator saw the whole day through metrics and check-ins.
     assert orc.statesync.gateway("agw-1").checkins > 5
     assert orc.metricsd.latest("attach_accepted",

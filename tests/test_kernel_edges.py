@@ -88,7 +88,7 @@ def test_run_until_before_now_is_refused_when_drained():
     assert sim.run(until=5.0) == 5.0  # the same instant is fine
 
 
-def test_all_of_failure_fails_composite():
+def test_any_of_failure_fails_composite():
     sim = Simulator()
     caught = []
 
@@ -97,25 +97,13 @@ def test_all_of_failure_fails_composite():
         bad = sim.event()
         sim.schedule(0.5, bad.fail, RuntimeError("child failed"))
         try:
-            yield sim.all_of([good, bad])
+            yield sim.any_of([good, bad])
         except RuntimeError as exc:
             caught.append(str(exc))
 
     sim.spawn(proc(sim))
     sim.run()
     assert caught == ["child failed"]
-
-
-def test_all_of_empty_completes_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        result = yield sim.all_of([])
-        return result
-
-    p = sim.spawn(proc(sim))
-    sim.run()
-    assert p.value == {}
 
 
 def test_interrupt_while_waiting_on_plain_event():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lte import TeidAllocator, make_imsi, validate_imsi
+from repro.lte import TeidAllocator, make_imsi
 from repro.lte.gtp import EchoRequest, EchoResponse, GtpcEndpoint, GtpTimeout
 from repro.net import Link, Network
 from repro.sim import RngRegistry, Simulator
@@ -12,16 +12,14 @@ def test_make_imsi_format():
     imsi = make_imsi(1)
     assert imsi == "001010000000001"
     assert len(imsi) == 15
-    assert validate_imsi(imsi) == imsi
+    assert imsi.isdigit()
 
 
 def test_make_imsi_validation():
     with pytest.raises(ValueError):
         make_imsi(-1)
-    with pytest.raises(ValueError):
-        validate_imsi("12345")
-    with pytest.raises(ValueError):
-        validate_imsi("abcdefghijklmno")
+    with pytest.raises(ValueError, match="PLMN too long"):
+        make_imsi(1, plmn="0" * 15)
 
 
 def test_teid_allocator_unique_and_reuse():
@@ -123,12 +121,13 @@ def test_echo_monitor_declares_path_failure():
 
 
 def test_echo_monitor_stop():
+    """Closing the endpoint stops its path monitors."""
     sim, net, mme, pgw = build_gtp()
     failed_paths = []
     mme.set_path_failure_callback(failed_paths.append)
     mme.start_path_monitor("pgw", interval=1.0)
     sim.run(until=2.5)
-    mme.stop_path_monitor("pgw")
+    mme.close()
     net.set_node_up("pgw", False)
     sim.run(until=30.0)
     assert failed_paths == []

@@ -47,7 +47,7 @@ def test_handover_moves_radio_attachment():
     assert not site.enbs[0].cell.is_active(ue.imsi)
     assert site.enbs[1].cell.is_active(ue.imsi)
     # Offered traffic follows the UE to the new cell.
-    assert site.enbs[1].cell.aggregate_offered() == pytest.approx(3.0)
+    assert site.enbs[1].cell.allocate() == {ue.imsi: pytest.approx(3.0)}
 
 
 def test_handover_updates_directoryd():

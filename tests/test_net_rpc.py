@@ -164,14 +164,6 @@ def test_interceptor_wraps_the_registered_handler():
         server.intercept("svc", "missing", interceptor)
 
 
-def test_unregister_service():
-    sim, net, server, channel = build()
-    server.register("svc", "m", lambda r: "ok")
-    server.unregister_service("svc")
-    outcome = call(sim, channel, "svc", "m", None)
-    assert outcome["err"].code == RpcError.NOT_FOUND
-
-
 def test_channel_close_fails_pending():
     sim, net, server, channel = build()
 

@@ -148,12 +148,6 @@ def test_duplicate_bind_rejected():
         net.bind("b", 7, lambda d: None)
 
 
-def test_link_between():
-    sim, net = make_net(latency=0.123)
-    assert net.link_between("a", "b").latency == 0.123
-    assert net.link_between("a", "zzz") is None
-
-
 def test_set_node_up_unknown_raises():
     sim, net = make_net()
     with pytest.raises(KeyError):

@@ -11,7 +11,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.orchestrator.alerting import AlertManager
 from repro.core.orchestrator.config_store import ConfigStore
 from repro.core.orchestrator.metricsd import Metricsd
 from repro.core.orchestrator.orchestrator import OFFLINE_THRESHOLD
@@ -20,7 +19,7 @@ from repro.core.orchestrator.statesync import (
     GatewayState,
     StateSync,
 )
-from repro.obs.health import HealthEngine, HealthSlo, health_rule
+from repro.obs.health import HealthEngine, HealthSlo
 from repro.sim import Monitor, Simulator
 from repro.sim.monitor import Series
 
@@ -152,23 +151,6 @@ def test_report_rolls_up_shards_and_fleet():
     (shard,) = report["shards"].values()  # one shard, one bucket
     assert shard["agws"] == 2
     assert report["fleet"]["mean_score"] == pytest.approx(100.0)
-
-
-def test_health_rule_fires_below_threshold():
-    sim = Simulator()
-    state = gw("agw-0", sim)
-    orc = fake_orc(sim, [state, gw("agw-1", sim)])
-    sim._now = 0.95 * OFFLINE_THRESHOLD  # both stale -> freshness ~0.05
-    engine = HealthEngine(orc)
-    manager = AlertManager(clock=lambda: sim.now)
-    manager.add_rule(health_rule(engine, threshold=90.0))
-    raised = manager.evaluate()
-    assert sorted(a.subject for a in raised) == ["agw-0", "agw-1"]
-    # Fresh check-ins resolve on the next evaluation.
-    for s in orc.statesync.gateways():
-        s.last_checkin = sim.now
-    manager.evaluate()
-    assert manager.active_alerts() == []
 
 
 # -- convergence tracker -----------------------------------------------------------

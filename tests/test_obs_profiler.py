@@ -111,26 +111,14 @@ def test_owner_of_a_process_is_its_generators_module():
     assert owner_of(sim.timeout(1.0)._fire) == KERNEL
 
 
-def test_reset_clears_everything():
-    sim = Simulator()
-    prof = profiled(sim)
-    churn(sim, [], n=3)
-    prof.reset()
-    assert prof.self_s == {} and prof.calls == {}
-    assert prof.report()["total_s"] == 0.0
-
-
 # -- hook wiring -------------------------------------------------------------------
 
 
-def test_add_hook_profiles_the_loop_and_remove_hook_stops_it():
+def test_add_hook_profiles_the_loop():
     sim = Simulator()
     prof = profiled(sim)
     churn(sim, [], n=10)
     assert prof.calls[KERNEL] == 20
-    assert sim.remove_hook(prof)
-    churn(sim, [], n=10)
-    assert prof.calls[KERNEL] == 20  # not counting
 
 
 def test_profiler_composes_with_sanitizer_and_another_profiler():

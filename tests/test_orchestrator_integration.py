@@ -136,28 +136,6 @@ def test_offline_gateway_alert():
     assert new_alerts[0].rule_name == "gateway-offline"
 
 
-def test_bootstrap_over_rpc():
-    from repro.core.orchestrator import sign_challenge
-    from repro.net import RpcChannel
-    sim, network, orc, agw, enb, ues = build_deployment()
-    orc.bootstrapper.preregister("agw-1", b"hw-key")
-    channel = RpcChannel(sim, network, "agw-1", "orc")
-    results = {}
-
-    def enroll(sim):
-        challenge = yield channel.call("bootstrap", "challenge",
-                                       {"gateway_id": "agw-1"})
-        cert = yield channel.call("bootstrap", "complete", {
-            "gateway_id": "agw-1",
-            "signature": sign_challenge(b"hw-key", challenge["nonce"])})
-        results.update(cert)
-
-    sim.spawn(enroll(sim))
-    sim.run(until=sim.now + 5.0)
-    assert "token" in results
-    assert orc.bootstrapper.is_enrolled("agw-1")
-
-
 def test_unhealthy_gateway_alert():
     sim, network, orc, agw, enb, ues = build_deployment()
     sim.run(until=10.0)

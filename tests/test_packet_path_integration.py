@@ -31,7 +31,7 @@ def test_uplink_packet_decapped_and_forwarded():
     pipelined.switch.inject(pkt, "ran")
     assert len(sgi_out) == 1
     out = sgi_out[0]
-    assert not out.is_tunneled()                     # decapped
+    assert out.find(GtpuHeader) is None              # decapped
     assert out.inner_ip().src == ue.ip_address
     assert out.metadata["imsi"] == ue.imsi           # classified
     assert out.metadata["direction"] == "uplink"

@@ -29,7 +29,7 @@ def test_enb_rrc_connect_idempotent():
     context1 = site.enbs[0].rrc_connect(site.ues[0])
     context2 = site.enbs[0].rrc_connect(site.ues[0])
     assert context1 is context2
-    assert site.enbs[0].connected_ues() == 1
+    assert list(site.enbs[0].cell.allocate()) == [site.ues[0].imsi]
 
 
 def test_enb_uplink_after_release_is_dropped():

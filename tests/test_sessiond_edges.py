@@ -48,7 +48,8 @@ def test_terminate_unknown_session_returns_false():
 
 def test_allowed_rate_for_unknown_is_zero():
     site = build(num_ues=1)
-    assert site.agw.sessiond.allowed_rate("9" * 15) == 0.0
+    assert site.agw.sessiond.session("9" * 15) is None
+    assert site.agw.admitted_downlink("9" * 15, 5.0) == 0.0
 
 
 def test_online_policy_without_ocs_rejects():

@@ -296,20 +296,6 @@ def test_any_of_first_wins():
     assert sim.now == 5.0  # the slow timeout still fires
 
 
-def test_all_of_collects_all_values():
-    sim = Simulator()
-
-    def proc(sim):
-        a = sim.timeout(1.0, "a")
-        b = sim.timeout(2.0, "b")
-        result = yield sim.all_of([a, b])
-        return sorted(result.values())
-
-    p = sim.spawn(proc(sim))
-    sim.run()
-    assert p.value == ["a", "b"]
-
-
 def test_any_of_empty_completes_immediately():
     sim = Simulator()
 

@@ -308,7 +308,7 @@ def seeded_stores(orc_ops, gw_ops):
     content = {}
     for key, value in orc_ops:
         if value is None:
-            if store.contains("subscribers", key):
+            if key in store.keys("subscribers"):
                 store.delete("subscribers", key)
             content.pop(key, None)
         else:

@@ -171,13 +171,3 @@ def test_portal_rejects_unknown_and_duplicate_vouchers():
     portal.issue_voucher("X")
     with pytest.raises(PortalError):
         portal.issue_voucher("X")
-
-
-def test_portal_logout():
-    portal = CaptivePortal()
-    portal.issue_voucher("X")
-    portal.login("mac-1", "X")
-    assert portal.active_sessions() == 1
-    portal.logout("mac-1")
-    assert not portal.is_allowed("mac-1")
-    assert portal.active_sessions() == 0

@@ -11,7 +11,6 @@ from repro.workloads import (
     TrafficEngine,
     diurnal_factor,
     generate_trace,
-    start_streaming,
     summarize,
 )
 
@@ -120,14 +119,6 @@ def test_iot_validation():
     site = build(num_ues=1)
     with pytest.raises(ValueError):
         IotWorkload(site.sim, site.ues, report_interval=0)
-
-
-def test_start_streaming_sets_rates():
-    site = build(num_ues=2)
-    for ue in site.ues:
-        site.run_attach(ue)
-    start_streaming(site.ues, rate_mbps=1.5)
-    assert all(ue.offered_mbps == 1.5 for ue in site.ues)
 
 
 # -- diurnal trace ----------------------------------------------------------------
