@@ -13,20 +13,26 @@ measures divergence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..net.simnet import Network
 from ..net.transport import DatagramSocket
 from ..sim.kernel import Simulator
 
+#: The replica listens here; each sender binds its own port beside it.
+REPLICA_PORT = 7000
+CRUD_SENDER_PORT = 7001
+DESIRED_SENDER_PORT = 7002
+
 
 class CrudReplica:
     """The receiver side: applies whatever operations arrive."""
 
-    def __init__(self, network: Network, node: str, port: int = 7000):
+    def __init__(self, network: Network, node: str):
         self.state: Dict[str, Any] = {}
         self.applied_ops = 0
-        self._socket = DatagramSocket(network, node, port, self._on_message)
+        self._socket = DatagramSocket(network, node, REPLICA_PORT,
+                                      self._on_message)
 
     def _on_message(self, payload: Any, src: str, port: int) -> None:
         kind = payload[0]
@@ -52,31 +58,27 @@ class CrudSynchronizer:
     """Sender that communicates each change as a delta (no reconciliation)."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
-                 peer: str, port: int = 7000,
-                 local_port: Optional[int] = None):
+                 peer: str):
         self.sim = sim
         self.intended: Dict[str, Any] = {}
         self.ops_sent = 0
-        self._socket = DatagramSocket(network, node,
-                                      local_port if local_port is not None
-                                      else port + 1)
+        self._socket = DatagramSocket(network, node, CRUD_SENDER_PORT)
         self.peer = peer
-        self.port = port
 
     def create(self, key: str, value: Any) -> None:
         self.intended[key] = value
         self.ops_sent += 1
-        self._socket.send(self.peer, self.port, ("create", key, value))
+        self._socket.send(self.peer, REPLICA_PORT, ("create", key, value))
 
     def update(self, key: str, value: Any) -> None:
         self.intended[key] = value
         self.ops_sent += 1
-        self._socket.send(self.peer, self.port, ("update", key, value))
+        self._socket.send(self.peer, REPLICA_PORT, ("update", key, value))
 
     def delete(self, key: str) -> None:
         self.intended.pop(key, None)
         self.ops_sent += 1
-        self._socket.send(self.peer, self.port, ("delete", key))
+        self._socket.send(self.peer, REPLICA_PORT, ("delete", key))
 
     def divergence(self, replica: CrudReplica) -> int:
         """Number of keys that differ between intent and replica."""
@@ -87,17 +89,13 @@ class DesiredStateSynchronizer:
     """Sender that periodically pushes the entire intended state (§3.4)."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
-                 peer: str, port: int = 7000, interval: float = 5.0,
-                 local_port: Optional[int] = None):
+                 peer: str, interval: float = 5.0):
         self.sim = sim
         self.intended: Dict[str, Any] = {}
         self.pushes = 0
         self.interval = interval
-        self._socket = DatagramSocket(network, node,
-                                      local_port if local_port is not None
-                                      else port + 2)
+        self._socket = DatagramSocket(network, node, DESIRED_SENDER_PORT)
         self.peer = peer
-        self.port = port
         self._running = False
 
     def create(self, key: str, value: Any) -> None:
@@ -111,7 +109,7 @@ class DesiredStateSynchronizer:
 
     def push_now(self) -> None:
         self.pushes += 1
-        self._socket.send(self.peer, self.port,
+        self._socket.send(self.peer, REPLICA_PORT,
                           ("full_state", dict(self.intended)),
                           size_bits=8_000 + 512 * len(self.intended))
 

@@ -89,7 +89,6 @@ class AgwConfig:
     # Static CPU partition {"cp": n, "up": m}; None = flexible scheduling.
     cpu_partition: Optional[Dict[str, float]] = None
     ip_block: str = "10.128.0.0/16"
-    checkpoint_interval: float = 10.0
     checkin_interval: float = 60.0
     # MME overload protection: reject new attaches outright when this much
     # control-plane work is already queued, instead of letting doomed
@@ -101,10 +100,6 @@ class AgwConfig:
     # Multi-network (tenant) membership: which logical network's config
     # this gateway pulls from the orchestrator.
     network_id: str = "default"
-    # Telemetry buffering during headless operation (§3.4): how many
-    # check-in-interval snapshots to retain while the orchestrator is
-    # unreachable.
-    metrics_buffer_max: int = 240
 
 
 class AgwContext:

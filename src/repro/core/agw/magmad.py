@@ -24,6 +24,11 @@ from ...sim.kernel import Interrupted, Process
 from ..sync import DigestMirror, ReconcileClient
 from .context import RPC_DEADLINE, AgwContext
 
+#: Seconds between runtime-state checkpoints.
+CHECKPOINT_INTERVAL = 10.0
+#: Telemetry buffering during headless operation (§3.4): how many
+#: check-in snapshots to retain while the orchestrator is unreachable.
+METRICS_BUFFER_MAX = 240
 #: Buffered metric snapshots back-filled per check-in after headless
 #: operation; the rest wait for the next round.
 METRICS_MAX_BACKFILL = 20
@@ -72,7 +77,7 @@ class Magmad:
         # buffer accumulates (bounded - oldest dropped) and is back-filled
         # on reconnect; the ack makes redelivery duplicate-free.
         self._metrics_buffer: Deque[Dict[str, Any]] = deque(
-            maxlen=context.config.metrics_buffer_max)
+            maxlen=METRICS_BUFFER_MAX)
         self._metrics_seq = 0
         # High-water mark of shipped attach-latency samples: each buffered
         # batch carries only rows recorded strictly after the previous one
@@ -134,10 +139,9 @@ class Magmad:
         return snapshot
 
     def _checkpoint_loop(self):
-        interval = self.context.config.checkpoint_interval
         try:
             while self.running:
-                yield self.context.sim.timeout(interval)
+                yield self.context.sim.timeout(CHECKPOINT_INTERVAL)
                 if not self.running:
                     return
                 self.checkpoint_now()

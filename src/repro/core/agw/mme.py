@@ -51,6 +51,9 @@ STAGE_SESSION_SETUP = 0.3    # session creation + data-plane programming
 #: Reject cause of a wrong answer to the challenge.
 AUTH_FAILURE = "authentication failure"
 
+#: Deadline of the AGW's calls to the Federation Gateway.
+FEG_DEADLINE = 10.0
+
 
 class RanFrontend:
     """What access management needs from a radio-specific frontend: one
@@ -92,17 +95,16 @@ class FederationClient:
     Magma orchestrator.
     """
 
-    def __init__(self, channel, deadline: float = 10.0):
+    def __init__(self, channel):
         self.channel = channel
-        self.deadline = deadline
 
     def get_auth_vector(self, imsi: str) -> Event:
         return self.channel.call(FEG_SERVICE, "get_auth_vector",
-                                 {"imsi": imsi}, deadline=self.deadline)
+                                 {"imsi": imsi}, deadline=FEG_DEADLINE)
 
     def get_policy(self, imsi: str) -> Event:
         return self.channel.call(FEG_SERVICE, "get_policy",
-                                 {"imsi": imsi}, deadline=self.deadline)
+                                 {"imsi": imsi}, deadline=FEG_DEADLINE)
 
 
 class UeContextState:

@@ -1,6 +1,6 @@
 """Federation with external MNO cores (paper §3.6)."""
 
-from .feg import FEG_SERVICE, FederationGateway, FegConfig
+from .feg import FEG_SERVICE, FederationGateway
 from .gtp_aggregator import DEFAULT_GTPA_CAPACITY_MBPS, GtpAggregator
 from .mno_core import MnoSubscriber, PartnerMnoCore
 from .modes import DeploymentMode, user_plane_egress, validate_mode
@@ -10,7 +10,6 @@ __all__ = [
     "DeploymentMode",
     "FEG_SERVICE",
     "FederationGateway",
-    "FegConfig",
     "GtpAggregator",
     "MnoSubscriber",
     "PartnerMnoCore",

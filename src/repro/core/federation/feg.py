@@ -10,7 +10,6 @@ matters for scaling (§4.3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...net.rpc import RpcChannel, RpcError, RpcServer
@@ -19,28 +18,22 @@ from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
 
 FEG_SERVICE = "feg"
-
-
-@dataclass
-class FegConfig:
-    cores: float = 16.0               # one "heavy" orchestrator VM
-    request_cpu_cost: float = 0.001
-    mno_deadline: float = 10.0
+FEG_CORES = 16.0               # one "heavy" orchestrator VM
+REQUEST_CPU_COST = 0.001       # core-seconds per AGW request
+MNO_DEADLINE = 10.0
 
 
 class FederationGateway:
     """The FeG service, hosted at a network node (usually the orchestrator)."""
 
     def __init__(self, sim: Simulator, network: Network, node: str,
-                 mno_node: str, config: Optional[FegConfig] = None,
-                 server: Optional[RpcServer] = None):
+                 mno_node: str, server: Optional[RpcServer] = None):
         self.sim = sim
         self.network = network
         self.node = node
         self.mno_node = mno_node
-        self.config = config or FegConfig()
         network.add_node(node)
-        self.cpu = CpuModel(sim, cores=self.config.cores, name=f"feg-{node}")
+        self.cpu = CpuModel(sim, cores=FEG_CORES, name=f"feg-{node}")
         self.server = server or RpcServer(sim, network, node)
         self._mno = RpcChannel(sim, network, node, mno_node)
         self.server.register(FEG_SERVICE, "get_auth_vector",
@@ -57,11 +50,11 @@ class FederationGateway:
         self.stats["auth_requests"] += 1
 
         def proc(sim):
-            yield self.cpu.submit("feg", self.config.request_cpu_cost)
+            yield self.cpu.submit("feg", REQUEST_CPU_COST)
             try:
                 vector = yield self._mno.call(
                     "s6a", "authentication_information", request,
-                    deadline=self.config.mno_deadline)
+                    deadline=MNO_DEADLINE)
             except RpcError as exc:
                 self.stats["mno_errors"] += 1
                 if exc.code == RpcError.NOT_FOUND:
@@ -75,10 +68,10 @@ class FederationGateway:
         self.stats["policy_requests"] += 1
 
         def proc(sim):
-            yield self.cpu.submit("feg", self.config.request_cpu_cost)
+            yield self.cpu.submit("feg", REQUEST_CPU_COST)
             try:
                 response = yield self._mno.call("gx", "ccr_initial", request,
-                                                deadline=self.config.mno_deadline)
+                                                deadline=MNO_DEADLINE)
             except RpcError as exc:
                 self.stats["mno_errors"] += 1
                 if exc.code == RpcError.NOT_FOUND:
@@ -93,18 +86,18 @@ class FederationGateway:
         self.stats["quota_requests"] += 1
 
         def proc(sim):
-            yield self.cpu.submit("feg", self.config.request_cpu_cost)
+            yield self.cpu.submit("feg", REQUEST_CPU_COST)
             grant = yield self._mno.call("gy", "request_quota", request,
-                                         deadline=self.config.mno_deadline)
+                                         deadline=MNO_DEADLINE)
             return grant
 
         return proc(self.sim)
 
     def _on_report_usage(self, request: Dict[str, Any]):
         def proc(sim):
-            yield self.cpu.submit("feg", self.config.request_cpu_cost)
+            yield self.cpu.submit("feg", REQUEST_CPU_COST)
             result = yield self._mno.call("gy", "report_usage", request,
-                                          deadline=self.config.mno_deadline)
+                                          deadline=MNO_DEADLINE)
             return result
 
         return proc(self.sim)

@@ -20,13 +20,12 @@ DEFAULT_GTPA_CAPACITY_MBPS = 18_000.0  # ~2x10G NICs, minus overhead
 class GtpAggregator:
     """Fluid-mode aggregation point for home-routed traffic."""
 
-    def __init__(self, sim: Simulator, node: str = "gtp-a",
+    def __init__(self, sim: Simulator,
                  capacity_mbps: float = DEFAULT_GTPA_CAPACITY_MBPS,
                  mno_core: Optional["PartnerMnoCore"] = None):
         if capacity_mbps <= 0:
             raise ValueError("capacity must be positive")
         self.sim = sim
-        self.node = node
         self.capacity_mbps = capacity_mbps
         self.mno_core = mno_core
         self._offers: Dict[Tuple[str, str], float] = {}  # (agw, imsi) -> mbps
@@ -85,4 +84,4 @@ class GtpAggregator:
                 yield self.sim.timeout(tick)
                 self.forward(tick)
 
-        self.sim.spawn(loop(), name=f"gtpa-accounting:{self.node}")
+        self.sim.spawn(loop(), name="gtpa-accounting:gtp-a")

@@ -29,23 +29,13 @@ class AlertRule:
 
 
 def metric_threshold_rule(metricsd, *, name: str, metric: str,
-                          threshold: float, above: bool = True,
-                          label: str = "gateway_id",
-                          for_duration: float = 0.0,
-                          message: str = "") -> AlertRule:
+                          threshold: float, message: str = "") -> AlertRule:
     """An :class:`AlertRule` over ingested metricsd series.
 
-    Fires per label value (one subject per gateway, by default) whenever
-    the latest sample of ``metric`` crosses ``threshold`` — strictly above
-    when ``above`` is True, strictly below otherwise.  Label sets without
-    ``label`` fall back to a stringified label dict as the subject.
-
-    ``for_duration`` adds hysteresis: a subject only *starts* firing once
-    the crossing has been sustained (latest sample plus the unbroken run
-    of crossing samples behind it spans at least ``for_duration`` of
-    capture time), so one noisy sample cannot flap an alert.  Once firing,
-    the subject stays firing until a sample lands back on the safe side —
-    a single recovered sample resolves, matching Prometheus ``for:``.
+    Fires per gateway (the ``gateway_id`` label) whenever the latest
+    sample of ``metric`` is strictly above ``threshold``, and resolves on
+    the first sample back at or below it.  Label sets without a
+    ``gateway_id`` fall back to a stringified label dict as the subject.
 
     A series that is *known* but currently has no samples in retention is
     skipped entirely: the subject keeps its previous firing state rather
@@ -53,47 +43,27 @@ def metric_threshold_rule(metricsd, *, name: str, metric: str,
     """
     firing: Set[str] = set()
 
-    def crosses(value: float) -> bool:
-        return (value > threshold) if above else (value < threshold)
-
     def evaluate() -> List[str]:
         seen = set()
         for labels in metricsd.label_sets(metric):
-            subject = labels.get(label, str(labels))
+            subject = labels.get("gateway_id", str(labels))
             seen.add(subject)
             sample = metricsd.latest(metric, labels or None)
             if sample is None:
                 # Known series with nothing in retention: no data is not
                 # evidence of recovery — hold the previous state.
                 continue
-            if not crosses(sample.value):
+            if sample.value > threshold:
+                firing.add(subject)
+            else:
                 firing.discard(subject)
-                continue
-            if subject in firing or for_duration <= 0.0:
-                firing.add(subject)
-                continue
-            # Sustained-crossing check: walk back through samples sorted
-            # by capture time while they keep crossing.
-            samples = sorted(metricsd.query(metric, labels or None),
-                             key=lambda s: s.time)
-            held_since = sample.time
-            for prev in reversed(samples):
-                if prev.time > sample.time:
-                    continue
-                if not crosses(prev.value):
-                    break
-                held_since = prev.time
-            if sample.time - held_since >= for_duration:
-                firing.add(subject)
         # Subjects whose label set vanished wholesale (e.g. a re-keyed
         # fleet) do resolve: there is no longer a series to watch.
         firing.intersection_update(seen)
         return sorted(firing)
 
-    comparison = ">" if above else "<"
     return AlertRule(name=name, evaluate=evaluate,
-                     message=message or
-                     f"{metric} {comparison} {threshold:g}")
+                     message=message or f"{metric} > {threshold:g}")
 
 
 class AlertManager:

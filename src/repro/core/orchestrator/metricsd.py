@@ -15,6 +15,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
+#: Samples older than this behind the newest capture time are dropped.
+RETENTION = 7 * 24 * 3600.0
+#: Rows kept per series (per block) before the oldest is evicted.
+MAX_SAMPLES_PER_SERIES = 100_000
+
 Labels = Tuple[Tuple[str, str], ...]
 SeriesKey = Tuple[str, Labels]
 Signature = Tuple[Labels, Tuple[str, ...]]
@@ -61,10 +66,7 @@ class _Block:
 class Metricsd:
     """Time-series metric samples keyed by (name, labels)."""
 
-    def __init__(self, retention: float = 7 * 24 * 3600.0,
-                 max_samples_per_series: int = 100_000):
-        self.retention = retention
-        self.max_samples = max_samples_per_series
+    def __init__(self):
         # Every series lives in exactly one block, at one row index.  A
         # series stays registered when retention drains it: alert rules
         # treat "known but sampleless" as skip, not as resolved.
@@ -98,7 +100,7 @@ class Metricsd:
         time = row[0]
         if time > self._now:
             self._now = time
-        elif self._now - time > self.retention:
+        elif self._now - time > RETENTION:
             # Too old to matter by the time it arrived (late back-fill).
             self.stats["dropped_old"] += len(names)
             return
@@ -157,16 +159,16 @@ class Metricsd:
         block.rows.append(row)
         if block.latest is None or row[0] >= block.latest_time:
             block.latest, block.latest_time = arrival, row[0]
-        if (block.tail - block.head > self.max_samples
-                or self._now - block.rows[0][0] > self.retention):
+        if (block.tail - block.head > MAX_SAMPLES_PER_SERIES
+                or self._now - block.rows[0][0] > RETENTION):
             self._evict(block)
 
     def _evict(self, block: _Block) -> None:
         """Pop whole rows off the head while it is past retention or the
         block is over the per-series cap."""
         rows, now, head = block.rows, self._now, block.head
-        while rows and (now - rows[0][0] > self.retention
-                        or block.tail - head > self.max_samples):
+        while rows and (now - rows[0][0] > RETENTION
+                        or block.tail - head > MAX_SAMPLES_PER_SERIES):
             rows.popleft()
             head += 1
         self.stats["dropped_old"] += (head - block.head) * len(block.names)

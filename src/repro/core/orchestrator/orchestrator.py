@@ -118,7 +118,7 @@ class Orchestrator:
             message="gateway self-reports failing health checks"))
         self.alerts.add_rule(metric_threshold_rule(
             self.metricsd, name="attach-rejections",
-            metric="attach_rejected", threshold=0.0, above=True,
+            metric="attach_rejected", threshold=0.0,
             message="gateway has rejected attach attempts"))
         # Windowed health/SLO scoring over the state assembled above.
         # Deferred import: obs.health is a consumer of orchestrator state

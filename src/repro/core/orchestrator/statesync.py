@@ -396,11 +396,11 @@ class ConvergenceTracker:
 
     SERIES = "sync.convergence.lag_s"
 
-    def __init__(self, sim: Simulator, monitor: Optional[Monitor] = None,
-                 metricsd: Optional[Metricsd] = None):
+    def __init__(self, sim: Simulator, monitor: Optional[Monitor] = None):
         self.sim = sim
         self.monitor = monitor
-        self.metricsd = metricsd
+        # The orchestrator attaches its first shard's store once built.
+        self.metricsd: Optional[Metricsd] = None
         # network -> publish version -> publish time, oldest publish first.
         self._pending: Dict[str, "OrderedDict[int, float]"] = {}
         # network -> gateway id -> last applied version seen at check-in.

@@ -17,6 +17,9 @@ from typing import Optional
 from .rules import ChargingMode, PolicyRule
 
 UNLIMITED_MBPS = 10_000.0  # sentinel "no shaping" rate for meters
+#: Online charging asks for more quota once the grant left falls below
+#: this share of the last grant.
+QUOTA_REFILL_THRESHOLD = 0.2
 
 
 class EnforcementDecision:
@@ -35,15 +38,13 @@ class EnforcementDecision:
 class EnforcementState:
     """Mutable per-session policy state (runtime state, AGW-local)."""
 
-    def __init__(self, policy: PolicyRule, session_start: float = 0.0,
-                 quota_refill_threshold: float = 0.2):
+    def __init__(self, policy: PolicyRule, session_start: float = 0.0):
         self.policy = policy
         self.total_bytes = 0
         self.interval_bytes = 0
         self.interval_start = session_start
         self.quota_remaining = 0      # online charging: bytes left in grant
         self.quota_grant_id: Optional[int] = None
-        self.quota_refill_threshold = quota_refill_threshold
         self._last_grant_size = 0
 
     # -- usage accounting ------------------------------------------------------
@@ -84,7 +85,7 @@ class EnforcementState:
                 return EnforcementDecision(0.0, blocked=True, needs_quota=True)
             needs_quota = (self._last_grant_size > 0 and
                            self.quota_remaining <
-                           self._last_grant_size * self.quota_refill_threshold)
+                           self._last_grant_size * QUOTA_REFILL_THRESHOLD)
             rate = policy.rate_limit_mbps or UNLIMITED_MBPS
             return EnforcementDecision(rate, needs_quota=needs_quota)
         if policy.usage_cap_bytes is not None and \

@@ -24,7 +24,6 @@ from .reconcile import (
     ReconcileServer,
 )
 from .shard import (
-    DEFAULT_VNODES,
     ConsistentHashRing,
     MergedGatewayView,
     MergedMetricsView,
@@ -32,7 +31,6 @@ from .shard import (
 
 __all__ = [
     "DIGEST_BYTES",
-    "DEFAULT_VNODES",
     "ConsistentHashRing",
     "DigestIndex",
     "DigestMirror",

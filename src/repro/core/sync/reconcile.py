@@ -88,26 +88,20 @@ class DigestMirror:
 class ReconcileServer:
     """Orchestrator-side digest comparison and delta computation.
 
-    ``scope`` maps a wire label + network id to the store namespace
-    (multi-tenant scoping lives in statesync; this engine only needs the
-    mapping function).
+    ``scope`` maps a wire label (the namespace's own name) + network id
+    to the store namespace (multi-tenant scoping lives in statesync; this
+    engine only needs the mapping function).
     """
 
     def __init__(self, digests, store,
-                 scope: Callable[[str, str], str],
-                 label_namespaces: Optional[Dict[str, str]] = None):
+                 scope: Callable[[str, str], str]):
         self.digests = digests
         self.store = store
         self.scope = scope
-        self.label_namespaces = label_namespaces or \
-            {label: label for label in SYNC_LABELS}
-
-    def _namespace(self, label: str, network_id: str) -> str:
-        return self.scope(self.label_namespaces[label], network_id)
 
     def roots(self, network_id: str) -> Dict[str, int]:
-        return {label: self.digests.root(self._namespace(label, network_id))
-                for label in self.label_namespaces}
+        return {label: self.digests.root(self.scope(label, network_id))
+                for label in SYNC_LABELS}
 
     def sync_info(self, network_id: str,
                   gateway_roots: Dict[str, int]) -> Dict[str, Any]:
@@ -118,8 +112,8 @@ class ReconcileServer:
         the gateway's first follow-up already starts one level down.
         """
         out: Dict[str, Any] = {}
-        for label in self.label_namespaces:
-            tree = self.digests.tree(self._namespace(label, network_id))
+        for label in SYNC_LABELS:
+            tree = self.digests.tree(self.scope(label, network_id))
             root = tree.root()
             if gateway_roots.get(label) != root:
                 out[label] = {"root": root, "children": tree.children(())}
@@ -131,11 +125,11 @@ class ReconcileServer:
         nodes: Dict[str, Dict[NodePath, Dict[NodePath, int]]] = {}
         deltas: Dict[str, Dict[NodePath, Dict[str, Any]]] = {}
         for label, paths in request.get("ns_paths", {}).items():
-            tree = self.digests.tree(self._namespace(label, network_id))
+            tree = self.digests.tree(self.scope(label, network_id))
             nodes[label] = {tuple(path): tree.children(path)
                             for path in paths}
         for label, leaves in request.get("ns_leaves", {}).items():
-            namespace = self._namespace(label, network_id)
+            namespace = self.scope(label, network_id)
             tree = self.digests.tree(namespace)
             label_deltas = deltas.setdefault(label, {})
             for path, gateway_entries in leaves.items():
@@ -192,8 +186,7 @@ class ReconcileClient:
     def __init__(self, mirror: DigestMirror,
                  apply_delta: Callable[[str, Dict[str, Any], List[str], int],
                                        None],
-                 network_id: str, gateway_id: str,
-                 max_rounds: Optional[int] = None):
+                 network_id: str, gateway_id: str):
         self.mirror = mirror
         self.apply_delta = apply_delta
         self.network_id = network_id
@@ -201,8 +194,7 @@ class ReconcileClient:
         # Each round either descends one level or ships leaf deltas, so
         # depth rounds always suffice; +1 tolerates a root opener that
         # was already at leaf level (depth-1 trees).
-        self.max_rounds = max_rounds if max_rounds is not None \
-            else mirror.depth + 1
+        self.max_rounds = mirror.depth + 1
         self._rounds = 0
         self._version = 0
         self._target_roots: Dict[str, int] = {}

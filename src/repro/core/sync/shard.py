@@ -31,7 +31,7 @@ from .digest import key_hash
 #: Virtual nodes per shard.  Balance error of a consistent-hash ring
 #: falls off as ~1/sqrt(vnodes); 256 keeps the max/mean shard load
 #: within a few percent at 10k gateways (the chi-square test bound).
-DEFAULT_VNODES = 256
+VNODES = 256
 
 _BY_TIME = attrgetter("time")
 
@@ -39,17 +39,15 @@ _BY_TIME = attrgetter("time")
 class ConsistentHashRing:
     """Maps string keys onto shards via a fixed ring of virtual nodes."""
 
-    def __init__(self, shard_ids: Sequence[str],
-                 vnodes: int = DEFAULT_VNODES):
+    def __init__(self, shard_ids: Sequence[str]):
         if not shard_ids:
             raise ValueError("ring needs at least one shard")
         if len(set(shard_ids)) != len(shard_ids):
             raise ValueError(f"duplicate shard ids: {list(shard_ids)}")
         self.shard_ids = list(shard_ids)
-        self.vnodes = vnodes
         points = []
         for shard_id in shard_ids:
-            for i in range(vnodes):
+            for i in range(VNODES):
                 points.append((key_hash(f"{shard_id}#{i}"), shard_id))
         points.sort()
         self._points = [p for p, _ in points]

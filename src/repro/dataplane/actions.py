@@ -31,11 +31,6 @@ class Drop(Action):
 
 
 @dataclass(frozen=True)
-class ToController(Action):
-    """Punt the packet to the controller (counted and dropped)."""
-
-
-@dataclass(frozen=True)
 class GotoTable(Action):
     """Continue pipeline processing at another table."""
 

@@ -48,9 +48,9 @@ from .packet import Packet, gtpu_decap, gtpu_encap
 
 MAX_PIPELINE_STEPS = 64
 
-# Default bound on memoized microflows (OVS's microflow cache is likewise
-# a small fixed-size exact-match cache; stale/overflow entries just fall
-# back to classification).
+# Bound on memoized microflows (OVS's microflow cache is likewise a small
+# fixed-size exact-match cache; stale/overflow entries just fall back to
+# classification).
 MICROFLOW_CAPACITY = 8192
 
 
@@ -82,7 +82,6 @@ class SoftwareSwitch:
         # Microflow cache: flow_key -> (rule chain, generation).  Entries
         # from an older generation are stale and dropped on sight.
         self.microflow_enabled = True
-        self.microflow_capacity = MICROFLOW_CAPACITY
         self._mf_cache: Dict[Any, Tuple[Tuple[FlowRule, ...], int]] = {}
         self._generation = 0
         for table in self.tables:
@@ -266,7 +265,7 @@ class SoftwareSwitch:
         self.stats["mf_misses"] += 1
         chain = self._walk(pkt, in_port)
         if chain is not None:
-            if len(cache) >= self.microflow_capacity:
+            if len(cache) >= MICROFLOW_CAPACITY:
                 cache.pop(next(iter(cache)))  # FIFO eviction
                 self.stats["mf_evictions"] += 1
             cache[key] = (tuple(chain), self._generation)
@@ -283,8 +282,8 @@ class SoftwareSwitch:
 
         Returns the traversed rule list when the walk is safe to memoize
         (it ended in a deterministic terminal: Output, Drop, or implicit
-        drop).  Walks that punt to the controller or die at a meter return
-        None - the controller may install rules, and meter verdicts are
+        drop).  Walks that miss a table or die at a meter return None - a
+        rule installed later may catch the miss, and meter verdicts are
         per-packet, so neither outcome may be cached.
         """
         record: Optional[List[FlowRule]] = [] if chain is None else None
@@ -297,7 +296,10 @@ class SoftwareSwitch:
                     raise PipelineError("pipeline loop detected")
                 rule = self._table(table_id).lookup(pkt, in_port)
                 if rule is None:
-                    self._punt()
+                    # A table miss punts to the controller; none is
+                    # attached to this datapath, so the packet is dropped.
+                    self.stats["to_controller"] += 1
+                    self.stats["dropped"] += 1
                     return None
                 record.append(rule)
             else:
@@ -320,9 +322,6 @@ class SoftwareSwitch:
                         self.stats["tx"] += 1
                         deliver(pkt)
                     return record
-                if isinstance(action, act.ToController):
-                    self._punt()
-                    return None
                 if isinstance(action, act.GotoTable):
                     table_id = action.table_id
                     steps += 1
@@ -361,7 +360,7 @@ class SoftwareSwitch:
             "microflow": {
                 "enabled": self.microflow_enabled,
                 "size": len(self._mf_cache),
-                "capacity": self.microflow_capacity,
+                "capacity": MICROFLOW_CAPACITY,
                 "hits": self.stats["mf_hits"],
                 "misses": self.stats["mf_misses"],
                 "evictions": self.stats["mf_evictions"],
@@ -372,12 +371,6 @@ class SoftwareSwitch:
                             table_id=table.table_id)
                        for table in self.tables],
         }
-
-    def _punt(self) -> None:
-        """A punt to the controller: no controller is attached to this
-        datapath, so the packet is counted and dropped."""
-        self.stats["to_controller"] += 1
-        self.stats["dropped"] += 1
 
     # -- fluid execution -------------------------------------------------------------
 
@@ -413,8 +406,6 @@ class SoftwareSwitch:
                     if action.port not in self._ports:
                         return 0.0, cookies
                     return admitted, cookies
-                if isinstance(action, act.ToController):
-                    return 0.0, cookies
                 if isinstance(action, act.GotoTable):
                     table_id = action.table_id
                     steps += 1

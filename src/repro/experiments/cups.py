@@ -19,7 +19,7 @@ control plane).  A final trial lets the kernel scheduler allocate flexibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.agw import AgwConfig, virtual_profile
 from ..deploy import build
@@ -28,13 +28,14 @@ from ..workloads import AttachStorm, TrafficEngine
 from .common import format_table
 
 TRAFFIC_GENERATOR_CAP_MBPS = 2_500.0
+#: The virtual AGW's vCPUs, and the user-plane core counts swept on it
+#: before the flexible trial.
+VCPUS = 8
+UP_CORE_OPTIONS = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass
 class CupsConfig:
-    vcpus: int = 8
-    up_core_options: Tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    include_flexible: bool = True
     attach_rate: float = 14.0          # CP demand = 14 x 0.25 = 3.5 cores
     num_traffic_ues: int = 25
     traffic_per_ue_mbps: float = 100.0  # 25 x 100 = the generator's 2.5 Gbps
@@ -73,13 +74,12 @@ class CupsResult:
 
 def run_cups_point(up_cores: Optional[int], config: CupsConfig) -> CupsPoint:
     """One allocation trial; ``up_cores=None`` means flexible scheduling."""
-    hardware = virtual_profile(config.vcpus)
+    hardware = virtual_profile(VCPUS)
     partition = None
     if up_cores is not None:
-        if up_cores >= config.vcpus:
+        if up_cores >= VCPUS:
             raise ValueError("must leave at least one control-plane core")
-        partition = {"up": float(up_cores),
-                     "cp": float(config.vcpus - up_cores)}
+        partition = {"up": float(up_cores), "cp": float(VCPUS - up_cores)}
     num_attach_ues = int(config.attach_rate * config.measure_duration)
     site = build(
         num_enbs=2,
@@ -123,8 +123,7 @@ def run_cups_point(up_cores: Optional[int], config: CupsConfig) -> CupsPoint:
 
 def run_cups(config: CupsConfig = None) -> CupsResult:
     config = config or CupsConfig()
-    points = [run_cups_point(n, config) for n in config.up_core_options]
-    if config.include_flexible:
-        points.append(run_cups_point(None, config))
+    points = [run_cups_point(n, config) for n in UP_CORE_OPTIONS]
+    points.append(run_cups_point(None, config))
     return CupsResult(points=points,
                       generator_cap_mbps=TRAFFIC_GENERATOR_CAP_MBPS)

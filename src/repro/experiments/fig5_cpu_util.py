@@ -19,15 +19,16 @@ from ..lte import CellConfig
 from ..workloads import AttachStorm, TrafficEngine
 from .common import format_table
 
+PER_UE_MBPS = 1.5   # each UE's HTTP stream
+BIN_WIDTH = 5.0     # seconds per plotted CPU/throughput point
+
 
 @dataclass
 class Fig5Config:
     num_ues: int = 288
     num_enbs: int = 3
     attach_rate: float = 3.0
-    per_ue_mbps: float = 1.5
     steady_duration: float = 120.0   # seconds of steady state to observe
-    bin_width: float = 5.0
     seed: int = 0
 
 
@@ -70,7 +71,7 @@ def run_fig5(config: Fig5Config = None) -> Fig5Result:
         seed=config.seed)
     storm = AttachStorm(site.sim, site.ues,
                         rate_per_sec=config.attach_rate,
-                        offered_mbps_after_attach=config.per_ue_mbps,
+                        offered_mbps_after_attach=PER_UE_MBPS,
                         monitor=site.monitor,
                         retries=2)  # real UEs retry (T3411)
     engine = TrafficEngine(site.sim, site.agw, site.enbs,
@@ -88,7 +89,7 @@ def run_fig5(config: Fig5Config = None) -> Fig5Result:
     def mark():
         marks.append((site.sim.now, cpu.busy_core_seconds()))
 
-    sampler = site.sim.schedule_periodic(config.bin_width, mark)
+    sampler = site.sim.schedule_periodic(BIN_WIDTH, mark)
     site.sim.run(until=steady_t0)
     steady_busy0 = cpu.busy_core_seconds()
     site.sim.run(until=start + attach_phase + config.steady_duration)
@@ -102,10 +103,9 @@ def run_fig5(config: Fig5Config = None) -> Fig5Result:
     steady_cpu = ((cpu.busy_core_seconds() - steady_busy0)
                   / (cpu.cores * (site.sim.now - steady_t0)))
     tput = site.monitor.series("traffic.agw-1.achieved_mbps")
-    tput_bins = tput.binned(config.bin_width, t0=start, t1=site.sim.now,
-                            agg="mean")
+    tput_bins = tput.binned(BIN_WIDTH, t0=start, t1=site.sim.now, agg="mean")
     steady_tput = tput.between(steady_t0, site.sim.now).mean()
-    offered = config.num_ues * config.per_ue_mbps
+    offered = config.num_ues * PER_UE_MBPS
     finished = [r.finished_at for r in storm.records]
     return Fig5Result(
         cpu_series=[(t - start, v) for t, v in cpu_bins],

@@ -19,6 +19,7 @@ from ..workloads import AttachStorm, TrafficEngine
 from .common import format_table
 
 DEFAULT_RATES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
+BACKGROUND_MBPS = 150.0   # per background UE: saturate each cell
 
 
 @dataclass
@@ -26,7 +27,6 @@ class Fig6Config:
     rates: Tuple[float, ...] = DEFAULT_RATES
     num_enbs: int = 6
     background_ues_per_enb: int = 6
-    background_mbps: float = 150.0   # per background UE: saturate each cell
     storm_duration: float = 45.0     # seconds of attach attempts per rate
     min_storm_ues: int = 20
     seed: int = 0
@@ -73,7 +73,7 @@ def run_fig6_point(rate: float, config: Fig6Config) -> Fig6Point:
     storm_ues = site.ues[num_background:]
     # Phase 1: background UEs attach (idle AGW: fast) and begin saturating.
     warmup = AttachStorm(site.sim, background, rate_per_sec=2.0,
-                         offered_mbps_after_attach=config.background_mbps)
+                         offered_mbps_after_attach=BACKGROUND_MBPS)
     warmup.start()
     site.sim.run_until_triggered(warmup.done, limit=site.sim.now + 600.0)
     if warmup.overall_csr() < 1.0:

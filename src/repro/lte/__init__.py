@@ -3,12 +3,7 @@
 from . import auth, gtp, nas, s1ap
 from .enodeb import ENB_S1AP_SERVICE, Enodeb
 from .identifiers import EcgI, Tai, TeidAllocator, TEST_PLMN, make_imsi
-from .radio import (
-    CellCapacityError,
-    CellConfig,
-    CellModel,
-    max_min_share,
-)
+from .radio import CellCapacityError, CellConfig, CellModel
 from .ran import RanNode, RanUeContext
 from .ue import AttachOutcome, Ue, UeConfig, UeState
 
@@ -31,7 +26,6 @@ __all__ = [
     "auth",
     "gtp",
     "make_imsi",
-    "max_min_share",
     "nas",
     "s1ap",
 ]

@@ -28,8 +28,8 @@ from ..net.transport import DatagramSocket
 from ..sim.kernel import Event, Simulator
 
 GTPC_PORT = 2123
-DEFAULT_T3 = 3.0   # retransmission timer (seconds)
-DEFAULT_N3 = 3     # max retransmissions
+T3 = 3.0   # retransmission timer (seconds)
+N3 = 3     # max retransmissions
 DEFAULT_ECHO_INTERVAL = 60.0
 
 
@@ -51,15 +51,10 @@ class GtpcEndpoint:
     """One GTP-C endpoint (e.g. an SGW toward its eNodeBs): sends
     requests with T3/N3 retransmission, answers echoes, monitors paths."""
 
-    def __init__(self, sim: Simulator, network: Network, node: str,
-                 port: int = GTPC_PORT, t3: float = DEFAULT_T3,
-                 n3: int = DEFAULT_N3):
+    def __init__(self, sim: Simulator, network: Network, node: str):
         self.sim = sim
         self.network = network
         self.node = node
-        self.port = port
-        self.t3 = t3
-        self.n3 = n3
         self._seq = itertools.count(1)
         self._pending: Dict[int, Event] = {}
         # seq -> pending retransmission timer.  Revoked the moment the
@@ -71,7 +66,8 @@ class GtpcEndpoint:
         self.stats = {"requests": 0, "responses": 0, "retransmits": 0,
                       "timeouts": 0, "echo_sent": 0, "echo_lost": 0,
                       "path_failures": 0}
-        self._socket = DatagramSocket(network, node, port, self._on_datagram)
+        self._socket = DatagramSocket(network, node, GTPC_PORT,
+                                      self._on_datagram)
 
     # -- request/response ---------------------------------------------------------
 
@@ -91,18 +87,18 @@ class GtpcEndpoint:
         if seq not in self._pending:
             self._retry.pop(seq, None)
             return
-        if attempt > self.n3:
+        if attempt > N3:
             self._retry.pop(seq, None)
             done = self._pending.pop(seq)
             self.stats["timeouts"] += 1
             if not done.triggered:
                 done.fail(GtpTimeout(f"no response from {peer} after "
-                                     f"{self.n3} retransmissions"))
+                                     f"{N3} retransmissions"))
             return
         if attempt > 0:
             self.stats["retransmits"] += 1
-        self._socket.send(peer, self.port, ("request", seq, request))
-        self._retry[seq] = self.sim.schedule(self.t3, self._transmit, peer,
+        self._socket.send(peer, GTPC_PORT, ("request", seq, request))
+        self._retry[seq] = self.sim.schedule(T3, self._transmit, peer,
                                              seq, request, attempt + 1)
 
     # -- path management (echo) ----------------------------------------------------
@@ -139,7 +135,7 @@ class GtpcEndpoint:
         if kind == "request":
             # Anything but an echo is unknown here: silently dropped.
             if isinstance(body, EchoRequest):
-                self._socket.send(src, self.port,
+                self._socket.send(src, GTPC_PORT,
                                   ("response", seq, EchoResponse(seq=seq)))
         elif kind == "response":
             done = self._pending.pop(seq, None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..sim.fairshare import max_min_share as _max_min_share
+from ..sim.fairshare import max_min_share
 
 DEFAULT_MAX_ACTIVE_UES = 96
 DEFAULT_CELL_CAPACITY_MBPS = 150.0
@@ -35,23 +35,12 @@ class CellConfig:
     max_active_ues: int = DEFAULT_MAX_ACTIVE_UES
     capacity_mbps: float = DEFAULT_CELL_CAPACITY_MBPS
     per_ue_peak_mbps: float = DEFAULT_PER_UE_PEAK_MBPS
-    bandwidth_mhz: float = 20.0
 
     def __post_init__(self):
         if self.max_active_ues < 1:
             raise ValueError("max_active_ues must be >= 1")
         if self.capacity_mbps <= 0 or self.per_ue_peak_mbps <= 0:
             raise ValueError("capacities must be positive")
-
-
-def max_min_share(offered: Dict[str, float], capacity: float,
-                  per_user_cap: float) -> Dict[str, float]:
-    """Max-min fair allocation of ``capacity`` across offered rates.
-
-    Delegates to :func:`repro.sim.fairshare.max_min_share`; kept here (with a
-    mandatory per-user cap) because radio scheduling always has an MCS limit.
-    """
-    return _max_min_share(offered, capacity, per_user_cap)
 
 
 class CellModel:

@@ -39,7 +39,6 @@ class UeState:
 
 @dataclass
 class UeConfig:
-    attach_guard_timer: float = nas.T3410_ATTACH
     fragile_baseband: bool = False
 
 
@@ -383,7 +382,7 @@ class Ue(UeBase):
         cause = "T3410 expiry"
         try:
             attached = yield from self._guarded(
-                self._attach_done, self.config.attach_guard_timer,
+                self._attach_done, nas.T3410_ATTACH,
                 "attach-guard")
         except Exception as exc:  # reject / auth failure / session error
             attached, cause = False, str(exc)

@@ -30,7 +30,7 @@ from .simnet import Datagram, Network
 
 RPC_PORT = 50051
 DEFAULT_DEADLINE = 5.0
-DEFAULT_RETRY_INTERVAL = 0.25
+RETRY_INTERVAL = 0.25
 
 
 #: ``instance -> tuple of its field values``, for one dataclass type.
@@ -187,17 +187,15 @@ class RpcError(Exception):
 class RpcServer:
     """Hosts RPC services at a node's well-known RPC port."""
 
-    def __init__(self, sim: Simulator, network: Network, node: str,
-                 port: int = RPC_PORT):
+    def __init__(self, sim: Simulator, network: Network, node: str):
         self.sim = sim
         self.network = network
         self.node = node
-        self.port = port
         self._handlers: Dict[Tuple[str, str], Callable] = {}
         self._response_cache: Dict[Any, Tuple[str, Any]] = {}
         self._in_flight: set = set()
         self.stats = {"requests": 0, "duplicates": 0, "errors": 0}
-        network.bind(node, port, self._handle)
+        network.bind(node, RPC_PORT, self._handle)
 
     def register(self, service: str, method: str, handler: Callable) -> None:
         """Register ``handler`` for service/method; see module docstring."""
@@ -217,7 +215,7 @@ class RpcServer:
             lambda request: interceptor(request, handler)
 
     def close(self) -> None:
-        self.network.unbind(self.node, self.port)
+        self.network.unbind(self.node, RPC_PORT)
 
     # -- internals ---------------------------------------------------------------
 
@@ -333,15 +331,12 @@ class RpcChannel:
     _port_alloc = itertools.count(40_000)
     _request_ids = itertools.count(1)
 
-    def __init__(self, sim: Simulator, network: Network, local: str, peer: str,
-                 peer_port: int = RPC_PORT,
-                 retry_interval: float = DEFAULT_RETRY_INTERVAL):
+    def __init__(self, sim: Simulator, network: Network, local: str,
+                 peer: str):
         self.sim = sim
         self.network = network
         self.local = local
         self.peer = peer
-        self.peer_port = peer_port
-        self.retry_interval = retry_interval
         self.port = next(RpcChannel._port_alloc)
         self._pending: Dict[Any, _PendingCall] = {}
         self.stats = {"calls": 0, "ok": 0, "deadline_exceeded": 0,
@@ -370,7 +365,7 @@ class RpcChannel:
                    ctx)
         record = _PendingCall(done, payload, expiry)
         if now < expiry:  # a zero deadline sends nothing
-            self.network.send(Datagram(self.local, self.peer, self.peer_port,
+            self.network.send(Datagram(self.local, self.peer, RPC_PORT,
                                        payload, 8_000))
         # Registered once armed: a negative deadline fails in the kernel
         # and leaves no record without a timer behind.
@@ -397,7 +392,7 @@ class RpcChannel:
         lands before ``expiry``, else the deadline, ``to_expiry`` seconds
         from ``now``.
 
-        The retransmission is due at ``now + retry_interval`` exactly as
+        The retransmission is due at ``now + RETRY_INTERVAL`` exactly as
         the kernel computes it, so it is armed only if it would find the
         call still inside its deadline.  The deadline lands on ``expiry``
         itself: at call time ``to_expiry`` is the deadline that ``expiry``
@@ -405,9 +400,8 @@ class RpcChannel:
         factor of two of ``expiry`` (it is at least one retry interval,
         and one more reaches ``expiry``), so ``expiry - now`` is exact.
         """
-        retry_interval = self.retry_interval
-        if now + retry_interval < record.expiry:
-            record.timer = self.sim.schedule(retry_interval, self._retry,
+        if now + RETRY_INTERVAL < record.expiry:
+            record.timer = self.sim.schedule(RETRY_INTERVAL, self._retry,
                                              request_id, record)
         else:
             record.timer = self.sim.schedule(to_expiry, self._expire,
@@ -415,7 +409,7 @@ class RpcChannel:
 
     def _retry(self, request_id: Any, record: _PendingCall) -> None:
         self.stats["retries"] += 1
-        self.network.send(Datagram(self.local, self.peer, self.peer_port,
+        self.network.send(Datagram(self.local, self.peer, RPC_PORT,
                                    record.payload, 8_000))
         now = self.sim.now
         self._arm(request_id, record, now, record.expiry - now)

@@ -23,7 +23,7 @@ from .flightrec import (
     LogRecord,
     NodeLog,
 )
-from .health import HealthEngine, HealthSlo
+from .health import HealthEngine
 from .profiler import Profiler
 from .tracing import (
     NOOP_SPAN,
@@ -41,7 +41,6 @@ __all__ = [
     "NOOP_TRACER",
     "FlightRecorder",
     "HealthEngine",
-    "HealthSlo",
     "LogRecord",
     "NodeLog",
     "NoopSpan",

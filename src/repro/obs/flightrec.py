@@ -30,6 +30,13 @@ from collections import deque
 from typing import Any, Dict, Iterable, List, Optional
 
 SEVERITIES = ("debug", "info", "warn", "error")
+#: Records each node's ring keeps.
+RING_CAPACITY = 256
+#: Newest records (across all nodes, by global sequence) a snapshot keeps.
+SNAPSHOT_TAIL = 32
+#: Snapshots kept (oldest dropped), so a report storm cannot grow memory
+#: without bound.
+MAX_SNAPSHOTS = 64
 
 
 class LogRecord:
@@ -77,10 +84,10 @@ class NodeLog:
 
     __slots__ = ("_rec", "node", "records")
 
-    def __init__(self, rec: "FlightRecorder", node: str, capacity: int):
+    def __init__(self, rec: "FlightRecorder", node: str):
         self._rec = rec
         self.node = node
-        self.records: deque = deque(maxlen=capacity)
+        self.records: deque = deque(maxlen=RING_CAPACITY)
 
     def log(self, severity: str, component: str, event: str,
             **fields: Any) -> LogRecord:
@@ -119,27 +126,16 @@ class NodeLog:
 
 
 class FlightRecorder:
-    """Per-node bounded rings plus failure snapshots.
+    """Per-node bounded rings plus failure snapshots; installs itself as
+    ``sim.recorder``."""
 
-    ``capacity`` bounds each node's ring; ``snapshot_tail`` is how many of
-    the newest records (across all nodes, by global sequence) a snapshot
-    preserves; ``max_snapshots`` bounds the snapshot list itself (oldest
-    dropped) so a report storm cannot grow memory without bound.
-    """
-
-    def __init__(self, sim, capacity: int = 256, snapshot_tail: int = 32,
-                 max_snapshots: int = 64, install: bool = True):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, sim):
         self.sim = sim
-        self.capacity = capacity
-        self.snapshot_tail = snapshot_tail
-        self.snapshots: deque = deque(maxlen=max_snapshots)
+        self.snapshots: deque = deque(maxlen=MAX_SNAPSHOTS)
         self.stats = {"records": 0, "dropped": 0, "snapshots": 0}
         self._nodes: Dict[str, NodeLog] = {}
         self._seq = 0
-        if install:
-            sim.recorder = self
+        sim.recorder = self
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -148,7 +144,7 @@ class FlightRecorder:
     def node(self, name: str) -> NodeLog:
         log = self._nodes.get(name)
         if log is None:
-            log = NodeLog(self, name, self.capacity)
+            log = NodeLog(self, name)
             self._nodes[name] = log
         return log
 
@@ -174,13 +170,13 @@ class FlightRecorder:
 
     def snapshot(self, reason: str,
                  node: Optional[str] = None) -> Dict[str, Any]:
-        """Freeze the newest ``snapshot_tail`` records under a reason tag.
+        """Freeze the newest ``SNAPSHOT_TAIL`` records under a reason tag.
 
         Called automatically on SimSan reports, alert firings, and
         gateway crash/restore, so every failure ships its last-N-events
         context without anyone having to remember to dump the rings.
         """
-        tail = self.records(node=node)[-self.snapshot_tail:]
+        tail = self.records(node=node)[-SNAPSHOT_TAIL:]
         snap = {
             "reason": reason,
             "time": self.sim.now,

@@ -29,30 +29,23 @@ orchestrator can build one without a load-time dependency cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from ..sim.monitor import percentile
 
 ATTACH_LATENCY_METRIC = "attach_latency_s"
-CONVERGENCE_METRIC = "sync.convergence.lag_s"
+
+# Targets and weights; they follow the paper's workloads.
+WINDOW = 60.0               # seconds of history per evaluation
+ATTACH_P99_SLO_S = 1.0      # NAS attach should finish within this
+CONVERGENCE_SLO_S = 120.0   # publish -> all-applied budget
+CPU_UTIL_CEILING = 0.9      # headroom exhausted at this load
+WEIGHTS = {"attach": 0.30, "latency": 0.25, "cpu": 0.15,
+           "freshness": 0.15, "convergence": 0.15}
 
 _BY_TIME = attrgetter("time")
 _BY_VALUE = attrgetter("value")
-
-
-@dataclass
-class HealthSlo:
-    """Targets and weights; defaults follow the paper's workloads."""
-
-    window: float = 60.0               # seconds of history per evaluation
-    attach_p99_slo_s: float = 1.0      # NAS attach should finish within this
-    convergence_slo_s: float = 120.0   # publish -> all-applied budget
-    cpu_util_ceiling: float = 0.9      # headroom exhausted at this load
-    weights: Dict[str, float] = field(default_factory=lambda: {
-        "attach": 0.30, "latency": 0.25, "cpu": 0.15,
-        "freshness": 0.15, "convergence": 0.15})
 
 
 def _clamp(value: float) -> float:
@@ -72,10 +65,9 @@ class HealthEngine:
     merged view returns them): back-filled rows can arrive out of order.
     """
 
-    def __init__(self, orchestrator, slo: Optional[HealthSlo] = None):
+    def __init__(self, orchestrator):
         from ..core.orchestrator.orchestrator import OFFLINE_THRESHOLD
         self.orc = orchestrator
-        self.slo = slo or HealthSlo()
         self.offline_after = OFFLINE_THRESHOLD
 
     # -- per-AGW ---------------------------------------------------------------
@@ -92,7 +84,7 @@ class HealthEngine:
         """Score ``state`` against its owner ``shard``'s metrics store."""
         gateway_id = state.gateway_id
         now = self.orc.sim.now
-        t0 = now - self.slo.window
+        t0 = now - WINDOW
         labels = {"gateway_id": gateway_id}
         query = shard.metricsd.query
         subscores: Dict[str, float] = {}
@@ -119,7 +111,7 @@ class HealthEngine:
                       if s.time >= t0], key=_BY_TIME)
         if lat:
             p99 = percentile([s.value for s in lat], 99.0)
-            subscores["latency"] = _clamp(self.slo.attach_p99_slo_s / p99) \
+            subscores["latency"] = _clamp(ATTACH_P99_SLO_S / p99) \
                 if p99 > 0 else 1.0
             detail["attach_p99_s"] = p99
             exemplar = self._exemplar_at_or_above(lat, p99)
@@ -136,7 +128,7 @@ class HealthEngine:
         cpu = shard.metricsd.latest("cpu_util", labels)
         if cpu is not None:
             subscores["cpu"] = _clamp(
-                1.0 - cpu.value / self.slo.cpu_util_ceiling)
+                1.0 - cpu.value / CPU_UTIL_CEILING)
             detail["cpu_util"] = cpu.value
         else:
             subscores["cpu"] = 1.0
@@ -155,13 +147,12 @@ class HealthEngine:
         else:
             lag = now - published
             subscores["convergence"] = _clamp(
-                1.0 - lag / self.slo.convergence_slo_s)
+                1.0 - lag / CONVERGENCE_SLO_S)
             detail["config_lag_s"] = lag
 
-        weights = self.slo.weights
-        total_weight = sum(weights.values())
-        score = 100.0 * sum(weights[k] * subscores[k]
-                            for k in weights) / total_weight
+        total_weight = sum(WEIGHTS.values())
+        score = 100.0 * sum(WEIGHTS[k] * subscores[k]
+                            for k in WEIGHTS) / total_weight
         return {
             "gateway_id": gateway_id,
             "score": score,

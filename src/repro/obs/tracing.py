@@ -23,6 +23,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 # 48-bit ids: unique enough for any run, exactly representable in JSON.
 _ID_BITS = 48
+#: Spans a tracer keeps; later ones are counted as dropped.
+MAX_SPANS = 200_000
 
 
 class SpanContext(NamedTuple):
@@ -93,7 +95,7 @@ class Span:
         self.status = "open"
         self._prev_ctx = None
         spans = tracer.spans
-        if len(spans) < tracer.max_spans:
+        if len(spans) < MAX_SPANS:
             spans.append(self)
             tracer.stats["spans"] += 1
         else:
@@ -222,20 +224,17 @@ class Tracer:
     ``sim.now`` - two runs with the same seed produce identical traces.
     """
 
-    def __init__(self, sim: Any, rng: Any, sample_rate: float = 1.0,
-                 max_spans: int = 200_000, install: bool = True):
+    def __init__(self, sim: Any, rng: Any, sample_rate: float = 1.0):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate out of range: {sample_rate}")
         self.sim = sim
         self.sample_rate = sample_rate
-        self.max_spans = max_spans
         self._ids = rng.stream("obs.span_ids")
         self._sampler = rng.stream("obs.sampling")
         self.spans: List[Span] = []
         self.stats = {"traces_started": 0, "traces_sampled": 0,
                       "spans": 0, "spans_dropped": 0}
-        if install:
-            sim.tracer = self
+        sim.tracer = self
 
     # -- span creation -----------------------------------------------------
 

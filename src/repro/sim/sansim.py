@@ -41,6 +41,8 @@ from .kernel import Hook, Process, ScheduledCall, SimulationError, Simulator
 __all__ = ["SimSan", "SanHandle"]
 
 _MAX_SEEN_DRAWERS = 4096
+#: Reports kept; later findings are not recorded.
+MAX_REPORTS = 1000
 
 
 class SanHandle:
@@ -99,7 +101,7 @@ class _SanStream:
 class _TimerRecord:
     __slots__ = ("owner", "stack", "when", "site")
 
-    def __init__(self, owner: Optional[Process], stack: Optional[str],
+    def __init__(self, owner: Optional[Process], stack: str,
                  when: float, site: Tuple[str, int]):
         self.owner = owner
         self.stack = stack
@@ -110,14 +112,11 @@ class _TimerRecord:
 class SimSan(Hook):
     """The sanitizer state: pass one to ``Simulator(sanitizer=...)``.
 
-    ``capture_stacks=False`` skips the (expensive) creation-stack capture
-    on every tracked ``schedule()`` — reports then carry only the call
-    site resolved from the scheduling frame.
+    Every tracked ``schedule()`` captures its creation stack, so an
+    orphan-timer report names the code that armed the timer.
     """
 
-    def __init__(self, capture_stacks: bool = True, max_reports: int = 1000):
-        self.capture_stacks = capture_stacks
-        self.max_reports = max_reports
+    def __init__(self):
         self.reports: List[Dict[str, Any]] = []
         self.current: Optional[Process] = None  # process being resumed
         self._timers: Dict[int, _TimerRecord] = {}
@@ -181,7 +180,7 @@ class SimSan(Hook):
 
     def _report(self, check: str, code: str, message: str,
                 **extra: Any) -> None:
-        if len(self.reports) >= self.max_reports:
+        if len(self.reports) >= MAX_REPORTS:
             return
         entry: Dict[str, Any] = {"check": check, "code": code,
                                  "message": message}
@@ -198,14 +197,12 @@ class SimSan(Hook):
     # -- timer ownership ---------------------------------------------------
 
     def scheduled(self, handle: ScheduledCall) -> SanHandle:
-        stack = None
         site = ("<unknown>", 0)
-        if self.capture_stacks:
-            # Drop the sanitizer/schedule frames; keep the caller upward.
-            frames = traceback.extract_stack()[:-2]
-            if frames:
-                site = (frames[-1].filename, frames[-1].lineno or 0)
-            stack = "".join(traceback.format_list(frames[-6:]))
+        # Drop the sanitizer/schedule frames; keep the caller upward.
+        frames = traceback.extract_stack()[:-2]
+        if frames:
+            site = (frames[-1].filename, frames[-1].lineno or 0)
+        stack = "".join(traceback.format_list(frames[-6:]))
         self._timers[handle.seq] = _TimerRecord(self.current, stack,
                                                 handle.when, site)
         # With a flight recorder installed, every tracked schedule leaves a

@@ -1,7 +1,7 @@
 """WiFi substrate: APs, RADIUS AAA, captive portal."""
 
 from . import eap
-from .ap import WifiAp, WifiClientState, DEFAULT_AP_CAPACITY_MBPS
+from .ap import AP_CAPACITY_MBPS, WifiAp, WifiClientState
 from .captive_portal import CaptivePortal, PortalError, PortalSession, Voucher
 from .radius import (
     AccessAccept,
@@ -13,6 +13,7 @@ from .radius import (
 )
 
 __all__ = [
+    "AP_CAPACITY_MBPS",
     "AccessAccept",
     "AccessReject",
     "AccessRequest",
@@ -20,7 +21,6 @@ __all__ = [
     "AccountingResponse",
     "CaptivePortal",
     "eap",
-    "DEFAULT_AP_CAPACITY_MBPS",
     "PortalError",
     "PortalSession",
     "RADIUS_SERVICE",

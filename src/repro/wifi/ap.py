@@ -25,7 +25,7 @@ from .radius import (
     RADIUS_SERVICE,
 )
 
-DEFAULT_AP_CAPACITY_MBPS = 50.0   # contended unlicensed spectrum
+AP_CAPACITY_MBPS = 50.0   # contended unlicensed spectrum
 DEFAULT_MAX_CLIENTS = 64
 RADIUS_DEADLINE = 5.0
 
@@ -44,15 +44,13 @@ class WifiAp:
     """One access point, backhauled to an AGW."""
 
     def __init__(self, sim: Simulator, network: Network, ap_id: str,
-                 agw_node: str, capacity_mbps: float = DEFAULT_AP_CAPACITY_MBPS,
-                 max_clients: int = DEFAULT_MAX_CLIENTS):
-        if capacity_mbps <= 0 or max_clients < 1:
-            raise ValueError("capacity and max_clients must be positive")
+                 agw_node: str, max_clients: int = DEFAULT_MAX_CLIENTS):
+        if max_clients < 1:
+            raise ValueError("max_clients must be positive")
         self.sim = sim
         self.network = network
         self.ap_id = ap_id
         self.agw_node = agw_node
-        self.capacity_mbps = capacity_mbps
         self.max_clients = max_clients
         self._clients: Dict[str, WifiClientState] = {}
         self._mac_counter = itertools.count(1)
@@ -150,7 +148,7 @@ class WifiAp:
         """Per-client radio throughput (contended, max-min fair)."""
         offered = {u: s.offered_mbps for u, s in self._clients.items()
                    if s.connected}
-        return max_min_share(offered, self.capacity_mbps)
+        return max_min_share(offered, AP_CAPACITY_MBPS)
 
     def client(self, username: str) -> Optional[WifiClientState]:
         return self._clients.get(username)

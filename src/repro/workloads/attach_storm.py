@@ -10,11 +10,14 @@ are recorded per attempt so the harness can compute the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..lte.ue import AttachOutcome, Ue
 from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
+
+#: Seconds a failed UE waits before its next attempt (T3411-style backoff).
+RETRY_DELAY = 3.0
 
 
 @dataclass
@@ -32,21 +35,17 @@ class AttachStorm:
 
     def __init__(self, sim: Simulator, ues: List[Ue], rate_per_sec: float,
                  offered_mbps_after_attach: float = 0.0,
-                 monitor: Optional[Monitor] = None,
-                 on_attached: Optional[Callable[[Ue], None]] = None,
-                 retries: int = 0, retry_delay: float = 3.0):
+                 monitor: Optional[Monitor] = None, retries: int = 0):
         if rate_per_sec <= 0:
             raise ValueError("attach rate must be positive")
-        if retries < 0 or retry_delay <= 0:
-            raise ValueError("retries must be >= 0 and delay positive")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.sim = sim
         self.ues = ues
         self.rate = rate_per_sec
         self.offered_mbps = offered_mbps_after_attach
         self.monitor = monitor
-        self.on_attached = on_attached
         self.retries = retries
-        self.retry_delay = retry_delay
         self.records: List[AttachRecord] = []
         self.ue_outcomes: dict = {}   # imsi -> final success (after retries)
         self.done = sim.event("attach-storm-done")
@@ -104,7 +103,7 @@ class AttachStorm:
             # attempt is its own CSR data point, as the paper counts them).
             # Retry timers are never revoked: fire-and-forget.
             self._attempts_left[ue.imsi] -= 1
-            self.sim.call_later(self.retry_delay, self._launch, ue, False)
+            self.sim.call_later(RETRY_DELAY, self._launch, ue, False)
             return
         self._outstanding -= 1
         self._attempts_left.pop(ue.imsi, None)
@@ -112,8 +111,6 @@ class AttachStorm:
         if outcome.success:
             self._ue_final_ok += 1
         self.ue_outcomes[ue.imsi] = outcome.success
-        if outcome.success and self.on_attached is not None:
-            self.on_attached(ue)
         if self._launched == len(self.ues) and self._outstanding == 0 \
                 and not self.done.triggered:
             self.done.succeed(self.records)

@@ -21,24 +21,23 @@ from typing import List
 from ..sim.rng import RngRegistry
 
 HOURS_PER_DAY = 24
+BASE_SUBSCRIBERS = 350       # network-wide evening-peak users
+GROWTH_PER_WEEK = 0.02       # expanding deployment
+PEAK_HOUR = 20               # 8 pm local
+MBPS_PER_SUBSCRIBER = 2.2    # hotspot browsing/streaming mix
 
 
 @dataclass
 class DiurnalConfig:
     sites: int = 14                       # §4.3.1: fourteen sites
-    aps_per_site: int = 15                # > 200 APs total
-    base_subscribers: int = 350           # network-wide evening-peak users
-    growth_per_week: float = 0.02         # expanding deployment
     weekend_uplift: float = 1.35
-    peak_hour: int = 20                   # 8 pm local
     trough_fraction: float = 0.12         # 4 am load vs peak
-    mbps_per_subscriber: float = 2.2      # hotspot browsing/streaming mix
     noise_sigma: float = 0.10
     days: int = 61                        # Mar-Apr 2022
 
     def __post_init__(self):
-        if self.sites < 1 or self.base_subscribers < 1:
-            raise ValueError("sites and subscribers must be positive")
+        if self.sites < 1:
+            raise ValueError("sites must be positive")
         if not 0 < self.trough_fraction <= 1:
             raise ValueError("trough fraction must be in (0, 1]")
 
@@ -71,15 +70,14 @@ def generate_trace(config: DiurnalConfig = None,
         weekday = day % 7
         weekend = weekday in (5, 6)
         week = day / 7.0
-        growth = (1 + config.growth_per_week) ** week
+        growth = (1 + GROWTH_PER_WEEK) ** week
         day_factor = config.weekend_uplift if weekend else 1.0
         for hour in range(HOURS_PER_DAY):
-            base = (config.base_subscribers * growth * day_factor *
-                    diurnal_factor(hour, config.peak_hour,
-                                   config.trough_fraction))
+            base = (BASE_SUBSCRIBERS * growth * day_factor *
+                    diurnal_factor(hour, PEAK_HOUR, config.trough_fraction))
             noise = rng.lognormvariate(0, config.noise_sigma)
             subscribers = max(0, int(round(base * noise)))
-            throughput = (subscribers * config.mbps_per_subscriber *
+            throughput = (subscribers * MBPS_PER_SUBSCRIBER *
                           rng.lognormvariate(0, config.noise_sigma / 2))
             samples.append(HourSample(
                 hour_index=day * HOURS_PER_DAY + hour, day=day,

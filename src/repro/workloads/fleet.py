@@ -221,8 +221,7 @@ class UeFleet:
 
     def __init__(self, sim: Simulator, rng: RngRegistry, hosts: Sequence[Any],
                  cohorts: Sequence[CohortSpec], monitor: Optional[Monitor] = None,
-                 tick: float = 1.0, name: str = "fleet",
-                 metric_samples: int = FLEET_METRIC_SAMPLES):
+                 tick: float = 1.0, name: str = "fleet"):
         if not hosts:
             raise ValueError("fleet needs at least one host")
         if tick <= 0:
@@ -266,13 +265,12 @@ class UeFleet:
         }
         if monitor is not None:
             bounded = monitor.bounded_series
-            self._s_attached = bounded(f"{name}.attached", metric_samples)
-            self._s_connected = bounded(f"{name}.connected", metric_samples)
-            self._s_offered = bounded(f"{name}.offered_mbps", metric_samples)
-            self._s_attach_ok = bounded(f"{name}.attach_accepted",
-                                        metric_samples)
-            self._s_latency = bounded(f"{name}.sample.attach_latency",
-                                      metric_samples)
+            cap = FLEET_METRIC_SAMPLES
+            self._s_attached = bounded(f"{name}.attached", cap)
+            self._s_connected = bounded(f"{name}.connected", cap)
+            self._s_offered = bounded(f"{name}.offered_mbps", cap)
+            self._s_attach_ok = bounded(f"{name}.attach_accepted", cap)
+            self._s_latency = bounded(f"{name}.sample.attach_latency", cap)
         else:
             self._s_attached = self._s_connected = None
             self._s_offered = self._s_attach_ok = self._s_latency = None

@@ -17,6 +17,12 @@ from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
 from ..sim.rng import RngRegistry
 
+#: Bytes one device uploads per report.
+REPORT_BYTES = 2_000
+#: Each wait between reports is the interval scaled by up to this much
+#: either way, so devices do not stay in lockstep.
+JITTER_FRACTION = 0.5
+
 
 @dataclass
 class IotCycleStats:
@@ -34,21 +40,17 @@ class IotWorkload:
 
     def __init__(self, sim: Simulator, ues: List[Ue],
                  report_interval: float = 60.0,
-                 report_bytes: int = 2_000,
-                 jitter_fraction: float = 0.5,
                  rng: Optional[RngRegistry] = None,
                  monitor: Optional[Monitor] = None,
                  sessiond=None, mode: str = MODE_DETACH):
-        if report_interval <= 0 or report_bytes <= 0:
-            raise ValueError("interval and report size must be positive")
+        if report_interval <= 0:
+            raise ValueError("report interval must be positive")
         if mode not in (self.MODE_DETACH, self.MODE_IDLE):
             raise ValueError(f"unknown IoT mode {mode!r}")
         self.mode = mode
         self.sim = sim
         self.ues = ues
         self.report_interval = report_interval
-        self.report_bytes = report_bytes
-        self.jitter_fraction = jitter_fraction
         self.rng = (rng or RngRegistry(0)).stream("iot.jitter")
         self.monitor = monitor
         self.sessiond = sessiond
@@ -83,8 +85,8 @@ class IotWorkload:
                 # Report upload: tiny, modeled as direct usage accounting.
                 if self.sessiond is not None:
                     self.sessiond.record_usage(ue.imsi, dl_bytes=0,
-                                               ul_bytes=self.report_bytes)
-                self.stats.bytes_sent += self.report_bytes
+                                               ul_bytes=REPORT_BYTES)
+                self.stats.bytes_sent += REPORT_BYTES
                 yield self.sim.timeout(1.0)  # time on air for the report
                 if self.mode == self.MODE_IDLE:
                     ue.go_idle()
@@ -95,10 +97,8 @@ class IotWorkload:
             if self.monitor is not None:
                 self.monitor.record("iot.cycle", self.sim.now,
                                     1.0 if ok else 0.0)
-            interval = self.report_interval
-            if self.jitter_fraction > 0:
-                interval *= 1.0 + self.rng.uniform(-self.jitter_fraction,
-                                                   self.jitter_fraction)
+            interval = self.report_interval * (
+                1.0 + self.rng.uniform(-JITTER_FRACTION, JITTER_FRACTION))
             yield self.sim.timeout(max(1.0, interval))
 
     def success_rate(self) -> float:

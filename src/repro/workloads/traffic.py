@@ -1,6 +1,6 @@
 """The fluid traffic engine: couples RAN, data plane, and CPU models.
 
-Each tick (default 1 s) the engine walks the chain a real packet would:
+Each ``TICK`` (1 s) the engine walks the chain a real packet would:
 
 1. **Radio**: each cell shares its capacity max-min across its active UEs'
    offered rates.
@@ -26,21 +26,21 @@ from ..lte.enodeb import Enodeb
 from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
 
+#: Seconds between accounting steps.
+TICK = 1.0
+
 
 class TrafficEngine:
     """Drives fluid user-plane traffic for one AGW's cell site(s)."""
 
     def __init__(self, sim: Simulator, agw: AccessGateway,
                  enbs: Iterable[Enodeb], monitor: Optional[Monitor] = None,
-                 tick: float = 1.0, gtpa: Optional[GtpAggregator] = None,
+                 gtpa: Optional[GtpAggregator] = None,
                  record_usage: bool = True):
-        if tick <= 0:
-            raise ValueError("tick must be positive")
         self.sim = sim
         self.agw = agw
         self.enbs = list(enbs)
         self.monitor = monitor if monitor is not None else agw.context.monitor
-        self.tick = tick
         self.gtpa = gtpa
         self.record_usage = record_usage
         self._running = False
@@ -60,7 +60,7 @@ class TrafficEngine:
 
     def _loop(self):
         while self._running:
-            yield self.sim.timeout(self.tick)
+            yield self.sim.timeout(TICK)
             if not self._running:
                 return
             self.step()
@@ -106,11 +106,11 @@ class TrafficEngine:
             achieved_total += achieved
             if achieved <= 0:
                 continue
-            used_bytes = int(achieved * 1e6 / 8.0 * self.tick)
+            used_bytes = int(achieved * 1e6 / 8.0 * TICK)
             if self.record_usage:
                 self.agw.sessiond.record_usage(imsi, dl_bytes=used_bytes,
                                                ul_bytes=0)
-            self.agw.pipelined.record_fluid_usage(imsi, achieved, self.tick)
+            self.agw.pipelined.record_fluid_usage(imsi, achieved, TICK)
         self.last_achieved_mbps = achieved_total
         self.monitor.record(f"traffic.{self.agw.node}.achieved_mbps", now,
                             achieved_total)

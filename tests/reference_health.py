@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.health import ATTACH_LATENCY_METRIC, HealthSlo
+from repro.obs.health import (ATTACH_LATENCY_METRIC, ATTACH_P99_SLO_S,
+                               CONVERGENCE_SLO_S, CPU_UTIL_CEILING, WEIGHTS,
+                               WINDOW)
 from repro.sim.monitor import percentile
 
 
@@ -27,10 +29,9 @@ def _clamp(value: float) -> float:
 class ReferenceHealthEngine:
     """Computes health reports from an orchestrator's stores."""
 
-    def __init__(self, orchestrator, slo: Optional[HealthSlo] = None):
+    def __init__(self, orchestrator):
         from repro.core.orchestrator.orchestrator import OFFLINE_THRESHOLD
         self.orc = orchestrator
-        self.slo = slo or HealthSlo()
         self.offline_after = OFFLINE_THRESHOLD
 
     # -- per-AGW ---------------------------------------------------------------
@@ -41,7 +42,7 @@ class ReferenceHealthEngine:
         if state is None:
             return None
         now = self.orc.sim.now
-        t0 = now - self.slo.window
+        t0 = now - WINDOW
         labels = {"gateway_id": gateway_id}
         metricsd = self.orc.metricsd
         subscores: Dict[str, float] = {}
@@ -68,7 +69,7 @@ class ReferenceHealthEngine:
                if s.time >= t0]
         if lat:
             p99 = percentile([s.value for s in lat], 99.0)
-            subscores["latency"] = _clamp(self.slo.attach_p99_slo_s / p99) \
+            subscores["latency"] = _clamp(ATTACH_P99_SLO_S / p99) \
                 if p99 > 0 else 1.0
             detail["attach_p99_s"] = p99
             exemplar = self._exemplar_at_or_above(lat, p99)
@@ -85,7 +86,7 @@ class ReferenceHealthEngine:
         cpu = metricsd.latest("cpu_util", labels)
         if cpu is not None:
             subscores["cpu"] = _clamp(
-                1.0 - cpu.value / self.slo.cpu_util_ceiling)
+                1.0 - cpu.value / CPU_UTIL_CEILING)
             detail["cpu_util"] = cpu.value
         else:
             subscores["cpu"] = 1.0
@@ -104,13 +105,12 @@ class ReferenceHealthEngine:
         else:
             lag = now - published
             subscores["convergence"] = _clamp(
-                1.0 - lag / self.slo.convergence_slo_s)
+                1.0 - lag / CONVERGENCE_SLO_S)
             detail["config_lag_s"] = lag
 
-        weights = self.slo.weights
-        total_weight = sum(weights.values())
-        score = 100.0 * sum(weights[k] * subscores[k]
-                            for k in weights) / total_weight
+        total_weight = sum(WEIGHTS.values())
+        score = 100.0 * sum(WEIGHTS[k] * subscores[k]
+                            for k in WEIGHTS) / total_weight
         return {
             "gateway_id": gateway_id,
             "score": score,

@@ -21,7 +21,7 @@ send whose reply nobody reads is one deferred call, not a process.
 
 import os
 
-from repro.core.agw import AgwConfig
+from repro.core.agw import magmad
 from repro.deploy import build, subscriber_keys
 from repro.fiveg import Ue5g
 from repro.sim.kernel import Process
@@ -47,10 +47,10 @@ def counted(run):
     return total, layer
 
 
-def multi_rat_site(config=None):
+def multi_rat_site():
     """An AGW with an eNodeB, a gNB and a WiFi AP; returns the site, the
     AP and two 5G UEs."""
-    site = build(num_ues=6, rats=("5g", "wifi"), config=config)
+    site = build(num_ues=6, rats=("5g", "wifi"))
     nr = [Ue5g(site.sim, site.imsis[i], *subscriber_keys(i + 1),
                site.gnbs[0]) for i in (2, 3)]
     return site, site.aps[0], nr
@@ -125,7 +125,8 @@ def test_each_rats_cycle_spends_a_process_only_on_waiting(monkeypatch):
 
     monkeypatch.setattr(Process, "__init__", counting_init)
     # No checkpoint tick inside a measured cycle.
-    site, ap, nr = multi_rat_site(AgwConfig(checkpoint_interval=3600.0))
+    monkeypatch.setattr(magmad, "CHECKPOINT_INTERVAL", 3600.0)
+    site, ap, nr = multi_rat_site()
     sim = site.sim
 
     def lte(ue):

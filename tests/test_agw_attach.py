@@ -1,7 +1,7 @@
 """End-to-end LTE attach through the full Magma AGW stack."""
 
 from repro.deploy import build
-from repro.lte import UeState
+from repro.lte import UeState, nas
 from repro.core.agw import SessionState
 
 
@@ -123,9 +123,9 @@ def test_reattach_replaces_stale_session():
     assert site.agw.sessiond.session_count() == 1
 
 
-def test_attach_times_out_when_agw_down():
+def test_attach_times_out_when_agw_down(monkeypatch):
+    monkeypatch.setattr(nas, "T3410_ATTACH", 5.0)
     site = build(num_ues=1)
-    site.ues[0].config.attach_guard_timer = 5.0
     site.network.set_node_up("agw-1", False)
     outcome = site.run_attach(site.ues[0])
     assert not outcome.success

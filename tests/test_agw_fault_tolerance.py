@@ -3,6 +3,7 @@
 import pytest
 
 from repro.deploy import build
+from repro.lte import nas
 
 
 def attach_all(site, settle=2.0):
@@ -50,10 +51,10 @@ def test_crash_loses_runtime_state_and_recover_restores_it():
         assert site.agw.pipelined.session(imsi).enb_teid is not None
 
 
-def test_recover_without_checkpoint_starts_empty():
-    from repro.core.agw import AgwConfig
-    site = build(num_ues=2,
-                 config=AgwConfig(checkpoint_interval=1e9))
+def test_recover_without_checkpoint_starts_empty(monkeypatch):
+    from repro.core.agw import magmad
+    monkeypatch.setattr(magmad, "CHECKPOINT_INTERVAL", 1e9)
+    site = build(num_ues=2)
     attach_all(site)
     # No checkpoint was ever taken (interval is effectively infinite).
     site.agw.crash()
@@ -94,10 +95,9 @@ def test_ue_can_reattach_after_agw_recovery():
     assert outcome.success
 
 
-def test_attaches_fail_while_agw_down_succeed_after_recovery():
+def test_attaches_fail_while_agw_down_succeed_after_recovery(monkeypatch):
+    monkeypatch.setattr(nas, "T3410_ATTACH", 5.0)
     site = build(num_ues=2)
-    for ue in site.ues:
-        ue.config.attach_guard_timer = 5.0
     site.agw.crash()
     outcome = site.run_attach(site.ues[0])
     assert not outcome.success

@@ -1,9 +1,9 @@
-"""Alerting: for_duration hysteresis, empty-series holds, back-fill safety.
+"""Alerting: immediate firing, empty-series holds, back-fill safety.
 
-Satellite coverage from the observability issue: a noisy single sample
-must not flap an alert, a retention-pruned series must not raise or
-silently resolve, and late back-filled samples (older capture times
-arriving after an alert fired) must not flip state onto stale data.
+Satellite coverage from the observability issue: a retention-pruned
+series must not raise or silently resolve, and late back-filled samples
+(older capture times arriving after an alert fired) must not flip state
+onto stale data.
 """
 
 import pytest
@@ -16,66 +16,34 @@ from repro.core.orchestrator.alerting import (
 from repro.core.orchestrator.metricsd import Metricsd, Sample
 
 
-def cpu_rule(metricsd, for_duration=0.0):
+def cpu_rule(metricsd):
     return metric_threshold_rule(
-        metricsd, name="cpu-high", metric="cpu_util", threshold=0.9,
-        for_duration=for_duration)
+        metricsd, name="cpu-high", metric="cpu_util", threshold=0.9)
 
 
-# -- for_duration hysteresis -------------------------------------------------------
-
-
-def test_single_noisy_sample_does_not_fire_with_for_duration():
-    metricsd = Metricsd()
-    rule = cpu_rule(metricsd, for_duration=30.0)
-    metricsd.ingest("cpu_util", 0.95, 10.0, {"gateway_id": "a"})
-    assert rule.evaluate() == []  # crossing, but not sustained yet
+# -- firing and resolving ----------------------------------------------------------
 
 
 def test_sustained_crossing_fires_and_single_recovery_resolves():
     metricsd = Metricsd()
-    rule = cpu_rule(metricsd, for_duration=30.0)
+    rule = cpu_rule(metricsd)
     labels = {"gateway_id": "a"}
-    for t in (10.0, 25.0, 41.0):
-        metricsd.ingest("cpu_util", 0.95, t, labels)
-    assert rule.evaluate() == ["a"]  # 31s of unbroken crossing
-    # Once firing it stays firing without re-proving the duration...
+    metricsd.ingest("cpu_util", 0.95, 10.0, labels)
+    assert rule.evaluate() == ["a"]  # the first crossing sample fires
     metricsd.ingest("cpu_util", 0.95, 42.0, labels)
     assert rule.evaluate() == ["a"]
-    # ...until one sample lands back on the safe side.
+    # One sample back on the safe side resolves.
     metricsd.ingest("cpu_util", 0.2, 50.0, labels)
     assert rule.evaluate() == []
+    assert "cpu_util > 0.9" in rule.message
 
 
-def test_broken_run_restarts_the_duration_clock():
-    metricsd = Metricsd()
-    rule = cpu_rule(metricsd, for_duration=30.0)
-    labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 0.0, labels)
-    metricsd.ingest("cpu_util", 0.5, 20.0, labels)   # dip breaks the run
-    metricsd.ingest("cpu_util", 0.95, 25.0, labels)
-    metricsd.ingest("cpu_util", 0.95, 40.0, labels)
-    assert rule.evaluate() == []  # only 15s held since the dip
-    metricsd.ingest("cpu_util", 0.95, 56.0, labels)
-    assert rule.evaluate() == ["a"]
-
-
-def test_zero_for_duration_fires_immediately_per_label():
+def test_crossing_fires_immediately_per_label():
     metricsd = Metricsd()
     rule = cpu_rule(metricsd)
     metricsd.ingest("cpu_util", 0.95, 1.0, {"gateway_id": "a"})
     metricsd.ingest("cpu_util", 0.5, 1.0, {"gateway_id": "b"})
     assert rule.evaluate() == ["a"]
-
-
-def test_below_threshold_rule_direction():
-    metricsd = Metricsd()
-    rule = metric_threshold_rule(
-        metricsd, name="attach-low", metric="attach_rate", threshold=0.5,
-        above=False)
-    metricsd.ingest("attach_rate", 0.2, 1.0, {"gateway_id": "a"})
-    assert rule.evaluate() == ["a"]
-    assert "attach_rate < 0.5" in rule.message
 
 
 # -- empty / pruned series ---------------------------------------------------------
@@ -156,18 +124,6 @@ def test_late_backfill_does_not_resolve_a_fired_alert():
     metricsd.ingest("cpu_util", 0.3, 95.0, labels)
     manager.evaluate()
     assert manager.active_alerts() == []
-
-
-def test_late_backfill_does_not_satisfy_for_duration_retroactively():
-    metricsd = Metricsd()
-    rule = cpu_rule(metricsd, for_duration=30.0)
-    labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 100.0, labels)
-    assert rule.evaluate() == []
-    # Back-filled crossings extend the unbroken run backwards in capture
-    # time — that is real history, so the sustained check may now pass.
-    metricsd.ingest("cpu_util", 0.95, 65.0, labels)
-    assert rule.evaluate() == ["a"]
 
 
 # -- manager dedup / isolation -----------------------------------------------------

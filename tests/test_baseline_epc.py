@@ -3,7 +3,7 @@
 from repro.baseline import MonolithicEpc
 from repro.core.agw import SubscriberProfile
 from repro.deploy import build, subscriber_keys
-from repro.lte import Enodeb, Ue, UeConfig, UeState, make_imsi
+from repro.lte import Enodeb, Ue, UeConfig, UeState, make_imsi, nas
 from repro.lte.gtp import GtpcEndpoint
 from repro.net import Link, Network, backhaul
 from repro.sim import RngRegistry, Simulator
@@ -130,7 +130,7 @@ def test_fragile_ue_wedges_on_gtp_failure_normal_ue_recovers():
     assert outcome.success
 
 
-def test_epc_crash_is_a_large_fault_domain():
+def test_epc_crash_is_a_large_fault_domain(monkeypatch):
     """One EPC, two sites: the crash takes down both (§3.3 contrast)."""
     sim, network, epc, enb, enb_gtp, ues = build_baseline()
     network.connect("enb-2", "epc", backhaul.fiber())
@@ -140,14 +140,14 @@ def test_epc_crash_is_a_large_fault_domain():
     imsi2 = make_imsi(20)
     k, opc = subscriber_keys(20)
     epc.provision(SubscriberProfile(imsi=imsi2, k=k, opc=opc))
-    ue2 = Ue(sim, imsi2, k, opc, enb2, config=UeConfig(attach_guard_timer=5.0))
+    ue2 = Ue(sim, imsi2, k, opc, enb2)
     done = ues[0].attach()
     assert sim.run_until_triggered(done, limit=sim.now + 60.0).success
     epc.crash()
     # Neither site can attach a new UE.
     ues[0].state = UeState.DEREGISTERED
     enb.rrc_release(ues[0])
-    ues[0].config.attach_guard_timer = 5.0
+    monkeypatch.setattr(nas, "T3410_ATTACH", 5.0)
     for ue in (ues[0], ue2):
         done = ue.attach()
         outcome = sim.run_until_triggered(done, limit=sim.now + 60.0)

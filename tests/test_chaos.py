@@ -8,7 +8,7 @@ can eventually attach) and the simulation itself must never wedge.
 
 from repro.core.agw import AgwConfig
 from repro.deploy import build
-from repro.lte import UeState
+from repro.lte import UeState, nas
 from repro.workloads import AttachStorm
 
 
@@ -24,10 +24,9 @@ def consistent(site):
     assert agw.pipelined.session_count() == len(sessions)
 
 
-def test_crash_mid_storm_then_recover():
+def test_crash_mid_storm_then_recover(monkeypatch):
+    monkeypatch.setattr(nas, "T3410_ATTACH", 8.0)
     site = build(num_ues=20, num_enbs=2)
-    for ue in site.ues:
-        ue.config.attach_guard_timer = 8.0
     storm = AttachStorm(site.sim, site.ues, rate_per_sec=2.0)
     storm.start()
     site.sim.run(until=4.0)      # a few UEs in, several mid-procedure

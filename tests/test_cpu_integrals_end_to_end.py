@@ -14,6 +14,7 @@ import pytest
 from repro.core.agw import AgwConfig, BARE_METAL, virtual_profile
 from repro.deploy import build
 from repro.lte import CellConfig
+from repro.obs.health import CPU_UTIL_CEILING
 from repro.workloads import TrafficEngine
 
 GATEWAY = {"gateway_id": "agw-1"}
@@ -60,7 +61,7 @@ def test_checkin_reports_time_weighted_cpu_util_to_health():
     health = orc.health.agw_health("agw-1")
     assert health["detail"]["cpu_util"] == latest.value == pytest.approx(0.25)
     assert health["subscores"]["cpu"] == pytest.approx(
-        1.0 - 0.25 / orc.health.slo.cpu_util_ceiling)
+        1.0 - 0.25 / CPU_UTIL_CEILING)
 
 
 def test_traffic_engine_achieves_the_tick_window_fraction():

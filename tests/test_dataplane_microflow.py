@@ -12,6 +12,7 @@ from repro.dataplane import (
     ip_packet,
 )
 from repro.dataplane import actions as act
+from repro.dataplane import switch
 from repro.dataplane.packet import GtpuHeader
 
 
@@ -83,7 +84,7 @@ def test_flowmod_delete_invalidates():
                      match=match))
     sw.inject(pkt(), "ran")
     assert sw.stats["mf_hits"] == 1       # no hit on the deleted rule's chain
-    assert len(delivered) == 2            # table miss now: punt/drop
+    assert len(delivered) == 2            # table miss now: a counted drop
 
 
 def test_delete_by_cookie_invalidates():
@@ -178,7 +179,7 @@ def test_table_miss_and_punt_not_cached():
     sw, _ = build_switch()
     sw.inject(pkt(), "ran")
     sw.inject(pkt(), "ran")
-    assert sw.stats["to_controller"] == 2  # both walks punted
+    assert sw.stats["to_controller"] == 2  # both walks missed and punted
     assert sw.stats["mf_hits"] == 0
     assert sw.datapath_stats()["microflow"]["size"] == 0
 
@@ -193,9 +194,9 @@ def test_unhashable_metadata_bypasses_cache():
     assert len(delivered) == 1
 
 
-def test_eviction_respects_capacity():
+def test_eviction_respects_capacity(monkeypatch):
+    monkeypatch.setattr(switch, "MICROFLOW_CAPACITY", 2)
     sw, delivered = build_switch()
-    sw.microflow_capacity = 2
     sw.apply(forward_rule())
     for i in range(4):
         sw.inject(ip_packet(f"10.0.0.{i}", "8.8.8.8"), "ran")

@@ -60,12 +60,12 @@ def test_priority_order_wins():
 
 def test_table_miss_punts_to_controller():
     sw, _ = build_switch()
-    add_rule(sw, match=FlowMatch(ip_dst="punt"),
-             actions=[act.ToController()])
+    add_rule(sw, match=FlowMatch(ip_dst="hit"), actions=[act.Drop()])
     sw.inject(ip_packet("a", "b"), "ran")
-    sw.inject(ip_packet("a", "punt"), "ran")
-    assert sw.stats["to_controller"] == 2   # the miss and the explicit punt
-    assert sw.stats["dropped"] == 2         # no controller is attached
+    sw.inject(ip_packet("a", "c"), "ran")
+    sw.inject(ip_packet("a", "hit"), "ran")
+    assert sw.stats["to_controller"] == 2   # the two misses, not the Drop
+    assert sw.stats["dropped"] == 3         # no controller is attached
 
 
 def test_table_miss_without_controller_drops():

@@ -8,7 +8,10 @@ the baseline's move onto the AGW's access core and did not move with it;
 of the baseline cells only the satellite median did (2.12 s before).
 
 ``ablation-headless ablation-quota`` (§3.2 headless operation, §3.4
-double-spend bound) are pinned the same way.
+double-spend bound) are pinned the same way, and so is ``ablation-sync``:
+§3.4's CRUD negative control, where deltas lost on the link or to a
+replica restart leave the CRUD replica diverged and the desired-state
+replica does not.
 """
 
 from repro.experiments.__main__ import main
@@ -67,3 +70,21 @@ quota_bytes  agw_hops  consumed  charged  unbilled  bound     bound_holds
 def test_headless_and_quota_ablation_stdout_is_pinned(capsys):
     assert main(["ablation-headless", "ablation-quota"]) == 0
     assert capsys.readouterr().out == HEADLESS_QUOTA_GOLDEN
+
+
+SYNC_GOLDEN = """\
+=== ablation-sync ===============================================
+State-sync ablation (200 config ops over a lossy link; divergent keys, lower is better)
+link_loss  crud  crud_after_restart  desired  desired_after_restart
+---------  ----  ------------------  -------  ---------------------
+0%         0     44                  0        0                    
+1%         0     44                  0        0                    
+5%         0     44                  0        0                    
+20%        7     44                  0        0                    
+
+"""
+
+
+def test_state_sync_ablation_stdout_is_pinned(capsys):
+    assert main(["ablation-sync"]) == 0
+    assert capsys.readouterr().out == SYNC_GOLDEN

@@ -9,19 +9,20 @@ invariants checked at each stage.
 
 import pytest
 
-from repro.core.agw import AgwConfig, SubscriberProfile
+from repro.core.agw import AgwConfig, SubscriberProfile, magmad
 from repro.core.policy import MB, OnlineChargingSystem, capped, prepaid
 from repro.deploy import build
 from repro.lte import UeState
 from repro.workloads import TrafficEngine
 
 
-def test_day_in_the_life():
+def test_day_in_the_life(monkeypatch):
+    monkeypatch.setattr(magmad, "CHECKPOINT_INTERVAL", 5.0)
     ocs = OnlineChargingSystem(quota_bytes=2 * MB, clock=lambda: sim.now)
 
     # --- Morning: the operator stands up the network. ---------------------
     d = build(num_enbs=2, num_ues=6, backhaul="microwave", seed=2026,
-              config=AgwConfig(checkin_interval=10.0, checkpoint_interval=5.0),
+              config=AgwConfig(checkin_interval=10.0),
               ocs=ocs)
     sim, network, monitor, orc, agw = d.sim, d.network, d.monitor, d.orc, d.agw
     enbs, subscribers = d.enbs, d.ues

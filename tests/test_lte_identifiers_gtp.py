@@ -3,7 +3,8 @@
 import pytest
 
 from repro.lte import TeidAllocator, make_imsi
-from repro.lte.gtp import EchoRequest, EchoResponse, GtpcEndpoint, GtpTimeout
+from repro.lte.gtp import (N3, EchoRequest, EchoResponse, GtpcEndpoint,
+                            GtpTimeout)
 from repro.net import Link, Network
 from repro.sim import RngRegistry, Simulator
 
@@ -31,12 +32,12 @@ def test_teid_allocator_unique_and_reuse():
     assert alloc.allocate() == a
 
 
-def build_gtp(loss=0.0, t3=0.5, n3=2, seed=1):
+def build_gtp(loss=0.0, seed=1):
     sim = Simulator()
     net = Network(sim, RngRegistry(seed))
     net.connect("mme", "pgw", Link(latency=0.02, loss=loss))
-    mme = GtpcEndpoint(sim, net, "mme", t3=t3, n3=n3)
-    pgw = GtpcEndpoint(sim, net, "pgw", t3=t3, n3=n3)
+    mme = GtpcEndpoint(sim, net, "mme")
+    pgw = GtpcEndpoint(sim, net, "pgw")
     return sim, net, mme, pgw
 
 
@@ -70,7 +71,7 @@ def test_gtpc_times_out_after_n3_retries():
     sim.run()
     assert len(failures) == 1
     assert mme.stats["timeouts"] == 1
-    assert mme.stats["retransmits"] == 2  # n3=2
+    assert mme.stats["retransmits"] == N3
 
 
 def test_gtpc_survives_light_loss_but_not_heavy():
@@ -134,7 +135,7 @@ def test_echo_monitor_stop():
 
 
 def test_unknown_request_type_ignored():
-    sim, net, mme, pgw = build_gtp(n3=1, t3=0.2)
+    sim, net, mme, pgw = build_gtp()
     errors = []
 
     def proc(sim):

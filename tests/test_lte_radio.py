@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lte import CellCapacityError, CellConfig, CellModel, max_min_share
+from repro.lte import CellCapacityError, CellConfig, CellModel
+from repro.sim.fairshare import max_min_share
 
 
 def test_max_min_all_fit():

@@ -14,11 +14,14 @@ at a time, empty bundles, ``None`` and empty labels, back-fill inside and
 past retention, caps 0, 1 and 3, and exemplar trace ids.
 """
 
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_metricsd import ReferenceMetricsd
-from repro.core.orchestrator import Metricsd
+from repro.core.orchestrator import Metricsd, metricsd
 from repro.core.sync import MergedMetricsView
 
 NAMES = ("cpu", "mem", "disk", "rx", "lat")
@@ -63,6 +66,16 @@ def reads(store):
         [repr(store.sum_latest(name)) for name in NAMES])
 
 
+@contextmanager
+def patched(retention, cap):
+    """metricsd's retention and per-series cap, patched for one example
+    (hypothesis examples cannot share the ``monkeypatch`` fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metricsd, "RETENTION", retention)
+        patch.setattr(metricsd, "MAX_SAMPLES_PER_SERIES", cap)
+        yield
+
+
 def shard_of(op):
     labels = LABELS[op[4]]
     return 1 if labels and labels["gateway_id"] == "b" else 0
@@ -72,27 +85,29 @@ def shard_of(op):
 @given(streams, limits)
 def test_every_read_matches_the_per_series_store(ops, limit):
     retention, cap = limit
-    store = Metricsd(retention, cap)
+    store = Metricsd()
     model = ReferenceMetricsd(retention, cap)
-    for op in ops:
-        apply(store, op)
-        apply(model, op)
-        assert reads(store) == reads(model), op
-        assert store.stats == model.stats
+    with patched(retention, cap):
+        for op in ops:
+            apply(store, op)
+            apply(model, op)
+            assert reads(store) == reads(model), op
+            assert store.stats == model.stats
 
 
 @settings(max_examples=150, deadline=None)
 @given(streams, limits)
 def test_two_shards_merge_to_the_per_series_view(ops, limit):
     retention, cap = limit
-    shards = [Metricsd(retention, cap) for _ in range(2)]
+    shards = [Metricsd() for _ in range(2)]
     models = [ReferenceMetricsd(retention, cap) for _ in range(2)]
     view, model_view = MergedMetricsView(shards), MergedMetricsView(models)
-    for op in ops:
-        apply(shards[shard_of(op)], op)
-        apply(models[shard_of(op)], op)
-        assert reads(view) == reads(model_view), op
-        assert [s.stats for s in shards] == [m.stats for m in models]
+    with patched(retention, cap):
+        for op in ops:
+            apply(shards[shard_of(op)], op)
+            apply(models[shard_of(op)], op)
+            assert reads(view) == reads(model_view), op
+            assert [s.stats for s in shards] == [m.stats for m in models]
 
 
 def test_a_grown_key_set_keeps_every_series_history():

@@ -11,6 +11,7 @@ kernel entry, fails here.
 """
 
 from repro.net import Link, Network, RpcChannel, RpcServer
+from repro.obs import flightrec
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracing import NOOP_SPAN, Tracer, tracer_of
 from repro.sim import RngRegistry, Simulator
@@ -86,9 +87,10 @@ def test_a_span_with_no_ambient_context_costs_three_calls():
     assert span is NOOP_SPAN and opened <= 1
 
 
-def test_a_log_record_costs_seven_calls():
+def test_a_log_record_costs_seven_calls(monkeypatch):
+    monkeypatch.setattr(flightrec, "RING_CAPACITY", 4)
     sim = Simulator()
-    log = FlightRecorder(sim, capacity=4).node("agw-1")
+    log = FlightRecorder(sim).node("agw-1")
     for index in range(4):
         log.info("mme", "attach", n=index)      # a full ring: drops count
     record, cost = counted(log.info, "mme", "attach", imsi="001010000000001")

@@ -9,21 +9,23 @@ import json
 
 import pytest
 
+from repro.obs import flightrec
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracing import Tracer
 from repro.sim import RngRegistry, SimSan, Simulator
 
 
-def make_recorder(**kwargs):
+def make_recorder():
     sim = Simulator()
-    return sim, FlightRecorder(sim, **kwargs)
+    return sim, FlightRecorder(sim)
 
 
 # -- rings -------------------------------------------------------------------------
 
 
-def test_ring_is_bounded_and_drops_oldest():
-    sim, rec = make_recorder(capacity=4)
+def test_ring_is_bounded_and_drops_oldest(monkeypatch):
+    monkeypatch.setattr(flightrec, "RING_CAPACITY", 4)
+    sim, rec = make_recorder()
     log = rec.node("agw-0")
     for i in range(10):
         log.info("mme", "attach", n=i)
@@ -68,12 +70,6 @@ def test_records_carry_sim_time_and_fields():
     assert record.fields == {"imsi": "001", "count": 2}
 
 
-def test_capacity_must_be_positive():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FlightRecorder(sim, capacity=0)
-
-
 # -- trace correlation -------------------------------------------------------------
 
 
@@ -96,8 +92,9 @@ def test_records_pick_up_ambient_span_context():
 # -- snapshots ---------------------------------------------------------------------
 
 
-def test_snapshot_freezes_newest_tail():
-    sim, rec = make_recorder(snapshot_tail=3)
+def test_snapshot_freezes_newest_tail(monkeypatch):
+    monkeypatch.setattr(flightrec, "SNAPSHOT_TAIL", 3)
+    sim, rec = make_recorder()
     log = rec.node("n")
     for i in range(8):
         log.info("c", "e", n=i)
@@ -108,8 +105,9 @@ def test_snapshot_freezes_newest_tail():
     assert rec.stats["snapshots"] == 1
 
 
-def test_snapshot_list_is_bounded():
-    sim, rec = make_recorder(max_snapshots=2)
+def test_snapshot_list_is_bounded(monkeypatch):
+    monkeypatch.setattr(flightrec, "MAX_SNAPSHOTS", 2)
+    sim, rec = make_recorder()
     rec.snapshot("a")
     rec.snapshot("b")
     rec.snapshot("c")
@@ -127,8 +125,6 @@ def test_install_binds_recorder_to_sim_slot():
     sim = Simulator()
     rec = FlightRecorder(sim)
     assert sim.recorder is rec
-    off = FlightRecorder(Simulator(), install=False)
-    assert off.sim.recorder is None
 
 
 # -- export ------------------------------------------------------------------------

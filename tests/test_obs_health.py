@@ -19,7 +19,7 @@ from repro.core.orchestrator.statesync import (
     GatewayState,
     StateSync,
 )
-from repro.obs.health import HealthEngine, HealthSlo
+from repro.obs.health import HealthEngine
 from repro.sim import Monitor, Simulator
 from repro.sim.monitor import Series
 
@@ -84,7 +84,7 @@ def test_attach_subscore_uses_windowed_counter_deltas():
         orc.metricsd.ingest("attach_requests", req, t, labels)
         orc.metricsd.ingest("attach_accepted", acc, t, labels)
     orc.statesync.gateway("agw-0").last_checkin = 200.0
-    engine = HealthEngine(orc, HealthSlo(window=60.0))
+    engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["subscores"]["attach"] == pytest.approx(0.8)
     assert health["detail"]["attach_success_rate"] == pytest.approx(0.8)
@@ -103,7 +103,7 @@ def test_latency_subscore_and_p99_exemplar():
     # The slowest sample carries the trace id the operator should land on.
     orc.metricsd.ingest("attach_latency_s", 4.0, 45.0, labels,
                         trace_id=0xabc)
-    engine = HealthEngine(orc, HealthSlo(window=60.0, attach_p99_slo_s=1.0))
+    engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["detail"]["attach_p99_s"] > 1.0
     assert health["subscores"]["latency"] < 1.0
@@ -118,7 +118,7 @@ def test_cpu_and_freshness_subscores_decay():
     orc = fake_orc(sim, [state])
     orc.metricsd.ingest("cpu_util", 0.45, 0.0, {"gateway_id": "agw-0"})
     sim._now = OFFLINE_THRESHOLD / 2  # half the threshold since check-in
-    engine = HealthEngine(orc, HealthSlo(cpu_util_ceiling=0.9))
+    engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["subscores"]["cpu"] == pytest.approx(0.5)
     assert health["subscores"]["freshness"] == pytest.approx(0.5)
@@ -132,7 +132,7 @@ def test_convergence_subscore_tracks_unapplied_publish():
     orc.convergence.note_publish("default", 4)
     sim._now = 60.0
     state.last_checkin = 60.0
-    engine = HealthEngine(orc, HealthSlo(convergence_slo_s=120.0))
+    engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["subscores"]["convergence"] == pytest.approx(0.5)
     assert health["detail"]["config_lag_s"] == pytest.approx(60.0)
@@ -160,7 +160,8 @@ def test_convergence_floor_waits_for_slowest_gateway():
     sim = Simulator()
     monitor = Monitor()
     metricsd = Metricsd()
-    tracker = ConvergenceTracker(sim, monitor=monitor, metricsd=metricsd)
+    tracker = ConvergenceTracker(sim, monitor=monitor)
+    tracker.metricsd = metricsd
     tracker.note_applied("net", "a", 1)
     tracker.note_applied("net", "b", 1)
     tracker.note_publish("net", 2)
@@ -277,7 +278,7 @@ def test_exemplar_roundtrip_monitor_to_health_p99():
                             {"gateway_id": "agw-0"}, trace_id=tid)
     sim._now = 40.0
     orc.statesync.gateway("agw-0").last_checkin = 40.0
-    engine = HealthEngine(orc, HealthSlo(window=60.0))
+    engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["detail"]["attach_p99_exemplar"]["trace_id"] == 0xdead
 

@@ -10,6 +10,7 @@ from repro.core.orchestrator import (
     ConfigStore,
     Metricsd,
     Sample,
+    metricsd,
 )
 
 
@@ -88,8 +89,9 @@ def test_metricsd_label_sets_and_sum():
     assert m.series_names() == ["sessions"]
 
 
-def test_metricsd_retention_evicts_old_samples():
-    m = Metricsd(retention=10.0)
+def test_metricsd_retention_evicts_old_samples(monkeypatch):
+    monkeypatch.setattr(metricsd, "RETENTION", 10.0)
+    m = Metricsd()
     m.ingest("x", 1.0, time=0.0)
     m.ingest("x", 2.0, time=20.0)  # evicts the t=0 sample
     samples = m.query("x")
@@ -119,12 +121,16 @@ def metricsd_view(m, names, label_sets):
 
 def assert_bundles_equal_single_ingests(bundles, **limits):
     """``bundles`` is [(metrics, time, labels)]; one store takes each as a
-    bundle, the other the same samples through ``ingest`` one by one."""
-    bundled, single = Metricsd(**limits), Metricsd(**limits)
-    for metrics, time, labels in bundles:
-        bundled.ingest_bundle(metrics, time, labels)
-        for name, value in metrics.items():
-            single.ingest(name, value, time, labels)
+    bundle, the other the same samples through ``ingest`` one by one.
+    ``limits`` overrides metricsd's module constants for the ingests."""
+    bundled, single = Metricsd(), Metricsd()
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in limits.items():
+            patch.setattr(metricsd, name, value)
+        for metrics, time, labels in bundles:
+            bundled.ingest_bundle(metrics, time, labels)
+            for name, value in metrics.items():
+                single.ingest(name, value, time, labels)
     names = sorted({name for metrics, _, _ in bundles for name in metrics})
     label_sets = [dict(frozen) for frozen in
                   sorted({tuple(sorted((labels or {}).items()))
@@ -139,7 +145,7 @@ def test_metricsd_late_backfill_past_retention_drops_the_whole_bundle():
     m, view = assert_bundles_equal_single_ingests([
         ({"cpu": 0.5, "mem": 0.25}, 100.0, gw),
         ({"cpu": 0.9, "mem": 0.75, "disk": 0.5}, 40.0, gw),   # 60 s late
-    ], retention=50.0)
+    ], RETENTION=50.0)
     assert view["stats"] == {"ingested": 2, "dropped_old": 3}
     assert view["names"] == ["cpu", "mem"]         # "disk" never registered
     assert m.latest("cpu", gw).value == 0.5
@@ -163,7 +169,7 @@ def test_metricsd_max_samples_eviction_of_the_current_latest():
         ({"cpu": 0.9}, 100.0, gw),                 # latest, and the head
         ({"cpu": 0.1}, 80.0, gw),
         ({"cpu": 0.2}, 90.0, gw),                  # cap 2: evicts the head
-    ], max_samples_per_series=2)
+    ], MAX_SAMPLES_PER_SERIES=2)
     assert m.latest("cpu", gw) == Sample(time=90.0, value=0.2)
     assert view["stats"] == {"ingested": 3, "dropped_old": 1}
 
@@ -175,7 +181,7 @@ def test_metricsd_series_drained_empty_stays_known():
     m, view = assert_bundles_equal_single_ingests([
         ({"cpu": 0.9, "mem": 0.5}, 10.0, gw),
         ({"cpu": 0.8}, 20.0, gw),
-    ], max_samples_per_series=0)
+    ], MAX_SAMPLES_PER_SERIES=0)
     assert view["stats"] == {"ingested": 3, "dropped_old": 3}
     assert m.query("cpu", gw) == [] and m.latest("cpu", gw) is None
     assert m.label_sets("cpu") == [gw]             # known, but sampleless
@@ -191,7 +197,7 @@ def test_metricsd_series_drained_empty_stays_known():
     max_size=30))
 def test_metricsd_ingest_bundle_equals_single_ingests(bundles):
     assert_bundles_equal_single_ingests(
-        bundles, retention=10.0, max_samples_per_series=3)
+        bundles, RETENTION=10.0, MAX_SAMPLES_PER_SERIES=3)
 
 
 # -- alerting ---------------------------------------------------------------------------------

@@ -21,6 +21,16 @@ re-export nor an ``__all__`` string counts.  ``tests/`` is not a
 reference tree there: a module-level definition that only a test calls is
 not part of the reproduction.
 
+A third guard holds *settings* to the same production trees: every
+``__init__`` parameter whose default is not ``None``, and every defaulted
+field of a ``@dataclass`` named ``*Config`` or ``*Slo``, must be passed by
+some call in ``src/``, ``benchmarks/`` or ``examples/`` - by keyword, by
+position, or as a keyword of ``dataclasses.replace``.  A call matches by
+the class's bare name.  A setting only tests vary is a module constant
+that the test patches.  ``EXEMPT`` names the few that stay settings
+anyway, each with its reason; every one but a seed must still be set by
+some call, tests included, so an exemption cannot outlive its caller.
+
 These are tests rather than reprolint rules because each is a whole-tree
 pass: reprolint's rules see one file at a time and its cache keys
 findings on that file's content, so a cross-file rule would serve stale
@@ -164,3 +174,139 @@ def test_every_module_level_definition_has_a_production_caller():
         f"{len(dead)} public module-level definition(s) that only tests "
         "reach; give each a caller in src/, benchmarks/ or examples/, or "
         "delete it:\n  " + "\n  ".join(dead))
+
+
+#: Settings no production call passes that stay settings, with the reason.
+SEED = "seed: the replication knob of a paper experiment"
+SIZE = "size: tier-1 shrinks or varies the run with it"
+EXEMPT = {
+    "repro.experiments.cups.CupsConfig.seed": SEED,
+    "repro.experiments.fig5_cpu_util.Fig5Config.seed": SEED,
+    "repro.experiments.fig6_attach_rate.Fig6Config.seed": SEED,
+    "repro.experiments.cups.CupsConfig.attach_rate": SIZE,
+    "repro.experiments.cups.CupsConfig.num_traffic_ues": SIZE,
+    "repro.experiments.cups.CupsConfig.traffic_per_ue_mbps": SIZE,
+    "repro.experiments.fig5_cpu_util.Fig5Config.num_ues": SIZE,
+    "repro.experiments.fig5_cpu_util.Fig5Config.num_enbs": SIZE,
+    "repro.experiments.fig5_cpu_util.Fig5Config.attach_rate": SIZE,
+    "repro.experiments.fig6_attach_rate.Fig6Config.num_enbs": SIZE,
+    "repro.experiments.fig6_attach_rate.Fig6Config.background_ues_per_enb":
+        SIZE,
+    "repro.experiments.fig6_attach_rate.Fig6Config.min_storm_ues": SIZE,
+    "repro.workloads.diurnal.DiurnalConfig.sites": SIZE,
+    "repro.workloads.diurnal.DiurnalConfig.weekend_uplift": SIZE,
+    "repro.workloads.diurnal.DiurnalConfig.trough_fraction": SIZE,
+    "repro.workloads.diurnal.DiurnalConfig.noise_sigma": SIZE,
+    "repro.core.agw.context.AgwConfig.network_id":
+        "deployment address: which tenant network a gateway joins",
+    "repro.core.sync.digest.DigestIndex.fanout":
+        "oracle sweep: tests/test_sync_digest_oracle.py varies the tree shape",
+    "repro.core.sync.digest.DigestIndex.depth":
+        "oracle sweep: tests/test_sync_digest_oracle.py varies the tree shape",
+}
+
+
+def is_dataclass_node(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def defaults_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def settings():
+    """(qualified name, class, setting, position or None) of every setting
+    in scope; the position counts the arguments a positional call fills."""
+    for path in python_files(SOURCE):
+        module = os.path.relpath(path, os.path.dirname(SOURCE))[:-3]
+        module = module.replace(os.sep, ".")
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            prefix = f"{module}.{node.name}."
+            if is_dataclass_node(node) \
+                    and node.name.endswith(("Config", "Slo")):
+                fields = [statement for statement in node.body
+                          if isinstance(statement, ast.AnnAssign)
+                          and isinstance(statement.target, ast.Name)
+                          and "ClassVar" not in ast.dump(statement.annotation)]
+                for position, field in enumerate(fields):
+                    if field.value is not None:
+                        name = field.target.id
+                        yield prefix + name, node.name, name, position
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef) \
+                        or member.name != "__init__":
+                    continue
+                args = member.args
+                positional = args.posonlyargs + args.args
+                padded = [None] * (len(positional) - len(args.defaults)) \
+                    + list(args.defaults)
+                for position, (arg, default) in enumerate(
+                        zip(positional, padded)):
+                    if default is not None and not defaults_none(default):
+                        yield (prefix + arg.arg, node.name, arg.arg,
+                               position - 1)    # ``self`` is not passed
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None and not defaults_none(default):
+                        yield prefix + arg.arg, node.name, arg.arg, None
+
+
+def calls(trees):
+    """(callee's bare name, positional count, keyword names) of every call
+    in ``trees``."""
+    found = []
+    for tree in trees:
+        for path in python_files(os.path.join(ROOT, tree)):
+            if path in EXCLUDED:
+                continue
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) \
+                        else getattr(func, "id", None)
+                    found.append((name, len(node.args),
+                                  {k.arg for k in node.keywords}))
+    return found
+
+
+def is_set(found, cls, setting, position):
+    for name, positional, keywords in found:
+        if name == cls and (setting in keywords or (
+                position is not None and positional > position)):
+            return True
+        if name == "replace" and setting in keywords:
+            return True
+    return False
+
+
+def test_every_setting_has_a_production_caller():
+    production = calls(PRODUCTION_TREES)
+    everywhere = production + calls(("tests",))
+    scanned, unset, problems = set(), [], []
+    for qualified, cls, setting, position in settings():
+        scanned.add(qualified)
+        in_production = is_set(production, cls, setting, position)
+        reason = EXEMPT.get(qualified)
+        if reason is None:
+            if not in_production:
+                unset.append(qualified)
+        elif in_production:
+            problems.append(f"{qualified}: exempt, but production sets it")
+        elif reason != SEED and not is_set(everywhere, cls, setting,
+                                           position):
+            problems.append(f"{qualified}: exempt, but nothing sets it")
+    problems += [f"{name}: exempt, but no such setting"
+                 for name in sorted(set(EXEMPT) - scanned)]
+    assert sorted(unset) == [], (
+        f"{len(unset)} setting(s) that no call in src/, benchmarks/ or "
+        "examples/ passes; make each a module constant (tests patch it) "
+        "or give it that caller:\n  " + "\n  ".join(sorted(unset)))
+    assert problems == [], "stale exemptions:\n  " + "\n  ".join(problems)

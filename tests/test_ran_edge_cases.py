@@ -230,7 +230,7 @@ def test_rpc_in_flight_duplicate_not_reprocessed():
         return "done"
 
     server.register("svc", "slow", slow)
-    channel = RpcChannel(sim, network, "c", "s", retry_interval=0.1)
+    channel = RpcChannel(sim, network, "c", "s")
     results = []
 
     def caller(sim):

@@ -11,6 +11,7 @@ cost 88.9 calls and 5 entries.
 """
 
 from repro.net import Link, Network, RpcChannel, RpcError, RpcServer
+from repro.net.rpc import RETRY_INTERVAL
 from repro.sim import Hook, RngRegistry, Simulator
 
 from costs import calls, entries_scheduled
@@ -86,8 +87,8 @@ def test_a_lossy_call_rearms_one_timer_and_expires_at_its_deadline():
     # deadline, each timer armed by the one before it as that one fires.
     retries = []
     due = 0.1
-    while due + channel.retry_interval < expiry:
-        due += channel.retry_interval
+    while due + RETRY_INTERVAL < expiry:
+        due += RETRY_INTERVAL
         retries.append(due)
     names = [name for _, name, _, _ in log.armed]
     assert names == ["_retry"] * len(retries) + ["_expire"]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim import RngRegistry, SimSan, Simulator
 from repro.sim.kernel import SimulationError
+from repro.sim import sansim
 from repro.sim.sansim import SanHandle
 
 
@@ -239,8 +240,9 @@ def test_findings_and_report_shapes():
     assert report["reports"][0]["check"] == "orphan-timer"
 
 
-def test_max_reports_cap():
-    san = SimSan(max_reports=3)
+def test_max_reports_cap(monkeypatch):
+    monkeypatch.setattr(sansim, "MAX_REPORTS", 3)
+    san = SimSan()
     sim = Simulator(sanitizer=san)
     for i in range(10):
         sim.spawn(_leaky(sim), name=f"leaky-{i}")

@@ -2,7 +2,7 @@
 
 from repro.core.agw import AgwConfig
 from repro.deploy import build
-from repro.lte import UeConfig, UeState
+from repro.lte import UeState, nas
 
 
 def test_ip_pool_exhaustion_rejects_attach_cleanly():
@@ -59,7 +59,7 @@ def test_online_policy_without_ocs_rejects():
     assert not outcome.success
 
 
-def test_ocs_unreachable_over_network_rejects_attach():
+def test_ocs_unreachable_over_network_rejects_attach(monkeypatch):
     """OCS reached over RPC but its node is down: quota call fails and the
     attach is rejected rather than hanging."""
     from repro.core.agw import AccessGateway, SubscriberProfile
@@ -84,7 +84,8 @@ def test_ocs_unreachable_over_network_rejects_attach():
     enb.s1_setup()
     sim.run(until=1.0)
     network.set_node_up("ocs-node", False)
-    ue = Ue(sim, imsi, k, opc, enb, config=UeConfig(attach_guard_timer=20.0))
+    monkeypatch.setattr(nas, "T3410_ATTACH", 20.0)
+    ue = Ue(sim, imsi, k, opc, enb)
     done = ue.attach()
     outcome = sim.run_until_triggered(done, limit=60.0)
     assert not outcome.success

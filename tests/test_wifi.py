@@ -3,7 +3,7 @@
 import pytest
 
 from repro.deploy import build
-from repro.wifi import CaptivePortal, PortalError
+from repro.wifi import AP_CAPACITY_MBPS, CaptivePortal, PortalError
 
 
 def build_wifi_site(num_subscribers=2, **kwargs):
@@ -104,7 +104,7 @@ def test_wifi_radio_contention_shares_capacity():
     for username in site.imsis:
         ap.set_offered_rate(username, 100.0)
     alloc = ap.allocate()
-    assert sum(alloc.values()) == pytest.approx(ap.capacity_mbps)
+    assert sum(alloc.values()) == pytest.approx(AP_CAPACITY_MBPS)
     assert alloc[site.imsis[0]] == pytest.approx(alloc[site.imsis[1]])
 
 
