@@ -1,15 +1,10 @@
 """Baseline architectures Magma is compared against."""
 
-from .crud_sync import (
-    CrudReplica,
-    CrudSynchronizer,
-    DesiredStateSynchronizer,
-)
+from .crud_sync import CrudReplica, CrudSynchronizer
 from .epc import MonolithicEpc
 
 __all__ = [
     "CrudReplica",
     "CrudSynchronizer",
-    "DesiredStateSynchronizer",
     "MonolithicEpc",
 ]

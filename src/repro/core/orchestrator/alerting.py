@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Set
 
+from ...sim.monitor import window_increase
+
 
 @dataclass(frozen=True)
 class Alert:
@@ -29,13 +31,15 @@ class AlertRule:
 
 
 def metric_threshold_rule(metricsd, *, name: str, metric: str,
-                          threshold: float, message: str = "") -> AlertRule:
-    """An :class:`AlertRule` over ingested metricsd series.
+                          threshold: float, since: Callable[[], float],
+                          message: str = "") -> AlertRule:
+    """An :class:`AlertRule` over a cumulative counter in metricsd.
 
-    Fires per gateway (the ``gateway_id`` label) whenever the latest
-    sample of ``metric`` is strictly above ``threshold``, and resolves on
-    the first sample back at or below it.  Label sets without a
-    ``gateway_id`` fall back to a stringified label dict as the subject.
+    Fires per gateway (the ``gateway_id`` label) whenever ``metric`` rose
+    by strictly more than ``threshold`` over the samples captured at or
+    after ``since()`` (:func:`repro.sim.monitor.window_increase`), and
+    resolves once a window passes without that rise.  Label sets without
+    a ``gateway_id`` fall back to a stringified label dict as the subject.
 
     A series that is *known* but currently has no samples in retention is
     skipped entirely: the subject keeps its previous firing state rather
@@ -44,16 +48,17 @@ def metric_threshold_rule(metricsd, *, name: str, metric: str,
     firing: Set[str] = set()
 
     def evaluate() -> List[str]:
+        start = since()
         seen = set()
         for labels in metricsd.label_sets(metric):
             subject = labels.get("gateway_id", str(labels))
             seen.add(subject)
-            sample = metricsd.latest(metric, labels or None)
-            if sample is None:
+            samples = metricsd.query(metric, labels or None)
+            if not samples:
                 # Known series with nothing in retention: no data is not
                 # evidence of recovery — hold the previous state.
                 continue
-            if sample.value > threshold:
+            if window_increase(samples, start) > threshold:
                 firing.add(subject)
             else:
                 firing.discard(subject)
@@ -63,7 +68,7 @@ def metric_threshold_rule(metricsd, *, name: str, metric: str,
         return sorted(firing)
 
     return AlertRule(name=name, evaluate=evaluate,
-                     message=message or f"{metric} > {threshold:g}")
+                     message=message or f"{metric} rose by > {threshold:g}")
 
 
 class AlertManager:

@@ -116,15 +116,18 @@ class Orchestrator:
             name="gateway-unhealthy",
             evaluate=self._unhealthy_gateways,
             message="gateway self-reports failing health checks"))
-        self.alerts.add_rule(metric_threshold_rule(
-            self.metricsd, name="attach-rejections",
-            metric="attach_rejected", threshold=0.0,
-            message="gateway has rejected attach attempts"))
         # Windowed health/SLO scoring over the state assembled above.
         # Deferred import: obs.health is a consumer of orchestrator state
         # and must not become a load-time dependency cycle.
-        from ...obs.health import HealthEngine
+        from ...obs.health import WINDOW, HealthEngine
         self.health = HealthEngine(self)
+        # Rejections inside the health window, not since boot: the MME's
+        # counter is cumulative, so its latest value never falls back.
+        self.alerts.add_rule(metric_threshold_rule(
+            self.metricsd, name="attach-rejections",
+            metric="attach_rejected", threshold=0.0,
+            since=lambda: sim.now - WINDOW,
+            message="gateway has rejected attach attempts"))
         self.server = RpcServer(sim, network, node)
         self.server.register("statesync", "checkin", self._checkin_handler)
         self.server.register("statesync", "reconcile",

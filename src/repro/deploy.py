@@ -67,6 +67,17 @@ class Deployment:
         done = ue.attach()
         return self.sim.run_until_triggered(done, limit=self.sim.now + limit)
 
+    def run_until_synced(self) -> None:
+        """On a site built with a ``backhaul``: run until the AGW has
+        applied the orchestrator's newest config (on a fresh site, its
+        first successful check-in), in one-second steps and for at most
+        ten check-in intervals."""
+        deadline = self.sim.now + 10 * self.agw.context.config.checkin_interval
+        while self.agw.magmad.config_version != self.orc.store.version:
+            if self.sim.now >= deadline:
+                raise RuntimeError("the AGW never synced its config")
+            self.sim.run(until=self.sim.now + 1.0)
+
 
 def build(num_enbs: int = 1, num_ues: int = 1, *,
           rats: Sequence[str] = (),

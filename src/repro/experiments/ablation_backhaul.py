@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..baseline import MonolithicEpc
-from ..core.agw import AccessGateway, SubscriberProfile
-from ..deploy import subscriber_keys
-from ..lte import Enodeb, Ue, make_imsi
+from ..deploy import build
+from ..lte import Enodeb
 from ..lte.gtp import GtpcEndpoint
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator, median
-from .common import format_table
+from .common import epc_ues, format_table
 
 PROFILES = ("fiber", "microwave", "satellite")
 
@@ -62,50 +61,47 @@ class BackhaulResult:
         raise KeyError(profile)
 
 
-def _measure(architecture: str, profile: str, num_ues: int,
-             seed: int) -> Tuple[float, float]:
+def _attach_each(sim, ues) -> Tuple[float, float]:
+    """Attach the UEs one by one; returns (median latency, CSR)."""
+    latencies = []
+    for ue in ues:
+        outcome = sim.run_until_triggered(ue.attach(), limit=sim.now + 120.0)
+        if outcome.success:
+            latencies.append(outcome.latency)
+    csr = len(latencies) / len(ues)
+    return (median(latencies) if latencies else float("inf")), csr
+
+
+def _magma(profile: str, num_ues: int, seed: int) -> Tuple[float, float]:
+    """The AGW at the site; only its check-ins cross the backhaul."""
+    d = build(num_ues=num_ues, backhaul=profile, seed=seed)
+    d.run_until_synced()
+    return _attach_each(d.sim, d.ues)
+
+
+def _baseline(profile: str, num_ues: int,
+              seed: int) -> Tuple[float, float]:
+    """The core across the backhaul from the eNodeB."""
     sim = Simulator()
     rng = RngRegistry(seed)
     network = Network(sim, rng)
-    link = backhaul.by_name(profile)
-    if architecture == "magma":
-        agw = AccessGateway(sim, network, "core", rng=rng)
-        network.add_node("orc-far")
-        network.connect("core", "orc-far", link)      # backhaul: northbound
-        network.connect("enb-1", "core", backhaul.lan())
-        agw.start()
-    else:
-        agw = MonolithicEpc(sim, network, "core", rng=rng).agw
-        network.connect("enb-1", "core", link)        # backhaul: to the core
-        GtpcEndpoint(sim, network, "enb-1")           # answers GTP echoes
+    epc = MonolithicEpc(sim, network, "core", rng=rng)
+    network.connect("enb-1", "core", backhaul.by_name(profile))
+    GtpcEndpoint(sim, network, "enb-1")           # answers GTP echoes
     enb = Enodeb(sim, network, "enb-1", "core")
-    ues = []
-    for i in range(num_ues):
-        imsi = make_imsi(i + 1)
-        k, opc = subscriber_keys(i + 1)
-        agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-        ues.append(Ue(sim, imsi, k, opc, enb))
+    ues = epc_ues(sim, epc, enb, num_ues)
     enb.s1_setup()
     sim.run(until=10.0)
     if not enb.s1_ready:
         return float("inf"), 0.0
-    latencies = []
-    successes = 0
-    for ue in ues:
-        done = ue.attach()
-        outcome = sim.run_until_triggered(done, limit=sim.now + 120.0)
-        if outcome.success:
-            successes += 1
-            latencies.append(outcome.latency)
-    csr = successes / num_ues
-    return (median(latencies) if latencies else float("inf")), csr
+    return _attach_each(sim, ues)
 
 
 def run_backhaul_ablation(num_ues: int = 10, seed: int = 0) -> BackhaulResult:
     points = []
     for profile in PROFILES:
-        magma_latency, magma_csr = _measure("magma", profile, num_ues, seed)
-        base_latency, base_csr = _measure("baseline", profile, num_ues, seed)
+        magma_latency, magma_csr = _magma(profile, num_ues, seed)
+        base_latency, base_csr = _baseline(profile, num_ues, seed)
         points.append(BackhaulPoint(
             profile=profile,
             magma_median_latency=magma_latency, magma_csr=magma_csr,

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from typing import List
 
 from ..baseline import MonolithicEpc
-from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
-from ..core.orchestrator import Orchestrator
-from ..deploy import subscriber_keys
-from ..lte import Enodeb, Ue, UeConfig, UeState, make_imsi
+from ..deploy import build
+from ..lte import Enodeb, UeConfig, UeState
 from ..lte.gtp import GtpcEndpoint
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator
-from .common import format_table
+from .common import epc_ues, format_table
 
 
 @dataclass
@@ -74,21 +72,17 @@ def _outage(sim, network, node, agw, ues, seconds):
             sum(1 for ue in ues if ue.state == UeState.STUCK))
 
 
+def _make_fragile(ues, count: int) -> None:
+    """Give the first ``count`` UEs a baseband that wedges on a GTP
+    failure."""
+    for ue in ues[:count]:
+        ue.config = UeConfig(fragile_baseband=True)
+
+
 def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
                      outage_seconds: float = 60.0,
                      seed: int = 0) -> GtpAblationResult:
     fragile_count = int(num_ues * fragile_fraction)
-
-    def make_ues(sim, enb, agw):
-        ues = []
-        for i in range(num_ues):
-            imsi = make_imsi(i + 1)
-            k, opc = subscriber_keys(i + 1)
-            agw.subscriberdb.upsert(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-            fragile = i < fragile_count
-            ues.append(Ue(sim, imsi, k, opc, enb,
-                          config=UeConfig(fragile_baseband=fragile)))
-        return ues
 
     # ---- Baseline: EPC across the backhaul -----------------------------------
     sim_b = Simulator()
@@ -101,7 +95,8 @@ def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
     enb_gtp.set_path_failure_callback(
         lambda peer: enb_b.s1_path_failure("gtp path failure"))
     enb_gtp.start_path_monitor("epc", interval=5.0)
-    ues_b = make_ues(sim_b, enb_b, epc.agw)
+    ues_b = epc_ues(sim_b, epc, enb_b, num_ues)
+    _make_fragile(ues_b, fragile_count)
     enb_b.s1_setup()
     sim_b.run(until=sim_b.now + 5.0)
     _attach_all(sim_b, ues_b)
@@ -109,21 +104,12 @@ def run_gtp_ablation(num_ues: int = 12, fragile_fraction: float = 0.5,
                                             ues_b, outage_seconds)
 
     # ---- Magma: AGW at the site, orchestrator across the backhaul -------------
-    sim_m = Simulator()
-    net_m = Network(sim_m, RngRegistry(seed))
-    orc = Orchestrator(sim_m, net_m, "orc")
-    net_m.connect("agw-1", "orc", backhaul.satellite())
-    agw = AccessGateway(sim_m, net_m, "agw-1", config=AgwConfig(),
-                        orchestrator_node="orc", rng=RngRegistry(seed))
-    net_m.connect("enb-1", "agw-1", backhaul.lan())
-    enb_m = Enodeb(sim_m, net_m, "enb-1", "agw-1")
-    ues_m = make_ues(sim_m, enb_m, agw)
-    agw.start()
-    enb_m.s1_setup()
-    sim_m.run(until=sim_m.now + 5.0)
-    _attach_all(sim_m, ues_m)
+    d = build(num_ues=num_ues, backhaul="satellite", seed=seed)
+    _make_fragile(d.ues, fragile_count)
+    d.run_until_synced()
+    _attach_all(d.sim, d.ues)
     # The same outage: the backhaul (AGW <-> orchestrator) goes dark.
-    magma_lost, magma_stuck = _outage(sim_m, net_m, "orc", agw, ues_m,
+    magma_lost, magma_stuck = _outage(d.sim, d.network, "orc", d.agw, d.ues,
                                       outage_seconds)
 
     return GtpAblationResult(

@@ -29,15 +29,12 @@ MBPS_PER_SUBSCRIBER = 2.2    # hotspot browsing/streaming mix
 
 @dataclass
 class DiurnalConfig:
-    sites: int = 14                       # §4.3.1: fourteen sites
     weekend_uplift: float = 1.35
     trough_fraction: float = 0.12         # 4 am load vs peak
     noise_sigma: float = 0.10
     days: int = 61                        # Mar-Apr 2022
 
     def __post_init__(self):
-        if self.sites < 1:
-            raise ValueError("sites must be positive")
         if not 0 < self.trough_fraction <= 1:
             raise ValueError("trough fraction must be in (0, 1]")
 

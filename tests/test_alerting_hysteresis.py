@@ -3,7 +3,9 @@
 Satellite coverage from the observability issue: a retention-pruned
 series must not raise or silently resolve, and late back-filled samples
 (older capture times arriving after an alert fired) must not flip state
-onto stale data.
+onto stale data.  The rule thresholds how much a cumulative counter rose
+inside a trailing window, as the orchestrator's ``attach-rejections``
+alert does.
 """
 
 import pytest
@@ -15,10 +17,18 @@ from repro.core.orchestrator.alerting import (
 )
 from repro.core.orchestrator.metricsd import Metricsd, Sample
 
+WINDOW = 60.0
 
-def cpu_rule(metricsd):
+
+class Clock:
+    def __init__(self, now=0.0):
+        self.now = now
+
+
+def rejects_rule(metricsd, clock):
     return metric_threshold_rule(
-        metricsd, name="cpu-high", metric="cpu_util", threshold=0.9)
+        metricsd, name="rejects", metric="attach_rejected", threshold=0.0,
+        since=lambda: clock.now - WINDOW)
 
 
 # -- firing and resolving ----------------------------------------------------------
@@ -26,23 +36,28 @@ def cpu_rule(metricsd):
 
 def test_sustained_crossing_fires_and_single_recovery_resolves():
     metricsd = Metricsd()
-    rule = cpu_rule(metricsd)
+    clock = Clock(10.0)
+    rule = rejects_rule(metricsd, clock)
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 10.0, labels)
-    assert rule.evaluate() == ["a"]  # the first crossing sample fires
-    metricsd.ingest("cpu_util", 0.95, 42.0, labels)
-    assert rule.evaluate() == ["a"]
-    # One sample back on the safe side resolves.
-    metricsd.ingest("cpu_util", 0.2, 50.0, labels)
+    metricsd.ingest("attach_rejected", 0.0, 5.0, labels)
+    metricsd.ingest("attach_rejected", 1.0, 10.0, labels)
+    assert rule.evaluate() == ["a"]  # the first rise fires
+    clock.now = 42.0
+    metricsd.ingest("attach_rejected", 1.0, 42.0, labels)
+    assert rule.evaluate() == ["a"]  # the rise is still in the window
+    # One window without a rise resolves.
+    clock.now = 80.0
+    metricsd.ingest("attach_rejected", 1.0, 80.0, labels)
     assert rule.evaluate() == []
-    assert "cpu_util > 0.9" in rule.message
+    assert "attach_rejected rose by > 0" in rule.message
 
 
 def test_crossing_fires_immediately_per_label():
     metricsd = Metricsd()
-    rule = cpu_rule(metricsd)
-    metricsd.ingest("cpu_util", 0.95, 1.0, {"gateway_id": "a"})
-    metricsd.ingest("cpu_util", 0.5, 1.0, {"gateway_id": "b"})
+    rule = rejects_rule(metricsd, Clock(1.0))
+    for time, value in ((0.5, 0.0), (1.0, 2.0)):
+        metricsd.ingest("attach_rejected", value, time, {"gateway_id": "a"})
+        metricsd.ingest("attach_rejected", 3.0, time, {"gateway_id": "b"})
     assert rule.evaluate() == ["a"]
 
 
@@ -50,10 +65,9 @@ def test_crossing_fires_immediately_per_label():
 
 
 class SeriesStore:
-    """The three reads an alert rule makes (``label_sets``, ``latest``,
-    ``query``) over plain sample lists, so a test can put a series in
-    states ingest alone does not produce: known but emptied by
-    retention, or gone."""
+    """The two reads an alert rule makes (``label_sets``, ``query``) over
+    plain sample lists, so a test can put a series in states ingest alone
+    does not produce: known but emptied by retention, or gone."""
 
     def __init__(self):
         self.series = {}
@@ -72,21 +86,19 @@ class SeriesStore:
     def query(self, name, labels=None):
         return list(self.series.get(self.key(name, labels), ()))
 
-    def latest(self, name, labels=None):
-        samples = self.query(name, labels)
-        return max(samples, key=lambda s: s.time) if samples else None
 
 
 def test_retention_pruned_series_holds_state_not_resolves():
     metricsd = SeriesStore()
-    rule = cpu_rule(metricsd)
+    rule = rejects_rule(metricsd, Clock(10.0))
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 10.0, labels)
+    metricsd.ingest("attach_rejected", 0.0, 5.0, labels)
+    metricsd.ingest("attach_rejected", 1.0, 10.0, labels)
     assert rule.evaluate() == ["a"]
-    # Retention prunes the cpu series empty — but keeps it *known*.
-    metricsd.series[SeriesStore.key("cpu_util", labels)].clear()
-    assert metricsd.latest("cpu_util", labels) is None
-    assert metricsd.label_sets("cpu_util") == [labels]
+    # Retention prunes the series empty — but keeps it *known*.
+    metricsd.series[SeriesStore.key("attach_rejected", labels)].clear()
+    assert metricsd.query("attach_rejected", labels) == []
+    assert metricsd.label_sets("attach_rejected") == [labels]
     # No data is not evidence of recovery: the subject keeps firing, and
     # evaluation does not raise.
     assert rule.evaluate() == ["a"]
@@ -94,11 +106,12 @@ def test_retention_pruned_series_holds_state_not_resolves():
 
 def test_vanished_label_set_does_resolve():
     metricsd = SeriesStore()
-    rule = cpu_rule(metricsd)
+    rule = rejects_rule(metricsd, Clock(10.0))
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 10.0, labels)
+    metricsd.ingest("attach_rejected", 0.0, 5.0, labels)
+    metricsd.ingest("attach_rejected", 1.0, 10.0, labels)
     assert rule.evaluate() == ["a"]
-    del metricsd.series[SeriesStore.key("cpu_util", labels)]
+    del metricsd.series[SeriesStore.key("attach_rejected", labels)]
     assert rule.evaluate() == []
 
 
@@ -106,22 +119,26 @@ def test_vanished_label_set_does_resolve():
 
 
 def test_late_backfill_does_not_resolve_a_fired_alert():
-    """A recovering gateway back-fills old (safe-looking) samples after
-    the alert fired; 'latest' is by capture time, so the alert holds."""
+    """A recovering gateway back-fills old samples after the alert fired;
+    the rise is read in capture-time order, so the alert holds."""
     metricsd = Metricsd()
-    manager = AlertManager(clock=lambda: 100.0)
-    manager.add_rule(cpu_rule(metricsd))
+    clock = Clock(100.0)
+    manager = AlertManager(clock=lambda: clock.now)
+    manager.add_rule(rejects_rule(metricsd, clock))
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 90.0, labels)
+    metricsd.ingest("attach_rejected", 0.0, 50.0, labels)
+    metricsd.ingest("attach_rejected", 1.0, 90.0, labels)
     assert [a.subject for a in manager.evaluate()] == ["a"]
-    # Back-fill: capture times *before* the crossing, arriving late.
-    for t in (60.0, 70.0, 80.0):
-        metricsd.ingest("cpu_util", 0.3, t, labels)
+    # Back-fill: capture times *before* the newest sample, arriving late.
+    for t, value in ((60.0, 0.0), (70.0, 1.0), (80.0, 1.0)):
+        metricsd.ingest("attach_rejected", value, t, labels)
     manager.evaluate()
     assert [a.subject for a in manager.active_alerts()] == ["a"]
-    assert metricsd.latest("cpu_util", labels).value == pytest.approx(0.95)
-    # A genuinely newer recovery sample resolves it.
-    metricsd.ingest("cpu_util", 0.3, 95.0, labels)
+    assert metricsd.latest("attach_rejected", labels).value == \
+        pytest.approx(1.0)
+    # A genuinely newer window without a rise resolves it.
+    clock.now = 160.0
+    metricsd.ingest("attach_rejected", 1.0, 155.0, labels)
     manager.evaluate()
     assert manager.active_alerts() == []
 
@@ -131,16 +148,21 @@ def test_late_backfill_does_not_resolve_a_fired_alert():
 
 def test_manager_dedups_until_resolution_and_keeps_history():
     metricsd = Metricsd()
-    times = iter((1.0, 2.0, 3.0, 4.0))
-    manager = AlertManager(clock=lambda: next(times))
-    manager.add_rule(cpu_rule(metricsd))
+    clock = Clock()
+    manager = AlertManager(clock=lambda: clock.now)
+    manager.add_rule(rejects_rule(metricsd, clock))
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 0.5, labels)
+    metricsd.ingest("attach_rejected", 0.0, 0.0, labels)
+    metricsd.ingest("attach_rejected", 1.0, 0.5, labels)
+    clock.now = 1.0
     assert len(manager.evaluate()) == 1
+    clock.now = 2.0
     assert manager.evaluate() == []  # still firing: deduplicated
-    metricsd.ingest("cpu_util", 0.2, 2.5, labels)
+    clock.now = 100.0
+    metricsd.ingest("attach_rejected", 1.0, 99.0, labels)
     manager.evaluate()               # resolves
-    metricsd.ingest("cpu_util", 0.95, 3.5, labels)
+    clock.now = 101.0
+    metricsd.ingest("attach_rejected", 2.0, 100.5, labels)
     assert len(manager.evaluate()) == 1  # re-raise after resolve
     assert len(manager.history()) == 2
 
@@ -153,12 +175,13 @@ def test_rule_error_is_isolated_and_keeps_its_alerts_firing():
     def flaky():
         raise RuntimeError("boom")
 
-    manager.add_rule(cpu_rule(metricsd))
+    manager.add_rule(rejects_rule(metricsd, Clock(1.0)))
     manager.add_rule(AlertRule(name="flaky", evaluate=flaky))
     labels = {"gateway_id": "a"}
-    metricsd.ingest("cpu_util", 0.95, 1.0, labels)
+    metricsd.ingest("attach_rejected", 0.0, 0.5, labels)
+    metricsd.ingest("attach_rejected", 1.0, 1.0, labels)
     raised = manager.evaluate()
-    assert [a.rule_name for a in raised] == ["cpu-high"]
+    assert [a.rule_name for a in raised] == ["rejects"]
     assert manager.stats["rule_errors"] == 1
     assert healthy == 0.0
     # Swap in a rule that fires, then make it error: its alert must hold.

@@ -1,17 +1,21 @@
-"""The three head-to-head ablations print the same tables, byte for byte.
+"""The head-to-head ablations print the same tables, byte for byte.
 
 ``python -m repro.experiments ablation-gtp ablation-faults
 ablation-backhaul`` runs Magma against the monolithic-EPC baseline on GTP
 termination (§3.1), fault domains (§3.3) and backhaul quality.  All of it
-is simulated, so its stdout is deterministic.  The Magma columns predate
-the baseline's move onto the AGW's access core and did not move with it;
-of the baseline cells only the satellite median did (2.12 s before).
+is simulated, so its stdout is deterministic.  The Magma arms of the GTP
+and backhaul ablations are ``repro.deploy.build`` sites, provisioned
+through the orchestrator; the fault-domain ablation still builds its own
+multi-AGW network.  Of the baseline cells only the satellite median moved
+when the baseline took the AGW's access core (2.12 s before).
 
 ``ablation-headless ablation-quota`` (§3.2 headless operation, §3.4
-double-spend bound) are pinned the same way, and so is ``ablation-sync``:
-§3.4's CRUD negative control, where deltas lost on the link or to a
-replica restart leave the CRUD replica diverged and the desired-state
-replica does not.
+double-spend bound) are pinned the same way, and so is ``ablation-sync``
+(§3.4): CRUD deltas against Magma's own check-in sync.  Deltas lost on
+the link, or to a restart of the volatile CRUD replica, leave it
+diverged.  The AGW re-converges on every check-in, and its config
+survives ``crash()`` / ``recover()``.  The CRUD arm runs in its own
+simulator, so its loss draws are its own.
 """
 
 from repro.experiments.__main__ import main
@@ -80,7 +84,7 @@ link_loss  crud  crud_after_restart  desired  desired_after_restart
 0%         0     44                  0        0                    
 1%         0     44                  0        0                    
 5%         0     44                  0        0                    
-20%        7     44                  0        0                    
+20%        8     44                  0        0                    
 
 """
 

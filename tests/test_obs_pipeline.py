@@ -140,8 +140,12 @@ def test_max_samples_bound(monkeypatch):
 def test_threshold_rule_fires_off_ingested_data():
     m = Metricsd()
     rule = metric_threshold_rule(m, name="too-many-rejects",
-                                 metric="attach_rejected", threshold=2.0)
+                                 metric="attach_rejected", threshold=2.0,
+                                 since=lambda: 0.0)
     assert rule.evaluate() == []
+    for gateway_id in ("agw-1", "agw-2"):
+        m.ingest("attach_rejected", 0.0, time=0.5,
+                 labels={"gateway_id": gateway_id})
     m.ingest("attach_rejected", 1.0, time=1.0,
              labels={"gateway_id": "agw-1"})
     m.ingest("attach_rejected", 5.0, time=1.0,
@@ -167,3 +171,31 @@ def test_attach_reject_alert_fires_end_to_end():
     alerts = orc.evaluate_alerts()
     assert any(a.rule_name == "attach-rejections" and a.subject == "agw-1"
                for a in alerts)
+
+
+def test_attach_reject_alert_resolves_after_a_window_without_rejections():
+    """The MME's rejection counter is cumulative: the alert thresholds its
+    rise inside the health window, so it clears once a window passes
+    with no new rejection, and fires again on the next one."""
+    from repro.lte import Ue, make_imsi
+    from repro.obs.health import WINDOW
+    sim, network, orc, agw, enb, ues = build_deployment()
+    sim.run(until=10.0)
+    ghost = Ue(sim, make_imsi(99), b"\x00" * 16, b"\x00" * 16, enb)
+    assert not sim.run_until_triggered(ghost.attach(),
+                                       limit=sim.now + 60.0).success
+    attach_one(sim, ues)
+    sim.run(until=sim.now + 10.0)
+    assert [a.subject for a in orc.evaluate_alerts()
+            if a.rule_name == "attach-rejections"] == ["agw-1"]
+    sim.run(until=sim.now + WINDOW + 10.0)
+    orc.evaluate_alerts()
+    assert orc.metricsd.latest("attach_rejected",
+                               {"gateway_id": "agw-1"}).value == 1.0
+    assert not any(a.rule_name == "attach-rejections"
+                   for a in orc.alerts.active_alerts())
+    assert not sim.run_until_triggered(ghost.attach(),
+                                       limit=sim.now + 60.0).success
+    sim.run(until=sim.now + 10.0)
+    assert [a.subject for a in orc.evaluate_alerts()
+            if a.rule_name == "attach-rejections"] == ["agw-1"]

@@ -1,11 +1,14 @@
 """Orchestrator <-> AGW integration: desired-state sync, headless operation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.agw import AgwConfig, SubscriberProfile
+from repro.core.orchestrator import NS_SUBSCRIBERS
 from repro.core.policy import rate_limited
 from repro.deploy import build, subscriber_keys
 from repro.lte import Ue, make_imsi
+from repro.net import Link
 
 
 def build_deployment(checkin_interval=5.0, backhaul_profile="fiber",
@@ -100,6 +103,41 @@ def test_sync_over_lossy_satellite_backhaul():
         backhaul_profile="satellite", checkin_interval=5.0, seed=3)
     sim.run(until=60.0)
     assert len(agw.subscriberdb) == 2
+
+
+#: Check-in intervals the AGW gets, after the last northbound write, to
+#: hold exactly the store's subscribers.
+RECONVERGE_CHECKINS = 3
+
+#: One northbound op: (subscriber index, delete?, seconds to the next op).
+northbound_op = st.tuples(st.integers(1, 50), st.booleans(),
+                          st.sampled_from([0.0, 0.5, 2.0, 7.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(northbound_op, max_size=40),
+       loss=st.floats(0.0, 0.2), seed=st.integers(0, 1000))
+def test_subscriberdb_reconverges_after_churn_on_a_lossy_link(ops, loss,
+                                                              seed):
+    """§3.4 on the real path: whatever adds, updates and deletes the
+    orchestrator took, and whatever the link dropped, the AGW's check-ins
+    leave its subscriberdb equal to the store's namespace."""
+    d = build(num_enbs=0, num_ues=0, backhaul="fiber", seed=seed,
+              config=AgwConfig(checkin_interval=5.0))
+    d.network.connect("agw-1", "orc", Link(latency=0.05, loss=loss))
+    orc, db = d.orc, d.agw.subscriberdb
+    for version, (index, delete, gap) in enumerate(ops):
+        imsi = make_imsi(index)
+        if not delete:
+            k, opc = subscriber_keys(index)
+            orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc,
+                                                 apn=f"apn-{version}"))
+        elif orc.store.get(NS_SUBSCRIBERS, imsi) is not None:
+            orc.delete_subscriber(imsi)
+        d.sim.run(until=d.sim.now + gap)
+    d.sim.run(until=d.sim.now + RECONVERGE_CHECKINS * 5.0)
+    assert {imsi: db.get(imsi) for imsi in db.all_imsis()} == \
+        orc.store.namespace(NS_SUBSCRIBERS)
 
 
 def test_orchestrator_tracks_gateway_state():

@@ -193,7 +193,6 @@ EXEMPT = {
     "repro.experiments.fig6_attach_rate.Fig6Config.background_ues_per_enb":
         SIZE,
     "repro.experiments.fig6_attach_rate.Fig6Config.min_storm_ues": SIZE,
-    "repro.workloads.diurnal.DiurnalConfig.sites": SIZE,
     "repro.workloads.diurnal.DiurnalConfig.weekend_uplift": SIZE,
     "repro.workloads.diurnal.DiurnalConfig.trough_fraction": SIZE,
     "repro.workloads.diurnal.DiurnalConfig.noise_sigma": SIZE,

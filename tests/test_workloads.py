@@ -164,8 +164,6 @@ def test_diurnal_growth():
 
 def test_diurnal_validation():
     with pytest.raises(ValueError):
-        DiurnalConfig(sites=0)
-    with pytest.raises(ValueError):
         DiurnalConfig(trough_fraction=0.0)
     with pytest.raises(ValueError):
         summarize([])
