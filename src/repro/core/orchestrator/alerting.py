@@ -8,9 +8,7 @@ defined").  Operators consume these alerts through the northbound API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set
-
-from ...sim.monitor import window_increase
+from typing import Callable, Dict, List
 
 
 @dataclass(frozen=True)
@@ -28,47 +26,6 @@ class AlertRule:
     name: str
     evaluate: Callable[[], List[str]]   # returns offending subjects
     message: str = ""
-
-
-def metric_threshold_rule(metricsd, *, name: str, metric: str,
-                          threshold: float, since: Callable[[], float],
-                          message: str = "") -> AlertRule:
-    """An :class:`AlertRule` over a cumulative counter in metricsd.
-
-    Fires per gateway (the ``gateway_id`` label) whenever ``metric`` rose
-    by strictly more than ``threshold`` over the samples captured at or
-    after ``since()`` (:func:`repro.sim.monitor.window_increase`), and
-    resolves once a window passes without that rise.  Label sets without
-    a ``gateway_id`` fall back to a stringified label dict as the subject.
-
-    A series that is *known* but currently has no samples in retention is
-    skipped entirely: the subject keeps its previous firing state rather
-    than silently resolving on missing data.
-    """
-    firing: Set[str] = set()
-
-    def evaluate() -> List[str]:
-        start = since()
-        seen = set()
-        for labels in metricsd.label_sets(metric):
-            subject = labels.get("gateway_id", str(labels))
-            seen.add(subject)
-            samples = metricsd.query(metric, labels or None)
-            if not samples:
-                # Known series with nothing in retention: no data is not
-                # evidence of recovery — hold the previous state.
-                continue
-            if window_increase(samples, start) > threshold:
-                firing.add(subject)
-            else:
-                firing.discard(subject)
-        # Subjects whose label set vanished wholesale (e.g. a re-keyed
-        # fleet) do resolve: there is no longer a series to watch.
-        firing.intersection_update(seen)
-        return sorted(firing)
-
-    return AlertRule(name=name, evaluate=evaluate,
-                     message=message or f"{metric} rose by > {threshold:g}")
 
 
 class AlertManager:

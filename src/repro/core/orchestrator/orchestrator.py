@@ -19,7 +19,7 @@ stateless-service-over-shared-DB shape.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ...net.rpc import RpcServer
 from ...net.simnet import Network
@@ -34,7 +34,7 @@ from ..sync import (
     MergedGatewayView,
     MergedMetricsView,
 )
-from .alerting import AlertManager, AlertRule, metric_threshold_rule
+from .alerting import AlertManager, AlertRule
 from .config_store import ConfigStore
 from .metricsd import Metricsd
 from .statesync import (
@@ -116,18 +116,19 @@ class Orchestrator:
             name="gateway-unhealthy",
             evaluate=self._unhealthy_gateways,
             message="gateway self-reports failing health checks"))
+        # Gateways the attach-rejections rule is firing for.
+        self._rejecting: Set[str] = set()
+        self.alerts.add_rule(AlertRule(
+            name="attach-rejections",
+            evaluate=self._rejecting_gateways,
+            message="gateway has rejected attach attempts"))
         # Windowed health/SLO scoring over the state assembled above.
         # Deferred import: obs.health is a consumer of orchestrator state
         # and must not become a load-time dependency cycle.
         from ...obs.health import WINDOW, HealthEngine
         self.health = HealthEngine(self)
-        # Rejections inside the health window, not since boot: the MME's
-        # counter is cumulative, so its latest value never falls back.
-        self.alerts.add_rule(metric_threshold_rule(
-            self.metricsd, name="attach-rejections",
-            metric="attach_rejected", threshold=0.0,
-            since=lambda: sim.now - WINDOW,
-            message="gateway has rejected attach attempts"))
+        # attach-rejections looks back over the health window.
+        self._reject_window = WINDOW
         self.server = RpcServer(sim, network, node)
         self.server.register("statesync", "checkin", self._checkin_handler)
         self.server.register("statesync", "reconcile",
@@ -282,6 +283,51 @@ class Orchestrator:
             if health is not None and health.get("healthy") is False:
                 unhealthy.append(state.gateway_id)
         return sorted(unhealthy)
+
+    def _rejecting_gateways(self) -> List[str]:
+        """Gateways whose MME rejected an attach within the health window.
+
+        ``attach_rejected`` is cumulative since the MME started, so a
+        gateway fires while its newest sample is above a baseline: the
+        newest sample captured at or before the window's start, or the
+        oldest in the window when there is none.  A gateway that ships
+        one sample per check-in thus fires on a rise across the window's
+        edge, and resolves once the first sample to count its latest
+        rejection is older than the window.  Each gateway's series is
+        read once, on its owner shard, in any arrival order (back-filled
+        rows can arrive late).
+
+        A series that is *known* but has no samples in retention keeps
+        its subject's previous state: no data is not evidence of
+        recovery.  A label set that vanished wholesale does resolve.
+        """
+        since = self.sim.now - self._reject_window
+        firing = self._rejecting
+        seen = set()
+        for shard in self.shards:
+            metricsd = shard.metricsd
+            for labels in metricsd.label_sets("attach_rejected"):
+                subject = labels["gateway_id"]
+                seen.add(subject)
+                samples = metricsd.query("attach_rejected", labels)
+                if not samples:
+                    continue
+                newest = before = first = None
+                for sample in samples:
+                    if newest is None or sample.time >= newest.time:
+                        newest = sample
+                    if sample.time <= since:
+                        if before is None or sample.time >= before.time:
+                            before = sample
+                    elif first is None or sample.time < first.time:
+                        first = sample
+                baseline = first if before is None else before
+                if newest.value > baseline.value:
+                    firing.add(subject)
+                else:
+                    firing.discard(subject)
+        firing.intersection_update(seen)
+        return sorted(firing)
 
     def _charge_northbound(self) -> None:
         self.cpu.submit("northbound", NORTHBOUND_CPU_COST)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
-from ..sim.monitor import percentile, window_increase
+from ..sim.monitor import percentile
 
 ATTACH_LATENCY_METRIC = "attach_latency_s"
 
@@ -91,8 +91,14 @@ class HealthEngine:
         detail: Dict[str, Any] = {}
 
         # Attach success: windowed delta of the cumulative counters.
-        d_acc = window_increase(query("attach_accepted", labels), t0)
-        d_req = window_increase(query("attach_requests", labels), t0)
+        accepted = sorted([s for s in query("attach_accepted", labels)
+                           if s.time >= t0], key=_BY_TIME)
+        requested = sorted([s for s in query("attach_requests", labels)
+                            if s.time >= t0], key=_BY_TIME)
+        d_req = requested[-1].value - requested[0].value \
+            if len(requested) >= 2 else 0.0
+        d_acc = accepted[-1].value - accepted[0].value \
+            if len(accepted) >= 2 else 0.0
         if d_req > 0:
             rate = _clamp(d_acc / d_req)
             subscores["attach"] = rate

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-_BY_TIME = attrgetter("time")
 
 
 class Series:
@@ -245,14 +242,6 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50.0)
-
-
-def window_increase(samples: Iterable, since: float) -> float:
-    """How much a cumulative counter rose over the ``samples`` (anything
-    with ``time`` and ``value``) captured at or after ``since``: the
-    newest value minus the oldest, by capture time; 0 with fewer than two."""
-    window = sorted([s for s in samples if s.time >= since], key=_BY_TIME)
-    return window[-1].value - window[0].value if len(window) >= 2 else 0.0
 
 
 class Monitor:

@@ -7,7 +7,6 @@ rules fire off ingested data.
 """
 
 from repro.core.orchestrator import Metricsd, metricsd
-from repro.core.orchestrator.alerting import metric_threshold_rule
 
 from test_orchestrator_integration import build_deployment
 
@@ -138,22 +137,26 @@ def test_max_samples_bound(monkeypatch):
 
 
 def test_threshold_rule_fires_off_ingested_data():
-    m = Metricsd()
-    rule = metric_threshold_rule(m, name="too-many-rejects",
-                                 metric="attach_rejected", threshold=2.0,
-                                 since=lambda: 0.0)
-    assert rule.evaluate() == []
+    from repro.core.orchestrator import Orchestrator
+    from repro.net import Network
+    from repro.sim import RngRegistry, Simulator
+    sim = Simulator()
+    orc = Orchestrator(sim, Network(sim, RngRegistry(1)), "orc")
+    m = orc.shards[0].metricsd
+    sim.run(until=1.0)
+    assert orc._rejecting_gateways() == []
     for gateway_id in ("agw-1", "agw-2"):
         m.ingest("attach_rejected", 0.0, time=0.5,
                  labels={"gateway_id": gateway_id})
-    m.ingest("attach_rejected", 1.0, time=1.0,
+    m.ingest("attach_rejected", 0.0, time=1.0,
              labels={"gateway_id": "agw-1"})
     m.ingest("attach_rejected", 5.0, time=1.0,
              labels={"gateway_id": "agw-2"})
-    assert rule.evaluate() == ["agw-2"]
+    assert orc._rejecting_gateways() == ["agw-2"]
+    sim.run(until=2.0)
     m.ingest("attach_rejected", 9.0, time=2.0,
              labels={"gateway_id": "agw-1"})
-    assert rule.evaluate() == ["agw-1", "agw-2"]
+    assert orc._rejecting_gateways() == ["agw-1", "agw-2"]
 
 
 def test_attach_reject_alert_fires_end_to_end():
@@ -199,3 +202,30 @@ def test_attach_reject_alert_resolves_after_a_window_without_rejections():
     sim.run(until=sim.now + 10.0)
     assert [a.subject for a in orc.evaluate_alerts()
             if a.rule_name == "attach-rejections"] == ["agw-1"]
+
+
+def test_attach_reject_alert_fires_and_resolves_at_the_default_checkin():
+    """At the default 60 s check-in each health window holds about one
+    sample: a single rejection still fires the alert once its check-in
+    lands, and the next quiet check-in resolves it."""
+    from repro.deploy import build
+    from repro.lte import Ue, make_imsi
+    from repro.obs.health import WINDOW
+    d = build(num_ues=1, backhaul="fiber")
+    sim, orc = d.sim, d.orc
+    labels = {"gateway_id": d.agw.context.node}
+    d.run_until_synced()
+    ghost = Ue(sim, make_imsi(99), b"\x00" * 16, b"\x00" * 16, d.enbs[0])
+    assert not sim.run_until_triggered(ghost.attach(),
+                                       limit=sim.now + 60.0).success
+    rejected_at = sim.now
+    sim.run(until=rejected_at + d.agw.context.config.checkin_interval + 5.0)
+    window = [s for s in orc.metricsd.query("attach_rejected", labels)
+              if s.time >= sim.now - WINDOW]
+    assert [s.value for s in window] == [1.0]
+    assert [a.subject for a in orc.evaluate_alerts()
+            if a.rule_name == "attach-rejections"] == [labels["gateway_id"]]
+    sim.run(until=sim.now + d.agw.context.config.checkin_interval)
+    orc.evaluate_alerts()
+    assert not any(a.rule_name == "attach-rejections"
+                   for a in orc.alerts.active_alerts())
