@@ -25,7 +25,7 @@ from ...net.rpc import RpcServer
 from ...net.simnet import Network
 from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
-from ...sim.monitor import Monitor
+from ...sim.monitor import Monitor, counter_rise
 from ..agw.subscriberdb import SubscriberProfile
 from ..policy.rules import PolicyRule
 from ..sync import (
@@ -309,20 +309,11 @@ class Orchestrator:
             for labels in metricsd.label_sets("attach_rejected"):
                 subject = labels["gateway_id"]
                 seen.add(subject)
-                samples = metricsd.query("attach_rejected", labels)
-                if not samples:
+                rise = counter_rise(
+                    metricsd.query("attach_rejected", labels), since)
+                if rise is None:
                     continue
-                newest = before = first = None
-                for sample in samples:
-                    if newest is None or sample.time >= newest.time:
-                        newest = sample
-                    if sample.time <= since:
-                        if before is None or sample.time >= before.time:
-                            before = sample
-                    elif first is None or sample.time < first.time:
-                        first = sample
-                baseline = first if before is None else before
-                if newest.value > baseline.value:
+                if rise > 0:
                     firing.add(subject)
                 else:
                     firing.discard(subject)

@@ -9,8 +9,14 @@ This module provides the equivalent: request/response RPC with
 - **transparent retransmission** - requests and responses are retried within
   the deadline, so calls survive lossy backhaul exactly as gRPC-over-TCP
   does (the paper's §3.1 contrast with raw GTP-C);
+- **deadline propagation** - a request carries its call's expiry, as
+  gRPC's ``grpc-timeout`` header does: a server drops a request that
+  arrives after it (``stats["expired"]``), since its caller has already
+  given up;
 - **idempotent dispatch** - servers de-duplicate retried requests by id and
-  re-send the cached response.
+  re-send the cached response, which they keep until the call's expiry:
+  after it no copy of that request can be served, so the reply is
+  evicted then, oldest reply first.
 
 Handlers may be plain callables (request -> response) or generator functions
 (request -> generator), which the server runs as simulated processes so they
@@ -22,8 +28,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+from collections import deque
 from types import GeneratorType
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from ..sim.kernel import Event, Simulator
 from .simnet import Datagram, Network
@@ -185,16 +192,27 @@ class RpcError(Exception):
 
 
 class RpcServer:
-    """Hosts RPC services at a node's well-known RPC port."""
+    """Hosts RPC services at a node's well-known RPC port.
+
+    A reply is cached until its call's expiry, for the retransmissions
+    that may still arrive; ``_expiries`` queues ``(expiry, request id)``
+    in reply order, and each arrival evicts from its front every reply
+    whose call has expired.  A reply behind a later expiry waits for it,
+    so the cache holds at most the replies of one longest deadline.
+    """
 
     def __init__(self, sim: Simulator, network: Network, node: str):
         self.sim = sim
         self.network = network
         self.node = node
         self._handlers: Dict[Tuple[str, str], Callable] = {}
+        # (service, method) -> its span name and process name, built once.
+        self._names: Dict[Tuple[str, str], Tuple[str, str]] = {}
         self._response_cache: Dict[Any, Tuple[str, Any]] = {}
+        self._expiries: Deque[Tuple[float, Any]] = deque()
         self._in_flight: set = set()
-        self.stats = {"requests": 0, "duplicates": 0, "errors": 0}
+        self.stats = {"requests": 0, "duplicates": 0, "errors": 0,
+                      "expired": 0}
         network.bind(node, RPC_PORT, self._handle)
 
     def register(self, service: str, method: str, handler: Callable) -> None:
@@ -203,6 +221,7 @@ class RpcServer:
         if key in self._handlers:
             raise ValueError(f"{service}/{method} already registered on {self.node}")
         self._handlers[key] = handler
+        self._names[key] = (f"{service}/{method}", f"rpc:{service}/{method}")
 
     def intercept(self, service: str, method: str,
                   interceptor: Callable[[Any, Callable], Any]) -> None:
@@ -220,32 +239,41 @@ class RpcServer:
     # -- internals ---------------------------------------------------------------
 
     def _handle(self, dgram: Datagram) -> None:
-        request_id, service, method, payload, reply_node, reply_port, ctx = \
-            dgram.payload
-        cached = self._response_cache.get(request_id)
-        if cached is not None:
+        request_id, service, method, payload, reply_node, reply_port, ctx, \
+            expiry = dgram.payload
+        sim = self.sim
+        now = sim.now
+        if now > expiry:
+            self.stats["expired"] += 1
+            return  # its caller has given up: no reply can count
+        cache = self._response_cache
+        expiries = self._expiries
+        while expiries and expiries[0][0] < now:
+            del cache[expiries.popleft()[1]]
+        if request_id in cache:
             self.stats["duplicates"] += 1
-            self._reply(reply_node, reply_port, request_id, *cached)
+            self._reply(reply_node, reply_port, request_id,
+                        *cache[request_id])
             return
         if request_id in self._in_flight:
             self.stats["duplicates"] += 1
             return  # still processing an earlier copy; its reply will cover this
-        handler = self._handlers.get((service, method))
+        key = (service, method)
+        handler = self._handlers.get(key)
         if handler is None:
             self._reply(reply_node, reply_port, request_id, "error",
                         RpcError(RpcError.NOT_FOUND, f"{service}/{method}"))
             return
+        span_name, process_name = self._names[key]
         self.stats["requests"] += 1
         # Restore the caller's trace context for the duration of dispatch so
         # server-side spans (and any processes the handler spawns) nest under
         # the client's rpc span.
-        sim = self.sim
         prev_ctx, sim.ctx = sim.ctx, ctx
         tracer = sim.tracer
         span = None
         if tracer is not None:
-            span = tracer.child(f"{service}/{method}", component=service,
-                                node=self.node)
+            span = tracer.child(span_name, component=service, node=self.node)
             if span.recording:
                 sim.ctx = span.context
         try:
@@ -254,51 +282,52 @@ class RpcServer:
             except RpcError as exc:
                 if span is not None:
                     span.end("error")
-                self._finish(reply_node, reply_port, request_id, "error", exc)
+                self._finish(reply_node, reply_port, request_id, expiry,
+                             "error", exc)
                 return
             except Exception as exc:  # noqa: BLE001 - surfaced as INTERNAL
                 if span is not None:
                     span.end("error")
-                self._finish(reply_node, reply_port, request_id, "error",
-                             RpcError(RpcError.INTERNAL, repr(exc)))
+                self._finish(reply_node, reply_port, request_id, expiry,
+                             "error", RpcError(RpcError.INTERNAL, repr(exc)))
                 return
             if type(result) is GeneratorType:
                 # Only a process outlives this dispatch, so only its
                 # request can be in flight when a retransmission arrives.
                 self._in_flight.add(request_id)
-                proc = self.sim.spawn(result, name=f"rpc:{service}/{method}")
+                proc = sim.spawn(result, name=process_name)
                 if span is not None and span.recording:
                     span.end_on(proc)
                 proc.add_callback(
                     lambda ev: self._on_process_done(ev, reply_node, reply_port,
-                                                     request_id))
+                                                     request_id, expiry))
             else:
                 if span is not None:
                     span.end()
-                self._finish(reply_node, reply_port, request_id, "ok", result)
+                self._finish(reply_node, reply_port, request_id, expiry,
+                             "ok", result)
         finally:
             sim.ctx = prev_ctx
 
     def _on_process_done(self, ev, reply_node: str, reply_port: int,
-                         request_id: Any) -> None:
+                         request_id: Any, expiry: float) -> None:
         self._in_flight.discard(request_id)
         if ev.ok:
-            self._finish(reply_node, reply_port, request_id, "ok", ev.value)
+            self._finish(reply_node, reply_port, request_id, expiry, "ok",
+                         ev.value)
         else:
             exc = ev.value
             if not isinstance(exc, RpcError):
                 exc = RpcError(RpcError.INTERNAL, repr(exc))
-            self._finish(reply_node, reply_port, request_id, "error", exc)
+            self._finish(reply_node, reply_port, request_id, expiry,
+                         "error", exc)
 
     def _finish(self, reply_node: str, reply_port: int, request_id: Any,
-                status: str, value: Any) -> None:
+                expiry: float, status: str, value: Any) -> None:
         if status == "error":
             self.stats["errors"] += 1
         self._response_cache[request_id] = (status, value)
-        if len(self._response_cache) > 10_000:
-            # Bound the cache; drop roughly the older half.
-            for key in list(self._response_cache)[:5_000]:
-                del self._response_cache[key]
+        self._expiries.append((expiry, request_id))
         self._reply(reply_node, reply_port, request_id, status, value)
 
     def _reply(self, reply_node: str, reply_port: int, request_id: Any,
@@ -339,6 +368,9 @@ class RpcChannel:
         self.peer = peer
         self.port = next(RpcChannel._port_alloc)
         self._pending: Dict[Any, _PendingCall] = {}
+        # (service, method) -> "rpc:<service>/<method>", the call's event
+        # and span name: one string per method, not one per call.
+        self._names: Dict[Tuple[str, str], str] = {}
         self.stats = {"calls": 0, "ok": 0, "deadline_exceeded": 0,
                       "errors": 0, "retries": 0}
         network.bind(local, self.port, self._handle)
@@ -350,19 +382,24 @@ class RpcChannel:
         self.stats["calls"] += 1
         sim = self.sim
         request_id = (self.local, self.port, next(RpcChannel._request_ids))
-        done = Event(sim, f"rpc:{service}/{method}")
+        names = self._names
+        try:
+            name = names[service, method]
+        except KeyError:
+            name = names[service, method] = f"rpc:{service}/{method}"
+        done = Event(sim, name)
         now = sim.now
         expiry = now + deadline
         tracer = sim.tracer
         ctx = sim.ctx
         if tracer is not None:
-            span = tracer.child(f"rpc:{service}/{method}", component="rpc",
-                                node=self.local, tags={"peer": self.peer})
+            span = tracer.child(name, component="rpc", node=self.local,
+                                tags={"peer": self.peer})
             if span.recording:
                 span.end_on(done)
                 ctx = span.context
         payload = (request_id, service, method, request, self.local, self.port,
-                   ctx)
+                   ctx, expiry)
         record = _PendingCall(done, payload, expiry)
         if now < expiry:  # a zero deadline sends nothing
             self.network.send(Datagram(self.local, self.peer, RPC_PORT,

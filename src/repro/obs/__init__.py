@@ -32,6 +32,7 @@ from .tracing import (
     NoopTracer,
     Span,
     SpanContext,
+    SpanRecord,
     Tracer,
     tracer_of,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "Profiler",
     "Span",
     "SpanContext",
+    "SpanRecord",
     "TraceView",
     "Tracer",
     "aggregate_breakdown",

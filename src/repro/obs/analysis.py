@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.monitor import percentile
-from .tracing import Span
+from .tracing import SpanRecord
 
 
 def _merged_intervals(intervals: List[Tuple[float, float]]
@@ -43,13 +43,13 @@ def _overlap_length(lo: float, hi: float,
 class TraceView:
     """One assembled trace: a root span plus its descendant tree."""
 
-    def __init__(self, trace_id: int, spans: List[Span]):
+    def __init__(self, trace_id: int, spans: List[SpanRecord]):
         self.trace_id = trace_id
         self.spans = sorted(spans, key=lambda s: (s.start, s.span_id))
-        self._children: Dict[int, List[Span]] = {}
-        self.root: Optional[Span] = None
+        self._children: Dict[int, List[SpanRecord]] = {}
+        self.root: Optional[SpanRecord] = None
         ids = {s.span_id for s in self.spans}
-        orphans: List[Span] = []
+        orphans: List[SpanRecord] = []
         for span in self.spans:
             if span.parent_id is None or span.parent_id not in ids:
                 orphans.append(span)
@@ -78,7 +78,7 @@ class TraceView:
     def duration(self) -> float:
         return self.root.duration if self.root is not None else 0.0
 
-    def children(self, span: Span) -> List[Span]:
+    def children(self, span: SpanRecord) -> List[SpanRecord]:
         return self._children.get(span.span_id, [])
 
     def breakdown(self, by: str = "component") -> Dict[str, float]:
@@ -120,9 +120,9 @@ class TraceView:
             return {}
         return {k: v / total for k, v in self.breakdown(by).items()}
 
-    def critical_path(self) -> List[Span]:
+    def critical_path(self) -> List[SpanRecord]:
         """Root-to-leaf chain following the longest-duration child."""
-        path: List[Span] = []
+        path: List[SpanRecord] = []
         span = self.root
         while span is not None:
             path.append(span)
@@ -143,9 +143,9 @@ class TraceView:
         return "\n".join(lines)
 
 
-def build_traces(spans: Iterable[Span]) -> List[TraceView]:
+def build_traces(spans: Iterable[SpanRecord]) -> List[TraceView]:
     """Group spans into per-trace views, ordered by root start time."""
-    by_trace: Dict[int, List[Span]] = {}
+    by_trace: Dict[int, List[SpanRecord]] = {}
     for span in spans:
         by_trace.setdefault(span.trace_id, []).append(span)
     views = [TraceView(trace_id, group)

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-from .tracing import Span
+from .tracing import SpanRecord
 
 
-def to_chrome_trace(spans: Iterable[Span],
+def to_chrome_trace(spans: Iterable[SpanRecord],
                     records: Optional[Iterable[Any]] = None) -> Dict[str, Any]:
     """Build a Chrome trace-event document from finished spans.
 
@@ -90,7 +90,7 @@ def to_chrome_trace(spans: Iterable[Span],
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path: str, spans: Iterable[Span],
+def write_chrome_trace(path: str, spans: Iterable[SpanRecord],
                        records: Optional[Iterable[Any]] = None) -> int:
     """Write the Chrome trace JSON to ``path``; returns the event count."""
     document = to_chrome_trace(spans, records=records)

@@ -7,7 +7,8 @@ turns metricsd state into that answer: each AGW gets subscores in
 ``[0, 1]`` over a sliding window —
 
 - **attach**: accepted/requested ratio from the cumulative attach
-  counters' deltas inside the window;
+  counters' rise over the window, measured from the newest sample at or
+  before its start (else the oldest inside it);
 - **latency**: attach p99 against the SLO, with a metric *exemplar* — the
   trace id of a recorded sample at/above the p99 — so the operator can
   jump straight from the number to the trace that was that slow;
@@ -32,7 +33,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
-from ..sim.monitor import percentile
+from ..sim.monitor import counter_rise, percentile
 
 ATTACH_LATENCY_METRIC = "attach_latency_s"
 
@@ -90,15 +91,9 @@ class HealthEngine:
         subscores: Dict[str, float] = {}
         detail: Dict[str, Any] = {}
 
-        # Attach success: windowed delta of the cumulative counters.
-        accepted = sorted([s for s in query("attach_accepted", labels)
-                           if s.time >= t0], key=_BY_TIME)
-        requested = sorted([s for s in query("attach_requests", labels)
-                            if s.time >= t0], key=_BY_TIME)
-        d_req = requested[-1].value - requested[0].value \
-            if len(requested) >= 2 else 0.0
-        d_acc = accepted[-1].value - accepted[0].value \
-            if len(accepted) >= 2 else 0.0
+        # Attach success: the cumulative counters' rise over the window.
+        d_acc = counter_rise(query("attach_accepted", labels), t0) or 0.0
+        d_req = counter_rise(query("attach_requests", labels), t0) or 0.0
         if d_req > 0:
             rate = _clamp(d_acc / d_req)
             subscores["attach"] = rate

@@ -14,17 +14,30 @@ without any of those components passing trace arguments around.
 Cost model: with no tracer installed (``sim.tracer is None``) instrumented
 code does one attribute read and a no-op method call per span site; with a
 tracer installed but ``sample_rate=0`` every root span is the shared
-:data:`NOOP_SPAN` and no child spans are created downstream.
+:data:`NOOP_SPAN` and no child spans are created downstream.  A recorded
+span is kept as one ten-slot row of the tracer's flat row store: no
+object, and no tags dict until it is tagged.  :attr:`Tracer.spans` builds
+immutable :class:`SpanRecord` copies of the rows when it is read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 # 48-bit ids: unique enough for any run, exactly representable in JSON.
 _ID_BITS = 48
 #: Spans a tracer keeps; later ones are counted as dropped.
 MAX_SPANS = 200_000
+
+# A span's row: ``_STRIDE`` consecutive slots of ``Tracer._rows``, at these
+# offsets.  ``_TAGS`` holds None until the span has a tag.
+(_TRACE_ID, _SPAN_ID, _PARENT_ID, _NAME, _COMPONENT, _NODE, _START, _END,
+ _STATUS, _TAGS) = range(10)
+_STRIDE = 10
+
+#: The tags every untagged span reads.
+_NO_TAGS: Mapping[str, Any] = MappingProxyType({})
 
 
 class SpanContext(NamedTuple):
@@ -34,7 +47,37 @@ class SpanContext(NamedTuple):
     span_id: int
 
 
-_new_context = tuple.__new__
+_new_tuple = tuple.__new__
+
+
+class SpanRecord(NamedTuple):
+    """One recorded span as :attr:`Tracer.spans` returns it: an immutable
+    copy of its row, ``tags`` a read-only view."""
+
+    trace_id: int
+    span_id: int
+    parent_id: Optional[int]
+    name: str
+    component: str
+    node: str
+    start: float
+    end_time: Optional[float]
+    status: str
+    tags: Mapping[str, Any]
+
+    @property
+    def context(self) -> SpanContext:
+        return _new_tuple(SpanContext, (self.trace_id, self.span_id))
+
+    @property
+    def duration(self) -> float:
+        if self.end_time is None:
+            return 0.0
+        return self.end_time - self.start
+
+    @property
+    def finished(self) -> bool:
+        return self.end_time is not None
 
 
 class _Activation:
@@ -57,18 +100,25 @@ class _Activation:
         return False
 
 
-class Span:
-    """One timed operation within a trace.
+def _column(offset: int) -> property:
+    """Read-only property over one field of a :class:`Span`'s row."""
+    return property(lambda span: span._row[span._at + offset])
 
-    A span is recorded on its tracer when it opens and closed by
-    :meth:`end` (directly, via the context-manager protocol, or when an
-    event triggers with :meth:`end_on`).  ``start``/``end_time`` are
-    virtual-clock seconds; ``end_time`` is None while the span is open.
+
+class Span:
+    """Handle on one timed operation within a trace.
+
+    Opening a span appends its row to the tracer's row store; the handle
+    reads and writes that row and is dropped by whoever opened it, so a
+    recorded span costs its row and no object.  A span past
+    :data:`MAX_SPANS` is not stored and works on a private row instead.
+    The span is closed by :meth:`end` (directly, via the context-manager
+    protocol, or when an event triggers with :meth:`end_on`).
+    ``start``/``end_time`` are virtual-clock seconds; ``end_time`` is None
+    while the span is open.
     """
 
-    __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "name",
-                 "component", "node", "start", "end_time", "tags", "status",
-                 "_prev_ctx")
+    __slots__ = ("tracer", "_row", "_at", "_prev_ctx")
 
     recording = True
 
@@ -77,55 +127,78 @@ class Span:
                  tags: Optional[Dict[str, Any]] = None):
         """Open a child of ``parent``, or a new trace's root when it is
         None, and record it.  The one body behind every way to open a
-        span: ids drawn and the record appended inline, on the hot path."""
+        span: ids drawn and the row appended inline, on the hot path."""
         ids = tracer._ids
-        self.tracer = tracer
         if parent is None:
-            self.trace_id = ids.getrandbits(_ID_BITS)
-            self.parent_id = None
+            trace_id = ids.getrandbits(_ID_BITS)
+            parent_id = None
         else:
-            self.trace_id, self.parent_id = parent
-        self.span_id = ids.getrandbits(_ID_BITS)
-        self.name = name
-        self.component = component
-        self.node = node
-        self.start = tracer.sim.now
-        self.end_time: Optional[float] = None
-        self.tags: Dict[str, Any] = dict(tags) if tags else {}
-        self.status = "open"
+            trace_id, parent_id = parent
+        row = (trace_id, ids.getrandbits(_ID_BITS), parent_id, name,
+               component, node, tracer.sim.now, None, "open",
+               dict(tags) if tags else None)
+        self.tracer = tracer
         self._prev_ctx = None
-        spans = tracer.spans
-        if len(spans) < MAX_SPANS:
-            spans.append(self)
-            tracer.stats["spans"] += 1
+        stats = tracer.stats
+        kept = stats["spans"]
+        if kept < MAX_SPANS:
+            # The kept count is the row's index and ``+=`` appends it:
+            # no len() or append() call per span.
+            rows = self._row = tracer._rows
+            self._at = kept * _STRIDE
+            rows += row
+            stats["spans"] = kept + 1
         else:
-            tracer.stats["spans_dropped"] += 1
+            self._row = list(row)
+            self._at = 0
+            stats["spans_dropped"] += 1
+
+    trace_id = _column(_TRACE_ID)
+    span_id = _column(_SPAN_ID)
+    parent_id = _column(_PARENT_ID)
+    name = _column(_NAME)
+    component = _column(_COMPONENT)
+    node = _column(_NODE)
+    start = _column(_START)
+    end_time = _column(_END)
+    status = _column(_STATUS)
+
+    @property
+    def tags(self) -> Mapping[str, Any]:
+        tags = self._row[self._at + _TAGS]
+        return _NO_TAGS if tags is None else MappingProxyType(tags)
 
     @property
     def context(self) -> SpanContext:
+        row, at = self._row, self._at
         # tuple.__new__ skips the namedtuple's generated __new__ frame.
-        return _new_context(SpanContext, (self.trace_id, self.span_id))
+        return _new_tuple(SpanContext, (row[at], row[at + _SPAN_ID]))
 
     @property
     def duration(self) -> float:
-        if self.end_time is None:
+        row, at = self._row, self._at
+        if row[at + _END] is None:
             return 0.0
-        return self.end_time - self.start
+        return row[at + _END] - row[at + _START]
 
     @property
     def finished(self) -> bool:
-        return self.end_time is not None
+        return self._row[self._at + _END] is not None
 
     def set_tag(self, key: str, value: Any) -> "Span":
-        self.tags[key] = value
+        row, at = self._row, self._at + _TAGS
+        if row[at] is None:
+            row[at] = {key: value}
+        else:
+            row[at][key] = value
         return self
 
     def end(self, status: str = "ok") -> None:
         """Close the span at the current virtual time (idempotent)."""
-        if self.end_time is not None:
-            return
-        self.end_time = self.tracer.sim.now
-        self.status = status
+        row, at = self._row, self._at
+        if row[at + _END] is None:
+            row[at + _END] = self.tracer.sim.now
+            row[at + _STATUS] = status
 
     def end_on(self, event: Any,
                ok: Optional[Callable[[Any], bool]] = None) -> "Span":
@@ -141,9 +214,10 @@ class Span:
 
     def _end_by_outcome(self, event: Any) -> None:
         # end()'s body inline: the watcher behind most closed spans.
-        if self.end_time is None:
-            self.end_time = self.tracer.sim.now
-            self.status = "ok" if event.ok else "error"
+        row, at = self._row, self._at
+        if row[at + _END] is None:
+            row[at + _END] = self.tracer.sim.now
+            row[at + _STATUS] = "ok" if event.ok else "error"
 
     def active(self) -> _Activation:
         """``with span.active():`` - ambient activation without ending."""
@@ -231,7 +305,8 @@ class Tracer:
         self.sample_rate = sample_rate
         self._ids = rng.stream("obs.span_ids")
         self._sampler = rng.stream("obs.sampling")
-        self.spans: List[Span] = []
+        # Every recorded span's row, in open order (see :class:`Span`).
+        self._rows: List[Any] = []
         self.stats = {"traces_started": 0, "traces_sampled": 0,
                       "spans": 0, "spans_dropped": 0}
         sim.tracer = self
@@ -274,8 +349,17 @@ class Tracer:
 
     # -- accessors ---------------------------------------------------------
 
-    def clear(self) -> None:
-        self.spans = []
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """Every recorded span, in open order, as it stands now."""
+        rows = self._rows
+        records = []
+        for at in range(0, len(rows), _STRIDE):
+            row = rows[at:at + _STRIDE]
+            tags = row[_TAGS]
+            row[_TAGS] = _NO_TAGS if tags is None else MappingProxyType(tags)
+            records.append(_new_tuple(SpanRecord, row))
+        return records
 
 
 class NoopTracer:
@@ -285,7 +369,7 @@ class NoopTracer:
 
     recording = False
     sample_rate = 0.0
-    spans: List[Span] = []
+    spans: List[SpanRecord] = []
 
     def start_trace(self, name: str, component: str = "", node: str = "",
                     tags: Optional[Dict[str, Any]] = None) -> NoopSpan:

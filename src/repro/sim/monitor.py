@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class Series:
@@ -242,6 +242,32 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50.0)
+
+
+def counter_rise(samples: Iterable[Any], since: float) -> Optional[float]:
+    """How far a cumulative counter rose over a window that starts at
+    ``since``: its newest sample's value less a baseline's, or None when
+    there is no sample.
+
+    The baseline is the newest sample captured at or before ``since``,
+    else the oldest one after it, so a counter sampled once per window
+    still shows a rise across the window's edge.  ``samples`` carry
+    ``time`` and ``value`` and may come in any order (back-filled rows
+    arrive late); of two at one instant the later is the newer.
+    """
+    newest = before = first = None
+    for sample in samples:
+        time = sample.time
+        if newest is None or time >= newest.time:
+            newest = sample
+        if time <= since:
+            if before is None or time >= before.time:
+                before = sample
+        elif first is None or time < first.time:
+            first = sample
+    if newest is None:
+        return None
+    return newest.value - (first if before is None else before).value
 
 
 class Monitor:

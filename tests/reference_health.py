@@ -6,9 +6,10 @@ per-gateway ``query``/``latest`` went to all N shards, the merged query
 stably sorted the concatenation by capture time, and the rollup key came
 from a ring lookup per gateway.  The product now scores each gateway on
 its owner shard's own stores.  The class is kept here verbatim (but for
-its name and an absolute import), out of the product, as the model
-``test_health_oracle.py`` compares every report against: under the
-ownership precondition both must be equal, key order and floats
+its name, an absolute import and the attach baseline, which both engines
+take from ``repro.sim.monitor.counter_rise``), out of the product, as
+the model ``test_health_oracle.py`` compares every report against: under
+the ownership precondition both must be equal, key order and floats
 included.
 """
 
@@ -19,7 +20,7 @@ from typing import Any, Dict, List, Optional
 from repro.obs.health import (ATTACH_LATENCY_METRIC, ATTACH_P99_SLO_S,
                                CONVERGENCE_SLO_S, CPU_UTIL_CEILING, WEIGHTS,
                                WINDOW)
-from repro.sim.monitor import percentile
+from repro.sim.monitor import counter_rise, percentile
 
 
 def _clamp(value: float) -> float:
@@ -48,15 +49,11 @@ class ReferenceHealthEngine:
         subscores: Dict[str, float] = {}
         detail: Dict[str, Any] = {}
 
-        # Attach success: windowed delta of the cumulative counters.
-        accepted = [s for s in metricsd.query("attach_accepted", labels)
-                    if s.time >= t0]
-        requested = [s for s in metricsd.query("attach_requests", labels)
-                     if s.time >= t0]
-        d_req = requested[-1].value - requested[0].value \
-            if len(requested) >= 2 else 0.0
-        d_acc = accepted[-1].value - accepted[0].value \
-            if len(accepted) >= 2 else 0.0
+        # Attach success: the cumulative counters' rise over the window.
+        d_acc = counter_rise(metricsd.query("attach_accepted", labels),
+                             t0) or 0.0
+        d_req = counter_rise(metricsd.query("attach_requests", labels),
+                             t0) or 0.0
         if d_req > 0:
             rate = _clamp(d_acc / d_req)
             subscores["attach"] = rate

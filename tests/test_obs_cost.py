@@ -1,4 +1,4 @@
-"""Cost of observing, as call counts and kernel entries.
+"""Cost of observing, as call counts, kernel entries and bytes kept.
 
 Tracer and flight recorder stay on for the whole ``fleet_e2e`` run, so
 what one span and one log record cost is the price of observation
@@ -7,12 +7,23 @@ count executed calls under ``cProfile`` - the benchmark's ``host_calls``
 counter - and kernel entries by the kernel's sequence counter, so they
 are deterministic.  The budgets are the counts of the code as it stands:
 a span or a record that grows a call, or a span whose close takes a
-kernel entry, fails here.
+kernel entry, fails here.  Memory is measured with ``tracemalloc``: what
+a finished span keeps, what an RPC server keeps once its callers'
+deadlines have passed, each against the store that kept an object per
+span and every reply.  A Chrome export of one seeded run is pinned byte
+for byte, so a change to how spans are stored cannot reorder it.
 """
+
+import gc
+import hashlib
+import json
+import tracemalloc
 
 from repro.net import Link, Network, RpcChannel, RpcServer
 from repro.obs import flightrec
+from repro.obs.export import to_chrome_trace
 from repro.obs.flightrec import FlightRecorder
+from repro.obs.scenario import run_traced_attach_storm
 from repro.obs.tracing import NOOP_SPAN, Tracer, tracer_of
 from repro.sim import RngRegistry, Simulator
 
@@ -27,9 +38,93 @@ def test_a_child_span_costs_eight_calls_to_open_and_close():
                                node="agw-1", tags={"imsi": "001010000000001"})
         _, closed = counted(span.end)
     assert span.recording and span.finished
-    # 6 to open: child -> Span(), the span id, the clock, the record's
-    # length and its append; 2 to close (end and the clock).
+    # 4 to open: child -> Span(), the span id and the clock (the row is
+    # appended by ``+=``, and the kept count read from the stats); 2 to
+    # close (end and the clock).  The budget is the 8 a span cost when
+    # it was an object with its own record, so it is 2 to spare.
     assert opened + closed <= 8
+
+
+#: Bytes a finished, untagged child span may keep: its ten-slot row and
+#: the span id and end time it alone holds.  A span kept as an object
+#: with its own (empty) tags dict kept about 257.
+SPAN_BYTES_BUDGET = 160
+
+
+def test_a_finished_child_span_keeps_its_row_and_no_more():
+    sim = Simulator()
+    tracer = Tracer(sim, RngRegistry(1))
+
+    def spans(count):
+        for _ in range(count):
+            span = tracer.child("mme.auth", component="mme", node="agw-1")
+            sim.run(until=sim.now + 0.001)
+            span.end()
+
+    with tracer.start_trace("attach", component="ue").active():
+        spans(50)                       # warm: names, the clock, the rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spans(2_000)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert kept / 2_000 <= SPAN_BYTES_BUDGET
+    assert tracer.stats["spans"] == 2_051
+    assert all(span.finished for span in tracer.spans[1:])
+
+
+#: Bytes an RPC server may keep per call once every caller's deadline
+#: has passed: what remains is its reply table sized for the busiest
+#: deadline's worth of calls (about 100 here), not the replies.  A cache
+#: that kept every reply up to 10,000 kept about 200 per call.
+EXPIRED_CALL_BYTES_BUDGET = 24
+
+
+def test_an_rpc_server_keeps_no_reply_past_its_callers_deadline():
+    sim = Simulator()
+    net = Network(sim, RngRegistry(1))
+    net.connect("client", "server", Link(latency=0.001))
+    server = RpcServer(sim, net, "server")
+    server.register("svc", "echo", lambda request: request)
+    channel = RpcChannel(sim, net, "client", "server")
+    channel.call("svc", "echo", "warm", deadline=1.0)
+    sim.run(until=sim.now + 0.1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(1_000):                  # 10 s of calls
+            channel.call("svc", "echo", index, deadline=1.0)
+            sim.run(until=sim.now + 0.01)
+        sim.run(until=sim.now + 2.0)                # every deadline passes
+        channel.call("svc", "echo", "last", deadline=1.0)
+        sim.run(until=sim.now + 0.1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / 1_000 <= EXPIRED_CALL_BYTES_BUDGET
+    assert server.stats["requests"] == 1_002
+    assert len(server._response_cache) == 1
+
+
+#: sha256 of the Chrome export (``indent=1``, as ``python -m repro.obs``
+#: writes it) of the CI's traced attach storm, taken from the tracer that
+#: kept one object per span.
+CHROME_TRACE_DIGEST = ("a46d9b2157ee35db2a0e47aae0433ec2"
+                       "af53423f2fb4a10771dc2fdcea3dfbbf")
+
+
+def test_the_chrome_export_of_a_seeded_storm_is_byte_identical():
+    run = run_traced_attach_storm(num_ues=10, rate=5.0, seed=3)
+    document = to_chrome_trace(run.tracer.spans,
+                               records=run.site.sim.recorder.records())
+    text = json.dumps(document, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHROME_TRACE_DIGEST
 
 
 def test_closing_a_span_on_an_event_schedules_no_kernel_entry():

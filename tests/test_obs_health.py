@@ -90,6 +90,29 @@ def test_attach_subscore_uses_windowed_counter_deltas():
     assert health["detail"]["attach_success_rate"] == pytest.approx(0.8)
 
 
+def test_attach_subscore_counts_a_rejection_across_the_window_edge():
+    """At the default 60 s check-in a window holds about one sample, so the
+    rise is measured from the sample before the window: an attach rejected
+    at t=61.5 ships with the check-in at t~120.02 and scores 0 until the
+    window's start passes that sample (a window-only delta never saw it)."""
+    from repro.deploy import build
+    from repro.lte import Ue, make_imsi
+    d = build(num_ues=1, backhaul="fiber")
+    sim, orc = d.sim, d.orc
+    gateway_id = d.agw.context.node
+    sim.run(until=61.5)
+    ghost = Ue(sim, make_imsi(99), b"\x00" * 16, b"\x00" * 16, d.enbs[0])
+    assert not sim.run_until_triggered(ghost.attach(),
+                                       limit=sim.now + 60.0).success
+    scores = {}
+    for t in range(63, 401):
+        sim.run(until=float(t))
+        scores[t] = orc.health.agw_health(gateway_id)["subscores"]["attach"]
+    assert [t for t, score in scores.items() if score < 1.0] == \
+        list(range(121, 181))
+    assert scores[121] == scores[180] == 0.0
+
+
 def test_latency_subscore_and_p99_exemplar():
     sim = Simulator()
     orc = fake_orc(sim, [gw("agw-0", sim)])

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.deploy import build
 from repro.obs import (
     NOOP_SPAN,
@@ -10,7 +12,9 @@ from repro.obs import (
     procedure_summary,
     to_chrome_trace,
     tracer_of,
+    tracing,
 )
+from repro.sim import RngRegistry, Simulator
 
 
 def traced_site(sample_rate=1.0, seed=1, **kwargs):
@@ -192,3 +196,35 @@ def test_span_ids_unique_within_run():
         site.sim.run_until_triggered(done, limit=site.sim.now + 60.0)
     ids = [s.span_id for s in tracer.spans]
     assert len(ids) == len(set(ids))
+
+
+def test_a_span_past_the_cap_works_through_its_handle(monkeypatch):
+    monkeypatch.setattr(tracing, "MAX_SPANS", 2)
+    sim = Simulator()
+    tracer = Tracer(sim, RngRegistry(1))
+    root = tracer.start_trace("attach", component="ue", node="ue-1")
+    with root:
+        kept = tracer.child("mme.auth", component="mme", node="agw-1")
+        dropped = tracer.child("sessiond.create", component="sessiond",
+                               tags={"imsi": "001"})
+        sim.run(until=0.5)
+        with dropped:
+            assert sim.ctx == dropped.context
+        kept.set_tag("ok", True).end()
+    dropped.set_tag("n", 1)
+    assert tracer.stats["spans"] == 2 and tracer.stats["spans_dropped"] == 1
+    assert (dropped.name, dropped.component, dropped.status,
+            dropped.start, dropped.end_time, dropped.finished) == \
+        ("sessiond.create", "sessiond", "ok", 0.0, 0.5, True)
+    assert dropped.parent_id == root.span_id
+    assert dict(dropped.tags) == {"imsi": "001", "n": 1}
+    # What the tracer hands out is a read-only copy of the kept rows.
+    records = tracer.spans
+    assert [(r.name, r.status, r.duration, r.parent_id) for r in records] == \
+        [("attach", "ok", 0.5, None), ("mme.auth", "ok", 0.5, root.span_id)]
+    assert records[1].context == kept.context
+    assert dict(records[1].tags) == {"ok": True} and records[0].tags == {}
+    with pytest.raises(AttributeError):
+        records[0].status = "error"
+    with pytest.raises(TypeError):
+        records[1].tags["ok"] = False

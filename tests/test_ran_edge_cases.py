@@ -244,21 +244,58 @@ def test_rpc_in_flight_duplicate_not_reprocessed():
     assert server.stats["duplicates"] > 0  # retries did arrive
 
 
-def test_rpc_response_cache_bounded():
+def echo_site(latency):
+    """A client and an echo server one hop apart; ``calls`` logs every
+    request the handler runs."""
     sim = Simulator()
     network = Network(sim, RngRegistry(1))
-    network.connect("c", "s", Link(latency=0.001))
+    network.connect("c", "s", Link(latency=latency))
     server = RpcServer(sim, network, "s")
-    server.register("svc", "echo", lambda r: r)
-    channel = RpcChannel(sim, network, "c", "s")
+    calls = []
+    server.register("svc", "echo", lambda r: calls.append(r) or r)
+    return sim, server, RpcChannel(sim, network, "c", "s"), calls
 
-    def caller(sim, i):
-        yield channel.call("svc", "echo", i)
 
-    for i in range(200):
-        sim.spawn(caller(sim, i))
-    sim.run()
-    assert len(server._response_cache) <= 10_000
+def test_rpc_duplicate_before_expiry_is_answered_from_cache():
+    # 0.2 s each way: the retransmission sent at 0.25 reaches the server
+    # at 0.45, after its reply and before the call's 1.0 s expiry.
+    sim, server, channel, calls = echo_site(latency=0.2)
+    done = channel.call("svc", "echo", "x", deadline=1.0)
+    sim.run(until=0.9)
+    assert done.value == "x"
+    assert calls == ["x"]
+    assert server.stats["duplicates"] == 1
+    assert len(server._response_cache) == 1
+
+
+def test_rpc_reply_cache_drops_replies_past_their_deadline():
+    sim, server, channel, calls = echo_site(latency=0.001)
+    for index in range(200):
+        channel.call("svc", "echo", index, deadline=1.0)
+        sim.run(until=sim.now + 0.1)
+        # Replies whose 1 s deadline has passed are gone once the next
+        # request arrives: at most the last ten calls' stay.
+        assert len(server._response_cache) <= 11
+    assert calls == list(range(200))
+    sim.run(until=sim.now + 2.0)
+    last = channel.call("svc", "echo", "last", deadline=1.0)
+    sim.run(until=sim.now + 0.1)
+    assert last.value == "last"
+    assert len(server._response_cache) == 1
+
+
+def test_rpc_request_arriving_after_its_expiry_runs_no_handler():
+    # Sent once (a retransmission would land past the deadline) and
+    # delivered at 0.5, 0.3 s after the call expired.
+    sim, server, channel, calls = echo_site(latency=0.5)
+    done = channel.call("svc", "echo", "x", deadline=0.2)
+    sim.run(until=2.0)
+    assert isinstance(done.value, RpcError)
+    assert done.value.code == RpcError.DEADLINE_EXCEEDED
+    assert calls == []
+    assert server.stats["expired"] == 1
+    assert server.stats["requests"] == 0
+    assert len(server._response_cache) == 0
 
 
 def test_rpc_error_str():
