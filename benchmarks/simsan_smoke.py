@@ -12,16 +12,19 @@ so CI can upload it for inspection.
 The first two legs deliberately reuse bench_components' exact workload
 shapes (same seeds, sizes, and drain protocol) so a clean run here
 certifies the same event stream the deterministic bench canaries pin
-down.  With ``--profile`` the self-profiler rides the attach-storm and
-mixed-RAT legs on the same kernel hook seam as the sanitizer, and the run
-also fails unless it charged time to the kernel loop and to callbacks'
-owner modules.
+down.  With ``--profile`` the self-profiler rides every leg on the same
+kernel hook seam as the sanitizer, and the run also fails unless it
+charged time to the kernel loop and to callbacks' owner modules.  The
+fleet leg puts zero-delay lane entries beside the cohort ticker's
+periodic ticks on that seam.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/simsan_smoke.py \
         --out-dir simsan-reports
     PYTHONPATH=src python benchmarks/simsan_smoke.py --leg attach-storm \
+        --profile --out-dir simsan-reports
+    PYTHONPATH=src python benchmarks/simsan_smoke.py --leg fleet \
         --profile --out-dir simsan-reports
     PYTHONPATH=src python benchmarks/simsan_smoke.py --leg multi-rat \
         --profile --out-dir simsan-reports
@@ -165,10 +168,11 @@ def multi_rat_leg(san: SimSan, profile: bool = False) -> dict:
     return summary
 
 
-def fleet_leg(san: SimSan) -> dict:
+def fleet_leg(san: SimSan, profile: bool = False) -> dict:
     enbs = max(1, (FLEET_SAMPLE_UES + 95) // 96)
     site = build(num_enbs=enbs, num_ues=FLEET_SAMPLE_UES, config=FLEET_CONFIG,
                  seed=FLEET_SEED, sanitizer=san)
+    profiler = _profiled(site.sim) if profile else None
     cohort = CohortSpec("subs", size=FLEET_SUBSCRIBERS, attach_rate=0.01,
                         detach_rate=0.002, idle_rate=0.005,
                         resume_rate=0.02, traffic_mbps=0.01)
@@ -178,7 +182,7 @@ def fleet_leg(san: SimSan) -> dict:
     fleet.add_sample_ues("subs", site.ues)
     fleet.start()
     site.sim.run(until=FLEET_DURATION)
-    return {
+    summary = {
         "leg": "fleet",
         "subscribers": FLEET_SUBSCRIBERS,
         "sample_ues": FLEET_SAMPLE_UES,
@@ -187,6 +191,10 @@ def fleet_leg(san: SimSan) -> dict:
         "sample_attach_successes":
             fleet.counters["sample_attach_successes"],
     }
+    if profiler is not None:
+        summary["profiled_subsystems"] = sorted(
+            profiler.report()["subsystems"])
+    return summary
 
 
 def run_leg(name, leg_fn, out_dir: str) -> bool:
@@ -222,14 +230,13 @@ def main(argv=None) -> int:
                                           "multi-rat"],
                         help="run only one leg (default: all three)")
     parser.add_argument("--profile", action="store_true",
-                        help="also run the self-profiler on the "
-                             "attach-storm and multi-rat legs")
+                        help="also run the self-profiler on every leg")
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
     legs = [("attach-storm",
              functools.partial(attach_storm_leg, profile=args.profile)),
-            ("fleet", fleet_leg),
+            ("fleet", functools.partial(fleet_leg, profile=args.profile)),
             ("multi-rat",
              functools.partial(multi_rat_leg, profile=args.profile))]
     if args.leg:

@@ -29,7 +29,7 @@ import dataclasses
 import itertools
 import operator
 from collections import deque
-from types import GeneratorType
+from types import GeneratorType, MappingProxyType
 from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from ..sim.kernel import Event, Simulator
@@ -371,6 +371,9 @@ class RpcChannel:
         # (service, method) -> "rpc:<service>/<method>", the call's event
         # and span name: one string per method, not one per call.
         self._names: Dict[Tuple[str, str], str] = {}
+        # Every client span's tags, shared read-only by all of them (a
+        # span copies them only if it is tagged again).
+        self._span_tags = MappingProxyType({"peer": peer})
         self.stats = {"calls": 0, "ok": 0, "deadline_exceeded": 0,
                       "errors": 0, "retries": 0}
         network.bind(local, self.port, self._handle)
@@ -394,7 +397,7 @@ class RpcChannel:
         ctx = sim.ctx
         if tracer is not None:
             span = tracer.child(name, component="rpc", node=self.local,
-                                tags={"peer": self.peer})
+                                tags=self._span_tags)
             if span.recording:
                 span.end_on(done)
                 ctx = span.context

@@ -16,7 +16,8 @@ code does one attribute read and a no-op method call per span site; with a
 tracer installed but ``sample_rate=0`` every root span is the shared
 :data:`NOOP_SPAN` and no child spans are created downstream.  A recorded
 span is kept as one ten-slot row of the tracer's flat row store: no
-object, and no tags dict until it is tagged.  :attr:`Tracer.spans` builds
+object, and no tags dict of its own until it is tagged (an RPC client
+span shares its channel's read-only tags).  :attr:`Tracer.spans` builds
 immutable :class:`SpanRecord` copies of the rows when it is read.
 """
 
@@ -124,19 +125,26 @@ class Span:
 
     def __init__(self, tracer: "Tracer", parent: Optional[SpanContext],
                  name: str, component: str, node: str,
-                 tags: Optional[Dict[str, Any]] = None):
+                 tags: Optional[Mapping[str, Any]] = None):
         """Open a child of ``parent``, or a new trace's root when it is
         None, and record it.  The one body behind every way to open a
-        span: ids drawn and the row appended inline, on the hot path."""
+        span: ids drawn and the row appended inline, on the hot path.
+
+        ``tags`` is copied, unless it is a read-only ``MappingProxyType``:
+        that one is kept as given and shared, and :meth:`set_tag` copies
+        it on the first write."""
         ids = tracer._ids
         if parent is None:
             trace_id = ids.getrandbits(_ID_BITS)
             parent_id = None
         else:
             trace_id, parent_id = parent
+        if not tags:
+            tags = None
+        elif tags.__class__ is not MappingProxyType:
+            tags = dict(tags)
         row = (trace_id, ids.getrandbits(_ID_BITS), parent_id, name,
-               component, node, tracer.sim.now, None, "open",
-               dict(tags) if tags else None)
+               component, node, tracer.sim.now, None, "open", tags)
         self.tracer = tracer
         self._prev_ctx = None
         stats = tracer.stats
@@ -187,10 +195,13 @@ class Span:
 
     def set_tag(self, key: str, value: Any) -> "Span":
         row, at = self._row, self._at + _TAGS
-        if row[at] is None:
+        tags = row[at]
+        if tags is None:
             row[at] = {key: value}
         else:
-            row[at][key] = value
+            if tags.__class__ is MappingProxyType:  # shared: copy to own
+                row[at] = tags = dict(tags)
+            tags[key] = value
         return self
 
     def end(self, status: str = "ok") -> None:

@@ -32,7 +32,7 @@ Example::
 from __future__ import annotations
 
 import heapq
-import itertools
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 _INF = float("inf")
@@ -181,31 +181,22 @@ class Event:
     instead, without a kernel entry.
     """
 
-    __slots__ = ("sim", "_ok", "_value", "_callbacks", "_triggered", "name",
+    __slots__ = ("sim", "ok", "value", "_callbacks", "triggered", "name",
                  "_watchers")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        self._ok: bool = True
-        self._value: Any = None
-        self._callbacks: List[Callable[["Event"], None]] = []
-        self._triggered = False
+        # ``triggered``, ``ok`` (True if the event succeeded; meaningful
+        # once triggered) and ``value`` are plain slots: read them freely,
+        # but only the kernel writes them (reprolint REPRO203).
+        self.ok: bool = True
+        self.value: Any = None
+        # None once triggered: the list went to the kernel in one piece.
+        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
+        self.triggered = False
         # None until the first watch(): an unwatched trigger pays one test.
         self._watchers: Optional[List[Callable[["Event"], None]]] = None
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
@@ -220,24 +211,24 @@ class Event:
         return self
 
     def _trigger(self, ok: bool, value: Any) -> None:
-        if self._triggered:
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
+        self.triggered = True
+        self.ok = ok
+        self.value = value
         watchers = self._watchers
         if watchers is not None:
             self._watchers = None
             for fn in watchers:
                 fn(self)
-        callbacks, self._callbacks = self._callbacks, []
-        sim = self.sim
-        for cb in callbacks:
-            sim.call_later(0.0, cb, self)
+        callbacks = self._callbacks
+        self._callbacks = None
+        if callbacks:
+            self.sim._call_soon_each(callbacks, self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register ``cb`` to run (as a scheduled callback) once triggered."""
-        if self._triggered:
+        if self.triggered:
             self.sim.call_later(0.0, cb, self)
         else:
             self._callbacks.append(cb)
@@ -251,7 +242,7 @@ class Event:
         inside whatever dispatch triggered the event.  It takes no kernel
         entry and no sequence number, so watching never moves event order.
         """
-        if self._triggered:
+        if self.triggered:
             fn(self)
         elif self._watchers is None:
             self._watchers = [fn]
@@ -259,7 +250,7 @@ class Event:
             self._watchers.append(fn)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name!r} {state}>"
 
 
@@ -276,7 +267,7 @@ class Timeout(Event):
         sim.call_later(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
-        if not self._triggered:
+        if not self.triggered:
             self.succeed(value)
 
 
@@ -299,12 +290,12 @@ class AnyOf(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:
-        if self._triggered:
+        if self.triggered:
             return
-        if not ev._ok:
-            self.fail(ev._value)
+        if not ev.ok:
+            self.fail(ev.value)
         else:
-            self.succeed({ev: ev._value})
+            self.succeed({ev: ev.value})
 
 
 class Process(Event):
@@ -330,18 +321,18 @@ class Process(Event):
 
     @property
     def alive(self) -> bool:
-        return not self._triggered
+        return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupted` inside the process at its yield point.
 
         Interrupting a finished process is a no-op.
         """
-        if self._triggered:
+        if self.triggered:
             return
         target = self._waiting_on
         self._waiting_on = None
-        if target is not None and not target._triggered:
+        if target is not None and not target.triggered:
             # Detach: the old target may still fire but we will ignore it.
             try:
                 target._callbacks.remove(self._on_wait_done)
@@ -353,7 +344,7 @@ class Process(Event):
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         """Resume the generator with ``advance(arg)`` — its ``send`` or its
         ``throw`` — and wait on the event it yields next."""
-        if self._triggered:
+        if self.triggered:
             return
         self._waiting_on = None
         sim = self.sim
@@ -386,10 +377,10 @@ class Process(Event):
     def _on_wait_done(self, ev: Event) -> None:
         if self._waiting_on is not ev:
             return
-        if ev._ok:
-            self._step(self.generator.send, ev._value)
+        if ev.ok:
+            self._step(self.generator.send, ev.value)
         else:
-            exc = ev._value
+            exc = ev.value
             if not isinstance(exc, BaseException):
                 exc = SimulationError(f"event failed with non-exception {exc!r}")
             self._step(self.generator.throw, exc)
@@ -433,19 +424,29 @@ class Hook:
 class Simulator:
     """The discrete-event scheduler and virtual clock.
 
-    Pending entries sit in two structures behind one total order:
+    Pending entries sit in three structures behind one total order,
+    ``(when, seq)``:
 
-    - a binary heap of ``(when, seq, ScheduledCall)``, the ordering
-      authority, which takes every entry due within ``_FAR`` seconds;
+    - a lane, a FIFO ``deque`` of plain ``(seq, fn, args, ctx)`` tuples,
+      which takes every ``call_later(0.0, ...)`` and every callback a
+      trigger hands over.  Its entries are all due now: the clock never
+      advances past a lane entry, and seqs rise along the lane;
+    - a binary heap of ``(when, seq, ScheduledCall)``, which takes every
+      other entry due within ``_FAR`` seconds, ``schedule(0.0)`` handles
+      included;
     - a far buffer, a plain list the later entries are appended to.  The
       loop flushes it onto the heap once its earliest deadline
       (``_far_min``) reaches the heap head, dropping what was cancelled
       meanwhile.
 
-    Every entry reaches the heap before its fire time and the heap orders by
-    ``(when, seq)`` with a global monotone ``seq``, so event order — FIFO
-    among ties included — is that of a single-heap kernel
-    (``tests/reference_kernel.py`` is that kernel, kept as the oracle).
+    The loop fires the lane head unless the heap head is due now with a
+    smaller ``seq``, so the clock, which only a heap entry moves, stays
+    put while the lane holds anything.  Far entries are due at least
+    ``_FAR`` after the instant they were queued, and every far entry
+    reaches the heap before its fire time, so with a global monotone
+    ``seq`` event order — FIFO among ties included — is that of a
+    single-heap kernel (``tests/reference_kernel.py`` is that kernel,
+    kept as the oracle).
     Cancelled entries are dropped wherever they are found, without advancing
     the clock, so they neither bloat the queue nor stretch run-until-drain.
 
@@ -455,21 +456,28 @@ class Simulator:
     callback on the awaited event.  Observers (sanitizer, profiler) attach
     as :class:`Hook` objects; with none installed and no tracer, the loop
     pays one local test per event for them.
+
+    ``now`` is a plain slot: read it freely, but only the kernel writes it
+    (reprolint REPRO203).
     """
 
-    __slots__ = ("_now", "_queue", "_counter", "_running", "_far",
+    __slots__ = ("now", "_lane", "_queue", "_seq", "_running", "_far",
                  "_far_min", "_live", "_dead", "ctx", "tracer", "recorder",
                  "_hooks")
 
     def __init__(self, sanitizer: Any = None):
-        self._now = 0.0
+        # Current virtual time in seconds.
+        self.now = 0.0
+        self._lane: deque = deque()
         self._queue: List = []
-        self._counter = itertools.count()
+        # The next sequence number: every entry takes one, in queue order.
+        self._seq = 0
         self._running = False
         self._far: List[ScheduledCall] = []
         self._far_min = _INF
         # Live (not fired, not cancelled) entries, and dead (cancelled,
-        # still queued) ones, across heap and far buffer.
+        # still queued) ones, across heap and far buffer; lane entries are
+        # always live and counted by the lane's length.
         self._live = 0
         self._dead = 0
         # Ambient trace context (an ``obs.tracing.SpanContext`` or None).
@@ -491,19 +499,15 @@ class Simulator:
             self.add_hook(sanitizer)
 
     @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
     def pending(self) -> int:
         """Number of live (schedulable, uncancelled) callbacks."""
-        return self._live
+        return self._live + len(self._lane)
 
     def queue_depth(self) -> int:
-        """Physical entries held in the heap and the far buffer (dead ones
-        included until they are swept); the heap high-water input."""
-        return len(self._queue) + len(self._far)
+        """Physical entries held in the lane, the heap and the far buffer
+        (dead ones included until they are swept); the heap high-water
+        input."""
+        return len(self._lane) + len(self._queue) + len(self._far)
 
     # -- hooks ------------------------------------------------------------
 
@@ -526,7 +530,7 @@ class Simulator:
 
     def schedule_at(self, when: float, fn: Callable, *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
-        return self.schedule(when - self._now, fn, *args)
+        return self.schedule(when - self.now, fn, *args)
 
     def schedule_periodic(self, period: float, fn: Callable,
                           *args: Any) -> PeriodicCall:
@@ -552,15 +556,22 @@ class Simulator:
         callback makes after it, such as the reply an RPC server sends
         once the running handler returns, and so reorders serialization
         on a shared link."""
-        # The body is _arm's, inline: this is the hottest call in the
+        seq = self._seq
+        if delay == 0.0:
+            # Due now: a lane tuple, no handle and no heap push or pop.
+            self._seq = seq + 1
+            self._lane.append((seq, fn, args, self.ctx))
+            return
+        # The rest is _arm's body, inline: this is the hottest call in the
         # kernel and the extra frame is measurable.
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
+        self._seq = seq + 1
+        when = self.now + delay
         entry = _new_entry(ScheduledCall)
         entry.sim = self
         entry.when = when
-        entry.seq = seq = next(self._counter)
+        entry.seq = seq
         entry.fn = fn
         entry.args = args
         entry.ctx = self.ctx
@@ -572,17 +583,31 @@ class Simulator:
             if when < self._far_min:
                 self._far_min = when
 
+    def _call_soon_each(self, callbacks: List[Callable], event: Event) -> None:
+        """Queue ``cb(event)`` now for each of ``callbacks``, in order, as
+        consecutive lane entries: a trigger hands its whole callback list
+        over in this one call."""
+        seq = self._seq
+        self._seq = seq + len(callbacks)
+        append = self._lane.append
+        args = (event,)
+        ctx = self.ctx
+        for cb in callbacks:
+            append((seq, cb, args, ctx))
+            seq += 1
+
     def _arm(self, delay: float, fn: Callable, args: tuple) -> ScheduledCall:
         """Queue ``fn(*args)`` after ``delay`` and return its entry.  The
         ambient trace context rides along; ordering compares only
         ``(when, seq)``, so tracing never perturbs event order."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
+        when = self.now + delay
         entry = _new_entry(ScheduledCall)
         entry.sim = self
         entry.when = when
-        entry.seq = seq = next(self._counter)
+        entry.seq = seq = self._seq
+        self._seq = seq + 1
         entry.fn = fn
         entry.args = args
         entry.ctx = self.ctx
@@ -659,7 +684,7 @@ class Simulator:
         the last live event.
         """
         self._run(until)
-        return self._now
+        return self.now
 
     def run_until_triggered(self, event: Event, limit: float = _INF) -> Any:
         """Run until ``event`` triggers; raise on failure or time limit.
@@ -668,7 +693,7 @@ class Simulator:
         the trigger's instant, after entries already queued for it.  A
         finite ``limit`` bounds the run like ``run(until=limit)``.
         """
-        if not event._triggered:
+        if not event.triggered:
             armed = True
 
             def stop(_event: Event) -> None:
@@ -680,20 +705,20 @@ class Simulator:
                 self._run(None if limit == _INF else limit)
             finally:
                 armed = False
-                if not event._triggered:
+                if not event.triggered:
                     event._callbacks.remove(stop)
-            if not event._triggered:
-                if self._live:
+            if not event.triggered:
+                if self._live or self._lane:
                     raise SimulationError(
                         f"time limit {limit} reached while waiting")
                 raise SimulationError(
                     "deadlock: event queue drained while waiting")
-        if not event._ok:
-            value = event._value
+        if not event.ok:
+            value = event.value
             if isinstance(value, BaseException):
                 raise value
             raise SimulationError(f"awaited event failed: {value!r}")
-        return event._value
+        return event.value
 
     def _halt(self) -> None:
         # Callback of a stop sentinel, which is not a live entry: undo the
@@ -707,11 +732,13 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         queue = self._queue
+        lane = self._lane
+        now = self.now
         halt = None
         if stop_at is not None:
-            if stop_at < self._now:
+            if stop_at < now:
                 raise ValueError(f"cannot run until the past "
-                                 f"(until={stop_at}, now={self._now})")
+                                 f"(until={stop_at}, now={now})")
             # A seq of +inf sorts after every entry at ``stop_at``, those
             # scheduled during the run included; it takes no number from
             # the counter.
@@ -721,11 +748,17 @@ class Simulator:
         hooks = self._hooks
         plain = self.tracer is None and not hooks
         heappop = heapq.heappop
+        popleft = lane.popleft
         for hook in hooks:
             hook.run_started()
         try:
             while True:
-                if queue:
+                # The lane head is due now, so it goes first unless the
+                # heap head is due now too and was queued before it.
+                if lane and (not queue or queue[0][0] > now
+                             or queue[0][1] > lane[0][0]):
+                    seq, fn, args, ctx = popleft()
+                elif queue:
                     # A buffered far entry due at or before the heap head
                     # may precede it; move the buffer onto the heap first.
                     # ``_far_min`` is +inf whenever the buffer is empty.
@@ -733,23 +766,24 @@ class Simulator:
                         self._flush_far()
                         continue
                     when, seq, entry = heappop(queue)
-                    if entry.fn is None:
+                    fn = entry.fn
+                    if fn is None:
                         self._dead -= 1
                         continue
+                    self.now = now = when
+                    self._live -= 1
+                    args = entry.args
+                    ctx = entry.ctx
+                    entry.fn = None  # marks fired: a late cancel() is a no-op
                 elif self._far:
                     self._flush_far()
                     continue
                 else:
                     break
-                self._now = when
-                self._live -= 1
-                fn = entry.fn
-                args = entry.args
-                entry.fn = None  # marks fired: a late cancel() is a no-op
                 if plain:
                     fn(*args)
                 else:
-                    prev, self.ctx = self.ctx, entry.ctx
+                    prev, self.ctx = self.ctx, ctx
                     try:
                         if hooks:
                             self._dispatch_hooked(hooks, seq, fn, args)

@@ -257,6 +257,9 @@ class SimSan(Hook):
 
     @staticmethod
     def _iter_pending(sim: Simulator):
+        # The lane is not walked: its entries are fire-and-forget
+        # (``call_later(0.0, ...)`` and trigger callbacks), never a handle
+        # ``schedule()`` returned, so none of them is a tracked timer.
         for item in sim._queue:
             entry = item[2]
             if entry.fn is not None:

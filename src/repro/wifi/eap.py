@@ -16,8 +16,7 @@ import hmac
 
 def compute_proof(secret: str, nonce: bytes) -> bytes:
     """Supplicant side: HMAC(secret, nonce)."""
-    return hmac.new(secret.encode(), b"eap:" + nonce,
-                    hashlib.sha256).digest()
+    return hmac.digest(secret.encode(), b"eap:" + nonce, "sha256")
 
 
 def make_nonce(identity: str, counter: int) -> bytes:

@@ -1,10 +1,11 @@
 """Reference kernel: one plain heap, the event-order oracle.
 
-``repro.sim.kernel.Simulator`` keeps near entries in a heap and far ones
-in a far buffer, and stops its one dispatch loop with sentinel entries.
-This kernel has neither: every entry goes on a single heap ordered by
-``(when, seq)``, cancel marks the entry dead where it sits, and each run
-tests its stop condition before every event.  It shares the
+``repro.sim.kernel.Simulator`` keeps zero-delay fire-and-forget entries
+in a FIFO lane, near entries in a heap and far ones in a far buffer, and
+stops its one dispatch loop with sentinel entries.  This kernel has none
+of that: every entry, each callback a trigger hands over included, goes
+on a single heap ordered by ``(when, seq)``, cancel marks the entry dead
+where it sits, and each run tests its stop condition before every event.  It shares the
 product's ``ScheduledCall`` / ``Event`` / ``Process`` classes, so the two
 can only differ in the order they fire entries and where they stop —
 which is what ``test_sim_kernel_oracle.py`` compares.  ``bench_components``'
@@ -42,7 +43,7 @@ class ReferenceSimulator:
     """The public surface of ``Simulator`` on one heap."""
 
     def __init__(self):
-        self._now = 0.0
+        self.now = 0.0
         self._queue = []
         self._counter = itertools.count()
         self._running = False
@@ -51,10 +52,6 @@ class ReferenceSimulator:
         self._dead = 0
         self.ctx = None
         self.tracer = None
-
-    @property
-    def now(self):
-        return self._now
 
     @property
     def pending(self):
@@ -68,7 +65,7 @@ class ReferenceSimulator:
     def _arm(self, delay, fn, args):
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
+        when = self.now + delay
         entry = ScheduledCall(self, when, next(self._counter), fn, args,
                               self.ctx)
         heapq.heappush(self._queue, (when, entry.seq, entry))
@@ -79,13 +76,17 @@ class ReferenceSimulator:
         return self._arm(delay, fn, args)
 
     def schedule_at(self, when, fn, *args):
-        return self.schedule(when - self._now, fn, *args)
+        return self.schedule(when - self.now, fn, *args)
 
     def schedule_periodic(self, period, fn, *args):
         return PeriodicCall(self, period, fn, args)
 
     def call_later(self, delay, fn, *args):
         self._arm(delay, fn, args)
+
+    def _call_soon_each(self, callbacks, event):
+        for cb in callbacks:
+            self._arm(0.0, cb, (event,))
 
     def _compact(self):
         self._queue[:] = [item for item in self._queue
@@ -111,7 +112,7 @@ class ReferenceSimulator:
 
     def run(self, until=None):
         self._loop(until, lambda: False)
-        return self._now
+        return self.now
 
     def run_until_triggered(self, event, limit=_INF):
         if not event.triggered:
@@ -139,9 +140,9 @@ class ReferenceSimulator:
     def _loop(self, until, stopped):
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError(f"cannot run until the past "
-                             f"(until={until}, now={self._now})")
+                             f"(until={until}, now={self.now})")
         self._running = True
         queue = self._queue
         try:
@@ -151,10 +152,10 @@ class ReferenceSimulator:
                     self._dead -= 1
                 if not queue or (until is not None and queue[0][0] > until):
                     if until is not None:
-                        self._now = until
+                        self.now = until
                     return
                 when, _seq, entry = heapq.heappop(queue)
-                self._now = when
+                self.now = when
                 self._live -= 1
                 fn, args, ctx = entry.fn, entry.args, entry.ctx
                 entry.fn = None

@@ -24,7 +24,7 @@ def fleet(num_shards=8):
     sim = Simulator()
     orc = Orchestrator(sim, Network(sim, RngRegistry(1)), "orc",
                        num_shards=num_shards)
-    sim._now = 10.0
+    sim.now = 10.0
     for i in range(GATEWAYS):
         gateway_id = f"gw-{i}"
         orc.shard_for(gateway_id).statesync.handle_checkin({

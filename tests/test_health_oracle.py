@@ -86,13 +86,13 @@ def test_random_streams_match_the_merged_view_engine(num_shards, events):
     version = 0
     for n, ev in enumerate(events):
         if ev[0] == "publish":
-            sim._now += ev[1]
+            sim.now += ev[1]
             version += 1
             orc.convergence.note_publish(NETWORK_ID, version)
         else:
             _, index, step, lag, behind, (req, acc, cpu), rows = ev
             gateway_id = gateway_ids[index]
-            sim._now += step
+            sim.now += step
             seqs[gateway_id] += 1
             counters[gateway_id][0] += req
             counters[gateway_id][1] += min(acc, req)
@@ -114,7 +114,7 @@ def test_exemplar_ties_go_to_the_earliest_sample():
     at or above p99, and the fallback to the largest linked one when
     every sample that high is unlinked."""
     orc = orchestrator(2)
-    orc.sim._now = 10.0
+    orc.sim.now = 10.0
     checkin(orc, "gw-above", 1, 0, 9.0, {},
             [(1.0, 0.5, 1), (2.0, 2.0, 2), (3.0, 2.0, 3)])
     checkin(orc, "gw-below", 1, 0, 9.0, {},
@@ -137,7 +137,7 @@ def test_the_eight_shard_storm_matches_the_merged_view_engine():
     orc = orchestrator(8)
     gateway_ids = [f"gw-1-{i}" for i in range(400)]
     for rnd in range(1, 4):
-        orc.sim._now = 30.0 * rnd
+        orc.sim.now = 30.0 * rnd
         if rnd == 2:
             orc.convergence.note_publish(NETWORK_ID, 1)
         for i, gateway_id in enumerate(gateway_ids):

@@ -16,6 +16,17 @@ def test_vector_is_deterministic():
     assert v1 == v2
 
 
+def test_a_vector_is_pinned_byte_for_byte():
+    """Golden OPc, RES, AUTN and KASME: a change to how the PRF feeds
+    HMAC-SHA256 must keep every byte."""
+    vector = auth.generate_vector(K, OPC, sqn=5, rand=RAND)
+    assert OPC.hex() == "2326c2ee4bed2429be057b44e17456e0"
+    assert vector.xres.hex() == "796b66324c58ff2c"
+    assert vector.autn.hex() == "000000000005a203f2cc2bd98e8b"
+    assert vector.kasme.hex() == ("831a77d94029478023e38e410a9ed426"
+                                  "6d39803893853d46487c50efe69c44dc")
+
+
 def test_usim_res_matches_xres():
     vector = auth.generate_vector(K, OPC, sqn=1, rand=RAND)
     res = auth.usim_compute_res(K, OPC, RAND)

@@ -77,6 +77,46 @@ def test_a_finished_child_span_keeps_its_row_and_no_more():
     assert all(span.finished for span in tracer.spans[1:])
 
 
+#: Bytes an RPC round trip may keep once it is over: the rows of its
+#: client and server spans.  The client span's peer tag is its channel's
+#: one read-only mapping; with a fresh ``{"peer": ...}`` dict per client
+#: span a round trip kept about 520.
+RPC_ROUND_TRIP_SPAN_BYTES_BUDGET = 360
+
+
+def test_a_tagged_rpc_client_span_keeps_no_tags_of_its_own():
+    sim = Simulator()
+    tracer = Tracer(sim, RngRegistry(1))
+    net = Network(sim, RngRegistry(1))
+    net.connect("client", "server", Link(latency=0.001))
+    RpcServer(sim, net, "server").register("svc", "echo", lambda r: r)
+    channel = RpcChannel(sim, net, "client", "server")
+
+    def round_trips(count):
+        for index in range(count):
+            channel.call("svc", "echo", index, deadline=1.0)
+            sim.run(until=sim.now + 0.01)
+        sim.run(until=sim.now + 2.0)                # every deadline passes
+        channel.call("svc", "echo", "last", deadline=1.0)
+        sim.run(until=sim.now + 0.1)
+
+    with tracer.start_trace("calls", component="test").active():
+        round_trips(50)                 # warm: names, the clock, the rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            round_trips(1_000)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert kept / 1_001 <= RPC_ROUND_TRIP_SPAN_BYTES_BUDGET
+    assert tracer.stats["spans"] == 1 + 2 * 1_052
+    assert all(span.tags == {"peer": "server"} for span in tracer.spans
+               if span.component == "rpc")
+
+
 #: Bytes an RPC server may keep per call once every caller's deadline
 #: has passed: what remains is its reply table sized for the busiest
 #: deadline's worth of calls (about 100 here), not the replies.  A cache

@@ -79,7 +79,7 @@ def test_attach_subscore_uses_windowed_counter_deltas():
     # Old window: 50 requests, none accepted.  Recent: 10 req, 8 accepted.
     orc.metricsd.ingest("attach_requests", 50.0, 1.0, labels)
     orc.metricsd.ingest("attach_accepted", 0.0, 1.0, labels)
-    sim._now = 200.0
+    sim.now = 200.0
     for t, req, acc in ((150.0, 50.0, 0.0), (190.0, 60.0, 8.0)):
         orc.metricsd.ingest("attach_requests", req, t, labels)
         orc.metricsd.ingest("attach_accepted", acc, t, labels)
@@ -117,7 +117,7 @@ def test_latency_subscore_and_p99_exemplar():
     sim = Simulator()
     orc = fake_orc(sim, [gw("agw-0", sim)])
     labels = {"gateway_id": "agw-0"}
-    sim._now = 50.0
+    sim.now = 50.0
     orc.statesync.gateway("agw-0").last_checkin = 50.0
     for i in range(20):
         orc.metricsd.ingest("attach_latency_s", 0.5, 10.0 + i * 0.1, labels)
@@ -140,7 +140,7 @@ def test_cpu_and_freshness_subscores_decay():
     state = gw("agw-0", sim)
     orc = fake_orc(sim, [state])
     orc.metricsd.ingest("cpu_util", 0.45, 0.0, {"gateway_id": "agw-0"})
-    sim._now = OFFLINE_THRESHOLD / 2  # half the threshold since check-in
+    sim.now = OFFLINE_THRESHOLD / 2  # half the threshold since check-in
     engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
     assert health["subscores"]["cpu"] == pytest.approx(0.5)
@@ -153,7 +153,7 @@ def test_convergence_subscore_tracks_unapplied_publish():
     state = gw("agw-0", sim, version=3)
     orc = fake_orc(sim, [state])
     orc.convergence.note_publish("default", 4)
-    sim._now = 60.0
+    sim.now = 60.0
     state.last_checkin = 60.0
     engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")
@@ -188,11 +188,11 @@ def test_convergence_floor_waits_for_slowest_gateway():
     tracker.note_applied("net", "a", 1)
     tracker.note_applied("net", "b", 1)
     tracker.note_publish("net", 2)
-    sim._now = 10.0
+    sim.now = 10.0
     tracker.note_applied("net", "a", 2)
     assert tracker.pending_count("net") == 1  # b still behind
     assert tracker.oldest_pending_age("net") == pytest.approx(10.0)
-    sim._now = 14.0
+    sim.now = 14.0
     tracker.note_applied("net", "b", 2)
     assert tracker.pending_count("net") == 0
     assert tracker.last_lag["net"] == pytest.approx(14.0)
@@ -209,12 +209,12 @@ def test_convergence_multiple_publishes_converge_in_order():
     tracker = ConvergenceTracker(sim)
     tracker.note_applied("net", "a", 1)
     tracker.note_publish("net", 2)
-    sim._now = 5.0
+    sim.now = 5.0
     tracker.note_publish("net", 3)
     assert tracker.pending_networks() == ["net"]
     assert tracker.oldest_unapplied_publish("net", 1) == pytest.approx(0.0)
     assert tracker.oldest_unapplied_publish("net", 2) == pytest.approx(5.0)
-    sim._now = 8.0
+    sim.now = 8.0
     tracker.note_applied("net", "a", 3)  # jumps over v2: both converge
     assert tracker.pending_count("net") == 0
     assert tracker.stats["converged"] == 2
@@ -248,10 +248,10 @@ def test_rehomed_gateway_stops_holding_its_old_networks_floor():
     checkin("b", 0)
     version = store.put("subscribers", "imsi1", {"k": 1})
     tracker.note_publish("default", version)
-    sim._now = 5.0
+    sim.now = 5.0
     checkin("b", 0, network_id="tenant")
     assert tracker.pending_count("default") == 1     # a still behind
-    sim._now = 9.0
+    sim.now = 9.0
     checkin("a", version)
     assert sync.stale_gateways() == []
     assert tracker.pending_count("default") == 0
@@ -299,7 +299,7 @@ def test_exemplar_roundtrip_monitor_to_health_p99():
     for t, v, tid in rows:
         orc.metricsd.ingest("attach_latency_s", v, t,
                             {"gateway_id": "agw-0"}, trace_id=tid)
-    sim._now = 40.0
+    sim.now = 40.0
     orc.statesync.gateway("agw-0").last_checkin = 40.0
     engine = HealthEngine(orc)
     health = engine.agw_health("agw-0")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.deploy import build
+from repro.net import Link, Network, RpcChannel, RpcServer
 from repro.obs import (
     NOOP_SPAN,
     Tracer,
@@ -228,3 +229,36 @@ def test_a_span_past_the_cap_works_through_its_handle(monkeypatch):
         records[0].status = "error"
     with pytest.raises(TypeError):
         records[1].tags["ok"] = False
+
+
+def test_tagging_one_rpc_span_leaves_its_siblings_tags_alone():
+    """A channel's client spans share one read-only peer tag; a span tagged
+    again gets its own copy, and the others keep the shared one."""
+    sim = Simulator()
+    tracer = Tracer(sim, RngRegistry(1))
+    net = Network(sim, RngRegistry(1))
+    net.connect("client", "server", Link(latency=0.001))
+    RpcServer(sim, net, "server").register("svc", "echo", lambda r: r)
+    channel = RpcChannel(sim, net, "client", "server")
+    opened = []
+    child = tracer.child
+
+    def recording_child(*args, **kwargs):
+        span = child(*args, **kwargs)
+        if span.component == "rpc":
+            opened.append(span)
+        return span
+
+    tracer.child = recording_child
+    with tracer.start_trace("calls", component="test").active():
+        for index in range(3):
+            channel.call("svc", "echo", index)
+        opened[1].set_tag("retried", True)
+        sim.run(until=1.0)
+    assert [dict(span.tags) for span in opened] == [
+        {"peer": "server"}, {"peer": "server", "retried": True},
+        {"peer": "server"}]
+    records = [r for r in tracer.spans if r.component == "rpc"]
+    assert [dict(r.tags) for r in records] == \
+        [dict(span.tags) for span in opened]
+    assert all(r.status == "ok" for r in records)

@@ -119,6 +119,34 @@ def test_determinism_good_fixture_is_clean():
 # -- no-blocking-in-coroutine ----------------------------------------------------
 
 
+def test_kernel_owned_state_flags_clock_and_outcome_stores():
+    findings = by_rule(fixture_findings("kernel_state_bad.py"),
+                       "kernel-owned-state")
+    expected = {marker_line("kernel_state_bad.py", marker)
+                for marker in ("CLOCK-MARKER-1", "CLOCK-MARKER-2",
+                               "OUTCOME-MARKER-1", "OUTCOME-MARKER-2",
+                               "OUTCOME-MARKER-3", "OUTCOME-MARKER-4",
+                               "OUTCOME-MARKER-5")}
+    assert {f.line for f in findings} == expected
+    assert len(findings) == len(expected)
+    assert all(f.code == "REPRO203" for f in findings)
+
+
+def test_kernel_owned_state_silent_on_reads_and_look_alikes():
+    findings = fixture_findings("kernel_state_good.py")
+    assert by_rule(findings, "kernel-owned-state") == []
+
+
+def test_kernel_owned_state_exempts_the_kernel_itself():
+    source = ("class Simulator:\n"
+              "    def _run(self, when):\n"
+              "        self.sim.now = when\n")
+    findings = analyze_source(source, path="src/repro/sim/kernel.py")
+    assert by_rule(findings, "kernel-owned-state") == []
+    findings = analyze_source(source, path="src/repro/sim/cpu.py")
+    assert by_rule(findings, "kernel-owned-state") != []
+
+
 def test_blocking_calls_flagged_inside_coroutines_only():
     findings = fixture_findings("blocking_bad.py")
     hits = by_rule(findings, "no-blocking-in-coroutine")

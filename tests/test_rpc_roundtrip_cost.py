@@ -19,7 +19,8 @@ from costs import calls, entries_scheduled
 CALLS = 10
 #: Calls and kernel entries per lossless two-hop round trip, the first
 #: call's route compilation amortised over ``CALLS``.  Measured at 55.8
-#: to 55.9 calls on CPython 3.9, 3.11 and 3.12; the headroom absorbs
+#: to 55.9 calls on CPython 3.9, 3.11 and 3.12, and at 48.8 on 3.11 once
+#: zero-delay entries took the kernel's lane; the headroom absorbs
 #: interpreter versions, and the budget still fails a round trip that
 #: arms two timers or walks its route hop by hop (88.9).
 ROUNDTRIP_BUDGET = (62.0, 4.0)

@@ -488,6 +488,27 @@ def test_pending_and_queue_depth_accounting():
     assert sim.queue_depth() == 0
 
 
+def test_zero_delay_entries_are_pending_and_queued():
+    """Zero-delay calls and a trigger's callbacks sit in the lane, which
+    ``pending`` and ``queue_depth()`` count like any other entry."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(0.0, fired.append, "lane")
+    handle = sim.schedule(0.0, fired.append, "handle")
+    done = sim.event()
+    done.add_callback(lambda ev: fired.append("cb1"))
+    done.add_callback(lambda ev: fired.append("cb2"))
+    assert (sim.pending, sim.queue_depth()) == (2, 2)
+    done.succeed()
+    sim.call_later(0.0, fired.append, "after")
+    assert (sim.pending, sim.queue_depth()) == (5, 5)
+    handle.cancel()
+    assert (sim.pending, sim.queue_depth()) == (4, 5)
+    assert sim.run() == 0.0
+    assert fired == ["lane", "cb1", "cb2", "after"]
+    assert (sim.pending, sim.queue_depth()) == (0, 0)
+
+
 def test_mass_cancellation_compacts_storage():
     """Cancelling en masse must reclaim memory via the amortized sweep,
     not park corpses in the queue until their 50 s deadline."""

@@ -2,8 +2,9 @@
 
 ``run()``, ``run(until=)`` and ``run_until_triggered()`` share one
 dispatch loop, and their stop conditions are queue entries rather than
-per-event tests (DESIGN.md §6.3), so a timer event, a process resume and a
-cancelled entry cost the same number of calls under all three.  The checks
+per-event tests (DESIGN.md §6.3), so a timer event, a zero-delay call, a
+process resume and a cancelled entry cost the same number of calls under
+all three.  The checks
 count executed calls - never time - so they are deterministic.
 """
 
@@ -27,6 +28,17 @@ def timer_chains(sim):
     def tick(left):
         if left:
             sim.call_later(0.001, tick, left - 1)
+
+    for _ in range(CHAINS):
+        sim.call_later(0.0, tick, N // CHAINS - 1)
+
+
+def zero_delay_chains(sim):
+    """``N`` zero-delay fire-and-forget calls, each arming the next: lane
+    entries, all at one instant."""
+    def tick(left):
+        if left:
+            sim.call_later(0.0, tick, left - 1)
 
     for _ in range(CHAINS):
         sim.call_later(0.0, tick, N // CHAINS - 1)
@@ -69,8 +81,11 @@ def calls_per_entry(workload, how, tracer=False):
 
 @pytest.mark.parametrize("workload, budget", [
     # With a loop per stop mode, run(until=) / run_until_triggered paid
-    # 10.0 / 11.0 per timer event and 35.0 / 37.0 per resume.
+    # 10.0 / 11.0 per timer event and 35.0 / 37.0 per resume.  These
+    # ceilings are one loop's with every entry on the heap; the test below
+    # pins the lane's figures.
     (timer_chains, 6.1),
+    (zero_delay_chains, 6.1),
     (process_loops, 23.1),
     (cancelled_entries, 1.01),  # one heappop each
 ])
@@ -79,6 +94,19 @@ def test_every_stop_mode_costs_the_bare_run_figure(workload, budget, how):
     bare = calls_per_entry(workload, "run")
     assert bare <= budget
     assert calls_per_entry(workload, how) <= bare + 0.01
+
+
+@pytest.mark.parametrize("workload, budget", [
+    (timer_chains, 5.01),       # call_later, heappush, heappop, tick
+    (zero_delay_chains, 4.01),  # call_later, lane append and popleft, tick
+    (process_loops, 21.01),
+])
+def test_the_lane_and_the_one_call_hand_over_cut_calls_per_entry(workload,
+                                                                  budget):
+    # With every entry on the heap, numbered by ``next()``, and each of a
+    # trigger's callbacks queued by its own ``call_later``, a timer event
+    # and a zero-delay call cost 6.0 and a process resume 23.0.
+    assert calls_per_entry(workload, "run") <= budget
 
 
 def test_tracer_on_costs_no_more_per_event():

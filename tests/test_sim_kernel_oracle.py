@@ -6,7 +6,13 @@ cancels, callbacks that schedule more, processes that sleep,
 race an event with ``any_of``, get interrupted and are watched (a watcher
 logs inline when its process ends) - are played on both
 kernels, stopped in legs by ``run()``, ``run(until=)`` and
-``run_until_triggered``.  The ``(now, tag)`` firing sequence, every run's
+``run_until_triggered``.  Bursts exercise the zero-delay lane from inside
+a callback: lane calls and ``schedule(0)`` handles interleaved, some
+handles cancelled, events triggered with several callbacks, and a delay
+so small that ``now + d == now``, which puts a heap entry at ``now``
+behind lane entries queued before it and ahead of those queued after.
+Events with several callbacks are also stopped on, so a run can halt in
+the middle of the lane.  The ``(now, tag)`` firing sequence, every run's
 return value or error and the clock after it must be identical.
 """
 
@@ -21,8 +27,17 @@ from reference_kernel import ReferenceSimulator
 DELAYS = [0.0, 0.0, 0.1, 0.2499, 0.25, 0.2501, 1.0, 3.99, 4.0, 4.01, 63.9,
           64.0, 65.0, 1023.0, 1024.0, 1500.0, 4096.0]
 
+# Lost in ``now + TINY`` once the clock is past about 1e-14 s.
+TINY = 1e-30
+
 delay = st.sampled_from(DELAYS)
+burst = st.lists(st.sampled_from(["lane", "handle", "cancel", "tiny",
+                                  "trigger", "chain"]),
+                 min_size=1, max_size=8)
 op = st.one_of(
+    st.tuples(st.just("burst"), delay, burst),
+    st.tuples(st.just("event"), delay, st.integers(0, 3)),
+    st.tuples(st.just("stop_on"), st.integers(0, 20)),
     st.tuples(st.just("schedule"), delay, st.integers(0, 2), delay, delay),
     st.tuples(st.just("call_later"), delay),
     st.tuples(st.just("periodic"), st.sampled_from([0.1, 1.0, 5.0, 70.0]),
@@ -43,6 +58,7 @@ def play(kernel, program):
     log = []
     handles = []
     processes = []
+    events = []
 
     def fire(tag, depth, near, far):
         log.append((sim.now, tag))
@@ -51,6 +67,43 @@ def play(kernel, program):
                                         near, far))
             handles.append(sim.schedule(far, fire, tag + "f", depth - 1,
                                         near, far))
+
+    def note(tag):
+        log.append((sim.now, tag))
+
+    def chain(tag, left):
+        log.append((sim.now, tag))
+        if left:
+            sim.call_later(0.0, chain, tag + "c", left - 1)
+
+    def fan_out(tag, callbacks):
+        """An event whose every callback logs and queues a lane call."""
+        ev = sim.event(tag)
+        for k in range(callbacks):
+            ev.add_callback(lambda e, k=k: (
+                log.append((sim.now, f"{e.name}.cb{k}={e.value}")),
+                sim.call_later(0.0, note, f"{e.name}.cb{k}.next")))
+        events.append(ev)
+        return ev
+
+    def play_burst(tag, pattern):
+        log.append((sim.now, tag))
+        mine = []
+        for i, kind in enumerate(pattern):
+            sub = f"{tag}.{i}"
+            if kind == "lane":
+                sim.call_later(0.0, note, sub)
+            elif kind == "handle":
+                mine.append(sim.schedule(0.0, note, sub))
+                handles.append(mine[-1])
+            elif kind == "cancel" and mine:
+                log.append(("cancel", mine.pop(0).cancel()))
+            elif kind == "tiny":
+                sim.call_later(TINY, note, sub)
+            elif kind == "trigger":
+                fan_out(sub, 3).succeed(i)
+            elif kind == "chain":
+                sim.call_later(0.0, chain, sub, 2)
 
     def ticker(tag, period, ticks):
         count = [0]
@@ -85,6 +138,10 @@ def play(kernel, program):
             handles.append(sim.schedule(when, fire, tag, depth, near, far))
         elif kind == "call_later":
             sim.call_later(args[0], fire, tag, 0, 0.0, 0.0)
+        elif kind == "burst":
+            sim.call_later(args[0], play_burst, tag, args[1])
+        elif kind == "event":
+            sim.call_later(args[0], fan_out(tag, args[1]).succeed, tag)
         elif kind == "periodic":
             ticker(tag, *args)
         elif kind == "cancel" and handles:
@@ -99,12 +156,17 @@ def play(kernel, program):
         elif kind == "watch" and processes:
             target = processes[args[0] % len(processes)]
             target.watch(lambda ev, tag=tag: log.append((sim.now, tag)))
-        elif kind in ("run", "until", "triggered"):
+        elif kind in ("run", "until", "triggered", "stop_on"):
             try:
                 if kind == "run":
                     result = sim.run()
                 elif kind == "until":
                     result = sim.run(until=sim.now + args[0])
+                elif kind == "stop_on":
+                    if not events:
+                        continue
+                    result = sim.run_until_triggered(
+                        events[args[0] % len(events)])
                 elif processes:
                     target = processes[args[0] % len(processes)]
                     limit = float("inf") if args[1] is None \
@@ -146,3 +208,24 @@ def test_oracle_program_covers_every_stop_mode():
     interrupted = log.index((2.0, "process1.interrupted.process1"))
     assert log[interrupted + 1] == (2.0, "watch4")
     assert log[log.index(stops[1]) + 1] == (1.0, "watch7")
+
+
+def test_oracle_program_covers_the_lane():
+    program = [("until", 1.0), ("event", 0.0, 2),
+               ("burst", 0.0, ["lane", "handle", "tiny", "trigger", "handle",
+                               "cancel", "chain", "lane"]),
+               ("stop_on", 0), ("until", 0.0), ("run",)]
+    log = play(Simulator, program)
+    assert log == play(ReferenceSimulator, program)
+    # The stop fired after the event's two callbacks and halted the run
+    # with the burst's ten zero-delay entries still queued at 1.0.
+    assert ("stop_on", "event1", 1.0, 10) in log
+    fired = [tag for entry in log if entry[0] == 1.0 for tag in entry[1:]]
+    assert len(fired) == len(log) - 6  # every entry fired at 1.0
+    # ``1.0 + TINY == 1.0``: the heap entry fires in sequence order among
+    # the lane's, after the lane call queued before it and before the
+    # callbacks of the event triggered after it.  The cancelled handle
+    # never fires; the other one does.
+    assert fired.index("burst2.0") < fired.index("burst2.2") \
+        < fired.index("burst2.3.cb0=3")
+    assert "burst2.1" not in fired and "burst2.4" in fired

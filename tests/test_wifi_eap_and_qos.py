@@ -16,6 +16,12 @@ def test_eap_proof_roundtrip():
     assert db.eap_proof("nobody", nonce) is None
 
 
+def test_eap_proof_is_pinned_byte_for_byte():
+    proof = eap.compute_proof("secret", eap.make_nonce("alice", 1))
+    assert proof.hex() == ("9e00cfba38b2285985bff82dda0100aa"
+                           "46a86c1f572bfbba87bf3f8a6675a97b")
+
+
 def test_eap_nonces_unique_per_exchange():
     assert eap.make_nonce("u", 1) != eap.make_nonce("u", 2)
     assert eap.make_nonce("u", 1) != eap.make_nonce("v", 1)
