@@ -22,11 +22,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.agw import AccessGateway, SubscriberProfile
-from repro.core.orchestrator import Orchestrator
-from repro.lte import Enodeb, Ue, auth, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import RngRegistry, Simulator
+from repro.deploy import build
 from repro.wifi import CaptivePortal
 from repro.workloads import TrafficEngine
 
@@ -35,39 +31,15 @@ APS_PER_SITE = 3
 GUESTS_PER_AP = 4
 
 
-def modem_keys(index):
-    k = index.to_bytes(4, "big") * 4
-    return k, auth.derive_opc(k, b"accessparks-op")
-
-
 def main():
-    sim = Simulator()
-    rng = RngRegistry(11)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
+    # Magma side: cell sites whose "UEs" are the APs' fixed LTE modems, with
+    # unrestricted access: the default (unlimited) policy.
+    d = build(num_ues=APS_PER_SITE, num_agws=NUM_SITES,
+              backhaul="microwave", seed=11)
+    sim = d.sim
     portal = CaptivePortal(clock=lambda: sim.now)
-
-    # Magma side: cell sites whose "UEs" are the APs' fixed LTE modems.
-    sites = []
-    index = 1
-    for s in range(NUM_SITES):
-        agw_node = f"agw-park{s}"
-        network.connect(agw_node, "orc", backhaul.microwave())
-        agw = AccessGateway(sim, network, agw_node, orchestrator_node="orc",
-                            rng=rng.fork(agw_node))
-        network.connect(f"enb-park{s}", agw_node, backhaul.lan())
-        enb = Enodeb(sim, network, f"enb-park{s}", agw_node)
-        modems = []
-        for _a in range(APS_PER_SITE):
-            imsi = make_imsi(index)
-            k, opc = modem_keys(index)
-            index += 1
-            # Unrestricted access: the default (unlimited) policy.
-            orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-            modems.append(Ue(sim, imsi, k, opc, enb))
-        agw.start()
-        enb.s1_setup()
-        sites.append((agw, enb, modems))
+    sites = [(agw, enb, d.ues[s * APS_PER_SITE:(s + 1) * APS_PER_SITE])
+             for s, (agw, enb) in enumerate(zip(d.agws, d.enbs))]
     sim.run(until=70.0)  # first check-in syncs subscribers
 
     # Bring the AP modems online.

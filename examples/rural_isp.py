@@ -21,67 +21,36 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.agw import (
-    AccessGateway,
-    AgwConfig,
-    CheckpointStore,
-    SubscriberProfile,
-)
-from repro.core.orchestrator import Orchestrator
-from repro.core.policy import MB, OnlineChargingSystem, capped
-from repro.lte import Enodeb, Ue, auth, make_imsi
-from repro.net import Network, backhaul
-from repro.sim import RngRegistry, Simulator
+from repro.core.agw import AgwConfig, SubscriberProfile
+from repro.core.policy import MB, OnlineChargingSystem, capped, prepaid
+from repro.deploy import build, subscriber_keys
 from repro.workloads import TrafficEngine
 
 NUM_SITES = 3
 SUBSCRIBERS_PER_SITE = 4
 
 
-def subscriber_keys(index):
-    k = index.to_bytes(4, "big") * 4
-    return k, auth.derive_opc(k, b"rural-isp-op")
-
-
 def main():
-    sim = Simulator()
-    rng = RngRegistry(7)
-    network = Network(sim, rng)
-    orc = Orchestrator(sim, network, "orc")
     ocs = OnlineChargingSystem(quota_bytes=1 * MB)
-    store = CheckpointStore()
-
     # The paper's example policy: 10 Mbps until 5 MB, then 1 Mbps - plus a
     # prepaid tier whose usage draws down OCS quota grants (§3.4).
-    from repro.core.policy import prepaid
-    orc.upsert_policy(capped("village-basic", mbps=10.0, cap_bytes=5 * MB,
-                             throttled_mbps=1.0))
+    d = build(num_ues=SUBSCRIBERS_PER_SITE, num_agws=NUM_SITES,
+              backhaul="satellite", seed=7,
+              config=AgwConfig(checkin_interval=10.0), ocs=ocs,
+              policy=capped("village-basic", mbps=10.0, cap_bytes=5 * MB,
+                            throttled_mbps=1.0))
+    sim, network, orc = d.sim, d.network, d.orc
     orc.upsert_policy(prepaid("village-prepaid", mbps=10.0))
-
-    sites = []
-    index = 1
-    for s in range(NUM_SITES):
-        agw_node = f"agw-site{s}"
-        network.connect(agw_node, "orc", backhaul.satellite())
-        agw = AccessGateway(sim, network, agw_node,
-                            config=AgwConfig(checkin_interval=10.0),
-                            orchestrator_node="orc", ocs=ocs,
-                            checkpoint_store=store, rng=rng.fork(agw_node))
-        network.connect(f"enb-site{s}", agw_node, backhaul.lan())
-        enb = Enodeb(sim, network, f"enb-site{s}", agw_node)
-        ues = []
-        for u in range(SUBSCRIBERS_PER_SITE):
-            imsi = make_imsi(index)
-            k, opc = subscriber_keys(index)
-            index += 1
-            policy = "village-prepaid" if u == 0 else "village-basic"
+    for n, imsi in enumerate(d.imsis):
+        ocs.provision(imsi, balance_bytes=50 * MB)
+        if n % SUBSCRIBERS_PER_SITE == 0:
+            # Each site's first subscriber is on the prepaid tier.
+            k, opc = subscriber_keys(n + 1)
             orc.add_subscriber(SubscriberProfile(
-                imsi=imsi, k=k, opc=opc, policy_id=policy))
-            ocs.provision(imsi, balance_bytes=50 * MB)
-            ues.append(Ue(sim, imsi, k, opc, enb))
-        agw.start()
-        enb.s1_setup()
-        sites.append((agw, enb, ues))
+                imsi=imsi, k=k, opc=opc, policy_id="village-prepaid"))
+    sites = [(agw, enb, d.ues[s * SUBSCRIBERS_PER_SITE:
+                              (s + 1) * SUBSCRIBERS_PER_SITE])
+             for s, (agw, enb) in enumerate(zip(d.agws, d.enbs))]
 
     # Config crosses the satellite on first check-ins.
     sim.run(until=40.0)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..baseline import MonolithicEpc
-from ..core.agw import AccessGateway, CheckpointStore, SubscriberProfile
-from ..deploy import subscriber_keys
+from ..core.agw import AccessGateway, SubscriberProfile
+from ..deploy import build, subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi
 from ..net import Network, backhaul
 from ..sim import RngRegistry, Simulator
@@ -73,29 +73,16 @@ def run_fault_domain_ablation(num_sites: int = 4, ues_per_site: int = 5,
     total_ues = num_sites * ues_per_site
 
     # ---- Magma: one AGW per site ------------------------------------------------
-    sim_m = Simulator()
-    net_m = Network(sim_m, RngRegistry(seed))
-    store = CheckpointStore()
-    agws: List[AccessGateway] = []
-    site_imsis: List[List[str]] = []
-    for s in range(num_sites):
-        agw = AccessGateway(sim_m, net_m, f"agw-{s}",
-                            checkpoint_store=store,
-                            rng=RngRegistry(seed + s))
-        net_m.connect(f"enb-{s}", f"agw-{s}", backhaul.lan())
-        enb = Enodeb(sim_m, net_m, f"enb-{s}", f"agw-{s}")
-        agw.start()
-        enb.s1_setup()
-        sim_m.run(until=sim_m.now + 1.0)
-        agws.append(agw)
-        site_imsis.append(_attach_site(sim_m, agw, enb,
-                                       1 + s * ues_per_site, ues_per_site))
-    sim_m.run(until=sim_m.now + 15.0)  # settle + checkpoint
+    site = build(num_ues=ues_per_site, num_agws=num_sites, seed=seed)
+    for ue in site.ues:
+        outcome = site.run_attach(ue)
+        if not outcome.success:
+            raise RuntimeError(f"setup attach failed: {outcome.cause}")
+    site.sim.run(until=site.sim.now + 15.0)  # settle + checkpoint
     # Fail one AGW.
-    victim = agws[0]
+    victim = site.agw
     victim.crash()
-    serving_after = sum(_serving(agw, imsis)
-                        for agw, imsis in zip(agws, site_imsis))
+    serving_after = sum(_serving(agw, site.imsis) for agw in site.agws)
     magma_affected = (total_ues - serving_after) / total_ues
     restored = victim.recover()
 

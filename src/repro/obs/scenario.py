@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from ..deploy import Deployment, build
+from ..core.agw import AgwConfig, SubscriberProfile
+from ..deploy import Deployment, build, subscriber_keys
+from ..lte import make_imsi
 from ..workloads.attach_storm import AttachStorm
 from .flightrec import FlightRecorder
 from .tracing import Tracer
@@ -62,14 +64,9 @@ def run_traced_attach_storm(num_ues: int = 20, rate: float = 5.0,
 class HealthFleetRun:
     """Handles from :func:`run_health_fleet` for CLI/test inspection."""
 
-    sim: Any
-    network: Any
-    orc: Any
-    agws: List[Any]
-    ues: List[Any]
+    site: Deployment
     tracer: Tracer
     recorder: FlightRecorder
-    monitor: Any
     report: Dict[str, Any]
 
 
@@ -87,59 +84,24 @@ def run_health_fleet(num_agws: int = 20, num_shards: int = 4,
     health report plus every handle a caller could want to drill into —
     including the tracer, so attach-p99 exemplar trace ids can be resolved
     back to recorded spans.
-
-    Built by hand, not by :func:`repro.deploy.build`, whose AGWs
-    checkpoint: each checkpoint opens a root span, which would renumber
-    the exemplar trace ids the report prints.
     """
-    from ..core.agw import AccessGateway, AgwConfig, SubscriberProfile
-    from ..deploy import subscriber_keys
-    from ..lte import Enodeb, Ue, make_imsi
-    from ..net import Network, backhaul
-    from ..sim import Monitor, RngRegistry, Simulator
-
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, rng)
-    monitor = Monitor()
-    tracer = Tracer(sim, rng, sample_rate=sample_rate)
+    site = build(num_ues=ues_per_agw, num_agws=num_agws,
+                 num_shards=num_shards, backhaul="fiber", seed=seed,
+                 config=AgwConfig(checkin_interval=checkin_interval))
+    sim, orc = site.sim, site.orc
+    tracer = Tracer(sim, site.rng, sample_rate=sample_rate)
     recorder = FlightRecorder(sim)
-    from ..core.orchestrator import Orchestrator
-    orc = Orchestrator(sim, network, "orc", monitor=monitor,
-                       num_shards=num_shards)
-    config = AgwConfig(checkin_interval=checkin_interval)
-    agws: List[Any] = []
-    ues: List[Any] = []
-    index = 0
-    for i in range(num_agws):
-        node = f"agw-{i}"
-        target = orc.shard_node_for(node)
-        network.connect(node, target, backhaul.by_name("fiber"))
-        agw = AccessGateway(sim, network, node, config=config,
-                            orchestrator_node=target, monitor=monitor,
-                            rng=rng)
-        enb_node = f"enb-{i}"
-        network.connect(enb_node, node, backhaul.lan(f"lan-{i}"))
-        enb = Enodeb(sim, network, enb_node, node)
-        for _ in range(ues_per_agw):
-            index += 1
-            imsi = make_imsi(index)
-            k, opc = subscriber_keys(index)
-            orc.add_subscriber(SubscriberProfile(imsi=imsi, k=k, opc=opc))
-            ues.append(Ue(sim, imsi, k, opc, enb))
-        agw.start()
-        enb.s1_setup()
-        agws.append(agw)
     # Attaches start after the first check-in round has synced config and
     # are spread across the run, round-robin over the gateways, so at the
     # end every AGW still holds latency samples (and their exemplars)
-    # inside the health engine's sliding window.
+    # inside the health engine's sliding window.  The times are absolute,
+    # counted from 0 though ``build`` returns one second in.
     start = checkin_interval + 1.0
-    step = max(0.5, (duration - start - 5.0) / max(1, len(ues)))
-    order = [ues[a * ues_per_agw + j]
+    step = max(0.5, (duration - start - 5.0) / max(1, len(site.ues)))
+    order = [site.ues[a * ues_per_agw + j]
              for j in range(ues_per_agw) for a in range(num_agws)]
     for n, ue in enumerate(order):
-        sim.call_later(start + step * n, ue.attach)
+        sim.call_later(start + step * n - sim.now, ue.attach)
 
     def mid_run_publish() -> None:
         extra = num_agws * ues_per_agw + 1
@@ -147,8 +109,7 @@ def run_health_fleet(num_agws: int = 20, num_shards: int = 4,
         orc.add_subscriber(SubscriberProfile(imsi=make_imsi(extra),
                                              k=k, opc=opc))
 
-    sim.call_later(duration / 2, mid_run_publish)
+    sim.call_later(duration / 2 - sim.now, mid_run_publish)
     sim.run(until=duration)
-    return HealthFleetRun(sim=sim, network=network, orc=orc, agws=agws,
-                          ues=ues, tracer=tracer, recorder=recorder,
-                          monitor=monitor, report=orc.health_report())
+    return HealthFleetRun(site=site, tracer=tracer, recorder=recorder,
+                          report=orc.health_report())

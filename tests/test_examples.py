@@ -71,8 +71,8 @@ EXPECTED_STDOUT = {
         "[t=  76.7s] 6 AP backhaul modems attached across 2 park sites"
         " (policy: unrestricted)\n"
         "[t=  76.7s] 24 guests logged in through the captive portal\n"
-        "[t= 136.7s] agw-park0: 3 backhaul sessions, 14.4 Mbps aggregate\n"
-        "[t= 136.7s] agw-park1: 3 backhaul sessions, 14.4 Mbps aggregate\n"
+        "[t= 136.7s] agw-1: 3 backhaul sessions, 14.4 Mbps aggregate\n"
+        "[t= 136.7s] agw-2: 3 backhaul sessions, 14.4 Mbps aggregate\n"
         "[t= 136.7s] guest-1 after exceeding allowance: allowed=False"
         " (enforced by the WiFi-layer portal)\n"
         "[t= 136.7s] LTE backhaul carried 216 MB this hour, policy-free\n"

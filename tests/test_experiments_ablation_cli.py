@@ -5,8 +5,8 @@ ablation-backhaul`` runs Magma against the monolithic-EPC baseline on GTP
 termination (§3.1), fault domains (§3.3) and backhaul quality.  All of it
 is simulated, so its stdout is deterministic.  The Magma arms of the GTP
 and backhaul ablations are ``repro.deploy.build`` sites, provisioned
-through the orchestrator; the fault-domain ablation still builds its own
-multi-AGW network.  Of the baseline cells only the satellite median moved
+through the orchestrator; the fault-domain ablation's is a
+``build(num_agws=4)`` fleet with no orchestrator.  Of the baseline cells only the satellite median moved
 when the baseline took the AGW's access core (2.12 s before).
 
 ``ablation-headless ablation-quota`` (§3.2 headless operation, §3.4

@@ -163,9 +163,10 @@ def faulted_fleet():
 
     run = run_health_fleet(num_agws=6, num_shards=3, ues_per_agw=2,
                            duration=60.0, seed=5)
-    sim = run.sim
+    site = run.site
+    sim, agws = site.sim, site.agws
     yield run
-    crashed = run.agws[1]
+    crashed = agws[1]
     crashed.crash()
     sim.run(until=sim.now + 20.0)
     yield run
@@ -174,15 +175,22 @@ def faulted_fleet():
     yield run
     # Every UE re-attaches during the outage: the AGWs cut off serve it
     # headless and back-fill the latency rows once the shard is back.
-    for n, ue in enumerate(run.ues):
+    for n, ue in enumerate(site.ues):
         if ue.is_registered:
             ue.detach(switch_off=False)
         sim.call_later(5.0 + 2.0 * n, ue.attach)
-    shard_node = run.orc.shard_node_for(run.agws[2].node)
-    run.network.set_node_up(shard_node, False)
+    shard_node = site.orc.shard_node_for(agws[2].node)
+    failed = [agw.magmad.stats["checkins_failed"] for agw in agws]
+    site.network.set_node_up(shard_node, False)
     sim.run(until=sim.now + 40.0)
+    # The outage bites exactly the AGWs that shard owns.
+    cut_off = [site.orc.shard_node_for(agw.node) == shard_node
+               for agw in agws]
+    assert [agw.magmad.stats["checkins_failed"] > before
+            for agw, before in zip(agws, failed)] == cut_off
+    assert not all(cut_off)
     yield run
-    run.network.set_node_up(shard_node, True)
+    site.network.set_node_up(shard_node, True)
     sim.run(until=sim.now + 30.0)
     yield run
 
@@ -193,7 +201,8 @@ def test_the_faulted_health_fleet_matches_the_merged_view_engine():
     agree."""
     points = 0
     for run in faulted_fleet():
-        assert_same_health(run.orc, [agw.node for agw in run.agws])
+        assert_same_health(run.site.orc,
+                           [agw.node for agw in run.site.agws])
         points += 1
     assert points == 5
 

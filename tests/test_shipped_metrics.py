@@ -29,11 +29,11 @@ def test_every_bundle_of_a_fleet_is_its_gateways_own(monkeypatch):
     monkeypatch.setattr(AccessGateway, "metrics_summary", checked)
     run = run_health_fleet(num_agws=4, num_shards=2)
     assert len(entries) == sum(agw.magmad.stats["metrics_buffered"]
-                               for agw in run.agws) > 4 * 20
+                               for agw in run.site.agws) > 4 * 20
     assert [violations for _, _, violations in entries
             if violations] == []
     assert len({keys for _, keys, _ in entries}) == 1
-    assert all(agw.mme.stats["attach_accepted"] == 2 for agw in run.agws)
+    assert all(agw.mme.stats["attach_accepted"] == 2 for agw in run.site.agws)
 
 
 def test_the_shipped_fleet_load_follows_the_gateways_own():
