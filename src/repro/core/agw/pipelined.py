@@ -46,6 +46,15 @@ GTPA_PORT = "gtpa"
 # 9 = default best effort.
 QCI_TO_DSCP = {1: 46, 2: 36, 3: 28, 4: 28, 5: 34, 6: 18, 7: 10, 8: 10, 9: 0}
 
+# The actions every session's rules share.  Actions are frozen, so one
+# instance serves every rule that carries it.
+_POP_GTPU = act.PopGtpu()
+_UPLINK = act.SetRegister("direction", "uplink")
+_DOWNLINK = act.SetRegister("direction", "downlink")
+_TO_POLICY = act.GotoTable(TABLE_POLICY)
+_TO_EGRESS = act.GotoTable(TABLE_EGRESS)
+_OUTPUT = {port: act.Output(port) for port in (RAN_PORT, SGI_PORT, GTPA_PORT)}
+
 
 @dataclass
 class SessionFlows:
@@ -115,12 +124,6 @@ class Pipelined:
     def in_batch(self) -> bool:
         return self._pending is not None
 
-    def _apply(self, mod: Any) -> None:
-        if self._pending is not None:
-            self._pending.append(mod)
-        else:
-            self.switch.apply(mod)
-
     # -- port plumbing (tests/examples can replace the sinks) ---------------------
 
     def set_port_delivery(self, port: str, deliver) -> None:
@@ -140,7 +143,11 @@ class Pipelined:
         eNodeB-side tunnel endpoint is attached later (the S1AP initial
         context setup response arrives after the session exists) via
         :meth:`set_enb_tunnel`.
+        A bad ``egress_port`` raises before anything changes.
         """
+        egress = egress_port or self.sgi_port
+        if egress not in (self.sgi_port, self.gtpa_port):
+            raise ValueError(f"unknown egress port {egress!r}")
         if imsi in self._sessions:
             self.remove_session(imsi)
         # No tags dict here: this is the session hot path, the span must
@@ -148,46 +155,42 @@ class Pipelined:
         span = self.context.tracer.child("pipelined.install_session",
                                          component="pipelined",
                                          node=self.context.node)
-        egress = egress_port or self.sgi_port
-        if egress not in (self.sgi_port, self.gtpa_port):
-            raise ValueError(f"unknown egress port {egress!r}")
         rate = rate_mbps if rate_mbps is not None else UNLIMITED_MBPS
         meter_id = next(self._meter_ids)
-        self._apply(MeterMod(command=MeterMod.ADD, meter_id=meter_id,
-                             rate_mbps=max(rate, 1e-6)))
+        # Inside a batch the mods queue for its bundle.
+        apply = self.switch.apply if self._pending is None \
+            else self._pending.append
+        apply(MeterMod(command=MeterMod.ADD, meter_id=meter_id,
+                       rate_mbps=max(rate, 1e-6)))
         flows = SessionFlows(imsi=imsi, ue_ip=ue_ip, agw_teid=agw_teid,
                              enb_teid=None, enb_node=None,
                              meter_id=meter_id, rate_mbps=rate,
                              egress_port=egress)
+        tag = act.SetRegister("imsi", imsi)
         # Table 0: uplink - GTP-U traffic from the RAN for this bearer.
-        self._apply(FlowMod(
+        apply(FlowMod(
             command=FlowMod.ADD, table_id=TABLE_CLASSIFY, priority=10,
             match=FlowMatch(in_port=self.ran_port, tun_id=agw_teid),
-            actions=[act.PopGtpu(), act.SetRegister("direction", "uplink"),
-                     act.SetRegister("imsi", imsi), act.GotoTable(TABLE_POLICY)],
-            cookie=imsi))
+            actions=[_POP_GTPU, _UPLINK, tag, _TO_POLICY], cookie=imsi))
         # Table 0: downlink - traffic addressed to the UE from its egress.
-        self._apply(FlowMod(
+        apply(FlowMod(
             command=FlowMod.ADD, table_id=TABLE_CLASSIFY, priority=10,
             match=FlowMatch(in_port=egress, ip_dst=ue_ip),
-            actions=[act.SetRegister("direction", "downlink"),
-                     act.SetRegister("imsi", imsi), act.GotoTable(TABLE_POLICY)],
-            cookie=imsi))
+            actions=[_DOWNLINK, tag, _TO_POLICY], cookie=imsi))
         # Table 1: policy - QoS marking by QCI, metered, then egress.
-        policy_actions = [act.Meter(meter_id)]
+        policy_actions = [act.Meter(meter_id), _TO_EGRESS]
         dscp = QCI_TO_DSCP.get(qci, 0)
         if dscp:
-            policy_actions.append(act.SetDscp(dscp))
-        policy_actions.append(act.GotoTable(TABLE_EGRESS))
-        self._apply(FlowMod(
+            policy_actions.insert(1, act.SetDscp(dscp))
+        apply(FlowMod(
             command=FlowMod.ADD, table_id=TABLE_POLICY, priority=10,
             match=FlowMatch(registers={"imsi": imsi}),
             actions=policy_actions, cookie=imsi))
         # Table 2: uplink out the session's egress (SGi or GTP-A).
-        self._apply(FlowMod(
+        apply(FlowMod(
             command=FlowMod.ADD, table_id=TABLE_EGRESS, priority=10,
             match=FlowMatch(registers={"imsi": imsi, "direction": "uplink"}),
-            actions=[act.Output(egress)], cookie=imsi))
+            actions=[_OUTPUT[egress]], cookie=imsi))
         # Table 2 downlink rule is installed once the eNB tunnel is known.
         self._sessions[imsi] = flows
         self.stats["sessions_installed"] += 1
@@ -202,21 +205,22 @@ class Pipelined:
         flows.enb_node = enb_node
         downlink = FlowMatch(registers={"imsi": imsi,
                                         "direction": "downlink"})
+        apply = self.switch.apply if self._pending is None \
+            else self._pending.append
         if had_tunnel:
             # Drop the previous downlink egress rule (intra-AGW handover).
             # Fresh installs skip this: no rule exists to delete.  The
             # strict delete itself is one classifier-bucket probe, but a
             # DELETE inside a bundle forces a flush of the pending ADDs
             # (and counts as a flow op), so bulk restore stays all-ADD.
-            self._apply(FlowMod(command=FlowMod.DELETE,
-                                table_id=TABLE_EGRESS, priority=10,
-                                match=downlink))
-        self._apply(FlowMod(
+            apply(FlowMod(command=FlowMod.DELETE, table_id=TABLE_EGRESS,
+                          priority=10, match=downlink))
+        apply(FlowMod(
             command=FlowMod.ADD, table_id=TABLE_EGRESS, priority=10,
             match=downlink,
             actions=[act.PushGtpu(teid=enb_teid, tunnel_src=self.context.node,
                                   tunnel_dst=enb_node),
-                     act.Output(self.ran_port)],
+                     _OUTPUT[self.ran_port]],
             cookie=imsi))
 
     def remove_session(self, imsi: str) -> bool:
@@ -226,11 +230,12 @@ class Pipelined:
         span = self.context.tracer.child("pipelined.remove_session",
                                          component="pipelined",
                                          node=self.context.node)
+        apply = self.switch.apply if self._pending is None \
+            else self._pending.append
         for table_id in (TABLE_CLASSIFY, TABLE_POLICY, TABLE_EGRESS):
-            self._apply(FlowMod(command=FlowMod.DELETE_BY_COOKIE,
-                                table_id=table_id, cookie=imsi))
-        self._apply(MeterMod(command=MeterMod.DELETE,
-                             meter_id=flows.meter_id))
+            apply(FlowMod(command=FlowMod.DELETE_BY_COOKIE,
+                          table_id=table_id, cookie=imsi))
+        apply(MeterMod(command=MeterMod.DELETE, meter_id=flows.meter_id))
         self.stats["sessions_removed"] += 1
         span.end()
         return True
@@ -239,9 +244,10 @@ class Pipelined:
         """Reprogram the session's meter (throttling / un-throttling)."""
         flows = self._require(imsi)
         flows.rate_mbps = rate_mbps
-        self._apply(MeterMod(command=MeterMod.MODIFY,
-                             meter_id=flows.meter_id,
-                             rate_mbps=max(rate_mbps, 1e-6)))
+        apply = self.switch.apply if self._pending is None \
+            else self._pending.append
+        apply(MeterMod(command=MeterMod.MODIFY, meter_id=flows.meter_id,
+                       rate_mbps=max(rate_mbps, 1e-6)))
         self.stats["rate_changes"] += 1
 
     def has_session(self, imsi: str) -> bool:

@@ -102,7 +102,8 @@ class SoftwareSwitch:
     def apply(self, message: Any) -> Any:
         """Apply a control message (FlowMod/MeterMod/Bundle/Stats/Barrier)."""
         self.stats["control_msgs"] += 1
-        if isinstance(message, FlowMod):
+        # The exact class first: a session's rules are plain FlowMods.
+        if message.__class__ is FlowMod or isinstance(message, FlowMod):
             self.stats["flow_ops"] += 1
             return self._apply_flow_mod(message)
         if isinstance(message, MeterMod):
@@ -122,7 +123,11 @@ class SoftwareSwitch:
         return self.tables[table_id]
 
     def _apply_flow_mod(self, mod: FlowMod) -> Any:
-        table = self._table(mod.table_id)
+        # _table's body, inline: every session rule passes here.
+        tables = self.tables
+        if not 0 <= mod.table_id < len(tables):
+            raise PipelineError(f"no table {mod.table_id} on {self.name}")
+        table = tables[mod.table_id]
         if mod.command == FlowMod.ADD:
             match = mod.match or FlowMatch()
             return table.add(FlowRule(mod.priority, match, mod.actions, mod.cookie))

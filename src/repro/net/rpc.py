@@ -259,11 +259,12 @@ class RpcServer:
             self.stats["duplicates"] += 1
             return  # still processing an earlier copy; its reply will cover this
         key = (service, method)
-        handler = self._handlers.get(key)
-        if handler is None:
+        handlers = self._handlers
+        if key not in handlers:
             self._reply(reply_node, reply_port, request_id, "error",
                         RpcError(RpcError.NOT_FOUND, f"{service}/{method}"))
             return
+        handler = handlers[key]
         span_name, process_name = self._names[key]
         self.stats["requests"] += 1
         # Restore the caller's trace context for the duration of dispatch so
@@ -304,8 +305,11 @@ class RpcServer:
             else:
                 if span is not None:
                     span.end()
-                self._finish(reply_node, reply_port, request_id, expiry,
-                             "ok", result)
+                # _finish's body for a success, inline: the common reply.
+                self._response_cache[request_id] = ("ok", result)
+                self._expiries.append((expiry, request_id))
+                self.network.send(Datagram(self.node, reply_node, reply_port,
+                                           (request_id, "ok", result), 8_000))
         finally:
             sim.ctx = prev_ctx
 
@@ -358,7 +362,6 @@ class RpcChannel:
     """Client side of the RPC layer; one per (client node, server node) pair."""
 
     _port_alloc = itertools.count(40_000)
-    _request_ids = itertools.count(1)
 
     def __init__(self, sim: Simulator, network: Network, local: str,
                  peer: str):
@@ -367,6 +370,9 @@ class RpcChannel:
         self.local = local
         self.peer = peer
         self.port = next(RpcChannel._port_alloc)
+        # Request ids are ``(local, port, n)`` with ``n`` counted here: a
+        # port is never handed out twice, so ids are unique.
+        self._last_id = 0
         self._pending: Dict[Any, _PendingCall] = {}
         # (service, method) -> "rpc:<service>/<method>", the call's event
         # and span name: one string per method, not one per call.
@@ -384,7 +390,8 @@ class RpcChannel:
         fails with :class:`RpcError`."""
         self.stats["calls"] += 1
         sim = self.sim
-        request_id = (self.local, self.port, next(RpcChannel._request_ids))
+        self._last_id = n = self._last_id + 1
+        request_id = (self.local, self.port, n)
         names = self._names
         try:
             name = names[service, method]
@@ -407,9 +414,16 @@ class RpcChannel:
         if now < expiry:  # a zero deadline sends nothing
             self.network.send(Datagram(self.local, self.peer, RPC_PORT,
                                        payload, 8_000))
-        # Registered once armed: a negative deadline fails in the kernel
-        # and leaves no record without a timer behind.
-        self._arm(request_id, record, now, deadline)
+        # The call's one timer: the first retransmission if it lands
+        # before ``expiry``, else the deadline, which lands on ``expiry``
+        # itself since that was summed from it.  Registered once armed: a
+        # negative deadline fails in the kernel and leaves no record
+        # without a timer behind.
+        if now + RETRY_INTERVAL < expiry:
+            record.timer = sim.schedule(RETRY_INTERVAL, self._retry,
+                                        request_id, record)
+        else:
+            record.timer = sim.schedule(deadline, self._expire, request_id)
         self._pending[request_id] = record
         return done
 
@@ -426,33 +440,27 @@ class RpcChannel:
 
     # -- internals -----------------------------------------------------------------
 
-    def _arm(self, request_id: Any, record: _PendingCall, now: float,
-             to_expiry: float) -> None:
-        """Arm the call's one timer: the next retransmission if that
-        lands before ``expiry``, else the deadline, ``to_expiry`` seconds
-        from ``now``.
-
-        The retransmission is due at ``now + RETRY_INTERVAL`` exactly as
-        the kernel computes it, so it is armed only if it would find the
-        call still inside its deadline.  The deadline lands on ``expiry``
-        itself: at call time ``to_expiry`` is the deadline that ``expiry``
-        was summed from, and on a retransmission ``now`` lies within a
-        factor of two of ``expiry`` (it is at least one retry interval,
-        and one more reaches ``expiry``), so ``expiry - now`` is exact.
-        """
-        if now + RETRY_INTERVAL < record.expiry:
-            record.timer = self.sim.schedule(RETRY_INTERVAL, self._retry,
-                                             request_id, record)
-        else:
-            record.timer = self.sim.schedule(to_expiry, self._expire,
-                                             request_id)
-
     def _retry(self, request_id: Any, record: _PendingCall) -> None:
+        """Retransmit, then re-arm the call's one timer as ``call`` does.
+
+        The next retransmission is due at ``now + RETRY_INTERVAL`` exactly
+        as the kernel computes it, so it is armed only if it would find
+        the call still inside its deadline.  The deadline lands on
+        ``expiry`` itself: ``now`` lies within a factor of two of
+        ``expiry`` (it is at least one retry interval, and one more
+        reaches ``expiry``), so ``expiry - now`` is exact.
+        """
         self.stats["retries"] += 1
         self.network.send(Datagram(self.local, self.peer, RPC_PORT,
                                    record.payload, 8_000))
-        now = self.sim.now
-        self._arm(request_id, record, now, record.expiry - now)
+        sim = self.sim
+        now = sim.now
+        if now + RETRY_INTERVAL < record.expiry:
+            record.timer = sim.schedule(RETRY_INTERVAL, self._retry,
+                                        request_id, record)
+        else:
+            record.timer = sim.schedule(record.expiry - now, self._expire,
+                                        request_id)
 
     def _expire(self, request_id: Any) -> None:
         record = self._pending.pop(request_id)
@@ -462,9 +470,11 @@ class RpcChannel:
 
     def _handle(self, dgram: Datagram) -> None:
         request_id, status, value = dgram.payload
-        record = self._pending.pop(request_id, None)
-        if record is None:
-            return
+        pending = self._pending
+        if request_id not in pending:
+            return  # a late or duplicate reply
+        record = pending[request_id]
+        del pending[request_id]
         record.timer.cancel()
         if record.event.triggered:
             return

@@ -166,7 +166,7 @@ class Network:
         src = dgram.src
         dst = dgram.dst
         node_up = self._node_up
-        if not node_up.get(src, False):
+        if src not in node_up or not node_up[src]:
             stats["dropped_down"] += 1
             return
         if src == dst:
@@ -201,7 +201,9 @@ class Network:
             if bandwidth is not None:
                 now = self.sim.now
                 serialization = dgram.size_bits / (bandwidth * 1e6)
-                start = max(now + delay, state.busy_until)
+                start = now + delay
+                if start < state.busy_until:
+                    start = state.busy_until
                 state.busy_until = start + serialization
                 delay = (start + serialization) - now
         self.sim.call_later(delay, self._deliver, dgram)
@@ -212,8 +214,9 @@ class Network:
         if not self._node_up[dgram.dst]:
             self.stats["dropped_down"] += 1
             return
-        handler = self._handlers.get((dgram.dst, dgram.port))
-        if handler is None:
+        try:
+            handler = self._handlers[dgram.dst, dgram.port]
+        except KeyError:
             self.stats["dropped_no_handler"] += 1
             return
         self.stats["delivered"] += 1

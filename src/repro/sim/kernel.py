@@ -200,7 +200,21 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
-        self._trigger(True, value)
+        # _trigger's body, inline: every RPC reply and every process exit
+        # comes here.  ``ok`` is still True: only a trigger clears it.
+        if self.triggered:
+            raise SimulationError(f"event {self.name!r} already triggered")
+        self.triggered = True
+        self.value = value
+        watchers = self._watchers
+        if watchers is not None:
+            self._watchers = None
+            for fn in watchers:
+                fn(self)
+        callbacks = self._callbacks
+        self._callbacks = None
+        if callbacks:
+            self.sim._call_soon_each(callbacks, self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -298,12 +312,31 @@ class AnyOf(Event):
             self.succeed({ev: ev.value})
 
 
+class _Kick:
+    """A resume that is no event's trigger: a process's start, an
+    interrupt, or the error for a yielded non-event.  :meth:`Process._step`
+    takes it as it takes the event waited on, without the wait check."""
+
+    __slots__ = ("ok", "value")
+
+    def __init__(self, ok: bool, value: Any):
+        self.ok = ok
+        self.value = value
+
+
+_START = _Kick(True, None)
+
+
 class Process(Event):
     """A running simulated activity, driven by a generator.
 
     A process is itself an :class:`Event` that triggers when the generator
     returns (value = return value) or raises (failure).  This lets processes
     wait on each other by yielding the process object.
+
+    Every resume is one ``_step`` frame: the event waited on queues it
+    with itself when it triggers, and a start, an interrupt or a yielded
+    non-event queues it with a :class:`_Kick`.
     """
 
     __slots__ = ("generator", "_waiting_on", "ctx")
@@ -317,7 +350,7 @@ class Process(Event):
         # time (or an explicit override), restored around every generator
         # resume so causality survives arbitrary interleavings.
         self.ctx = sim.ctx if ctx is None else ctx
-        sim.call_later(0.0, self._step, generator.send, None)
+        sim.call_later(0.0, self._step, _START)
 
     @property
     def alive(self) -> bool:
@@ -335,16 +368,20 @@ class Process(Event):
         if target is not None and not target.triggered:
             # Detach: the old target may still fire but we will ignore it.
             try:
-                target._callbacks.remove(self._on_wait_done)
+                target._callbacks.remove(self._step)
             except ValueError:
                 pass
-        self.sim.call_later(0.0, self._step, self.generator.throw,
-                            Interrupted(cause))
+        self.sim.call_later(0.0, self._step, _Kick(False, Interrupted(cause)))
 
-    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
-        """Resume the generator with ``advance(arg)`` — its ``send`` or its
-        ``throw`` — and wait on the event it yields next."""
-        if self.triggered:
+    def _step(self, ev: Any) -> None:
+        """Resume the generator with ``ev``'s outcome — send its value or
+        throw its exception — and wait on the event it yields next.
+
+        ``ev`` is the event waited on, or a :class:`_Kick`.  Any other
+        event is stale (an interrupt detached the wait) and is ignored.
+        """
+        if self.triggered or (self._waiting_on is not ev
+                              and ev.__class__ is not _Kick):
             return
         self._waiting_on = None
         sim = self.sim
@@ -353,7 +390,14 @@ class Process(Event):
         prev, sim.ctx = sim.ctx, self.ctx
         try:
             try:
-                target = advance(arg)
+                if ev.ok:
+                    target = self.generator.send(ev.value)
+                else:
+                    exc = ev.value
+                    if not isinstance(exc, BaseException):
+                        exc = SimulationError(
+                            f"event failed with non-exception {exc!r}")
+                    target = self.generator.throw(exc)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -361,29 +405,22 @@ class Process(Event):
                 self.fail(exc)            # user code, an uncaught interrupt
                 return                    # included, fails the process event
             if not isinstance(target, Event):
-                sim.call_later(
-                    0.0, self._step, self.generator.throw,
-                    SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}"))
+                sim.call_later(0.0, self._step, _Kick(False, SimulationError(
+                    f"process {self.name!r} yielded non-event {target!r}")))
                 return
             self._waiting_on = target
-            target.add_callback(self._on_wait_done)
+            # add_callback's body, inline: ``_callbacks`` is None once the
+            # event has triggered.
+            callbacks = target._callbacks
+            if callbacks is None:
+                sim.call_later(0.0, self._step, target)
+            else:
+                callbacks.append(self._step)
         finally:
             # The generator may have activated a different span mid-resume;
             # re-pin it so the next resume sees it, then restore the caller's.
             self.ctx = sim.ctx
             sim.ctx = prev
-
-    def _on_wait_done(self, ev: Event) -> None:
-        if self._waiting_on is not ev:
-            return
-        if ev.ok:
-            self._step(self.generator.send, ev.value)
-        else:
-            exc = ev.value
-            if not isinstance(exc, BaseException):
-                exc = SimulationError(f"event failed with non-exception {exc!r}")
-            self._step(self.generator.throw, exc)
 
 
 class _Halt(Exception):
@@ -523,7 +560,26 @@ class Simulator:
         Returns a :class:`ScheduledCall` handle; ``handle.cancel()`` revokes
         the callback in O(1) without leaving a stale heap entry behind.
         """
-        entry = self._arm(delay, fn, args)
+        # _arm's body, inline: every RPC call and retransmission arms here.
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        when = self.now + delay
+        entry = _new_entry(ScheduledCall)
+        entry.sim = self
+        entry.when = when
+        entry.seq = seq
+        entry.fn = fn
+        entry.args = args
+        entry.ctx = self.ctx
+        self._live += 1
+        if delay < _FAR:
+            heapq.heappush(self._queue, (when, seq, entry))
+        else:
+            self._far.append(entry)
+            if when < self._far_min:
+                self._far_min = when
         for hook in self._hooks:
             entry = hook.scheduled(entry)
         return entry

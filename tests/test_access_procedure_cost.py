@@ -7,8 +7,10 @@ Two numbers are pinned per RAT: every call the procedure causes (UE,
 radio, RPC, kernel, core), and the calls made by access management and
 the three frontends, the code that translates and sequences it.
 
-Measured on CPython 3.11: 1,701 / 38 (LTE), 2,093 / 43 (5G) and
-808 / 14 (WiFi); the budgets leave about 5% for other interpreters.
+Measured on CPython 3.11: 839 / 35 (LTE), 1,046 / 40 (5G) and
+492 / 14 (WiFi); the budgets leave about 5% for other interpreters.  The
+totals were 990, 1,235 and 580 before an RPC round trip, a process
+wake-up and a session's flow program lost their pass-through calls.
 Before the frontends became translators onto one procedure set the
 procedure layer took 31, 37 and 6 calls - 5G and WiFi then ran no
 overload check, attach counter, latency sample or span.
@@ -32,7 +34,7 @@ PROCEDURE_FILES = ("mme.py", "s1ap_frontend.py", "ngap_frontend.py",
                    "radius_frontend.py")
 
 #: (all calls, procedure-layer calls) per RAT.
-BUDGET = {"lte": (1790, 40), "nr": (2200, 45), "wifi": (850, 15)}
+BUDGET = {"lte": (880, 40), "nr": (1098, 45), "wifi": (516, 15)}
 
 
 def counted(run):

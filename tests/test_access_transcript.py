@@ -11,7 +11,8 @@ frontend maps its protocol onto ``AccessManagement`` cannot move, add or
 drop a downlink message, or shift its timing, unnoticed.
 
 LTE and 5G downlinks are recorded where the UE receives them (NAS
-delivery and paging); WiFi ones where the AGW sends its RADIUS replies.
+delivery and paging); WiFi ones where the AGW puts its RADIUS replies on
+the network.
 The RAN-facing half (S1AP/NGAP requests each eNodeB and the gNB serve,
 and the AGW's non-trivial replies to them) is pinned per RAN node.
 """
@@ -19,6 +20,7 @@ and the AGW's non-trivial replies to them) is pinned per RAN node.
 from repro.deploy import build, subscriber_keys
 from repro.fiveg import Gnb, Ue5g
 from repro.net import backhaul
+from repro.net.rpc import RPC_PORT
 from repro.wifi.radius import AccessAccept
 
 UNKNOWN_WIFI_USER = "001010999999999"
@@ -75,9 +77,16 @@ def run_transcripts():
     wifi = {site.imsis[6]: "wifi", site.imsis[7]: "wifi-wrong-key",
             UNKNOWN_WIFI_USER: "wifi-unknown"}
     users_by_session = {}
-    send_reply = agw.server._reply
+    network = site.network
+    send = network.send
 
-    def reply_and_record(node, port, request_id, status, value):
+    def send_and_record(dgram):
+        # Every datagram the AGW sends to a port other than the RPC port
+        # is its RPC server's reply to a caller's channel.
+        if dgram.src != agw.node or dgram.port == RPC_PORT:
+            return send(dgram)
+        _request_id, _status, value = dgram.payload
+        node = dgram.dst
         if node in log and not isinstance(value, dict):
             log[node].append((_stamp(sim), type(value).__name__))
         elif node == ap.ap_id:
@@ -87,8 +96,8 @@ def run_transcripts():
                 users_by_session[value.session_id] = user
             log.setdefault(wifi[user], []).append(
                 (_stamp(sim), type(value).__name__))
-        return send_reply(node, port, request_id, status, value)
-    agw.server._reply = reply_and_record
+        return send(dgram)
+    network.send = send_and_record
 
     ue = lte["lte"]
     assert step(ue.attach()).success

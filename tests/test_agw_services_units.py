@@ -17,7 +17,8 @@ from repro.core.agw import (
 )
 from repro.core.policy import rate_limited
 from repro.net import Network
-from repro.sim import Simulator
+from repro.obs import Tracer
+from repro.sim import RngRegistry, Simulator
 
 
 def make_context(node="agw-t"):
@@ -241,6 +242,32 @@ def test_pipelined_invalid_egress_rejected():
     with pytest.raises(ValueError):
         pipelined.install_session("imsi1", "ip", 1, 10.0,
                                   egress_port="warp-drive")
+
+
+def test_a_bad_egress_port_leaves_an_installed_session_as_it_was():
+    context = make_context()
+    tracer = Tracer(context.sim, RngRegistry(1))
+    pipelined = Pipelined(context)
+
+    def state():
+        return ([t["rules"] for t in pipelined.datapath_stats()["tables"]],
+                sorted(pipelined.switch.meters),
+                pipelined.has_session("imsi1"), tracer.spans)
+
+    root = tracer.start_trace("procedure")
+    with root.active():
+        pipelined.install_session("imsi1", "10.128.0.5", 0x100, 20.0)
+        pipelined.set_enb_tunnel("imsi1", 0x200, "enb-x")
+        before = state()
+        with pytest.raises(ValueError):
+            pipelined.install_session("imsi1", "10.128.0.6", 0x101, 5.0,
+                                      egress_port="bogus")
+        assert state() == before
+    root.end()
+    assert before[:3] == ([2, 1, 2], [1], True)
+    assert [span.name for span in tracer.spans] == \
+        ["procedure", "pipelined.install_session"]
+    assert all(span.finished for span in tracer.spans)
 
 
 def test_pipelined_fluid_usage_recorded():

@@ -101,7 +101,6 @@ def test_owner_of_a_process_is_its_generators_module():
 
     process = sim.spawn(proc())
     assert owner_of(process._step) == HERE
-    assert owner_of(process._on_wait_done) == HERE
     ticker = PeriodicCall(sim, 1.0, churn, ())
     assert owner_of(ticker._fire) == HERE
     ticker.cancel()
