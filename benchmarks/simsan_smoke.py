@@ -44,7 +44,7 @@ from repro.core.agw import VIRTUAL_8VCPU, AgwConfig  # noqa: E402
 from repro.deploy import build, subscriber_keys  # noqa: E402
 from repro.fiveg import Ue5g  # noqa: E402
 from repro.obs.profiler import KERNEL, Profiler  # noqa: E402
-from repro.sim import SimSan  # noqa: E402
+from repro.sim.sansim import SimSan  # noqa: E402
 from repro.workloads.attach_storm import AttachStorm  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
     AgwFleetAdapter,

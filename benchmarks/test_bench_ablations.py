@@ -9,13 +9,11 @@
 
 import pytest
 
-from repro.experiments import (
-    run_double_spend,
-    run_fault_domain_ablation,
-    run_gtp_ablation,
-    run_headless_ablation,
-    run_state_sync,
-)
+from repro.experiments.ablation_double_spend import run_double_spend
+from repro.experiments.ablation_fault_domains import run_fault_domain_ablation
+from repro.experiments.ablation_gtp import run_gtp_ablation
+from repro.experiments.ablation_headless import run_headless_ablation
+from repro.experiments.ablation_state_sync import run_state_sync
 
 from conftest import run_once
 
@@ -94,7 +92,7 @@ def test_ablation_double_spend_bound(benchmark):
 
 @pytest.mark.benchmark(group="ablation-overload")
 def test_ablation_overload_protection(benchmark):
-    from repro.experiments import run_overload_ablation
+    from repro.experiments.ablation_overload import run_overload_ablation
     result = run_once(benchmark, run_overload_ablation)
     print()
     print(result.render())
@@ -112,7 +110,7 @@ def test_ablation_overload_protection(benchmark):
 
 @pytest.mark.benchmark(group="ablation-backhaul")
 def test_ablation_backhaul_sensitivity(benchmark):
-    from repro.experiments import run_backhaul_ablation
+    from repro.experiments.ablation_backhaul import run_backhaul_ablation
     result = run_once(benchmark, run_backhaul_ablation, 8)
     print()
     print(result.render())
@@ -133,7 +131,7 @@ def test_ablation_backhaul_sensitivity(benchmark):
 
 @pytest.mark.benchmark(group="ablation-idle")
 def test_ablation_idle_mode_signalling(benchmark):
-    from repro.experiments import run_idle_mode_ablation
+    from repro.experiments.ablation_idle_mode import run_idle_mode_ablation
     result = run_once(benchmark, run_idle_mode_ablation, 30, 30.0, 240.0)
     print()
     print(result.render())

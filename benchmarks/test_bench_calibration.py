@@ -7,7 +7,7 @@ with headroom) so the figure benches measure shape, not fitting.
 
 import pytest
 
-from repro.experiments import run_calibration
+from repro.experiments.calibration import run_calibration
 
 from conftest import run_once
 

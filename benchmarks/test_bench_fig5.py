@@ -8,7 +8,7 @@ AGW, is the bottleneck.
 
 import pytest
 
-from repro.experiments import Fig5Config, run_fig5
+from repro.experiments.fig5_cpu_util import Fig5Config, run_fig5
 
 from conftest import run_once
 

@@ -6,7 +6,7 @@ and falls roughly linearly beyond - the MME component is the limit.
 
 import pytest
 
-from repro.experiments import Fig6Config, run_fig6
+from repro.experiments.fig6_attach_rate import Fig6Config, run_fig6
 
 from conftest import run_once
 

@@ -8,7 +8,7 @@ both high throughput and high CSR.
 
 import pytest
 
-from repro.experiments import CupsConfig, run_cups
+from repro.experiments.cups import CupsConfig, run_cups
 
 from conftest import run_once
 

@@ -7,8 +7,8 @@ cycle and a growing subscriber base.
 
 import pytest
 
-from repro.experiments import run_fig9
-from repro.workloads import DiurnalConfig
+from repro.experiments.fig9_accessparks import run_fig9
+from repro.workloads.diurnal import DiurnalConfig
 
 from conftest import run_once
 

@@ -7,8 +7,7 @@ check-in) because runtime state stays in the AGWs.
 
 import pytest
 
-from repro.experiments import run_scaling
-from repro.experiments.scaling import FREEDOMFI_AGWS
+from repro.experiments.scaling import FREEDOMFI_AGWS, run_scaling
 
 from conftest import run_once
 

@@ -7,7 +7,7 @@ by the 93% reduction in LTE engineering (operational complexity).
 
 import pytest
 
-from repro.experiments import run_table2, run_table3
+from repro.experiments.tables import run_table2, run_table3
 
 from conftest import run_once
 

@@ -23,8 +23,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.deploy import build
-from repro.wifi import CaptivePortal
-from repro.workloads import TrafficEngine
+from repro.wifi.captive_portal import CaptivePortal
+from repro.workloads.traffic import TrafficEngine
 
 NUM_SITES = 2
 APS_PER_SITE = 3

@@ -23,7 +23,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import deploy
-from repro.core.agw import AccessGateway, fail_back, promote_backup
+from repro.core.agw import AccessGateway
+from repro.core.agw.failover import fail_back, promote_backup
 from repro.net import backhaul
 
 

@@ -27,7 +27,7 @@ from repro.fiveg import Gnb, Ue5g
 from repro.lte import Enodeb, Ue, auth, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-from repro.workloads import IotWorkload
+from repro.workloads.iot import IotWorkload
 
 NUM_AGVS = 4
 NUM_SENSORS = 10

@@ -24,17 +24,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.agw import AccessGateway, AgwConfig, SubscriberProfile
-from repro.core.federation import (
-    DeploymentMode,
-    FederationGateway,
-    GtpAggregator,
-    PartnerMnoCore,
-)
+from repro.core.federation import DeploymentMode, FederationGateway
+from repro.core.federation.gtp_aggregator import GtpAggregator
+from repro.core.federation.mno_core import PartnerMnoCore
 from repro.core.policy import rate_limited
 from repro.lte import Enodeb, Ue, auth, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-from repro.workloads import TrafficEngine
+from repro.workloads.traffic import TrafficEngine
 
 NUM_MICRO_SITES = 3
 ROAMERS_PER_SITE = 2

@@ -21,7 +21,7 @@ from repro.core.policy import rate_limited
 from repro.lte import Enodeb, Ue, auth, make_imsi
 from repro.net import Network, backhaul
 from repro.sim import RngRegistry, Simulator
-from repro.workloads import TrafficEngine
+from repro.workloads.traffic import TrafficEngine
 
 
 def main():

@@ -22,9 +22,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.agw import AgwConfig, SubscriberProfile
-from repro.core.policy import MB, OnlineChargingSystem, capped, prepaid
+from repro.core.policy import MB, capped, prepaid
+from repro.core.policy.ocs import OnlineChargingSystem
 from repro.deploy import build, subscriber_keys
-from repro.workloads import TrafficEngine
+from repro.workloads.traffic import TrafficEngine
 
 NUM_SITES = 3
 SUBSCRIBERS_PER_SITE = 4

@@ -1,10 +1,3 @@
-"""Baseline architectures Magma is compared against."""
-
-from .crud_sync import CrudReplica, CrudSynchronizer
-from .epc import MonolithicEpc
-
-__all__ = [
-    "CrudReplica",
-    "CrudSynchronizer",
-    "MonolithicEpc",
-]
+"""Baseline architectures Magma is compared against: the monolithic EPC
+(:mod:`repro.baseline.epc`) and CRUD replication
+(:mod:`repro.baseline.crud_sync`)."""

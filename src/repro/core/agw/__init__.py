@@ -13,7 +13,6 @@ from .context import (
 )
 from .directoryd import Directoryd, LocationRecord
 from .enodebd import Enodebd, RanDevice
-from .failover import FailoverError, fail_back, promote_backup
 from .gateway import AccessGateway
 from .health import HealthCheck, HealthService
 from .magmad import CheckpointStore, Magmad
@@ -46,9 +45,6 @@ __all__ = [
     "CPU_CLASS_USER",
     "Directoryd",
     "Enodebd",
-    "FailoverError",
-    "fail_back",
-    "promote_backup",
     "HealthCheck",
     "HealthService",
     "IpPoolExhausted",

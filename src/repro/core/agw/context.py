@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ...net.simnet import Network
-from ...obs.tracing import tracer_of
 from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
@@ -119,8 +118,3 @@ class AgwContext:
         self.cpu = CpuModel(sim, cores=hardware.cores,
                             partition=self.config.cpu_partition, name=node)
         network.add_node(node)
-
-    @property
-    def tracer(self):
-        """The installed :class:`repro.obs.tracing.Tracer`, or a no-op."""
-        return tracer_of(self.sim)

@@ -20,6 +20,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from ...net.rpc import RpcChannel, RpcError, payload_bytes
+from ...obs.tracing import NOOP_SPAN
 from ...sim.kernel import Interrupted, Process
 from ..sync import DigestMirror, ReconcileClient
 from .context import RPC_DEADLINE, AgwContext
@@ -129,9 +130,10 @@ class Magmad:
         }
 
     def checkpoint_now(self) -> Dict[str, Any]:
-        with self.context.tracer.begin("magmad.checkpoint",
-                                       component="magmad",
-                                       node=self.context.node):
+        tracer = self.context.sim.tracer
+        with NOOP_SPAN if tracer is None else tracer.begin(
+                "magmad.checkpoint", component="magmad",
+                node=self.context.node):
             snapshot = self.snapshot()
             if self.checkpoint_store is not None:
                 self.checkpoint_store.save(self.context.node, snapshot)
@@ -164,9 +166,9 @@ class Magmad:
             "status": self.gateway.status_summary(),
             "metrics_backlog": backlog,
         }
-        span = self.context.tracer.begin("magmad.checkin",
-                                         component="magmad",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.begin(
+            "magmad.checkin", component="magmad", node=self.context.node)
         self._record_wire(tx=payload_bytes(request))
         try:
             with span.active():

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...net.rpc import RpcError
+from ...obs.tracing import NOOP_SPAN
 from ...sim.kernel import Event
 from ..federation.feg import FEG_SERVICE
 from ..policy.rules import PolicyRule
@@ -291,9 +292,10 @@ class AccessManagement:
         pager = getattr(ue.frontend, "page", None)
         if pager is None:
             return False
-        span = self.context.tracer.begin("paging", component="mme",
-                                         node=self.context.node,
-                                         tags={"imsi": imsi})
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.begin(
+            "paging", component="mme", node=self.context.node,
+            tags={"imsi": imsi})
         with span.active():
             pager(record.location, imsi)
         span.end()
@@ -312,8 +314,9 @@ class AccessManagement:
         if ue is None:
             self._forget(imsi, reason)
             return
-        with self.context.tracer.child("mme.detach", component="mme",
-                                       node=self.context.node):
+        tracer = self.context.sim.tracer
+        with NOOP_SPAN if tracer is None else tracer.child(
+                "mme.detach", component="mme", node=self.context.node):
             self._forget(imsi, reason)
             ue.frontend.release(ue, reason, answer)
             self._drop(ue)
@@ -430,8 +433,9 @@ class AccessManagement:
                     ue: Optional[AccessContext], proof: bytes):
         """Stages 1-3 at once: the proof must be HMAC(wifi_secret, nonce).
         The RPC server runs it, so it opens its own span."""
-        with self.context.tracer.child("mme.attach_stage2", component="mme",
-                                       node=self.context.node):
+        tracer = self.context.sim.tracer
+        with NOOP_SPAN if tracer is None else tracer.child(
+                "mme.attach_stage2", component="mme", node=self.context.node):
             if ue is None:
                 return frontend.reject(
                     AccessContext(0, imsi, frontend, ue_ref),
@@ -497,9 +501,11 @@ class AccessManagement:
     # -- helpers ------------------------------------------------------------------------
 
     def _spawn(self, span_name: str, stage, name: str) -> None:
-        span = self.context.tracer.child(span_name, component="mme",
-                                         node=self.context.node)
-        proc = self.context.sim.spawn(stage, name=name, ctx=span.context)
+        sim = self.context.sim
+        tracer = sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.child(
+            span_name, component="mme", node=self.context.node)
+        proc = sim.spawn(stage, name=name, ctx=span.context)
         if span.recording:
             span.end_on(proc)
 

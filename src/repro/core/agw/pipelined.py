@@ -28,6 +28,7 @@ from ...dataplane.matcher import FlowMatch
 from ...dataplane.openflow import FlowBundle, FlowMod, MeterMod, StatsRequest
 from ...dataplane.packet import ip_packet
 from ...dataplane.switch import SoftwareSwitch
+from ...obs.tracing import NOOP_SPAN
 from ..policy.enforcer import UNLIMITED_MBPS
 from .context import AgwContext
 
@@ -152,9 +153,10 @@ class Pipelined:
             self.remove_session(imsi)
         # No tags dict here: this is the session hot path, the span must
         # stay allocation-light.
-        span = self.context.tracer.child("pipelined.install_session",
-                                         component="pipelined",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.child(
+            "pipelined.install_session", component="pipelined",
+            node=self.context.node)
         rate = rate_mbps if rate_mbps is not None else UNLIMITED_MBPS
         meter_id = next(self._meter_ids)
         # Inside a batch the mods queue for its bundle.
@@ -227,9 +229,10 @@ class Pipelined:
         flows = self._sessions.pop(imsi, None)
         if flows is None:
             return False
-        span = self.context.tracer.child("pipelined.remove_session",
-                                         component="pipelined",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.child(
+            "pipelined.remove_session", component="pipelined",
+            node=self.context.node)
         apply = self.switch.apply if self._pending is None \
             else self._pending.append
         for table_id in (TABLE_CLASSIFY, TABLE_POLICY, TABLE_EGRESS):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ...lte.identifiers import TeidAllocator
+from ...obs.tracing import NOOP_SPAN
 from ...sim.kernel import Event
 from ..federation.modes import user_plane_egress
 from ..policy.accounting import AccountingLog, ChargingDataRecord
@@ -150,9 +151,10 @@ class Sessiond:
 
     def create_session(self, imsi: str):
         """Generator: establish a session; raises SessionError on failure."""
-        span = self.context.tracer.child("sessiond.create_session",
-                                         component="sessiond",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.child(
+            "sessiond.create_session", component="sessiond",
+            node=self.context.node)
         status = "error"
         try:
             with span.active():
@@ -219,10 +221,10 @@ class Sessiond:
             return False
         record.state = SessionState.TERMINATED
         sim = self.context.sim
-        with self.context.tracer.child("sessiond.terminate_session",
-                                       component="sessiond",
-                                       node=self.context.node,
-                                       tags={"reason": reason}):
+        tracer = sim.tracer
+        with NOOP_SPAN if tracer is None else tracer.child(
+                "sessiond.terminate_session", component="sessiond",
+                node=self.context.node, tags={"reason": reason}):
             enforcement = record.enforcement
             if (enforcement is not None and self.ocs_client is not None
                     and enforcement.quota_grant_id is not None):
@@ -395,9 +397,10 @@ class Sessiond:
 
     def checkpoint(self) -> List[Dict[str, Any]]:
         """Serializable snapshot of all session runtime state."""
-        span = self.context.tracer.begin("sessiond.checkpoint",
-                                         component="sessiond",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.begin(
+            "sessiond.checkpoint", component="sessiond",
+            node=self.context.node)
         snapshot = []
         for record in self._sessions.values():
             enforcement = record.enforcement
@@ -438,9 +441,9 @@ class Sessiond:
         mobilityd is rebuilt with a single bulk call after the loop.
         """
         restored = 0
-        span = self.context.tracer.begin("sessiond.restore",
-                                         component="sessiond",
-                                         node=self.context.node)
+        tracer = self.context.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.begin(
+            "sessiond.restore", component="sessiond", node=self.context.node)
         with span.active(), self.pipelined.batch():
             for entry in snapshot:
                 imsi = entry["imsi"]

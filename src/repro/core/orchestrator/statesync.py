@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...net.rpc import payload_bytes
-from ...obs.tracing import tracer_of
+from ...obs.tracing import NOOP_SPAN
 from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
 from ..sync import DigestIndex, ReconcileServer
@@ -140,9 +140,10 @@ class StateSync:
         if self.convergence is not None:
             self.convergence.note_applied(state.network_id, gateway_id,
                                           state.config_version)
-        span = tracer_of(self.sim).child("statesync.checkin",
-                                         component="statesync",
-                                         tags={"gateway_id": gateway_id})
+        tracer = self.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.child(
+            "statesync.checkin", component="statesync",
+            tags={"gateway_id": gateway_id})
         response: Dict[str, Any] = {"config_version": self.store.version}
         backlog = request.get("metrics_backlog")
         if backlog is not None:

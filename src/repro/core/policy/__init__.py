@@ -2,13 +2,6 @@
 
 from .accounting import AccountingLog, ChargingDataRecord
 from .enforcer import EnforcementDecision, EnforcementState, UNLIMITED_MBPS
-from .ocs import (
-    Account,
-    DEFAULT_QUOTA_BYTES,
-    OcsError,
-    OnlineChargingSystem,
-    QuotaGrant,
-)
 from .rules import (
     ChargingMode,
     GB,
@@ -21,19 +14,14 @@ from .rules import (
 )
 
 __all__ = [
-    "Account",
     "AccountingLog",
     "ChargingDataRecord",
     "ChargingMode",
-    "DEFAULT_QUOTA_BYTES",
     "EnforcementDecision",
     "EnforcementState",
     "GB",
     "MB",
-    "OcsError",
-    "OnlineChargingSystem",
     "PolicyRule",
-    "QuotaGrant",
     "UNLIMITED_MBPS",
     "capped",
     "prepaid",

@@ -38,6 +38,9 @@ from .wifi import WifiAp
 
 OPERATOR_OP = b"repro-operator-op"
 
+#: The radio access technologies :func:`build` adds beside LTE.
+RATS = ("5g", "wifi")
+
 
 def subscriber_keys(index: int) -> Tuple[bytes, bytes]:
     """Deterministic per-subscriber K/OPc (test-network credentials)."""
@@ -116,6 +119,12 @@ def build(num_enbs: int = 1, num_ues: int = 1, *,
     """
     if num_shards > 1 and backhaul is None:
         raise ValueError("num_shards needs a backhaul to an orchestrator")
+    if num_agws < 1:
+        raise ValueError(f"num_agws must be at least 1, not {num_agws}")
+    unknown = [rat for rat in rats if rat not in RATS]
+    if unknown:
+        raise ValueError(f"unknown RAT(s) {unknown}; rats may name "
+                         f"{', '.join(map(repr, RATS))}")
     sim = Simulator(sanitizer=sanitizer)
     rng = RngRegistry(seed)
     if sanitizer is not None:

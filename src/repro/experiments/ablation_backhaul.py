@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..baseline import MonolithicEpc
+from ..baseline.epc import MonolithicEpc
 from ..deploy import build
 from ..lte import Enodeb
 from ..lte.gtp import GtpcEndpoint

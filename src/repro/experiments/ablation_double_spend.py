@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.policy import OnlineChargingSystem
+from ..core.policy.ocs import OnlineChargingSystem
 from .common import format_table
 
 

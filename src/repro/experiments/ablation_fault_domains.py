@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..baseline import MonolithicEpc
+from ..baseline.epc import MonolithicEpc
 from ..core.agw import AccessGateway, SubscriberProfile
 from ..deploy import build, subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..baseline import MonolithicEpc
+from ..baseline.epc import MonolithicEpc
 from ..deploy import build
 from ..lte import Enodeb, UeConfig, UeState
 from ..lte.gtp import GtpcEndpoint

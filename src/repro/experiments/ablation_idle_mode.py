@@ -17,7 +17,7 @@ from typing import List
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import IotWorkload
+from ..workloads.iot import IotWorkload
 from .common import format_table
 
 

@@ -20,7 +20,7 @@ from typing import List, Tuple
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import AttachStorm
+from ..workloads.attach_storm import AttachStorm
 from .common import format_table
 
 

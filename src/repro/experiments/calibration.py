@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..core.agw import AgwConfig, BARE_METAL, VIRTUAL_4VCPU
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import AttachStorm
+from ..workloads.attach_storm import AttachStorm
 from .common import format_table
 
 
@@ -64,7 +64,7 @@ def measured_attach_capacity(hardware, background_mbps: float = 0.0,
                              offered_mbps_after_attach=background_mbps)
         warmup.start()
         site.sim.run_until_triggered(warmup.done, limit=site.sim.now + 600)
-        from ..workloads import TrafficEngine
+        from ..workloads.traffic import TrafficEngine
         engine = TrafficEngine(site.sim, site.agw, site.enbs,
                                record_usage=False)
         engine.start()

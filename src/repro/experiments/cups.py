@@ -24,7 +24,8 @@ from typing import List, Optional
 from ..core.agw import AgwConfig, virtual_profile
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import AttachStorm, TrafficEngine
+from ..workloads.attach_storm import AttachStorm
+from ..workloads.traffic import TrafficEngine
 from .common import format_table
 
 TRAFFIC_GENERATOR_CAP_MBPS = 2_500.0

@@ -16,7 +16,8 @@ from typing import List, Tuple
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import AttachStorm, TrafficEngine
+from ..workloads.attach_storm import AttachStorm
+from ..workloads.traffic import TrafficEngine
 from .common import format_table
 
 PER_UE_MBPS = 1.5   # each UE's HTTP stream

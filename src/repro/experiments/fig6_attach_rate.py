@@ -15,7 +15,8 @@ from typing import List, Tuple
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
-from ..workloads import AttachStorm, TrafficEngine
+from ..workloads.attach_storm import AttachStorm
+from ..workloads.traffic import TrafficEngine
 from .common import format_table
 
 DEFAULT_RATES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)

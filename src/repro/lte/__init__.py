@@ -1,6 +1,6 @@
 """LTE substrate: UEs, eNodeBs, NAS/S1AP, EPS-AKA, GTP-C, radio capacity."""
 
-from . import auth, gtp, nas, s1ap
+from . import auth, nas, s1ap
 from .enodeb import ENB_S1AP_SERVICE, Enodeb
 from .identifiers import EcgI, Tai, TeidAllocator, TEST_PLMN, make_imsi
 from .radio import CellCapacityError, CellConfig, CellModel
@@ -24,7 +24,6 @@ __all__ = [
     "UeConfig",
     "UeState",
     "auth",
-    "gtp",
     "make_imsi",
     "nas",
     "s1ap",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net.rpc import RpcError
-from ..obs.tracing import tracer_of
+from ..obs.tracing import NOOP_SPAN
 from ..sim.kernel import Event, Simulator
 from . import auth, nas
 from .radio import CellCapacityError
@@ -92,8 +92,11 @@ class UeBase:
         """Open a procedure's span - a child of the ambient trace when
         there is one (a paging-triggered service request), else a new
         trace - closed by ``result``."""
-        span = tracer_of(self.sim).begin(name, component="ue",
-                                         tags={"imsi": self.imsi, **tags})
+        tracer = self.sim.tracer
+        if tracer is None:
+            return NOOP_SPAN
+        span = tracer.begin(name, component="ue",
+                            tags={"imsi": self.imsi, **tags})
         if span.recording:
             span.end_on(result, ok=_succeeded)
         return span
@@ -236,8 +239,9 @@ class Ue(UeBase):
         and can be paged."""
         if self.state != UeState.REGISTERED:
             return
-        with tracer_of(self.sim).begin("go_idle", component="ue",
-                                       tags={"imsi": self.imsi}):
+        tracer = self.sim.tracer
+        with NOOP_SPAN if tracer is None else tracer.begin(
+                "go_idle", component="ue", tags={"imsi": self.imsi}):
             self.enb.release_to_idle(self)
             self.state = UeState.IDLE
 

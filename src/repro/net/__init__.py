@@ -3,11 +3,9 @@
 from . import backhaul
 from .rpc import RpcChannel, RpcError, RpcServer, RPC_PORT
 from .simnet import Datagram, Link, Network
-from .transport import DatagramSocket
 
 __all__ = [
     "Datagram",
-    "DatagramSocket",
     "Link",
     "Network",
     "RpcChannel",

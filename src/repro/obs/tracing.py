@@ -12,8 +12,8 @@ a single attach trace nests UE -> eNodeB -> MME -> sessiond -> pipelined
 without any of those components passing trace arguments around.
 
 Cost model: with no tracer installed (``sim.tracer is None``) instrumented
-code does one attribute read and a no-op method call per span site; with a
-tracer installed but ``sample_rate=0`` every root span is the shared
+code reads ``sim.tracer`` and takes :data:`NOOP_SPAN` without a call; with
+a tracer installed but ``sample_rate=0`` every root span is the shared
 :data:`NOOP_SPAN` and no child spans are created downstream.  A recorded
 span is kept as one ten-slot row of the tracer's flat row store: no
 object, and no tags dict of its own until it is tagged (an RPC client
@@ -371,34 +371,3 @@ class Tracer:
             row[_TAGS] = _NO_TAGS if tags is None else MappingProxyType(tags)
             records.append(_new_tuple(SpanRecord, row))
         return records
-
-
-class NoopTracer:
-    """Stands in when no tracer is installed; every span is NOOP_SPAN."""
-
-    __slots__ = ()
-
-    recording = False
-    sample_rate = 0.0
-    spans: List[SpanRecord] = []
-
-    def start_trace(self, name: str, component: str = "", node: str = "",
-                    tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
-        return NOOP_SPAN
-
-    def child(self, name: str, component: str = "", node: str = "",
-              tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
-        return NOOP_SPAN
-
-    def begin(self, name: str, component: str = "", node: str = "",
-              tags: Optional[Dict[str, Any]] = None) -> NoopSpan:
-        return NOOP_SPAN
-
-
-NOOP_TRACER = NoopTracer()
-
-
-def tracer_of(sim: Any):
-    """The simulation's tracer, or the shared no-op when none installed."""
-    tracer = getattr(sim, "tracer", None)
-    return tracer if tracer is not None else NOOP_TRACER

@@ -13,8 +13,10 @@ Public surface:
 - :class:`~repro.sim.cpu.CpuModel` for the calibrated AGW CPU model.
 - :class:`~repro.sim.monitor.Monitor` for experiment time series.
 - :class:`~repro.sim.rng.RngRegistry` for reproducible randomness.
-- :class:`~repro.sim.sansim.SimSan` for the opt-in runtime sanitizer
-  (``Simulator(sanitizer=SimSan())``), a hook.
+
+The opt-in runtime sanitizer, :class:`~repro.sim.sansim.SimSan`
+(``Simulator(sanitizer=SimSan())``), is a hook too; import it from
+:mod:`repro.sim.sansim`, since a plain run does not load it.
 """
 
 from .kernel import (
@@ -32,7 +34,6 @@ from .kernel import (
 from .cpu import CpuModel
 from .monitor import Monitor, Series, median, percentile
 from .rng import RngRegistry
-from .sansim import SimSan
 
 __all__ = [
     "AnyOf",
@@ -46,7 +47,6 @@ __all__ = [
     "RngRegistry",
     "ScheduledCall",
     "Series",
-    "SimSan",
     "SimulationError",
     "Simulator",
     "Timeout",

@@ -2,7 +2,6 @@
 
 from . import eap
 from .ap import AP_CAPACITY_MBPS, WifiAp, WifiClientState
-from .captive_portal import CaptivePortal, PortalError, PortalSession, Voucher
 from .radius import (
     AccessAccept,
     AccessReject,
@@ -19,12 +18,8 @@ __all__ = [
     "AccessRequest",
     "AccountingRequest",
     "AccountingResponse",
-    "CaptivePortal",
     "eap",
-    "PortalError",
-    "PortalSession",
     "RADIUS_SERVICE",
-    "Voucher",
     "WifiAp",
     "WifiClientState",
 ]

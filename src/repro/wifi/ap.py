@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from ..net.rpc import RpcChannel, RpcError
 from ..net.simnet import Network
-from ..obs.tracing import tracer_of
+from ..obs.tracing import NOOP_SPAN
 from ..sim.fairshare import max_min_share
 from ..sim.kernel import Event, Simulator
 from .radius import (
@@ -113,8 +113,9 @@ class WifiAp:
                 self.stats["auth_ok"] += 1
             done.succeed(state)
 
-        span = tracer_of(self.sim).begin("eap", component="ap",
-                                         tags={"imsi": username})
+        tracer = self.sim.tracer
+        span = NOOP_SPAN if tracer is None else tracer.begin(
+            "eap", component="ap", tags={"imsi": username})
         if span.recording:
             span.end_on(done, ok=lambda ev: ev.value.connected)
         self.sim.spawn(proc(self.sim), name=f"wifi-auth:{username}",

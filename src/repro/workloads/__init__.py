@@ -1,29 +1,5 @@
-"""Workload generators: attach storms, fleets, traffic, IoT, diurnal usage."""
+"""Workload generators: attach storms, fleets, traffic, IoT, diurnal usage.
 
-from .attach_storm import AttachRecord, AttachStorm
-from .fleet import AgwFleetAdapter, CohortSpec, UeFleet, binomial
-from .diurnal import (
-    DiurnalConfig,
-    HourSample,
-    diurnal_factor,
-    generate_trace,
-    summarize,
-)
-from .iot import IotWorkload
-from .traffic import TrafficEngine
-
-__all__ = [
-    "AgwFleetAdapter",
-    "AttachRecord",
-    "AttachStorm",
-    "CohortSpec",
-    "DiurnalConfig",
-    "HourSample",
-    "IotWorkload",
-    "TrafficEngine",
-    "UeFleet",
-    "binomial",
-    "diurnal_factor",
-    "generate_trace",
-    "summarize",
-]
+Import each generator from its own module (``from
+repro.workloads.fleet import UeFleet``).
+"""

@@ -9,7 +9,8 @@ on LTE, 5G and WiFi alike.
 from repro.deploy import build, subscriber_keys
 from repro.fiveg import Ue5g, nas5g
 from repro.net import RpcChannel
-from repro.obs import Tracer, build_traces
+from repro.obs import Tracer
+from repro.obs.analysis import build_traces
 from repro.wifi import eap
 from repro.wifi.radius import (
     AccessReject,

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.policy import (
-    MB,
-    OnlineChargingSystem,
-    capped,
-    prepaid,
-    rate_limited,
-)
+from repro.core.policy import MB, capped, prepaid, rate_limited
+from repro.core.policy.ocs import OnlineChargingSystem
 from repro.core.agw import SessionState
 from repro.deploy import build
 

@@ -1,6 +1,6 @@
 """Baseline monolithic EPC: attach over backhaul, GTP fragility, fault domain."""
 
-from repro.baseline import MonolithicEpc
+from repro.baseline.epc import MonolithicEpc
 from repro.core.agw import SubscriberProfile
 from repro.deploy import build, subscriber_keys
 from repro.lte import Enodeb, Ue, UeConfig, UeState, make_imsi, nas

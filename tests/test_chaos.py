@@ -9,7 +9,7 @@ can eventually attach) and the simulation itself must never wedge.
 from repro.core.agw import AgwConfig
 from repro.deploy import build
 from repro.lte import UeState, nas
-from repro.workloads import AttachStorm
+from repro.workloads.attach_storm import AttachStorm
 
 
 def consistent(site):

@@ -15,7 +15,7 @@ from repro.core.agw import AgwConfig, BARE_METAL, virtual_profile
 from repro.deploy import build
 from repro.lte import CellConfig
 from repro.obs.health import CPU_UTIL_CEILING
-from repro.workloads import TrafficEngine
+from repro.workloads.traffic import TrafficEngine
 
 GATEWAY = {"gateway_id": "agw-1"}
 

@@ -141,3 +141,13 @@ def test_run_until_synced_waits_for_every_agw():
 def test_shards_need_a_backhaul():
     with pytest.raises(ValueError, match="num_shards needs a backhaul"):
         build(num_agws=2, num_shards=2)
+
+
+def test_an_unknown_rat_is_refused_with_the_allowed_names():
+    with pytest.raises(ValueError, match="'5G', 'WiFi'.*'5g', 'wifi'"):
+        build(1, 2, rats=("5G", "WiFi"))
+
+
+def test_a_deployment_needs_an_agw():
+    with pytest.raises(ValueError, match="num_agws must be at least 1"):
+        build(1, 1, num_agws=0)

@@ -6,25 +6,21 @@ unit-test coverage and catch regressions fast.
 
 import pytest
 
-from repro.experiments import (
-    CupsConfig,
-    Fig5Config,
-    Fig6Config,
-    run_cups_point,
-    run_double_spend,
-    run_fault_domain_ablation,
-    run_fig5,
-    run_fig6_point,
-    run_fig9,
-    run_gtp_ablation,
-    run_headless_ablation,
-    run_scaling_point,
+from repro.experiments.ablation_double_spend import run_double_spend
+from repro.experiments.ablation_fault_domains import run_fault_domain_ablation
+from repro.experiments.ablation_gtp import run_gtp_ablation
+from repro.experiments.ablation_headless import run_headless_ablation
+from repro.experiments.ablation_state_sync import (
     run_state_sync,
-    run_table2,
-    run_table3,
+    run_state_sync_point,
 )
-from repro.experiments.ablation_state_sync import run_state_sync_point
-from repro.workloads import DiurnalConfig
+from repro.experiments.cups import CupsConfig, run_cups_point
+from repro.experiments.fig5_cpu_util import Fig5Config, run_fig5
+from repro.experiments.fig6_attach_rate import Fig6Config, run_fig6_point
+from repro.experiments.fig9_accessparks import run_fig9
+from repro.experiments.scaling import run_scaling_point
+from repro.experiments.tables import run_table2, run_table3
+from repro.workloads.diurnal import DiurnalConfig
 
 
 def test_fig5_small():

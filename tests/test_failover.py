@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.agw import (
-    AccessGateway,
-    FailoverError,
-    fail_back,
-    promote_backup,
-)
+from repro.core.agw import AccessGateway
+from repro.core.agw.failover import FailoverError, fail_back, promote_backup
 from repro.deploy import build
 
 

@@ -6,12 +6,13 @@ from repro.core.agw import AgwConfig, SubscriberProfile
 from repro.core.federation import (
     DeploymentMode,
     FederationGateway,
-    GtpAggregator,
-    PartnerMnoCore,
     user_plane_egress,
     validate_mode,
 )
-from repro.core.policy import OnlineChargingSystem, rate_limited
+from repro.core.federation.gtp_aggregator import GtpAggregator
+from repro.core.federation.mno_core import PartnerMnoCore
+from repro.core.policy import rate_limited
+from repro.core.policy.ocs import OnlineChargingSystem
 from repro.deploy import subscriber_keys
 from repro.lte import Enodeb, Ue, make_imsi
 from repro.net import Network, backhaul

@@ -22,7 +22,8 @@ def test_handover_target_agw_unreachable_fails_cleanly():
 
 
 def test_failover_without_store_raises():
-    from repro.core.agw import AccessGateway, FailoverError, promote_backup
+    from repro.core.agw import AccessGateway
+    from repro.core.agw.failover import FailoverError, promote_backup
     site = build(num_ues=1)
     backup = AccessGateway(site.sim, site.network, "agw-nostore",
                            rng=site.rng.fork("nostore"))
@@ -31,8 +32,8 @@ def test_failover_without_store_raises():
 
 
 def test_fig9_hourly_series_shape():
-    from repro.experiments import run_fig9
-    from repro.workloads import DiurnalConfig
+    from repro.experiments.fig9_accessparks import run_fig9
+    from repro.workloads.diurnal import DiurnalConfig
     result = run_fig9(DiurnalConfig(days=2), seed=5)
     series = [(s.hour_index, s.active_subscribers, s.throughput_mbps)
               for s in result.samples]

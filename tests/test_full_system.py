@@ -10,10 +10,11 @@ invariants checked at each stage.
 import pytest
 
 from repro.core.agw import AgwConfig, SubscriberProfile, magmad
-from repro.core.policy import MB, OnlineChargingSystem, capped, prepaid
+from repro.core.policy import MB, capped, prepaid
+from repro.core.policy.ocs import OnlineChargingSystem
 from repro.deploy import build
 from repro.lte import UeState
-from repro.workloads import TrafficEngine
+from repro.workloads.traffic import TrafficEngine
 
 
 def test_day_in_the_life(monkeypatch):

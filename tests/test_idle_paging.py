@@ -106,7 +106,7 @@ def test_usage_counters_survive_idle_cycle():
 
 
 def test_traffic_stops_while_idle_resumes_after():
-    from repro.workloads import TrafficEngine
+    from repro.workloads.traffic import TrafficEngine
     site = build(num_ues=1)
     ue = attached(site)
     ue.set_offered_rate(5.0)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.net import DatagramSocket, Link, Network
-from repro.net import backhaul
+from repro.net import Link, Network, backhaul
+from repro.net.transport import DatagramSocket
 from repro.sim import RngRegistry, Simulator
 
 

@@ -24,10 +24,11 @@ from repro.obs import flightrec
 from repro.obs.export import to_chrome_trace
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.scenario import run_traced_attach_storm
-from repro.obs.tracing import NOOP_SPAN, Tracer, tracer_of
+from repro.deploy import build
+from repro.obs.tracing import NOOP_SPAN, Tracer
 from repro.sim import RngRegistry, Simulator
 
-from costs import counted, entries_scheduled
+from costs import counted, entries_scheduled, profiled
 
 
 def test_a_child_span_costs_eight_calls_to_open_and_close():
@@ -217,9 +218,32 @@ def test_a_span_with_no_ambient_context_costs_three_calls():
     _, closed = counted(span.end)
     assert span is NOOP_SPAN
     assert opened + closed <= 3
-    # With no tracer installed the shared no-op answers in one call.
-    span, opened = counted(tracer_of(Simulator()).child, "mme.auth")
-    assert span is NOOP_SPAN and opened <= 1
+
+
+def test_with_tracing_off_no_span_site_calls_to_find_the_tracer():
+    # Every span site reads ``sim.tracer`` and takes NOOP_SPAN when it is
+    # None: an attach-detach cycle on each RAT makes no call that looks
+    # the tracer up (a ``tracer`` property or a ``tracer_of`` helper).
+    site = build(num_ues=2, rats=("5g", "wifi"))
+    sim = site.sim
+
+    def cycle():
+        ue = site.ues[0]
+        sim.run_until_triggered(ue.attach(), limit=sim.now + 60.0)
+        sim.run_until_triggered(ue.detach(), limit=sim.now + 60.0)
+        ap = site.aps[0]
+        imsi = site.imsis[1]
+        sim.run_until_triggered(ap.connect(imsi, f"wifi-{imsi}"),
+                                limit=sim.now + 60.0)
+        ap.disconnect(imsi)
+        sim.run(until=sim.now + 2.0)
+
+    assert sim.tracer is None
+    _, entries = profiled(cycle)
+    lookups = [entry for entry in entries
+               if getattr(entry.code, "co_name", "") in ("tracer",
+                                                         "tracer_of")]
+    assert lookups == []
 
 
 def test_a_log_record_costs_seven_calls(monkeypatch):

@@ -12,7 +12,8 @@ import pytest
 from repro.obs import flightrec
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.tracing import Tracer
-from repro.sim import RngRegistry, SimSan, Simulator
+from repro.sim import RngRegistry, Simulator
+from repro.sim.sansim import SimSan
 
 
 def make_recorder():

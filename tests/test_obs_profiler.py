@@ -15,7 +15,8 @@ import pytest
 from repro.core.agw import VIRTUAL_8VCPU, AgwConfig
 from repro.deploy import build
 from repro.obs.profiler import KERNEL, Profiler, owner_of
-from repro.sim import PeriodicCall, SimSan, Simulator
+from repro.sim import PeriodicCall, Simulator
+from repro.sim.sansim import SimSan
 from repro.workloads.attach_storm import AttachStorm
 from repro.workloads.fleet import AgwFleetAdapter, CohortSpec, UeFleet
 

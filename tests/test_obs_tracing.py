@@ -6,15 +6,9 @@ import pytest
 
 from repro.deploy import build
 from repro.net import Link, Network, RpcChannel, RpcServer
-from repro.obs import (
-    NOOP_SPAN,
-    Tracer,
-    build_traces,
-    procedure_summary,
-    to_chrome_trace,
-    tracer_of,
-    tracing,
-)
+from repro.obs import NOOP_SPAN, Tracer, tracing
+from repro.obs.analysis import build_traces, procedure_summary
+from repro.obs.export import to_chrome_trace
 from repro.sim import RngRegistry, Simulator
 
 
@@ -99,14 +93,23 @@ def test_partial_sampling_records_subset_of_roots():
 
 def test_no_tracer_is_noop():
     site = build()
-    tracer = tracer_of(site.sim)
-    span = tracer.begin("anything")
-    assert span is NOOP_SPAN
+    assert site.sim.tracer is None      # every span site takes NOOP_SPAN
+    span = NOOP_SPAN
     assert not span.recording
     span.set_tag("k", "v").end("error")  # all no-ops
     outcome = site.run_attach(site.ues[0])
     assert outcome.success
     assert site.sim.ctx is None
+
+
+def test_a_tracer_installed_after_the_gateway_records_its_attach_spans():
+    site = build()                      # the AccessGateway exists already
+    tracer = Tracer(site.sim, site.rng)
+    run_one_attach(site)
+    names = {span.name for span in attach_trace(tracer).spans}
+    for expected in ("mme.attach_stage1", "sessiond.create_session",
+                     "pipelined.install_session"):
+        assert expected in names, f"missing {expected}: {names}"
 
 
 def test_breakdown_sums_to_at_most_root_duration():

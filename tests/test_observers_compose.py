@@ -9,8 +9,10 @@ adds to close its spans.
 """
 
 from repro.deploy import build
-from repro.obs import FlightRecorder, Profiler, Tracer
-from repro.sim import Hook, SimSan
+from repro.obs import FlightRecorder, Tracer
+from repro.obs.profiler import Profiler
+from repro.sim import Hook
+from repro.sim.sansim import SimSan
 from repro.workloads.attach_storm import AttachStorm
 
 

@@ -8,8 +8,6 @@ from repro.core.policy import (
     ChargingMode,
     EnforcementState,
     MB,
-    OcsError,
-    OnlineChargingSystem,
     PolicyRule,
     UNLIMITED_MBPS,
     capped,
@@ -17,6 +15,7 @@ from repro.core.policy import (
     rate_limited,
     unlimited,
 )
+from repro.core.policy.ocs import OcsError, OnlineChargingSystem
 
 
 # -- rules ------------------------------------------------------------------------

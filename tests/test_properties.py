@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.orchestrator import ConfigStore
-from repro.core.policy import OnlineChargingSystem
+from repro.core.policy.ocs import OnlineChargingSystem
 from repro.core.policy.enforcer import EnforcementState
 from repro.core.policy.rules import PolicyRule
 from repro.dataplane import TokenBucketMeter

@@ -7,10 +7,10 @@ sanitized run observes the exact same event order as a plain one.
 
 import pytest
 
-from repro.sim import RngRegistry, SimSan, Simulator
-from repro.sim.kernel import SimulationError
+from repro.sim import RngRegistry, Simulator
 from repro.sim import sansim
-from repro.sim.sansim import SanHandle
+from repro.sim.kernel import SimulationError
+from repro.sim.sansim import SanHandle, SimSan
 
 
 def drain(sim, until=60.0):

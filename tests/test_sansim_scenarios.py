@@ -13,7 +13,7 @@ stack of the leaked ``schedule()`` call in the assertion message.
 
 from repro.deploy import build
 from repro.lte import UeState
-from repro.sim import SimSan
+from repro.sim.sansim import SimSan
 
 
 def assert_clean(san):

@@ -8,7 +8,8 @@ from repro.core.sync import ConsistentHashRing
 from repro.experiments.scaling import AgwStub
 from repro.net import Network
 from repro.net.simnet import Link
-from repro.sim import RngRegistry, SimSan, Simulator
+from repro.sim import RngRegistry, Simulator
+from repro.sim.sansim import SimSan
 
 
 def assert_clean(san):

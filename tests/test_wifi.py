@@ -3,7 +3,8 @@
 import pytest
 
 from repro.deploy import build
-from repro.wifi import AP_CAPACITY_MBPS, CaptivePortal, PortalError
+from repro.wifi import AP_CAPACITY_MBPS
+from repro.wifi.captive_portal import CaptivePortal, PortalError
 
 
 def build_wifi_site(num_subscribers=2, **kwargs):

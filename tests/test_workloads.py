@@ -4,15 +4,15 @@ import pytest
 
 from repro.deploy import build
 from repro.lte import CellConfig, nas
-from repro.workloads import (
-    AttachStorm,
+from repro.workloads.attach_storm import AttachStorm
+from repro.workloads.diurnal import (
     DiurnalConfig,
-    IotWorkload,
-    TrafficEngine,
     diurnal_factor,
     generate_trace,
     summarize,
 )
+from repro.workloads.iot import IotWorkload
+from repro.workloads.traffic import TrafficEngine
 
 
 def test_attach_storm_all_succeed_at_low_rate():
@@ -171,7 +171,7 @@ def test_diurnal_validation():
 
 def test_iot_idle_mode_uses_service_requests():
     site = build(num_ues=4)
-    from repro.workloads import IotWorkload
+    from repro.workloads.iot import IotWorkload
     iot = IotWorkload(site.sim, site.ues, report_interval=15.0,
                       sessiond=site.agw.sessiond, rng=site.rng,
                       mode=IotWorkload.MODE_IDLE)
@@ -192,6 +192,6 @@ def test_iot_idle_mode_uses_service_requests():
 
 def test_iot_mode_validation():
     site = build(num_ues=1)
-    from repro.workloads import IotWorkload
+    from repro.workloads.iot import IotWorkload
     with pytest.raises(ValueError):
         IotWorkload(site.sim, site.ues, mode="teleport")
