@@ -37,7 +37,7 @@ import operator
 from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ...net.rpc import dataclass_fields
+from ...net.rpc import choose, compile_walker, dataclass_fields
 
 #: Bytes per digest (128-bit truncated BLAKE2b).
 DIGEST_BYTES = 16
@@ -131,8 +131,9 @@ def _rule_for(obj: Any) -> Any:
     The ``isinstance`` order is the rule set: an ``IntEnum`` is an int, a
     ``str`` subclass a string, a namedtuple a list, and a dataclass that
     extends a built-in is that built-in.  Only a dataclass type is
-    remembered (its plan is derived from the class alone); subclasses of
-    built-ins are resolved each time, as they always were.
+    remembered (its plan is derived from the class alone, and so is the
+    encoder compiled for a class whose fields are all declared scalars);
+    subclasses of built-ins are resolved each time, as they always were.
     """
     for base in (int, float, str, bytes, list, tuple, dict, set, frozenset):
         if isinstance(obj, base):
@@ -143,11 +144,50 @@ def _rule_for(obj: Any) -> Any:
         raise TypeError(
             f"cannot canonicalize {kind.__name__!r} for digesting; "
             "config values must be scalars, containers, or dataclasses")
-    names, values_of = fields
+    names, values_of, kinds = fields
     plan = _RULES[kind] = (
         b"D" + canonical_bytes(kind.__name__) + b"%d:" % len(names),
         tuple(map(canonical_bytes, names)), values_of)
+    if all(kinds):
+        _ENCODERS[kind] = _compile_encoder(plan, kinds)
     return plan
+
+
+#: Exact scalar type -> its format piece and the source of its arguments
+#: for field ``v{i}``, each followed by a comma (a float's ``%a`` is its
+#: ``repr``).
+_PIECES = {str: (b"s%d:%b", "len(e{i} := v{i}.encode('utf-8')), e{i},"),
+           bytes: (b"b%d:%b", "len(v{i}), v{i},"), int: (b"i%d;", "v{i},"),
+           bool: (b"%b", "b'T' if v{i} else b'F',"), float: (b"f%a;", "v{i},"),
+           type(None): (b"N", "")}
+
+#: Dataclass type -> ``(key, instance) -> entry bytes or None``, for a
+#: class whose fields are all declared scalars (:func:`_compile_encoder`).
+_ENCODERS: Dict[type, Any] = {}
+
+
+def _compile_encoder(plan: Tuple, kinds: Tuple) -> Any:
+    """The whole entry ``entry:<key>=<value>`` as one bytes ``%`` format:
+    key, header and encoded names in the format, a field of one declared
+    type as its piece, a field of several as a ``%b`` of the piece its
+    value's type picks.  None for an instance holding anything else."""
+    header, names, values_of = plan
+    # Field names are identifiers: only the class name may hold a ``%``.
+    layout = [b"entry:%b=" + header.replace(b"%", b"%%")]
+    args = "key.encode('utf-8'),"
+    for index, (name, alternatives) in enumerate(zip(names, kinds)):
+        piece, arg = _PIECES[alternatives[0]] if len(alternatives) == 1 else \
+            (b"%b", choose(index, alternatives, _piece) + ",")
+        layout += name, piece
+        args += " " + arg.format(i=index)
+    return compile_walker("key, obj", values_of, kinds, f"F % ({args})",
+                          "None", {"F": b"".join(layout)}, __file__)
+
+
+def _piece(kind: type) -> str:
+    """Source of one field's piece, formatted, for a value of ``kind``."""
+    piece, arg = _PIECES[kind]
+    return f"{piece!r} % ({arg})" if arg else repr(piece)
 
 
 def _dict_sort_key(key: Any) -> Tuple[str, bytes]:
@@ -156,9 +196,12 @@ def _dict_sort_key(key: Any) -> Tuple[str, bytes]:
 
 def entry_digest(key: str, value: Any) -> int:
     """128-bit digest of one ``(key, value)`` entry."""
-    entry = bytearray(b"entry:")
-    entry += key.encode("utf-8")
-    _canonical_into(((b"=", value),), entry)
+    kind = type(value)
+    entry = _ENCODERS[kind](key, value) if kind in _ENCODERS else None
+    if entry is None:
+        entry = bytearray(b"entry:")
+        entry += key.encode("utf-8")
+        _canonical_into(((b"=", value),), entry)
     return int.from_bytes(
         blake2b(entry, digest_size=DIGEST_BYTES).digest(), "big")
 

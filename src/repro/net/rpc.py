@@ -30,7 +30,8 @@ import itertools
 import operator
 from collections import deque
 from types import GeneratorType, MappingProxyType
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, Optional, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from ..sim.kernel import Event, Simulator
 from .simnet import Datagram, Network
@@ -43,31 +44,90 @@ RETRY_INTERVAL = 0.25
 #: ``instance -> tuple of its field values``, for one dataclass type.
 ValuesOf = Callable[[Any], Tuple[Any, ...]]
 
+#: The exact types a compiled walker handles in line, each with the
+#: source of its test on field ``v{i}`` (:func:`compile_walker`).
+SCALARS = {kind: "type(v{i}) is " + kind.__name__
+           for kind in (str, bytes, bool, int, float)}
+SCALARS[type(None)] = "v{i} is None"
+
+#: Per field, the exact types it declares, or None (:func:`dataclass_fields`).
+FieldTypes = Tuple[Optional[Tuple[type, ...]], ...]
+
 
 def dataclass_fields(kind: type) -> \
-        Optional[Tuple[Tuple[str, ...], ValuesOf]]:
-    """``(field names, values getter)`` of dataclass type ``kind``, in
-    definition order, or None when it is not one.
+        Optional[Tuple[Tuple[str, ...], ValuesOf, FieldTypes]]:
+    """``(field names, values getter, field types)`` of dataclass type
+    ``kind``, in definition order, or None when it is not one.
 
     The one place the wire sizer here and the digest encoder
     (``core.sync.digest``) ask ``dataclasses`` about a class: each keeps
     what it derives from the names per *type*, so a value costs one
     C-level ``attrgetter`` call instead of a ``dataclasses.fields()``
-    scan and a ``getattr`` per field.
+    scan and a ``getattr`` per field.  The field types hold, per field,
+    the exact types it declares when they are :data:`SCALARS` types (one,
+    or a ``typing.Union``: ``Optional[bytes]`` is ``(bytes, NoneType)``),
+    else None.
     """
     if not dataclasses.is_dataclass(kind):
         return None
     names = tuple(f.name for f in dataclasses.fields(kind))
-    if len(names) > 1:
-        return names, operator.attrgetter(*names)
     # attrgetter needs a name and hands back a bare value for just one.
-    return names, lambda obj: tuple(getattr(obj, name) for name in names)
+    values_of = operator.attrgetter(*names) if len(names) > 1 else \
+        (lambda obj: tuple(getattr(obj, name) for name in names))
+    try:
+        hints = get_type_hints(kind)
+    except (NameError, AttributeError, SyntaxError, TypeError):
+        hints = {}      # an annotation that does not resolve: no types
+    unions = (get_args(hint) if get_origin(hint) is Union else (hint,)
+              for hint in map(hints.get, names))
+    return names, values_of, tuple(
+        alts if all(t in SCALARS for t in alts) else None for alts in unions)
 
 
-#: Dataclass type -> ``(2 + the size of its field names, values getter)``:
-#: the part of an instance's size that is the same for every instance.
+def compile_walker(params: str, values_of: ValuesOf, kinds: FieldTypes,
+                   body: str, miss: str, namespace: Dict[str, Any],
+                   filename: str) -> Callable:
+    """Compile one straight-line walker over a dataclass type's instances,
+    once per type, as ``dataclasses`` compiles ``__init__``.
+
+    ``walk(<params>)`` unpacks an instance ``obj``'s field values into
+    ``v0 … vn``, checks that each one's exact type is one its field
+    declares (``kinds[i]``; a field without is not checked), and returns
+    ``body`` if so and ``miss`` if not.  The source text holds field
+    indices and type names only: the types, the getter and whatever
+    ``body`` names are bound through ``namespace``.  The code is filed
+    under its user's ``filename``, so a profile charges it there.
+    """
+    guard = " and ".join(
+        "({})".format(" or ".join(map(SCALARS.get, alts))).format(i=index)
+        for index, alts in enumerate(kinds) if alts) or "True"
+    unpack = "".join(f"v{index}, " for index in range(len(kinds))) or "_"
+    source = (f"def walk({params}):\n    {unpack} = values_of(obj)\n    if "
+              f"{guard}:\n        return {body}\n    return {miss}\n")
+    namespace.update({t.__name__: t for t in SCALARS}, values_of=values_of)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["walk"]
+
+
+def choose(index: int, kinds: Tuple[type, ...], code: Callable) -> str:
+    """Source of ``code(kind)`` for whichever of ``kinds`` field ``index``
+    is.  The guard has checked it is one, so the last goes untested, and
+    they are tried last first: ``Optional[X]`` tries ``None`` first, as
+    a value is the common case."""
+    *tested, last = reversed(kinds)
+    return "(" + "".join(f"{code(kind)} if {SCALARS[kind].format(i=index)}"
+                         " else " for kind in tested) + f"{code(last)})"
+
+
+#: Exact scalar type (None: a field not declared scalar) -> the source of
+#: field ``v{i}``'s size, but for a string's UTF-8 length, which is taken
+#: over all of them at once.
+_SIZES = {str: "2", bytes: "2 + len(v{i})", bool: "1", int: "8", float: "8",
+          type(None): "1", None: "payload_bytes(v{i})"}
+
+#: Dataclass type -> its compiled sizer (:func:`_compile_sizer`).
 #: Filled by :func:`_other_bytes` the first time a type is sized.
-_DATACLASS_PLANS: Dict[type, Tuple[int, ValuesOf]] = {}
+_SIZERS: Dict[type, Callable[[Any], int]] = {}
 
 
 def payload_bytes(obj: Any) -> int:
@@ -87,13 +147,13 @@ def payload_bytes(obj: Any) -> int:
     holds the two walkers this replaced as oracles.
 
     One frame per container: the shapes real messages are made of
-    dispatch on their exact type, a dataclass seen before on its
-    per-type plan (only its values are walked), and the strings, numbers,
-    ``None``, bools and bytes in a container are sized inside its loop
-    (keys: exact ``str`` only).  Only a
-    nested container, a dataclass or an unknown type costs a call;
-    everything else (subclasses, sets, a dataclass type's first
-    instance, opaque objects) goes through :func:`_other_bytes`.
+    dispatch on their exact type, a dataclass seen before goes to its
+    type's compiled sizer (called straight from a container's loop), and
+    the strings, numbers, ``None``, bools and bytes in a container are
+    sized inside its loop (keys: exact ``str`` only).  Only a nested
+    container, a dataclass or an unknown type costs a call; everything
+    else (subclasses, sets, a dataclass type's first instance, opaque
+    objects) goes through :func:`_other_bytes`.
     Recursion depth is the payload's nesting depth, so a payload nested
     deeper than the interpreter's recursion limit (real messages nest
     about 6 deep), or one that contains itself, raises
@@ -112,10 +172,8 @@ def payload_bytes(obj: Any) -> int:
     elif kind is list or kind is tuple:
         total = 2
         members = obj
-    elif kind in _DATACLASS_PLANS:
-        # ``total`` starts at the plan's own bytes, envelope included.
-        total, values_of = _DATACLASS_PLANS[kind]
-        members = values_of(obj)
+    elif kind in _SIZERS:
+        return _SIZERS[kind](obj)
     elif kind is str:
         # UTF-8 length without encoding: ASCII is one byte a char.
         return 2 + (len(obj) if obj.isascii() else len(obj.encode("utf-8")))
@@ -140,6 +198,8 @@ def payload_bytes(obj: Any) -> int:
             total += 1
         elif kind is bytes:
             total += 2 + len(value)
+        elif kind in _SIZERS:
+            total += _SIZERS[kind](value)
         else:
             total += payload_bytes(value)
     return total
@@ -163,13 +223,36 @@ def _other_bytes(obj: Any) -> Tuple[int, Optional[Iterable[Any]]]:
     kind = type(obj)
     fields = dataclass_fields(kind)
     if fields is not None:
-        names, values_of = fields
-        own = 2 + sum(map(payload_bytes, names))
-        _DATACLASS_PLANS[kind] = (own, values_of)
-        return own, values_of(obj)
+        _SIZERS[kind] = _compile_sizer(*fields)
+        return _SIZERS[kind](obj), None
     # Opaque object: charge a fixed envelope rather than guessing from a
     # repr (which could embed memory addresses and break determinism).
     return 16, None
+
+
+def _compile_sizer(names: Tuple[str, ...], values_of: ValuesOf,
+                   kinds: FieldTypes) -> Callable:
+    """``instance -> size`` for one dataclass type: its own bytes (the
+    envelope and the field names) as one constant, a field declared
+    scalar by its exact type, the UTF-8 length of every ``str`` field at
+    once, over their concatenation, and any other field by a
+    :func:`payload_bytes` call.  An instance whose scalar fields hold
+    anything else is sized as the tuple of its values, whose envelope is
+    the same."""
+    own, terms, texts = 2 + sum(map(payload_bytes, names)), ["OWN"], []
+    for index, alternatives in enumerate(kinds):
+        terms.append(choose(index, alternatives or (None,),
+                            lambda kind: _SIZES[kind].format(i=index)))
+        if str in (alternatives or ()):
+            texts.append(choose(index, alternatives, lambda kind:
+                                f"v{index}" if kind is str else "''"))
+    if texts:
+        terms.append(f"(len(t) if (t := {' + '.join(texts)}).isascii() "
+                     "else len(t.encode('utf-8')))")
+    return compile_walker("obj", values_of, kinds, " + ".join(terms),
+                          "OWN - 2 + payload_bytes(values_of(obj))",
+                          {"OWN": own, "payload_bytes": payload_bytes},
+                          __file__)
 
 
 class RpcError(Exception):

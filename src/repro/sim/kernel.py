@@ -306,6 +306,10 @@ class AnyOf(Event):
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
             return
+        # A loser's callback list keeps this method, and so this event,
+        # for as long as the loser lives: holding the loser back would be
+        # a cycle only the garbage collector frees.
+        self.events = []
         if not ev.ok:
             self.fail(ev.value)
         else:

@@ -1,15 +1,16 @@
 """Reference wire sizers: the two walkers ``repro.net.rpc.payload_bytes``
-replaced, kept verbatim, out of the product.
+replaced, kept out of the product.
 
 - :func:`reference_payload_bytes` is the recursive rule-per-line
   ``isinstance`` ladder the sizer started as: each rule is one line, in
   rule order, so it is the plainest statement of the size rules.
 - :func:`iterative_payload_bytes` is the single-pass walker that came
   next: one depth-first loop over a stack of container iterators,
-  dispatching on exact type, with the product's per-type dataclass plans
-  and ``_other_bytes`` fallback.  The product now recurses one frame per
-  container and sizes scalars inside each container's loop (DESIGN.md
-  §6.9).
+  dispatching on exact type, with an ``isinstance`` fallback.  It asks
+  ``dataclasses`` for an instance's fields every time instead of sharing
+  the product's per-type plans, so a wrong plan cannot hide in both.
+  The product now recurses one frame per container and runs a compiled
+  sizer per dataclass type (DESIGN.md §6.9).
 
 ``test_rpc_payload_bytes.py`` checks the product equals both on every
 rule's edge and on hypothesis-built nested payloads.
@@ -17,9 +18,7 @@ rule's edge and on hypothesis-built nested payloads.
 
 import dataclasses
 import itertools
-from typing import Any
-
-from repro.net.rpc import _DATACLASS_PLANS, _other_bytes
+from typing import Any, Iterable, Optional, Tuple
 
 
 def reference_payload_bytes(obj: Any) -> int:
@@ -69,11 +68,6 @@ def iterative_payload_bytes(obj: Any) -> int:
                 total += 1
             elif kind is bytes:
                 total += 2 + len(node)
-            elif kind in _DATACLASS_PLANS:
-                own, values_of = _DATACLASS_PLANS[kind]
-                total += own
-                stack.append(iter(values_of(node)))
-                break
             else:
                 own, members = _other_bytes(node)
                 total += own
@@ -83,3 +77,22 @@ def iterative_payload_bytes(obj: Any) -> int:
         else:
             stack.pop()
     return total
+
+
+def _other_bytes(node: Any) -> Tuple[int, Optional[Iterable[Any]]]:
+    """``(own bytes, members still to size or None)`` by the rule order;
+    a dataclass's members are its field names, then its field values."""
+    if isinstance(node, (int, float)):
+        return 8, None
+    if isinstance(node, str):
+        return 2 + len(node.encode("utf-8")), None
+    if isinstance(node, (bytes, bytearray)):
+        return 2 + len(node), None
+    if isinstance(node, dict):
+        return 2, itertools.chain.from_iterable(node.items())
+    if isinstance(node, (list, tuple, set, frozenset)):
+        return 2, node
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        names = [f.name for f in dataclasses.fields(node)]
+        return 2, names + [getattr(node, name) for name in names]
+    return 16, None

@@ -6,6 +6,8 @@ the generic procedures do - overload shedding, the attach counters, the
 on LTE, 5G and WiFi alike.
 """
 
+import gc
+
 from repro.deploy import build, subscriber_keys
 from repro.fiveg import Ue5g, nas5g
 from repro.net import RpcChannel
@@ -181,3 +183,20 @@ def test_5g_and_wifi_procedures_trace_like_an_lte_attach():
         trace = traces[root][0]
         assert trace.complete and trace.root.status == "ok"
         assert expected <= {span.name for span in trace.spans}, root
+
+
+def test_a_guarded_attach_and_registration_leave_no_garbage_cycle():
+    # Each procedure races its outcome against a guard event that never
+    # triggers once the procedure wins; the race must not keep a cycle
+    # through the guard's callback list alive, or every procedure leaves
+    # garbage that only a collection pass frees.
+    site, gnb, _ap = multirat_site()
+    nr = ue5g(site, gnb, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert settle(site, site.ues[0].attach())
+        assert settle(site, nr.register())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

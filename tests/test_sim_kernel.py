@@ -296,6 +296,17 @@ def test_any_of_first_wins():
     assert sim.now == 5.0  # the slow timeout still fires
 
 
+def test_a_triggered_any_of_holds_no_child():
+    sim = Simulator()
+    winner, loser = sim.event("winner"), sim.event("loser")
+    race = sim.any_of([winner, loser])
+    winner.succeed("won")
+    sim.run()
+    # The loser's callback list still holds the race; the race no longer
+    # holds the loser, so no cycle outlives the procedure that raced.
+    assert race.value == {winner: "won"} and race.events == []
+
+
 def test_any_of_empty_completes_immediately():
     sim = Simulator()
 
