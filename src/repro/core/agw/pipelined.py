@@ -18,9 +18,8 @@ table  role
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ...dataplane import actions as act
@@ -28,7 +27,6 @@ from ...dataplane.matcher import FlowMatch
 from ...dataplane.openflow import FlowBundle, FlowMod, MeterMod, StatsRequest
 from ...dataplane.packet import ip_packet
 from ...dataplane.switch import SoftwareSwitch
-from ...obs.tracing import NOOP_SPAN
 from ..policy.enforcer import UNLIMITED_MBPS
 from .context import AgwContext
 
@@ -55,6 +53,12 @@ _DOWNLINK = act.SetRegister("direction", "downlink")
 _TO_POLICY = act.GotoTable(TABLE_POLICY)
 _TO_EGRESS = act.GotoTable(TABLE_EGRESS)
 _OUTPUT = {port: act.Output(port) for port in (RAN_PORT, SGI_PORT, GTPA_PORT)}
+_MARK = {qci: act.SetDscp(dscp) for qci, dscp in QCI_TO_DSCP.items() if dscp}
+
+#: A meter's lowest rate: a session throttled to zero is metered at this.
+MIN_METER_MBPS = 1e-6
+#: Every session rule's priority.
+RULE_PRIORITY = 10
 
 
 @dataclass
@@ -67,6 +71,10 @@ class SessionFlows:
     meter_id: int
     rate_mbps: float
     egress_port: str = "internet"
+    # The downlink egress match, built by the first set_enb_tunnel and
+    # reused by every handover's strict delete and add.
+    downlink_match: Optional[FlowMatch] = field(default=None, repr=False,
+                                                compare=False)
 
 
 class Pipelined:
@@ -79,7 +87,7 @@ class Pipelined:
         self.ran_port = RAN_PORT
         self.sgi_port = SGI_PORT
         self.gtpa_port = GTPA_PORT
-        self._meter_ids = itertools.count(1)
+        self._last_meter_id = 0
         self._sessions: Dict[str, SessionFlows] = {}
         self._ran_sink = []
         self._sgi_sink = []
@@ -87,9 +95,11 @@ class Pipelined:
         self.switch.add_port(self.ran_port, self._ran_sink.append)
         self.switch.add_port(self.sgi_port, self._sgi_sink.append)
         self.switch.add_port(self.gtpa_port, self._gtpa_sink.append)
-        # When a batch transaction is open, mods queue here instead of
-        # hitting the switch; commit applies them as one FlowBundle.
+        # Where every session step sends its mods: the switch, or while a
+        # batch is open its pending list, which commit applies as one
+        # FlowBundle.  Steps cannot tell the two apart.
         self._pending: Optional[List[Any]] = None
+        self._send = self.switch.apply
         # Aggregated fleet user-plane load (set_fleet_load), in Mbps.
         self._fleet_offered_mbps = 0.0
         self.stats = {"sessions_installed": 0, "sessions_removed": 0,
@@ -106,21 +116,35 @@ class Pipelined:
         message and one ``add_batch`` per table instead of ~6 switch
         operations per session.  Used by ``Sessiond.restore()`` and
         bulk-attach paths.
-        On an exception inside the block, nothing reaches the switch.
+        On an exception inside the block, or a bundle the switch rejects,
+        nothing reaches the switch and pipelined's own sessions and stats
+        are as they were before the block.  Meter ids are not taken back:
+        an id once handed out is never handed out again.
         """
         if self._pending is not None:
             yield self          # nested: join the enclosing transaction
             return
-        self._pending = []
+        sessions = self._sessions
+        saved_sessions = dict(sessions)
+        saved_flows = [(flows, dict(vars(flows)))
+                       for flows in sessions.values()]
+        saved_stats = dict(self.stats)
+        pending = self._pending = []
+        self._send = pending.append
         try:
             yield self
-        except BaseException:  # roll back the bundle, re-raise unchanged
-            self._pending = None
+            self._pending, self._send = None, self.switch.apply
+            if pending:
+                self.switch.apply(FlowBundle(mods=tuple(pending)))
+                self.stats["batches"] += 1
+        except BaseException:  # roll back, re-raise unchanged
+            self._pending, self._send = None, self.switch.apply
+            sessions.clear()
+            sessions.update(saved_sessions)
+            for flows, state in saved_flows:
+                vars(flows).update(state)
+            self.stats.update(saved_stats)
             raise
-        mods, self._pending = self._pending, None
-        if mods:
-            self.switch.apply(FlowBundle(mods=tuple(mods)))
-            self.stats["batches"] += 1
 
     def in_batch(self) -> bool:
         return self._pending is not None
@@ -154,103 +178,102 @@ class Pipelined:
         # No tags dict here: this is the session hot path, the span must
         # stay allocation-light.
         tracer = self.context.sim.tracer
-        span = NOOP_SPAN if tracer is None else tracer.child(
+        span = None if tracer is None else tracer.child(
             "pipelined.install_session", component="pipelined",
             node=self.context.node)
         rate = rate_mbps if rate_mbps is not None else UNLIMITED_MBPS
-        meter_id = next(self._meter_ids)
-        # Inside a batch the mods queue for its bundle.
-        apply = self.switch.apply if self._pending is None \
-            else self._pending.append
-        apply(MeterMod(command=MeterMod.ADD, meter_id=meter_id,
-                       rate_mbps=max(rate, 1e-6)))
-        flows = SessionFlows(imsi=imsi, ue_ip=ue_ip, agw_teid=agw_teid,
-                             enb_teid=None, enb_node=None,
-                             meter_id=meter_id, rate_mbps=rate,
-                             egress_port=egress)
+        meter_id = self._last_meter_id = self._last_meter_id + 1
+        send = self._send
+        # Messages take their fields by position on this path (FlowMod:
+        # command, table, priority, match, actions, cookie; MeterMod:
+        # command, meter, rate): keywords cost a dict per message.
+        send(MeterMod(MeterMod.ADD, meter_id,
+                      MIN_METER_MBPS if MIN_METER_MBPS > rate else rate))
+        flows = SessionFlows(imsi, ue_ip, agw_teid, None, None, meter_id,
+                             rate, egress)
         tag = act.SetRegister("imsi", imsi)
         # Table 0: uplink - GTP-U traffic from the RAN for this bearer.
-        apply(FlowMod(
-            command=FlowMod.ADD, table_id=TABLE_CLASSIFY, priority=10,
-            match=FlowMatch(in_port=self.ran_port, tun_id=agw_teid),
-            actions=[_POP_GTPU, _UPLINK, tag, _TO_POLICY], cookie=imsi))
+        send(FlowMod(FlowMod.ADD, TABLE_CLASSIFY, RULE_PRIORITY,
+                     FlowMatch(in_port=self.ran_port, tun_id=agw_teid),
+                     [_POP_GTPU, _UPLINK, tag, _TO_POLICY], imsi))
         # Table 0: downlink - traffic addressed to the UE from its egress.
-        apply(FlowMod(
-            command=FlowMod.ADD, table_id=TABLE_CLASSIFY, priority=10,
-            match=FlowMatch(in_port=egress, ip_dst=ue_ip),
-            actions=[_DOWNLINK, tag, _TO_POLICY], cookie=imsi))
+        send(FlowMod(FlowMod.ADD, TABLE_CLASSIFY, RULE_PRIORITY,
+                     FlowMatch(in_port=egress, ip_dst=ue_ip),
+                     [_DOWNLINK, tag, _TO_POLICY], imsi))
         # Table 1: policy - QoS marking by QCI, metered, then egress.
-        policy_actions = [act.Meter(meter_id), _TO_EGRESS]
-        dscp = QCI_TO_DSCP.get(qci, 0)
-        if dscp:
-            policy_actions.insert(1, act.SetDscp(dscp))
-        apply(FlowMod(
-            command=FlowMod.ADD, table_id=TABLE_POLICY, priority=10,
-            match=FlowMatch(registers={"imsi": imsi}),
-            actions=policy_actions, cookie=imsi))
+        meter = act.Meter(meter_id)
+        send(FlowMod(FlowMod.ADD, TABLE_POLICY, RULE_PRIORITY,
+                     FlowMatch(registers={"imsi": imsi}),
+                     [meter, _MARK[qci], _TO_EGRESS] if qci in _MARK
+                     else [meter, _TO_EGRESS], imsi))
         # Table 2: uplink out the session's egress (SGi or GTP-A).
-        apply(FlowMod(
-            command=FlowMod.ADD, table_id=TABLE_EGRESS, priority=10,
-            match=FlowMatch(registers={"imsi": imsi, "direction": "uplink"}),
-            actions=[_OUTPUT[egress]], cookie=imsi))
+        send(FlowMod(FlowMod.ADD, TABLE_EGRESS, RULE_PRIORITY,
+                     FlowMatch(registers={"imsi": imsi,
+                                          "direction": "uplink"}),
+                     [_OUTPUT[egress]], imsi))
         # Table 2 downlink rule is installed once the eNB tunnel is known.
         self._sessions[imsi] = flows
         self.stats["sessions_installed"] += 1
-        span.end()
+        if span is not None:
+            span.end()
         return flows
 
     def set_enb_tunnel(self, imsi: str, enb_teid: int, enb_node: str) -> None:
         """Set (or re-point, after a handover) the downlink tunnel."""
-        flows = self._require(imsi)
+        sessions = self._sessions
+        if imsi not in sessions:
+            raise KeyError(f"no installed session for {imsi}")
+        flows = sessions[imsi]
         had_tunnel = flows.enb_teid is not None
         flows.enb_teid = enb_teid
         flows.enb_node = enb_node
-        downlink = FlowMatch(registers={"imsi": imsi,
-                                        "direction": "downlink"})
-        apply = self.switch.apply if self._pending is None \
-            else self._pending.append
+        downlink = flows.downlink_match
+        if downlink is None:
+            downlink = flows.downlink_match = FlowMatch(
+                registers={"imsi": imsi, "direction": "downlink"})
+        send = self._send
         if had_tunnel:
             # Drop the previous downlink egress rule (intra-AGW handover).
             # Fresh installs skip this: no rule exists to delete.  The
             # strict delete itself is one classifier-bucket probe, but a
             # DELETE inside a bundle forces a flush of the pending ADDs
             # (and counts as a flow op), so bulk restore stays all-ADD.
-            apply(FlowMod(command=FlowMod.DELETE, table_id=TABLE_EGRESS,
-                          priority=10, match=downlink))
-        apply(FlowMod(
-            command=FlowMod.ADD, table_id=TABLE_EGRESS, priority=10,
-            match=downlink,
-            actions=[act.PushGtpu(teid=enb_teid, tunnel_src=self.context.node,
-                                  tunnel_dst=enb_node),
-                     _OUTPUT[self.ran_port]],
-            cookie=imsi))
+            send(FlowMod(FlowMod.DELETE, TABLE_EGRESS, RULE_PRIORITY,
+                         downlink))
+        send(FlowMod(FlowMod.ADD, TABLE_EGRESS, RULE_PRIORITY, downlink,
+                     [act.PushGtpu(enb_teid, self.context.node, enb_node),
+                      _OUTPUT[self.ran_port]], imsi))
 
     def remove_session(self, imsi: str) -> bool:
-        flows = self._sessions.pop(imsi, None)
-        if flows is None:
+        sessions = self._sessions
+        if imsi not in sessions:
             return False
+        flows = sessions[imsi]
+        del sessions[imsi]
         tracer = self.context.sim.tracer
-        span = NOOP_SPAN if tracer is None else tracer.child(
+        span = None if tracer is None else tracer.child(
             "pipelined.remove_session", component="pipelined",
             node=self.context.node)
-        apply = self.switch.apply if self._pending is None \
-            else self._pending.append
+        send = self._send
         for table_id in (TABLE_CLASSIFY, TABLE_POLICY, TABLE_EGRESS):
-            apply(FlowMod(command=FlowMod.DELETE_BY_COOKIE,
-                          table_id=table_id, cookie=imsi))
-        apply(MeterMod(command=MeterMod.DELETE, meter_id=flows.meter_id))
+            send(FlowMod(FlowMod.DELETE_BY_COOKIE, table_id, 0, None, (),
+                         imsi))
+        send(MeterMod(MeterMod.DELETE, flows.meter_id))
         self.stats["sessions_removed"] += 1
-        span.end()
+        if span is not None:
+            span.end()
         return True
 
     def set_session_rate(self, imsi: str, rate_mbps: float) -> None:
         """Reprogram the session's meter (throttling / un-throttling)."""
-        flows = self._require(imsi)
+        sessions = self._sessions
+        if imsi not in sessions:
+            raise KeyError(f"no installed session for {imsi}")
+        flows = sessions[imsi]
         flows.rate_mbps = rate_mbps
-        apply = self.switch.apply if self._pending is None \
-            else self._pending.append
-        apply(MeterMod(command=MeterMod.MODIFY, meter_id=flows.meter_id,
-                       rate_mbps=max(rate_mbps, 1e-6)))
+        self._send(MeterMod(
+            MeterMod.MODIFY, flows.meter_id,
+            MIN_METER_MBPS if MIN_METER_MBPS > rate_mbps else rate_mbps))
         self.stats["rate_changes"] += 1
 
     def has_session(self, imsi: str) -> bool:
@@ -322,9 +345,3 @@ class Pipelined:
             "dp_residue_rules": float(sum(t["residue_rules"] for t in tables)),
             "dp_fleet_offered_mbps": float(self._fleet_offered_mbps),
         }
-
-    def _require(self, imsi: str) -> SessionFlows:
-        flows = self._sessions.get(imsi)
-        if flows is None:
-            raise KeyError(f"no installed session for {imsi}")
-        return flows

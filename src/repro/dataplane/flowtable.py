@@ -27,6 +27,11 @@ the same priority order.
 A :class:`FlowRule` instance belongs to at most one table at a time: the
 table stamps a per-table insertion sequence number on the rule to break
 priority ties exactly like the linear scan did (first-added wins).
+
+Every mutation notifies ``on_change`` once.  The switch's control channel
+files and removes rules through the quiet twins (``_file``,
+``_pop_cookie``, ``_pop_matching``) and counts its microflow invalidation
+inline instead; ``on_change`` then covers direct table mutations.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .actions import Action
 from .matcher import FlowMatch
 from .packet import GtpuHeader, Packet, TcpHeader, UdpHeader
 
-_rule_ids = itertools.count(1)
+#: The last rule id handed out; ids are unique across tables.
+_last_rule_id = 0
 
 
 def _rule_order(rule: "FlowRule") -> Tuple[int, int]:
@@ -47,8 +53,11 @@ def _rule_order(rule: "FlowRule") -> Tuple[int, int]:
     return (-rule.priority, rule.seq)
 
 
-@dataclass
+@dataclass(init=False)
 class FlowStats:
+    """A rule's counters.  No ``__init__``: every field starts at its
+    class-level default, so a rule's stats cost no call to make."""
+
     packets: int = 0
     bytes: int = 0
     # Fluid accounting (experiments): admitted rate integrated over time.
@@ -58,14 +67,19 @@ class FlowStats:
 class FlowRule:
     """A single match/action entry."""
 
+    __slots__ = ("rule_id", "priority", "match", "actions", "cookie", "stats",
+                 "seq", "_mask", "_key")
+
     def __init__(self, priority: int, match: FlowMatch,
                  actions: Sequence[Action], cookie: Any = None):
         if priority < 0:
             raise ValueError("priority must be >= 0")
-        self.rule_id = next(_rule_ids)
+        global _last_rule_id
+        _last_rule_id += 1
+        self.rule_id = _last_rule_id
         self.priority = priority
         self.match = match
-        self.actions = list(actions)
+        self.actions = [*actions]
         self.cookie = cookie
         self.stats = FlowStats()
         # Classifier placement, stamped by the owning FlowTable.
@@ -107,7 +121,7 @@ class FlowTable:
         # Cached (max_priority, subtable-or-None) groups, priority desc;
         # None marks the residue group.  Invalidated by any mutation.
         self._order: Optional[List[Tuple[int, Optional[_Subtable]]]] = None
-        self._seq = itertools.count(1)
+        self._last_seq = 0
         # Structural-change hook: the owning switch uses this to invalidate
         # its microflow cache on any rule add/remove/clear.
         self.on_change: Optional[Callable[[], None]] = None
@@ -128,14 +142,8 @@ class FlowTable:
 
     def add(self, rule: FlowRule) -> FlowRule:
         """Insert; equal priorities keep insertion order (first added wins)."""
-        self._by_cookie.setdefault(rule.cookie, []).append(rule)
-        container = self._classifier_add(rule)
-        if len(container) > 1:
-            container.sort(key=_rule_order)
-        self._count += 1
-        # _notify's body, inline: one call fewer per session rule.
-        if self.on_change is not None:
-            self.on_change()
+        self._file(rule)
+        self._notify()
         return rule
 
     def add_batch(self, rules: Iterable[FlowRule]) -> int:
@@ -147,21 +155,20 @@ class FlowTable:
         added = 0
         touched: Dict[int, List[FlowRule]] = {}
         for rule in rules:
-            self._by_cookie.setdefault(rule.cookie, []).append(rule)
-            container = self._classifier_add(rule)
-            touched[id(container)] = container
+            self._file(rule, touched)
             added += 1
         if added:
             for container in touched.values():
-                if len(container) > 1:
-                    container.sort(key=_rule_order)
-            self._count += added
+                container.sort(key=_rule_order)
             self._notify()
         return added
 
     def remove_by_cookie(self, cookie: Any) -> int:
         """Delete all rules with this cookie; returns how many."""
-        return self._discard(self._by_cookie.pop(cookie, ()))
+        removed = self._pop_cookie(cookie)
+        if removed:
+            self._notify()
+        return removed
 
     def remove_matching(self, match: Optional[FlowMatch], priority: int) -> int:
         """Delete every rule with this exact match and priority.
@@ -171,34 +178,132 @@ class FlowTable:
         sits in one classifier bucket (or on the residue list): the probe
         costs that bucket, not the table.
         """
+        removed = self._pop_matching(match, priority)
+        if removed:
+            self._notify()
+        return removed
+
+    # -- quiet mutators: the control channel's, which counts its own
+    # -- invalidation (the public ones above add the notification) ---------------
+
+    def _file(self, rule: FlowRule,
+              touched: Optional[Dict[int, List[FlowRule]]] = None) -> FlowRule:
+        """Place ``rule`` in the cookie index and the classifier.
+
+        Appended last, the rule is in order unless it outranks the rule
+        before it; then its container is re-sorted now or, given
+        ``touched``, recorded there for the caller to sort once.
+        """
+        seq = self._last_seq + 1
+        self._last_seq = rule.seq = seq
+        self._order = None
+        self._count += 1
+        cookie = rule.cookie
+        by_cookie = self._by_cookie
+        if cookie in by_cookie:
+            by_cookie[cookie].append(rule)
+        else:
+            by_cookie[cookie] = [rule]
+        placed = rule.match.classifier_fields()
+        if placed is None:
+            rule._mask = rule._key = None
+            container = self._residue
+            container.append(rule)
+            if not self._residue_dirty and rule.priority > self._residue_max:
+                self._residue_max = rule.priority
+            if container[0] is not rule \
+                    and container[-2].priority < rule.priority:
+                if touched is None:
+                    container.sort(key=_rule_order)
+                else:
+                    touched[id(container)] = container
+            return rule
+        mask, key = rule._mask, rule._key = placed
+        subtables = self._subtables
+        if mask in subtables:
+            st = subtables[mask]
+        else:
+            st = subtables[mask] = _Subtable(mask)
+        buckets = st.buckets
+        if key in buckets:
+            # Rare for session rules: every session's keys are its own.
+            container = buckets[key]
+            container.append(rule)
+            if container[-2].priority < rule.priority:
+                if touched is None:
+                    container.sort(key=_rule_order)
+                else:
+                    touched[id(container)] = container
+        else:
+            buckets[key] = [rule]
+        if not st.max_dirty and rule.priority > st.max_priority:
+            st.max_priority = rule.priority
+        return rule
+
+    def _pop_cookie(self, cookie: Any) -> int:
+        by_cookie = self._by_cookie
+        if cookie not in by_cookie:
+            return 0
+        doomed = by_cookie[cookie]
+        del by_cookie[cookie]
+        return self._discard(doomed)
+
+    def _pop_matching(self, match: Optional[FlowMatch], priority: int) -> int:
         if match is None:
             return 0
         placed = match.classifier_fields()
         if placed is None:
             candidates: Sequence[FlowRule] = self._residue
         else:
-            st = self._subtables.get(placed[0])
-            candidates = st.buckets.get(placed[1], ()) if st is not None else ()
-        doomed = [r for r in candidates
-                  if r.priority == priority and r.match == match]
+            mask, key = placed
+            if mask not in self._subtables:
+                return 0
+            buckets = self._subtables[mask].buckets
+            if key not in buckets:
+                return 0
+            candidates = buckets[key]
+        doomed = []
+        for rule in candidates:
+            if rule.priority == priority and rule.match == match:
+                doomed.append(rule)
+        if not doomed:
+            return 0
+        by_cookie = self._by_cookie
         for rule in doomed:
-            bucket = self._by_cookie[rule.cookie]
+            bucket = by_cookie[rule.cookie]
             bucket.remove(rule)
             if not bucket:
-                del self._by_cookie[rule.cookie]
+                del by_cookie[rule.cookie]
         return self._discard(doomed)
 
     def _discard(self, doomed: Sequence[FlowRule]) -> int:
-        """Shared tail of every removal; ``doomed`` already left the cookie
-        index.  Notifies once, and not at all when nothing was hit."""
-        if not doomed:
-            return 0
+        """Take ``doomed`` (already out of the cookie index, never empty)
+        out of the classifier; returns how many."""
+        self._order = None
+        subtables = self._subtables
+        removed = 0
         for rule in doomed:
-            self._classifier_discard(rule)
-        removed = len(doomed)
+            removed += 1
+            mask = rule._mask
+            if mask is None:
+                self._residue.remove(rule)
+                if rule.priority >= self._residue_max:
+                    self._residue_dirty = True
+                continue
+            st = subtables[mask]
+            bucket = st.buckets[rule._key]
+            if bucket[0] is rule:       # most buckets hold only this rule
+                del bucket[0]
+            else:
+                bucket.remove(rule)
+            if not bucket:
+                del st.buckets[rule._key]
+                if not st.buckets:
+                    del subtables[mask]
+                    continue
+            if rule.priority >= st.max_priority:
+                st.max_dirty = True
         self._count -= removed
-        if self.on_change is not None:
-            self.on_change()
         return removed
 
     def clear(self) -> None:
@@ -321,50 +426,6 @@ class FlowTable:
 
     def find_by_cookie(self, cookie: Any) -> List[FlowRule]:
         return list(self._by_cookie.get(cookie, ()))
-
-    # -- classifier maintenance ---------------------------------------------------
-
-    def _classifier_add(self, rule: FlowRule) -> List[FlowRule]:
-        """Place ``rule``; returns the (possibly unsorted) container list."""
-        rule.seq = next(self._seq)
-        self._order = None
-        placed = rule.match.classifier_fields()
-        if placed is None:
-            rule._mask = rule._key = None
-            self._residue.append(rule)
-            if not self._residue_dirty and rule.priority > self._residue_max:
-                self._residue_max = rule.priority
-            return self._residue
-        mask, key = placed
-        rule._mask, rule._key = mask, key
-        st = self._subtables.get(mask)
-        if st is None:
-            st = self._subtables[mask] = _Subtable(mask)
-        bucket = st.buckets.get(key)
-        if bucket is None:
-            bucket = st.buckets[key] = []
-        bucket.append(rule)
-        if not st.max_dirty and rule.priority > st.max_priority:
-            st.max_priority = rule.priority
-        return bucket
-
-    def _classifier_discard(self, rule: FlowRule) -> None:
-        self._order = None
-        if rule._mask is None:
-            self._residue.remove(rule)
-            if rule.priority >= self._residue_max:
-                self._residue_dirty = True
-            return
-        st = self._subtables[rule._mask]
-        bucket = st.buckets[rule._key]
-        bucket.remove(rule)
-        if not bucket:
-            del st.buckets[rule._key]
-            if not st.buckets:
-                del self._subtables[rule._mask]
-                return
-        if rule.priority >= st.max_priority:
-            st.max_dirty = True
 
     def _notify(self) -> None:
         if self.on_change is not None:

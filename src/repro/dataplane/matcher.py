@@ -10,10 +10,13 @@ are wildcards.  IP address fields accept either exact addresses or
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from .actions import frozen_record
 from .packet import GtpuHeader, Packet, TcpHeader, UdpHeader
+
+#: Hashing a key by looking it up here costs no call (``hash`` would).
+_NO_KEYS: frozenset = frozenset()
 
 
 def _ip_matches(pattern: str, address: str) -> bool:
@@ -27,7 +30,7 @@ def _ip_matches(pattern: str, address: str) -> bool:
     return pattern == address
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlowMatch:
     """A conjunction of header-field predicates; None means wildcard."""
 
@@ -87,46 +90,58 @@ class FlowMatch:
         register values - return None and stay on the table's linear
         residue list.
         """
-        names: List[Any] = []
-        values: List[Any] = []
-        if self.in_port is not None:
-            names.append("in_port")
-            values.append(self.in_port)
-        if self.ip_src is not None:
-            if "/" in self.ip_src:
+        # Tuples grown in place, with no call per field: filing a rule
+        # runs this for every rule a session installs.
+        names = values = ()
+        value = self.in_port
+        if value is not None:
+            names += ("in_port",)
+            values += (value,)
+        value = self.ip_src
+        if value is not None:
+            if "/" in value:
                 return None
-            names.append("ip_src")
-            values.append(self.ip_src)
-        if self.ip_dst is not None:
-            if "/" in self.ip_dst:
+            names += ("ip_src",)
+            values += (value,)
+        value = self.ip_dst
+        if value is not None:
+            if "/" in value:
                 return None
-            names.append("ip_dst")
-            values.append(self.ip_dst)
-        if self.ip_proto is not None:
-            names.append("ip_proto")
-            values.append(self.ip_proto)
-        if self.dscp is not None:
-            names.append("dscp")
-            values.append(self.dscp)
-        if self.l4_sport is not None:
-            names.append("l4_sport")
-            values.append(self.l4_sport)
-        if self.l4_dport is not None:
-            names.append("l4_dport")
-            values.append(self.l4_dport)
-        if self.tun_id is not None:
-            names.append("tun_id")
-            values.append(self.tun_id)
-        if self.registers:
-            for reg in sorted(self.registers):
-                names.append(("reg", reg))
-                values.append(self.registers[reg])
-        key = tuple(values)
+            names += ("ip_dst",)
+            values += (value,)
+        value = self.ip_proto
+        if value is not None:
+            names += ("ip_proto",)
+            values += (value,)
+        value = self.dscp
+        if value is not None:
+            names += ("dscp",)
+            values += (value,)
+        value = self.l4_sport
+        if value is not None:
+            names += ("l4_sport",)
+            values += (value,)
+        value = self.l4_dport
+        if value is not None:
+            names += ("l4_dport",)
+            values += (value,)
+        value = self.tun_id
+        if value is not None:
+            names += ("tun_id",)
+            values += (value,)
+        registers = self.registers
+        if registers:
+            order = [*registers]
+            if order[1:]:
+                order.sort()
+            for reg in order:
+                names += (("reg", reg),)
+                values += (registers[reg],)
         try:
-            hash(key)
-        except TypeError:
+            values in _NO_KEYS
+        except TypeError:       # an unhashable register value
             return None
-        return tuple(names), key
+        return names, values
 
 
 MATCH_ALL = FlowMatch()

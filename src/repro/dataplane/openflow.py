@@ -10,14 +10,13 @@ would change (§3.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .actions import Action
+from .actions import Action, frozen_record
 from .matcher import FlowMatch
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlowMod:
     """Add or delete flow rules in a table."""
 
@@ -33,7 +32,7 @@ class FlowMod:
     cookie: Any = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MeterMod:
     """Add, modify, or delete a token-bucket meter."""
 
@@ -47,7 +46,7 @@ class MeterMod:
     burst_bytes: int = 125_000
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StatsRequest:
     """Request flow stats, optionally filtered by cookie."""
 
@@ -55,14 +54,14 @@ class StatsRequest:
     table_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StatsReply:
     """Per-rule stats snapshot."""
 
     entries: Sequence["FlowStatsEntry"]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlowStatsEntry:
     table_id: int
     cookie: Any
@@ -71,7 +70,7 @@ class FlowStatsEntry:
     bytes: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FlowBundle:
     """A group of FlowMod/MeterMod messages applied atomically, in order.
 
@@ -85,7 +84,7 @@ class FlowBundle:
     mods: Sequence[Any] = ()
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BundleReply:
     """Result of an applied bundle."""
 
@@ -93,6 +92,6 @@ class BundleReply:
     rules_added: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BarrierRequest:
     """Complete all preceding mods before replying (ordering fence)."""

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import actions as act
 from .flowtable import FlowRule, FlowTable
-from .matcher import FlowMatch
+from .matcher import MATCH_ALL
 from .meter import TokenBucketMeter
 from .openflow import (
     BarrierRequest,
@@ -54,8 +54,30 @@ MAX_PIPELINE_STEPS = 64
 MICROFLOW_CAPACITY = 8192
 
 
-class PipelineError(Exception):
-    """Raised on malformed pipelines (loops, unknown tables/meters)."""
+class PipelineError(ValueError):
+    """Raised on malformed pipelines (loops, unknown tables/meters) and on
+    every control message the switch rejects, alone or in a bundle."""
+
+
+def _check_meter_mod(mod: MeterMod, exists: bool) -> None:
+    """Raise unless ``mod`` applies to a switch where its meter ``exists``
+    or not: the one rule set of both the single and the bundle path."""
+    command = mod.command
+    if command == MeterMod.DELETE:
+        return
+    if command == MeterMod.ADD:
+        if exists:
+            raise PipelineError(f"meter {mod.meter_id} exists")
+    elif command == MeterMod.MODIFY:
+        if not exists:
+            raise PipelineError(f"no meter {mod.meter_id}")
+    else:
+        raise PipelineError(f"unknown MeterMod command {command!r}")
+    # What TokenBucketMeter would refuse, refused before anything changes.
+    if mod.rate_mbps <= 0:
+        raise PipelineError("meter rate must be positive")
+    if mod.burst_bytes is not None and mod.burst_bytes <= 0:
+        raise PipelineError("burst must be positive")
 
 
 class SoftwareSwitch:
@@ -67,6 +89,7 @@ class SoftwareSwitch:
             raise ValueError("need at least one table")
         self.name = name
         self.tables: List[FlowTable] = [FlowTable(i) for i in range(num_tables)]
+        self._table_ids = range(num_tables)    # `in` tests it without a call
         self.meters: Dict[int, TokenBucketMeter] = {}
         self._ports: Dict[str, Callable[[Packet], None]] = {}
         self._clock = clock or (lambda: 0.0)
@@ -101,13 +124,41 @@ class SoftwareSwitch:
 
     def apply(self, message: Any) -> Any:
         """Apply a control message (FlowMod/MeterMod/Bundle/Stats/Barrier)."""
-        self.stats["control_msgs"] += 1
-        # The exact class first: a session's rules are plain FlowMods.
-        if message.__class__ is FlowMod or isinstance(message, FlowMod):
-            self.stats["flow_ops"] += 1
-            return self._apply_flow_mod(message)
-        if isinstance(message, MeterMod):
-            self.stats["flow_ops"] += 1
+        stats = self.stats
+        stats["control_msgs"] += 1
+        # The exact classes first: a session's rules are plain FlowMods,
+        # and every one passes here, so the FlowMod is handled inline.  Its
+        # checks are the bundle validator's (_validate_bundle).
+        kind = message.__class__
+        if kind is FlowMod or (kind is not MeterMod
+                               and isinstance(message, FlowMod)):
+            stats["flow_ops"] += 1
+            table_id = message.table_id
+            if table_id not in self._table_ids:
+                raise PipelineError(f"no table {table_id} on {self.name}")
+            table = self.tables[table_id]
+            command = message.command
+            if command == FlowMod.ADD:
+                if message.priority < 0:
+                    raise PipelineError("priority must be >= 0")
+                result = table._file(FlowRule(
+                    message.priority, message.match or MATCH_ALL,
+                    message.actions, message.cookie))
+                changed = True
+            elif command == FlowMod.DELETE_BY_COOKIE:
+                result = changed = table._pop_cookie(message.cookie)
+            elif command == FlowMod.DELETE:
+                result = changed = table._pop_matching(message.match,
+                                                       message.priority)
+            else:
+                raise PipelineError(f"unknown FlowMod command {command!r}")
+            if changed:
+                # _invalidate_microflows' body, inline.
+                self._generation += 1
+                stats["mf_invalidations"] += 1
+            return result
+        if kind is MeterMod or isinstance(message, MeterMod):
+            stats["flow_ops"] += 1
             return self._apply_meter_mod(message)
         if isinstance(message, FlowBundle):
             return self._apply_bundle(message)
@@ -118,51 +169,36 @@ class SoftwareSwitch:
         raise PipelineError(f"unknown control message {message!r}")
 
     def _table(self, table_id: int) -> FlowTable:
-        if not 0 <= table_id < len(self.tables):
+        if table_id not in self._table_ids:
             raise PipelineError(f"no table {table_id} on {self.name}")
         return self.tables[table_id]
 
-    def _apply_flow_mod(self, mod: FlowMod) -> Any:
-        # _table's body, inline: every session rule passes here.
-        tables = self.tables
-        if not 0 <= mod.table_id < len(tables):
-            raise PipelineError(f"no table {mod.table_id} on {self.name}")
-        table = tables[mod.table_id]
-        if mod.command == FlowMod.ADD:
-            match = mod.match or FlowMatch()
-            return table.add(FlowRule(mod.priority, match, mod.actions, mod.cookie))
-        if mod.command == FlowMod.DELETE_BY_COOKIE:
-            return table.remove_by_cookie(mod.cookie)
-        if mod.command == FlowMod.DELETE:
-            return table.remove_matching(mod.match, mod.priority)
-        raise PipelineError(f"unknown FlowMod command {mod.command!r}")
-
     def _apply_meter_mod(self, mod: MeterMod) -> Any:
-        if mod.command == MeterMod.ADD:
-            if mod.meter_id in self.meters:
-                raise PipelineError(f"meter {mod.meter_id} exists")
-            self.meters[mod.meter_id] = TokenBucketMeter(
-                mod.meter_id, mod.rate_mbps, mod.burst_bytes)
-            self._invalidate_microflows()
-            return self.meters[mod.meter_id]
-        if mod.command == MeterMod.MODIFY:
-            meter = self.meters.get(mod.meter_id)
-            if meter is None:
-                raise PipelineError(f"no meter {mod.meter_id}")
-            meter.reconfigure(mod.rate_mbps, mod.burst_bytes)
-            self._invalidate_microflows()
-            return meter
+        meters = self.meters
+        meter_id = mod.meter_id
         if mod.command == MeterMod.DELETE:
-            existed = self.meters.pop(mod.meter_id, None) is not None
-            if existed:
-                self._invalidate_microflows()
-            return existed
-        raise PipelineError(f"unknown MeterMod command {mod.command!r}")
+            if meter_id not in meters:
+                return False
+            del meters[meter_id]
+            result = True
+        else:
+            _check_meter_mod(mod, meter_id in meters)
+            if mod.command == MeterMod.ADD:
+                result = meters[meter_id] = TokenBucketMeter(
+                    meter_id, mod.rate_mbps, mod.burst_bytes)
+            else:
+                result = meters[meter_id]
+                result.reconfigure(mod.rate_mbps, mod.burst_bytes)
+        # _invalidate_microflows' body, inline.
+        self._generation += 1
+        self.stats["mf_invalidations"] += 1
+        return result
 
     # -- bundles (atomic batched programming) -------------------------------------
 
     def _validate_bundle(self, bundle: FlowBundle) -> None:
-        """Reject the whole bundle before any mod is applied (atomicity)."""
+        """Reject the whole bundle before any mod is applied (atomicity):
+        every check a mod applied alone would fail is made here first."""
         meter_ids = set(self.meters)
         for mod in bundle.mods:
             if isinstance(mod, FlowMod):
@@ -174,18 +210,11 @@ class SoftwareSwitch:
                     raise PipelineError(
                         f"unknown FlowMod command {mod.command!r}")
             elif isinstance(mod, MeterMod):
+                _check_meter_mod(mod, mod.meter_id in meter_ids)
                 if mod.command == MeterMod.ADD:
-                    if mod.meter_id in meter_ids:
-                        raise PipelineError(f"meter {mod.meter_id} exists")
                     meter_ids.add(mod.meter_id)
-                elif mod.command == MeterMod.MODIFY:
-                    if mod.meter_id not in meter_ids:
-                        raise PipelineError(f"no meter {mod.meter_id}")
                 elif mod.command == MeterMod.DELETE:
                     meter_ids.discard(mod.meter_id)
-                else:
-                    raise PipelineError(
-                        f"unknown MeterMod command {mod.command!r}")
             else:
                 raise PipelineError(f"bundle cannot carry {mod!r}")
 
@@ -207,16 +236,20 @@ class SoftwareSwitch:
             if isinstance(mod, FlowMod):
                 if mod.command == FlowMod.ADD:
                     pending_adds.setdefault(mod.table_id, []).append(
-                        FlowRule(mod.priority, mod.match or FlowMatch(),
+                        FlowRule(mod.priority, mod.match or MATCH_ALL,
                                  mod.actions, mod.cookie))
+                    continue
+                # Deletes must see every earlier ADD: flush preserves
+                # ordering.  (Meters live in their own namespace, so
+                # MeterMods apply inline without forcing a flush - the
+                # common all-ADD bundle is then ONE add_batch, and one
+                # microflow invalidation, per table.)
+                flush()
+                table = self.tables[mod.table_id]
+                if mod.command == FlowMod.DELETE_BY_COOKIE:
+                    table.remove_by_cookie(mod.cookie)
                 else:
-                    # Deletes must see every earlier ADD: flush preserves
-                    # ordering.  (Meters live in their own namespace, so
-                    # MeterMods apply inline without forcing a flush - the
-                    # common all-ADD bundle is then ONE add_batch, and one
-                    # microflow invalidation, per table.)
-                    flush()
-                    self._apply_flow_mod(mod)
+                    table.remove_matching(mod.match, mod.priority)
             else:
                 self._apply_meter_mod(mod)
         flush()

@@ -7,11 +7,13 @@ Two numbers are pinned per RAT: every call the procedure causes (UE,
 radio, RPC, kernel, core), and the calls made by access management and
 the three frontends, the code that translates and sequences it.
 
-Measured on CPython 3.11: 816 / 35 (LTE), 1,012 / 40 (5G) and
-477 / 14 (WiFi); the budgets leave about 5% for other interpreters.  The
-totals were 990, 1,235 and 580 before an RPC round trip, a process
-wake-up and a session's flow program lost their pass-through calls, and
-839, 1,046 and 492 before the span sites read ``sim.tracer`` directly.
+Measured on CPython 3.11: 721 / 35 (LTE), 917 / 40 (5G) and
+382 / 14 (WiFi); the budgets leave about 5% for other interpreters.  The
+totals were 816, 1,012 and 477 before a session's rule install and first
+tunnel took 45 calls instead of 140, 990, 1,235 and 580 before an RPC
+round trip, a process wake-up and a session's flow program lost their
+pass-through calls, and 839, 1,046 and 492 before the span sites read
+``sim.tracer`` directly.
 Before the frontends became translators onto one procedure set the
 procedure layer took 31, 37 and 6 calls - 5G and WiFi then ran no
 overload check, attach counter, latency sample or span.
@@ -35,7 +37,7 @@ PROCEDURE_FILES = ("mme.py", "s1ap_frontend.py", "ngap_frontend.py",
                    "radius_frontend.py")
 
 #: (all calls, procedure-layer calls) per RAT.
-BUDGET = {"lte": (857, 40), "nr": (1064, 45), "wifi": (501, 15)}
+BUDGET = {"lte": (758, 40), "nr": (963, 45), "wifi": (402, 15)}
 
 
 def counted(run):

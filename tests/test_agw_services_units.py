@@ -323,13 +323,32 @@ def test_pipelined_batch_commits_one_bundle():
 def test_pipelined_batch_discards_on_error():
     context = make_context()
     pipelined = Pipelined(context)
+    pipelined.install_session("imsiA", "10.128.0.4", 0x99, 20.0)
+    pipelined.set_enb_tunnel("imsiA", 0x199, "enb-a")
+    rules_before = [len(table) for table in pipelined.switch.tables]
+    stats_before = dict(pipelined.stats)
     with pytest.raises(RuntimeError):
         with pipelined.batch():
             pipelined.install_session("imsi1", "10.128.0.5", 0x100, 20.0)
+            pipelined.set_enb_tunnel("imsiA", 0x299, "enb-b")
+            pipelined.set_session_rate("imsiA", 1.0)
+            pipelined.remove_session("imsiA")
             raise RuntimeError("abort mid-transaction")
     assert pipelined.switch.stats["bundles"] == 0
-    assert len(pipelined.switch.tables[0]) == 0
+    assert [len(table) for table in pipelined.switch.tables] == rules_before
     assert not pipelined.in_batch()
+    # Pipelined's own bookkeeping rolls back with the pending mods.
+    assert pipelined.session_count() == 1
+    assert not pipelined.has_session("imsi1")
+    assert pipelined.has_session("imsiA")
+    assert pipelined.stats == stats_before
+    flows = pipelined.session("imsiA")
+    assert (flows.enb_teid, flows.enb_node, flows.rate_mbps) == \
+        (0x199, "enb-a", 20.0)
+    # So no downlink rule can be programmed for a session without
+    # classify rules.
+    with pytest.raises(KeyError):
+        pipelined.set_enb_tunnel("imsi1", 0x300, "enb-a")
 
 
 def test_pipelined_nested_batch_joins_outer():

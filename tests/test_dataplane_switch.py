@@ -330,3 +330,47 @@ def test_bundle_rejects_foreign_messages():
     sw, delivered = build_switch()
     with pytest.raises(PipelineError):
         sw.apply(FlowBundle(mods=(StatsRequest(),)))
+
+
+def test_bundle_rejected_by_a_late_meter_changes_nothing():
+    # Every check apply would make runs before the first mod: a bad meter
+    # rate at the end leaves the earlier meter, rule and delete unapplied.
+    from repro.dataplane import FlowBundle
+    sw, delivered = build_switch()
+    add_rule(sw, actions=[act.Drop()], cookie="old")
+    before = (dict(sw.stats), sw.datapath_stats(), sorted(sw.meters))
+    with pytest.raises(PipelineError):
+        sw.apply(FlowBundle(mods=(
+            MeterMod(command=MeterMod.ADD, meter_id=1, rate_mbps=5.0),
+            FlowMod(command=FlowMod.ADD, table_id=0, priority=10,
+                    match=FlowMatch(ip_dst="10.0.0.9"),
+                    actions=[act.Output("internet")], cookie="new"),
+            FlowMod(command=FlowMod.DELETE_BY_COOKIE, table_id=0,
+                    cookie="old"),
+            MeterMod(command=MeterMod.ADD, meter_id=2, rate_mbps=0.0),
+        )))
+    assert [r.cookie for r in sw.tables[0].rules()] == ["old"]
+    stats = dict(sw.stats, control_msgs=before[0]["control_msgs"])
+    assert (stats, sw.datapath_stats(), sorted(sw.meters)) == before
+
+
+@pytest.mark.parametrize("mod", [
+    FlowMod(command=FlowMod.ADD, table_id=0, priority=-1),
+    FlowMod(command=FlowMod.ADD, table_id=9, priority=1),
+    FlowMod(command="replace", table_id=0),
+    MeterMod(command=MeterMod.ADD, meter_id=3, rate_mbps=0.0),
+    MeterMod(command=MeterMod.ADD, meter_id=3, rate_mbps=1.0, burst_bytes=0),
+    MeterMod(command=MeterMod.MODIFY, meter_id=1, rate_mbps=-2.0),
+    MeterMod(command=MeterMod.MODIFY, meter_id=4, rate_mbps=1.0),
+    MeterMod(command="reset", meter_id=1),
+], ids=repr)
+def test_a_mod_is_rejected_alike_alone_and_in_a_bundle(mod):
+    from repro.dataplane import FlowBundle
+    for wrap in (lambda m: m, lambda m: FlowBundle(mods=(m,))):
+        sw, delivered = build_switch()
+        sw.apply(MeterMod(command=MeterMod.ADD, meter_id=1, rate_mbps=10.0))
+        before = (sw.datapath_stats(), sw.meters[1].rate_mbps)
+        with pytest.raises(PipelineError):
+            sw.apply(wrap(mod))
+        assert (sw.datapath_stats(), sw.meters[1].rate_mbps) == before
+        assert sw.stats["bundles"] == 0

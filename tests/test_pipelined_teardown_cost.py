@@ -64,15 +64,16 @@ def test_handover_and_detach_cost_is_flat_in_table_size():
 
 
 
-#: Calls per session step on a loaded AGW, measured at 111 / 29 / 51 / 47
-#: on CPython 3.11 once the shared actions became module constants, the
-#: mods reached the switch without pass-through calls and the span sites
-#: read ``sim.tracer`` directly; the budgets leave 5%.  Building every
-#: action per rule, with a helper frame per mod and per table lookup, cost
-#: 141 / 34 / 61 / 67; looking the tracer up through a property and a
-#: helper call, 115 / 29 / 51 / 51.
-SESSION_BUDGET = {"install": 116, "first tunnel": 30, "handover": 53,
-                  "remove": 49}
+#: Calls per session step on a loaded AGW, measured at 35 / 10 / 18 / 16
+#: on CPython 3.11 once the switch handled a FlowMod inside ``apply``, the
+#: table filed and removed rules in one pass with the invalidation counted
+#: inline, ``classifier_fields`` grew tuples instead of calling ``append``,
+#: and each step's mods went out through one bound method; the budgets
+#: leave 5%, rounded up.  With a helper frame per mod, per rule and per
+#: invalidation the steps took 111 / 29 / 51 / 47; building every action
+#: per rule as well, 141 / 34 / 61 / 67.
+SESSION_BUDGET = {"install": 37, "first tunnel": 11, "handover": 19,
+                  "remove": 17}
 
 
 @pytest.mark.parametrize("step", sorted(SESSION_BUDGET))
