@@ -22,7 +22,6 @@ import hashlib
 import json
 import multiprocessing
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
@@ -35,10 +34,12 @@ from typing import (
     Tuple,
 )
 
+from ..record import record
+
 PRAGMA_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finding:
     """One rule violation at a specific source location."""
 

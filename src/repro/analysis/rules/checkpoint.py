@@ -8,9 +8,10 @@ reverts to its default after recovery.  PR 1's ECM ``connected`` bug was
 exactly this shape, and this rule makes the class mechanical.
 
 Detection: within one module, find classes defining both ``checkpoint``
-and ``restore`` methods.  A ``@dataclass`` in the same module whose field
-names overlap heavily with the attributes ``checkpoint`` reads is taken
-to be the serialized record.  Each of its fields must then be
+and ``restore`` methods.  A ``@record`` (or ``@dataclass``) in the same
+module whose field names overlap heavily with the attributes
+``checkpoint`` reads is taken to be the serialized record.  Each of its
+fields must then be
 
 - read somewhere in ``checkpoint`` (attribute load), and
 - written somewhere in ``restore`` — as a keyword argument to the
@@ -32,7 +33,7 @@ from ..core import FileContext, Finding, Rule, register
 #: being checkpointed" (guards against coincidental one-field matches).
 MIN_OVERLAP = 3
 
-_DATACLASS_DECORATORS = {"dataclass"}
+_DATACLASS_DECORATORS = {"dataclass", "record"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -15,10 +15,10 @@ Hardware profiles are calibrated to the paper's reported operating points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ...net.simnet import Network
+from ...record import record, replace
 from ...sim.cpu import CpuModel
 from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
@@ -32,7 +32,7 @@ CPU_CLASS_CONTROL = "cp"
 CPU_CLASS_USER = "up"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AgwHardwareProfile:
     """Calibrated CPU characteristics of an AGW platform."""
 
@@ -80,7 +80,7 @@ def virtual_profile(vcpus: int) -> AgwHardwareProfile:
                    cores=vcpus)
 
 
-@dataclass
+@record
 class AgwConfig:
     """Per-AGW deployment configuration."""
 

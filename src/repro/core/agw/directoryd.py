@@ -8,11 +8,12 @@ RAN-side tunnel endpoint change - the session (IP, policy state) stays put.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ...record import record
 
-@dataclass
+
+@record
 class LocationRecord:
     imsi: str
     frontend: str     # e.g. "s1ap", "ngap", "radius"

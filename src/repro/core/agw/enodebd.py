@@ -9,11 +9,12 @@ reports device health upstream (§3.1, §4.3.1's operational-cost reduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ...record import field, record
 
-@dataclass
+
+@record
 class RanDevice:
     device_id: str
     kind: str = "enodeb"           # enodeb | gnb | wifi-ap

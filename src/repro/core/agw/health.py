@@ -9,8 +9,9 @@ the orchestrator with each check-in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List
+
+from ...record import record
 
 #: A RAN device silent this long (seconds) is stale.
 ENB_STALE_AFTER = 300.0
@@ -18,7 +19,7 @@ ENB_STALE_AFTER = 300.0
 CP_BACKLOG_WARN = 30.0
 
 
-@dataclass
+@record
 class HealthCheck:
     name: str
     healthy: bool

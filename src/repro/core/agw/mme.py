@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import hmac
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...net.rpc import RpcError
 from ...obs.tracing import NOOP_SPAN
+from ...record import record
 from ...sim.kernel import Event
 from ..federation.feg import FEG_SERVICE
 from ..policy.rules import PolicyRule
@@ -115,7 +115,7 @@ class UeContextState:
     REGISTERED = "registered"
 
 
-@dataclass
+@record
 class AccessContext:
     """One UE's registration, whichever RAT it arrived on.  ``ue_id`` 0
     marks a UE refused before it got a context."""

@@ -19,7 +19,6 @@ table  role
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ...dataplane import actions as act
@@ -27,6 +26,7 @@ from ...dataplane.matcher import FlowMatch
 from ...dataplane.openflow import FlowBundle, FlowMod, MeterMod, StatsRequest
 from ...dataplane.packet import ip_packet
 from ...dataplane.switch import SoftwareSwitch
+from ...record import field, record
 from ..policy.enforcer import UNLIMITED_MBPS
 from .context import AgwContext
 
@@ -61,7 +61,7 @@ MIN_METER_MBPS = 1e-6
 RULE_PRIORITY = 10
 
 
-@dataclass
+@record
 class SessionFlows:
     imsi: str
     ue_ip: str

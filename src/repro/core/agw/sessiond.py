@@ -12,11 +12,11 @@ Sessions are checkpointed by ``magmad`` and restorable after a crash
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ...lte.identifiers import TeidAllocator
 from ...obs.tracing import NOOP_SPAN
+from ...record import record
 from ...sim.kernel import Event
 from ..federation.modes import user_plane_egress
 from ..policy.accounting import AccountingLog, ChargingDataRecord
@@ -100,7 +100,7 @@ class SessionState:
     TERMINATED = "terminated"
 
 
-@dataclass
+@record
 class SessionRecord:
     session_id: str
     imsi: str

@@ -14,14 +14,14 @@ carry a password-equivalent instead; unused fields are simply None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ...lte import auth
+from ...record import record
 from ...wifi import eap
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubscriberProfile:
     """One subscriber, across all access technologies."""
 

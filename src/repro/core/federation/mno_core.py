@@ -14,19 +14,19 @@ networks").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...lte import auth
 from ...net.rpc import RpcError, RpcServer
 from ...net.simnet import Network
+from ...record import record
 from ...sim.kernel import Simulator
 from ...sim.rng import RngRegistry
 from ..policy.ocs import OnlineChargingSystem
 from ..policy.rules import PolicyRule, unlimited
 
 
-@dataclass
+@record
 class MnoSubscriber:
     imsi: str
     k: bytes

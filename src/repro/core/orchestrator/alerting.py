@@ -7,11 +7,12 @@ defined").  Operators consume these alerts through the northbound API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from ...record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Alert:
     rule_name: str
     subject: str
@@ -19,7 +20,7 @@ class Alert:
     raised_at: float
 
 
-@dataclass
+@record
 class AlertRule:
     """A named predicate producing alert subjects when it fires."""
 

@@ -10,11 +10,12 @@ tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
+from ...record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class WalEntry:
     version: int
     op: str            # "put" | "delete"

@@ -21,11 +21,11 @@ lets the gateway drop what has landed.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...net.rpc import payload_bytes
 from ...obs.tracing import NOOP_SPAN
+from ...record import field, record
 from ...sim.kernel import Simulator
 from ...sim.monitor import Monitor
 from ..sync import DigestIndex, ReconcileServer
@@ -53,7 +53,7 @@ def scoped(namespace: str, network_id: str) -> str:
     return f"{namespace}@{network_id}"
 
 
-@dataclass
+@record
 class GatewayState:
     gateway_id: str
     first_seen: float

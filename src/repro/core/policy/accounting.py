@@ -7,11 +7,12 @@ long sessions); operators' business systems consume these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from ...record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class ChargingDataRecord:
     """One closed (or interim) accounting record."""
 

@@ -16,8 +16,9 @@ decision" (§3.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Optional
+
+from ...record import record
 
 DEFAULT_QUOTA_BYTES = 1_000_000  # the paper's example quota: 1 MB
 DEFAULT_RESERVATION_TTL = 300.0
@@ -27,7 +28,7 @@ class OcsError(Exception):
     """Unknown subscriber or invalid charging operation."""
 
 
-@dataclass
+@record
 class QuotaGrant:
     grant_id: int
     imsi: str
@@ -38,7 +39,7 @@ class QuotaGrant:
     closed: bool = False
 
 
-@dataclass
+@record
 class Account:
     imsi: str
     balance_bytes: int

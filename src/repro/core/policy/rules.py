@@ -13,8 +13,9 @@ AGWs, and cached there for headless operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
+
+from ...record import record
 
 GB = 1_000_000_000
 MB = 1_000_000
@@ -25,7 +26,7 @@ class ChargingMode:
     ONLINE = "online"      # draws quota grants from the OCS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolicyRule:
     """A per-subscriber-class policy."""
 

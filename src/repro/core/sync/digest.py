@@ -37,7 +37,8 @@ import operator
 from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ...net.rpc import choose, compile_walker, dataclass_fields
+from ...net.rpc import choose, compile_walker
+from ...record import dataclass_fields
 
 #: Bytes per digest (128-bit truncated BLAKE2b).
 DIGEST_BYTES = 16

@@ -31,9 +31,9 @@ sync heals everything" property at leaf granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ...record import record
 from .digest import DigestTree, NodePath, OverlayTree
 
 #: Wire labels for the config namespaces a gateway syncs, in push order.
@@ -154,7 +154,7 @@ class ReconcileServer:
         return {"set": upserts, "delete": tombstones}
 
 
-@dataclass
+@record
 class ReconcileResult:
     """Outcome of one gateway reconcile conversation."""
 

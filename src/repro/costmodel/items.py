@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class CostItem:
     """One line of a cost table."""
 
@@ -64,7 +65,7 @@ class CostTable:
         } for item in self._items]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComparisonRow:
     """One line of a side-by-side comparison (Table 3)."""
 

@@ -7,12 +7,11 @@ and engineering costs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..record import record
 from .items import ComparisonRow, ComparisonTable, CostItem, CostTable
 
 
-@dataclass
+@record
 class SiteParams:
     """Table 2 inputs (a typical Magma cell site)."""
 
@@ -50,7 +49,7 @@ def agw_cost_share(params: SiteParams = None) -> float:
     return table.share_of_total("AGW")
 
 
-@dataclass
+@record
 class DeploymentCostParams:
     """Table 3 inputs (AccessParks per-site installed costs)."""
 

@@ -37,9 +37,9 @@ inline instead; ``on_change`` then covers direct table mutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..record import record
 from .actions import Action
 from .matcher import FlowMatch
 from .packet import GtpuHeader, Packet, TcpHeader, UdpHeader
@@ -53,7 +53,7 @@ def _rule_order(rule: "FlowRule") -> Tuple[int, int]:
     return (-rule.priority, rule.seq)
 
 
-@dataclass(init=False)
+@record(init=False)
 class FlowStats:
     """A rule's counters.  No ``__init__``: every field starts at its
     class-level default, so a rule's stats cost no call to make."""

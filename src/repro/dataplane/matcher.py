@@ -12,7 +12,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Any, Dict, Optional, Tuple
 
-from .actions import frozen_record
+from ..record import record
 from .packet import GtpuHeader, Packet, TcpHeader, UdpHeader
 
 #: Hashing a key by looking it up here costs no call (``hash`` would).
@@ -30,7 +30,7 @@ def _ip_matches(pattern: str, address: str) -> bool:
     return pattern == address
 
 
-@frozen_record
+@record(frozen=True)
 class FlowMatch:
     """A conjunction of header-field predicates; None means wildcard."""
 

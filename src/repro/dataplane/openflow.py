@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from .actions import Action, frozen_record
+from ..record import record
+from .actions import Action
 from .matcher import FlowMatch
 
 
-@frozen_record
+@record(frozen=True)
 class FlowMod:
     """Add or delete flow rules in a table."""
 
@@ -32,7 +33,7 @@ class FlowMod:
     cookie: Any = None
 
 
-@frozen_record
+@record(frozen=True)
 class MeterMod:
     """Add, modify, or delete a token-bucket meter."""
 
@@ -46,7 +47,7 @@ class MeterMod:
     burst_bytes: int = 125_000
 
 
-@frozen_record
+@record(frozen=True)
 class StatsRequest:
     """Request flow stats, optionally filtered by cookie."""
 
@@ -54,14 +55,14 @@ class StatsRequest:
     table_id: Optional[int] = None
 
 
-@frozen_record
+@record(frozen=True)
 class StatsReply:
     """Per-rule stats snapshot."""
 
     entries: Sequence["FlowStatsEntry"]
 
 
-@frozen_record
+@record(frozen=True)
 class FlowStatsEntry:
     table_id: int
     cookie: Any
@@ -70,7 +71,7 @@ class FlowStatsEntry:
     bytes: int
 
 
-@frozen_record
+@record(frozen=True)
 class FlowBundle:
     """A group of FlowMod/MeterMod messages applied atomically, in order.
 
@@ -84,7 +85,7 @@ class FlowBundle:
     mods: Sequence[Any] = ()
 
 
-@frozen_record
+@record(frozen=True)
 class BundleReply:
     """Result of an applied bundle."""
 
@@ -92,6 +93,6 @@ class BundleReply:
     rules_added: int
 
 
-@frozen_record
+@record(frozen=True)
 class BarrierRequest:
     """Complete all preceding mods before replying (ordering fence)."""

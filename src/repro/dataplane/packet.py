@@ -9,8 +9,9 @@ what this model carries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar
+
+from ..record import field, record, replace
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
@@ -19,7 +20,7 @@ PROTO_UDP = 17
 GTPU_PORT = 2152
 
 
-@dataclass
+@record
 class IPv4Header:
     """An IPv4 header: addresses are plain dotted-quad strings."""
 
@@ -30,19 +31,19 @@ class IPv4Header:
     ttl: int = 64
 
 
-@dataclass
+@record
 class UdpHeader:
     sport: int = 0
     dport: int = 0
 
 
-@dataclass
+@record
 class TcpHeader:
     sport: int = 0
     dport: int = 0
 
 
-@dataclass
+@record
 class GtpuHeader:
     """GTP-U tunnel header: TEID identifies the bearer."""
 
@@ -57,7 +58,7 @@ H = TypeVar("H")
 _packet_ids = itertools.count(1)
 
 
-@dataclass
+@record
 class Packet:
     """A packet: a header stack (outermost first) and a payload size."""
 

@@ -18,7 +18,6 @@ profiler are kernel hooks the caller attaches to ``d.sim`` afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core.agw import (
@@ -33,6 +32,7 @@ from .fiveg import Gnb, Ue5g
 from .lte import CellConfig, Enodeb, Ue, auth, make_imsi
 from .lte.ue import UeBase
 from .net import Network, backhaul as links
+from .record import record
 from .sim import Monitor, RngRegistry, Simulator
 from .wifi import WifiAp
 
@@ -48,7 +48,7 @@ def subscriber_keys(index: int) -> Tuple[bytes, bytes]:
     return k, auth.derive_opc(k, OPERATOR_OP)
 
 
-@dataclass
+@record
 class Deployment:
     """Handles on everything :func:`build` stood up, in creation order."""
 

@@ -12,7 +12,6 @@ differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..baseline.epc import MonolithicEpc
@@ -20,13 +19,14 @@ from ..deploy import build
 from ..lte import Enodeb
 from ..lte.gtp import GtpcEndpoint
 from ..net import Network, backhaul
+from ..record import record
 from ..sim import RngRegistry, Simulator, median
 from .common import epc_ues, format_table
 
 PROFILES = ("fiber", "microwave", "satellite")
 
 
-@dataclass
+@record
 class BackhaulPoint:
     profile: str
     magma_median_latency: float
@@ -35,7 +35,7 @@ class BackhaulPoint:
     baseline_csr: float
 
 
-@dataclass
+@record
 class BackhaulResult:
     points: List[BackhaulPoint]
     num_ues: int

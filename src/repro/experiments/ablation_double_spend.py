@@ -10,14 +10,14 @@ bound holds at quota_size x concurrent-open-grants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..core.policy.ocs import OnlineChargingSystem
+from ..record import record
 from .common import format_table
 
 
-@dataclass
+@record
 class DoubleSpendPoint:
     quota_bytes: int
     agw_hops: int
@@ -31,7 +31,7 @@ class DoubleSpendPoint:
         return self.unbilled_bytes <= self.bound_bytes
 
 
-@dataclass
+@record
 class DoubleSpendResult:
     points: List[DoubleSpendPoint]
 

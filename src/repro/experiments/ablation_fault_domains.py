@@ -8,7 +8,6 @@ baseline build it is the EPC: every UE in the network loses service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..baseline.epc import MonolithicEpc
@@ -16,11 +15,12 @@ from ..core.agw import AccessGateway, SubscriberProfile
 from ..deploy import build, subscriber_keys
 from ..lte import Enodeb, Ue, make_imsi
 from ..net import Network, backhaul
+from ..record import record
 from ..sim import RngRegistry, Simulator
 from .common import format_table
 
 
-@dataclass
+@record
 class FaultDomainResult:
     num_sites: int
     ues_per_site: int

@@ -13,7 +13,6 @@ Two architectures face the same backhaul outage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..baseline.epc import MonolithicEpc
@@ -21,11 +20,12 @@ from ..deploy import build
 from ..lte import Enodeb, UeConfig, UeState
 from ..lte.gtp import GtpcEndpoint
 from ..net import Network, backhaul
+from ..record import record
 from ..sim import RngRegistry, Simulator
 from .common import epc_ues, format_table
 
 
-@dataclass
+@record
 class GtpAblationResult:
     num_ues: int
     fragile_fraction: float

@@ -8,16 +8,16 @@ and take effect only after the partition heals, within one check-in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..core.agw import AgwConfig, SubscriberProfile
 from ..deploy import build, subscriber_keys
 from ..lte import Ue, make_imsi
+from ..record import record
 from .common import format_table
 
 
-@dataclass
+@record
 class HeadlessResult:
     partition_seconds: float
     attaches_during_partition: int

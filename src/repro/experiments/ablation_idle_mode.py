@@ -11,17 +11,17 @@ the bare-metal AGW and compares control-plane cost and delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.iot import IotWorkload
 from .common import format_table
 
 
-@dataclass
+@record
 class IdleModePoint:
     mode: str
     devices: int
@@ -31,7 +31,7 @@ class IdleModePoint:
     cp_core_seconds: float     # control-plane CPU consumed
 
 
-@dataclass
+@record
 class IdleModeResult:
     points: List[IdleModePoint]
     duration: float

@@ -14,24 +14,24 @@ without admission control and compares delivered CSR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from .common import format_table
 
 
-@dataclass
+@record
 class OverloadPoint:
     rate: float
     csr_with_protection: float
     csr_without_protection: float
 
 
-@dataclass
+@record
 class OverloadResult:
     points: List[OverloadPoint]
     capacity_per_sec: float

@@ -22,7 +22,6 @@ resume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..baseline.crud_sync import (
@@ -35,6 +34,7 @@ from ..core.orchestrator import NS_SUBSCRIBERS
 from ..deploy import build, subscriber_keys
 from ..lte import make_imsi
 from ..net.simnet import Link, Network
+from ..record import record
 from ..sim import RngRegistry, Simulator
 from .common import format_table
 
@@ -52,7 +52,7 @@ KEYS = 50
 Op = Tuple[str, Optional[SubscriberProfile]]
 
 
-@dataclass
+@record
 class StateSyncPoint:
     loss: float
     crud_divergence: int
@@ -61,7 +61,7 @@ class StateSyncPoint:
     desired_divergence_after_restart: int
 
 
-@dataclass
+@record
 class StateSyncResult:
     points: List[StateSyncPoint]
     num_operations: int

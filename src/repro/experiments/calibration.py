@@ -10,16 +10,15 @@ These are the anchors DESIGN.md §5 commits to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.agw import AgwConfig, BARE_METAL, VIRTUAL_4VCPU
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from .common import format_table
 
 
-@dataclass
+@record
 class CalibrationResult:
     bare_metal_pure_attach_rate: float
     bare_metal_loaded_attach_rate: float

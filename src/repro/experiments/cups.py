@@ -18,12 +18,12 @@ control plane).  A final trial lets the kernel scheduler allocate flexibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.agw import AgwConfig, virtual_profile
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from ..workloads.traffic import TrafficEngine
 from .common import format_table
@@ -35,7 +35,7 @@ VCPUS = 8
 UP_CORE_OPTIONS = (1, 2, 3, 4, 5, 6)
 
 
-@dataclass
+@record
 class CupsConfig:
     attach_rate: float = 14.0          # CP demand = 14 x 0.25 = 3.5 cores
     num_traffic_ues: int = 25
@@ -44,7 +44,7 @@ class CupsConfig:
     seed: int = 0
 
 
-@dataclass
+@record
 class CupsPoint:
     allocation: str                  # "1".."6" or "flexible"
     up_cores: Optional[int]
@@ -53,7 +53,7 @@ class CupsPoint:
     overall_csr: float
 
 
-@dataclass
+@record
 class CupsResult:
     points: List[CupsPoint]
     generator_cap_mbps: float

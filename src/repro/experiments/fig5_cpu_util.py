@@ -10,12 +10,12 @@ is the bottleneck* - with AGW CPU comfortably below saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from ..workloads.traffic import TrafficEngine
 from .common import format_table
@@ -24,7 +24,7 @@ PER_UE_MBPS = 1.5   # each UE's HTTP stream
 BIN_WIDTH = 5.0     # seconds per plotted CPU/throughput point
 
 
-@dataclass
+@record
 class Fig5Config:
     num_ues: int = 288
     num_enbs: int = 3
@@ -33,7 +33,7 @@ class Fig5Config:
     seed: int = 0
 
 
-@dataclass
+@record
 class Fig5Result:
     cpu_series: List[Tuple[float, float]]          # (t, utilization 0..1)
     throughput_series: List[Tuple[float, float]]   # (t, Mbps)

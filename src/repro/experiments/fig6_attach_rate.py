@@ -9,12 +9,12 @@ falls roughly linearly: the MME component is the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.agw import AgwConfig, BARE_METAL
 from ..deploy import build
 from ..lte import CellConfig
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from ..workloads.traffic import TrafficEngine
 from .common import format_table
@@ -23,7 +23,7 @@ DEFAULT_RATES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0)
 BACKGROUND_MBPS = 150.0   # per background UE: saturate each cell
 
 
-@dataclass
+@record
 class Fig6Config:
     rates: Tuple[float, ...] = DEFAULT_RATES
     num_enbs: int = 6
@@ -33,7 +33,7 @@ class Fig6Config:
     seed: int = 0
 
 
-@dataclass
+@record
 class Fig6Point:
     rate: float
     csr: float
@@ -42,7 +42,7 @@ class Fig6Point:
     median_bin_csr: float
 
 
-@dataclass
+@record
 class Fig6Result:
     points: List[Fig6Point]
     knee_rate: float    # last rate with CSR >= 99%

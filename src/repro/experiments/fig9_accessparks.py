@@ -10,14 +10,14 @@ growth the deployment exhibited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from ..record import record
 from ..workloads.diurnal import DiurnalConfig, HourSample, generate_trace, summarize
 from .common import format_table
 
 
-@dataclass
+@record
 class Fig9Result:
     samples: List[HourSample]
     stats: dict

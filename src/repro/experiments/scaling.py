@@ -11,13 +11,13 @@ because runtime state never leaves the AGWs (§3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..core.orchestrator import Orchestrator
 from ..core.orchestrator.orchestrator import CORES
 from ..net.rpc import RpcChannel, RpcError
 from ..net.simnet import Link, Network
+from ..record import record
 from ..sim import Monitor, RngRegistry, Simulator
 from ..workloads.fleet import CohortSpec, UeFleet
 from .common import format_table
@@ -136,7 +136,7 @@ class AgwStub:
             yield self.sim.timeout(self.interval)
 
 
-@dataclass
+@record
 class ScalingPoint:
     num_agws: int
     checkin_rate: float              # check-ins/s arriving
@@ -147,7 +147,7 @@ class ScalingPoint:
     sessions: int = 0                # attached subscribers at the end
 
 
-@dataclass
+@record
 class ScalingResult:
     points: List[ScalingPoint]
     orchestrator_cores: float

@@ -6,7 +6,6 @@ paper reports and expose the headline numbers the benches assert on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..costmodel import (
@@ -18,10 +17,11 @@ from ..costmodel import (
     per_site_cost_comparison,
     ran_site_capex,
 )
+from ..record import record
 from .common import format_table
 
 
-@dataclass
+@record
 class Table2Result:
     table: CostTable
     agw_share: float
@@ -44,7 +44,7 @@ def run_table2(params: SiteParams = None) -> Table2Result:
                         agw_share=agw_cost_share(params))
 
 
-@dataclass
+@record
 class Table3Result:
     table: ComparisonTable
 

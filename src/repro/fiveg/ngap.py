@@ -2,33 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
+
+from ..record import record
 
 NGAP_SERVICE = "ngap"
 GNB_NGAP_SERVICE = "ngap-gnb"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NgSetupRequest:
     gnb_id: str
     plmn: str = "00101"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NgSetupResponse:
     amf_name: str
     accepted: bool = True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialUeMessage5g:
     gnb_id: str
     ran_ue_id: int
     nas: Any = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UplinkNasTransport5g:
     gnb_id: str
     ran_ue_id: int
@@ -36,14 +37,14 @@ class UplinkNasTransport5g:
     nas: Any = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DownlinkNasTransport5g:
     ran_ue_id: int
     amf_ue_id: int
     nas: Any = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PduSessionResourceSetupRequest:
     """AMF/SMF instructs the gNB to set up the user-plane resources."""
 
@@ -55,7 +56,7 @@ class PduSessionResourceSetupRequest:
     nas: Any = None   # piggybacked PduSessionEstablishmentAccept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PduSessionResourceSetupResponse:
     ran_ue_id: int
     amf_ue_id: int

@@ -19,7 +19,8 @@ and failure modes for unknown/mis-keyed subscribers.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+
+from ..record import record
 
 KEY_BYTES = 16
 SQN_WINDOW = 32  # how far ahead of the USIM's SQN the network may be
@@ -29,7 +30,7 @@ class AuthenticationFailure(Exception):
     """RES mismatch or AUTN verification failure."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AuthVector:
     """One EPS authentication vector."""
 

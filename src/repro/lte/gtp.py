@@ -20,11 +20,11 @@ backhaul loss; this module is what the ablation in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..net.simnet import Network
 from ..net.transport import DatagramSocket
+from ..record import record
 from ..sim.kernel import Event, Simulator
 
 GTPC_PORT = 2123
@@ -37,12 +37,12 @@ class GtpTimeout(Exception):
     """A GTP-C request exhausted its N3 retransmissions."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EchoRequest:
     seq: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EchoResponse:
     seq: int = 0
 

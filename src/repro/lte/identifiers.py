@@ -6,8 +6,9 @@ test network uses (MCC 001 / MNC 01, the 3GPP test network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Set
+
+from ..record import record
 
 TEST_PLMN = "00101"
 
@@ -74,7 +75,7 @@ class TeidAllocator:
         return teid in self._in_use
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tai:
     """Tracking area identity."""
 
@@ -82,7 +83,7 @@ class Tai:
     tac: int = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EcgI:
     """E-UTRAN cell global identifier."""
 

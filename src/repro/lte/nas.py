@@ -9,7 +9,7 @@ whose expiry defines a *failed connection attempt* for the CSR metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 
 # 3GPP TS 24.301 timer defaults (seconds).
 T3410_ATTACH = 15.0       # attach procedure guard timer
@@ -17,54 +17,54 @@ T3411_RETRY = 10.0        # retry delay after a failed attach
 MAX_ATTACH_ATTEMPTS = 5
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NasMessage:
     """Base class for NAS messages; ``imsi`` identifies the UE."""
 
     imsi: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttachRequest(NasMessage):
     ue_capabilities: tuple = ("lte",)
     attach_type: str = "eps"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AuthenticationRequest(NasMessage):
     rand: bytes = b""
     autn: bytes = b""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AuthenticationResponse(NasMessage):
     res: bytes = b""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AuthenticationReject(NasMessage):
     cause: str = "authentication failure"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AuthenticationFailureMsg(NasMessage):
     """UE-side failure report (e.g. AUTN MAC failure, SQN resync)."""
 
     cause: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SecurityModeCommand(NasMessage):
     integrity_algo: str = "eia2"
     ciphering_algo: str = "eea2"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SecurityModeComplete(NasMessage):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttachAccept(NasMessage):
     ue_ip: str = ""
     bearer_id: int = 5
@@ -73,36 +73,36 @@ class AttachAccept(NasMessage):
     qci: int = 9
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttachComplete(NasMessage):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttachReject(NasMessage):
     cause: str = "network failure"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetachRequest(NasMessage):
     switch_off: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetachAccept(NasMessage):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServiceRequest(NasMessage):
     """UE returning from idle to connected."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServiceAccept(NasMessage):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServiceReject(NasMessage):
     cause: str = ""

@@ -14,9 +14,9 @@ capped by ``per_ue_peak_mbps`` (the UE category / MCS limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
+from ..record import record
 from ..sim.fairshare import max_min_share
 
 DEFAULT_MAX_ACTIVE_UES = 96
@@ -30,7 +30,7 @@ class CellCapacityError(Exception):
     """Raised when admitting a UE would exceed the active-user limit."""
 
 
-@dataclass
+@record
 class CellConfig:
     max_active_ues: int = DEFAULT_MAX_ACTIVE_UES
     capacity_mbps: float = DEFAULT_CELL_CAPACITY_MBPS

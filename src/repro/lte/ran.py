@@ -23,11 +23,11 @@ radio-specific protocols at its edge (§3.1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..net.rpc import RpcChannel, RpcServer
 from ..net.simnet import Network
+from ..record import record
 from ..sim.kernel import Event, Simulator
 from .identifiers import TeidAllocator
 from .radio import RADIO_DELAY, CellCapacityError, CellConfig, CellModel
@@ -36,7 +36,7 @@ from .radio import RADIO_DELAY, CellCapacityError, CellConfig, CellModel
 CORE_DEADLINE = 10.0
 
 
-@dataclass
+@record
 class RanUeContext:
     """One connected UE at a RAN node: its id on each side of the control
     interface and the two ends of its GTP-U tunnel."""

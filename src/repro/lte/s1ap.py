@@ -8,15 +8,15 @@ access frontend (the paper's "terminate radio-specific protocols early").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from ..record import record
 from .identifiers import EcgI, Tai
 
 S1AP_SERVICE = "s1ap"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class S1SetupRequest:
     """eNodeB registers with its MME."""
 
@@ -25,14 +25,14 @@ class S1SetupRequest:
     cell: EcgI = EcgI()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class S1SetupResponse:
     mme_name: str
     served_plmn: str
     accepted: bool = True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialUeMessage:
     """First uplink NAS message for a new UE (carries AttachRequest)."""
 
@@ -42,7 +42,7 @@ class InitialUeMessage:
     tai: Tai = Tai()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UplinkNasTransport:
     enb_id: str
     enb_ue_id: int
@@ -50,14 +50,14 @@ class UplinkNasTransport:
     nas: Any = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DownlinkNasTransport:
     enb_ue_id: int
     mme_ue_id: int
     nas: Any = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialContextSetupRequest:
     """MME instructs the eNodeB to set up the UE context and data bearer."""
 
@@ -70,7 +70,7 @@ class InitialContextSetupRequest:
     security_key: bytes = b""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitialContextSetupResponse:
     enb_ue_id: int
     mme_ue_id: int
@@ -79,7 +79,7 @@ class InitialContextSetupResponse:
     success: bool = True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UeContextReleaseRequest:
     """eNodeB-initiated release (user inactivity): the UE goes ECM-IDLE.
 
@@ -95,14 +95,14 @@ class UeContextReleaseRequest:
     cause: str = "user-inactivity"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Paging:
     """MME asks the eNodeB to page an idle UE (downlink data pending)."""
 
     imsi: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PathSwitchRequest:
     """Target eNodeB announces a UE that moved to it (X2-style handover).
 
@@ -119,7 +119,7 @@ class PathSwitchRequest:
     enb_address: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PathSwitchRequestAck:
     enb_ue_id: int
     mme_ue_id: int
@@ -127,14 +127,14 @@ class PathSwitchRequestAck:
     cause: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UeContextReleaseCommand:
     enb_ue_id: int
     mme_ue_id: int
     cause: str = "detach"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UeContextReleaseComplete:
     enb_ue_id: int
     mme_ue_id: int

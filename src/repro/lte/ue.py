@@ -19,11 +19,11 @@ paper describes, and the behaviour Magma's local GTP termination shields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net.rpc import RpcError
 from ..obs.tracing import NOOP_SPAN
+from ..record import record
 from ..sim.kernel import Event, Simulator
 from . import auth, nas
 from .radio import CellCapacityError
@@ -37,7 +37,7 @@ class UeState:
     STUCK = "stuck"  # fragile baseband wedged by a protocol failure
 
 
-@dataclass
+@record
 class UeConfig:
     fragile_baseband: bool = False
 

@@ -25,14 +25,12 @@ can consume CPU model time, call other services, etc.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import operator
 from collections import deque
 from types import GeneratorType, MappingProxyType
-from typing import (Any, Callable, Deque, Dict, Iterable, Optional, Tuple,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
+from ..record import SCALAR_TYPES, dataclass_fields
 from ..sim.kernel import Event, Simulator
 from .simnet import Datagram, Network
 
@@ -41,54 +39,17 @@ DEFAULT_DEADLINE = 5.0
 RETRY_INTERVAL = 0.25
 
 
-#: ``instance -> tuple of its field values``, for one dataclass type.
-ValuesOf = Callable[[Any], Tuple[Any, ...]]
-
 #: The exact types a compiled walker handles in line, each with the
 #: source of its test on field ``v{i}`` (:func:`compile_walker`).
-SCALARS = {kind: "type(v{i}) is " + kind.__name__
-           for kind in (str, bytes, bool, int, float)}
-SCALARS[type(None)] = "v{i} is None"
-
-#: Per field, the exact types it declares, or None (:func:`dataclass_fields`).
-FieldTypes = Tuple[Optional[Tuple[type, ...]], ...]
+SCALARS = {kind: "v{i} is None" if kind is type(None) else
+           "type(v{i}) is " + kind.__name__ for kind in SCALAR_TYPES}
 
 
-def dataclass_fields(kind: type) -> \
-        Optional[Tuple[Tuple[str, ...], ValuesOf, FieldTypes]]:
-    """``(field names, values getter, field types)`` of dataclass type
-    ``kind``, in definition order, or None when it is not one.
-
-    The one place the wire sizer here and the digest encoder
-    (``core.sync.digest``) ask ``dataclasses`` about a class: each keeps
-    what it derives from the names per *type*, so a value costs one
-    C-level ``attrgetter`` call instead of a ``dataclasses.fields()``
-    scan and a ``getattr`` per field.  The field types hold, per field,
-    the exact types it declares when they are :data:`SCALARS` types (one,
-    or a ``typing.Union``: ``Optional[bytes]`` is ``(bytes, NoneType)``),
-    else None.
-    """
-    if not dataclasses.is_dataclass(kind):
-        return None
-    names = tuple(f.name for f in dataclasses.fields(kind))
-    # attrgetter needs a name and hands back a bare value for just one.
-    values_of = operator.attrgetter(*names) if len(names) > 1 else \
-        (lambda obj: tuple(getattr(obj, name) for name in names))
-    try:
-        hints = get_type_hints(kind)
-    except (NameError, AttributeError, SyntaxError, TypeError):
-        hints = {}      # an annotation that does not resolve: no types
-    unions = (get_args(hint) if get_origin(hint) is Union else (hint,)
-              for hint in map(hints.get, names))
-    return names, values_of, tuple(
-        alts if all(t in SCALARS for t in alts) else None for alts in unions)
-
-
-def compile_walker(params: str, values_of: ValuesOf, kinds: FieldTypes,
+def compile_walker(params: str, values_of: Callable, kinds: Tuple,
                    body: str, miss: str, namespace: Dict[str, Any],
                    filename: str) -> Callable:
     """Compile one straight-line walker over a dataclass type's instances,
-    once per type, as ``dataclasses`` compiles ``__init__``.
+    once per type, as a record compiles its ``__init__``.
 
     ``walk(<params>)`` unpacks an instance ``obj``'s field values into
     ``v0 … vn``, checks that each one's exact type is one its field
@@ -230,8 +191,8 @@ def _other_bytes(obj: Any) -> Tuple[int, Optional[Iterable[Any]]]:
     return 16, None
 
 
-def _compile_sizer(names: Tuple[str, ...], values_of: ValuesOf,
-                   kinds: FieldTypes) -> Callable:
+def _compile_sizer(names: Tuple[str, ...], values_of: Callable,
+                   kinds: Tuple) -> Callable:
     """``instance -> size`` for one dataclass type: its own bytes (the
     envelope and the field names) as one constant, a field declared
     scalar by its exact type, the UTF-8 length of every ``str`` field at

@@ -13,9 +13,9 @@ state-synchronization and GTP-termination arguments are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..record import record
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 
@@ -34,7 +34,7 @@ class Datagram:
         self.size_bits = size_bits
 
 
-@dataclass
+@record
 class Link:
     """A bidirectional link with latency/loss/jitter/bandwidth.
 
@@ -51,9 +51,10 @@ class Link:
     def __post_init__(self):
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1): {self.loss}")
-        if self.latency < 0 or self.jitter < 0:
+        # Comparisons that NaN fails, so a NaN is refused too.
+        if not (self.latency >= 0 and self.jitter >= 0):
             raise ValueError("latency and jitter must be >= 0")
-        if self.bandwidth_mbps is not None and self.bandwidth_mbps <= 0:
+        if self.bandwidth_mbps is not None and not self.bandwidth_mbps > 0:
             raise ValueError("bandwidth must be positive")
 
 

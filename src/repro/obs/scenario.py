@@ -9,18 +9,18 @@ for), and returns the tracer for analysis/export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..core.agw import AgwConfig, SubscriberProfile
 from ..deploy import Deployment, build, subscriber_keys
 from ..lte import make_imsi
+from ..record import record
 from ..workloads.attach_storm import AttachStorm
 from .flightrec import FlightRecorder
 from .tracing import Tracer
 
 
-@dataclass
+@record
 class TracedRun:
     site: Deployment
     tracer: Tracer
@@ -60,7 +60,7 @@ def run_traced_attach_storm(num_ues: int = 20, rate: float = 5.0,
                      attach_successes=storm.success_count())
 
 
-@dataclass
+@record
 class HealthFleetRun:
     """Handles from :func:`run_health_fleet` for CLI/test inspection."""
 

@@ -125,7 +125,7 @@ class PeriodicCall:
 
     def __init__(self, sim: "Simulator", period: float, fn: Callable,
                  args: tuple):
-        if period <= 0:
+        if not period > 0:      # NaN too
             raise ValueError(f"periodic call needs a positive period: {period}")
         self.sim = sim
         self.period = period
@@ -274,8 +274,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:      # NaN too
+            raise ValueError(f"timeout delay must be >= 0: {delay}")
         super().__init__(sim, name=f"timeout({delay:g})")
         self.delay = delay
         sim.call_later(delay, self._fire, value)
@@ -565,7 +565,7 @@ class Simulator:
         the callback in O(1) without leaving a stale heap entry behind.
         """
         # _arm's body, inline: every RPC call and retransmission arms here.
-        if delay < 0:
+        if not delay >= 0:      # NaN too: it would run time backwards
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -624,7 +624,7 @@ class Simulator:
             return
         # The rest is _arm's body, inline: this is the hottest call in the
         # kernel and the extra frame is measurable.
-        if delay < 0:
+        if not delay >= 0:      # NaN too: it would run time backwards
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seq = seq + 1
         when = self.now + delay
@@ -660,7 +660,7 @@ class Simulator:
         """Queue ``fn(*args)`` after ``delay`` and return its entry.  The
         ambient trace context rides along; ordering compares only
         ``(when, seq)``, so tracing never perturbs event order."""
-        if delay < 0:
+        if not delay >= 0:      # NaN too: it would run time backwards
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         when = self.now + delay
         entry = _new_entry(ScheduledCall)

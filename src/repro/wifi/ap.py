@@ -10,12 +10,12 @@ is exactly the paper's point about abstracting the radio technology.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..net.rpc import RpcChannel, RpcError
 from ..net.simnet import Network
 from ..obs.tracing import NOOP_SPAN
+from ..record import record
 from ..sim.fairshare import max_min_share
 from ..sim.kernel import Event, Simulator
 from .radius import (
@@ -30,7 +30,7 @@ DEFAULT_MAX_CLIENTS = 64
 RADIUS_DEADLINE = 5.0
 
 
-@dataclass
+@record
 class WifiClientState:
     username: str
     mac: str

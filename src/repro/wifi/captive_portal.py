@@ -9,15 +9,16 @@ data allowances, and an allowlist the AP consults before forwarding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
+
+from ..record import record
 
 
 class PortalError(Exception):
     """Invalid voucher or login state."""
 
 
-@dataclass
+@record
 class Voucher:
     code: str
     data_allowance_bytes: Optional[int]   # None = unlimited
@@ -26,7 +27,7 @@ class Voucher:
     activated_at: Optional[float] = None
 
 
-@dataclass
+@record
 class PortalSession:
     client_mac: str
     voucher_code: str

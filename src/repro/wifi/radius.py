@@ -8,12 +8,12 @@ LTE and 5G use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 
 RADIUS_SERVICE = "radius"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EapStartRequest:
     """First RADIUS round trip: the supplicant identifies itself and the
     server answers with an EAP challenge."""
@@ -23,13 +23,13 @@ class EapStartRequest:
     client_mac: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EapChallengeResponse:
     username: str
     nonce: bytes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccessRequest:
     username: str          # the subscriber id (IMSI-equivalent)
     ap_id: str
@@ -38,20 +38,20 @@ class AccessRequest:
     nonce: bytes = b""      # echo of the challenge this proof answers
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccessAccept:
     username: str
     framed_ip: str         # the IP assigned to the client
     session_id: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccessReject:
     username: str
     cause: str = "authentication failure"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccountingRequest:
     ACCT_START = "start"
     ACCT_STOP = "stop"
@@ -64,6 +64,6 @@ class AccountingRequest:
     bytes_ul: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccountingResponse:
     session_id: str

@@ -9,10 +9,10 @@ are recorded per attempt so the harness can compute the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..lte.ue import AttachOutcome, Ue
+from ..record import record
 from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
 
@@ -20,7 +20,7 @@ from ..sim.monitor import Monitor
 RETRY_DELAY = 3.0
 
 
-@dataclass
+@record
 class AttachRecord:
     imsi: str
     started_at: float

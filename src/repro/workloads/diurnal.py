@@ -15,9 +15,9 @@ Deterministic given (seed, parameters) - replicable like everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List
 
+from ..record import record
 from ..sim.rng import RngRegistry
 
 HOURS_PER_DAY = 24
@@ -27,7 +27,7 @@ PEAK_HOUR = 20               # 8 pm local
 MBPS_PER_SUBSCRIBER = 2.2    # hotspot browsing/streaming mix
 
 
-@dataclass
+@record
 class DiurnalConfig:
     weekend_uplift: float = 1.35
     trough_fraction: float = 0.12         # 4 am load vs peak
@@ -39,7 +39,7 @@ class DiurnalConfig:
             raise ValueError("trough fraction must be in (0, 1]")
 
 
-@dataclass
+@record
 class HourSample:
     hour_index: int
     day: int

@@ -42,10 +42,10 @@ measures the speedup between the two modes in one session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lte.ue import Ue, UeState
+from ..record import record
 from ..sim.kernel import PeriodicCall, Simulator
 from ..sim.monitor import Monitor
 from ..sim.rng import RngRegistry
@@ -95,7 +95,7 @@ def binomial(rng, n: int, p: float) -> int:
         successes += 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CohortSpec:
     """One homogeneous slice of the subscriber population.
 

@@ -9,10 +9,10 @@ dimensioning question Figs. 7-8 explore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..lte.ue import Ue
+from ..record import record
 from ..sim.kernel import Simulator
 from ..sim.monitor import Monitor
 from ..sim.rng import RngRegistry
@@ -24,7 +24,7 @@ REPORT_BYTES = 2_000
 JITTER_FRACTION = 0.5
 
 
-@dataclass
+@record
 class IotCycleStats:
     attaches: int = 0
     successes: int = 0

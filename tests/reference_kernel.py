@@ -63,7 +63,7 @@ class ReferenceSimulator:
     # -- scheduling -------------------------------------------------------
 
     def _arm(self, delay, fn, args):
-        if delay < 0:
+        if not delay >= 0:      # NaN too
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         when = self.now + delay
         entry = ScheduledCall(self, when, next(self._counter), fn, args,

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.net.simnet import Link
 from repro.sim import Interrupted, SimulationError, Simulator
+
+from reference_kernel import ReferenceSimulator
+
+NAN = float("nan")
 
 
 def test_schedule_at_absolute_time():
@@ -19,6 +24,40 @@ def test_schedule_at_past_raises():
     sim.run()
     with pytest.raises(ValueError):
         sim.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+def test_a_nan_delay_is_refused_and_time_runs_forward(kernel):
+    """A NaN compares false both ways, so ``delay < 0`` let it in, and
+    its heap entry then ran 3.0, 2.0, 1.0 with ``now`` going backwards."""
+    sim = kernel()
+    with pytest.raises(ValueError):
+        sim.schedule(NAN, lambda: None)
+    fired = []
+    for delay in (3.0, 1.0, 2.0):
+        sim.schedule(delay, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sim: sim.schedule(NAN, lambda: None),
+    lambda sim: sim.schedule_at(NAN, lambda: None),
+    lambda sim: sim.call_later(NAN, lambda: None),
+    lambda sim: sim.timeout(NAN),
+    lambda sim: sim.schedule_periodic(NAN, lambda: None),
+], ids=["schedule", "schedule_at", "call_later", "timeout", "periodic"])
+def test_every_scheduling_entry_point_refuses_nan(entry):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        entry(sim)
+    assert sim.queue_depth() == 0
+
+
+@pytest.mark.parametrize("setting", ["latency", "jitter", "bandwidth_mbps"])
+def test_a_link_refuses_nan(setting):
+    with pytest.raises(ValueError):
+        Link(**{setting: NAN})
 
 
 def test_run_not_reentrant():

@@ -23,9 +23,10 @@ not part of the reproduction.
 
 A third guard holds *settings* to the same production trees: every
 ``__init__`` parameter whose default is not ``None``, and every defaulted
-field of a ``@dataclass`` named ``*Config`` or ``*Slo``, must be passed by
-some call in ``src/``, ``benchmarks/`` or ``examples/`` - by keyword, by
-position, or as a keyword of ``dataclasses.replace``.  A call matches by
+field of a ``@record`` (or ``@dataclass``) named ``*Config`` or ``*Slo``,
+must be passed by some call in ``src/``, ``benchmarks/`` or
+``examples/`` - by keyword, by position, or as a keyword of
+``dataclasses.replace``.  A call matches by
 the class's bare name.  A setting only tests vary is a module constant
 that the test patches.  ``EXEMPT`` names the few that stay settings
 anyway, each with its reason; every one but a seed must still be set by
@@ -211,7 +212,7 @@ def is_dataclass_node(node):
             else decorator
         name = target.attr if isinstance(target, ast.Attribute) \
             else getattr(target, "id", None)
-        if name == "dataclass":
+        if name in ("dataclass", "record"):
             return True
     return False
 
