@@ -21,7 +21,7 @@ from ...record import record
 from ...wifi import eap
 
 
-@record(frozen=True)
+@record(frozen=True, read_mostly=True)
 class SubscriberProfile:
     """One subscriber, across all access technologies."""
 

@@ -796,7 +796,7 @@ class Simulator:
         now = self.now
         halt = None
         if stop_at is not None:
-            if stop_at < now:
+            if not stop_at >= now:      # NaN too
                 raise ValueError(f"cannot run until the past "
                                  f"(until={stop_at}, now={now})")
             # A seq of +inf sorts after every entry at ``stop_at``, those

@@ -140,7 +140,7 @@ class ReferenceSimulator:
     def _loop(self, until, stopped):
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:     # NaN too
             raise ValueError(f"cannot run until the past "
                              f"(until={until}, now={self.now})")
         self._running = True

@@ -126,9 +126,54 @@ def test_every_message_and_action_is_a_record():
             "AccessRequest", "ChargingDataRecord", "AgwConfig",
             "SessionFlows"} <= names
     for cls in RECORDS:
-        assert "__record_names__" in vars(cls), cls
+        assert "__record_key__" in vars(cls), cls
         if cls.__dataclass_params__.init:
             assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+#: Modules whose every record is a message or an action, and so frozen:
+#: the twin takes its options from the record, so it cannot see one lost.
+FROZEN_MODULES = ("repro.dataplane.actions", "repro.dataplane.matcher",
+                  "repro.dataplane.openflow", "repro.lte.nas",
+                  "repro.lte.s1ap", "repro.fiveg.nas5g", "repro.fiveg.ngap",
+                  "repro.wifi.radius")
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS
+                                 if c.__module__ in FROZEN_MODULES], ids=ids)
+def test_every_message_and_action_is_frozen(cls):
+    assert cls.__dataclass_params__.frozen
+    record = cls(**arguments(cls))
+    for name in [f.name for f in dataclasses.fields(cls)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+
+
+def test_the_pinned_modules_hold_the_messages():
+    names = {cls.__name__ for cls in RECORDS
+             if cls.__module__ in FROZEN_MODULES}
+    assert {"FlowMatch", "FlowMod", "FlowBundle", "PushGtpu", "Output",
+            "AttachRequest", "UplinkNasTransport", "InitialUeMessage",
+            "RegistrationRequest", "InitialUeMessage5g",
+            "UplinkNasTransport5g", "AccessRequest"} <= names
+
+
+@pytest.mark.parametrize("base_frozen", [True, False])
+def test_frozen_and_mutable_records_do_not_mix(base_frozen):
+    """As ``dataclasses``: a mutable subclass of a frozen record could
+    never be built, and a frozen one of a mutable record is not frozen."""
+    from repro.record import record
+    for make in (record, dataclasses.dataclass):
+        base = make(frozen=base_frozen)(
+            type("Base", (), {"__annotations__": {"x": int}}))
+        with pytest.raises(TypeError):
+            make(frozen=not base_frozen)(
+                type("Sub", (base,), {"__annotations__": {"y": int}}))
+        sub = make(frozen=base_frozen)(
+            type("Sub", (base,), {"__annotations__": {"y": int}}))
+        assert vars(sub(1, 2)) == {"x": 1, "y": 2}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=ids)
@@ -207,9 +252,7 @@ def test_a_record_is_what_the_generated_init_would_build(cls):
     kwargs = arguments(cls) if cls.__dataclass_params__.init else {}
     (record, error), (made, twin_error) = build(cls, kwargs), \
         build(twin, kwargs)
-    assert error == twin_error
-    if error:
-        return
+    assert error is None and twin_error is None
     assert list(vars(record).items()) == list(vars(made).items())
     assert repr(record) == repr(made)
     # A subclass the decorator never saw still shows its own name.
@@ -226,13 +269,12 @@ def test_a_record_is_what_the_generated_init_would_build(cls):
                            for f in dataclasses.fields(cls)))
         assert list(vars(positional).items()) == list(vars(record).items())
         changed = arguments(cls, 1)
-        other, other_error = build(cls, changed)
-        twin_other, twin_other_error = build(twin, changed)
-        assert other_error == twin_other_error
-        if other is not None:
-            assert (record == other) == (made == twin_other)
-            assert (record != other) == (made != twin_other)
-            assert repr(other) == repr(twin_other)
+        (other, other_error), (twin_other, twin_other_error) = \
+            build(cls, changed), build(twin, changed)
+        assert other_error is None and twin_other_error is None
+        assert (record == other) == (made == twin_other)
+        assert (record != other) == (made != twin_other)
+        assert repr(other) == repr(twin_other)
     assert record.__eq__(made) is NotImplemented
     assert record.__eq__(object()) is NotImplemented
     assert (record == made) is False
@@ -301,6 +343,17 @@ def test_a_hidden_field_is_left_out_of_repr_and_equality():
     assert "downlink_match" not in repr(marked)
     assert repr(marked) == repr(flows) and marked == flows
     assert vars(marked)["downlink_match"] == "match"
+
+
+def test_only_a_read_mostly_record_stores_as_a_dataclass_does():
+    """A subscriber profile is read far more often than built: its
+    ``__init__`` stores through ``object.__setattr__`` and never asks for
+    the instance dict, which would slow every later read of it."""
+    from repro.core.agw.subscriberdb import SubscriberProfile
+    from repro.lte.s1ap import UplinkNasTransport
+    assert SubscriberProfile.__dataclass_params__.frozen
+    assert "__dict__" not in SubscriberProfile.__init__.__code__.co_names
+    assert "__dict__" in UplinkNasTransport.__init__.__code__.co_names
 
 
 def test_a_record_without_init_starts_at_its_class_defaults():

@@ -46,12 +46,21 @@ def test_a_nan_delay_is_refused_and_time_runs_forward(kernel):
     lambda sim: sim.call_later(NAN, lambda: None),
     lambda sim: sim.timeout(NAN),
     lambda sim: sim.schedule_periodic(NAN, lambda: None),
-], ids=["schedule", "schedule_at", "call_later", "timeout", "periodic"])
-def test_every_scheduling_entry_point_refuses_nan(entry):
-    sim = Simulator()
+    lambda sim: sim.run(until=NAN),
+    lambda sim: sim.run_until_triggered(sim.event(), limit=NAN),
+], ids=["schedule", "schedule_at", "call_later", "timeout", "periodic",
+        "run_until", "run_until_triggered"])
+@pytest.mark.parametrize("kernel", [Simulator, ReferenceSimulator])
+def test_every_scheduling_entry_point_refuses_nan(kernel, entry):
+    """A NaN run limit was a halt entry keyed by NaN: it broke heap order,
+    and popping it set ``now`` to NaN for good."""
+    sim = kernel()
     with pytest.raises(ValueError):
         entry(sim)
     assert sim.queue_depth() == 0
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(sim.now))
+    assert sim.run() == 1.0 and fired == [1.0]
 
 
 @pytest.mark.parametrize("setting", ["latency", "jitter", "bandwidth_mbps"])
